@@ -134,8 +134,9 @@ def propagate(source: AcousticSource, path: PathModel, frequency_hz: float | Non
 def port_pressure(source: AcousticSource, path: PathModel, t_s: np.ndarray) -> np.ndarray:
     """Inlet pressure series at the transducer for the given time grid.
 
-    For a tone source this is h * A0 * cos(2*pi*f*t + delay + phase) with A0
-    from the SPL.  For a waveform source the samples are scaled by h * A0
+    For a tone source this is h * A0 * cos(2*pi*f*(t - delay) + phase) with
+    A0 from the SPL, so the port hears the source tone delay seconds late.
+    For a waveform source the samples are scaled by h * A0
     (the waveform is normalized to unit full scale) and shifted by the
     propagation delay rounded to whole samples; the time grid spacing must
     then match the waveform sample rate.
@@ -144,7 +145,7 @@ def port_pressure(source: AcousticSource, path: PathModel, t_s: np.ndarray) -> n
     amp = spl_to_pressure_amp(source.spl_db)
     if source.tone_hz is not None:
         h, delay_s = propagate(source, path)
-        press = h * amp * np.cos(2.0 * math.pi * source.tone_hz * t + delay_s + source.phase_rad)
+        press = h * amp * np.cos(2.0 * math.pi * source.tone_hz * (t - delay_s) + source.phase_rad)
     else:
         wave = source.waveform
         if t.size >= 2:

@@ -208,7 +208,6 @@ def _characterize_one(
     lo: float | None,
     hi: float | None,
     step: float,
-    dwell: float,
 ) -> list[str]:
     model = archetype(part_id).with_damping(damping)
     analytic = system_resonant_hz(model, tube)
@@ -221,7 +220,7 @@ def _characterize_one(
         lo_hz, hi_hz = lo, hi
     length = tube.length_m if tube is not None else 0.0
     try:
-        sweep = frequency_sweep(model, tube, lo_hz, hi_hz, step, dwell_s=dwell)
+        sweep = frequency_sweep(model, tube, lo_hz, hi_hz, step)
     except NoResonanceError:
         return [part_id, _num(length), _num(analytic), "", "", "", "", "not_found"]
     delta = sweep.center_hz - analytic
@@ -241,23 +240,24 @@ def cmd_characterize(args: argparse.Namespace) -> int:
             raise CliError(str(exc)) from exc
         part_ids = [args.archetype]
 
-    tube = None
-    if args.tube_length is not None:
-        if args.tube_length <= 0.0:
-            raise CliError("--tube-length must be positive; omit it for a bare port")
-        tube = TubeAssembly(
-            length_m=args.tube_length,
-            inner_diameter_m=args.tube_diameter,
-            pickup_device=args.pickup,
-        )
-
     header = ["archetype", "tube_length_m", "analytic_hz", "detected_hz",
               "band_low_hz", "band_high_hz", "delta_hz", "status"]
-    rows = [
-        _characterize_one(part_id, tube, args.damping, args.lo, args.hi,
-                          args.step, args.dwell)
-        for part_id in part_ids
-    ]
+    try:
+        tube = None
+        if args.tube_length is not None:
+            if args.tube_length <= 0.0:
+                raise CliError("--tube-length must be positive; omit it for a bare port")
+            tube = TubeAssembly(
+                length_m=args.tube_length,
+                inner_diameter_m=args.tube_diameter,
+                pickup_device=args.pickup,
+            )
+        rows = [
+            _characterize_one(part_id, tube, args.damping, args.lo, args.hi, args.step)
+            for part_id in part_ids
+        ]
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     print(",".join(header))
     for row in rows:
         print(",".join(row))
@@ -430,8 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_char.add_argument("--lo", type=float, default=None, help="sweep start, Hz")
     p_char.add_argument("--hi", type=float, default=None, help="sweep stop, Hz")
     p_char.add_argument("--step", type=float, default=10.0, help="grid step, Hz")
-    p_char.add_argument("--dwell", type=float, default=0.003,
-                        help="scored dwell per tone, s")
     p_char.add_argument("--out", default=None, help="also write rows to this CSV")
     p_char.set_defaults(func=cmd_characterize)
 

@@ -26,6 +26,7 @@ ADIABATIC_BULK_MODULUS_PA = 1.4 * 101325.0
 """Stiffness of air for fast volume changes, gamma times atmospheric."""
 
 SUBSTEPS_PER_PERIOD = 20
+MIN_HORIZON_PERIODS = 10
 STEADY_SLOPE_PA_PER_S = 1e-3
 STEADY_HOLD_S = 5.0
 
@@ -332,8 +333,10 @@ def simulate_scenario(scenario: NprScenario, horizon_s: float | None = None) -> 
     horizon = scenario.horizon_s if horizon_s is None else horizon_s
     period = scenario.control_period_s
     n_periods = int(round(horizon / period))
-    if n_periods < 10:
-        raise ValueError(f"horizon must cover at least 10 control periods, got {n_periods}")
+    if n_periods < MIN_HORIZON_PERIODS:
+        raise ValueError(
+            f"horizon must cover at least {MIN_HORIZON_PERIODS} control periods, got {n_periods}"
+        )
 
     rooms = scenario.rooms
     n_rooms = len(rooms)

@@ -18,6 +18,7 @@ import yaml
 from .acoustics import AcousticSource
 from .countermeasures import AcousticAttackSetup, Countermeasure
 from .plant import (
+    MIN_HORIZON_PERIODS,
     AlarmConfig,
     AttackPlan,
     ControllerConfig,
@@ -303,6 +304,12 @@ def parse_scenario(text: str, source_path: Path | None = None) -> LoadedScenario
         period = controller.number("control_period_s", default=period, exclusive_min=0.0)
         deadband = controller.number("deadband_pa", default=deadband, minimum=0.0)
         controller.close()
+    # Same rounding as simulate_scenario, so every horizon accepted here runs.
+    if horizon > 0.0 and period > 0.0 and round(horizon / period) < MIN_HORIZON_PERIODS:
+        ctx.error(
+            top.line("horizon_s"), "scenario.horizon_s",
+            f"must cover at least {MIN_HORIZON_PERIODS} control periods of {period:g} s",
+        )
 
     fans = top.submap("fans")
     max_flow, fan_tau = 0.4, 2.0

@@ -3,10 +3,17 @@
 A DPS diaphragm plus its pressure medium behaves as a damped second-order
 oscillator.  When a sampling tube is attached, the tube/cavity acts as a
 Helmholtz stage that shifts the resonance downward with tube length.  This
-module provides the analytic resonance formulas, a fixed-step 4th-order
-time-domain integrator for the transducer response, the critically damped
-release envelope, and a swept-sine characterization routine that mimics a
-bench sweep with a speaker.
+module provides the analytic resonance formulas, the critically damped
+release envelope, and one fixed-step classical RK4 scheme for the
+transducer response.
+
+The oscillator is linear and the step is fixed, so one RK4 step is a linear
+recurrence in the state and the inlet, derived once per model and step.
+Every path runs on that recurrence: a sampled inlet and a callable inlet
+(sampled on the half-step grid) through lfilter, and the swept-sine
+characterization through the recurrence's exact steady-state gain at each
+tone, which is what a bench sweep with a speaker measures once each tone
+has rung up.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -50,6 +57,10 @@ DEFAULT_MOVING_MASS_KG = 1.0e-4
 # to stay in its accurate regime.
 MIN_SAMPLES_PER_PERIOD = 20
 
+# Largest grid frequency_sweep evaluates.  A million tones peak at about
+# 130 MB of temporaries; a finer grid is a mistyped step, not a sweep.
+MAX_SWEEP_TONES = 1_000_000
+
 
 class UnstableStepError(ValueError):
     """Raised when the integration step is too coarse for the model dynamics."""
@@ -69,6 +80,19 @@ class Transducer(enum.Enum):
     THERMAL_MASS_FLOW = "thermal_mass_flow"
 
 
+def _require_finite_fields(obj) -> None:
+    """Reject NaN and infinity in every numeric field of a dataclass.
+
+    Range checks alone let NaN through, because every comparison with it
+    is False.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        for x in value if isinstance(value, tuple) else (value,):
+            if isinstance(x, (int, float)) and not math.isfinite(x):
+                raise ValueError(f"{type(obj).__name__}.{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class TubeAssembly:
     """Sampling tube between the monitored space and the sensor port.
@@ -85,6 +109,7 @@ class TubeAssembly:
     sound_speed_mps: float = SOUND_SPEED_MPS
 
     def __post_init__(self) -> None:
+        _require_finite_fields(self)
         if self.length_m < 0.0:
             raise ValueError(f"tube length must be >= 0, got {self.length_m}")
         if self.inner_diameter_m <= 0.0:
@@ -132,6 +157,7 @@ class DpsModel:
     reading_gain: float = 1.0
 
     def __post_init__(self) -> None:
+        _require_finite_fields(self)
         lo, hi = self.pressure_range_pa
         if not lo < hi:
             raise ValueError(f"{self.part_id}: pressure range must have lower < upper, got ({lo}, {hi})")
@@ -189,15 +215,6 @@ class DpsModel:
         return replace(self, damping_ratio=damping_ratio)
 
 
-@dataclass(frozen=True)
-class TransducerState:
-    """Instantaneous transducer output sample."""
-
-    p_out_pa: float
-    p_out_rate_pa_s: float
-    time_s: float
-
-
 @dataclass
 class TransducerTrace:
     """Time series produced by :func:`step_response`."""
@@ -205,13 +222,6 @@ class TransducerTrace:
     time_s: np.ndarray
     p_out_pa: np.ndarray
     p_out_rate_pa_s: np.ndarray
-
-    def state_at(self, index: int) -> TransducerState:
-        return TransducerState(
-            p_out_pa=float(self.p_out_pa[index]),
-            p_out_rate_pa_s=float(self.p_out_rate_pa_s[index]),
-            time_s=float(self.time_s[index]),
-        )
 
 
 @dataclass
@@ -302,65 +312,60 @@ def _rk4_step(
     )
 
 
-def _rk4_sampled(omega: float, xi: float, inlet: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 over a sampled inlet, one state per inlet row.
-
-    inlet has shape (n_samples,) or (batch, n_samples).  Midpoint inlet
-    values are taken as the average of neighboring samples.  Returns
-    (p, v) arrays of the same shape as inlet.
-
-    The oscillator is linear and the step is fixed, so one RK4 step is a
-    linear recurrence z[k+1] = A z[k] + c0 u[k] + c1 u[k+1].  Eliminating
-    the second state turns each output into a second-order difference
-    equation, which lfilter evaluates in compiled code.  The coefficients
-    come from stepping basis states and inputs, so this is bit-for-bit the
-    classical scheme up to rounding.
-    """
-    u = np.atleast_2d(np.asarray(inlet, dtype=float))
-
-    def step(p0, v0, u0, um, u1):
-        return _rk4_step(omega, xi, dt, p0, v0, u0, um, u1)
-
-    a11, a21 = step(1.0, 0.0, 0.0, 0.0, 0.0)
-    a12, a22 = step(0.0, 1.0, 0.0, 0.0, 0.0)
-    c0p, c0v = step(0.0, 0.0, 1.0, 0.5, 0.0)
-    c1p, c1v = step(0.0, 0.0, 0.0, 0.5, 1.0)
-    den = np.array([1.0, -(a11 + a22), a11 * a22 - a12 * a21])
-    num_p = np.array([c1p, c0p - a22 * c1p + a12 * c1v, a12 * c0v - a22 * c0p])
-    num_v = np.array([c1v, c0v - a11 * c1v + a21 * c1p, a21 * c0p - a11 * c0v])
-    # Initial filter state pinning p[0] = v[0] = 0 and the correct first step
-    # even when the inlet starts nonzero.
-    u_first = u[:, :1]
-    zi_p = np.concatenate([-num_p[0] * u_first, (c0p - num_p[1]) * u_first], axis=1)
-    zi_v = np.concatenate([-num_v[0] * u_first, (c0v - num_v[1]) * u_first], axis=1)
-    p, _ = lfilter(num_p, den, u, axis=-1, zi=zi_p)
-    v, _ = lfilter(num_v, den, u, axis=-1, zi=zi_v)
-    if np.asarray(inlet).ndim == 1:
-        return p[0], v[0]
-    return p, v
-
-
-def _rk4_callable(
-    omega: float, xi: float, inlet: Callable[[float], float], n_samples: int, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 with the inlet evaluated exactly at every integration node.
-
-    Evaluating the true midpoint keeps the full 4th-order convergence that
-    the neighbor-average variant gives up.
-    """
-    p = np.zeros(n_samples)
-    v = np.zeros(n_samples)
-    pk = 0.0
-    vk = 0.0
-    for k in range(n_samples - 1):
-        t0 = k * dt
-        pk, vk = _rk4_step(
-            omega, xi, dt, pk, vk,
-            inlet(t0), inlet(t0 + 0.5 * dt), inlet(t0 + dt),
+def _oscillator(model: DpsModel, tube: TubeAssembly | None, dt: float) -> tuple[float, float]:
+    """(omega, xi) of the assembled system, once dt is checked to resolve it."""
+    if not dt > 0.0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    f_sys = system_resonant_hz(model, tube)
+    dt_max = 1.0 / (MIN_SAMPLES_PER_PERIOD * f_sys)
+    if dt > dt_max:
+        raise UnstableStepError(
+            f"dt={dt:.3e} s too coarse for {f_sys:.1f} Hz dynamics; need dt <= {dt_max:.3e} s"
         )
-        p[k + 1] = pk
-        v[k + 1] = vk
+    return 2.0 * math.pi * f_sys, model.damping_ratio
+
+
+def _recurrence(omega: float, xi: float, dt: float):
+    """(A, c0, cm, c1) of one RK4 step as a linear recurrence.
+
+    The oscillator is linear and the step is fixed, so one step is
+    z[k+1] = A z[k] + c0 u(t_k) + cm u(t_k + dt/2) + c1 u(t_k + dt) for the
+    state z = (p, v).  Stepping basis states and unit inputs through
+    _rk4_step gives every coefficient, so this is the classical scheme up
+    to rounding.
+    """
+    def step(*args):
+        return _rk4_step(omega, xi, dt, *args)
+
+    (a11, a21), (a12, a22) = step(1.0, 0.0, 0.0, 0.0, 0.0), step(0.0, 1.0, 0.0, 0.0, 0.0)
+    a = ((a11, a12), (a21, a22))
+    return a, step(0.0, 0.0, 1.0, 0.0, 0.0), step(0.0, 0.0, 0.0, 1.0, 0.0), step(0.0, 0.0, 0.0, 0.0, 1.0)
+
+
+def _drive(a, c_now, c_next, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """States of z[k+1] = A z[k] + c_now x[k] + c_next x[k+1] from z[0] = 0.
+
+    Eliminating the other state turns each state into a second-order
+    difference equation in x, which lfilter evaluates in compiled code.
+    """
+    (a11, a12), (a21, a22) = a
+    (n0p, n0v), (n1p, n1v) = c_now, c_next
+    den = [1.0, -(a11 + a22), a11 * a22 - a12 * a21]
+    num_p = [n1p, n0p - a22 * n1p + a12 * n1v, a12 * n0v - a22 * n0p]
+    num_v = [n1v, n0v - a11 * n1v + a21 * n1p, a21 * n0p - a11 * n0v]
+    # Initial filter state pinning z[0] = 0 and the correct first step even
+    # when x starts nonzero.
+    x0 = x[0]
+    zi_p = [-num_p[0] * x0, (n0p - num_p[1]) * x0]
+    zi_v = [-num_v[0] * x0, (n0v - num_v[1]) * x0]
+    p, _ = lfilter(num_p, den, x, zi=zi_p)
+    v, _ = lfilter(num_v, den, x, zi=zi_v)
     return p, v
+
+
+def _require_finite_inlet(series: np.ndarray) -> None:
+    if not np.all(np.isfinite(series)):
+        raise NonFiniteInputError("inlet contains non-finite samples")
 
 
 def step_response(
@@ -369,32 +374,26 @@ def step_response(
     inlet,
     dt: float,
 ) -> TransducerTrace:
-    """Integrate the transducer output for an inlet pressure history.
+    """Integrate the transducer output for a sampled inlet pressure history.
 
-    inlet is either an array of samples spaced dt apart or a callable
-    t -> Pa evaluated at the integration nodes.  The integrator is a fixed
-    step classical 4th-order scheme; dt must give at least
+    inlet is an array of samples spaced dt apart; the inlet midway between
+    two samples is taken as their average.  The integrator is a fixed step
+    classical 4th-order scheme; dt must give at least
     MIN_SAMPLES_PER_PERIOD samples per period of the system resonance or
     UnstableStepError is raised.  The transducer starts at rest.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    f_sys = system_resonant_hz(model, tube)
-    if dt > 1.0 / (MIN_SAMPLES_PER_PERIOD * f_sys):
-        raise UnstableStepError(
-            f"dt={dt:.3e} s too coarse for {f_sys:.1f} Hz dynamics; "
-            f"need dt <= {1.0 / (MIN_SAMPLES_PER_PERIOD * f_sys):.3e} s"
-        )
-    omega = 2.0 * math.pi * f_sys
-    xi = model.damping_ratio
+    omega, xi = _oscillator(model, tube, dt)
     if callable(inlet):
         raise TypeError("inlet must be a sample array; use step_response_fn for callables")
     series = np.asarray(inlet, dtype=float)
     if series.ndim != 1:
         raise ValueError(f"inlet must be one-dimensional, got shape {series.shape}")
-    if not np.all(np.isfinite(series)):
-        raise NonFiniteInputError("inlet contains non-finite samples")
-    p, v = _rk4_sampled(omega, xi, series, dt)
+    _require_finite_inlet(series)
+    a, c0, cm, c1 = _recurrence(omega, xi, dt)
+    # Fold the neighbor-average midpoint into the end-point coefficients.
+    c0_avg = (c0[0] + 0.5 * cm[0], c0[1] + 0.5 * cm[1])
+    c1_avg = (c1[0] + 0.5 * cm[0], c1[1] + 0.5 * cm[1])
+    p, v = _drive(a, c0_avg, c1_avg, series)
     t = np.arange(series.size) * dt
     return TransducerTrace(time_s=t, p_out_pa=p, p_out_rate_pa_s=v)
 
@@ -408,47 +407,24 @@ def step_response_fn(
 ) -> TransducerTrace:
     """Like :func:`step_response` but with the inlet given as a smooth function.
 
-    The function is evaluated at every integration node, including half
-    steps, so the scheme keeps its full 4th-order accuracy.
+    The function is sampled on the half-step grid, so every step sees the
+    exact inlet at its start, midpoint and end and the scheme keeps its
+    full 4th-order accuracy.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    f_sys = system_resonant_hz(model, tube)
-    if dt > 1.0 / (MIN_SAMPLES_PER_PERIOD * f_sys):
-        raise UnstableStepError(
-            f"dt={dt:.3e} s too coarse for {f_sys:.1f} Hz dynamics; "
-            f"need dt <= {1.0 / (MIN_SAMPLES_PER_PERIOD * f_sys):.3e} s"
-        )
+    omega, xi = _oscillator(model, tube, dt)
+    if not duration_s >= 0.0:
+        raise ValueError(f"duration must be >= 0, got {duration_s}")
     n = int(round(duration_s / dt)) + 1
-    omega = 2.0 * math.pi * f_sys
-    p, v = _rk4_callable(omega, model.damping_ratio, inlet, n, dt)
+    # The inlet takes one time in seconds, so it is called once per half step;
+    # the recurrence itself runs in lfilter.
+    half_steps = np.array([inlet(t) for t in (0.5 * dt * np.arange(2 * n - 1)).tolist()], dtype=float)
+    _require_finite_inlet(half_steps)
+    a, c0, cm, c1 = _recurrence(omega, xi, dt)
+    p_node, v_node = _drive(a, c0, c1, half_steps[0::2])
+    # The midpoint after the last node drives no returned state.
+    p_mid, v_mid = _drive(a, cm, (0.0, 0.0), np.append(half_steps[1::2], 0.0))
     t = np.arange(n) * dt
-    return TransducerTrace(time_s=t, p_out_pa=p, p_out_rate_pa_s=v)
-
-
-def step_response_batch(
-    model: DpsModel,
-    tube: TubeAssembly | None,
-    inlet_rows: np.ndarray,
-    dt: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate several independent inlet histories in one vectorized pass.
-
-    inlet_rows has shape (batch, n_samples); returns (p, v) of the same
-    shape.  Same stability precondition as :func:`step_response`.
-    """
-    rows = np.asarray(inlet_rows, dtype=float)
-    if rows.ndim != 2:
-        raise ValueError(f"inlet_rows must be 2-D, got shape {rows.shape}")
-    if not np.all(np.isfinite(rows)):
-        raise NonFiniteInputError("inlet contains non-finite samples")
-    f_sys = system_resonant_hz(model, tube)
-    if dt > 1.0 / (MIN_SAMPLES_PER_PERIOD * f_sys):
-        raise UnstableStepError(
-            f"dt={dt:.3e} s too coarse for {f_sys:.1f} Hz dynamics"
-        )
-    omega = 2.0 * math.pi * f_sys
-    return _rk4_sampled(omega, model.damping_ratio, rows, dt)
+    return TransducerTrace(time_s=t, p_out_pa=p_node + p_mid, p_out_rate_pa_s=v_node + v_mid)
 
 
 def frequency_sweep(
@@ -457,62 +433,47 @@ def frequency_sweep(
     lo_hz: float,
     hi_hz: float,
     step_hz: float,
-    dwell_s: float = 0.003,
     amplitude_pa: float = 1.0,
 ) -> SweepResult:
-    """Drive the sensor with single tones over a frequency grid.
+    """Score the sensor's steady response to single tones over a frequency grid.
 
-    Each grid frequency gets an independent tone dwell; the recorded metric
-    is the peak output magnitude once the dwell has rung up to steady
-    state.  A resonance is reported when a clear interior peak stands out
-    from the rest of the curve.  Raises NoResonanceError when the response
-    is flat or keeps rising into the sweep boundary, which is how a
-    resonance above the sweep ceiling presents.
+    Each grid tone is scored by the amplitude its output settles to under
+    the same RK4 recurrence that :func:`step_response` integrates, at a
+    step dt = 1/(25 max(hi_hz, f_sys)).  With z = exp(j 2 pi f dt) that
+    amplitude is |e1' (zI - A)^-1 (c0 + cm z^(1/2) + c1 z)| times
+    amplitude_pa, which a time-domain tone run approaches once its
+    transient has decayed; no state is shared between tones, so the result
+    does not depend on sweep direction.
 
-    A bench sweep that retunes a single speaker accumulates ring-up across
-    neighboring near-resonant dwells.  Simulating the frequencies
-    independently loses that carry-over, so each frequency is driven
-    through its own ring-up before the dwell window is scored; this also
-    makes the result independent of sweep direction, since no state is
-    shared between frequencies.
+    A resonance is reported when a clear interior peak stands out from the
+    rest of the curve.  Raises NoResonanceError when the response is flat
+    or keeps rising into the sweep boundary, which is how a resonance
+    above the sweep ceiling presents, and ValueError for a grid of more
+    than MAX_SWEEP_TONES tones.
     """
     if not 0.0 < lo_hz < hi_hz:
         raise ValueError(f"need 0 < lo < hi, got ({lo_hz}, {hi_hz})")
-    if step_hz <= 0.0:
+    if not step_hz > 0.0:
         raise ValueError(f"step must be > 0, got {step_hz}")
-    if dwell_s < 0.003:
-        raise ValueError(f"dwell must be at least 3 ms, got {dwell_s}")
+    tones = (hi_hz - lo_hz) / step_hz + 0.5
+    if not tones <= MAX_SWEEP_TONES:
+        raise ValueError(
+            f"a {step_hz:g} Hz step over {lo_hz:g}-{hi_hz:g} Hz gives {tones:.3g} tones, "
+            f"more than the {MAX_SWEEP_TONES} a sweep allows"
+        )
     if model.damping_ratio <= 0.0:
         raise ValueError("an undamped model never settles; sweep needs damping_ratio > 0")
     freqs = np.arange(lo_hz, hi_hz + 0.5 * step_hz, step_hz)
-    f_sys = system_resonant_hz(model, tube)
-    f_max = max(hi_hz, f_sys)
-    dt = 1.0 / (25.0 * f_max)
-    omega = 2.0 * math.pi * f_sys
-    xi = model.damping_ratio
-    # Transient envelope decays as exp(-xi*omega*t); four time constants
-    # leave under 2% of it, cheap insurance for a clean argmax.
-    warmup_s = min(4.0 / (xi * omega), 0.25)
-    n_warm = int(math.ceil(warmup_s / dt))
-    # The scored window must span one full cycle of the slowest grid tone,
-    # or its steady peak gets phase-undersampled and the curve wiggles.
-    record_s = max(dwell_s, 1.0 / lo_hz)
-    n = n_warm + int(math.ceil(record_s / dt)) + 1
-    wdrv = 2.0 * math.pi * freqs
-
-    p = np.zeros(freqs.size)
-    v = np.zeros(freqs.size)
-    peak = np.zeros(freqs.size)
-    for k in range(n - 1):
-        t0 = k * dt
-        p, v = _rk4_step(
-            omega, xi, dt, p, v,
-            amplitude_pa * np.cos(wdrv * t0),
-            amplitude_pa * np.cos(wdrv * (t0 + 0.5 * dt)),
-            amplitude_pa * np.cos(wdrv * (t0 + dt)),
-        )
-        if k >= n_warm:
-            np.maximum(peak, np.abs(p), out=peak)
+    dt = 1.0 / (25.0 * max(hi_hz, system_resonant_hz(model, tube)))
+    a, c0, cm, c1 = _recurrence(*_oscillator(model, tube, dt), dt)
+    (a11, a12), (a21, a22) = a
+    w_dt = 2.0 * math.pi * freqs * dt
+    z = np.exp(1j * w_dt)
+    half = np.exp(0.5j * w_dt)
+    b_p = c0[0] + cm[0] * half + c1[0] * z
+    b_v = c0[1] + cm[1] * half + c1[1] * z
+    gain = ((z - a22) * b_p + a12 * b_v) / (z * z - (a11 + a22) * z + (a11 * a22 - a12 * a21))
+    peak = amplitude_pa * np.abs(gain)
 
     i_max = int(np.argmax(peak))
     floor = float(np.percentile(peak, 25.0))

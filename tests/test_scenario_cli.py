@@ -184,6 +184,29 @@ def test_cli_characterize_rejects_unknown_archetype(tmp_path, capsys):
     assert "nprsim: error:" in capsys.readouterr().err
 
 
+def test_cli_characterize_rejects_an_oversized_grid(capsys):
+    rc = main(["characterize", "--archetype", "A1011-00", "--step", "1e-5"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("nprsim: error:") and captured.err.count("\n") == 1
+    assert "tones" in captured.err
+
+
+def test_short_horizon_is_rejected_with_its_line(tmp_path, capsys):
+    messages = _parse_errors("horizon_s: 5\n" + MINIMAL)
+    assert messages == ["line 1: scenario.horizon_s: must cover at least 10 control periods of 1 s"]
+    # the check uses the scenario's own control period
+    assert parse_scenario("horizon_s: 5\ncontroller:\n  control_period_s: 0.5\n" + MINIMAL)
+    text = (SCENARIO_DIR / "baseline.yaml").read_text(encoding="utf-8")
+    short = tmp_path / "short.yaml"
+    short.write_text(text.replace("horizon_s: 120", "horizon_s: 5"), encoding="utf-8")
+    rc = main(["simulate", str(short), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "scenario.horizon_s" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_sweep_needs_an_acoustic_attack(tmp_path, capsys):
     rc = main([
         "sweep", str(SCENARIO_DIR / "baseline.yaml"),

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nprsim import (
     DpsModel,
@@ -19,6 +22,7 @@ from nprsim import (
     step_response_fn,
     system_resonant_hz,
 )
+from nprsim.sensor import MIN_SAMPLES_PER_PERIOD
 
 
 def test_natural_resonance_matches_stiffness_mass_arithmetic():
@@ -192,3 +196,102 @@ def test_with_damping_replaces_only_damping():
     assert natural_resonant_hz(light) == natural_resonant_hz(model)
     with pytest.raises(ValueError):
         model.with_damping(-0.1)
+
+
+def test_non_finite_fields_are_rejected_at_construction():
+    model = archetype("A1011-00")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            TubeAssembly(length_m=bad)
+        with pytest.raises(ValueError, match="finite"):
+            TubeAssembly(length_m=1.0, sound_speed_mps=bad)
+        with pytest.raises(ValueError, match="finite"):
+            model.with_damping(bad)
+        with pytest.raises(ValueError, match="finite"):
+            DpsModel.from_band("X", Transducer.CAPACITIVE, (-bad, 500.0), (400.0, 420.0))
+
+
+# ------------------------------------------------------------ shared RK4 core
+
+# A sensor archetype, its damping, an optional tube, and a step between
+# 1/4 and 1 of the coarsest one step_response accepts.
+_systems = st.tuples(
+    st.sampled_from(sorted(load_archetypes())),
+    st.floats(0.05, 1.0),
+    st.sampled_from((None, 0.5, 2.0)),
+    st.floats(0.25, 1.0),
+)
+
+
+def _build(system):
+    part, xi, length, dt_frac = system
+    model = archetype(part).with_damping(xi)
+    tube = None if length is None else TubeAssembly(length_m=length)
+    dt = dt_frac / (MIN_SAMPLES_PER_PERIOD * system_resonant_hz(model, tube))
+    return model, tube, dt
+
+
+_inlets = arrays(np.float64, 64, elements=st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_systems, _inlets, _inlets, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
+def test_step_response_is_linear_and_superposes(system, x, y, a, b):
+    model, tube, dt = _build(system)
+    combined = step_response(model, tube, a * x + b * y, dt)
+    px = step_response(model, tube, x, dt)
+    py = step_response(model, tube, y, dt)
+    scale = 1e3 * (abs(a) + abs(b)) + 1.0
+    np.testing.assert_allclose(combined.p_out_pa, a * px.p_out_pa + b * py.p_out_pa,
+                               rtol=0.0, atol=1e-9 * scale)
+    assert combined.p_out_pa[0] == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(_systems, st.floats(-1e4, 1e4).filter(lambda c: abs(c) > 1e-3))
+def test_step_response_has_unit_dc_gain(system, level):
+    model, tube, dt = _build(system)
+    omega = 2.0 * math.pi * system_resonant_hz(model, tube)
+    # The slowest transient decays as exp(-xi*omega*t); 50 time constants
+    # leave less than 1e-21 of it.
+    n = int(50.0 / (model.damping_ratio * omega * dt)) + 1
+    trace = step_response(model, tube, np.full(n, level), dt)
+    assert trace.p_out_pa[-1] == pytest.approx(level, rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_systems, st.floats(-1e3, 1e3), st.floats(-1e5, 1e5))
+def test_sampled_and_callable_inlets_agree_on_an_affine_inlet(system, offset, slope):
+    # On an affine inlet the neighbor average is the exact midpoint, so the
+    # two paths differ only by rounding.
+    model, tube, dt = _build(system)
+    n = 200
+    sampled = step_response(model, tube, offset + slope * dt * np.arange(n), dt)
+    called = step_response_fn(model, tube, lambda t: offset + slope * t, (n - 1) * dt, dt)
+    scale = abs(offset) + abs(slope) * n * dt + 1.0
+    np.testing.assert_allclose(called.p_out_pa, sampled.p_out_pa, rtol=0.0, atol=1e-10 * scale)
+    np.testing.assert_allclose(called.time_s, sampled.time_s, rtol=0.0, atol=0.0)
+
+
+def test_sweep_gain_matches_a_long_tone_run():
+    """The closed-form sweep gain is what a time-domain tone run settles to."""
+    model = archetype("A1011-00").with_damping(0.1)
+    f_n = natural_resonant_hz(model)
+    hi = 1.3 * f_n
+    sweep = frequency_sweep(model, None, 0.7 * f_n, hi, f_n / 150.0)
+    dt = 1.0 / (25.0 * hi)  # the sweep's own step for this grid
+    omega = 2.0 * math.pi * f_n
+    settle_s = 50.0 / (model.damping_ratio * omega)
+    # below, at and above the resonance
+    for index in (5, 45, 85):
+        f = float(sweep.frequencies_hz[index])
+        w = 2.0 * math.pi * f
+        duration = settle_s + 3.0 / f
+        # cos and sin inlets give the real and imaginary parts of the steady
+        # phasor, so their hypotenuse is the gain at every sample.
+        cos_run = step_response_fn(model, None, lambda t: math.cos(w * t), duration, dt)
+        sin_run = step_response_fn(model, None, lambda t: math.sin(w * t), duration, dt)
+        settled = cos_run.time_s >= settle_s
+        magnitude = np.hypot(cos_run.p_out_pa[settled], sin_run.p_out_pa[settled])
+        gain = float(sweep.peak_responses_pa[index])
+        assert np.max(np.abs(magnitude - gain)) <= 1e-9 * gain
