@@ -4,20 +4,18 @@ The chain is: source SPL -> pressure amplitude at the stated reference
 distance -> inverse-distance spreading to the port -> per-meter loss along
 any sampling tube -> fixed insertion loss of a foam pickup gasket when one
 is fitted.  The result is the attenuation factor h(d, f) and the propagation
-delay, which together turn the source waveform into the inlet pressure the
+delay, which together turn the source tone into the inlet pressure the
 transducer model integrates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .sensor import REFERENCE_TUBE_ID_M, SOUND_SPEED_MPS, TubeAssembly
-from .waveform import AudioBuffer
+from .sensor import REFERENCE_TUBE_ID_M, TubeAssembly, _require_finite_fields
 
 P_REF_PA = 20.0e-6
 
@@ -34,10 +32,6 @@ TUBE_LOSS_DB_PER_M = 10.935
 PICKUP_LOSS_DB = 6.0
 
 
-class SampleRateMismatchError(ValueError):
-    """Raised when a source waveform's rate disagrees with the output grid."""
-
-
 def default_tube_loss_db_per_m(frequency_hz: float, inner_diameter_m: float) -> float:
     """Per-meter tube loss in dB.  Flat in frequency, higher for narrow bores."""
     if inner_diameter_m <= 0.0:
@@ -47,31 +41,28 @@ def default_tube_loss_db_per_m(frequency_hz: float, inner_diameter_m: float) -> 
 
 @dataclass(frozen=True)
 class AcousticSource:
-    """A tone or waveform source at a known SPL and position.
+    """A tone source at a known SPL and position.
 
     spl_db is interpreted at ref_distance_m, so the same loudness number can
     describe a phone speaker rated at one inch or a bench speaker rated at
-    one meter.  position_distance_m is the source-to-port distance.  Exactly
-    one of tone_hz or waveform describes the emitted signal.
+    one meter.  position_distance_m is the source-to-port distance and
+    tone_hz the emitted tone.
     """
 
     spl_db: float
     ref_distance_m: float
     position_distance_m: float
-    tone_hz: float | None = None
-    waveform: AudioBuffer | None = None
-    phase_rad: float = 0.0
+    tone_hz: float
 
     def __post_init__(self) -> None:
+        _require_finite_fields(self)
         if not 0.0 <= self.spl_db <= 140.0:
             raise ValueError(f"SPL must be within [0, 140] dB, got {self.spl_db}")
         if self.ref_distance_m <= 0.0:
             raise ValueError(f"reference distance must be > 0, got {self.ref_distance_m}")
         if self.position_distance_m <= 0.0:
             raise ValueError(f"position distance must be > 0, got {self.position_distance_m}")
-        if (self.tone_hz is None) == (self.waveform is None):
-            raise ValueError("exactly one of tone_hz or waveform must be set")
-        if self.tone_hz is not None and self.tone_hz <= 0.0:
+        if self.tone_hz <= 0.0:
             raise ValueError(f"tone frequency must be > 0, got {self.tone_hz}")
 
 
@@ -80,17 +71,10 @@ class PathModel:
     """Everything between the source and the transducer inlet."""
 
     tube: TubeAssembly
-    pickup_loss_db: float | None = None
-    per_meter_loss_db: Callable[[float, float], float] = default_tube_loss_db_per_m
     max_port_pa: float | None = None
     extra_loss_db: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.pickup_loss_db is None:
-            loss = PICKUP_LOSS_DB if self.tube.pickup_device else 0.0
-            object.__setattr__(self, "pickup_loss_db", loss)
-        if self.pickup_loss_db < 0.0:
-            raise ValueError(f"pickup loss must be >= 0 dB, got {self.pickup_loss_db}")
         if self.extra_loss_db < 0.0:
             raise ValueError(f"extra path loss must be >= 0 dB, got {self.extra_loss_db}")
         if self.max_port_pa is not None and self.max_port_pa <= 0.0:
@@ -108,23 +92,20 @@ def propagate(source: AcousticSource, path: PathModel, frequency_hz: float | Non
     """Attenuation factor and propagation delay from source to inlet.
 
     Returns (h, delay_s).  h combines inverse-distance spreading relative to
-    the SPL reference distance, per-meter tube loss, and pickup insertion
-    loss; it is at most ref_distance/position_distance, so h <= 1 whenever
-    the port is at or beyond the reference distance.  delay_s is
-    distance/sound speed.
+    the SPL reference distance, per-meter tube loss at frequency_hz (the
+    source tone when None), and pickup insertion loss; it is at most
+    ref_distance/position_distance, so h <= 1 whenever the port is at or
+    beyond the reference distance.  delay_s is distance/sound speed.
     """
     if frequency_hz is None:
-        if source.tone_hz is None:
-            raise ValueError("frequency_hz required for waveform sources")
         frequency_hz = source.tone_hz
     spread = source.ref_distance_m / source.position_distance_m
     loss_db = 0.0
     if path.tube.length_m > 0.0:
-        per_m = path.per_meter_loss_db(frequency_hz, path.tube.inner_diameter_m)
-        if per_m < 0.0:
-            raise ValueError(f"per-meter loss must be >= 0 dB, got {per_m}")
+        per_m = default_tube_loss_db_per_m(frequency_hz, path.tube.inner_diameter_m)
         loss_db += per_m * path.tube.length_m
-    loss_db += path.pickup_loss_db + path.extra_loss_db
+    pickup_loss_db = PICKUP_LOSS_DB if path.tube.pickup_device else 0.0
+    loss_db += pickup_loss_db + path.extra_loss_db
     h = spread * 10.0 ** (-loss_db / 20.0)
     total_distance = source.position_distance_m + path.tube.length_m
     delay_s = total_distance / path.tube.sound_speed_mps
@@ -134,43 +115,14 @@ def propagate(source: AcousticSource, path: PathModel, frequency_hz: float | Non
 def port_pressure(source: AcousticSource, path: PathModel, t_s: np.ndarray) -> np.ndarray:
     """Inlet pressure series at the transducer for the given time grid.
 
-    For a tone source this is h * A0 * cos(2*pi*f*(t - delay) + phase) with
-    A0 from the SPL, so the port hears the source tone delay seconds late.
-    For a waveform source the samples are scaled by h * A0
-    (the waveform is normalized to unit full scale) and shifted by the
-    propagation delay rounded to whole samples; the time grid spacing must
-    then match the waveform sample rate.
+    This is h * A0 * cos(2*pi*f*(t - delay)) with A0 from the SPL, so the
+    port hears the source tone delay seconds late, clamped to max_port_pa
+    when the path sets one.
     """
     t = np.asarray(t_s, dtype=float)
+    h, delay_s = propagate(source, path)
     amp = spl_to_pressure_amp(source.spl_db)
-    if source.tone_hz is not None:
-        h, delay_s = propagate(source, path)
-        press = h * amp * np.cos(2.0 * math.pi * source.tone_hz * (t - delay_s) + source.phase_rad)
-    else:
-        wave = source.waveform
-        if t.size >= 2:
-            dt = t[1] - t[0]
-            if abs(dt - 1.0 / wave.sample_rate_hz) > 1e-12:
-                raise SampleRateMismatchError(
-                    f"time grid spacing {dt:.3e} s does not match waveform rate "
-                    f"{wave.sample_rate_hz} Hz"
-                )
-        # Broadband source: use the waveform band's dominant content for the
-        # tube loss; callers wanting per-band treatment should decompose first.
-        h, delay_s = propagate(source, path, frequency_hz=_dominant_frequency(wave))
-        shift = int(round(delay_s * wave.sample_rate_hz))
-        padded = np.concatenate([np.zeros(shift), wave.samples])
-        press = h * amp * padded[: t.size] if padded.size >= t.size else h * amp * np.pad(
-            padded, (0, t.size - padded.size)
-        )
+    press = h * amp * np.cos(2.0 * math.pi * source.tone_hz * (t - delay_s))
     if path.max_port_pa is not None:
         press = np.clip(press, -path.max_port_pa, path.max_port_pa)
     return press
-
-
-def _dominant_frequency(wave: AudioBuffer) -> float:
-    """Frequency bin with the most energy; crude but adequate for tube loss."""
-    spectrum = np.abs(np.fft.rfft(wave.samples))
-    spectrum[0] = 0.0
-    idx = int(np.argmax(spectrum))
-    return idx * wave.sample_rate_hz / wave.samples.size

@@ -16,7 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .countermeasures import Countermeasure, evaluate_countermeasure
+from .countermeasures import (
+    COUNTERMEASURE_KINDS,
+    Countermeasure,
+    countermeasure_from,
+    evaluate_countermeasure,
+)
 from .plant import SimulationTrace, simulate_scenario
 from .scenario import ScenarioError, load_scenario
 from .sensor import (
@@ -332,8 +337,8 @@ def _countermeasure_from_args(args: argparse.Namespace) -> Countermeasure | None
     if args.kind is None:
         return None
     try:
-        return Countermeasure(
-            kind=args.kind,
+        return countermeasure_from(
+            args.kind,
             tube_length_m=args.cm_tube_length,
             extra_loss_db=args.extra_loss_db,
             cutoff_hz=args.cutoff_hz,
@@ -407,8 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="burst repetition interval, ms")
     p_synth.add_argument("--cycles", default=None,
                          help="whole tone cycles per burst, e.g. 1 or 1,2")
-    p_synth.add_argument("--amplitude-scale", type=float, default=0.9)
-    p_synth.add_argument("--fade-in-ms", type=float, default=0.0)
+    p_synth.add_argument("--amplitude-scale", type=float,
+                         default=SegmentSchedule.amplitude_scale)
+    p_synth.add_argument("--fade-in-ms", type=float, default=SegmentSchedule.fade_in_s * 1e3)
     p_synth.add_argument("--target-hz", type=float, default=None,
                          help="tone frequency (default band center)")
     p_synth.add_argument("--report", default=None,
@@ -447,12 +453,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cm = sub.add_parser("evaluate-cm", help="evaluate a countermeasure against a scenario")
     p_cm.add_argument("scenario", help="scenario YAML path")
     p_cm.add_argument("--kind", default=None,
-                      choices=("long_tube", "enclosure", "lpf", "raised_setpoint"),
+                      choices=COUNTERMEASURE_KINDS,
                       help="override the scenario's countermeasure block")
     p_cm.add_argument("--tube-length", dest="cm_tube_length", type=float, default=None)
     p_cm.add_argument("--extra-loss-db", type=float, default=None)
     p_cm.add_argument("--cutoff-hz", type=float, default=None)
-    p_cm.add_argument("--order", type=int, default=1)
+    p_cm.add_argument("--order", type=int, default=None)
     p_cm.add_argument("--setpoint-pa", type=float, default=None)
     p_cm.add_argument("--out", required=True, help="output directory")
     p_cm.set_defaults(func=cmd_evaluate_cm)

@@ -20,8 +20,14 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .acoustics import AcousticSource
-from .plant import ATTACK_TARGETS, AttackPlan, NprScenario, simulate_scenario
-from .sensor import REFERENCE_TUBE_ID_M, DpsModel, TubeAssembly, step_response
+from .plant import (
+    ATTACK_PORT_PLACEMENTS,
+    ATTACK_TARGETS,
+    AttackPlan,
+    NprScenario,
+    simulate_scenario,
+)
+from .sensor import NO_TUBE, DpsModel, TubeAssembly, step_response
 from .waveform import SegmentSchedule, forged_pressure_estimate
 
 NOISE_FLOOR_PA = 0.1
@@ -30,7 +36,6 @@ NOISE_FLOOR_PA = 0.1
 SETTLE_BAND_FRACTION = 0.05
 ENCLOSURE_LAG_S_PER_UNIT = 1e-3
 COUNTERMEASURE_KINDS = ("long_tube", "enclosure", "lpf", "raised_setpoint")
-ATTACK_PORT_PLACEMENTS = ("low_port", "high_port", "common_high_port")
 
 
 class CutoffError(ValueError):
@@ -41,8 +46,8 @@ class CutoffError(ValueError):
 class Countermeasure:
     """One defense with its single tunable parameter.
 
-    Use the classmethod constructors; the generic initializer mostly
-    exists for config loaders.
+    Use the classmethod constructors; config loaders go through
+    countermeasure_from.
     """
 
     kind: str
@@ -51,13 +56,10 @@ class Countermeasure:
     cutoff_hz: float | None = None
     order: int = 1
     setpoint_pa: float | None = None
-    applied_to: str = "hvac"
 
     def __post_init__(self) -> None:
         if self.kind not in COUNTERMEASURE_KINDS:
             raise ValueError(f"unknown countermeasure kind {self.kind!r}")
-        if self.applied_to not in ATTACK_TARGETS:
-            raise ValueError(f"applied_to must be one of {ATTACK_TARGETS}")
         if self.order < 1:
             raise ValueError(f"filter order must be >= 1, got {self.order}")
         required = {
@@ -92,6 +94,15 @@ class Countermeasure:
     @classmethod
     def raised_setpoint(cls, setpoint_pa: float) -> Countermeasure:
         return cls(kind="raised_setpoint", setpoint_pa=float(setpoint_pa))
+
+
+def countermeasure_from(kind: str, **params: float | int | None) -> Countermeasure:
+    """Countermeasure from a kind and optional parameters, as a config gives them.
+
+    A parameter given as None is left unset, so it takes the dataclass
+    default; the scenario loader and the command line share this.
+    """
+    return Countermeasure(kind=kind, **{k: v for k, v in params.items() if v is not None})
 
 
 @dataclass(frozen=True)
@@ -209,12 +220,6 @@ def measurement_settle_time_s(
     return float((outside[-1] + 1) * dt)
 
 
-def _attacked_tube(attack: AcousticAttackSetup) -> TubeAssembly:
-    if attack.tube is not None:
-        return attack.tube
-    return TubeAssembly(length_m=0.0, inner_diameter_m=REFERENCE_TUBE_ID_M)
-
-
 def evaluate_countermeasure(
     scenario: NprScenario,
     cm: Countermeasure,
@@ -254,8 +259,7 @@ def evaluate_countermeasure(
     penalty_s = 0.0
 
     if cm.kind == "long_tube":
-        base_tube = _attacked_tube(attack)
-        new_tube = replace(base_tube, length_m=cm.tube_length_m)
+        new_tube = replace(attack.tube or NO_TUBE, length_m=cm.tube_length_m)
         residual = forged_pressure_estimate(
             attack.schedule, attack.model, new_tube, attack.source,
             target_f_hz=attack.target_f_hz,

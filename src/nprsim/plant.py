@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sensor import DpsModel, TubeAssembly
+from .sensor import DpsModel, TubeAssembly, _require_finite_fields
 
 HALLWAY_PA = 12.5
 """Hallway absolute gauge pressure, the datum all rooms are read against."""
@@ -30,7 +30,8 @@ MIN_HORIZON_PERIODS = 10
 STEADY_SLOPE_PA_PER_S = 1e-3
 STEADY_HOLD_S = 5.0
 
-ATTACK_PLACEMENTS = ("none", "low_port", "high_port", "common_high_port")
+ATTACK_PORT_PLACEMENTS = ("low_port", "high_port", "common_high_port")
+ATTACK_PLACEMENTS = ("none", *ATTACK_PORT_PLACEMENTS)
 ATTACK_TARGETS = ("hvac", "rpm", "both")
 
 
@@ -39,33 +40,18 @@ class WiringError(ValueError):
 
 
 @dataclass(frozen=True)
-class RoomState:
-    """Snapshot of one room: gauge pressure plus its physical constants."""
+class FanSpec:
+    """Capacity and response lag shared by a room's supply and exhaust fan.
 
-    pressure_pa: float
-    volume_m3: float = 50.0
-    leak_coeff_m3ps_per_pa: float = 0.004
+    The fan speeds are not settable: they start at the balanced pair
+    from balanced_fans and move only on controller commands.
+    """
 
-    def __post_init__(self) -> None:
-        if self.volume_m3 <= 0.0:
-            raise ValueError(f"volume must be > 0, got {self.volume_m3}")
-        if not math.isfinite(self.pressure_pa):
-            raise ValueError("pressure must be finite")
-        if self.leak_coeff_m3ps_per_pa <= 0.0:
-            raise ValueError("leak coefficient must be > 0")
-
-
-@dataclass(frozen=True)
-class FanState:
-    """Fan operating point: unit-range speed, capacity, and response lag."""
-
-    speed_frac: float = 0.5
     max_flow_m3ps: float = 0.4
     time_constant_s: float = 2.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.speed_frac <= 1.0:
-            raise ValueError(f"speed must lie in [0, 1], got {self.speed_frac}")
+        _require_finite_fields(self)
         if self.max_flow_m3ps <= 0.0:
             raise ValueError("fan capacity must be > 0")
         if self.time_constant_s <= 0.0:
@@ -90,6 +76,7 @@ class ControllerConfig:
     deadband_pa: float = 0.2
 
     def __post_init__(self) -> None:
+        _require_finite_fields(self)
         if self.setpoint_pa >= 0.0:
             raise ValueError(f"negative-pressure setpoint required, got {self.setpoint_pa}")
         if self.gain <= 0.0:
@@ -108,6 +95,7 @@ class AlarmConfig:
     dwell_s: float = 5.0
 
     def __post_init__(self) -> None:
+        _require_finite_fields(self)
         if self.threshold_pa <= 0.0:
             raise ValueError("alarm threshold must be > 0")
         if self.dwell_s < 0.0:
@@ -127,32 +115,24 @@ class AttackPlan:
     """Forged-pressure injection as the plant sees it.
 
     The acoustic pipeline collapses to a reading offset at one port.
-    forged_pa is that steady offset; offsets_pa optionally supplies one
-    value per control period instead, for attacks whose average wanders.
-    affects picks which sensing chain is exposed when the monitor has
-    its own sensor: a source near the supervisory sensor's port does not
-    reach an HVAC sensor plumbed elsewhere.
+    forged_pa is that steady offset.  affects picks which sensing chain is
+    exposed when the monitor has its own sensor: a source near the
+    supervisory sensor's port does not reach an HVAC sensor plumbed
+    elsewhere.
     """
 
     placement: str = "none"
     forged_pa: float = 0.0
     affects: str = "both"
-    offsets_pa: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        _require_finite_fields(self)
         if self.placement not in ATTACK_PLACEMENTS:
             raise ValueError(f"unknown placement {self.placement!r}")
         if self.affects not in ATTACK_TARGETS:
             raise ValueError(f"unknown attack target {self.affects!r}")
         if self.forged_pa < 0.0:
             raise ValueError("forged pressure is a magnitude, must be >= 0")
-
-    def offset_at(self, period_index: int) -> float:
-        if self.offsets_pa is None:
-            return self.forged_pa
-        if not self.offsets_pa:
-            return 0.0
-        return self.offsets_pa[min(period_index, len(self.offsets_pa) - 1)]
 
 
 @dataclass(frozen=True)
@@ -171,18 +151,18 @@ class PortWiring:
 
 @dataclass(frozen=True)
 class RoomConfig:
-    """One room with its regulator; fans default to a balanced operating
-    point that holds the setpoint exactly."""
+    """One room with its regulator and fans; the fans start at the balanced
+    operating point that holds the setpoint exactly."""
 
     name: str = "room"
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     volume_m3: float = 50.0
     leak_coeff_m3ps_per_pa: float = 0.004
-    supply_fan: FanState | None = None
-    exhaust_fan: FanState | None = None
+    fans: FanSpec = field(default_factory=FanSpec)
     initial_pressure_pa: float | None = None
 
     def __post_init__(self) -> None:
+        _require_finite_fields(self)
         if self.volume_m3 <= 0.0:
             raise ValueError("room volume must be > 0")
         if self.leak_coeff_m3ps_per_pa <= 0.0:
@@ -198,9 +178,9 @@ class NprScenario:
     alarm: AlarmConfig = field(default_factory=AlarmConfig)
     hallway_pa: float = HALLWAY_PA
     horizon_s: float = 120.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
+        _require_finite_fields(self)
         if not self.rooms:
             raise ValueError("scenario needs at least one room")
         names = [r.name for r in self.rooms]
@@ -252,23 +232,6 @@ class SimulationTrace:
         return sum(1 for e in self.alarm_events if e.kind == "raised")
 
 
-def measured_differential(
-    room: RoomState,
-    hallway_pa: float,
-    forged_low_pa: float = 0.0,
-    forged_high_pa: float = 0.0,
-) -> float:
-    """Differential reading: low-port minus high-port, each with its bias.
-
-    The sensor subtracts whatever its ports carry, so a spurious offset
-    on either side lands directly in the reading.
-    """
-    for value in (room.pressure_pa, hallway_pa, forged_low_pa, forged_high_pa):
-        if not math.isfinite(value):
-            raise ValueError("measured_differential needs finite inputs")
-    return (room.pressure_pa + forged_low_pa) - (hallway_pa + forged_high_pa)
-
-
 def controller_step(
     cfg: ControllerConfig,
     measured_pa: float,
@@ -289,34 +252,30 @@ def controller_step(
     return supply, exhaust
 
 
-def balanced_fans(room: RoomConfig) -> tuple[FanState, FanState]:
-    """Fan pair whose steady flows hold the room exactly at its setpoint."""
-    supply = room.supply_fan or FanState()
-    exhaust = room.exhaust_fan or FanState()
-    if room.supply_fan is None or room.exhaust_fan is None:
-        shift = room.leak_coeff_m3ps_per_pa * room.controller.setpoint_pa / (2.0 * supply.max_flow_m3ps)
-        if abs(shift) > 0.5:
-            raise WiringError(
-                f"room {room.name!r}: setpoint {room.controller.setpoint_pa} Pa "
-                "exceeds what the default fans can hold"
-            )
-        if room.supply_fan is None:
-            supply = FanState(0.5 + shift, supply.max_flow_m3ps, supply.time_constant_s)
-        if room.exhaust_fan is None:
-            exhaust = FanState(0.5 - shift, exhaust.max_flow_m3ps, exhaust.time_constant_s)
-    return supply, exhaust
+def balanced_fans(room: RoomConfig) -> tuple[float, float]:
+    """Supply and exhaust speeds whose steady flows hold the room exactly at
+    its setpoint.
+
+    Raises WiringError when the setpoint needs a speed outside [0, 1].
+    """
+    shift = room.leak_coeff_m3ps_per_pa * room.controller.setpoint_pa / (2.0 * room.fans.max_flow_m3ps)
+    if abs(shift) > 0.5:
+        raise WiringError(
+            f"room {room.name!r}: setpoint {room.controller.setpoint_pa} Pa "
+            "exceeds what its fans can hold"
+        )
+    return 0.5 + shift, 0.5 - shift
 
 
-def _port_offsets(attack: AttackPlan, chain: str, period_index: int) -> tuple[float, float]:
-    """(low, high) reading bias for one sensing chain at one period."""
+def _port_offsets(attack: AttackPlan, chain: str) -> tuple[float, float]:
+    """(low, high) reading bias for one sensing chain."""
     if attack.placement == "none":
         return 0.0, 0.0
     if attack.affects != "both" and attack.affects != chain:
         return 0.0, 0.0
-    value = attack.offset_at(period_index)
     if attack.placement == "low_port":
-        return value, 0.0
-    return 0.0, value
+        return attack.forged_pa, 0.0
+    return 0.0, attack.forged_pa
 
 
 def simulate_scenario(scenario: NprScenario, horizon_s: float | None = None) -> SimulationTrace:
@@ -355,14 +314,13 @@ def simulate_scenario(scenario: NprScenario, horizon_s: float | None = None) -> 
 
     dt_sub = period / SUBSTEPS_PER_PERIOD
     for i, room in enumerate(rooms):
-        supply, exhaust = balanced_fans(room)
-        sup_speed[i] = sup_cmd[i] = supply.speed_frac
-        exh_speed[i] = exh_cmd[i] = exhaust.speed_frac
-        flow_cap[i] = supply.max_flow_m3ps
+        sup_speed[i], exh_speed[i] = balanced_fans(room)
+        sup_cmd[i], exh_cmd[i] = sup_speed[i], exh_speed[i]
+        flow_cap[i] = room.fans.max_flow_m3ps
         leak[i] = room.leak_coeff_m3ps_per_pa
         tau_room = room.volume_m3 / (ADIABATIC_BULK_MODULUS_PA * leak[i])
         decay_room[i] = math.exp(-dt_sub / tau_room)
-        decay_fan[i] = math.exp(-dt_sub / supply.time_constant_s)
+        decay_fan[i] = math.exp(-dt_sub / room.fans.time_constant_s)
         if room.initial_pressure_pa is None:
             pressure[i] = hall + room.controller.setpoint_pa
         else:
@@ -376,12 +334,12 @@ def simulate_scenario(scenario: NprScenario, horizon_s: float | None = None) -> 
     sup_trace = np.empty((n_rows, n_rooms))
     exh_trace = np.empty((n_rows, n_rooms))
 
+    hvac_low, hvac_high = _port_offsets(attack, "hvac")
+    if scenario.wiring.separate_rpm:
+        rpm_low, rpm_high = _port_offsets(attack, "rpm")
+    else:
+        rpm_low, rpm_high = hvac_low, hvac_high
     for k in range(n_rows):
-        hvac_low, hvac_high = _port_offsets(attack, "hvac", k)
-        if scenario.wiring.separate_rpm:
-            rpm_low, rpm_high = _port_offsets(attack, "rpm", k)
-        else:
-            rpm_low, rpm_high = hvac_low, hvac_high
         true_pd[k] = pressure - hall
         meas_hvac[k] = true_pd[k] + hvac_low - hvac_high
         meas_rpm[k] = true_pd[k] + rpm_low - rpm_high
@@ -425,29 +383,6 @@ def simulate_scenario(scenario: NprScenario, horizon_s: float | None = None) -> 
         room_names=tuple(r.name for r in rooms),
         hallway_pa=hall,
     )
-
-
-def simulate_dual_dps(scenario: NprScenario, horizon_s: float | None = None) -> tuple[SimulationTrace, bool]:
-    """Run a scenario whose monitor has its own sensor chain.
-
-    Returns the trace plus the alarm verdict (True when any alarm was
-    raised).  The interesting cases: spoofing only the control chain
-    moves the room while the clean monitor catches it, and spoofing both
-    chains equally moves the room silently.
-    """
-    if not scenario.wiring.separate_rpm:
-        raise WiringError("dual-sensor run needs wiring with its own monitor sensor")
-    trace = simulate_scenario(scenario, horizon_s)
-    return trace, trace.raised_alarm_count() > 0
-
-
-def simulate_multi_room(scenario: NprScenario, horizon_s: float | None = None) -> SimulationTrace:
-    """Run several rooms whose high-port reference is one shared point."""
-    if len(scenario.rooms) < 2:
-        raise WiringError("multi-room run needs at least 2 rooms")
-    if not scenario.wiring.common_high_port:
-        raise WiringError("multi-room run needs common_high_port wiring")
-    return simulate_scenario(scenario, horizon_s)
 
 
 def rpm_alarm(

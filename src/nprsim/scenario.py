@@ -16,20 +16,28 @@ from pathlib import Path
 import yaml
 
 from .acoustics import AcousticSource
-from .countermeasures import AcousticAttackSetup, Countermeasure
+from .countermeasures import (
+    COUNTERMEASURE_KINDS,
+    AcousticAttackSetup,
+    Countermeasure,
+    countermeasure_from,
+)
 from .plant import (
+    ATTACK_PLACEMENTS,
+    ATTACK_TARGETS,
     MIN_HORIZON_PERIODS,
     AlarmConfig,
     AttackPlan,
     ControllerConfig,
     DpsBinding,
-    FanState,
+    FanSpec,
     NprScenario,
     PortWiring,
     RoomConfig,
     WiringError,
+    balanced_fans,
 )
-from .sensor import TubeAssembly, archetype
+from .sensor import REFERENCE_TUBE_ID_M, TubeAssembly, archetype
 from .waveform import SegmentSchedule, forged_pressure_estimate
 
 _LINES_KEY = "__lines__"
@@ -69,6 +77,16 @@ class _LineLoader(yaml.SafeLoader):
         return mapping
 
 
+_TYPES = {
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "map": lambda v: isinstance(v, dict),
+    "list": lambda v: isinstance(v, list),
+}
+
+
 class _Ctx:
     def __init__(self) -> None:
         self.errors: list[str] = []
@@ -102,15 +120,7 @@ class _Map:
                 self.ctx.error(self.start_line, f"{self.path}.{key}", "required key missing")
             return default
         value = self.raw[key]
-        ok = {
-            "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-            "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-            "bool": lambda v: isinstance(v, bool),
-            "str": lambda v: isinstance(v, str),
-            "map": lambda v: isinstance(v, dict),
-            "list": lambda v: isinstance(v, list),
-        }[expect](value)
-        if not ok:
+        if not _TYPES[expect](value):
             self.ctx.error(self.line(key), f"{self.path}.{key}", f"expected {expect}")
             return default
         if expect == "number":
@@ -185,7 +195,7 @@ def _build_tube(section: _Map | None) -> TubeAssembly | None:
     if section is None:
         return None
     length = section.number("length_m", default=1.0, minimum=0.0)
-    diameter = section.number("inner_diameter_m", default=float((5.0 / 16.0) * 0.0254),
+    diameter = section.number("inner_diameter_m", default=REFERENCE_TUBE_ID_M,
                               exclusive_min=0.0)
     pickup = section.take("pickup_device", "bool", default=False)
     section.close()
@@ -228,15 +238,16 @@ def _build_schedule(section: _Map, ctx: _Ctx) -> SegmentSchedule | None:
         else:
             ctx.error(section.line("cycles"), f"{section.path}.cycles",
                       "expected an integer or a list of integers")
-    scale = section.number("amplitude_scale", default=0.9, exclusive_min=0.0, maximum=1.0)
-    fade = section.number("fade_in_s", default=0.0, minimum=0.0, maximum=0.001)
+    scale = section.number("amplitude_scale", default=SegmentSchedule.amplitude_scale,
+                           exclusive_min=0.0, maximum=1.0)
+    fade = section.number("fade_in_s", default=SegmentSchedule.fade_in_s,
+                          minimum=0.0, maximum=0.001)
     section.close()
-    band_ok = (
-        isinstance(band, list) and len(band) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in band)
-        and band[0] < band[1]
-    )
-    if not band_ok:
+    band_ok = isinstance(band, list) and len(band) == 2 and all(map(_TYPES["number"], band))
+    if band_ok and not all(map(math.isfinite, band)):
+        ctx.error(section.line("band_hz"), f"{section.path}.band_hz", "must be finite")
+        return None
+    if not band_ok or band[0] >= band[1]:
         ctx.error(section.line("band_hz"), f"{section.path}.band_hz",
                   "expected [low_hz, high_hz] with low < high")
         return None
@@ -259,19 +270,18 @@ def _build_schedule(section: _Map, ctx: _Ctx) -> SegmentSchedule | None:
 def _build_countermeasure(section: _Map | None, ctx: _Ctx) -> Countermeasure | None:
     if section is None:
         return None
-    kind = section.choice("kind", ("long_tube", "enclosure", "lpf", "raised_setpoint"),
-                          required=True)
-    length = section.number("tube_length_m", default=None, exclusive_min=0.0)
-    loss = section.number("extra_loss_db", default=None, minimum=0.0)
-    cutoff = section.number("cutoff_hz", default=None, exclusive_min=0.0)
-    order = section.take("order", "int", default=1)
-    setpoint = section.number("setpoint_pa", default=None)
+    kind = section.choice("kind", COUNTERMEASURE_KINDS, required=True)
+    length = section.number("tube_length_m", exclusive_min=0.0)
+    loss = section.number("extra_loss_db", minimum=0.0)
+    cutoff = section.number("cutoff_hz", exclusive_min=0.0)
+    order = section.take("order", "int")
+    setpoint = section.number("setpoint_pa")
     section.close()
     if kind is None or ctx.errors:
         return None
     try:
-        return Countermeasure(
-            kind=kind, tube_length_m=length, extra_loss_db=loss,
+        return countermeasure_from(
+            kind, tube_length_m=length, extra_loss_db=loss,
             cutoff_hz=cutoff, order=order, setpoint_pa=setpoint,
         )
     except ValueError as exc:
@@ -293,12 +303,13 @@ def parse_scenario(text: str, source_path: Path | None = None) -> LoadedScenario
         raise ScenarioError(["line 1: top level must be a mapping"])
 
     top = _Map(ctx, raw, "scenario")
-    seed = top.take("seed", "int", default=0)
-    horizon = top.number("horizon_s", default=120.0, exclusive_min=0.0)
-    hallway = top.number("hallway_pa", default=12.5)
+    horizon = top.number("horizon_s", default=NprScenario.horizon_s, exclusive_min=0.0)
+    hallway = top.number("hallway_pa", default=NprScenario.hallway_pa)
 
     controller = top.submap("controller")
-    gain, period, deadband = 0.0025, 1.0, 0.2
+    gain = ControllerConfig.gain
+    period = ControllerConfig.control_period_s
+    deadband = ControllerConfig.deadband_pa
     if controller is not None:
         gain = controller.number("gain", default=gain, exclusive_min=0.0)
         period = controller.number("control_period_s", default=period, exclusive_min=0.0)
@@ -312,14 +323,14 @@ def parse_scenario(text: str, source_path: Path | None = None) -> LoadedScenario
         )
 
     fans = top.submap("fans")
-    max_flow, fan_tau = 0.4, 2.0
+    max_flow, fan_tau = FanSpec.max_flow_m3ps, FanSpec.time_constant_s
     if fans is not None:
         max_flow = fans.number("max_flow_m3ps", default=max_flow, exclusive_min=0.0)
         fan_tau = fans.number("time_constant_s", default=fan_tau, exclusive_min=0.0)
         fans.close()
 
     alarm_map = top.submap("alarm")
-    threshold, dwell = 2.0, 5.0
+    threshold, dwell = AlarmConfig.threshold_pa, AlarmConfig.dwell_s
     if alarm_map is not None:
         threshold = alarm_map.number("threshold_pa", default=threshold, exclusive_min=0.0)
         dwell = alarm_map.number("dwell_s", default=dwell, minimum=0.0)
@@ -337,10 +348,11 @@ def parse_scenario(text: str, source_path: Path | None = None) -> LoadedScenario
                 continue
             room = _Map(ctx, entry, path)
             name = room.take("name", "str", default=f"room{index}")
-            setpoint = room.number("setpoint_pa", default=-2.5)
-            volume = room.number("volume_m3", default=50.0, exclusive_min=0.0)
-            leak = room.number("leak_coeff_m3ps_per_pa", default=0.004, exclusive_min=0.0)
-            initial = room.number("initial_pressure_pa", default=None)
+            setpoint = room.number("setpoint_pa", default=ControllerConfig.setpoint_pa)
+            volume = room.number("volume_m3", default=RoomConfig.volume_m3, exclusive_min=0.0)
+            leak = room.number("leak_coeff_m3ps_per_pa",
+                               default=RoomConfig.leak_coeff_m3ps_per_pa, exclusive_min=0.0)
+            initial = room.number("initial_pressure_pa", default=RoomConfig.initial_pressure_pa)
             room.close()
             if setpoint is not None and setpoint >= 0.0:
                 ctx.error(room.line("setpoint_pa"), f"{path}.setpoint_pa",
@@ -348,12 +360,7 @@ def parse_scenario(text: str, source_path: Path | None = None) -> LoadedScenario
                 continue
             if ctx.errors:
                 continue
-            shift = leak * setpoint / (2.0 * max_flow)
-            if abs(shift) > 0.5:
-                ctx.error(room.line("setpoint_pa"), f"{path}.setpoint_pa",
-                          "setpoint beyond what the configured fans can hold")
-                continue
-            room_configs.append(RoomConfig(
+            room_config = RoomConfig(
                 name=name,
                 controller=ControllerConfig(
                     setpoint_pa=setpoint, gain=gain,
@@ -361,10 +368,15 @@ def parse_scenario(text: str, source_path: Path | None = None) -> LoadedScenario
                 ),
                 volume_m3=volume,
                 leak_coeff_m3ps_per_pa=leak,
-                supply_fan=FanState(0.5 + shift, max_flow, fan_tau),
-                exhaust_fan=FanState(0.5 - shift, max_flow, fan_tau),
+                fans=FanSpec(max_flow_m3ps=max_flow, time_constant_s=fan_tau),
                 initial_pressure_pa=initial,
-            ))
+            )
+            try:
+                balanced_fans(room_config)
+            except WiringError as exc:
+                ctx.error(room.line("setpoint_pa"), f"{path}.setpoint_pa", str(exc))
+                continue
+            room_configs.append(room_config)
 
     sensors = top.submap("sensors")
     hvac = rpm = None
@@ -380,16 +392,14 @@ def parse_scenario(text: str, source_path: Path | None = None) -> LoadedScenario
         wiring_map.close()
 
     attack_map = top.submap("attack")
-    placement, affects, target_f = "none", "both", None
+    placement, affects, target_f = AttackPlan.placement, AttackPlan.affects, None
     forged: float | None = None
     source_map = schedule_map = None
     if attack_map is not None:
-        placement = attack_map.choice(
-            "placement", ("none", "low_port", "high_port", "common_high_port"),
-            default="none")
-        affects = attack_map.choice("affects", ("hvac", "rpm", "both"), default="both")
-        forged = attack_map.number("forged_pa", default=None, minimum=0.0)
-        target_f = attack_map.number("target_f_hz", default=None, exclusive_min=0.0)
+        placement = attack_map.choice("placement", ATTACK_PLACEMENTS, default=placement)
+        affects = attack_map.choice("affects", ATTACK_TARGETS, default=affects)
+        forged = attack_map.number("forged_pa", minimum=0.0)
+        target_f = attack_map.number("target_f_hz", exclusive_min=0.0)
         source_map = attack_map.submap("source")
         schedule_map = attack_map.submap("schedule")
         attack_map.close()
@@ -437,7 +447,7 @@ def parse_scenario(text: str, source_path: Path | None = None) -> LoadedScenario
     try:
         plan = AttackPlan(
             placement=placement,
-            forged_pa=forged if forged is not None else 0.0,
+            forged_pa=forged if forged is not None else AttackPlan.forged_pa,
             affects=affects,
         )
         scenario = NprScenario(
@@ -446,7 +456,6 @@ def parse_scenario(text: str, source_path: Path | None = None) -> LoadedScenario
             alarm=AlarmConfig(threshold_pa=threshold, dwell_s=dwell),
             hallway_pa=hallway,
             horizon_s=horizon,
-            seed=seed,
         )
     except (ValueError, WiringError) as exc:
         raise ScenarioError([f"line 1: scenario: {exc}"]) from exc

@@ -23,6 +23,9 @@ import numpy as np
 from scipy.io import wavfile
 from scipy.signal import lfilter
 
+from .acoustics import PathModel, propagate, spl_to_pressure_amp
+from .sensor import NO_TUBE, _require_finite_fields, step_response
+
 SUPPORTED_RATES = (44100, 48000)
 PSD_RATIO_CAP = 1.0e9
 
@@ -94,6 +97,7 @@ class SegmentSchedule:
     fade_in_s: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite_fields(self)
         lo, hi = self.band_hz
         if not 0.0 < lo < hi:
             raise ValueError(f"band must satisfy 0 < lower < upper, got ({lo}, {hi})")
@@ -352,16 +356,10 @@ def attack_response_trace(
 
     Returns (trace, spans, port_amplitude_pa).
     """
-    from . import acoustics
-    from . import sensor as sensor_mod
-
     f = schedule.target_hz() if target_f_hz is None else float(target_f_hz)
-    path_tube = tube if tube is not None else sensor_mod.NO_TUBE
-    path = acoustics.PathModel(tube=path_tube, extra_loss_db=extra_loss_db)
-    h, _delay = acoustics.propagate(source, path, frequency_hz=f)
-    amplitude = h * acoustics.spl_to_pressure_amp(source.spl_db)
-    if path.max_port_pa is not None:
-        amplitude = min(amplitude, path.max_port_pa)
+    path = PathModel(tube=tube if tube is not None else NO_TUBE, extra_loss_db=extra_loss_db)
+    h, _delay = propagate(source, path, frequency_hz=f)
+    amplitude = h * spl_to_pressure_amp(source.spl_db)
     fs = model.sample_rate_hz
     n = int(round(duration_s * fs))
     inlet = np.zeros(n)
@@ -371,7 +369,7 @@ def attack_response_trace(
     for start, stop in spans:
         burst, _weight = _burst_samples(schedule, f, stop - start, fs, amplitude)
         inlet[start:stop] = burst
-    trace = sensor_mod.step_response(model, tube, inlet, 1.0 / fs)
+    trace = step_response(model, tube, inlet, 1.0 / fs)
     if post_filter is not None:
         trace.p_out_pa = post_filter(trace.p_out_pa, fs)
     return trace, spans, amplitude

@@ -35,7 +35,6 @@ from nprsim import (
     natural_resonant_hz,
     psd_ratio,
     segment_mask,
-    simulate_dual_dps,
     simulate_scenario,
     synthesize_attack,
     system_resonant_hz,
@@ -109,7 +108,8 @@ def test_criterion_02_dual_sensor_alarm_replay():
     def run(affects):
         plan = AttackPlan(placement="high_port", forged_pa=8.0, affects=affects)
         scenario = _room_scenario(-2.5, plan, {"hvac": binding, "rpm": binding})
-        return simulate_dual_dps(scenario)
+        trace = simulate_scenario(scenario)
+        return trace, trace.raised_alarm_count() > 0
 
     both_trace, both_fired = run("both")
     hvac_trace, hvac_fired = run("hvac")

@@ -1,8 +1,13 @@
+import copy
+import math
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nprsim import ScenarioError, load_scenario, parse_scenario
+from nprsim import LoadedScenario, ScenarioError, load_scenario, parse_scenario
 from nprsim.cli import main
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -51,6 +56,7 @@ def test_acoustic_scenario_resolves_forged_magnitude():
 def test_unknown_key_is_rejected_with_its_line():
     messages = _parse_errors(MINIMAL + "furnace: 3\n")
     assert any("furnace" in m and "line 4" in m for m in messages)
+    assert _parse_errors(MINIMAL + "seed: 0\n") == ["line 4: scenario.seed: unknown key"]
 
 
 def test_duplicate_key_is_rejected():
@@ -71,6 +77,14 @@ def test_top_level_must_be_a_mapping():
 def test_setpoint_sign_is_enforced():
     bad = "rooms:\n  - name: iso1\n    setpoint_pa: 2.5\n"
     assert any("setpoint" in m for m in _parse_errors(bad))
+
+
+def test_setpoint_the_fans_cannot_hold_is_rejected_with_its_line():
+    deep = "fans:\n  max_flow_m3ps: 0.2\n" + MINIMAL.replace("-2.5", "-60")
+    assert _parse_errors(deep) == [
+        "line 5: scenario.rooms[0].setpoint_pa: room 'iso1': setpoint -60.0 Pa "
+        "exceeds what its fans can hold"
+    ]
 
 
 def test_attack_needs_exactly_one_magnitude_source():
@@ -207,6 +221,19 @@ def test_short_horizon_is_rejected_with_its_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_non_finite_band_is_rejected_with_its_line(tmp_path, capsys):
+    text = (SCENARIO_DIR / "acoustic_lpf.yaml").read_text(encoding="utf-8")
+    text = text.replace("band_hz: [540, 670]", "band_hz: [540, .inf]")
+    line = text.splitlines().index("    band_hz: [540, .inf]") + 1
+    assert _parse_errors(text) == [f"line {line}: scenario.attack.schedule.band_hz: must be finite"]
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text, encoding="utf-8")
+    rc = main(["simulate", str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "band_hz: must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_sweep_needs_an_acoustic_attack(tmp_path, capsys):
     rc = main([
         "sweep", str(SCENARIO_DIR / "baseline.yaml"),
@@ -263,3 +290,70 @@ def test_cli_evaluate_cm_writes_report(tmp_path, capsys):
     assert "attack_success: no" in text
     assert (out / "report.csv").exists()
     assert "attack_success" in capsys.readouterr().out
+
+
+SHIPPED = {p.name: yaml.safe_load(p.read_text(encoding="utf-8"))
+           for p in sorted(SCENARIO_DIR.glob("*.yaml"))}
+
+
+def _paths(node, want, path=()):
+    """Paths to the scalar leaves (want="leaf") or the mappings (want="map")."""
+    if isinstance(node, dict):
+        if want == "map":
+            yield path
+        for key, value in node.items():
+            yield from _paths(value, want, path + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _paths(value, want, path + (index,))
+    elif want == "leaf":
+        yield path
+
+
+def _at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+_DRAWN = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0, 0.0, -1, -1e-9, 1e308, -1e308, 10**30]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=8),
+    st.lists(st.integers() | st.floats(), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+)
+_KEYS = st.sampled_from([
+    "seed", "horizon_s", "hallway_pa", "controller", "fans", "alarm", "sensors", "wiring",
+    "attack", "countermeasure", "name", "setpoint_pa", "cycles", "target_f_hz", "order",
+    "tube", "rpm", "source", "schedule", "forged_pa",
+]) | st.text(max_size=6)
+
+
+@st.composite
+def _mutated_scenario(draw):
+    doc = copy.deepcopy(SHIPPED[draw(st.sampled_from(sorted(SHIPPED)))])
+    op = draw(st.sampled_from(["replace", "add", "remove"]))
+    if op == "replace":
+        path = draw(st.sampled_from(list(_paths(doc, "leaf"))))
+        _at(doc, path[:-1])[path[-1]] = draw(_DRAWN)
+    else:
+        mapping = _at(doc, draw(st.sampled_from(list(_paths(doc, "map")))))
+        if op == "add":
+            mapping[draw(_KEYS)] = draw(_DRAWN)
+        elif mapping:
+            del mapping[draw(st.sampled_from(sorted(mapping)))]
+    return yaml.safe_dump(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated_scenario())
+def test_loader_returns_a_scenario_or_a_scenario_error(text):
+    try:
+        loaded = parse_scenario(text)
+    except ScenarioError:
+        return
+    assert isinstance(loaded, LoadedScenario)

@@ -49,6 +49,20 @@ def test_schedule_rejects_long_fade_and_bad_cycles():
         SegmentSchedule(band_hz=(690.0, 680.0), duration_s=0.002, interval_s=0.015)
 
 
+@pytest.mark.parametrize("kw", [
+    {"band_hz": (540.0, math.inf)},
+    {"band_hz": (math.nan, 670.0)},
+    {"duration_s": math.inf},
+    {"interval_s": math.nan},
+    {"amplitude_scale": math.nan},
+    {"fade_in_s": math.nan},
+])
+def test_schedule_rejects_non_finite_fields(kw):
+    base = {"band_hz": (540.0, 670.0), "duration_s": 0.002, "interval_s": 0.015}
+    with pytest.raises(ValueError, match="must be finite"):
+        SegmentSchedule(**{**base, **kw})
+
+
 def test_every_burst_ends_at_a_tone_peak():
     sched = SegmentSchedule(band_hz=(680.0, 690.0), duration_s=0.002, interval_s=0.015)
     carrier = calibration_carrier()
