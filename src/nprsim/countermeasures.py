@@ -14,7 +14,7 @@ legitimate pressure step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.signal import lfilter
@@ -35,7 +35,14 @@ NOISE_FLOOR_PA = 0.1
 
 SETTLE_BAND_FRACTION = 0.05
 ENCLOSURE_LAG_S_PER_UNIT = 1e-3
-COUNTERMEASURE_KINDS = ("long_tube", "enclosure", "lpf", "raised_setpoint")
+# Each kind with the parameters it reads, its required one first.
+_KIND_PARAMS = {
+    "long_tube": ("tube_length_m",),
+    "enclosure": ("extra_loss_db",),
+    "lpf": ("cutoff_hz", "order"),
+    "raised_setpoint": ("setpoint_pa",),
+}
+COUNTERMEASURE_KINDS = tuple(_KIND_PARAMS)
 
 
 class CutoffError(ValueError):
@@ -47,7 +54,9 @@ class Countermeasure:
     """One defense with its single tunable parameter.
 
     Use the classmethod constructors; config loaders go through
-    countermeasure_from.
+    countermeasure_from.  Setting a parameter of another kind (an order
+    other than the default, unless the kind is lpf) raises ValueError,
+    since nothing would read it.
     """
 
     kind: str
@@ -62,13 +71,16 @@ class Countermeasure:
             raise ValueError(f"unknown countermeasure kind {self.kind!r}")
         if self.order < 1:
             raise ValueError(f"filter order must be >= 1, got {self.order}")
-        required = {
-            "long_tube": self.tube_length_m,
-            "enclosure": self.extra_loss_db,
-            "lpf": self.cutoff_hz,
-            "raised_setpoint": self.setpoint_pa,
-        }[self.kind]
-        if required is None:
+        foreign = [
+            f.name for f in fields(self)
+            if f.name != "kind" and f.name not in _KIND_PARAMS[self.kind]
+            and getattr(self, f.name) != f.default
+        ]
+        if foreign:
+            raise ValueError(
+                f"countermeasure {self.kind!r} does not use {', '.join(foreign)}"
+            )
+        if getattr(self, _KIND_PARAMS[self.kind][0]) is None:
             raise ValueError(f"countermeasure {self.kind!r} is missing its parameter")
         if self.kind == "long_tube" and self.tube_length_m <= 0.0:
             raise ValueError("tube length must be > 0")

@@ -27,6 +27,9 @@ ADIABATIC_BULK_MODULUS_PA = 1.4 * 101325.0
 
 SUBSTEPS_PER_PERIOD = 20
 MIN_HORIZON_PERIODS = 10
+# Ceiling on control periods times rooms in one run.  simulate_scenario
+# records five float64 arrays of (periods + 1) x rooms, 400 MB at this size.
+MAX_ROOM_PERIODS = 10_000_000
 STEADY_SLOPE_PA_PER_S = 1e-3
 STEADY_HOLD_S = 5.0
 
@@ -278,6 +281,27 @@ def _port_offsets(attack: AttackPlan, chain: str) -> tuple[float, float]:
     return 0.0, attack.forged_pa
 
 
+def horizon_periods(horizon_s: float, period_s: float, n_rooms: int) -> int:
+    """Control periods a run of horizon_s covers, rounded to the nearest.
+
+    Raises ValueError, with a message naming what the horizon must do, when
+    that is under MIN_HORIZON_PERIODS or, across n_rooms rooms, over
+    MAX_ROOM_PERIODS.
+    """
+    periods = horizon_s / period_s
+    if not periods * n_rooms <= MAX_ROOM_PERIODS:
+        raise ValueError(
+            f"must cover at most {MAX_ROOM_PERIODS} control periods across all rooms, "
+            f"got {periods:.3g} periods of {period_s:g} s for {n_rooms} room(s)"
+        )
+    n_periods = int(round(periods))
+    if n_periods < MIN_HORIZON_PERIODS:
+        raise ValueError(
+            f"must cover at least {MIN_HORIZON_PERIODS} control periods of {period_s:g} s"
+        )
+    return n_periods
+
+
 def simulate_scenario(scenario: NprScenario, horizon_s: float | None = None) -> SimulationTrace:
     """Run the closed loop and return its per-period trace.
 
@@ -291,14 +315,12 @@ def simulate_scenario(scenario: NprScenario, horizon_s: float | None = None) -> 
     """
     horizon = scenario.horizon_s if horizon_s is None else horizon_s
     period = scenario.control_period_s
-    n_periods = int(round(horizon / period))
-    if n_periods < MIN_HORIZON_PERIODS:
-        raise ValueError(
-            f"horizon must cover at least {MIN_HORIZON_PERIODS} control periods, got {n_periods}"
-        )
-
     rooms = scenario.rooms
     n_rooms = len(rooms)
+    try:
+        n_periods = horizon_periods(horizon, period, n_rooms)
+    except ValueError as exc:
+        raise ValueError(f"horizon of {horizon:g} s {exc}") from None
     attack = scenario.wiring.attack
     hall = scenario.hallway_pa
 

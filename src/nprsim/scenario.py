@@ -25,7 +25,6 @@ from .countermeasures import (
 from .plant import (
     ATTACK_PLACEMENTS,
     ATTACK_TARGETS,
-    MIN_HORIZON_PERIODS,
     AlarmConfig,
     AttackPlan,
     ControllerConfig,
@@ -36,6 +35,7 @@ from .plant import (
     RoomConfig,
     WiringError,
     balanced_fans,
+    horizon_periods,
 )
 from .sensor import REFERENCE_TUBE_ID_M, TubeAssembly, archetype
 from .waveform import SegmentSchedule, forged_pressure_estimate
@@ -315,13 +315,6 @@ def parse_scenario(text: str, source_path: Path | None = None) -> LoadedScenario
         period = controller.number("control_period_s", default=period, exclusive_min=0.0)
         deadband = controller.number("deadband_pa", default=deadband, minimum=0.0)
         controller.close()
-    # Same rounding as simulate_scenario, so every horizon accepted here runs.
-    if horizon > 0.0 and period > 0.0 and round(horizon / period) < MIN_HORIZON_PERIODS:
-        ctx.error(
-            top.line("horizon_s"), "scenario.horizon_s",
-            f"must cover at least {MIN_HORIZON_PERIODS} control periods of {period:g} s",
-        )
-
     fans = top.submap("fans")
     max_flow, fan_tau = FanSpec.max_flow_m3ps, FanSpec.time_constant_s
     if fans is not None:
@@ -377,6 +370,13 @@ def parse_scenario(text: str, source_path: Path | None = None) -> LoadedScenario
                 ctx.error(room.line("setpoint_pa"), f"{path}.setpoint_pa", str(exc))
                 continue
             room_configs.append(room_config)
+
+    # simulate_scenario's own rule, so every horizon accepted here runs.
+    if horizon > 0.0 and period > 0.0:
+        try:
+            horizon_periods(horizon, period, max(1, len(rooms_raw or ())))
+        except ValueError as exc:
+            ctx.error(top.line("horizon_s"), "scenario.horizon_s", str(exc))
 
     sensors = top.submap("sensors")
     hvac = rpm = None

@@ -217,11 +217,13 @@ class DpsModel:
 
 @dataclass
 class TransducerTrace:
-    """Time series produced by :func:`step_response`."""
+    """Transducer output pressure at each sample time.
+
+    Produced by :func:`step_response` and :func:`step_response_fn`.
+    """
 
     time_s: np.ndarray
     p_out_pa: np.ndarray
-    p_out_rate_pa_s: np.ndarray
 
 
 @dataclass
@@ -342,25 +344,21 @@ def _recurrence(omega: float, xi: float, dt: float):
     return a, step(0.0, 0.0, 1.0, 0.0, 0.0), step(0.0, 0.0, 0.0, 1.0, 0.0), step(0.0, 0.0, 0.0, 0.0, 1.0)
 
 
-def _drive(a, c_now, c_next, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """States of z[k+1] = A z[k] + c_now x[k] + c_next x[k+1] from z[0] = 0.
+def _drive(a, c_now, c_next, x: np.ndarray) -> np.ndarray:
+    """Pressure p of z[k+1] = A z[k] + c_now x[k] + c_next x[k+1] from z[0] = 0.
 
-    Eliminating the other state turns each state into a second-order
-    difference equation in x, which lfilter evaluates in compiled code.
+    Eliminating the rate state turns p into a second-order difference
+    equation in x, which lfilter evaluates in compiled code.
     """
     (a11, a12), (a21, a22) = a
     (n0p, n0v), (n1p, n1v) = c_now, c_next
     den = [1.0, -(a11 + a22), a11 * a22 - a12 * a21]
-    num_p = [n1p, n0p - a22 * n1p + a12 * n1v, a12 * n0v - a22 * n0p]
-    num_v = [n1v, n0v - a11 * n1v + a21 * n1p, a21 * n0p - a11 * n0v]
+    num = [n1p, n0p - a22 * n1p + a12 * n1v, a12 * n0v - a22 * n0p]
     # Initial filter state pinning z[0] = 0 and the correct first step even
     # when x starts nonzero.
     x0 = x[0]
-    zi_p = [-num_p[0] * x0, (n0p - num_p[1]) * x0]
-    zi_v = [-num_v[0] * x0, (n0v - num_v[1]) * x0]
-    p, _ = lfilter(num_p, den, x, zi=zi_p)
-    v, _ = lfilter(num_v, den, x, zi=zi_v)
-    return p, v
+    p, _ = lfilter(num, den, x, zi=[-num[0] * x0, (n0p - num[1]) * x0])
+    return p
 
 
 def _require_finite_inlet(series: np.ndarray) -> None:
@@ -393,9 +391,8 @@ def step_response(
     # Fold the neighbor-average midpoint into the end-point coefficients.
     c0_avg = (c0[0] + 0.5 * cm[0], c0[1] + 0.5 * cm[1])
     c1_avg = (c1[0] + 0.5 * cm[0], c1[1] + 0.5 * cm[1])
-    p, v = _drive(a, c0_avg, c1_avg, series)
     t = np.arange(series.size) * dt
-    return TransducerTrace(time_s=t, p_out_pa=p, p_out_rate_pa_s=v)
+    return TransducerTrace(time_s=t, p_out_pa=_drive(a, c0_avg, c1_avg, series))
 
 
 def step_response_fn(
@@ -420,11 +417,11 @@ def step_response_fn(
     half_steps = np.array([inlet(t) for t in (0.5 * dt * np.arange(2 * n - 1)).tolist()], dtype=float)
     _require_finite_inlet(half_steps)
     a, c0, cm, c1 = _recurrence(omega, xi, dt)
-    p_node, v_node = _drive(a, c0, c1, half_steps[0::2])
+    p_node = _drive(a, c0, c1, half_steps[0::2])
     # The midpoint after the last node drives no returned state.
-    p_mid, v_mid = _drive(a, cm, (0.0, 0.0), np.append(half_steps[1::2], 0.0))
+    p_mid = _drive(a, cm, (0.0, 0.0), np.append(half_steps[1::2], 0.0))
     t = np.arange(n) * dt
-    return TransducerTrace(time_s=t, p_out_pa=p_node + p_mid, p_out_rate_pa_s=v_node + v_mid)
+    return TransducerTrace(time_s=t, p_out_pa=p_node + p_mid)
 
 
 def frequency_sweep(

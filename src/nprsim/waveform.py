@@ -29,6 +29,10 @@ from .sensor import NO_TUBE, _require_finite_fields, step_response
 SUPPORTED_RATES = (44100, 48000)
 PSD_RATIO_CAP = 1.0e9
 
+# psd_ratio transforms its frames in blocks of about this many samples, so
+# its FFT temporaries stay near 2 MB (float64) whatever the signal length.
+_PSD_BLOCK_SAMPLES = 1 << 18
+
 # Warm-up discarded before the steady averaging window of the forged
 # pressure estimate, seconds.
 ESTIMATE_WARMUP_S = 0.3
@@ -250,8 +254,12 @@ def synthesize_attack(
     amplitude = schedule.amplitude_scale * (peak if peak > 0.0 else 1.0)
     base = suppress_band(carrier, schedule.band_hz) if peak > 0.0 else carrier
     out = base.samples.copy()
-    for start, stop in _burst_spans(schedule, f, out.size, fs):
-        burst, weight = _burst_samples(schedule, f, stop - start, fs, amplitude)
+    spans = _burst_spans(schedule, f, out.size, fs)
+    # A burst depends only on its length: build one per distinct length.
+    lengths = {stop - start for start, stop in spans}
+    bursts = {m: _burst_samples(schedule, f, m, fs, amplitude) for m in lengths}
+    for start, stop in spans:
+        burst, weight = bursts[stop - start]
         out[start:stop] = burst + (1.0 - weight) * out[start:stop]
     worst = float(np.max(np.abs(out))) if out.size else 0.0
     if worst > 1.0 + 1e-9:
@@ -286,10 +294,13 @@ def psd_ratio(
 ) -> float:
     """Band power density inside masked spans over band power outside.
 
-    Short Hann-windowed frames are classified as inside (>= 80% masked
-    samples) or outside (<= 20%); straddling frames are dropped.  The ratio
-    of mean band-bin power between the two groups is returned.  A silent
-    outside group returns the PSD_RATIO_CAP sentinel.
+    Short Hann-windowed frames, nperseg samples long and nperseg // 4
+    apart, are classified as inside (>= 80% masked samples) or outside
+    (<= 20%); straddling frames are dropped.  The ratio of mean band-bin
+    power between the two groups is returned.  A silent outside group
+    returns the PSD_RATIO_CAP sentinel.  nperseg defaults to the median
+    masked run, clipped to [32, 512]; a given one must be an int from 2 to
+    the sample count.
     """
     lo, hi = band_hz
     if not 0.0 < lo < hi < audio.sample_rate_hz / 2.0:
@@ -300,21 +311,34 @@ def psd_ratio(
     if nperseg is None:
         runs = _true_run_lengths(mask)
         nperseg = int(np.clip(int(np.median(runs)) if runs.size else 96, 32, 512))
+    elif (isinstance(nperseg, bool) or not isinstance(nperseg, (int, np.integer))
+          or not 2 <= nperseg <= audio.samples.size):
+        raise ValueError(
+            f"nperseg must be an integer in [2, {audio.samples.size}] "
+            f"(the sample count), got {nperseg!r}"
+        )
+    if nperseg > audio.samples.size:
+        # Only the automatic frame length can outgrow the signal.
+        raise ValueError("mask leaves one of the frame groups empty")
     hop = max(1, nperseg // 4)
     window = np.hanning(nperseg)
     freqs = np.fft.rfftfreq(nperseg, 1.0 / audio.sample_rate_hz)
     df = audio.sample_rate_hz / nperseg
     band_bins = (freqs >= lo - 0.5 * df) & (freqs <= hi + 0.5 * df)
-    inside = []
-    outside = []
-    for start in range(0, audio.samples.size - nperseg + 1, hop):
-        frac = mask[start : start + nperseg].mean()
-        if 0.2 < frac < 0.8:
-            continue
-        seg = audio.samples[start : start + nperseg] * window
-        power = float(np.sum(np.abs(np.fft.rfft(seg)[band_bins]) ** 2))
-        (inside if frac >= 0.8 else outside).append(power)
-    if not inside or not outside:
+    # Frame k starts at sample k * hop; its masked count is a difference of
+    # the mask's running count.
+    frames = np.lib.stride_tricks.sliding_window_view(audio.samples, nperseg)[::hop]
+    counts = np.concatenate([[0], np.cumsum(mask)])
+    frac = (counts[nperseg::hop] - counts[:-nperseg:hop]) / nperseg
+    kept = np.flatnonzero((frac <= 0.2) | (frac >= 0.8))
+    power = np.empty(kept.size)
+    block = max(1, _PSD_BLOCK_SAMPLES // nperseg)
+    for k in range(0, kept.size, block):
+        spectra = np.fft.rfft(frames[kept[k : k + block]] * window, axis=1)
+        power[k : k + block] = np.sum(np.abs(spectra[:, band_bins]) ** 2, axis=1)
+    inside = power[frac[kept] >= 0.8]
+    outside = power[frac[kept] <= 0.2]
+    if not inside.size or not outside.size:
         raise ValueError("mask leaves one of the frame groups empty")
     num = float(np.mean(inside))
     den = float(np.mean(outside))
@@ -366,9 +390,10 @@ def attack_response_trace(
     spans = _burst_spans(schedule, f, n, fs)
     if not spans:
         raise ScheduleError("trace window too short to hold a single burst")
+    lengths = {stop - start for start, stop in spans}
+    bursts = {m: _burst_samples(schedule, f, m, fs, amplitude)[0] for m in lengths}
     for start, stop in spans:
-        burst, _weight = _burst_samples(schedule, f, stop - start, fs, amplitude)
-        inlet[start:stop] = burst
+        inlet[start:stop] = bursts[stop - start]
     trace = step_response(model, tube, inlet, 1.0 / fs)
     if post_filter is not None:
         trace.p_out_pa = post_filter(trace.p_out_pa, fs)

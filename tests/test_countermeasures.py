@@ -117,6 +117,23 @@ def test_countermeasure_validation():
         Countermeasure(kind="enclosure", extra_loss_db=-1.0)
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("long_tube", {"tube_length_m": 2.0, "cutoff_hz": 120.0}),
+    ("long_tube", {"tube_length_m": 2.0, "order": 3}),
+    ("enclosure", {"extra_loss_db": 10.0, "setpoint_pa": -30.0}),
+    ("lpf", {"cutoff_hz": 120.0, "extra_loss_db": 10.0}),
+    ("raised_setpoint", {"setpoint_pa": -30.0, "tube_length_m": 2.0}),
+])
+def test_countermeasure_rejects_another_kinds_parameter(kind, params):
+    with pytest.raises(ValueError, match="does not use"):
+        Countermeasure(kind=kind, **params)
+
+
+def test_countermeasure_accepts_the_default_order_on_any_kind():
+    assert Countermeasure(kind="long_tube", tube_length_m=2.0, order=1).order == 1
+    assert Countermeasure.lpf(120.0, order=3).order == 3
+
+
 def test_acoustic_defenses_need_the_attack_setup():
     attack = AttackPlan(placement="high_port", forged_pa=8.0, affects="both")
     with pytest.raises(ValueError):

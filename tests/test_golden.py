@@ -1,10 +1,12 @@
 """Byte-for-byte goldens for the CLI outputs on the shipped scenarios.
 
 The files under tests/golden/ were written by the CLI on these same
-inputs.  Any change to a trace, summary or report, down to one digit of
-one number, fails here; a deliberate change regenerates them with the
-commands these tests run (from the repository root, with relative
-scenario paths, so the summary's scenario line is path-stable).
+inputs.  Any change to a trace, summary, report, WAV or sweep CSV, down
+to one digit of one number, fails here; a deliberate change regenerates
+them with the commands these tests run (from the repository root, with
+relative scenario paths, so the summary's scenario line is path-stable;
+synth from the output directory with a relative --out, so the report's
+output line is too).
 """
 
 from pathlib import Path
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from nprsim.cli import main
+from nprsim.waveform import calibration_carrier, write_wav
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -39,3 +42,35 @@ def test_evaluate_cm_matches_golden(tmp_path, monkeypatch, capsys):
     assert main(["evaluate-cm", "scenarios/acoustic_lpf.yaml", "--out", str(tmp_path)]) == 0
     _assert_same_bytes(tmp_path, GOLDEN / "evaluate-cm" / "acoustic_lpf",
                        ("report.csv", "report.txt"))
+
+
+SYNTH_ARGS = {
+    "carrier": ["--carrier", "carrier.wav", "--band", "680", "690"],
+    "silence": ["--silence", "2.0", "--rate", "48000", "--band", "540", "670"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYNTH_ARGS))
+def test_synth_matches_golden(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_wav("carrier.wav", calibration_carrier())
+    argv = ["synth", *SYNTH_ARGS[name], "--td-ms", "2", "--ti-ms", "15", "--out", "attacked.wav"]
+    assert main(argv) == 0
+    _assert_same_bytes(tmp_path, GOLDEN / "synth" / name,
+                       ("attacked.wav", "attacked.wav.psd.txt"))
+
+
+SWEEP_ARGS = {
+    "ti": ["--start", "15", "--stop", "60", "--step", "5"],
+    "tube_length": ["--values", "0.8,1.2,1.6"],
+}
+
+
+@pytest.mark.parametrize("axis", sorted(SWEEP_ARGS))
+def test_sweep_matches_golden(axis, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / f"{axis}.csv"
+    argv = ["sweep", "scenarios/acoustic_lpf.yaml", "--axis", axis, *SWEEP_ARGS[axis],
+            "--out", str(out)]
+    assert main(argv) == 0
+    _assert_same_bytes(tmp_path, GOLDEN / "sweep", (f"{axis}.csv",))

@@ -225,3 +225,12 @@ _ROOMS = (RoomConfig(name="iso1"),)
 def test_plant_configs_reject_non_finite_values(build, value):
     with pytest.raises(ValueError, match="must be finite"):
         build(value)
+
+
+def test_simulation_rejects_a_horizon_past_the_room_period_ceiling():
+    scenario = _scenario(rooms=[_room(control_period_s=1e-10)])
+    for horizon in (1.0e308, 1.0e6):
+        with pytest.raises(ValueError, match="at most 10000000 control periods"):
+            simulate_scenario(scenario, horizon_s=horizon)
+    with pytest.raises(ValueError, match="at least 10 control periods"):
+        simulate_scenario(_scenario(), horizon_s=5.0)

@@ -221,6 +221,51 @@ def test_short_horizon_is_rejected_with_its_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_overlong_horizon_is_rejected_with_its_line(tmp_path, capsys):
+    # A ratio that overflows to infinity, and one that is finite but would
+    # need petabytes of trace.
+    for horizon in ("1.0e+308", "1.0e+6"):
+        messages = _parse_errors(
+            f"horizon_s: {horizon}\ncontroller:\n  control_period_s: 1.0e-10\n" + MINIMAL)
+        assert len(messages) == 1
+        assert messages[0].startswith(
+            "line 1: scenario.horizon_s: must cover at most 10000000 control periods")
+    # The ceiling counts every room.
+    one_room = "horizon_s: 4.0e+6\n" + MINIMAL
+    assert parse_scenario(one_room)
+    three_rooms = one_room + "  - name: iso2\n    setpoint_pa: -2.5\n" \
+        "  - name: iso3\n    setpoint_pa: -2.5\n"
+    assert _parse_errors(three_rooms)[0].startswith("line 1: scenario.horizon_s: must cover at most")
+    bad = tmp_path / "long.yaml"
+    bad.write_text("horizon_s: 1.0e+308\ncontroller:\n  control_period_s: 1.0e-10\n" + MINIMAL,
+                   encoding="utf-8")
+    rc = main(["simulate", str(bad), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("nprsim: line 1: scenario.horizon_s:")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_countermeasure_parameter_of_another_kind_is_rejected_with_its_line(tmp_path, capsys):
+    text = (SCENARIO_DIR / "acoustic_lpf.yaml").read_text(encoding="utf-8")
+    text = text.replace("kind: lpf", "kind: long_tube\n  tube_length_m: 2.0").replace(
+        "  order: 3\n", "")
+    line = text.splitlines().index("  kind: long_tube") + 1
+    assert _parse_errors(text) == [
+        f"line {line}: scenario.countermeasure: countermeasure 'long_tube' does not use cutoff_hz"
+    ]
+    rc = main(["evaluate-cm", str(SCENARIO_DIR / "acoustic_lpf.yaml"), "--kind", "long_tube",
+               "--tube-length", "5", "--cutoff-hz", "100", "--order", "3",
+               "--setpoint-pa", "-30", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == ("nprsim: error: countermeasure 'long_tube' does not use "
+                            "cutoff_hz, order, setpoint_pa\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_finite_band_is_rejected_with_its_line(tmp_path, capsys):
     text = (SCENARIO_DIR / "acoustic_lpf.yaml").read_text(encoding="utf-8")
     text = text.replace("band_hz: [540, 670]", "band_hz: [540, .inf]")

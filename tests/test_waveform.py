@@ -16,11 +16,12 @@ from nprsim import (
     psd_ratio,
     read_wav,
     segment_mask,
+    step_response,
     suppress_band,
     synthesize_attack,
     write_wav,
 )
-from nprsim.waveform import _burst_spans
+from nprsim.waveform import PSD_RATIO_CAP, _burst_samples, _burst_spans, _true_run_lengths
 
 
 def _source(spl_db=65.0, distance_m=0.002, f_hz=685.0):
@@ -176,3 +177,113 @@ def test_response_trace_needs_room_for_one_burst():
     with pytest.raises(ScheduleError):
         attack_response_trace(sched, model, None, _source(f_hz=f),
                               target_f_hz=f, duration_s=0.001)
+
+
+def _psd_ratio_by_frame(audio, band_hz, mask, nperseg=None):
+    """psd_ratio as one FFT per frame in a Python loop: the reference."""
+    lo, hi = band_hz
+    mask = np.asarray(mask, dtype=bool)
+    if nperseg is None:
+        runs = _true_run_lengths(mask)
+        nperseg = int(np.clip(int(np.median(runs)) if runs.size else 96, 32, 512))
+    hop = max(1, nperseg // 4)
+    window = np.hanning(nperseg)
+    freqs = np.fft.rfftfreq(nperseg, 1.0 / audio.sample_rate_hz)
+    df = audio.sample_rate_hz / nperseg
+    band_bins = (freqs >= lo - 0.5 * df) & (freqs <= hi + 0.5 * df)
+    inside = []
+    outside = []
+    for start in range(0, audio.samples.size - nperseg + 1, hop):
+        frac = mask[start : start + nperseg].mean()
+        if 0.2 < frac < 0.8:
+            continue
+        seg = audio.samples[start : start + nperseg] * window
+        power = float(np.sum(np.abs(np.fft.rfft(seg)[band_bins]) ** 2))
+        (inside if frac >= 0.8 else outside).append(power)
+    if not inside or not outside:
+        raise ValueError("mask leaves one of the frame groups empty")
+    num = float(np.mean(inside))
+    den = float(np.mean(outside))
+    if den <= num / PSD_RATIO_CAP:
+        return PSD_RATIO_CAP
+    return num / den
+
+
+def _attacked(carrier, band_hz, duration_s, cycles=None):
+    sched = SegmentSchedule(band_hz=band_hz, duration_s=duration_s, interval_s=0.015,
+                            cycles=cycles)
+    attacked = synthesize_attack(carrier, sched)
+    mask = segment_mask(sched, sched.target_hz(), attacked.samples.size,
+                        attacked.sample_rate_hz)
+    return attacked, mask
+
+
+@pytest.mark.parametrize("band_hz, duration_s, cycles, nperseg, frame", [
+    ((590.0, 610.0), 0.002, None, None, 80),    # one 600 Hz cycle
+    ((600.0, 615.0), 0.002, None, None, 79),    # one 607.5 Hz cycle
+    ((680.0, 690.0), 0.002, None, None, 70),    # frames at exactly 20% and 80% masked
+    ((590.0, 610.0), 0.002, None, 64, 64),
+    ((590.0, 610.0), 0.004, None, 128, 128),
+    ((540.0, 670.0), 0.004, (1, 2), None, 119),
+])
+def test_psd_ratio_equals_the_frame_loop(band_hz, duration_s, cycles, nperseg, frame):
+    attacked, mask = _attacked(calibration_carrier(), band_hz, duration_s, cycles)
+    if nperseg is None:
+        assert int(np.median(_true_run_lengths(mask))) == frame
+    expected = _psd_ratio_by_frame(attacked, band_hz, mask, nperseg)
+    assert psd_ratio(attacked, band_hz, mask, nperseg) == expected
+
+
+def test_psd_ratio_over_silence_equals_the_frame_loop_at_the_cap():
+    # Silent but for a tone deep inside the one masked span: every outside
+    # frame is silent.
+    fs = 48000
+    samples = np.zeros(fs)
+    samples[12000:18000] = 0.5 * np.sin(2.0 * math.pi * 600.0 * np.arange(6000) / fs)
+    mask = np.zeros(fs, dtype=bool)
+    mask[10000:20000] = True
+    audio = AudioBuffer(sample_rate_hz=fs, samples=samples)
+    assert _psd_ratio_by_frame(audio, (590.0, 610.0), mask) == PSD_RATIO_CAP
+    assert psd_ratio(audio, (590.0, 610.0), mask) == PSD_RATIO_CAP
+
+
+def test_psd_ratio_raises_like_the_frame_loop_when_a_group_is_empty():
+    attacked, mask = _attacked(calibration_carrier(), (590.0, 610.0), 0.002)
+    empty = np.zeros_like(mask)
+    with pytest.raises(ValueError, match="frame groups empty"):
+        _psd_ratio_by_frame(attacked, (590.0, 610.0), empty)
+    with pytest.raises(ValueError, match="frame groups empty"):
+        psd_ratio(attacked, (590.0, 610.0), empty)
+
+
+@pytest.mark.parametrize("nperseg", [0, 1, 2.5, True, 10**6])
+def test_psd_ratio_rejects_a_bad_frame_length(nperseg):
+    attacked, mask = _attacked(calibration_carrier(1.0), (590.0, 610.0), 0.002)
+    with pytest.raises(ValueError, match="nperseg"):
+        psd_ratio(attacked, (590.0, 610.0), mask, nperseg=nperseg)
+
+
+def test_burst_trains_equal_a_per_burst_construction():
+    sched = SegmentSchedule(band_hz=(540.0, 670.0), duration_s=0.004, interval_s=0.015,
+                            cycles=(1, 2), fade_in_s=0.0005)
+    f = sched.target_hz()
+    carrier = calibration_carrier(1.0)
+    fs = carrier.sample_rate_hz
+    expected = suppress_band(carrier, sched.band_hz).samples.copy()
+    amplitude = 0.9 * float(np.max(np.abs(carrier.samples)))
+    spans = _burst_spans(sched, f, expected.size, fs)
+    assert len({stop - start for start, stop in spans}) == 2
+    for start, stop in spans:
+        burst, weight = _burst_samples(sched, f, stop - start, fs, amplitude)
+        expected[start:stop] = burst + (1.0 - weight) * expected[start:stop]
+    assert np.array_equal(synthesize_attack(carrier, sched).samples,
+                          np.clip(expected, -1.0, 1.0))
+
+    model = archetype("A1011-00")
+    trace, spans, amp = attack_response_trace(sched, model, None, _source(f_hz=f),
+                                              duration_s=0.3)
+    inlet = np.zeros(int(round(0.3 * model.sample_rate_hz)))
+    for start, stop in spans:
+        inlet[start:stop] = _burst_samples(sched, f, stop - start, model.sample_rate_hz, amp)[0]
+    assert np.array_equal(trace.p_out_pa,
+                          step_response(model, None, inlet, 1.0 / model.sample_rate_hz).p_out_pa)
