@@ -10,6 +10,7 @@ all validation happens before anything is written.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -46,6 +47,10 @@ from .waveform import (
 )
 
 SWEEP_AXES = ("tube_length", "tube_diameter", "spl", "distance", "ti", "td", "pickup")
+
+# Largest grid sweep builds from --start/--stop/--step.  Each point is one
+# forged-pressure estimate of a few milliseconds, so this is minutes of work.
+MAX_SWEEP_POINTS = 100_000
 
 
 class CliError(Exception):
@@ -84,6 +89,9 @@ def _alarm_flags(trace: SimulationTrace, room: str) -> np.ndarray:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     loaded = load_scenario(args.scenario)
+    if loaded.countermeasure is not None:
+        print(f"nprsim: note: countermeasure '{loaded.countermeasure.kind}' is not applied "
+              "by simulate; evaluate-cm scores it", file=sys.stderr)
     scenario = loaded.resolved()
     trace = simulate_scenario(scenario)
 
@@ -173,10 +181,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             raise CliError(f"cannot read carrier {args.carrier}: {exc}") from exc
     else:
+        if not math.isfinite(args.silence):
+            raise CliError(f"--silence must be finite, got {args.silence}")
         n = int(round(args.silence * args.rate))
         if n <= 0:
             raise CliError("--silence must cover at least one sample")
-        carrier = AudioBuffer(sample_rate_hz=args.rate, samples=np.zeros(n))
+        try:
+            carrier = AudioBuffer(sample_rate_hz=args.rate, samples=np.zeros(n))
+        except ValueError as exc:
+            raise CliError(f"--rate: {exc}") from exc
 
     try:
         attacked = synthesize_attack(carrier, schedule, target_f_hz=args.target_hz)
@@ -279,13 +292,46 @@ def _parse_grid(args: argparse.Namespace) -> list[float]:
             raise CliError(f"--values expects numbers, got {args.values!r}") from exc
         if not grid:
             raise CliError("--values is empty")
+        if not all(math.isfinite(value) for value in grid):
+            raise CliError(f"--values must be finite, got {args.values!r}")
         return grid
     if args.start is None or args.stop is None or args.step_by is None:
         raise CliError("give either --values or all of --start/--stop/--step")
+    if not all(math.isfinite(value) for value in (args.start, args.stop, args.step_by)):
+        raise CliError("--start, --stop and --step must be finite")
     if args.step_by <= 0.0 or args.stop < args.start:
         raise CliError("grid needs --step > 0 and --stop >= --start")
-    count = int(round((args.stop - args.start) / args.step_by)) + 1
-    return [args.start + k * args.step_by for k in range(count)]
+    steps = (args.stop - args.start) / args.step_by
+    if not steps <= MAX_SWEEP_POINTS - 1:
+        raise CliError(f"grid of {steps + 1:.3g} points exceeds the limit of "
+                       f"{MAX_SWEEP_POINTS}; raise --step")
+    return [args.start + k * args.step_by for k in range(int(round(steps)) + 1)]
+
+
+def _forged_at(setup, axis: str, value: float) -> float:
+    """Forged pressure of the scenario's attack with one parameter set to value."""
+    model, tube = setup.model, setup.tube
+    source, schedule = setup.source, setup.schedule
+    target = setup.target_f_hz
+    if axis == "tube_length":
+        tube = replace(tube, length_m=value)
+        target = system_resonant_hz(model, tube)
+    elif axis == "tube_diameter":
+        tube = replace(tube, inner_diameter_m=value, cross_section_m2=None)
+        target = system_resonant_hz(model, tube)
+    elif axis == "spl":
+        source = replace(source, spl_db=value)
+    elif axis == "distance":
+        source = replace(source, position_distance_m=value)
+    elif axis == "ti":
+        schedule = replace(schedule, interval_s=value / 1e3)
+    elif axis == "td":
+        schedule = replace(schedule, duration_s=value / 1e3)
+    elif axis == "pickup":
+        if value not in (0.0, 1.0):
+            raise CliError("pickup axis takes values 0 or 1")
+        tube = replace(tube, pickup_device=bool(value))
+    return forged_pressure_estimate(schedule, model, tube, source, target_f_hz=target)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -300,30 +346,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     rows: list[list[str]] = []
     for value in grid:
-        model, tube = setup.model, setup.tube
-        source, schedule = setup.source, setup.schedule
-        target = setup.target_f_hz
-        if args.axis == "tube_length":
-            tube = replace(tube, length_m=value)
-            target = system_resonant_hz(model, tube)
-        elif args.axis == "tube_diameter":
-            tube = replace(tube, inner_diameter_m=value, cross_section_m2=None)
-            target = system_resonant_hz(model, tube)
-        elif args.axis == "spl":
-            source = replace(source, spl_db=value)
-        elif args.axis == "distance":
-            source = replace(source, position_distance_m=value)
-        elif args.axis == "ti":
-            schedule = replace(schedule, interval_s=value / 1e3)
-        elif args.axis == "td":
-            schedule = replace(schedule, duration_s=value / 1e3)
-        elif args.axis == "pickup":
-            if value not in (0.0, 1.0):
-                raise CliError("pickup axis takes values 0 or 1")
-            tube = replace(tube, pickup_device=bool(value))
+        # The parameter's own check (a negative length, an SPL out of
+        # range) raises as the dataclass is rebuilt, so it sits in the try.
         try:
-            forged = forged_pressure_estimate(
-                schedule, model, tube, source, target_f_hz=target)
+            forged = _forged_at(setup, args.axis, value)
         except (ValueError, ScheduleError, ClippingError) as exc:
             raise CliError(f"{args.axis}={value:g}: {exc}") from exc
         rows.append([_num(value), _num(forged)])

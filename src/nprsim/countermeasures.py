@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .acoustics import AcousticSource
 from .plant import (
@@ -27,7 +26,7 @@ from .plant import (
     NprScenario,
     simulate_scenario,
 )
-from .sensor import NO_TUBE, DpsModel, TubeAssembly, step_response
+from .sensor import NO_TUBE, DpsModel, TubeAssembly, _lfilter, step_response
 from .waveform import SegmentSchedule, forged_pressure_estimate
 
 NOISE_FLOOR_PA = 0.1
@@ -171,7 +170,7 @@ def apply_lpf(signal: np.ndarray, cutoff_hz: float, dt: float) -> np.ndarray:
     if x.size == 0:
         return x.copy()
     a = 1.0 - math.exp(-2.0 * math.pi * cutoff_hz * dt)
-    y, _state = lfilter([a], [1.0, a - 1.0], x, zi=[(1.0 - a) * x[0]])
+    y, _state = _lfilter([a], [1.0, a - 1.0], x, zi=[(1.0 - a) * x[0]])
     return y
 
 
@@ -220,7 +219,7 @@ def measurement_settle_time_s(
     out = trace.p_out_pa
     if extra_lag_s > 0.0:
         a = 1.0 - math.exp(-dt / extra_lag_s)
-        out, _state = lfilter([a], [1.0, a - 1.0], out, zi=[0.0])
+        out, _state = _lfilter([a], [1.0, a - 1.0], out, zi=[0.0])
     if lpf_cutoff_hz is not None:
         out = lpf_cascade(out, lpf_cutoff_hz, dt, lpf_order)
     tolerance = SETTLE_BAND_FRACTION * abs(step_pa)

@@ -14,6 +14,11 @@ Every path runs on that recurrence: a sampled inlet and a callable inlet
 characterization through the recurrence's exact steady-state gain at each
 tone, which is what a bench sweep with a speaker measures once each tone
 has rung up.
+
+_lfilter is the package's single entry point to scipy.signal: it imports
+the module on first call, so a run that never filters (a forged_pa-only
+closed loop, a characterization sweep) does not pay about a second of
+import time for it.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from typing import Callable
 
 import numpy as np
 import yaml
-from scipy.signal import lfilter
 
 SOUND_SPEED_MPS = 343.0
 INCH_M = 0.0254
@@ -344,6 +348,13 @@ def _recurrence(omega: float, xi: float, dt: float):
     return a, step(0.0, 0.0, 1.0, 0.0, 0.0), step(0.0, 0.0, 0.0, 1.0, 0.0), step(0.0, 0.0, 0.0, 0.0, 1.0)
 
 
+def _lfilter(b, a, x, zi=None):
+    """scipy.signal.lfilter along the last axis, importing scipy.signal on first call."""
+    from scipy.signal import lfilter
+
+    return lfilter(b, a, x, zi=zi)
+
+
 def _drive(a, c_now, c_next, x: np.ndarray) -> np.ndarray:
     """Pressure p of z[k+1] = A z[k] + c_now x[k] + c_next x[k+1] from z[0] = 0.
 
@@ -357,7 +368,7 @@ def _drive(a, c_now, c_next, x: np.ndarray) -> np.ndarray:
     # Initial filter state pinning z[0] = 0 and the correct first step even
     # when x starts nonzero.
     x0 = x[0]
-    p, _ = lfilter(num, den, x, zi=[-num[0] * x0, (n0p - num[1]) * x0])
+    p, _ = _lfilter(num, den, x, zi=[-num[0] * x0, (n0p - num[1]) * x0])
     return p
 
 

@@ -20,11 +20,9 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.io import wavfile
-from scipy.signal import lfilter
 
 from .acoustics import PathModel, propagate, spl_to_pressure_amp
-from .sensor import NO_TUBE, _require_finite_fields, step_response
+from .sensor import NO_TUBE, _lfilter, _require_finite_fields, step_response
 
 SUPPORTED_RATES = (44100, 48000)
 PSD_RATIO_CAP = 1.0e9
@@ -144,6 +142,8 @@ class SegmentSchedule:
 
 def read_wav(path: str | Path) -> AudioBuffer:
     """Read a 16-bit PCM WAV file, downmixing stereo to mono by averaging."""
+    from scipy.io import wavfile
+
     rate, data = wavfile.read(path)
     if rate not in SUPPORTED_RATES:
         raise ValueError(f"{path}: sample rate {rate} not in {SUPPORTED_RATES}")
@@ -157,6 +157,8 @@ def read_wav(path: str | Path) -> AudioBuffer:
 
 def write_wav(path: str | Path, audio: AudioBuffer) -> None:
     """Write mono 16-bit PCM little-endian WAV."""
+    from scipy.io import wavfile
+
     pcm = np.round(np.clip(audio.samples, -1.0, 1.0) * 32767.0).astype("<i2")
     wavfile.write(path, audio.sample_rate_hz, pcm)
 
@@ -459,7 +461,7 @@ def calibration_carrier(
         x += a * np.sin(2.0 * math.pi * f * t + 0.7 * k)
     # One-pole smoothing tilts the noise toward low frequencies.
     alpha = 0.05
-    smooth = lfilter([alpha], [1.0, alpha - 1.0], rng.standard_normal(n))
+    smooth = _lfilter([alpha], [1.0, alpha - 1.0], rng.standard_normal(n))
     x += 0.8 * smooth
     x *= 0.95 / float(np.max(np.abs(x)))
     return AudioBuffer(sample_rate_hz=sample_rate_hz, samples=x)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nprsim import (
     AlarmConfig,
@@ -234,3 +236,47 @@ def test_simulation_rejects_a_horizon_past_the_room_period_ceiling():
             simulate_scenario(scenario, horizon_s=horizon)
     with pytest.raises(ValueError, match="at least 10 control periods"):
         simulate_scenario(_scenario(), horizon_s=5.0)
+
+
+@st.composite
+def _balanced_rooms(draw):
+    """A valid room whose setpoint balanced_fans accepts, with a deadband > 0."""
+    capacity = draw(st.floats(0.01, 5.0))
+    leak = draw(st.floats(1e-4, 0.1))
+    # The setpoint as a fraction of the deepest one the fans can hold.
+    reach = draw(st.floats(1e-6, 1.0))
+    controller = ControllerConfig(
+        setpoint_pa=-reach * capacity / leak,
+        gain=draw(st.floats(1e-4, 1.0)),
+        control_period_s=draw(st.floats(0.25, 2.0)),
+        deadband_pa=draw(st.floats(1e-6, 5.0)),
+    )
+    room = RoomConfig(
+        controller=controller,
+        volume_m3=draw(st.floats(1.0, 1000.0)),
+        leak_coeff_m3ps_per_pa=leak,
+        fans=FanSpec(max_flow_m3ps=capacity, time_constant_s=draw(st.floats(0.1, 10.0))),
+    )
+    try:
+        balanced_fans(room)
+    except WiringError:
+        assume(False)
+    return room
+
+
+@settings(max_examples=60, deadline=None)
+@given(_balanced_rooms(), st.floats(-1e4, 1e4))
+def test_zero_attack_run_holds_its_setpoint(room, hallway_pa):
+    """With no attack, the balanced fans hold the setpoint for the whole run.
+
+    The deadband is kept above zero.  With deadband_pa=0 the controller
+    acts on the rounding noise of the balance point (about 1e-12 Pa here),
+    and a high-gain loop grows that into an oscillation: the run reports
+    converged=False and simulate exits 3.  That is an honest report of an
+    unstable loop, not a silent wrong answer, so it is not a violation of
+    this property.
+    """
+    trace = simulate_scenario(NprScenario(rooms=(room,), hallway_pa=hallway_pa, horizon_s=30.0))
+    assert np.max(np.abs(trace.true_pd_pa - room.controller.setpoint_pa)) <= 1e-9
+    assert trace.raised_alarm_count() == 0
+    assert trace.converged

@@ -289,6 +289,61 @@ def test_cli_sweep_needs_an_acoustic_attack(tmp_path, capsys):
     assert "no acoustic attack" in capsys.readouterr().err
 
 
+_FINITE = "--start, --stop and --step must be finite"
+
+
+@pytest.mark.parametrize("grid, message", [
+    (["--start", "15", "--stop", "inf", "--step", "5"], _FINITE),
+    (["--start", "nan", "--stop", "60", "--step", "5"], _FINITE),
+    (["--start", "15", "--stop", "60", "--step", "nan"], _FINITE),
+    (["--values", "15,inf"], "--values must be finite, got '15,inf'"),
+    (["--values", "nan"], "--values must be finite, got 'nan'"),
+    (["--values", "-5"], "ti=-5: interval -0.005 s must exceed burst duration 0.002 s"),
+    # Just past the point ceiling: without it the list stays small and the
+    # first point (an interval of 0 ms) fails at once.
+    (["--start", "0", "--stop", "100000", "--step", "0.5"],
+     "grid of 2e+05 points exceeds the limit of 100000; raise --step"),
+], ids=["stop-inf", "start-nan", "step-nan", "values-inf", "values-nan", "values-negative",
+        "past-ceiling"])
+def test_cli_sweep_rejects_a_bad_grid_in_one_line(grid, message, tmp_path, capsys):
+    rc = main(["sweep", str(SCENARIO_DIR / "acoustic_lpf.yaml"), "--axis", "ti", *grid,
+               "--out", str(tmp_path / "s.csv")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"nprsim: error: {message}\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("silence", ["nan", "inf"])
+def test_cli_synth_rejects_a_non_finite_silence(silence, tmp_path, capsys):
+    rc = main(["synth", "--silence", silence, "--band", "540", "670", "--td-ms", "2",
+               "--ti-ms", "15", "--out", str(tmp_path / "a.wav")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"nprsim: error: --silence must be finite, got {silence}\n"
+    assert not (tmp_path / "a.wav").exists()
+
+
+def test_cli_synth_rejects_an_unsupported_rate_in_one_line(tmp_path, capsys):
+    rc = main(["synth", "--silence", "1", "--rate", "8000", "--band", "540", "670",
+               "--td-ms", "2", "--ti-ms", "15", "--out", str(tmp_path / "a.wav")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("nprsim: error: --rate: sample rate must be one of")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_simulate_notes_an_unapplied_countermeasure(tmp_path, capsys):
+    rc = main(["simulate", str(SCENARIO_DIR / "acoustic_lpf.yaml"), "--out", str(tmp_path)])
+    assert rc == 0
+    assert capsys.readouterr().err == (
+        "nprsim: note: countermeasure 'lpf' is not applied by simulate; evaluate-cm scores it\n")
+    assert "countermeasure" not in (tmp_path / "summary.txt").read_text(encoding="utf-8")
+    rc = main(["simulate", str(SCENARIO_DIR / "baseline.yaml"), "--out", str(tmp_path)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_sweep_rejects_unknown_axis(tmp_path):
     with pytest.raises(SystemExit) as info:
         main([
