@@ -61,10 +61,12 @@ def _num(value: float) -> str:
     return "%.6g" % value
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
+def _write_lines(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+    _write_lines(path, [",".join(header), *(",".join(row) for row in rows)])
 
 
 def _alarm_flags(trace: SimulationTrace, room: str) -> np.ndarray:
@@ -87,6 +89,23 @@ def _alarm_flags(trace: SimulationTrace, room: str) -> np.ndarray:
     return flags
 
 
+def _trace_lines(trace: SimulationTrace) -> list[str]:
+    """trace.csv data rows: time, then per room the three differentials,
+    the two fan speeds and the alarm flag.
+
+    Each row is one %-format over the row's Python floats, which prints
+    every cell as _num would and each 0/1 flag as an integer.
+    """
+    columns = [trace.times_s]
+    for j, name in enumerate(trace.room_names):
+        columns += [
+            trace.true_pd_pa[:, j], trace.measured_hvac_pa[:, j], trace.measured_rpm_pa[:, j],
+            trace.supply_speed[:, j], trace.exhaust_speed[:, j], _alarm_flags(trace, name),
+        ]
+    row_format = ",".join(["%.6g"] + ["%.6g,%.6g,%.6g,%.6g,%.6g,%d"] * len(trace.room_names))
+    return [row_format % tuple(row) for row in np.column_stack(columns).tolist()]
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     loaded = load_scenario(args.scenario)
     if loaded.countermeasure is not None:
@@ -104,21 +123,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"true_pd_{name}", f"hvac_pd_{name}", f"rpm_pd_{name}",
             f"supply_{name}", f"exhaust_{name}", f"alarm_{name}",
         ]
-    flags = {name: _alarm_flags(trace, name) for name in trace.room_names}
-    rows = []
-    for k in range(trace.times_s.size):
-        row = [_num(float(trace.times_s[k]))]
-        for j, name in enumerate(trace.room_names):
-            row += [
-                _num(float(trace.true_pd_pa[k, j])),
-                _num(float(trace.measured_hvac_pa[k, j])),
-                _num(float(trace.measured_rpm_pa[k, j])),
-                _num(float(trace.supply_speed[k, j])),
-                _num(float(trace.exhaust_speed[k, j])),
-                str(int(flags[name][k])),
-            ]
-        rows.append(row)
-    _write_csv(out_dir / "trace.csv", header, rows)
+    _write_lines(out_dir / "trace.csv", [",".join(header), *_trace_lines(trace)])
 
     plan = scenario.wiring.attack
     steady = trace.steady_true_pd_pa()

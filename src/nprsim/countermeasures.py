@@ -26,7 +26,7 @@ from .plant import (
     NprScenario,
     simulate_scenario,
 )
-from .sensor import NO_TUBE, DpsModel, TubeAssembly, _lfilter, step_response
+from .sensor import NO_TUBE, DpsModel, TubeAssembly, _lfilter, _require_finite_fields, step_response
 from .waveform import SegmentSchedule, forged_pressure_estimate
 
 NOISE_FLOOR_PA = 0.1
@@ -68,6 +68,7 @@ class Countermeasure:
     def __post_init__(self) -> None:
         if self.kind not in COUNTERMEASURE_KINDS:
             raise ValueError(f"unknown countermeasure kind {self.kind!r}")
+        _require_finite_fields(self)
         if self.order < 1:
             raise ValueError(f"filter order must be >= 1, got {self.order}")
         foreign = [
@@ -189,11 +190,18 @@ def enclosure_lag_s(extra_loss_db: float) -> float:
 
     The same sealing that blocks airborne sound slows static equalization
     through the enclosure's leak path.  Modeled as a first-order lag that
-    grows with the insertion loss and vanishes at 0 dB.
+    grows with the insertion loss and vanishes at 0 dB.  Raises
+    ValueError when the loss is so large that the lag is not finite.
     """
     if extra_loss_db < 0.0:
         raise ValueError("enclosure loss must be >= 0 dB")
-    return ENCLOSURE_LAG_S_PER_UNIT * (10.0 ** (extra_loss_db / 20.0) - 1.0)
+    try:
+        lag = ENCLOSURE_LAG_S_PER_UNIT * (10.0 ** (extra_loss_db / 20.0) - 1.0)
+    except OverflowError:
+        lag = math.inf
+    if not math.isfinite(lag):
+        raise ValueError(f"enclosure loss of {extra_loss_db:g} dB gives a lag that is not finite")
+    return lag
 
 
 def measurement_settle_time_s(

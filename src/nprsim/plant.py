@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -237,21 +238,23 @@ class SimulationTrace:
 
 def controller_step(
     cfg: ControllerConfig,
-    measured_pa: float,
-    supply_cmd: float,
-    exhaust_cmd: float,
-) -> tuple[float, float]:
+    measured_pa: float | np.ndarray,
+    supply_cmd: float | np.ndarray,
+    exhaust_cmd: float | np.ndarray,
+) -> tuple[float | np.ndarray, float | np.ndarray]:
     """One controller wakeup: trim fan commands toward the deadband edge.
 
     Reading above the setpoint band (not negative enough) slows supply
     and speeds exhaust; below it the opposite.  Commands clamp to [0, 1].
+    The rule is elementwise: simulate_scenario passes one array per room
+    for the readings and commands, and for cfg's setpoint_pa, gain and
+    deadband_pa.
     """
-    error = measured_pa - cfg.setpoint_pa
-    if abs(error) <= cfg.deadband_pa:
-        return supply_cmd, exhaust_cmd
-    correction = cfg.gain * (error - math.copysign(cfg.deadband_pa, error))
-    supply = min(1.0, max(0.0, supply_cmd - correction))
-    exhaust = min(1.0, max(0.0, exhaust_cmd + correction))
+    error = np.subtract(measured_pa, cfg.setpoint_pa)
+    outside = np.abs(error) > cfg.deadband_pa
+    correction = np.where(outside, cfg.gain * (error - np.copysign(cfg.deadband_pa, error)), 0.0)
+    supply = np.minimum(1.0, np.maximum(0.0, supply_cmd - correction))
+    exhaust = np.minimum(1.0, np.maximum(0.0, exhaust_cmd + correction))
     return supply, exhaust
 
 
@@ -302,16 +305,46 @@ def horizon_periods(horizon_s: float, period_s: float, n_rooms: int) -> int:
     return n_periods
 
 
+def _period_map(room: RoomConfig, period_s: float) -> np.ndarray:
+    """3x5 map from (x, supply, exhaust, supply_cmd, exhaust_cmd) at one
+    wakeup to (x, supply, exhaust) at the next, x being p - hallway.
+
+    One substep freezes the fan flows while the room pressure relaxes
+    exponentially toward the balance point they define, then moves each
+    fan speed its exact first-order step toward its command.  The period
+    is SUBSTEPS_PER_PERIOD such substeps, so the map is a matrix power.
+    """
+    dt_sub = period_s / SUBSTEPS_PER_PERIOD
+    tau_room = room.volume_m3 / (ADIABATIC_BULK_MODULUS_PA * room.leak_coeff_m3ps_per_pa)
+    decay_room = math.exp(-dt_sub / tau_room)
+    decay_fan = math.exp(-dt_sub / room.fans.time_constant_s)
+    # Balance point per unit of supply-minus-exhaust speed, times the
+    # share of the gap the pressure closes in one substep.
+    drive = room.fans.max_flow_m3ps / room.leak_coeff_m3ps_per_pa * (1.0 - decay_room)
+    step = np.array([
+        [decay_room, drive, -drive, 0.0, 0.0],
+        [0.0, decay_fan, 0.0, 1.0 - decay_fan, 0.0],
+        [0.0, 0.0, decay_fan, 0.0, 1.0 - decay_fan],
+        [0.0, 0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 1.0],
+    ])
+    return np.linalg.matrix_power(step, SUBSTEPS_PER_PERIOD)[:3]
+
+
 def simulate_scenario(scenario: NprScenario, horizon_s: float | None = None) -> SimulationTrace:
     """Run the closed loop and return its per-period trace.
 
-    Rooms integrate exactly between controller wakeups: within each of
-    the SUBSTEPS_PER_PERIOD slices the fan flows are frozen, the room
-    pressure relaxes exponentially toward the balance point those flows
-    define, then the fan speeds take their own exact first-order step
-    toward the commands.  Convergence means the pressure slope stayed
-    under STEADY_SLOPE_PA_PER_S for STEADY_HOLD_S; a run that never gets
-    there is returned with converged False rather than raised.
+    Between controller wakeups each room is linear in five values: its
+    differential to the hallway, its two fan speeds and its two fan
+    commands.  Each substep is an exact step of a frozen-flow room and a
+    first-order fan lag (see _period_map), so one control period is the
+    SUBSTEPS_PER_PERIOD-th power of the substep matrix, built once per
+    room.  Each period the controller trims every room's commands from
+    its reading at once (controller_step on arrays), then one product
+    advances every room to the next wakeup.  Convergence means the
+    pressure slope stayed under STEADY_SLOPE_PA_PER_S for STEADY_HOLD_S;
+    a run that never gets there is returned with converged False rather
+    than raised.
     """
     horizon = scenario.horizon_s if horizon_s is None else horizon_s
     period = scenario.control_period_s
@@ -324,37 +357,26 @@ def simulate_scenario(scenario: NprScenario, horizon_s: float | None = None) -> 
     attack = scenario.wiring.attack
     hall = scenario.hallway_pa
 
-    pressure = np.empty(n_rooms)
-    sup_speed = np.empty(n_rooms)
-    exh_speed = np.empty(n_rooms)
-    sup_cmd = np.empty(n_rooms)
-    exh_cmd = np.empty(n_rooms)
-    flow_cap = np.empty(n_rooms)
-    leak = np.empty(n_rooms)
-    decay_room = np.empty(n_rooms)
-    decay_fan = np.empty(n_rooms)
-
-    dt_sub = period / SUBSTEPS_PER_PERIOD
+    # Per room: x = p - hallway, supply, exhaust, supply_cmd, exhaust_cmd.
+    state = np.empty((n_rooms, 5))
     for i, room in enumerate(rooms):
-        sup_speed[i], exh_speed[i] = balanced_fans(room)
-        sup_cmd[i], exh_cmd[i] = sup_speed[i], exh_speed[i]
-        flow_cap[i] = room.fans.max_flow_m3ps
-        leak[i] = room.leak_coeff_m3ps_per_pa
-        tau_room = room.volume_m3 / (ADIABATIC_BULK_MODULUS_PA * leak[i])
-        decay_room[i] = math.exp(-dt_sub / tau_room)
-        decay_fan[i] = math.exp(-dt_sub / room.fans.time_constant_s)
+        state[i, 1:3] = balanced_fans(room)
         if room.initial_pressure_pa is None:
-            pressure[i] = hall + room.controller.setpoint_pa
+            state[i, 0] = room.controller.setpoint_pa
         else:
-            pressure[i] = room.initial_pressure_pa
+            state[i, 0] = room.initial_pressure_pa - hall
+    state[:, 3:] = state[:, 1:3]
+    period_maps = np.stack([_period_map(room, period) for room in rooms])
+    gains = SimpleNamespace(**{
+        name: np.array([getattr(room.controller, name) for room in rooms])
+        for name in ("setpoint_pa", "gain", "deadband_pa")
+    })
 
     n_rows = n_periods + 1
     times = np.arange(n_rows) * period
-    true_pd = np.empty((n_rows, n_rooms))
+    # true differential, supply and exhaust speed, one row per wakeup
+    rows = np.empty((3, n_rows, n_rooms))
     meas_hvac = np.empty((n_rows, n_rooms))
-    meas_rpm = np.empty((n_rows, n_rooms))
-    sup_trace = np.empty((n_rows, n_rooms))
-    exh_trace = np.empty((n_rows, n_rooms))
 
     hvac_low, hvac_high = _port_offsets(attack, "hvac")
     if scenario.wiring.separate_rpm:
@@ -362,23 +384,14 @@ def simulate_scenario(scenario: NprScenario, horizon_s: float | None = None) -> 
     else:
         rpm_low, rpm_high = hvac_low, hvac_high
     for k in range(n_rows):
-        true_pd[k] = pressure - hall
-        meas_hvac[k] = true_pd[k] + hvac_low - hvac_high
-        meas_rpm[k] = true_pd[k] + rpm_low - rpm_high
-        sup_trace[k] = sup_speed
-        exh_trace[k] = exh_speed
+        rows[:, k] = state[:, :3].T
+        meas_hvac[k] = state[:, 0] + hvac_low - hvac_high
         if k == n_periods:
             break
-
-        for i, room in enumerate(rooms):
-            sup_cmd[i], exh_cmd[i] = controller_step(
-                room.controller, float(meas_hvac[k, i]), float(sup_cmd[i]), float(exh_cmd[i])
-            )
-        for _ in range(SUBSTEPS_PER_PERIOD):
-            balance = hall + (sup_speed - exh_speed) * flow_cap / leak
-            pressure = balance + (pressure - balance) * decay_room
-            sup_speed = sup_cmd + (sup_speed - sup_cmd) * decay_fan
-            exh_speed = exh_cmd + (exh_speed - exh_cmd) * decay_fan
+        state[:, 3], state[:, 4] = controller_step(gains, meas_hvac[k], state[:, 3], state[:, 4])
+        state[:, :3] = np.einsum("rij,rj->ri", period_maps, state)
+    true_pd, sup_trace, exh_trace = rows
+    meas_rpm = true_pd + rpm_low - rpm_high
 
     events: list[AlarmEvent] = []
     for i, room in enumerate(rooms):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,25 @@ def test_countermeasure_rejects_another_kinds_parameter(kind, params):
 def test_countermeasure_accepts_the_default_order_on_any_kind():
     assert Countermeasure(kind="long_tube", tube_length_m=2.0, order=1).order == 1
     assert Countermeasure.lpf(120.0, order=3).order == 3
+
+
+@pytest.mark.parametrize("kind, name", [
+    ("long_tube", "tube_length_m"),
+    ("enclosure", "extra_loss_db"),
+    ("lpf", "cutoff_hz"),
+    ("raised_setpoint", "setpoint_pa"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_countermeasure_rejects_a_non_finite_parameter(kind, name, value):
+    with pytest.raises(ValueError, match=f"^Countermeasure.{name} must be finite, got {value}$"):
+        Countermeasure(kind=kind, **{name: value})
+
+
+def test_an_enclosure_whose_lag_overflows_is_rejected():
+    with pytest.raises(ValueError, match="enclosure loss of 1e\\+308 dB gives a lag that is not finite"):
+        enclosure_lag_s(1e308)
+    with pytest.raises(ValueError, match="not finite"):
+        evaluate_countermeasure(_scenario(), Countermeasure.enclosure(1e308), _attack_setup())
 
 
 def test_acoustic_defenses_need_the_attack_setup():

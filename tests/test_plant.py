@@ -22,6 +22,15 @@ from nprsim import (
     rpm_alarm,
     simulate_scenario,
 )
+from nprsim.plant import (
+    ADIABATIC_BULK_MODULUS_PA,
+    STEADY_HOLD_S,
+    STEADY_SLOPE_PA_PER_S,
+    SUBSTEPS_PER_PERIOD,
+    SimulationTrace,
+    _port_offsets,
+    horizon_periods,
+)
 from nprsim.sensor import TubeAssembly
 
 
@@ -280,3 +289,210 @@ def test_zero_attack_run_holds_its_setpoint(room, hallway_pa):
     assert np.max(np.abs(trace.true_pd_pa - room.controller.setpoint_pa)) <= 1e-9
     assert trace.raised_alarm_count() == 0
     assert trace.converged
+
+
+def _simulate_by_substep(scenario: NprScenario) -> SimulationTrace:
+    """The closed loop as it ran before the per-period map: absolute room
+    pressures, a scalar controller call per room, and SUBSTEPS_PER_PERIOD
+    frozen-flow substeps per period.  The reference for the map."""
+    period = scenario.control_period_s
+    rooms = scenario.rooms
+    n_rooms = len(rooms)
+    n_periods = horizon_periods(scenario.horizon_s, period, n_rooms)
+    attack = scenario.wiring.attack
+    hall = scenario.hallway_pa
+
+    def control(cfg, measured, supply_cmd, exhaust_cmd):
+        error = measured - cfg.setpoint_pa
+        if abs(error) <= cfg.deadband_pa:
+            return supply_cmd, exhaust_cmd
+        correction = cfg.gain * (error - math.copysign(cfg.deadband_pa, error))
+        return (min(1.0, max(0.0, supply_cmd - correction)),
+                min(1.0, max(0.0, exhaust_cmd + correction)))
+
+    pressure, sup_speed, exh_speed, sup_cmd, exh_cmd = (np.empty(n_rooms) for _ in range(5))
+    flow_cap, leak, decay_room, decay_fan = (np.empty(n_rooms) for _ in range(4))
+    dt_sub = period / SUBSTEPS_PER_PERIOD
+    for i, room in enumerate(rooms):
+        sup_speed[i], exh_speed[i] = balanced_fans(room)
+        sup_cmd[i], exh_cmd[i] = sup_speed[i], exh_speed[i]
+        flow_cap[i] = room.fans.max_flow_m3ps
+        leak[i] = room.leak_coeff_m3ps_per_pa
+        tau_room = room.volume_m3 / (ADIABATIC_BULK_MODULUS_PA * leak[i])
+        decay_room[i] = math.exp(-dt_sub / tau_room)
+        decay_fan[i] = math.exp(-dt_sub / room.fans.time_constant_s)
+        if room.initial_pressure_pa is None:
+            pressure[i] = hall + room.controller.setpoint_pa
+        else:
+            pressure[i] = room.initial_pressure_pa
+
+    n_rows = n_periods + 1
+    times = np.arange(n_rows) * period
+    true_pd, meas_hvac, meas_rpm, sup_trace, exh_trace = (
+        np.empty((n_rows, n_rooms)) for _ in range(5))
+    hvac_low, hvac_high = _port_offsets(attack, "hvac")
+    if scenario.wiring.separate_rpm:
+        rpm_low, rpm_high = _port_offsets(attack, "rpm")
+    else:
+        rpm_low, rpm_high = hvac_low, hvac_high
+    for k in range(n_rows):
+        true_pd[k] = pressure - hall
+        meas_hvac[k] = true_pd[k] + hvac_low - hvac_high
+        meas_rpm[k] = true_pd[k] + rpm_low - rpm_high
+        sup_trace[k] = sup_speed
+        exh_trace[k] = exh_speed
+        if k == n_periods:
+            break
+        for i, room in enumerate(rooms):
+            sup_cmd[i], exh_cmd[i] = control(
+                room.controller, float(meas_hvac[k, i]), float(sup_cmd[i]), float(exh_cmd[i]))
+        for _ in range(SUBSTEPS_PER_PERIOD):
+            balance = hall + (sup_speed - exh_speed) * flow_cap / leak
+            pressure = balance + (pressure - balance) * decay_room
+            sup_speed = sup_cmd + (sup_speed - sup_cmd) * decay_fan
+            exh_speed = exh_cmd + (exh_speed - exh_cmd) * decay_fan
+
+    events = []
+    for i, room in enumerate(rooms):
+        events.extend(rpm_alarm(times, meas_rpm[:, i], room.controller.setpoint_pa,
+                                scenario.alarm, room.name))
+    events.sort(key=lambda e: (e.time_s, e.room))
+    hold_rows = max(1, int(math.ceil(STEADY_HOLD_S / period)))
+    slopes = np.abs(np.diff(true_pd[-(hold_rows + 1):], axis=0)) / period
+    return SimulationTrace(
+        times_s=times, true_pd_pa=true_pd, measured_hvac_pa=meas_hvac,
+        measured_rpm_pa=meas_rpm, supply_speed=sup_trace, exhaust_speed=exh_trace,
+        alarm_events=events, converged=bool(np.all(slopes < STEADY_SLOPE_PA_PER_S)),
+        room_names=tuple(r.name for r in rooms), hallway_pa=hall,
+    )
+
+
+@st.composite
+def _loop_scenarios(draw):
+    """A valid scenario of 1-5 rooms with a stable loop and any attack wiring.
+
+    Each room's gain is drawn as a loop gain, gain times twice its fans'
+    capacity over its leak coefficient: the pressure step one unit of
+    error buys per period.  Past about 1 the loop hunts.
+    """
+    n_rooms = draw(st.integers(1, 5))
+    period = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    rooms = []
+    for i in range(n_rooms):
+        capacity = draw(st.floats(0.1, 2.0))
+        leak = draw(st.floats(1e-3, 1e-2))
+        controller = ControllerConfig(
+            setpoint_pa=-draw(st.floats(0.01, 0.45)) * 2.0 * capacity / leak,
+            gain=draw(st.floats(0.05, 0.6)) * leak / (2.0 * capacity),
+            control_period_s=period,
+            deadband_pa=draw(st.floats(0.0, 1.0)),
+        )
+        initial = draw(st.none() | st.floats(-60.0, 60.0))
+        rooms.append(RoomConfig(
+            name=f"room{i}",
+            controller=controller,
+            volume_m3=draw(st.floats(5.0, 500.0)),
+            leak_coeff_m3ps_per_pa=leak,
+            fans=FanSpec(max_flow_m3ps=capacity, time_constant_s=draw(st.floats(0.2, 8.0))),
+            initial_pressure_pa=initial,
+        ))
+    placements = ["none", "low_port", "high_port"]
+    if n_rooms >= 2:
+        placements.append("common_high_port")
+    placement = draw(st.sampled_from(placements))
+    separate_rpm = draw(st.booleans())
+    affects = draw(st.sampled_from(["both", "hvac", "rpm"] if separate_rpm else ["both"]))
+    binding = DpsBinding(model=archetype("A1011-00"))
+    wiring = PortWiring(
+        hvac=binding,
+        rpm=binding if separate_rpm else None,
+        common_high_port=placement == "common_high_port" or (n_rooms >= 2 and draw(st.booleans())),
+        attack=AttackPlan(placement=placement, forged_pa=draw(st.floats(0.0, 40.0)),
+                          affects=affects),
+    )
+    return NprScenario(
+        rooms=tuple(rooms),
+        wiring=wiring,
+        alarm=AlarmConfig(threshold_pa=draw(st.floats(0.5, 5.0)), dwell_s=draw(st.floats(0.0, 10.0))),
+        hallway_pa=draw(st.floats(-500.0, 500.0)),
+        horizon_s=draw(st.sampled_from([20.0, 60.0, 120.0])),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_loop_scenarios())
+def test_per_period_map_matches_the_substep_loop(scenario):
+    """simulate_scenario's per-period map against the substep loop it replaced.
+
+    The two sum in another order, so they agree to rounding, not bit for
+    bit.  The alarm rule compares each deviation with the threshold and
+    with 90% of it, so the event lists are compared only when no deviation
+    lies within the traces' tolerance of either.
+    """
+    fast = simulate_scenario(scenario)
+    slow = _simulate_by_substep(scenario)
+    assert np.array_equal(fast.times_s, slow.times_s)
+    for name in ("true_pd_pa", "measured_hvac_pa", "measured_rpm_pa"):
+        assert np.max(np.abs(getattr(fast, name) - getattr(slow, name))) <= 1e-9, name
+    for name in ("supply_speed", "exhaust_speed"):
+        assert np.max(np.abs(getattr(fast, name) - getattr(slow, name))) <= 1e-12, name
+    assert fast.room_names == slow.room_names
+    setpoints = np.array([room.controller.setpoint_pa for room in scenario.rooms])
+    deviation = np.abs(slow.measured_rpm_pa - setpoints)
+    threshold = scenario.alarm.threshold_pa
+    if np.all(np.abs(deviation - threshold) > 1e-9) and np.all(
+            np.abs(deviation - 0.9 * threshold) > 1e-9):
+        assert fast.alarm_events == slow.alarm_events
+    # The slope rule is a strict comparison, so it too can flip at its edge.
+    hold = max(1, int(math.ceil(STEADY_HOLD_S / scenario.control_period_s)))
+    slopes = np.abs(np.diff(slow.true_pd_pa[-(hold + 1):], axis=0)) / scenario.control_period_s
+    if np.all(np.abs(slopes - STEADY_SLOPE_PA_PER_S) > 1e-8):
+        assert fast.converged == slow.converged
+
+
+@st.composite
+def _attacked_rooms(draw):
+    """1-3 rooms with default fans and gain, each with its own setpoint,
+    deadband and volume, under any attack that reaches the control sensor."""
+    n_rooms = draw(st.integers(1, 3))
+    rooms = tuple(
+        RoomConfig(
+            name=f"room{i}",
+            controller=ControllerConfig(setpoint_pa=draw(st.floats(-40.0, -0.5)),
+                                        deadband_pa=draw(st.floats(0.0, 1.0))),
+            volume_m3=draw(st.floats(5.0, 500.0)),
+        )
+        for i in range(n_rooms)
+    )
+    placements = ["low_port", "high_port"] + (["common_high_port"] if n_rooms >= 2 else [])
+    placement = draw(st.sampled_from(placements))
+    attack = AttackPlan(placement=placement, forged_pa=draw(st.floats(0.0, 80.0)),
+                        affects=draw(st.sampled_from(["both", "hvac"])))
+    binding = DpsBinding(model=archetype("A1011-00"))
+    wiring = PortWiring(hvac=binding, rpm=binding, common_high_port=n_rooms >= 2, attack=attack)
+    return NprScenario(rooms=rooms, wiring=wiring, horizon_s=300.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_attacked_rooms())
+def test_unsaturated_loop_parks_its_true_differential_at_the_offset_setpoint(scenario):
+    """Without a saturated fan the controller parks the control reading at
+    the deadband edge, so the true differential sits within the deadband
+    of the setpoint minus the forged low-minus-high port offset.
+
+    The reading approaches the edge geometrically, by a factor of about
+    0.87 per period with the default fans and gain.  The slope rule calls
+    a run converged once the step per period is under 1e-3 Pa, so after
+    the default 120 s a 40 Pa step can still be 1e-6 Pa short of the
+    edge; 300 s leaves it at rounding.
+    """
+    trace = simulate_scenario(scenario)
+    final_speeds = np.concatenate([trace.supply_speed[-1], trace.exhaust_speed[-1]])
+    assume(trace.converged and np.all((final_speeds > 1e-6) & (final_speeds < 1.0 - 1e-6)))
+    plan = scenario.wiring.attack
+    low = plan.forged_pa if plan.placement == "low_port" else 0.0
+    high = 0.0 if plan.placement == "low_port" else plan.forged_pa
+    for j, room in enumerate(scenario.rooms):
+        cfg = room.controller
+        target = cfg.setpoint_pa - (low - high)
+        assert abs(trace.true_pd_pa[-1, j] - target) <= cfg.deadband_pa + 1e-6

@@ -7,8 +7,11 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from nprsim import LoadedScenario, ScenarioError, load_scenario, parse_scenario
-from nprsim.cli import main
+from nprsim.cli import _alarm_flags, _num, _trace_lines, main
+from nprsim.plant import AlarmEvent, SimulationTrace
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -266,6 +269,38 @@ def test_countermeasure_parameter_of_another_kind_is_rejected_with_its_line(tmp_
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", [".nan", ".inf"])
+def test_non_finite_countermeasure_parameter_is_rejected_with_its_line(value):
+    text = (SCENARIO_DIR / "acoustic_lpf.yaml").read_text(encoding="utf-8")
+    text = text.replace("kind: lpf", f"kind: enclosure\n  extra_loss_db: {value}").replace(
+        "  cutoff_hz: 120.0\n", "").replace("  order: 3\n", "")
+    line = text.splitlines().index(f"  extra_loss_db: {value}") + 1
+    assert _parse_errors(text) == [
+        f"line {line}: scenario.countermeasure.extra_loss_db: must be finite"
+    ]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--kind", "enclosure", "--extra-loss-db", "nan"],
+     "Countermeasure.extra_loss_db must be finite, got nan"),
+    (["--kind", "lpf", "--cutoff-hz", "inf"], "Countermeasure.cutoff_hz must be finite, got inf"),
+    (["--kind", "long_tube", "--tube-length", "nan"],
+     "Countermeasure.tube_length_m must be finite, got nan"),
+    (["--kind", "raised_setpoint", "--setpoint-pa=-inf"],
+     "Countermeasure.setpoint_pa must be finite, got -inf"),
+    (["--kind", "enclosure", "--extra-loss-db", "1e308"],
+     "enclosure loss of 1e+308 dB gives a lag that is not finite"),
+], ids=["loss-nan", "cutoff-inf", "tube-nan", "setpoint-inf", "loss-overflow"])
+def test_cli_evaluate_cm_rejects_a_parameter_it_cannot_score(flags, message, tmp_path, capsys):
+    rc = main(["evaluate-cm", str(SCENARIO_DIR / "acoustic_lpf.yaml"), *flags,
+               "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"nprsim: error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_finite_band_is_rejected_with_its_line(tmp_path, capsys):
     text = (SCENARIO_DIR / "acoustic_lpf.yaml").read_text(encoding="utf-8")
     text = text.replace("band_hz: [540, 670]", "band_hz: [540, .inf]")
@@ -277,6 +312,42 @@ def test_non_finite_band_is_rejected_with_its_line(tmp_path, capsys):
     assert rc == 2
     assert "band_hz: must be finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_trace_rows_print_every_cell_as_num_does():
+    """One %-format per row gives the bytes of the per-cell _num join."""
+    values = np.array([
+        [-0.0, 5e-324, 1e-5, 123456.5, 1e21],
+        [-2.5, -1e-5, -123456.5, -1e21, 0.1 + 0.2],
+        [1.0, 0.0, 1 / 3, 0.999999949999, 12.5],
+        [-5e-324, 2.0**-1074, 9.999995e5, -9.999995e5, 1e-300],
+    ])
+    trace = SimulationTrace(
+        times_s=np.array([0.0, 0.5, 1e-5, 123456.5]),
+        true_pd_pa=values[:, :2], measured_hvac_pa=values[:, 1:3],
+        measured_rpm_pa=values[:, 2:4], supply_speed=values[:, 3:], exhaust_speed=-values[:, :2],
+        alarm_events=[AlarmEvent(0.5, "a", "raised"), AlarmEvent(1e-5, "b", "raised"),
+                      AlarmEvent(123456.5, "b", "cleared")],
+        converged=True, room_names=("a", "b"), hallway_pa=12.5,
+    )
+    expected = []
+    for k in range(trace.times_s.size):
+        row = [_num(float(trace.times_s[k]))]
+        for j, name in enumerate(trace.room_names):
+            row += [
+                _num(float(trace.true_pd_pa[k, j])),
+                _num(float(trace.measured_hvac_pa[k, j])),
+                _num(float(trace.measured_rpm_pa[k, j])),
+                _num(float(trace.supply_speed[k, j])),
+                _num(float(trace.exhaust_speed[k, j])),
+                str(int(_alarm_flags(trace, name)[k])),
+            ]
+        expected.append(",".join(row))
+    assert _trace_lines(trace) == expected
+    assert expected[0] == ("0,-0,4.94066e-324,1e-05,123456,0,0,"
+                           "4.94066e-324,1e-05,123456,1e+21,-4.94066e-324,0")
+    assert [line.split(",")[6] for line in expected] == ["0", "1", "0", "1"]
+    assert [line.split(",")[12] for line in expected] == ["0", "1", "1", "0"]
 
 
 def test_cli_sweep_needs_an_acoustic_attack(tmp_path, capsys):
