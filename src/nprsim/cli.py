@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -52,6 +53,15 @@ SWEEP_AXES = ("tube_length", "tube_diameter", "spl", "distance", "ti", "td", "pi
 # forged-pressure estimate of a few milliseconds, so this is minutes of work.
 MAX_SWEEP_POINTS = 100_000
 
+# Longest audio synth --silence builds: ten minutes at 48 kHz.  A run
+# peaks at about 30 bytes per sample, some 0.9 GB at this length.
+MAX_SILENCE_SAMPLES = 28_800_000
+
+# Every form float() reads as a negative number.  argparse's own rule
+# (plain decimals only) takes -1e1 or -inf for an option name.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
+                              re.IGNORECASE)
+
 
 class CliError(Exception):
     """A user-input problem; main() turns it into exit code 2."""
@@ -69,26 +79,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     _write_lines(path, [",".join(header), *(",".join(row) for row in rows)])
 
 
-def _alarm_flags(trace: SimulationTrace, room: str) -> np.ndarray:
-    """0/1 alarm-active flag per trace row, rebuilt from the event log."""
-    flags = np.zeros(trace.times_s.size, dtype=int)
-    active_from: float | None = None
-    spans = []
-    for event in trace.alarm_events:
-        if event.room != room:
-            continue
-        if event.kind == "raised" and active_from is None:
-            active_from = event.time_s
-        elif event.kind == "cleared" and active_from is not None:
-            spans.append((active_from, event.time_s))
-            active_from = None
-    if active_from is not None:
-        spans.append((active_from, float(trace.times_s[-1]) + 1.0))
-    for start, stop in spans:
-        flags[(trace.times_s >= start) & (trace.times_s < stop)] = 1
-    return flags
-
-
 def _trace_lines(trace: SimulationTrace) -> list[str]:
     """trace.csv data rows: time, then per room the three differentials,
     the two fan speeds and the alarm flag.
@@ -97,10 +87,10 @@ def _trace_lines(trace: SimulationTrace) -> list[str]:
     every cell as _num would and each 0/1 flag as an integer.
     """
     columns = [trace.times_s]
-    for j, name in enumerate(trace.room_names):
+    for j in range(len(trace.room_names)):
         columns += [
             trace.true_pd_pa[:, j], trace.measured_hvac_pa[:, j], trace.measured_rpm_pa[:, j],
-            trace.supply_speed[:, j], trace.exhaust_speed[:, j], _alarm_flags(trace, name),
+            trace.supply_speed[:, j], trace.exhaust_speed[:, j], trace.alarm_active[:, j],
         ]
     row_format = ",".join(["%.6g"] + ["%.6g,%.6g,%.6g,%.6g,%.6g,%d"] * len(trace.room_names))
     return [row_format % tuple(row) for row in np.column_stack(columns).tolist()]
@@ -191,6 +181,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         n = int(round(args.silence * args.rate))
         if n <= 0:
             raise CliError("--silence must cover at least one sample")
+        if n > MAX_SILENCE_SAMPLES:
+            raise CliError(f"--silence of {args.silence:g} s at {args.rate} Hz is {n:.3g} "
+                           f"samples, more than the {MAX_SILENCE_SAMPLES} it may build")
         try:
             carrier = AudioBuffer(sample_rate_hz=args.rate, samples=np.zeros(n))
         except ValueError as exc:
@@ -322,7 +315,7 @@ def _forged_at(setup, axis: str, value: float) -> float:
         tube = replace(tube, length_m=value)
         target = system_resonant_hz(model, tube)
     elif axis == "tube_diameter":
-        tube = replace(tube, inner_diameter_m=value, cross_section_m2=None)
+        tube = replace(tube, inner_diameter_m=value)
         target = system_resonant_hz(model, tube)
     elif axis == "spl":
         source = replace(source, spl_db=value)
@@ -416,8 +409,20 @@ def cmd_evaluate_cm(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads any negative float as a value, not an option.
+
+    Subparsers are built with the parent's class, so this holds for every
+    subcommand.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nprsim",
         description="Acoustic attacks on negative-pressure room sensing, simulated.",
     )

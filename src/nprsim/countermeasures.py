@@ -33,6 +33,14 @@ NOISE_FLOOR_PA = 0.1
 """Residual forged pressure below this is indistinguishable from noise."""
 
 SETTLE_BAND_FRACTION = 0.05
+# The settle window is this many times the chain's total time constant,
+# and at least SETTLE_WINDOW_MIN_S, which also covers the transducer's own
+# ring.  A window past MAX_SETTLE_SAMPLES is refused: at 48 kHz that is
+# about 100 s, from an enclosure of some 80 dB or a filter cutoff near
+# 0.015 Hz per section.
+SETTLE_WINDOW_TIME_CONSTANTS = 10.0
+SETTLE_WINDOW_MIN_S = 0.5
+MAX_SETTLE_SAMPLES = 5_000_000
 ENCLOSURE_LAG_S_PER_UNIT = 1e-3
 # Each kind with the parameters it reads, its required one first.
 _KIND_PARAMS = {
@@ -211,27 +219,37 @@ def measurement_settle_time_s(
     lpf_cutoff_hz: float | None = None,
     lpf_order: int = 1,
     extra_lag_s: float = 0.0,
-    step_pa: float = 1.0,
-    duration_s: float = 0.5,
 ) -> float:
-    """Time for the measurement chain to settle within 5% of a step.
+    """Time for the measurement chain to settle within 5% of a 1 Pa step.
 
     Drives the transducer with a legitimate pressure step and follows it
     through any post-sensor filter and enclosure equalization lag; the
     result is the sensitivity cost metric countermeasure reports carry.
+    The step runs for SETTLE_WINDOW_TIME_CONSTANTS times the sum of the
+    enclosure lag and each filter section's 1/(2 pi cutoff), and at least
+    SETTLE_WINDOW_MIN_S.  Raises ValueError when that window needs more
+    than MAX_SETTLE_SAMPLES samples, or when the step has not settled by
+    its end.
     """
     fs = model.sample_rate_hz
-    n = int(round(duration_s * fs))
+    time_constant_s = extra_lag_s
+    if lpf_cutoff_hz is not None:
+        time_constant_s += lpf_order / (2.0 * math.pi * lpf_cutoff_hz)
+    window_s = max(SETTLE_WINDOW_MIN_S, SETTLE_WINDOW_TIME_CONSTANTS * time_constant_s)
+    if not window_s * fs <= MAX_SETTLE_SAMPLES:
+        raise ValueError(
+            f"settling needs a window of {window_s:.3g} s, over the "
+            f"{MAX_SETTLE_SAMPLES} samples a step response may hold at {fs} Hz"
+        )
+    n = int(round(window_s * fs))
     dt = 1.0 / fs
-    trace = step_response(model, tube, np.full(n, step_pa), dt)
-    out = trace.p_out_pa
+    out = step_response(model, tube, np.ones(n), dt).p_out_pa
     if extra_lag_s > 0.0:
         a = 1.0 - math.exp(-dt / extra_lag_s)
         out, _state = _lfilter([a], [1.0, a - 1.0], out, zi=[0.0])
     if lpf_cutoff_hz is not None:
         out = lpf_cascade(out, lpf_cutoff_hz, dt, lpf_order)
-    tolerance = SETTLE_BAND_FRACTION * abs(step_pa)
-    outside = np.flatnonzero(np.abs(out - step_pa) >= tolerance)
+    outside = np.flatnonzero(np.abs(out - 1.0) >= SETTLE_BAND_FRACTION)
     if outside.size == 0:
         return 0.0
     if outside[-1] == n - 1:

@@ -215,7 +215,12 @@ class AlarmEvent:
 
 @dataclass
 class SimulationTrace:
-    """Closed-loop run output, one row per control period."""
+    """Closed-loop run output, one row per control period.
+
+    alarm_active holds the monitor's alarm state per row and room, as
+    rpm_alarm decides it; alarm_events lists its transitions, ordered by
+    time and room name.
+    """
 
     times_s: np.ndarray
     true_pd_pa: np.ndarray
@@ -223,6 +228,7 @@ class SimulationTrace:
     measured_rpm_pa: np.ndarray
     supply_speed: np.ndarray
     exhaust_speed: np.ndarray
+    alarm_active: np.ndarray
     alarm_events: list[AlarmEvent]
     converged: bool
     room_names: tuple[str, ...]
@@ -393,12 +399,18 @@ def simulate_scenario(scenario: NprScenario, horizon_s: float | None = None) -> 
     true_pd, sup_trace, exh_trace = rows
     meas_rpm = true_pd + rpm_low - rpm_high
 
-    events: list[AlarmEvent] = []
-    for i, room in enumerate(rooms):
-        events.extend(
-            rpm_alarm(times, meas_rpm[:, i], room.controller.setpoint_pa, scenario.alarm, room.name)
-        )
-    events.sort(key=lambda e: (e.time_s, e.room))
+    alarm_active = np.column_stack([
+        rpm_alarm(times, meas_rpm[:, i], room.controller.setpoint_pa, scenario.alarm)
+        for i, room in enumerate(rooms)
+    ])
+    # An event is a row where a room's flag differs from the row before;
+    # every flag starts the run down.
+    names = tuple(r.name for r in rooms)
+    events = sorted(
+        (AlarmEvent(float(times[k]), names[i], "raised" if alarm_active[k, i] else "cleared")
+         for k, i in zip(*np.nonzero(np.diff(alarm_active, axis=0, prepend=False)))),
+        key=lambda e: (e.time_s, e.room),
+    )
 
     hold_rows = max(1, int(math.ceil(STEADY_HOLD_S / period)))
     converged = False
@@ -413,9 +425,10 @@ def simulate_scenario(scenario: NprScenario, horizon_s: float | None = None) -> 
         measured_rpm_pa=meas_rpm,
         supply_speed=sup_trace,
         exhaust_speed=exh_trace,
+        alarm_active=alarm_active,
         alarm_events=events,
         converged=converged,
-        room_names=tuple(r.name for r in rooms),
+        room_names=names,
         hallway_pa=hall,
     )
 
@@ -425,61 +438,33 @@ def rpm_alarm(
     measured_pa: np.ndarray,
     setpoint_pa: float,
     cfg: AlarmConfig,
-    room: str = "room",
-) -> list[AlarmEvent]:
-    """Trip events for a measured-differential series.
+) -> np.ndarray:
+    """The monitor's alarm state per row of one room's measured series.
 
-    Raised once the deviation from setpoint exceeds the threshold
-    continuously for the dwell; cleared when it falls back under 90% of
-    the threshold, so a reading chattering right at the limit does not
-    retrigger.
+    Returns a boolean array, True on the rows where the alarm is raised.
+    It is raised on the row where the deviation from setpoint has exceeded
+    the threshold continuously for the dwell, and cleared on the first row
+    where it falls back under 90% of the threshold, so a reading
+    chattering right at the limit does not retrigger.
     """
     times = np.asarray(times_s, dtype=float)
     series = np.asarray(measured_pa, dtype=float)
     if times.shape != series.shape or times.ndim != 1:
         raise ValueError("times and measured series must be 1-D and equal length")
     deviation = np.abs(series - setpoint_pa)
-    events: list[AlarmEvent] = []
+    flags = []
     active = False
     violation_start: float | None = None
-    for t, dev in zip(times, deviation):
+    for t, dev in zip(times.tolist(), deviation.tolist()):
         if active:
             if dev < 0.9 * cfg.threshold_pa:
-                events.append(AlarmEvent(float(t), room, "cleared"))
                 active = False
                 violation_start = None
-            continue
-        if dev > cfg.threshold_pa:
+        elif dev > cfg.threshold_pa:
             if violation_start is None:
-                violation_start = float(t)
-            if t - violation_start >= cfg.dwell_s:
-                events.append(AlarmEvent(float(t), room, "raised"))
-                active = True
+                violation_start = t
+            active = t - violation_start >= cfg.dwell_s
         else:
             violation_start = None
-    return events
-
-
-def period_average_offsets(
-    p_out_pa: np.ndarray,
-    sample_rate_hz: float,
-    control_period_s: float,
-    reading_gain: float = 1.0,
-) -> tuple[float, ...]:
-    """Signed per-period averages of a sensor output series.
-
-    This is the reading a slow controller extracts from an audio-rate
-    sensor trace: the plain moving average over one control period.  A
-    symmetric oscillation averages out here, which is why an unscheduled
-    resonance barely moves the loop, while a burst train shaped to decay
-    from its peak holds a one-sided average.
-    """
-    samples = np.asarray(p_out_pa, dtype=float)
-    chunk = int(round(control_period_s * sample_rate_hz))
-    if chunk < 1:
-        raise ValueError("control period must cover at least one sample")
-    n_chunks = samples.size // chunk
-    if n_chunks == 0:
-        raise ValueError("series shorter than one control period")
-    trimmed = samples[: n_chunks * chunk].reshape(n_chunks, chunk)
-    return tuple(float(v) for v in reading_gain * trimmed.mean(axis=1))
+        flags.append(active)
+    return np.array(flags, dtype=bool)

@@ -70,10 +70,6 @@ class UnstableStepError(ValueError):
     """Raised when the integration step is too coarse for the model dynamics."""
 
 
-class NonFiniteInputError(ValueError):
-    """Raised when an inlet series contains NaN or infinity."""
-
-
 class NoResonanceError(RuntimeError):
     """Raised when a frequency sweep finds no clear resonance in range."""
 
@@ -101,14 +97,11 @@ def _require_finite_fields(obj) -> None:
 class TubeAssembly:
     """Sampling tube between the monitored space and the sensor port.
 
-    length_m of zero means the sensor port is bare (no tube).  The cross
-    section is derived from the inner diameter unless given explicitly, in
-    which case the two must agree.
+    length_m of zero means the sensor port is bare (no tube).
     """
 
     length_m: float
     inner_diameter_m: float = REFERENCE_TUBE_ID_M
-    cross_section_m2: float | None = None
     pickup_device: bool = False
     sound_speed_mps: float = SOUND_SPEED_MPS
 
@@ -120,14 +113,10 @@ class TubeAssembly:
             raise ValueError(f"tube inner diameter must be > 0, got {self.inner_diameter_m}")
         if self.sound_speed_mps <= 0.0:
             raise ValueError(f"sound speed must be > 0, got {self.sound_speed_mps}")
-        derived = math.pi * self.inner_diameter_m**2 / 4.0
-        if self.cross_section_m2 is None:
-            object.__setattr__(self, "cross_section_m2", derived)
-        elif abs(self.cross_section_m2 - derived) > 1e-9:
-            raise ValueError(
-                f"cross section {self.cross_section_m2} inconsistent with "
-                f"diameter {self.inner_diameter_m} (expected {derived:.3e})"
-            )
+
+    @property
+    def cross_section_m2(self) -> float:
+        return math.pi * self.inner_diameter_m**2 / 4.0
 
     @property
     def is_bare_port(self) -> bool:
@@ -236,7 +225,6 @@ class SweepResult:
 
     center_hz: float
     band_hz: tuple[float, float]
-    peak_response_pa: float
     frequencies_hz: np.ndarray
     peak_responses_pa: np.ndarray
 
@@ -374,7 +362,7 @@ def _drive(a, c_now, c_next, x: np.ndarray) -> np.ndarray:
 
 def _require_finite_inlet(series: np.ndarray) -> None:
     if not np.all(np.isfinite(series)):
-        raise NonFiniteInputError("inlet contains non-finite samples")
+        raise ValueError("inlet contains non-finite samples")
 
 
 def step_response(
@@ -501,7 +489,6 @@ def frequency_sweep(
     return SweepResult(
         center_hz=center,
         band_hz=(center - step_hz, center + step_hz),
-        peak_response_pa=float(peak[i_max]),
         frequencies_hz=freqs,
         peak_responses_pa=peak,
     )

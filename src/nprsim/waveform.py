@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .acoustics import PathModel, propagate, spl_to_pressure_amp
+from .acoustics import propagate, spl_to_pressure_amp
 from .sensor import NO_TUBE, _lfilter, _require_finite_fields, step_response
 
 SUPPORTED_RATES = (44100, 48000)
@@ -50,15 +50,12 @@ class AudioBuffer:
 
     sample_rate_hz: int
     samples: np.ndarray
-    channels: int = 1
 
     def __post_init__(self) -> None:
         if self.sample_rate_hz not in SUPPORTED_RATES:
             raise ValueError(
                 f"sample rate must be one of {SUPPORTED_RATES}, got {self.sample_rate_hz}"
             )
-        if self.channels != 1:
-            raise ValueError("only mono buffers are supported")
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
@@ -383,8 +380,7 @@ def attack_response_trace(
     Returns (trace, spans, port_amplitude_pa).
     """
     f = schedule.target_hz() if target_f_hz is None else float(target_f_hz)
-    path = PathModel(tube=tube if tube is not None else NO_TUBE, extra_loss_db=extra_loss_db)
-    h, _delay = propagate(source, path, frequency_hz=f)
+    h = propagate(source, tube or NO_TUBE, extra_loss_db)
     amplitude = h * spl_to_pressure_amp(source.spl_db)
     fs = model.sample_rate_hz
     n = int(round(duration_s * fs))

@@ -1,13 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nprsim import AcousticSource, PathModel, TubeAssembly, port_pressure, propagate, spl_to_pressure_amp
-from nprsim.acoustics import (
-    PICKUP_LOSS_DB,
-    TUBE_LOSS_DB_PER_M,
-    default_tube_loss_db_per_m,
-)
+from nprsim import AcousticSource, TubeAssembly, propagate, spl_to_pressure_amp
+from nprsim.acoustics import PICKUP_LOSS_DB, TUBE_LOSS_DB_PER_M
 from nprsim.sensor import NO_TUBE, REFERENCE_TUBE_ID_M
 
 
@@ -31,72 +29,68 @@ def test_spl_conversion_goldens():
 
 
 def test_spreading_is_inverse_distance():
-    path = PathModel(tube=NO_TUBE)
-    h1, d1 = propagate(_tone(0.01), path)
-    h2, d2 = propagate(_tone(0.02), path)
+    h1 = propagate(_tone(0.01), NO_TUBE)
+    h2 = propagate(_tone(0.02), NO_TUBE)
     assert h1 / h2 == pytest.approx(2.0, rel=1e-12)
-    assert d2 - d1 == pytest.approx(0.01 / 343.0, rel=1e-9)
 
 
 def test_at_reference_distance_only_tube_terms_remain():
-    h, _ = propagate(_tone(0.002), PathModel(tube=NO_TUBE))
+    h = propagate(_tone(0.002), NO_TUBE)
     assert h == pytest.approx(1.0, rel=1e-12)
 
 
 def test_tube_loss_scales_with_length():
-    h1, _ = propagate(_tone(), PathModel(tube=TubeAssembly(length_m=1.0)))
-    h2, _ = propagate(_tone(), PathModel(tube=TubeAssembly(length_m=2.0)))
+    h1 = propagate(_tone(), TubeAssembly(length_m=1.0))
+    h2 = propagate(_tone(), TubeAssembly(length_m=2.0))
     assert h1 / h2 == pytest.approx(10.0 ** (TUBE_LOSS_DB_PER_M / 20.0), rel=1e-9)
 
 
 def test_narrow_tube_loses_more_per_meter():
-    wide = default_tube_loss_db_per_m(685.0, REFERENCE_TUBE_ID_M)
-    narrow = default_tube_loss_db_per_m(685.0, REFERENCE_TUBE_ID_M / 2.0)
+    # At the reference distance the loss of one meter of tube is all of h.
+    wide = -20.0 * math.log10(propagate(_tone(), TubeAssembly(length_m=1.0)))
+    narrow = -20.0 * math.log10(propagate(
+        _tone(), TubeAssembly(length_m=1.0, inner_diameter_m=REFERENCE_TUBE_ID_M / 2.0)))
     assert wide == pytest.approx(TUBE_LOSS_DB_PER_M)
     assert narrow == pytest.approx(2.0 * TUBE_LOSS_DB_PER_M)
 
 
 def test_pickup_device_adds_fixed_insertion_loss():
-    plain = PathModel(tube=TubeAssembly(length_m=1.0))
-    picked = PathModel(tube=TubeAssembly(length_m=1.0, pickup_device=True))
-    h0, _ = propagate(_tone(), plain)
-    h1, _ = propagate(_tone(), picked)
+    h0 = propagate(_tone(), TubeAssembly(length_m=1.0))
+    h1 = propagate(_tone(), TubeAssembly(length_m=1.0, pickup_device=True))
     assert 20.0 * math.log10(h0 / h1) == pytest.approx(PICKUP_LOSS_DB, abs=1e-9)
 
 
 def test_extra_loss_reduces_by_exact_decibels():
-    base = PathModel(tube=NO_TUBE)
-    damped = PathModel(tube=NO_TUBE, extra_loss_db=20.0)
-    h0, _ = propagate(_tone(), base)
-    h1, _ = propagate(_tone(), damped)
+    h0 = propagate(_tone(), NO_TUBE)
+    h1 = propagate(_tone(), NO_TUBE, 20.0)
     assert h0 / h1 == pytest.approx(10.0, rel=1e-12)
     with pytest.raises(ValueError):
-        PathModel(tube=NO_TUBE, extra_loss_db=-1.0)
+        propagate(_tone(), NO_TUBE, -1.0)
 
 
-def test_port_pressure_honors_saturation_clamp():
-    import numpy as np
+def _h_term_by_term(source, tube, extra_loss_db):
+    """h as it was summed when propagate also returned a delay: a running
+    loss total, with the tube term added only for a tube of some length."""
+    spread = source.ref_distance_m / source.position_distance_m
+    loss_db = 0.0
+    if tube.length_m > 0.0:
+        loss_db += TUBE_LOSS_DB_PER_M * (REFERENCE_TUBE_ID_M / tube.inner_diameter_m) * tube.length_m
+    loss_db += (PICKUP_LOSS_DB if tube.pickup_device else 0.0) + extra_loss_db
+    return spread * 10.0 ** (-loss_db / 20.0)
 
-    loud = _tone(spl_db=120.0)
-    t = np.arange(0, 0.01, 1.0 / 48000.0)
-    free = port_pressure(loud, PathModel(tube=NO_TUBE), t)
-    clamped = port_pressure(loud, PathModel(tube=NO_TUBE, max_port_pa=1.0), t)
-    assert float(np.max(np.abs(free))) > 1.0
-    assert float(np.max(np.abs(clamped))) == pytest.approx(1.0, rel=1e-9)
 
-
-def test_port_tone_is_the_source_tone_delayed_by_the_path():
-    import numpy as np
-
-    source = AcousticSource(spl_db=65.0, ref_distance_m=0.002, position_distance_m=0.3,
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(0.0, 140.0), st.floats(1e-3, 10.0), st.floats(1e-3, 100.0),
+    st.one_of(st.just(0.0), st.floats(0.0, 30.0)), st.floats(1e-4, 0.05), st.booleans(),
+    st.one_of(st.just(0.0), st.floats(0.0, 120.0)),
+)
+def test_h_is_bit_identical_to_the_term_by_term_sum(spl, ref, distance, length, diameter,
+                                                    pickup, extra):
+    source = AcousticSource(spl_db=spl, ref_distance_m=ref, position_distance_m=distance,
                             tone_hz=685.0)
-    tube = TubeAssembly(length_m=1.2)
-    path = PathModel(tube=tube)
-    t = np.arange(0, 0.01, 1.0 / 48000.0)
-    h, _ = propagate(source, path)
-    delay = (0.3 + 1.2) / tube.sound_speed_mps
-    expected = h * spl_to_pressure_amp(65.0) * np.cos(2.0 * math.pi * 685.0 * (t - delay))
-    np.testing.assert_allclose(port_pressure(source, path, t), expected, rtol=0.0, atol=1e-12)
+    tube = TubeAssembly(length_m=length, inner_diameter_m=diameter, pickup_device=pickup)
+    assert propagate(source, tube, extra) == _h_term_by_term(source, tube, extra)
 
 
 def test_source_requires_exactly_one_signal_description():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nprsim import (
     AcousticAttackSetup,
@@ -88,6 +90,16 @@ def test_cascade_keeps_unit_dc_gain():
         assert lpf_cascade(step, 120.0, DT, order)[-1] == pytest.approx(1.0, abs=1e-3)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1e6, 1e6), st.floats(1e-6, 1.0 - 1e-6), st.integers(1, 4),
+       st.integers(1, 2000))
+def test_cascade_returns_a_constant_input_unchanged(level, cutoff_fraction, order, n):
+    """Any cutoff below Nyquist, any order: a settled input passes as it is."""
+    x = np.full(n, level)
+    y = lpf_cascade(x, cutoff_fraction * 0.5 / DT, DT, order)
+    assert np.all(np.abs(y - level) <= 1e-12 * abs(level))
+
+
 def test_enclosure_lag_scaling():
     assert enclosure_lag_s(0.0) == 0.0
     assert enclosure_lag_s(20.0) == pytest.approx(9e-3, rel=1e-12)
@@ -165,6 +177,25 @@ def test_enclosure_attenuates_forged_reading_linearly():
     report = evaluate_countermeasure(_scenario(), Countermeasure.enclosure(20.0), _attack_setup())
     assert report.residual_forged_pa == pytest.approx(report.baseline_forged_pa / 10.0, rel=1e-9)
     assert report.sensitivity_penalty_s > 8e-3
+
+
+@pytest.mark.parametrize("loss_db", [45.0, 60.0])
+def test_an_enclosure_too_slow_for_a_half_second_window_is_scored(loss_db):
+    """The settle window grows with the enclosure lag, so a defense whose
+    step takes longer than the 0.5 s floor to settle still gets a score."""
+    report = evaluate_countermeasure(_scenario(), Countermeasure.enclosure(loss_db), _attack_setup())
+    assert report.residual_forged_pa == pytest.approx(
+        report.baseline_forged_pa * 10.0 ** (-loss_db / 20.0), rel=1e-9)
+    assert not report.attack_success
+    # Three lags settle a first-order step to within 5%.
+    assert report.sensitivity_penalty_s == pytest.approx(3.0 * enclosure_lag_s(loss_db), rel=0.02)
+    assert report.below_noise_floor == (loss_db == 60.0)
+
+
+def test_a_low_cutoff_filter_is_scored():
+    report = evaluate_countermeasure(_scenario(), Countermeasure.lpf(2.0, order=3), _attack_setup())
+    assert not report.attack_success
+    assert report.sensitivity_penalty_s > 0.5
 
 
 def test_long_tube_buries_the_attack_in_the_noise():

@@ -18,7 +18,6 @@ from nprsim import (
     archetype,
     balanced_fans,
     controller_step,
-    period_average_offsets,
     rpm_alarm,
     simulate_scenario,
 )
@@ -27,6 +26,7 @@ from nprsim.plant import (
     STEADY_HOLD_S,
     STEADY_SLOPE_PA_PER_S,
     SUBSTEPS_PER_PERIOD,
+    AlarmEvent,
     SimulationTrace,
     _port_offsets,
     horizon_periods,
@@ -105,18 +105,53 @@ def test_high_port_offset_flips_room_positive():
     assert float(trace.steady_true_pd_pa()[0]) > 0.0
 
 
+def _alarm_by_row(times_s, measured_pa, setpoint_pa, cfg, room="room"):
+    """The alarm rule as a scalar walk that logs trip events, as the plant
+    ran it before it kept a per-row flag.  The reference for rpm_alarm:
+    returns the events and the alarm state after each row."""
+    deviation = np.abs(np.asarray(measured_pa, dtype=float) - setpoint_pa)
+    events, flags = [], []
+    active = False
+    violation_start = None
+    for t, dev in zip(times_s, deviation):
+        if active:
+            if dev < 0.9 * cfg.threshold_pa:
+                events.append(AlarmEvent(float(t), room, "cleared"))
+                active = False
+                violation_start = None
+        elif dev > cfg.threshold_pa:
+            if violation_start is None:
+                violation_start = float(t)
+            if t - violation_start >= cfg.dwell_s:
+                events.append(AlarmEvent(float(t), room, "raised"))
+                active = True
+        else:
+            violation_start = None
+        flags.append(active)
+    return events, np.array(flags, dtype=bool)
+
+
+def _transitions(times_s, flags, room="room"):
+    """(time, room, kind) of each row where flags differ from the row
+    before, the run starting with the alarm down."""
+    before = np.concatenate([[False], flags[:-1]])
+    return [AlarmEvent(float(times_s[k]), room, "raised" if flags[k] else "cleared")
+            for k in np.flatnonzero(flags != before)]
+
+
 def test_rpm_alarm_event_sequence():
     cfg = AlarmConfig(threshold_pa=2.0, dwell_s=5.0)
     times = np.arange(0.0, 30.0, 1.0)
 
     quiet = np.full(times.size, -2.5)
-    assert rpm_alarm(times, quiet, -2.5, cfg) == []
+    assert not rpm_alarm(times, quiet, -2.5, cfg).any()
 
     step = np.full(times.size, -2.5)
     step[5:15] = -2.5 + 3.0  # 1.5x threshold for twice the dwell
-    events = rpm_alarm(times, step, -2.5, cfg, room="iso1")
-    assert [(e.time_s, e.kind) for e in events] == [(10.0, "raised"), (15.0, "cleared")]
-    assert all(e.room == "iso1" for e in events)
+    flags = rpm_alarm(times, step, -2.5, cfg)
+    assert [(e.time_s, e.kind) for e in _transitions(times, flags)] == [
+        (10.0, "raised"), (15.0, "cleared")]
+    assert flags.dtype == bool and np.flatnonzero(flags).tolist() == list(range(10, 15))
 
 
 def test_rpm_alarm_hysteresis_blocks_chatter():
@@ -125,9 +160,56 @@ def test_rpm_alarm_hysteresis_blocks_chatter():
     series = np.full(times.size, -2.5)
     series[3:] = -2.5 + 2.1          # stays just above threshold
     series[10] = -2.5 + 1.95         # dips below threshold but above 90% of it
-    events = rpm_alarm(times, series, -2.5, cfg)
-    kinds = [e.kind for e in events]
+    flags = rpm_alarm(times, series, -2.5, cfg)
+    kinds = [e.kind for e in _transitions(times, flags)]
     assert kinds == ["raised"]       # the shallow dip must not clear or retrigger
+    assert flags[5:].all() and not flags[:5].any()
+
+
+def test_simulation_events_are_the_flag_transitions_in_time_then_name_order():
+    # Rooms listed out of name order; the control-only attack trips the monitor.
+    rooms = [_room("iso2", -2.5), _room("iso1", -2.5)]
+    binding = DpsBinding(model=archetype("A1011-00"))
+    attack = AttackPlan(placement="common_high_port", forged_pa=8.0, affects="hvac")
+    trace = simulate_scenario(_scenario(rooms=rooms, wiring_kw={
+        "hvac": binding, "rpm": binding, "common_high_port": True, "attack": attack}))
+    assert trace.alarm_active.shape == trace.true_pd_pa.shape
+    expected = sorted(
+        (event for j, name in enumerate(trace.room_names)
+         for event in _transitions(trace.times_s, trace.alarm_active[:, j], name)),
+        key=lambda e: (e.time_s, e.room))
+    assert trace.alarm_events == expected
+    assert [e.room for e in trace.alarm_events[:2]] == ["iso1", "iso2"]
+
+
+_ALARM_MARGIN_PA = 1e-9
+
+
+@st.composite
+def _alarm_series(draw):
+    """A measured series, its times, setpoint and alarm rule, with every
+    deviation at least _ALARM_MARGIN_PA from the threshold and from 90%
+    of it."""
+    cfg = AlarmConfig(threshold_pa=draw(st.floats(0.1, 10.0)), dwell_s=draw(st.floats(0.0, 10.0)))
+    period = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    setpoint = draw(st.floats(-50.0, -0.1))
+    # Deviations as multiples of the threshold, so the series crosses both edges.
+    scales = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=120))
+    series = setpoint + np.array(scales) * cfg.threshold_pa
+    deviation = np.abs(series - setpoint)
+    assume(np.all(np.abs(deviation - cfg.threshold_pa) > _ALARM_MARGIN_PA))
+    assume(np.all(np.abs(deviation - 0.9 * cfg.threshold_pa) > _ALARM_MARGIN_PA))
+    return np.arange(series.size) * period, series, setpoint, cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(_alarm_series())
+def test_rpm_alarm_flags_change_where_the_event_walk_logs_an_event(case):
+    times, series, setpoint, cfg = case
+    flags = rpm_alarm(times, series, setpoint, cfg)
+    events, oracle_flags = _alarm_by_row(times, series, setpoint, cfg)
+    assert _transitions(times, flags) == events
+    assert np.array_equal(flags, oracle_flags)
 
 
 def _dual_scenario(affects):
@@ -176,7 +258,8 @@ def test_common_port_attack_requires_common_wiring():
 
 
 def test_period_averages_cancel_raw_resonance_but_not_bursts():
-    from nprsim import AcousticSource, SegmentSchedule, attack_response_trace, natural_resonant_hz
+    from nprsim import (AcousticSource, SegmentSchedule, attack_response_trace,
+                        natural_resonant_hz, propagate, spl_to_pressure_amp)
 
     model = archetype("A1011-00")
     f = natural_resonant_hz(model)
@@ -184,20 +267,22 @@ def test_period_averages_cancel_raw_resonance_but_not_bursts():
                          position_distance_m=0.002, tone_hz=f)
     fs = model.sample_rate_hz
 
+    def period_averages(series):
+        """Signed mean of each whole 1 s control period, in reading units."""
+        return model.reading_gain * series[: series.size // fs * fs].reshape(-1, fs).mean(axis=1)
+
     # continuous tone: symmetric oscillation, periods average to ~nothing
     t = np.arange(int(fs * 1.0)) / fs
-    from nprsim import PathModel, port_pressure
     from nprsim.sensor import step_response
-    inlet = port_pressure(src, PathModel(tube=TubeAssembly(length_m=0.0)), t)
+    inlet = propagate(src, TubeAssembly(length_m=0.0)) * spl_to_pressure_amp(65.0) * np.cos(
+        2.0 * math.pi * f * t)
     tone_trace = step_response(model, None, inlet, 1.0 / fs)
-    tone_offsets = period_average_offsets(tone_trace.p_out_pa, fs, 1.0,
-                                          reading_gain=model.reading_gain)
+    tone_offsets = period_averages(tone_trace.p_out_pa)
 
     sched = SegmentSchedule(band_hz=(0.9 * f, 1.1 * f), duration_s=0.002, interval_s=0.015)
     burst_trace, _, _ = attack_response_trace(sched, model, None, src,
                                               target_f_hz=f, duration_s=1.0)
-    burst_offsets = period_average_offsets(np.abs(burst_trace.p_out_pa), fs, 1.0,
-                                           reading_gain=model.reading_gain)
+    burst_offsets = period_averages(np.abs(burst_trace.p_out_pa))
 
     assert max(abs(x) for x in tone_offsets) < 0.1 * max(burst_offsets)
     assert all(x > 0.0 for x in burst_offsets)
@@ -353,16 +438,18 @@ def _simulate_by_substep(scenario: NprScenario) -> SimulationTrace:
             exh_speed = exh_cmd + (exh_speed - exh_cmd) * decay_fan
 
     events = []
+    alarm_active = np.empty((n_rows, n_rooms), dtype=bool)
     for i, room in enumerate(rooms):
-        events.extend(rpm_alarm(times, meas_rpm[:, i], room.controller.setpoint_pa,
-                                scenario.alarm, room.name))
+        room_events, alarm_active[:, i] = _alarm_by_row(
+            times, meas_rpm[:, i], room.controller.setpoint_pa, scenario.alarm, room.name)
+        events.extend(room_events)
     events.sort(key=lambda e: (e.time_s, e.room))
     hold_rows = max(1, int(math.ceil(STEADY_HOLD_S / period)))
     slopes = np.abs(np.diff(true_pd[-(hold_rows + 1):], axis=0)) / period
     return SimulationTrace(
         times_s=times, true_pd_pa=true_pd, measured_hvac_pa=meas_hvac,
         measured_rpm_pa=meas_rpm, supply_speed=sup_trace, exhaust_speed=exh_trace,
-        alarm_events=events, converged=bool(np.all(slopes < STEADY_SLOPE_PA_PER_S)),
+        alarm_active=alarm_active, alarm_events=events, converged=bool(np.all(slopes < STEADY_SLOPE_PA_PER_S)),
         room_names=tuple(r.name for r in rooms), hallway_pa=hall,
     )
 
@@ -443,6 +530,7 @@ def test_per_period_map_matches_the_substep_loop(scenario):
     if np.all(np.abs(deviation - threshold) > 1e-9) and np.all(
             np.abs(deviation - 0.9 * threshold) > 1e-9):
         assert fast.alarm_events == slow.alarm_events
+        assert np.array_equal(fast.alarm_active, slow.alarm_active)
     # The slope rule is a strict comparison, so it too can flip at its edge.
     hold = max(1, int(math.ceil(STEADY_HOLD_S / scenario.control_period_s)))
     slopes = np.abs(np.diff(slow.true_pd_pa[-(hold + 1):], axis=0)) / scenario.control_period_s

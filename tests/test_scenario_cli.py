@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from nprsim import LoadedScenario, ScenarioError, load_scenario, parse_scenario
-from nprsim.cli import _alarm_flags, _num, _trace_lines, main
+from nprsim.cli import MAX_SILENCE_SAMPLES, _num, _trace_lines, main
 from nprsim.plant import AlarmEvent, SimulationTrace
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -290,7 +290,14 @@ def test_non_finite_countermeasure_parameter_is_rejected_with_its_line(value):
      "Countermeasure.setpoint_pa must be finite, got -inf"),
     (["--kind", "enclosure", "--extra-loss-db", "1e308"],
      "enclosure loss of 1e+308 dB gives a lag that is not finite"),
-], ids=["loss-nan", "cutoff-inf", "tube-nan", "setpoint-inf", "loss-overflow"])
+    (["--kind", "enclosure", "--extra-loss-db", "90"],
+     "settling needs a window of 316 s, over the 5000000 samples a step response may hold "
+     "at 48000 Hz"),
+    (["--kind", "lpf", "--cutoff-hz", "1e-310"],
+     "settling needs a window of inf s, over the 5000000 samples a step response may hold "
+     "at 48000 Hz"),
+], ids=["loss-nan", "cutoff-inf", "tube-nan", "setpoint-inf", "loss-overflow", "settle-ceiling",
+        "cutoff-tiny"])
 def test_cli_evaluate_cm_rejects_a_parameter_it_cannot_score(flags, message, tmp_path, capsys):
     rc = main(["evaluate-cm", str(SCENARIO_DIR / "acoustic_lpf.yaml"), *flags,
                "--out", str(tmp_path / "out")])
@@ -326,6 +333,7 @@ def test_trace_rows_print_every_cell_as_num_does():
         times_s=np.array([0.0, 0.5, 1e-5, 123456.5]),
         true_pd_pa=values[:, :2], measured_hvac_pa=values[:, 1:3],
         measured_rpm_pa=values[:, 2:4], supply_speed=values[:, 3:], exhaust_speed=-values[:, :2],
+        alarm_active=np.array([[False, False], [True, True], [False, True], [True, False]]),
         alarm_events=[AlarmEvent(0.5, "a", "raised"), AlarmEvent(1e-5, "b", "raised"),
                       AlarmEvent(123456.5, "b", "cleared")],
         converged=True, room_names=("a", "b"), hallway_pa=12.5,
@@ -333,14 +341,14 @@ def test_trace_rows_print_every_cell_as_num_does():
     expected = []
     for k in range(trace.times_s.size):
         row = [_num(float(trace.times_s[k]))]
-        for j, name in enumerate(trace.room_names):
+        for j in range(len(trace.room_names)):
             row += [
                 _num(float(trace.true_pd_pa[k, j])),
                 _num(float(trace.measured_hvac_pa[k, j])),
                 _num(float(trace.measured_rpm_pa[k, j])),
                 _num(float(trace.supply_speed[k, j])),
                 _num(float(trace.exhaust_speed[k, j])),
-                str(int(_alarm_flags(trace, name)[k])),
+                str(int(trace.alarm_active[k, j])),
             ]
         expected.append(",".join(row))
     assert _trace_lines(trace) == expected
@@ -395,6 +403,18 @@ def test_cli_synth_rejects_a_non_finite_silence(silence, tmp_path, capsys):
     assert not (tmp_path / "a.wav").exists()
 
 
+def test_cli_synth_rejects_a_silence_past_the_sample_ceiling(tmp_path, capsys):
+    # 1e12 s is refused from its sample count; nothing of that size is built.
+    rc = main(["synth", "--silence", "1e12", "--band", "540", "670", "--td-ms", "2",
+               "--ti-ms", "15", "--out", str(tmp_path / "a.wav")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == (
+        "nprsim: error: --silence of 1e+12 s at 44100 Hz is 4.41e+16 samples, "
+        f"more than the {MAX_SILENCE_SAMPLES} it may build\n")
+    assert not (tmp_path / "a.wav").exists()
+
+
 def test_cli_synth_rejects_an_unsupported_rate_in_one_line(tmp_path, capsys):
     rc = main(["synth", "--silence", "1", "--rate", "8000", "--band", "540", "670",
                "--td-ms", "2", "--ti-ms", "15", "--out", str(tmp_path / "a.wav")])
@@ -402,6 +422,40 @@ def test_cli_synth_rejects_an_unsupported_rate_in_one_line(tmp_path, capsys):
     assert rc == 2
     assert captured.err.startswith("nprsim: error: --rate: sample rate must be one of")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["evaluate-cm", str(SCENARIO_DIR / "replay_low_port.yaml"), "--kind", "raised_setpoint",
+      "--setpoint-pa", "-inf"], "Countermeasure.setpoint_pa must be finite, got -inf"),
+    (["evaluate-cm", str(SCENARIO_DIR / "replay_low_port.yaml"), "--kind", "raised_setpoint",
+      "--setpoint-pa", "-NaN"], "Countermeasure.setpoint_pa must be finite, got nan"),
+    (["sweep", str(SCENARIO_DIR / "acoustic_lpf.yaml"), "--axis", "ti",
+      "--start", "-1e1", "--stop", "20", "--step", "5"],
+     "ti=-10: interval -0.01 s must exceed burst duration 0.002 s"),
+    (["sweep", str(SCENARIO_DIR / "acoustic_lpf.yaml"), "--axis", "ti",
+      "--start", "15", "--stop", "-Infinity", "--step", "5"], _FINITE),
+    (["synth", "--silence", "1", "--band", "-5.4E+2", "670", "--td-ms", "2", "--ti-ms", "15"],
+     "band must satisfy 0 < lower < upper, got (-540.0, 670.0)"),
+], ids=["evaluate-cm-inf", "evaluate-cm-nan", "sweep-start", "sweep-stop", "synth-band"])
+def test_cli_reads_a_negative_float_in_any_form_as_a_value(argv, message, tmp_path, capsys):
+    """-1e1, -inf and the like reach the option's own check, as -10 does."""
+    rc = main([*argv, "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"nprsim: error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_reads_a_negative_exponent_form_as_the_plain_number(tmp_path, capsys):
+    reports = []
+    for value in ("-1e1", "-10"):
+        out = tmp_path / value
+        rc = main(["evaluate-cm", str(SCENARIO_DIR / "replay_low_port.yaml"),
+                   "--kind", "raised_setpoint", "--setpoint-pa", value, "--out", str(out)])
+        assert rc == 0
+        reports.append((out / "report.csv").read_bytes())
+    assert reports[0] == reports[1]
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_simulate_notes_an_unapplied_countermeasure(tmp_path, capsys):

@@ -107,7 +107,7 @@ def test_step_response_rejects_non_finite_inlet():
     model = archetype("A1011-00")
     inlet = np.ones(100)
     inlet[40] = np.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="inlet contains non-finite samples"):
         step_response(model, None, inlet, 1.0 / model.sample_rate_hz)
 
 
@@ -181,8 +181,6 @@ def test_tube_assembly_validation():
         TubeAssembly(length_m=-0.1)
     with pytest.raises(ValueError):
         TubeAssembly(length_m=1.0, inner_diameter_m=0.0)
-    with pytest.raises(ValueError):
-        TubeAssembly(length_m=1.0, inner_diameter_m=0.008, cross_section_m2=1.0)
     tube = TubeAssembly(length_m=1.0, inner_diameter_m=0.008)
     assert tube.cross_section_m2 == pytest.approx(math.pi * 0.008**2 / 4.0)
     assert TubeAssembly(length_m=0.0).is_bare_port

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nprsim import (
     AcousticSource,
@@ -21,6 +23,7 @@ from nprsim import (
     synthesize_attack,
     write_wav,
 )
+from nprsim.sensor import TubeAssembly
 from nprsim.waveform import PSD_RATIO_CAP, _burst_samples, _burst_spans, _true_run_lengths
 
 
@@ -156,6 +159,39 @@ def test_forged_estimate_scales_exactly_with_level():
     loud = forged_pressure_estimate(sched, model, None, _source(spl_db=75.0, f_hz=f),
                                     target_f_hz=f)
     assert loud / quiet == pytest.approx(10.0, rel=1e-9)
+
+
+_A1011 = archetype("A1011-00")
+_F_A1011 = natural_resonant_hz(_A1011)
+_SCHED_A1011 = SegmentSchedule(band_hz=(0.9 * _F_A1011, 1.1 * _F_A1011), duration_s=0.002,
+                               interval_s=0.015)
+
+
+def _forged(source, tube=None, extra_loss_db=0.0):
+    return forged_pressure_estimate(_SCHED_A1011, _A1011, tube, source, target_f_hz=_F_A1011,
+                                    extra_loss_db=extra_loss_db)
+
+
+@settings(max_examples=25, deadline=None)
+# A tube under about 0.1 m puts the resonance past what 48 kHz resolves.
+@given(st.floats(0.0, 120.0), st.one_of(st.just(0.0), st.floats(0.5, 3.0)),
+       st.floats(20.0, 100.0))
+def test_forged_estimate_scales_as_the_path_gain(loss_db, tube_m, spl_db):
+    """An added barrier of L dB scales the reading by exactly 10**(-L/20)."""
+    source = _source(spl_db=spl_db, f_hz=_F_A1011)
+    tube = TubeAssembly(length_m=tube_m) if tube_m > 0.0 else None
+    ratio = _forged(source, tube, loss_db) / _forged(source, tube)
+    assert ratio == pytest.approx(10.0 ** (-loss_db / 20.0), rel=1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(1e-3, 10.0), st.floats(1.0, 100.0))
+def test_forged_estimate_does_not_rise_with_distance(near_m, factor):
+    """Up to rounding: the filter scales its output by h only to about
+    1e-16, so two distances a few ulps apart can read the other way round."""
+    near = _forged(_source(distance_m=near_m, f_hz=_F_A1011))
+    far = _forged(_source(distance_m=near_m * factor, f_hz=_F_A1011))
+    assert far <= near * (1.0 + 1e-12)
 
 
 def test_response_trace_spans_follow_the_interval():
