@@ -83,8 +83,11 @@ def _trace_lines(trace: SimulationTrace) -> list[str]:
     """trace.csv data rows: time, then per room the three differentials,
     the two fan speeds and the alarm flag.
 
-    Each row is one %-format over the row's Python floats, which prints
-    every cell as _num would and each 0/1 flag as an integer.
+    Everything after the time cell is one %-format over the row's Python
+    floats, which prints every cell as _num would and each 0/1 flag as an
+    integer.  A settled loop repeats its rows, so that text is formatted
+    once per run of rows whose cells, flags included, match the row
+    before bit for bit.
     """
     columns = [trace.times_s]
     for j in range(len(trace.room_names)):
@@ -92,8 +95,15 @@ def _trace_lines(trace: SimulationTrace) -> list[str]:
             trace.true_pd_pa[:, j], trace.measured_hvac_pa[:, j], trace.measured_rpm_pa[:, j],
             trace.supply_speed[:, j], trace.exhaust_speed[:, j], trace.alarm_active[:, j],
         ]
-    row_format = ",".join(["%.6g"] + ["%.6g,%.6g,%.6g,%.6g,%.6g,%d"] * len(trace.room_names))
-    return [row_format % tuple(row) for row in np.column_stack(columns).tolist()]
+    table = np.column_stack(columns)
+    cells = table[:, 1:]
+    bits = cells.view(np.int64)
+    fresh = np.ones(len(table), dtype=bool)
+    fresh[1:] = np.any(bits[1:] != bits[:-1], axis=1)
+    tail_format = ",".join(["%.6g,%.6g,%.6g,%.6g,%.6g,%d"] * len(trace.room_names))
+    tails = [tail_format % tuple(row) for row in cells[fresh].tolist()]
+    run = np.cumsum(fresh) - 1
+    return ["%.6g,%s" % (t, tails[r]) for t, r in zip(table[:, 0].tolist(), run.tolist())]
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

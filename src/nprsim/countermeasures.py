@@ -295,25 +295,31 @@ def evaluate_countermeasure(
     run_scenario = scenario
     penalty_s = 0.0
 
+    # Each defense's settle penalty comes before its residual: the settle
+    # window is where a defense too slow to score is refused, and the
+    # residual estimate drives the whole attack through the defended chain.
     if cm.kind == "long_tube":
         new_tube = replace(attack.tube or NO_TUBE, length_m=cm.tube_length_m)
+        penalty_s = measurement_settle_time_s(attack.model, new_tube) - measurement_settle_time_s(
+            attack.model, attack.tube
+        )
         residual = forged_pressure_estimate(
             attack.schedule, attack.model, new_tube, attack.source,
             target_f_hz=attack.target_f_hz,
         )
-        penalty_s = measurement_settle_time_s(attack.model, new_tube) - measurement_settle_time_s(
-            attack.model, attack.tube
-        )
     elif cm.kind == "enclosure":
-        residual = forged_pressure_estimate(
-            attack.schedule, attack.model, attack.tube, attack.source,
-            target_f_hz=attack.target_f_hz, extra_loss_db=cm.extra_loss_db,
-        )
         lag = enclosure_lag_s(cm.extra_loss_db)
         penalty_s = measurement_settle_time_s(
             attack.model, attack.tube, extra_lag_s=lag
         ) - measurement_settle_time_s(attack.model, attack.tube)
+        residual = forged_pressure_estimate(
+            attack.schedule, attack.model, attack.tube, attack.source,
+            target_f_hz=attack.target_f_hz, extra_loss_db=cm.extra_loss_db,
+        )
     elif cm.kind == "lpf":
+        penalty_s = measurement_settle_time_s(
+            attack.model, attack.tube, lpf_cutoff_hz=cm.cutoff_hz, lpf_order=cm.order
+        ) - measurement_settle_time_s(attack.model, attack.tube)
 
         def post(series: np.ndarray, fs: int) -> np.ndarray:
             return lpf_cascade(series, cm.cutoff_hz, 1.0 / fs, cm.order)
@@ -322,9 +328,6 @@ def evaluate_countermeasure(
             attack.schedule, attack.model, attack.tube, attack.source,
             target_f_hz=attack.target_f_hz, post_filter=post,
         )
-        penalty_s = measurement_settle_time_s(
-            attack.model, attack.tube, lpf_cutoff_hz=cm.cutoff_hz, lpf_order=cm.order
-        ) - measurement_settle_time_s(attack.model, attack.tube)
     elif cm.kind == "raised_setpoint":
         rooms = tuple(
             replace(room, controller=replace(room.controller, setpoint_pa=cm.setpoint_pa))

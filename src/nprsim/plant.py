@@ -347,10 +347,18 @@ def simulate_scenario(scenario: NprScenario, horizon_s: float | None = None) -> 
     SUBSTEPS_PER_PERIOD-th power of the substep matrix, built once per
     room.  Each period the controller trims every room's commands from
     its reading at once (controller_step on arrays), then one product
-    advances every room to the next wakeup.  Convergence means the
-    pressure slope stayed under STEADY_SLOPE_PA_PER_S for STEADY_HOLD_S;
-    a run that never gets there is returned with converged False rather
-    than raised.
+    advances every room to the next wakeup.
+
+    The period map does not change with time, so once a period leaves
+    the whole state (differentials, speeds and commands of every room)
+    bit for bit as it found it, every later period would too.  The loop
+    then stops and copies that row to the end of the horizon; the trace
+    is the one stepping every period would give.  The bytes are
+    compared, not the values, so 0.0 and -0.0 count as different.
+
+    Convergence means the pressure slope stayed under
+    STEADY_SLOPE_PA_PER_S for STEADY_HOLD_S; a run that never gets there
+    is returned with converged False rather than raised.
     """
     horizon = scenario.horizon_s if horizon_s is None else horizon_s
     period = scenario.control_period_s
@@ -394,8 +402,14 @@ def simulate_scenario(scenario: NprScenario, horizon_s: float | None = None) -> 
         meas_hvac[k] = state[:, 0] + hvac_low - hvac_high
         if k == n_periods:
             break
+        before = state.tobytes()
         state[:, 3], state[:, 4] = controller_step(gains, meas_hvac[k], state[:, 3], state[:, 4])
         state[:, :3] = np.einsum("rij,rj->ri", period_maps, state)
+        if state.tobytes() == before:
+            # A fixed point: every later period maps this state to itself.
+            rows[:, k + 1:] = rows[:, k:k + 1]
+            meas_hvac[k + 1:] = meas_hvac[k]
+            break
     true_pd, sup_trace, exh_trace = rows
     meas_rpm = true_pd + rpm_low - rpm_high
 

@@ -37,7 +37,7 @@ from .plant import (
     balanced_fans,
     horizon_periods,
 )
-from .sensor import REFERENCE_TUBE_ID_M, TubeAssembly, archetype
+from .sensor import REFERENCE_TUBE_ID_M, YAML_LOADER, TubeAssembly, archetype
 from .waveform import SegmentSchedule, forged_pressure_estimate
 
 _LINES_KEY = "__lines__"
@@ -52,8 +52,8 @@ class ScenarioError(ValueError):
         super().__init__("\n".join(self.messages))
 
 
-class _LineLoader(yaml.SafeLoader):
-    """SafeLoader that records the source line of every mapping key."""
+class _LineLoader(YAML_LOADER):
+    """Safe loader that records the source line of every mapping key."""
 
     def construct_mapping(self, node, deep=False):
         mapping = {}
@@ -85,6 +85,16 @@ _TYPES = {
     "map": lambda v: isinstance(v, dict),
     "list": lambda v: isinstance(v, list),
 }
+
+
+def _finite_float(value: int | float) -> float | None:
+    """value as a float, or None when it is not finite or, as an integer
+    literal, too large for a float."""
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
 
 
 class _Ctx:
@@ -124,8 +134,8 @@ class _Map:
             self.ctx.error(self.line(key), f"{self.path}.{key}", f"expected {expect}")
             return default
         if expect == "number":
-            value = float(value)
-            if not math.isfinite(value):
+            value = _finite_float(value)
+            if value is None:
                 self.ctx.error(self.line(key), f"{self.path}.{key}", "must be finite")
                 return default
         return value
@@ -244,7 +254,7 @@ def _build_schedule(section: _Map, ctx: _Ctx) -> SegmentSchedule | None:
                           minimum=0.0, maximum=0.001)
     section.close()
     band_ok = isinstance(band, list) and len(band) == 2 and all(map(_TYPES["number"], band))
-    if band_ok and not all(map(math.isfinite, band)):
+    if band_ok and None in map(_finite_float, band):
         ctx.error(section.line("band_hz"), f"{section.path}.band_hz", "must be finite")
         return None
     if not band_ok or band[0] >= band[1]:

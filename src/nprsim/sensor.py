@@ -33,6 +33,10 @@ from typing import Callable
 import numpy as np
 import yaml
 
+# libyaml's parser where PyYAML was built with it, the pure-Python one
+# otherwise; both resolve and construct the same values.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 SOUND_SPEED_MPS = 343.0
 INCH_M = 0.0254
 
@@ -81,7 +85,8 @@ class Transducer(enum.Enum):
 
 
 def _require_finite_fields(obj) -> None:
-    """Reject NaN and infinity in every numeric field of a dataclass.
+    """Reject NaN and infinity in every numeric field of a dataclass, and
+    integers too large to convert to a float.
 
     Range checks alone let NaN through, because every comparison with it
     is False.
@@ -89,7 +94,11 @@ def _require_finite_fields(obj) -> None:
     for f in fields(obj):
         value = getattr(obj, f.name)
         for x in value if isinstance(value, tuple) else (value,):
-            if isinstance(x, (int, float)) and not math.isfinite(x):
+            try:
+                finite = not isinstance(x, (int, float)) or math.isfinite(x)
+            except OverflowError:  # an int too large for a float
+                finite = False
+            if not finite:
                 raise ValueError(f"{type(obj).__name__}.{f.name} must be finite, got {value}")
 
 
@@ -513,7 +522,7 @@ def load_archetypes(path: str | Path | None = None) -> dict[str, DpsModel]:
     if key in _ARCHETYPE_CACHE:
         return _ARCHETYPE_CACHE[key]
     with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        raw = yaml.load(fh, Loader=YAML_LOADER)
     if not isinstance(raw, dict) or "sensors" not in raw:
         raise ValueError(f"{path}: archetype file must be a mapping with a 'sensors' list")
     defaults = raw.get("defaults", {}) or {}

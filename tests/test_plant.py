@@ -1,4 +1,7 @@
 import math
+from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,9 +31,11 @@ from nprsim.plant import (
     SUBSTEPS_PER_PERIOD,
     AlarmEvent,
     SimulationTrace,
+    _period_map,
     _port_offsets,
     horizon_periods,
 )
+from nprsim.scenario import load_scenario
 from nprsim.sensor import TubeAssembly
 
 
@@ -584,3 +589,156 @@ def test_unsaturated_loop_parks_its_true_differential_at_the_offset_setpoint(sce
         cfg = room.controller
         target = cfg.setpoint_pa - (low - high)
         assert abs(trace.true_pd_pa[-1, j] - target) <= cfg.deadband_pa + 1e-6
+
+
+def _simulate_every_period(scenario: NprScenario) -> SimulationTrace:
+    """simulate_scenario as it ran before it stopped at a fixed point: the
+    same controller_step and einsum on the same state, once for every
+    period of the horizon.  The exact reference for the early stop."""
+    period = scenario.control_period_s
+    rooms = scenario.rooms
+    n_rooms = len(rooms)
+    n_periods = horizon_periods(scenario.horizon_s, period, n_rooms)
+    attack = scenario.wiring.attack
+    hall = scenario.hallway_pa
+
+    state = np.empty((n_rooms, 5))
+    for i, room in enumerate(rooms):
+        state[i, 1:3] = balanced_fans(room)
+        if room.initial_pressure_pa is None:
+            state[i, 0] = room.controller.setpoint_pa
+        else:
+            state[i, 0] = room.initial_pressure_pa - hall
+    state[:, 3:] = state[:, 1:3]
+    period_maps = np.stack([_period_map(room, period) for room in rooms])
+    gains = SimpleNamespace(**{
+        name: np.array([getattr(room.controller, name) for room in rooms])
+        for name in ("setpoint_pa", "gain", "deadband_pa")
+    })
+
+    n_rows = n_periods + 1
+    times = np.arange(n_rows) * period
+    rows = np.empty((3, n_rows, n_rooms))
+    meas_hvac = np.empty((n_rows, n_rooms))
+    hvac_low, hvac_high = _port_offsets(attack, "hvac")
+    if scenario.wiring.separate_rpm:
+        rpm_low, rpm_high = _port_offsets(attack, "rpm")
+    else:
+        rpm_low, rpm_high = hvac_low, hvac_high
+    for k in range(n_rows):
+        rows[:, k] = state[:, :3].T
+        meas_hvac[k] = state[:, 0] + hvac_low - hvac_high
+        if k == n_periods:
+            break
+        state[:, 3], state[:, 4] = controller_step(gains, meas_hvac[k], state[:, 3], state[:, 4])
+        state[:, :3] = np.einsum("rij,rj->ri", period_maps, state)
+    true_pd, sup_trace, exh_trace = rows
+    meas_rpm = true_pd + rpm_low - rpm_high
+
+    alarm_active = np.column_stack([
+        rpm_alarm(times, meas_rpm[:, i], room.controller.setpoint_pa, scenario.alarm)
+        for i, room in enumerate(rooms)
+    ])
+    events = sorted(
+        (event for i, room in enumerate(rooms)
+         for event in _transitions(times, alarm_active[:, i], room.name)),
+        key=lambda e: (e.time_s, e.room),
+    )
+    hold_rows = max(1, int(math.ceil(STEADY_HOLD_S / period)))
+    slopes = np.abs(np.diff(true_pd[-(hold_rows + 1):], axis=0)) / period
+    return SimulationTrace(
+        times_s=times, true_pd_pa=true_pd, measured_hvac_pa=meas_hvac,
+        measured_rpm_pa=meas_rpm, supply_speed=sup_trace, exhaust_speed=exh_trace,
+        alarm_active=alarm_active, alarm_events=events,
+        converged=bool(np.all(slopes < STEADY_SLOPE_PA_PER_S)),
+        room_names=tuple(r.name for r in rooms), hallway_pa=hall,
+    )
+
+
+_TRACE_ARRAYS = ("times_s", "true_pd_pa", "measured_hvac_pa", "measured_rpm_pa",
+                 "supply_speed", "exhaust_speed", "alarm_active")
+
+
+def _assert_same_trace(fast: SimulationTrace, slow: SimulationTrace) -> None:
+    for name in _TRACE_ARRAYS:
+        assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
+    assert fast.alarm_events == slow.alarm_events
+    assert fast.converged == slow.converged
+    assert fast.room_names == slow.room_names
+
+
+def _counting_controller(monkeypatch) -> list[int]:
+    """Patch the plant's controller_step to count its calls."""
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return controller_step(*args)
+
+    monkeypatch.setattr("nprsim.plant.controller_step", counted)
+    return calls
+
+
+@st.composite
+def _fixed_point_scenarios(draw):
+    """_loop_scenarios with the gain of every room scaled by 1 or by 1e-9,
+    and an alarm dwell of up to 100 s.
+
+    At full gain most loops reach a fixed point inside the horizon; at
+    1e-9 none does.  A dwell past the fixed point raises the alarm on a
+    row the loop no longer steps.
+    """
+    scenario = draw(_loop_scenarios())
+    scale = draw(st.sampled_from([1.0, 1e-9]))
+    rooms = tuple(
+        replace(room, controller=replace(room.controller, gain=room.controller.gain * scale))
+        for room in scenario.rooms
+    )
+    alarm = replace(scenario.alarm, dwell_s=draw(st.floats(0.0, 100.0)))
+    return replace(scenario, rooms=rooms, alarm=alarm)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fixed_point_scenarios())
+def test_stopping_at_the_fixed_point_gives_the_every_period_trace(scenario):
+    _assert_same_trace(simulate_scenario(scenario), _simulate_every_period(scenario))
+
+
+def test_baseline_scenario_steps_at_most_ten_of_its_periods(monkeypatch):
+    calls = _counting_controller(monkeypatch)
+    path = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.yaml"
+    scenario = load_scenario(path).scenario
+    trace = simulate_scenario(scenario)
+    assert trace.times_s.size == 121
+    assert calls[0] <= 10
+    monkeypatch.undo()
+    _assert_same_trace(trace, _simulate_every_period(scenario))
+
+
+def test_a_loop_with_no_fixed_point_steps_every_period(monkeypatch):
+    calls = _counting_controller(monkeypatch)
+    room = _room(gain=1e-9, deadband_pa=0.0)
+    attack = AttackPlan(placement="high_port", forged_pa=8.0, affects="both")
+    scenario = _scenario(rooms=[room], attack=attack)
+    trace = simulate_scenario(scenario)
+    assert calls[0] == 120
+    monkeypatch.undo()
+    _assert_same_trace(trace, _simulate_every_period(scenario))
+
+
+def test_an_alarm_raised_after_the_fixed_point_is_kept(monkeypatch):
+    """A forged monitor reading leaves the control loop at rest, so its
+    state repeats within a few periods; the alarm still trips once the
+    deviation has lasted its 30 s dwell."""
+    calls = _counting_controller(monkeypatch)
+    binding = DpsBinding(model=archetype("A1011-00"))
+    attack = AttackPlan(placement="high_port", forged_pa=8.0, affects="rpm")
+    scenario = replace(
+        _scenario(attack=attack, wiring_kw={"hvac": binding, "rpm": binding}),
+        alarm=AlarmConfig(threshold_pa=2.0, dwell_s=30.0),
+    )
+    trace = simulate_scenario(scenario)
+    assert calls[0] <= 10
+    assert [(e.time_s, e.kind) for e in trace.alarm_events] == [(30.0, "raised")]
+    monkeypatch.undo()
+    _assert_same_trace(trace, _simulate_every_period(scenario))

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from nprsim import LoadedScenario, ScenarioError, load_scenario, parse_scenario
+from nprsim import LoadedScenario, ScenarioError, countermeasures, load_scenario, parse_scenario
 from nprsim.cli import MAX_SILENCE_SAMPLES, _num, _trace_lines, main
 from nprsim.plant import AlarmEvent, SimulationTrace
+from nprsim.scenario import _LineLoader
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -280,6 +281,9 @@ def test_non_finite_countermeasure_parameter_is_rejected_with_its_line(value):
     ]
 
 
+_HUGE = "1" + "0" * 400  # an integer literal past the largest float
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--kind", "enclosure", "--extra-loss-db", "nan"],
      "Countermeasure.extra_loss_db must be finite, got nan"),
@@ -296,8 +300,10 @@ def test_non_finite_countermeasure_parameter_is_rejected_with_its_line(value):
     (["--kind", "lpf", "--cutoff-hz", "1e-310"],
      "settling needs a window of inf s, over the 5000000 samples a step response may hold "
      "at 48000 Hz"),
+    (["--kind", "lpf", "--cutoff-hz", "100", "--order", _HUGE],
+     f"Countermeasure.order must be finite, got {_HUGE}"),
 ], ids=["loss-nan", "cutoff-inf", "tube-nan", "setpoint-inf", "loss-overflow", "settle-ceiling",
-        "cutoff-tiny"])
+        "cutoff-tiny", "order-huge"])
 def test_cli_evaluate_cm_rejects_a_parameter_it_cannot_score(flags, message, tmp_path, capsys):
     rc = main(["evaluate-cm", str(SCENARIO_DIR / "acoustic_lpf.yaml"), *flags,
                "--out", str(tmp_path / "out")])
@@ -305,6 +311,27 @@ def test_cli_evaluate_cm_rejects_a_parameter_it_cannot_score(flags, message, tmp
     assert rc == 2
     assert captured.out == ""
     assert captured.err == f"nprsim: error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_evaluate_cm_refuses_a_slow_filter_before_filtering(monkeypatch, tmp_path, capsys):
+    """An order whose settle window is past the ceiling exits 2 without
+    running a single filter cascade over the attack."""
+    calls = [0]
+    real = countermeasures.lpf_cascade
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(countermeasures, "lpf_cascade", counted)
+    rc = main(["evaluate-cm", str(SCENARIO_DIR / "acoustic_lpf.yaml"), "--kind", "lpf",
+               "--cutoff-hz", "100", "--order", "20000", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert calls[0] == 0
+    assert rc == 2
+    assert captured.err == ("nprsim: error: settling needs a window of 318 s, over the 5000000 "
+                            "samples a step response may hold at 48000 Hz\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -319,6 +346,54 @@ def test_non_finite_band_is_rejected_with_its_line(tmp_path, capsys):
     assert rc == 2
     assert "band_hz: must be finite" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _with_huge(name, old, new):
+    """A shipped scenario's text with old replaced by new, and the number
+    of the line that now holds _HUGE."""
+    text = (SCENARIO_DIR / name).read_text(encoding="utf-8").replace(old, new)
+    return text, next(k for k, row in enumerate(text.splitlines(), 1) if _HUGE in row)
+
+
+@pytest.mark.parametrize("name, old, new, where", [
+    ("baseline.yaml", "horizon_s: 120", f"horizon_s: {_HUGE}", "horizon_s"),
+    ("acoustic_lpf.yaml", "band_hz: [540, 670]", f"band_hz: [540, {_HUGE}]",
+     "attack.schedule.band_hz"),
+    ("acoustic_lpf.yaml", "cutoff_hz: 120.0", f"cutoff_hz: {_HUGE}", "countermeasure.cutoff_hz"),
+    ("acoustic_lpf.yaml", "length_m: 1.0", f"length_m: {_HUGE}", "sensors.hvac.tube.length_m"),
+], ids=["horizon_s", "band_hz", "cutoff_hz", "length_m"])
+def test_a_number_too_large_for_a_float_is_rejected_with_its_line(name, old, new, where,
+                                                                  tmp_path, capsys):
+    text, line = _with_huge(name, old, new)
+    assert _parse_errors(text) == [f"line {line}: scenario.{where}: must be finite"]
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text, encoding="utf-8")
+    rc = main(["simulate", str(bad), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"nprsim: line {line}: scenario.{where}: must be finite\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("old, new, header, where, field", [
+    ("  order: 3", f"  order: {_HUGE}", "countermeasure:", "countermeasure",
+     "Countermeasure.order"),
+    ("    interval_s: 0.015", f"    interval_s: 0.015\n    cycles: {_HUGE}", "  schedule:",
+     "attack.schedule", "SegmentSchedule.cycles"),
+], ids=["order", "cycles"])
+def test_an_integer_field_too_large_for_a_float_is_rejected_in_one_line(
+        old, new, header, where, field, tmp_path, capsys):
+    # The dataclass rejects it, so the error carries the line its
+    # section's mapping starts on, the one after the header.
+    text, _ = _with_huge("acoustic_lpf.yaml", old, new)
+    line = text.splitlines().index(header) + 2
+    assert _parse_errors(text) == [
+        f"line {line}: scenario.{where}: {field} must be finite, got {_HUGE}"]
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text, encoding="utf-8")
+    rc = main(["evaluate-cm", str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_trace_rows_print_every_cell_as_num_does():
@@ -356,6 +431,35 @@ def test_trace_rows_print_every_cell_as_num_does():
                            "4.94066e-324,1e-05,123456,1e+21,-4.94066e-324,0")
     assert [line.split(",")[6] for line in expected] == ["0", "1", "0", "1"]
     assert [line.split(",")[12] for line in expected] == ["0", "1", "1", "0"]
+
+
+def test_trace_rows_that_repeat_print_as_the_per_row_format_does():
+    """Repeated rows, a 0.0 beside a -0.0, and an alarm flag that flips on
+    an otherwise repeated row all print as one %-format per row would."""
+    n_rows = 9
+    true_pd = np.full((n_rows, 2), -2.5)
+    true_pd[1:3, 0] = 1 / 3
+    true_pd[4, 1], true_pd[5, 1] = 0.0, -0.0      # equal values, different bytes
+    alarm = np.zeros((n_rows, 2), dtype=bool)
+    alarm[7:, 0] = True                            # flips on a repeated row
+    trace = SimulationTrace(
+        times_s=np.arange(n_rows) * 0.5, true_pd_pa=true_pd, measured_hvac_pa=true_pd + 8.0,
+        measured_rpm_pa=true_pd.copy(), supply_speed=np.full((n_rows, 2), 0.4875),
+        exhaust_speed=np.full((n_rows, 2), 0.5125), alarm_active=alarm,
+        alarm_events=[AlarmEvent(3.5, "a", "raised")], converged=True, room_names=("a", "b"),
+        hallway_pa=12.5,
+    )
+    row_format = ",".join(["%.6g"] + ["%.6g,%.6g,%.6g,%.6g,%.6g,%d"] * 2)
+    columns = [trace.times_s]
+    for j in range(2):
+        columns += [trace.true_pd_pa[:, j], trace.measured_hvac_pa[:, j],
+                    trace.measured_rpm_pa[:, j], trace.supply_speed[:, j],
+                    trace.exhaust_speed[:, j], trace.alarm_active[:, j]]
+    expected = [row_format % tuple(row) for row in np.column_stack(columns).tolist()]
+    lines = _trace_lines(trace)
+    assert lines == expected
+    assert [line.split(",")[7] for line in lines[4:6]] == ["0", "-0"]
+    assert [line.split(",")[6] for line in lines[6:]] == ["0", "1", "1"]
 
 
 def test_cli_sweep_needs_an_acoustic_attack(tmp_path, capsys):
@@ -582,3 +686,76 @@ def test_loader_returns_a_scenario_or_a_scenario_error(text):
     except ScenarioError:
         return
     assert isinstance(loaded, LoadedScenario)
+
+
+class _PureLineLoader(yaml.SafeLoader):
+    """_LineLoader on PyYAML's pure-Python parser, as it was built before
+    it took libyaml's: the reference for what a scenario loads to."""
+
+    def construct_mapping(self, node, deep=False):
+        mapping = {}
+        lines = {}
+        for key_node, value_node in node.value:
+            key = self.construct_object(key_node, deep=True)
+            if not isinstance(key, str):
+                raise yaml.MarkedYAMLError(
+                    problem=f"mapping keys must be strings, got {key!r}",
+                    problem_mark=key_node.start_mark,
+                )
+            if key in mapping:
+                raise yaml.MarkedYAMLError(
+                    problem=f"duplicate key {key!r}",
+                    problem_mark=key_node.start_mark,
+                )
+            mapping[key] = self.construct_object(value_node, deep=True)
+            lines[key] = key_node.start_mark.line + 1
+        mapping["__lines__"] = lines
+        mapping["__line__"] = node.start_mark.line + 1
+        return mapping
+
+
+def _loaded_or_error_line(text, loader):
+    """repr of what loader makes of text (repr, so NaN equals NaN and 1
+    differs from 1.0), or the line of the error it raises."""
+    try:
+        return repr(yaml.load(text, Loader=loader))
+    except yaml.MarkedYAMLError as exc:
+        return f"line {exc.problem_mark.line + 1}"
+
+
+def test_scenarios_load_through_libyaml_where_pyyaml_has_it():
+    if yaml.__with_libyaml__:
+        assert issubclass(_LineLoader, yaml.CSafeLoader)
+    for path in sorted(SCENARIO_DIR.glob("*.yaml")):
+        text = path.read_text(encoding="utf-8")
+        assert _loaded_or_error_line(text, _LineLoader) == \
+            _loaded_or_error_line(text, _PureLineLoader), path.name
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated_scenario())
+def test_both_parsers_load_a_scenario_to_the_same_mapping_and_lines(text):
+    assert _loaded_or_error_line(text, _LineLoader) == _loaded_or_error_line(text, _PureLineLoader)
+
+
+@pytest.mark.parametrize("tail, line, problem", [
+    ("horizon_s: 12: 3\n", 4, "mapping values are not allowed in this context"),
+    ("  bad: 1\n", 4, "did not find expected '-' indicator"),
+    ("band: [1, 2\n", 5, "did not find expected ',' or ']'"),
+    ('name: "abc\n', 5, "found unexpected end of stream"),
+    ("\thorizon_s: 3\n", 4, "found a tab character that violates indentation"),
+    ("x: *nope\n", 4, "found undefined alias"),
+    ("- 3\n", 4, "did not find expected key"),
+    ("seed: 1\nseed: 2\n", 5, "duplicate key 'seed'"),
+    ("1: 2\n", 4, "mapping keys must be strings, got 1"),
+], ids=["colon", "indent", "flow", "quote", "tab", "alias", "dash", "duplicate", "int-key"])
+def test_a_yaml_error_is_reported_on_the_line_the_pure_parser_names(tail, line, problem):
+    """libyaml words a syntax error its own way; the line is the one
+    PyYAML's own parser reports, and the loader's own errors read as
+    before."""
+    text = MINIMAL + tail
+    messages = _parse_errors(text)
+    if yaml.__with_libyaml__:
+        assert messages == [f"line {line}: {problem}"]
+    assert messages[0].startswith(f"line {line}: ")
+    assert _loaded_or_error_line(text, _PureLineLoader) == f"line {line}"
