@@ -10,6 +10,7 @@ all validation happens before anything is written.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -21,7 +22,6 @@ import numpy as np
 from .countermeasures import (
     COUNTERMEASURE_KINDS,
     Countermeasure,
-    countermeasure_from,
     evaluate_countermeasure,
 )
 from .plant import SimulationTrace, simulate_scenario
@@ -368,17 +368,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _countermeasure_from_args(args: argparse.Namespace) -> Countermeasure | None:
+    """The --kind countermeasure with the parameters given; an omitted one
+    takes the dataclass default."""
     if args.kind is None:
         return None
+    params = {
+        "tube_length_m": args.cm_tube_length,
+        "extra_loss_db": args.extra_loss_db,
+        "cutoff_hz": args.cutoff_hz,
+        "order": args.order,
+        "setpoint_pa": args.setpoint_pa,
+    }
     try:
-        return countermeasure_from(
-            args.kind,
-            tube_length_m=args.cm_tube_length,
-            extra_loss_db=args.extra_loss_db,
-            cutoff_hz=args.cutoff_hz,
-            order=args.order,
-            setpoint_pa=args.setpoint_pa,
-        )
+        return Countermeasure(kind=args.kind, **{k: v for k, v in params.items() if v is not None})
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -431,7 +433,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole argument tree, built on the first call and shared after:
+    parsing leaves a parser as it was."""
     parser = _Parser(
         prog="nprsim",
         description="Acoustic attacks on negative-pressure room sensing, simulated.",

@@ -60,10 +60,10 @@ class CutoffError(ValueError):
 class Countermeasure:
     """One defense with its single tunable parameter.
 
-    Use the classmethod constructors; config loaders go through
-    countermeasure_from.  Setting a parameter of another kind (an order
-    other than the default, unless the kind is lpf) raises ValueError,
-    since nothing would read it.
+    Use the classmethod constructors, or pass only the parameters a config
+    gives.  Setting a parameter of another kind (an order other than the
+    default, unless the kind is lpf) raises ValueError, since nothing would
+    read it.
     """
 
     kind: str
@@ -116,15 +116,6 @@ class Countermeasure:
         return cls(kind="raised_setpoint", setpoint_pa=float(setpoint_pa))
 
 
-def countermeasure_from(kind: str, **params: float | int | None) -> Countermeasure:
-    """Countermeasure from a kind and optional parameters, as a config gives them.
-
-    A parameter given as None is left unset, so it takes the dataclass
-    default; the scenario loader and the command line share this.
-    """
-    return Countermeasure(kind=kind, **{k: v for k, v in params.items() if v is not None})
-
-
 @dataclass(frozen=True)
 class AcousticAttackSetup:
     """The deployed attack: source, burst plan, and the chain it reaches.
@@ -133,6 +124,7 @@ class AcousticAttackSetup:
     system was characterized.  Countermeasure evaluation keeps it fixed:
     a defense that moves the resonance is judged against the attack as
     deployed, not against an attacker who re-characterizes afterwards.
+    When it is None the bursts are tuned to the schedule's band centre.
     """
 
     model: DpsModel
@@ -144,10 +136,13 @@ class AcousticAttackSetup:
     target_f_hz: float | None = None
 
     def __post_init__(self) -> None:
+        _require_finite_fields(self)
         if self.placement not in ATTACK_PORT_PLACEMENTS:
             raise ValueError(f"placement must be one of {ATTACK_PORT_PLACEMENTS}")
         if self.affects not in ATTACK_TARGETS:
             raise ValueError(f"affects must be one of {ATTACK_TARGETS}")
+        if self.target_f_hz is not None and self.target_f_hz <= 0.0:
+            raise ValueError(f"target frequency must be > 0, got {self.target_f_hz}")
 
 
 @dataclass(frozen=True)

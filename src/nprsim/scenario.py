@@ -1,30 +1,30 @@
 """Declarative scenario files.
 
 A scenario is one YAML document describing rooms, sensing chains, the
-attack, and optionally a countermeasure.  Loading is strict: every key
-is checked, unknown keys are rejected, and each problem is reported with
-the line it came from so a config typo never turns into a silently
-different simulation.
+attack, and optionally a countermeasure.  Loading is strict, and each
+problem is reported with the line it came from, so a config typo never
+turns into a silently different simulation.
+
+The loader checks what a YAML document can get wrong: required keys,
+unknown keys, and each value's type and finiteness, each on its key's
+line.  Each section is then built as its dataclass from the keys present,
+so an omitted key takes the dataclass's default and every value rule is
+the dataclass's own.  The first rule a section breaks is reported on the
+section's first line.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import yaml
 
 from .acoustics import AcousticSource
-from .countermeasures import (
-    COUNTERMEASURE_KINDS,
-    AcousticAttackSetup,
-    Countermeasure,
-    countermeasure_from,
-)
+from .countermeasures import AcousticAttackSetup, Countermeasure
 from .plant import (
-    ATTACK_PLACEMENTS,
-    ATTACK_TARGETS,
     AlarmConfig,
     AttackPlan,
     ControllerConfig,
@@ -37,7 +37,7 @@ from .plant import (
     balanced_fans,
     horizon_periods,
 )
-from .sensor import REFERENCE_TUBE_ID_M, YAML_LOADER, TubeAssembly, archetype
+from .sensor import YAML_LOADER, TubeAssembly, archetype
 from .waveform import SegmentSchedule, forged_pressure_estimate
 
 _LINES_KEY = "__lines__"
@@ -76,15 +76,27 @@ class _LineLoader(YAML_LOADER):
         mapping[_LINE_KEY] = node.start_mark.line + 1
         return mapping
 
+    def construct_yaml_int(self, node):
+        """An integer, or a YAML error on its line when the literal is past
+        the digit limit of Python's int()."""
+        try:
+            return super().construct_yaml_int(node)
+        except ValueError as exc:
+            raise yaml.MarkedYAMLError(
+                problem=f"integer literal of more than {sys.get_int_max_str_digits()} digits",
+                problem_mark=node.start_mark,
+            ) from exc
 
-_TYPES = {
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "bool": lambda v: isinstance(v, bool),
-    "str": lambda v: isinstance(v, str),
-    "map": lambda v: isinstance(v, dict),
-    "list": lambda v: isinstance(v, list),
-}
+
+_LineLoader.add_constructor("tag:yaml.org,2002:int", _LineLoader.construct_yaml_int)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _finite_float(value: int | float) -> float | None:
@@ -97,84 +109,122 @@ def _finite_float(value: int | float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-class _Ctx:
-    def __init__(self) -> None:
-        self.errors: list[str] = []
+def _finite_band(band: list) -> tuple[float, float] | None:
+    low, high = map(_finite_float, band)
+    return None if low is None or high is None else (low, high)
 
-    def error(self, line: int, path: str, message: str) -> None:
-        self.errors.append(f"line {line}: {path}: {message}")
+
+# Each value type a key can take: its check and the error when that fails.
+_TYPES = {
+    "number": (_is_number, "expected number"),
+    "int": (_is_int, "expected int"),
+    "bool": (lambda v: isinstance(v, bool), "expected bool"),
+    "str": (lambda v: isinstance(v, str), "expected str"),
+    "map": (lambda v: isinstance(v, dict), "expected map"),
+    "rooms": (lambda v: isinstance(v, list) and bool(v) and all(isinstance(e, dict) for e in v),
+              "expected a list of at least one room mapping"),
+    "band": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
+             "expected [low_hz, high_hz]"),
+    "cycles": (lambda v: _is_int(v) or (isinstance(v, list) and bool(v) and all(map(_is_int, v))),
+               "expected an integer or a list of integers"),
+}
+# What a type's value becomes; None means it is not finite.
+_CONVERT = {
+    "number": _finite_float,
+    "band": _finite_band,
+    "cycles": lambda v: tuple(v) if isinstance(v, list) else v,
+}
 
 
 class _Map:
-    """One mapping section under validation."""
+    """One mapping section of the document under validation.
 
-    def __init__(self, ctx: _Ctx, raw: dict, path: str):
-        self.ctx = ctx
+    It checks only what YAML can get wrong, each problem on its key's
+    line: required keys, unknown keys, and each value's type and
+    finiteness.  construct builds the section's dataclass, whose own
+    rules decide the values; the first it breaks is reported on the
+    section's first line.  A section with a problem of its own or in a
+    subsection is not built, so no value is reported twice.
+    """
+
+    def __init__(self, errors: list[str], raw: dict, path: str, parent: _Map | None = None):
+        self.errors = errors
         self.raw = raw
         self.path = path
+        self.parent = parent
         self.lines: dict = raw.get(_LINES_KEY, {})
         self.start_line: int = raw.get(_LINE_KEY, 1)
+        self.ok = True
         self._seen: set[str] = set()
 
-    def line(self, key: str) -> int:
-        return self.lines.get(key, self.start_line)
+    def error(self, key: str | None, message: str) -> None:
+        """Record message on key's line, or on the section's first line
+        when key is None or absent."""
+        where = self.path if key is None else f"{self.path}.{key}"
+        self.errors.append(f"line {self.lines.get(key, self.start_line)}: {where}: {message}")
+        section = self
+        while section is not None:
+            section.ok = False
+            section = section.parent
 
-    def has(self, key: str) -> bool:
-        self._seen.add(key)
-        return key in self.raw
-
-    def take(self, key: str, expect: str, default=None, required: bool = False):
+    def take(self, key: str, expect: str, required: bool = False):
+        """The value under key, checked against _TYPES[expect]; None when
+        it is absent or rejected."""
         self._seen.add(key)
         if key not in self.raw:
             if required:
-                self.ctx.error(self.start_line, f"{self.path}.{key}", "required key missing")
-            return default
-        value = self.raw[key]
-        if not _TYPES[expect](value):
-            self.ctx.error(self.line(key), f"{self.path}.{key}", f"expected {expect}")
-            return default
-        if expect == "number":
-            value = _finite_float(value)
-            if value is None:
-                self.ctx.error(self.line(key), f"{self.path}.{key}", "must be finite")
-                return default
-        return value
-
-    def number(self, key: str, default=None, required=False, minimum=None,
-               maximum=None, exclusive_min=None):
-        value = self.take(key, "number", default=default, required=required)
-        if value is None or key not in self.raw:
-            return value
-        where = f"{self.path}.{key}"
-        if exclusive_min is not None and value <= exclusive_min:
-            self.ctx.error(self.line(key), where, f"must be > {exclusive_min}")
-        if minimum is not None and value < minimum:
-            self.ctx.error(self.line(key), where, f"must be >= {minimum}")
-        if maximum is not None and value > maximum:
-            self.ctx.error(self.line(key), where, f"must be <= {maximum}")
-        return value
-
-    def choice(self, key: str, options: tuple[str, ...], default=None, required=False):
-        value = self.take(key, "str", default=default, required=required)
-        if value is not None and value not in options:
-            self.ctx.error(
-                self.line(key), f"{self.path}.{key}",
-                f"must be one of {', '.join(options)}",
-            )
-            return default
-        return value
-
-    def submap(self, key: str, required: bool = False) -> _Map | None:
-        value = self.take(key, "map", required=required)
-        if value is None:
+                self.error(key, "required key missing")
             return None
-        return _Map(self.ctx, value, f"{self.path}.{key}")
+        check, expected = _TYPES[expect]
+        if not check(self.raw[key]):
+            self.error(key, expected)
+            return None
+        value = _CONVERT.get(expect, lambda v: v)(self.raw[key])
+        if value is None:
+            self.error(key, "must be finite")
+        return value
+
+    def read(self, required: tuple[str, ...] = (), **expects: str) -> dict:
+        """take for each key of expects that is present or required."""
+        return {
+            key: self.take(key, expect, key in required)
+            for key, expect in expects.items() if key in self.raw or key in required
+        }
+
+    def submap(self, key: str) -> _Map | None:
+        value = self.take(key, "map")
+        return None if value is None else _Map(self.errors, value, f"{self.path}.{key}", self)
 
     def close(self) -> None:
         for key in self.raw:
-            if key in (_LINES_KEY, _LINE_KEY) or key in self._seen:
-                continue
-            self.ctx.error(self.line(key), f"{self.path}.{key}", "unknown key")
+            if key not in (_LINES_KEY, _LINE_KEY) and key not in self._seen:
+                self.error(key, "unknown key")
+
+    def construct(self, make, /, *args, **kwargs):
+        """make(*args, **kwargs) once the section is ok, else None.  A
+        ValueError it raises is recorded on the section's first line."""
+        if not self.ok:
+            return None
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            self.error(None, str(exc))
+            return None
+
+    def build(self, cls, given: dict | None = None, required: tuple[str, ...] = (),
+              **expects: str):
+        """cls from the keys of expects present here, over given."""
+        values = self.read(required, **expects)
+        self.close()
+        return self.construct(cls, **{**(given or {}), **values})
+
+    def section(self, key: str, cls, **expects: str):
+        """build of the mapping under key, or cls() when key is absent."""
+        if key not in self.raw:
+            self._seen.add(key)
+            return cls()
+        sub = self.submap(key)
+        return sub and sub.build(cls, **expects)
 
 
 @dataclass(frozen=True)
@@ -201,107 +251,101 @@ class LoadedScenario:
         return replace(self.scenario, wiring=replace(self.scenario.wiring, attack=plan))
 
 
-def _build_tube(section: _Map | None) -> TubeAssembly | None:
-    if section is None:
+def _build_room(room: _Map, index: int, controller: ControllerConfig | None,
+                fans: FanSpec | None) -> RoomConfig | None:
+    values = room.read(name="str", setpoint_pa="number", volume_m3="number",
+                       leak_coeff_m3ps_per_pa="number", initial_pressure_pa="number")
+    room.close()
+    if controller is None or fans is None:
         return None
-    length = section.number("length_m", default=1.0, minimum=0.0)
-    diameter = section.number("inner_diameter_m", default=REFERENCE_TUBE_ID_M,
-                              exclusive_min=0.0)
-    pickup = section.take("pickup_device", "bool", default=False)
-    section.close()
-    if section.ctx.errors:
+    setpoint = values.pop("setpoint_pa", controller.setpoint_pa)
+    config = room.construct(lambda: RoomConfig(
+        **{"name": f"room{index}", **values}, fans=fans,
+        controller=replace(controller, setpoint_pa=setpoint),
+    ))
+    if config is None:
         return None
-    return TubeAssembly(length_m=length, inner_diameter_m=diameter, pickup_device=pickup)
+    try:
+        balanced_fans(config)
+    except WiringError as exc:
+        room.error("setpoint_pa", str(exc))
+        return None
+    return config
 
 
-def _build_binding(section: _Map | None, ctx: _Ctx) -> DpsBinding | None:
+def _build_binding(section: _Map | None) -> DpsBinding | None:
     if section is None:
         return None
     part = section.take("archetype", "str", required=True)
-    damping = section.number("damping_ratio", default=None, minimum=0.0)
-    tube = _build_tube(section.submap("tube"))
+    damping = section.take("damping_ratio", "number")
+    tube_map = section.submap("tube")
+    tube = tube_map and tube_map.build(
+        TubeAssembly, {"length_m": 1.0},
+        length_m="number", inner_diameter_m="number", pickup_device="bool",
+    )
     section.close()
-    if part is None:
+    if not section.ok:
         return None
     try:
         model = archetype(part)
     except (KeyError, ValueError) as exc:
-        ctx.error(section.line("archetype"), f"{section.path}.archetype", str(exc))
+        section.error("archetype", str(exc))
         return None
     if damping is not None:
-        model = model.with_damping(damping)
-    return DpsBinding(model=model, tube=tube)
+        model = section.construct(model.with_damping, damping)
+    return model and DpsBinding(model=model, tube=tube)
 
 
-def _build_schedule(section: _Map, ctx: _Ctx) -> SegmentSchedule | None:
-    band = section.take("band_hz", "list", required=True)
-    duration = section.number("duration_s", required=True, exclusive_min=0.0)
-    interval = section.number("interval_s", required=True, exclusive_min=0.0)
-    cycles: int | tuple[int, ...] | None = None
-    if section.has("cycles"):
-        raw_cycles = section.raw["cycles"]
-        if isinstance(raw_cycles, int) and not isinstance(raw_cycles, bool):
-            cycles = raw_cycles
-        elif (isinstance(raw_cycles, list) and raw_cycles
-              and all(isinstance(c, int) and not isinstance(c, bool) for c in raw_cycles)):
-            cycles = tuple(raw_cycles)
-        else:
-            ctx.error(section.line("cycles"), f"{section.path}.cycles",
-                      "expected an integer or a list of integers")
-    scale = section.number("amplitude_scale", default=SegmentSchedule.amplitude_scale,
-                           exclusive_min=0.0, maximum=1.0)
-    fade = section.number("fade_in_s", default=SegmentSchedule.fade_in_s,
-                          minimum=0.0, maximum=0.001)
-    section.close()
-    band_ok = isinstance(band, list) and len(band) == 2 and all(map(_TYPES["number"], band))
-    if band_ok and None in map(_finite_float, band):
-        ctx.error(section.line("band_hz"), f"{section.path}.band_hz", "must be finite")
-        return None
-    if not band_ok or band[0] >= band[1]:
-        ctx.error(section.line("band_hz"), f"{section.path}.band_hz",
-                  "expected [low_hz, high_hz] with low < high")
-        return None
-    if duration is None or interval is None or ctx.errors:
-        return None
-    try:
-        return SegmentSchedule(
-            band_hz=(float(band[0]), float(band[1])),
-            duration_s=duration,
-            interval_s=interval,
-            cycles=cycles,
-            amplitude_scale=scale,
-            fade_in_s=fade,
-        )
-    except ValueError as exc:
-        ctx.error(section.start_line, section.path, str(exc))
-        return None
+def _build_attack(top: _Map, hvac: DpsBinding | None,
+                  hvac_declared: bool) -> tuple[AttackPlan | None, AcousticAttackSetup | None]:
+    attack = top.submap("attack")
+    if attack is None:
+        return AttackPlan(), None
+    values = attack.read(placement="str", affects="str", forged_pa="number", target_f_hz="number")
+    target_f = values.pop("target_f_hz", None)
+    plan = attack.construct(AttackPlan, **values)
+    schedule_map = attack.submap("schedule")
+    schedule = schedule_map and schedule_map.build(
+        SegmentSchedule, required=("band_hz", "duration_s", "interval_s"),
+        band_hz="band", duration_s="number", interval_s="number", cycles="cycles",
+        amplitude_scale="number", fade_in_s="number",
+    )
+    source_map = attack.submap("source")
+    source_values = {}
+    if source_map is not None:
+        keys = ("spl_db", "ref_distance_m", "position_distance_m")
+        source_values = source_map.read(keys, **dict.fromkeys(keys, "number"))
+        source_map.close()
+    attack.close()
 
+    acoustic = "source" in attack.raw
+    if acoustic != ("schedule" in attack.raw):
+        attack.error(None, "source and schedule must be declared together")
+    if acoustic and "forged_pa" in attack.raw:
+        attack.error(None, "give either forged_pa or an acoustic source, not both")
+    if plan is not None and plan.placement != "none" and "forged_pa" not in attack.raw \
+            and not acoustic:
+        attack.error(None, "an attack placement needs forged_pa or a source")
+    if acoustic and not hvac_declared:
+        attack.error(None, "an acoustic attack needs sensors.hvac to aim at")
+    if not attack.ok or not acoustic or hvac is None:
+        return plan, None
 
-def _build_countermeasure(section: _Map | None, ctx: _Ctx) -> Countermeasure | None:
-    if section is None:
-        return None
-    kind = section.choice("kind", COUNTERMEASURE_KINDS, required=True)
-    length = section.number("tube_length_m", exclusive_min=0.0)
-    loss = section.number("extra_loss_db", minimum=0.0)
-    cutoff = section.number("cutoff_hz", exclusive_min=0.0)
-    order = section.take("order", "int")
-    setpoint = section.number("setpoint_pa")
-    section.close()
-    if kind is None or ctx.errors:
-        return None
-    try:
-        return countermeasure_from(
-            kind, tube_length_m=length, extra_loss_db=loss,
-            cutoff_hz=cutoff, order=order, setpoint_pa=setpoint,
-        )
-    except ValueError as exc:
-        ctx.error(section.start_line, section.path, str(exc))
-        return None
+    # The source emits the band centre, or the tone target_f_hz pins once
+    # the setup has accepted it.
+    source = source_map.construct(AcousticSource, **source_values, tone_hz=schedule.target_hz())
+    setup = attack.construct(
+        AcousticAttackSetup, model=hvac.model, tube=hvac.tube, source=source,
+        schedule=schedule, placement=plan.placement, affects=plan.affects,
+        target_f_hz=target_f,
+    )
+    if setup is not None and target_f is not None:
+        setup = replace(setup, source=replace(source, tone_hz=target_f))
+    return plan, setup
 
 
 def parse_scenario(text: str, source_path: Path | None = None) -> LoadedScenario:
     """Validate a YAML scenario document and build the runtime objects."""
-    ctx = _Ctx()
     try:
         raw = yaml.load(text, Loader=_LineLoader)
     except yaml.YAMLError as exc:
@@ -312,164 +356,48 @@ def parse_scenario(text: str, source_path: Path | None = None) -> LoadedScenario
     if not isinstance(raw, dict):
         raise ScenarioError(["line 1: top level must be a mapping"])
 
-    top = _Map(ctx, raw, "scenario")
-    horizon = top.number("horizon_s", default=NprScenario.horizon_s, exclusive_min=0.0)
-    hallway = top.number("hallway_pa", default=NprScenario.hallway_pa)
-
-    controller = top.submap("controller")
-    gain = ControllerConfig.gain
-    period = ControllerConfig.control_period_s
-    deadband = ControllerConfig.deadband_pa
-    if controller is not None:
-        gain = controller.number("gain", default=gain, exclusive_min=0.0)
-        period = controller.number("control_period_s", default=period, exclusive_min=0.0)
-        deadband = controller.number("deadband_pa", default=deadband, minimum=0.0)
-        controller.close()
-    fans = top.submap("fans")
-    max_flow, fan_tau = FanSpec.max_flow_m3ps, FanSpec.time_constant_s
-    if fans is not None:
-        max_flow = fans.number("max_flow_m3ps", default=max_flow, exclusive_min=0.0)
-        fan_tau = fans.number("time_constant_s", default=fan_tau, exclusive_min=0.0)
-        fans.close()
-
-    alarm_map = top.submap("alarm")
-    threshold, dwell = AlarmConfig.threshold_pa, AlarmConfig.dwell_s
-    if alarm_map is not None:
-        threshold = alarm_map.number("threshold_pa", default=threshold, exclusive_min=0.0)
-        dwell = alarm_map.number("dwell_s", default=dwell, minimum=0.0)
-        alarm_map.close()
-
-    rooms_raw = top.take("rooms", "list", required=True)
-    room_configs: list[RoomConfig] = []
-    if rooms_raw is not None:
-        if not rooms_raw:
-            ctx.error(top.line("rooms"), "scenario.rooms", "needs at least one room")
-        for index, entry in enumerate(rooms_raw):
-            path = f"scenario.rooms[{index}]"
-            if not isinstance(entry, dict):
-                ctx.error(top.line("rooms"), path, "expected a mapping")
-                continue
-            room = _Map(ctx, entry, path)
-            name = room.take("name", "str", default=f"room{index}")
-            setpoint = room.number("setpoint_pa", default=ControllerConfig.setpoint_pa)
-            volume = room.number("volume_m3", default=RoomConfig.volume_m3, exclusive_min=0.0)
-            leak = room.number("leak_coeff_m3ps_per_pa",
-                               default=RoomConfig.leak_coeff_m3ps_per_pa, exclusive_min=0.0)
-            initial = room.number("initial_pressure_pa", default=RoomConfig.initial_pressure_pa)
-            room.close()
-            if setpoint is not None and setpoint >= 0.0:
-                ctx.error(room.line("setpoint_pa"), f"{path}.setpoint_pa",
-                          "negative-pressure setpoint required")
-                continue
-            if ctx.errors:
-                continue
-            room_config = RoomConfig(
-                name=name,
-                controller=ControllerConfig(
-                    setpoint_pa=setpoint, gain=gain,
-                    control_period_s=period, deadband_pa=deadband,
-                ),
-                volume_m3=volume,
-                leak_coeff_m3ps_per_pa=leak,
-                fans=FanSpec(max_flow_m3ps=max_flow, time_constant_s=fan_tau),
-                initial_pressure_pa=initial,
-            )
-            try:
-                balanced_fans(room_config)
-            except WiringError as exc:
-                ctx.error(room.line("setpoint_pa"), f"{path}.setpoint_pa", str(exc))
-                continue
-            room_configs.append(room_config)
+    errors: list[str] = []
+    top = _Map(errors, raw, "scenario")
+    head = top.read(horizon_s="number", hallway_pa="number")
+    controller = top.section("controller", ControllerConfig, gain="number",
+                             control_period_s="number", deadband_pa="number")
+    fans = top.section("fans", FanSpec, max_flow_m3ps="number", time_constant_s="number")
+    alarm = top.section("alarm", AlarmConfig, threshold_pa="number", dwell_s="number")
+    rooms_raw = top.take("rooms", "rooms", required=True) or []
+    rooms = [
+        _build_room(_Map(errors, entry, f"scenario.rooms[{index}]", top), index, controller, fans)
+        for index, entry in enumerate(rooms_raw)
+    ]
 
     # simulate_scenario's own rule, so every horizon accepted here runs.
-    if horizon > 0.0 and period > 0.0:
+    horizon = head.get("horizon_s", NprScenario.horizon_s)
+    if horizon is not None and controller is not None:
         try:
-            horizon_periods(horizon, period, max(1, len(rooms_raw or ())))
+            horizon_periods(horizon, controller.control_period_s, max(1, len(rooms_raw)))
         except ValueError as exc:
-            ctx.error(top.line("horizon_s"), "scenario.horizon_s", str(exc))
+            top.error("horizon_s", str(exc))
 
     sensors = top.submap("sensors")
     hvac = rpm = None
     if sensors is not None:
-        hvac = _build_binding(sensors.submap("hvac"), ctx)
-        rpm = _build_binding(sensors.submap("rpm"), ctx)
+        hvac = _build_binding(sensors.submap("hvac"))
+        rpm = _build_binding(sensors.submap("rpm"))
         sensors.close()
-
-    wiring_map = top.submap("wiring")
-    common_high = False
-    if wiring_map is not None:
-        common_high = wiring_map.take("common_high_port", "bool", default=False)
-        wiring_map.close()
-
-    attack_map = top.submap("attack")
-    placement, affects, target_f = AttackPlan.placement, AttackPlan.affects, None
-    forged: float | None = None
-    source_map = schedule_map = None
-    if attack_map is not None:
-        placement = attack_map.choice("placement", ATTACK_PLACEMENTS, default=placement)
-        affects = attack_map.choice("affects", ATTACK_TARGETS, default=affects)
-        forged = attack_map.number("forged_pa", minimum=0.0)
-        target_f = attack_map.number("target_f_hz", exclusive_min=0.0)
-        source_map = attack_map.submap("source")
-        schedule_map = attack_map.submap("schedule")
-        attack_map.close()
-        if (source_map is None) != (schedule_map is None):
-            ctx.error(attack_map.start_line, "scenario.attack",
-                      "source and schedule must be declared together")
-        if forged is not None and source_map is not None:
-            ctx.error(attack_map.start_line, "scenario.attack",
-                      "give either forged_pa or an acoustic source, not both")
-        if placement != "none" and forged is None and source_map is None:
-            ctx.error(attack_map.start_line, "scenario.attack",
-                      "an attack placement needs forged_pa or a source")
-
-    attack_setup = None
-    if source_map is not None and schedule_map is not None:
-        schedule = _build_schedule(schedule_map, ctx)
-        spl = source_map.number("spl_db", required=True, minimum=0.0, maximum=140.0)
-        ref_d = source_map.number("ref_distance_m", required=True, exclusive_min=0.0)
-        pos_d = source_map.number("position_distance_m", required=True, exclusive_min=0.0)
-        source_map.close()
-        if hvac is None:
-            ctx.error(attack_map.start_line, "scenario.attack",
-                      "an acoustic attack needs sensors.hvac to aim at")
-        elif schedule is not None and spl is not None and not ctx.errors:
-            tone = target_f if target_f is not None else schedule.target_hz()
-            source = AcousticSource(
-                spl_db=spl, ref_distance_m=ref_d, position_distance_m=pos_d,
-                tone_hz=tone,
-            )
-            try:
-                attack_setup = AcousticAttackSetup(
-                    model=hvac.model, tube=hvac.tube, source=source,
-                    schedule=schedule, placement=placement, affects=affects,
-                    target_f_hz=target_f,
-                )
-            except ValueError as exc:
-                ctx.error(attack_map.start_line, "scenario.attack", str(exc))
-
-    countermeasure = _build_countermeasure(top.submap("countermeasure"), ctx)
+    wiring = top.section("wiring", PortWiring, common_high_port="bool")
+    plan, attack_setup = _build_attack(top, hvac, sensors is not None and "hvac" in sensors.raw)
+    countermeasure_map = top.submap("countermeasure")
+    countermeasure = countermeasure_map and countermeasure_map.build(
+        Countermeasure, required=("kind",), kind="str", tube_length_m="number",
+        extra_loss_db="number", cutoff_hz="number", order="int", setpoint_pa="number",
+    )
     top.close()
 
-    if ctx.errors:
-        raise ScenarioError(ctx.errors)
-
-    try:
-        plan = AttackPlan(
-            placement=placement,
-            forged_pa=forged if forged is not None else AttackPlan.forged_pa,
-            affects=affects,
-        )
-        scenario = NprScenario(
-            rooms=tuple(room_configs),
-            wiring=PortWiring(hvac=hvac, rpm=rpm, common_high_port=common_high, attack=plan),
-            alarm=AlarmConfig(threshold_pa=threshold, dwell_s=dwell),
-            hallway_pa=hallway,
-            horizon_s=horizon,
-        )
-    except (ValueError, WiringError) as exc:
-        raise ScenarioError([f"line 1: scenario: {exc}"]) from exc
-
+    scenario = top.construct(lambda: NprScenario(
+        rooms=tuple(rooms), alarm=alarm,
+        wiring=replace(wiring, hvac=hvac, rpm=rpm, attack=plan), **head,
+    ))
+    if errors:
+        raise ScenarioError(errors)
     return LoadedScenario(
         scenario=scenario,
         attack_setup=attack_setup,

@@ -32,8 +32,9 @@ PSD_RATIO_CAP = 1.0e9
 _PSD_BLOCK_SAMPLES = 1 << 18
 
 # Warm-up discarded before the steady averaging window of the forged
-# pressure estimate, seconds.
+# pressure estimate, and the length of that window, seconds.
 ESTIMATE_WARMUP_S = 0.3
+ESTIMATE_WINDOW_S = 2.0
 
 
 class ClippingError(ValueError):
@@ -405,23 +406,21 @@ def forged_pressure_estimate(
     source,
     *,
     target_f_hz: float | None = None,
-    window_s: float = 2.0,
     post_filter: Callable[[np.ndarray, int], np.ndarray] | None = None,
     extra_loss_db: float = 0.0,
 ) -> float:
     """Steady displayed pressure offset produced by the burst train, Pa.
 
-    Time-averaged rectified transducer output over a whole number of burst
-    intervals after a warm-up, scaled by the model's reading gain.  Grows
-    toward a plateau as bursts pack closer (smaller interval) and falls off
-    roughly as 1/interval as they spread out, reaching zero in the limit of
-    a lone burst.
+    Time-averaged rectified transducer output over the whole burst
+    intervals that fit in ESTIMATE_WINDOW_S after ESTIMATE_WARMUP_S of
+    warm-up, scaled by the model's reading gain.  Grows toward a plateau
+    as bursts pack closer (smaller interval) and falls off roughly as
+    1/interval as they spread out, reaching zero in the limit of a lone
+    burst.
     """
-    if window_s < 2.0:
-        raise ValueError(f"averaging window must be at least 2 s, got {window_s}")
     t_i = schedule.interval_s
     k0 = int(math.ceil(ESTIMATE_WARMUP_S / t_i))
-    n_periods = max(1, int(math.floor(window_s / t_i)))
+    n_periods = max(1, int(math.floor(ESTIMATE_WINDOW_S / t_i)))
     fs = model.sample_rate_hz
     start = int(round(k0 * t_i * fs))
     stop = int(round((k0 + n_periods) * t_i * fs))

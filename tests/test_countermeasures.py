@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -158,6 +159,16 @@ def test_countermeasure_accepts_the_default_order_on_any_kind():
 def test_countermeasure_rejects_a_non_finite_parameter(kind, name, value):
     with pytest.raises(ValueError, match=f"^Countermeasure.{name} must be finite, got {value}$"):
         Countermeasure(kind=kind, **{name: value})
+
+
+@pytest.mark.parametrize("target, message", [
+    (-5.0, "^target frequency must be > 0, got -5.0$"),
+    (0.0, "^target frequency must be > 0, got 0.0$"),
+    (math.nan, "^AcousticAttackSetup.target_f_hz must be finite, got nan$"),
+])
+def test_attack_setup_rejects_a_target_frequency_it_cannot_tune_to(target, message):
+    with pytest.raises(ValueError, match=message):
+        replace(_attack_setup(), target_f_hz=target)
 
 
 def test_an_enclosure_whose_lag_overflows_is_rejected():

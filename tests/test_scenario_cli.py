@@ -1,5 +1,6 @@
 import copy
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -396,6 +397,80 @@ def test_an_integer_field_too_large_for_a_float_is_rejected_in_one_line(
     assert capsys.readouterr().err.count("\n") == 1
 
 
+_LPF = (SCENARIO_DIR / "acoustic_lpf.yaml").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("text, header, where, message", [
+    ("controller:\n  gain: -1\n" + MINIMAL, "controller:", "controller", "gain must be > 0"),
+    ("fans:\n  max_flow_m3ps: 0\n" + MINIMAL, "fans:", "fans", "fan capacity must be > 0"),
+    ("alarm:\n  threshold_pa: 0\n" + MINIMAL, "alarm:", "alarm", "alarm threshold must be > 0"),
+    (MINIMAL + "    volume_m3: -3\n", "rooms:", "rooms[0]", "room volume must be > 0"),
+    (_LPF.replace("archetype: A1011-00", "archetype: A1011-00\n    damping_ratio: -0.1"),
+     "  hvac:", "sensors.hvac", "A1011-00: damping ratio must be >= 0"),
+    (_LPF.replace("length_m: 1.0", "length_m: -1.0"), "    tube:", "sensors.hvac.tube",
+     "tube length must be >= 0, got -1.0"),
+    (_LPF.replace("placement: high_port", "placement: sideways"), "attack:", "attack",
+     "unknown placement 'sideways'"),
+    (_LPF.replace("affects: both", "affects: both\n  target_f_hz: -5"), "attack:", "attack",
+     "target frequency must be > 0, got -5.0"),
+    (_LPF.replace("spl_db: 65.0", "spl_db: 141"), "  source:", "attack.source",
+     "SPL must be within [0, 140] dB, got 141.0"),
+    (_LPF.replace("band_hz: [540, 670]", "band_hz: [670, 540]"), "  schedule:", "attack.schedule",
+     "band must satisfy 0 < lower < upper, got (670.0, 540.0)"),
+    (_LPF.replace("kind: lpf", "kind: magic"), "countermeasure:", "countermeasure",
+     "unknown countermeasure kind 'magic'"),
+], ids=["controller", "fans", "alarm", "room", "damping", "tube", "attack", "target_f_hz",
+        "source", "schedule", "countermeasure"])
+def test_a_value_its_dataclass_rejects_is_one_error_on_its_sections_line(
+        text, header, where, message, tmp_path, capsys):
+    # A section's mapping starts on the line after its header.
+    line = text.splitlines().index(header) + 2
+    expected = f"line {line}: scenario.{where}: {message}"
+    assert _parse_errors(text) == [expected]
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text, encoding="utf-8")
+    rc = main(["simulate", str(bad), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"nprsim: {expected}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_controller_is_checked_once_for_every_room():
+    text = "controller:\n  deadband_pa: -1\n" + MINIMAL + "  - name: iso2\n"
+    assert _parse_errors(text) == ["line 2: scenario.controller: deadband must be >= 0"]
+
+
+def test_a_section_with_a_rejected_key_is_not_built_again():
+    # The type error is the only one: the section's value rules do not run.
+    text = "fans:\n  max_flow_m3ps: fast\n  time_constant_s: -1\n" + MINIMAL
+    assert _parse_errors(text) == ["line 2: scenario.fans.max_flow_m3ps: expected number"]
+
+
+_LONG = "1" + "0" * 5000  # an integer literal past the digits int() converts
+
+
+@pytest.mark.parametrize("name, old", [
+    ("baseline.yaml", "horizon_s: 120"),
+    ("acoustic_lpf.yaml", "length_m: 1.0"),
+], ids=["top-level", "nested"])
+def test_an_integer_literal_past_the_digit_limit_is_one_error_on_its_line(
+        name, old, tmp_path, capsys):
+    key = old.split(":")[0]
+    text = (SCENARIO_DIR / name).read_text(encoding="utf-8").replace(old, f"{key}: {_LONG}")
+    line = next(k for k, row in enumerate(text.splitlines(), 1) if _LONG in row)
+    expected = f"line {line}: integer literal of more than {sys.get_int_max_str_digits()} digits"
+    assert _parse_errors(text) == [expected]
+    assert _loaded_or_error_line(text, _PureLineLoader) == f"line {line}"
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text, encoding="utf-8")
+    rc = main(["simulate", str(bad), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"nprsim: {expected}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_trace_rows_print_every_cell_as_num_does():
     """One %-format per row gives the bytes of the per-cell _num join."""
     values = np.array([
@@ -655,10 +730,19 @@ _DRAWN = st.one_of(
     st.lists(st.integers() | st.floats(), max_size=3),
     st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
 )
+# Every key the loader accepts, in any section, and one it does not.
 _KEYS = st.sampled_from([
-    "seed", "horizon_s", "hallway_pa", "controller", "fans", "alarm", "sensors", "wiring",
-    "attack", "countermeasure", "name", "setpoint_pa", "cycles", "target_f_hz", "order",
-    "tube", "rpm", "source", "schedule", "forged_pa",
+    "seed", "horizon_s", "hallway_pa", "controller", "fans", "alarm", "rooms", "sensors",
+    "wiring", "attack", "countermeasure",
+    "gain", "control_period_s", "deadband_pa", "max_flow_m3ps", "time_constant_s",
+    "threshold_pa", "dwell_s",
+    "name", "setpoint_pa", "volume_m3", "leak_coeff_m3ps_per_pa", "initial_pressure_pa",
+    "hvac", "rpm", "archetype", "damping_ratio", "tube", "length_m", "inner_diameter_m",
+    "pickup_device", "common_high_port",
+    "placement", "affects", "forged_pa", "target_f_hz", "source", "schedule",
+    "spl_db", "ref_distance_m", "position_distance_m",
+    "band_hz", "duration_s", "interval_s", "cycles", "amplitude_scale", "fade_in_s",
+    "kind", "tube_length_m", "extra_loss_db", "cutoff_hz", "order",
 ]) | st.text(max_size=6)
 
 
@@ -712,6 +796,15 @@ class _PureLineLoader(yaml.SafeLoader):
         mapping["__lines__"] = lines
         mapping["__line__"] = node.start_mark.line + 1
         return mapping
+
+    def construct_yaml_int(self, node):
+        try:
+            return super().construct_yaml_int(node)
+        except ValueError as exc:
+            raise yaml.MarkedYAMLError(problem=str(exc), problem_mark=node.start_mark) from exc
+
+
+_PureLineLoader.add_constructor("tag:yaml.org,2002:int", _PureLineLoader.construct_yaml_int)
 
 
 def _loaded_or_error_line(text, loader):
