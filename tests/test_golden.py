@@ -44,6 +44,15 @@ def test_evaluate_cm_matches_golden(tmp_path, monkeypatch, capsys):
                        ("report.csv", "report.txt"))
 
 
+def test_evaluate_cm_enclosure_matches_golden(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    argv = ["evaluate-cm", "scenarios/acoustic_lpf.yaml", "--kind", "enclosure",
+            "--extra-loss-db", "12", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    _assert_same_bytes(tmp_path, GOLDEN / "evaluate-cm" / "acoustic_lpf_enclosure",
+                       ("report.csv", "report.txt"))
+
+
 SYNTH_ARGS = {
     "carrier": ["--carrier", "carrier.wav", "--band", "680", "690"],
     "silence": ["--silence", "2.0", "--rate", "48000", "--band", "540", "670"],
@@ -61,6 +70,8 @@ def test_synth_matches_golden(name, tmp_path, monkeypatch):
 
 
 SWEEP_ARGS = {
+    "distance": ["--values", "0.002,0.005,0.01,0.03,0.07"],
+    "spl": ["--start", "50", "--stop", "70", "--step", "5"],
     "ti": ["--start", "15", "--stop", "60", "--step", "5"],
     "tube_length": ["--values", "0.8,1.2,1.6"],
 }
