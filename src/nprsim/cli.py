@@ -39,18 +39,22 @@ from .waveform import (
     ClippingError,
     ScheduleError,
     SegmentSchedule,
-    forged_pressure_estimate,
+    forged_from_unit,
+    port_amplitude_pa,
     psd_ratio,
     read_wav,
     segment_mask,
     synthesize_attack,
+    unit_response_mean,
     write_wav,
 )
 
 SWEEP_AXES = ("tube_length", "tube_diameter", "spl", "distance", "ti", "td", "pickup")
 
-# Largest grid sweep builds from --start/--stop/--step.  Each point is one
-# forged-pressure estimate of a few milliseconds, so this is minutes of work.
+# Largest grid sweep builds from --start/--stop/--step.  A point that moves
+# the burst train or the tube (ti, td, tube_length, tube_diameter, pickup)
+# drives the transducer, a few milliseconds each, so this is minutes of
+# work; spl and distance points only rescale one drive.
 MAX_SWEEP_POINTS = 100_000
 
 # Longest audio synth --silence builds: ten minutes at 48 kHz.  A run
@@ -316,8 +320,10 @@ def _parse_grid(args: argparse.Namespace) -> list[float]:
     return [args.start + k * args.step_by for k in range(int(round(steps)) + 1)]
 
 
-def _forged_at(setup, axis: str, value: float) -> float:
-    """Forged pressure of the scenario's attack with one parameter set to value."""
+def _forged_at(setup, axis: str, value: float, unit_mean) -> float:
+    """Forged pressure of the scenario's attack with one parameter set to
+    value; unit_mean gives the burst train's 1 Pa response, as
+    unit_response_mean does."""
     model, tube = setup.model, setup.tube
     source, schedule = setup.source, setup.schedule
     target = setup.target_f_hz
@@ -339,7 +345,8 @@ def _forged_at(setup, axis: str, value: float) -> float:
         if value not in (0.0, 1.0):
             raise CliError("pickup axis takes values 0 or 1")
         tube = replace(tube, pickup_device=bool(value))
-    return forged_pressure_estimate(schedule, model, tube, source, target_f_hz=target)
+    amplitude = port_amplitude_pa(source, tube)
+    return forged_from_unit(model, amplitude, unit_mean(schedule, model, tube, target_f_hz=target))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -352,12 +359,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.axis in ("tube_length", "tube_diameter", "pickup") and setup.tube is None:
         raise CliError(f"axis {args.axis} needs a sampling tube in the scenario")
 
+    # The points of this sweep share each burst train's 1 Pa response: an
+    # spl or distance sweep drives the transducer once.
+    unit_mean = functools.cache(unit_response_mean)
     rows: list[list[str]] = []
     for value in grid:
         # The parameter's own check (a negative length, an SPL out of
         # range) raises as the dataclass is rebuilt, so it sits in the try.
         try:
-            forged = _forged_at(setup, args.axis, value)
+            forged = _forged_at(setup, args.axis, value, unit_mean)
         except (ValueError, ScheduleError, ClippingError) as exc:
             raise CliError(f"{args.axis}={value:g}: {exc}") from exc
         rows.append([_num(value), _num(forged)])

@@ -27,7 +27,13 @@ from .plant import (
     simulate_scenario,
 )
 from .sensor import NO_TUBE, DpsModel, TubeAssembly, _lfilter, _require_finite_fields, step_response
-from .waveform import SegmentSchedule, forged_pressure_estimate
+from .waveform import (
+    SegmentSchedule,
+    forged_from_unit,
+    forged_pressure_estimate,
+    port_amplitude_pa,
+    unit_response_mean,
+)
 
 NOISE_FLOOR_PA = 0.1
 """Residual forged pressure below this is indistinguishable from noise."""
@@ -279,10 +285,10 @@ def evaluate_countermeasure(
         if placement == "none":
             raise ValueError("scenario carries no attack to defend against")
     else:
-        baseline = forged_pressure_estimate(
-            attack.schedule, attack.model, attack.tube, attack.source,
-            target_f_hz=attack.target_f_hz,
-        )
+        amplitude = port_amplitude_pa(attack.source, attack.tube)
+        unit_mean = unit_response_mean(attack.schedule, attack.model, attack.tube,
+                                       target_f_hz=attack.target_f_hz)
+        baseline = forged_from_unit(attack.model, amplitude, unit_mean)
         placement = attack.placement
         affects = attack.affects
 
@@ -307,10 +313,10 @@ def evaluate_countermeasure(
         penalty_s = measurement_settle_time_s(
             attack.model, attack.tube, extra_lag_s=lag
         ) - measurement_settle_time_s(attack.model, attack.tube)
-        residual = forged_pressure_estimate(
-            attack.schedule, attack.model, attack.tube, attack.source,
-            target_f_hz=attack.target_f_hz, extra_loss_db=cm.extra_loss_db,
-        )
+        # The enclosure only adds path loss: the burst train's 1 Pa
+        # response is the baseline's.
+        amplitude = port_amplitude_pa(attack.source, attack.tube, cm.extra_loss_db)
+        residual = forged_from_unit(attack.model, amplitude, unit_mean)
     elif cm.kind == "lpf":
         penalty_s = measurement_settle_time_s(
             attack.model, attack.tube, lpf_cutoff_hz=cm.cutoff_hz, lpf_order=cm.order

@@ -171,6 +171,18 @@ class RoomConfig:
             raise ValueError("room volume must be > 0")
         if self.leak_coeff_m3ps_per_pa <= 0.0:
             raise ValueError("leak coefficient must be > 0")
+        # _period_map divides by the time constant and multiplies the
+        # capacity-over-leak ratio by a share that can round to 0.
+        if not 0.0 < self.pressure_time_constant_s < math.inf:
+            raise ValueError("room pressure time constant volume/(bulk modulus x leak) "
+                             f"must be > 0 and finite, got {self.pressure_time_constant_s:g} s")
+        if not math.isfinite(self.fans.max_flow_m3ps / self.leak_coeff_m3ps_per_pa):
+            raise ValueError("fan capacity over leak coefficient must be finite")
+
+    @property
+    def pressure_time_constant_s(self) -> float:
+        """How fast the room's pressure relaxes through its leak, s."""
+        return self.volume_m3 / (ADIABATIC_BULK_MODULUS_PA * self.leak_coeff_m3ps_per_pa)
 
 
 @dataclass(frozen=True)
@@ -271,7 +283,7 @@ def balanced_fans(room: RoomConfig) -> tuple[float, float]:
     Raises WiringError when the setpoint needs a speed outside [0, 1].
     """
     shift = room.leak_coeff_m3ps_per_pa * room.controller.setpoint_pa / (2.0 * room.fans.max_flow_m3ps)
-    if abs(shift) > 0.5:
+    if not abs(shift) <= 0.5:  # a NaN shift fails here too
         raise WiringError(
             f"room {room.name!r}: setpoint {room.controller.setpoint_pa} Pa "
             "exceeds what its fans can hold"
@@ -321,8 +333,7 @@ def _period_map(room: RoomConfig, period_s: float) -> np.ndarray:
     is SUBSTEPS_PER_PERIOD such substeps, so the map is a matrix power.
     """
     dt_sub = period_s / SUBSTEPS_PER_PERIOD
-    tau_room = room.volume_m3 / (ADIABATIC_BULK_MODULUS_PA * room.leak_coeff_m3ps_per_pa)
-    decay_room = math.exp(-dt_sub / tau_room)
+    decay_room = math.exp(-dt_sub / room.pressure_time_constant_s)
     decay_fan = math.exp(-dt_sub / room.fans.time_constant_s)
     # Balance point per unit of supply-minus-exhaust speed, times the
     # share of the gap the pressure closes in one substep.

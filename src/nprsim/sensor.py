@@ -219,13 +219,19 @@ class DpsModel:
 
 @dataclass
 class TransducerTrace:
-    """Transducer output pressure at each sample time.
+    """Transducer output pressure at each sample time, samples dt_s apart
+    from t = 0.
 
     Produced by :func:`step_response` and :func:`step_response_fn`.
     """
 
-    time_s: np.ndarray
     p_out_pa: np.ndarray
+    dt_s: float
+
+    @property
+    def time_s(self) -> np.ndarray:
+        """Sample times, built on each read: most callers never ask."""
+        return np.arange(self.p_out_pa.size) * self.dt_s
 
 
 @dataclass
@@ -399,8 +405,7 @@ def step_response(
     # Fold the neighbor-average midpoint into the end-point coefficients.
     c0_avg = (c0[0] + 0.5 * cm[0], c0[1] + 0.5 * cm[1])
     c1_avg = (c1[0] + 0.5 * cm[0], c1[1] + 0.5 * cm[1])
-    t = np.arange(series.size) * dt
-    return TransducerTrace(time_s=t, p_out_pa=_drive(a, c0_avg, c1_avg, series))
+    return TransducerTrace(p_out_pa=_drive(a, c0_avg, c1_avg, series), dt_s=dt)
 
 
 def step_response_fn(
@@ -428,8 +433,7 @@ def step_response_fn(
     p_node = _drive(a, c0, c1, half_steps[0::2])
     # The midpoint after the last node drives no returned state.
     p_mid = _drive(a, cm, (0.0, 0.0), np.append(half_steps[1::2], 0.0))
-    t = np.arange(n) * dt
-    return TransducerTrace(time_s=t, p_out_pa=p_node + p_mid)
+    return TransducerTrace(p_out_pa=p_node + p_mid, dt_s=dt)
 
 
 def frequency_sweep(

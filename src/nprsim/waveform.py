@@ -10,6 +10,9 @@ zero, which is what leaves a one-signed pressure residue between bursts.
 Also here: the time-averaged forged pressure estimator, which couples a
 synthesized burst train through the acoustic path into the transducer model,
 and the packaged calibration carrier used for repeatable spectral checks.
+The path and the transducer are both linear, so the estimate is the path's
+port amplitude times the response to bursts of 1 Pa: a caller that varies
+only the source or the path loss drives the transducer once.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ class AudioBuffer:
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
-        if samples.size and float(np.max(np.abs(samples))) > 1.0 + 1e-9:
+        if _peak(samples) > 1.0 + 1e-9:
             raise ValueError("samples exceed full scale [-1, 1]")
         object.__setattr__(self, "samples", samples)
 
@@ -138,6 +141,13 @@ class SegmentSchedule:
         return seq
 
 
+def _peak(samples: np.ndarray) -> float:
+    """Largest |sample|, 0 for no samples, without an |x| copy of the buffer."""
+    if not samples.size:
+        return 0.0
+    return max(float(np.max(samples)), -float(np.min(samples)))
+
+
 def read_wav(path: str | Path) -> AudioBuffer:
     """Read a 16-bit PCM WAV file, downmixing stereo to mono by averaging."""
     from scipy.io import wavfile
@@ -157,8 +167,11 @@ def write_wav(path: str | Path, audio: AudioBuffer) -> None:
     """Write mono 16-bit PCM little-endian WAV."""
     from scipy.io import wavfile
 
-    pcm = np.round(np.clip(audio.samples, -1.0, 1.0) * 32767.0).astype("<i2")
-    wavfile.write(path, audio.sample_rate_hz, pcm)
+    # Clip, scale and round in one float buffer before the 16-bit copy.
+    scaled = np.clip(audio.samples, -1.0, 1.0)
+    scaled *= 32767.0
+    np.round(scaled, out=scaled)
+    wavfile.write(path, audio.sample_rate_hz, scaled.astype("<i2"))
 
 
 def suppress_band(audio: AudioBuffer, band_hz: tuple[float, float]) -> AudioBuffer:
@@ -190,22 +203,42 @@ def suppress_band(audio: AudioBuffer, band_hz: tuple[float, float]) -> AudioBuff
 
 def _burst_spans(
     schedule: SegmentSchedule, frequency_hz: float, n_samples: int, sample_rate_hz: int
-) -> list[tuple[int, int]]:
-    """Half-open sample index spans of every burst that fits in n_samples."""
+) -> np.ndarray:
+    """Half-open sample index spans of the bursts that fit in n_samples, one
+    (start, stop) row per burst.
+
+    Burst k starts at sample round(k * interval * rate) and holds
+    round(c / f * rate) samples, c being its entry of the cycle sequence.
+    The train ends at the first burst that would run past n_samples; a
+    burst of under 2 samples up to that point raises ScheduleError.
+    """
     cycles = schedule.cycle_sequence(frequency_hz)
-    spans: list[tuple[int, int]] = []
-    k = 0
-    while True:
-        start = int(round(k * schedule.interval_s * sample_rate_hz))
-        c = cycles[k % len(cycles)]
-        length = int(round(c / frequency_hz * sample_rate_hz))
-        if length < 2:
-            raise ScheduleError(f"burst of {c} cycles at {frequency_hz:.0f} Hz spans under 2 samples")
-        if start + length > n_samples:
-            break
-        spans.append((start, start + length))
-        k += 1
-    return spans
+    lengths = np.array([int(round(c / frequency_hz * sample_rate_hz)) for c in cycles])
+    # Burst k starts at or after k * interval * rate - 1/2, so none from
+    # k = n_samples / (interval * rate) + 1 on fits.  A short burst ends
+    # the train or raises, so the candidates stop at the first one.
+    count = int(n_samples / (schedule.interval_s * sample_rate_hz)) + 3
+    short = np.flatnonzero(lengths < 2)
+    if short.size:
+        count = min(count, int(short[0]) + 1)
+    k = np.arange(count)
+    starts = np.rint(k * schedule.interval_s * sample_rate_hz).astype(np.int64)
+    length = lengths[k % lengths.size]
+    end = int(np.argmax((length < 2) | (starts + length > n_samples)))
+    if length[end] < 2:
+        c = cycles[end % len(cycles)]
+        raise ScheduleError(f"burst of {c} cycles at {frequency_hz:.0f} Hz spans under 2 samples")
+    return np.column_stack((starts[:end], starts[:end] + length[:end]))
+
+
+def _burst_windows(out: np.ndarray, spans: np.ndarray):
+    """(windows, starts) per distinct burst length: windows is a writable
+    view of out's every length-long run, and windows[starts] are the spans
+    of that length."""
+    lengths = spans[:, 1] - spans[:, 0]
+    for length in np.unique(lengths).tolist():
+        windows = np.lib.stride_tricks.sliding_window_view(out, length, writeable=True)
+        yield windows, spans[lengths == length, 0]
 
 
 def _burst_samples(
@@ -250,23 +283,44 @@ def synthesize_attack(
     if not schedule.band_hz[0] <= f <= schedule.band_hz[1]:
         raise ScheduleError(f"target {f:.1f} Hz lies outside band {schedule.band_hz}")
     fs = carrier.sample_rate_hz
-    peak = float(np.max(np.abs(carrier.samples))) if carrier.samples.size else 0.0
+    peak = _peak(carrier.samples)
     amplitude = schedule.amplitude_scale * (peak if peak > 0.0 else 1.0)
-    base = suppress_band(carrier, schedule.band_hz) if peak > 0.0 else carrier
-    out = base.samples.copy()
-    spans = _burst_spans(schedule, f, out.size, fs)
-    # A burst depends only on its length: build one per distinct length.
-    lengths = {stop - start for start, stop in spans}
-    bursts = {m: _burst_samples(schedule, f, m, fs, amplitude) for m in lengths}
-    for start, stop in spans:
-        burst, weight = bursts[stop - start]
-        out[start:stop] = burst + (1.0 - weight) * out[start:stop]
-    worst = float(np.max(np.abs(out))) if out.size else 0.0
+    # suppress_band returns a fresh buffer, so the bursts go into it in place.
+    if peak > 0.0:
+        out = suppress_band(carrier, schedule.band_hz).samples
+    else:
+        out = carrier.samples.copy()
+    _lay_bursts(out, schedule, f, fs, amplitude, blend=True)
+    worst = _peak(out)
     if worst > 1.0 + 1e-9:
         raise ClippingError(
             f"amplitude scale {schedule.amplitude_scale} drives samples to {worst:.3f} FS"
         )
-    return AudioBuffer(sample_rate_hz=fs, samples=np.clip(out, -1.0, 1.0))
+    np.clip(out, -1.0, 1.0, out=out)
+    return AudioBuffer(sample_rate_hz=fs, samples=out)
+
+
+def _lay_bursts(
+    out: np.ndarray,
+    schedule: SegmentSchedule,
+    frequency_hz: float,
+    sample_rate_hz: int,
+    amplitude: float,
+    *,
+    blend: bool,
+) -> np.ndarray:
+    """Write the burst train into out in place and return its spans.
+
+    Each burst replaces out over its span; with blend, the carrier already
+    in out is crossfaded out over the burst's onset ramp instead.  A burst
+    depends only on its length, so one is built per distinct length.
+    """
+    spans = _burst_spans(schedule, frequency_hz, out.size, sample_rate_hz)
+    for windows, starts in _burst_windows(out, spans):
+        burst, weight = _burst_samples(schedule, frequency_hz, windows.shape[1],
+                                       sample_rate_hz, amplitude)
+        windows[starts] = burst + (1.0 - weight) * windows[starts] if blend else burst
+    return spans
 
 
 def segment_mask(
@@ -281,8 +335,9 @@ def segment_mask(
     code can classify samples without re-deriving the schedule arithmetic.
     """
     mask = np.zeros(n_samples, dtype=bool)
-    for start, stop in _burst_spans(schedule, frequency_hz, n_samples, sample_rate_hz):
-        mask[start:stop] = True
+    for windows, starts in _burst_windows(
+            mask, _burst_spans(schedule, frequency_hz, n_samples, sample_rate_hz)):
+        windows[starts] = True
     return mask
 
 
@@ -328,7 +383,11 @@ def psd_ratio(
     # Frame k starts at sample k * hop; its masked count is a difference of
     # the mask's running count.
     frames = np.lib.stride_tricks.sliding_window_view(audio.samples, nperseg)[::hop]
-    counts = np.concatenate([[0], np.cumsum(mask)])
+    # Summed in place: a cumsum of the bool mask itself takes a second
+    # int64 buffer of its length.
+    counts = np.zeros(mask.size + 1, dtype=np.int64)
+    counts[1:] = mask
+    np.cumsum(counts, out=counts)
     frac = (counts[nperseg::hop] - counts[:-nperseg:hop]) / nperseg
     kept = np.flatnonzero((frac <= 0.2) | (frac >= 0.8))
     power = np.empty(kept.size)
@@ -348,7 +407,7 @@ def psd_ratio(
 
 
 def _true_run_lengths(mask: np.ndarray) -> np.ndarray:
-    edges = np.diff(mask.astype(int))
+    edges = np.diff(mask.view(np.int8))
     starts = np.flatnonzero(edges == 1) + 1
     stops = np.flatnonzero(edges == -1) + 1
     if mask.size and mask[0]:
@@ -356,6 +415,26 @@ def _true_run_lengths(mask: np.ndarray) -> np.ndarray:
     if mask.size and mask[-1]:
         stops = np.concatenate([stops, [mask.size]])
     return stops - starts
+
+
+def port_amplitude_pa(source, tube, extra_loss_db: float = 0.0) -> float:
+    """Burst amplitude at the transducer inlet, Pa: the source's pressure
+    amplitude times the path gain h of :func:`propagate`."""
+    return propagate(source, tube or NO_TUBE, extra_loss_db) * spl_to_pressure_amp(source.spl_db)
+
+
+def _drive_bursts(schedule, model, tube, frequency_hz, amplitude, n_samples, post_filter):
+    """Transducer response to n_samples of the burst train at amplitude Pa,
+    through post_filter when one is given; returns (trace, spans)."""
+    fs = model.sample_rate_hz
+    inlet = np.zeros(n_samples)
+    spans = _lay_bursts(inlet, schedule, frequency_hz, fs, amplitude, blend=False)
+    if not spans.size:
+        raise ScheduleError("trace window too short to hold a single burst")
+    trace = step_response(model, tube, inlet, 1.0 / fs)
+    if post_filter is not None:
+        trace.p_out_pa = post_filter(trace.p_out_pa, fs)
+    return trace, spans
 
 
 def attack_response_trace(
@@ -378,25 +457,51 @@ def attack_response_trace(
     carrier is omitted: by design it carries no resonant-band energy, and
     its off-band residue has no noticeable effect on the forged pressure.
 
-    Returns (trace, spans, port_amplitude_pa).
+    Returns (trace, spans, port_amplitude_pa), spans holding one
+    (start, stop) sample row per burst.
     """
     f = schedule.target_hz() if target_f_hz is None else float(target_f_hz)
-    h = propagate(source, tube or NO_TUBE, extra_loss_db)
-    amplitude = h * spl_to_pressure_amp(source.spl_db)
-    fs = model.sample_rate_hz
-    n = int(round(duration_s * fs))
-    inlet = np.zeros(n)
-    spans = _burst_spans(schedule, f, n, fs)
-    if not spans:
-        raise ScheduleError("trace window too short to hold a single burst")
-    lengths = {stop - start for start, stop in spans}
-    bursts = {m: _burst_samples(schedule, f, m, fs, amplitude)[0] for m in lengths}
-    for start, stop in spans:
-        inlet[start:stop] = bursts[stop - start]
-    trace = step_response(model, tube, inlet, 1.0 / fs)
-    if post_filter is not None:
-        trace.p_out_pa = post_filter(trace.p_out_pa, fs)
+    amplitude = port_amplitude_pa(source, tube, extra_loss_db)
+    n = int(round(duration_s * model.sample_rate_hz))
+    trace, spans = _drive_bursts(schedule, model, tube, f, amplitude, n, post_filter)
     return trace, spans, amplitude
+
+
+def unit_response_mean(
+    schedule: SegmentSchedule,
+    model,
+    tube,
+    *,
+    target_f_hz: float | None = None,
+    post_filter: Callable[[np.ndarray, int], np.ndarray] | None = None,
+) -> float:
+    """Mean rectified transducer output, Pa, for bursts of 1 Pa at the port.
+
+    The mean runs over the whole burst intervals that fit in
+    ESTIMATE_WINDOW_S after ESTIMATE_WARMUP_S of warm-up.  The chain is
+    linear, so bursts of amplitude A give A times this mean.
+    """
+    f = schedule.target_hz() if target_f_hz is None else float(target_f_hz)
+    t_i = schedule.interval_s
+    k0 = int(math.ceil(ESTIMATE_WARMUP_S / t_i))
+    n_periods = max(1, int(math.floor(ESTIMATE_WINDOW_S / t_i)))
+    fs = model.sample_rate_hz
+    start = int(round(k0 * t_i * fs))
+    stop = int(round((k0 + n_periods) * t_i * fs))
+    trace, _spans = _drive_bursts(schedule, model, tube, f, 1.0, stop + 2, post_filter)
+    return float(np.mean(np.abs(trace.p_out_pa[start:stop])))
+
+
+def forged_from_unit(model, port_amplitude: float, unit_mean: float) -> float:
+    """Forged pressure of bursts of port_amplitude Pa whose 1 Pa response
+    has the rectified mean unit_mean: reading_gain x amplitude x mean.
+
+    A non-finite amplitude raises ValueError, as a drive of that inlet
+    would.
+    """
+    if not math.isfinite(port_amplitude):
+        raise ValueError("inlet contains non-finite samples")
+    return model.reading_gain * port_amplitude * unit_mean
 
 
 def forged_pressure_estimate(
@@ -413,24 +518,14 @@ def forged_pressure_estimate(
 
     Time-averaged rectified transducer output over the whole burst
     intervals that fit in ESTIMATE_WINDOW_S after ESTIMATE_WARMUP_S of
-    warm-up, scaled by the model's reading gain.  Grows toward a plateau
-    as bursts pack closer (smaller interval) and falls off roughly as
-    1/interval as they spread out, reaching zero in the limit of a lone
-    burst.
+    warm-up, scaled by the model's reading gain: the port amplitude times
+    :func:`unit_response_mean`.  Grows toward a plateau as bursts pack
+    closer (smaller interval) and falls off roughly as 1/interval as they
+    spread out, reaching zero in the limit of a lone burst.
     """
-    t_i = schedule.interval_s
-    k0 = int(math.ceil(ESTIMATE_WARMUP_S / t_i))
-    n_periods = max(1, int(math.floor(ESTIMATE_WINDOW_S / t_i)))
-    fs = model.sample_rate_hz
-    start = int(round(k0 * t_i * fs))
-    stop = int(round((k0 + n_periods) * t_i * fs))
-    duration_s = (stop + 2) / fs
-    trace, _spans, _amp = attack_response_trace(
-        schedule, model, tube, source,
-        target_f_hz=target_f_hz, duration_s=duration_s, post_filter=post_filter,
-        extra_loss_db=extra_loss_db,
-    )
-    return model.reading_gain * float(np.mean(np.abs(trace.p_out_pa[start:stop])))
+    amplitude = port_amplitude_pa(source, tube, extra_loss_db)
+    return forged_from_unit(model, amplitude, unit_response_mean(
+        schedule, model, tube, target_f_hz=target_f_hz, post_filter=post_filter))
 
 
 def calibration_carrier(

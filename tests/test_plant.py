@@ -311,6 +311,29 @@ def test_scenario_validation_rules():
                   wiring_kw={"common_high_port": True})
 
 
+def test_a_setpoint_shift_that_is_not_a_number_is_refused():
+    # leak x setpoint overflows to -inf and 2 x capacity to inf: the shift
+    # is NaN, which no range comparison rejects.
+    room = RoomConfig(name="iso1", controller=ControllerConfig(setpoint_pa=-1.0e308),
+                      leak_coeff_m3ps_per_pa=1.0e300, fans=FanSpec(max_flow_m3ps=1.0e308))
+    with pytest.raises(WiringError, match="exceeds what its fans can hold"):
+        balanced_fans(room)
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"leak_coeff_m3ps_per_pa": 1.0e308}, "pressure time constant"),
+    ({"volume_m3": 5e-324}, "pressure time constant"),
+    ({"volume_m3": 1.0e308, "leak_coeff_m3ps_per_pa": 1.0e-300}, "pressure time constant"),
+    ({"leak_coeff_m3ps_per_pa": 1.0e-310, "fans": FanSpec(max_flow_m3ps=1.0e308)},
+     "fan capacity over leak coefficient"),
+], ids=["leak-overflows", "volume-underflows", "time-constant-overflows", "inf-times-zero"])
+def test_a_room_whose_period_map_is_not_finite_is_refused(kw, message):
+    # Each of these once built a room whose period map divided by zero or
+    # held inf x 0.
+    with pytest.raises(ValueError, match=message):
+        RoomConfig(name="iso1", **kw)
+
+
 _ROOMS = (RoomConfig(name="iso1"),)
 
 

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from nprsim import LoadedScenario, ScenarioError, countermeasures, load_scenario, parse_scenario
+from nprsim import (
+    LoadedScenario,
+    ScenarioError,
+    countermeasures,
+    load_scenario,
+    parse_scenario,
+    waveform,
+)
 from nprsim.cli import MAX_SILENCE_SAMPLES, _num, _trace_lines, main
 from nprsim.plant import AlarmEvent, SimulationTrace
 from nprsim.scenario import _LineLoader
@@ -90,6 +97,31 @@ def test_setpoint_the_fans_cannot_hold_is_rejected_with_its_line():
         "line 5: scenario.rooms[0].setpoint_pa: room 'iso1': setpoint -60.0 Pa "
         "exceeds what its fans can hold"
     ]
+
+
+_OVERFLOWING_ROOM = """\
+fans:
+  max_flow_m3ps: 1.0e+308
+rooms:
+  - name: iso1
+    setpoint_pa: -1.0e+308
+    leak_coeff_m3ps_per_pa: LEAK
+"""
+
+
+@pytest.mark.parametrize("leak, expected", [
+    ("1.0e+308", "line 4: scenario.rooms[0]: room pressure time constant "
+                 "volume/(bulk modulus x leak) must be > 0 and finite, got 0 s"),
+    ("1.0e+300", "line 5: scenario.rooms[0].setpoint_pa: room 'iso1': setpoint -1e+308 Pa "
+                 "exceeds what its fans can hold"),
+], ids=["time-constant", "nan-shift"])
+def test_a_room_the_plant_cannot_step_is_one_error(leak, expected, tmp_path, capsys):
+    text = _OVERFLOWING_ROOM.replace("LEAK", leak)
+    assert _parse_errors(text) == [expected]
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["simulate", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"nprsim: {expected}\n"
 
 
 def test_attack_needs_exactly_one_magnitude_source():
@@ -646,6 +678,75 @@ def test_cli_simulate_notes_an_unapplied_countermeasure(tmp_path, capsys):
     rc = main(["simulate", str(SCENARIO_DIR / "baseline.yaml"), "--out", str(tmp_path)])
     assert rc == 0
     assert capsys.readouterr().err == ""
+
+
+def _count_forged_drives(monkeypatch) -> list[int]:
+    """Inlet sizes of the transducer drives the forged-pressure chain makes."""
+    sizes = []
+    drive = waveform.step_response
+
+    def counting(model, tube, inlet, dt):
+        sizes.append(len(inlet))
+        return drive(model, tube, inlet, dt)
+
+    monkeypatch.setattr(waveform, "step_response", counting)
+    return sizes
+
+
+def _sweep(axis, values, out):
+    return main(["sweep", str(SCENARIO_DIR / "acoustic_lpf.yaml"), "--axis", axis,
+                 "--values", values, "--out", str(out)])
+
+
+@pytest.mark.parametrize("axis, values, drives", [
+    ("spl", "50,55,60,65,70", 1),
+    ("distance", "0.002,0.005,0.01,0.03,0.07", 1),
+    ("ti", "15,20,30,40,60", 5),
+    ("tube_length", "0.8,1.2,1.6,1.2", 3),
+])
+def test_a_sweep_drives_the_transducer_once_per_distinct_burst_train(
+        axis, values, drives, monkeypatch, tmp_path):
+    sizes = _count_forged_drives(monkeypatch)
+    assert _sweep(axis, values, tmp_path / "sweep.csv") == 0
+    assert len(sizes) == drives
+
+
+def test_a_sweeps_unit_responses_last_only_as_long_as_its_command(monkeypatch, tmp_path):
+    sizes = _count_forged_drives(monkeypatch)
+    assert _sweep("spl", "50,55,60,65,70", tmp_path / "first.csv") == 0
+    assert _sweep("spl", "50,55,60,65,70", tmp_path / "second.csv") == 0
+    assert len(sizes) == 2
+    assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
+
+
+def test_an_enclosure_is_scored_with_the_baselines_drive(monkeypatch, tmp_path, capsys):
+    sizes = _count_forged_drives(monkeypatch)
+    rc = main(["evaluate-cm", str(SCENARIO_DIR / "acoustic_lpf.yaml"), "--kind", "enclosure",
+               "--extra-loss-db", "12", "--out", str(tmp_path)])
+    assert rc == 0
+    assert len(sizes) == 1
+
+
+# Each line as the CLI printed it when every point drove the transducer
+# at its own port amplitude.
+@pytest.mark.parametrize("axis, values, line", [
+    ("spl", "65,141", "spl=141: SPL must be within [0, 140] dB, got 141.0"),
+    ("spl", "65,-1", "spl=-1: SPL must be within [0, 140] dB, got -1.0"),
+    ("distance", "0.002,-1", "distance=-1: position distance must be > 0, got -1.0"),
+    ("distance", "0.002,1e-320", "distance=9.99989e-321: inlet contains non-finite samples"),
+    ("ti", "15,1", "ti=1: interval 0.001 s must exceed burst duration 0.002 s"),
+    ("td", "2,0.001", "td=0.001: burst duration 0.001 ms is shorter than one period of "
+                      "670 Hz; bursts must hold at least one full cycle"),
+    ("td", "2,20", "td=20: interval 0.015 s must exceed burst duration 0.02 s"),
+    ("tube_length", "1,0.001", "tube_length=0.001: dt=2.083e-05 s too coarse for 19062.2 Hz "
+                               "dynamics; need dt <= 2.623e-06 s"),
+    ("tube_length", "1,-1", "tube_length=-1: tube length must be >= 0, got -1.0"),
+    ("pickup", "0,0.5", "pickup axis takes values 0 or 1"),
+])
+def test_an_invalid_grid_point_is_one_error_line(axis, values, line, tmp_path, capsys):
+    assert _sweep(axis, values, tmp_path / "sweep.csv") == 2
+    assert capsys.readouterr().err == f"nprsim: error: {line}\n"
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_cli_sweep_rejects_unknown_axis(tmp_path):

@@ -1,7 +1,9 @@
 """Checks that need a fresh interpreter: what importing the package loads,
-and the calibration script's verification of the shipped constants."""
+the calibration script's verification of the shipped constants, and the
+output comparison script."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -38,3 +40,27 @@ def test_calibration_script_verifies_the_shipped_constants():
     proc = _run(["scripts/calibrate_defaults.py", "--verify"])
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "verification: PASS" in proc.stdout
+
+
+def _diff_outputs(base_tree, scratch):
+    return _run(["scripts/diff_outputs.py", "--base-tree", str(base_tree), "--workload", "attack",
+                 "--size", "tiny", "--scratch", str(scratch)])
+
+
+def test_diff_outputs_finds_no_difference_between_a_tree_and_itself(tmp_path):
+    proc = _diff_outputs(ROOT, tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "attack: 0 differences over 1 seed(s)"
+
+
+def test_diff_outputs_reports_a_job_whose_stdout_differs(tmp_path):
+    base = tmp_path / "base"
+    shutil.copytree(ROOT / "src" / "nprsim", base / "src" / "nprsim",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = base / "src" / "nprsim" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    cli.write_text(text.replace('"wrote {len(rows)} rows to', '"wrote {len(rows)} row(s) to'),
+                   encoding="utf-8")
+    proc = _diff_outputs(base, tmp_path / "scratch")
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "seed 0: job sweep-0-distance: stdout differs" in proc.stdout.splitlines()

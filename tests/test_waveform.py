@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nprsim import (
@@ -23,8 +23,18 @@ from nprsim import (
     synthesize_attack,
     write_wav,
 )
-from nprsim.sensor import TubeAssembly
-from nprsim.waveform import PSD_RATIO_CAP, _burst_samples, _burst_spans, _true_run_lengths
+from nprsim.acoustics import propagate, spl_to_pressure_amp
+from nprsim.countermeasures import lpf_cascade
+from nprsim.sensor import NO_TUBE, TubeAssembly
+from nprsim.waveform import (
+    ESTIMATE_WARMUP_S,
+    ESTIMATE_WINDOW_S,
+    PSD_RATIO_CAP,
+    SUPPORTED_RATES,
+    _burst_samples,
+    _burst_spans,
+    _true_run_lengths,
+)
 
 
 def _source(spl_db=65.0, distance_m=0.002, f_hz=685.0):
@@ -323,3 +333,107 @@ def test_burst_trains_equal_a_per_burst_construction():
         inlet[start:stop] = _burst_samples(sched, f, stop - start, model.sample_rate_hz, amp)[0]
     assert np.array_equal(trace.p_out_pa,
                           step_response(model, None, inlet, 1.0 / model.sample_rate_hz).p_out_pa)
+
+
+def _burst_spans_by_loop(schedule, frequency_hz, n_samples, sample_rate_hz):
+    """Burst spans one burst at a time: the loop _burst_spans replaces."""
+    cycles = schedule.cycle_sequence(frequency_hz)
+    spans = []
+    k = 0
+    while True:
+        start = int(round(k * schedule.interval_s * sample_rate_hz))
+        c = cycles[k % len(cycles)]
+        length = int(round(c / frequency_hz * sample_rate_hz))
+        if length < 2:
+            raise ScheduleError(
+                f"burst of {c} cycles at {frequency_hz:.0f} Hz spans under 2 samples")
+        if start + length > n_samples:
+            break
+        spans.append((start, start + length))
+        k += 1
+    return spans
+
+
+def _spans_or_error(spans_of, *args):
+    try:
+        return [tuple(span) for span in np.asarray(spans_of(*args)).tolist()]
+    except ScheduleError as exc:
+        return str(exc)
+
+
+@st.composite
+def _span_cases(draw):
+    fs = draw(st.sampled_from(SUPPORTED_RATES))
+    # Past 2/3 fs a cycle rounds to under 2 samples.
+    f = draw(st.floats(50.0, 1.5 * fs))
+    cycles = draw(st.one_of(st.none(), st.integers(1, 4),
+                            st.lists(st.integers(1, 4), min_size=2, max_size=4).map(tuple)))
+    longest = max(cycles) if isinstance(cycles, tuple) else (cycles or 1)
+    duration = longest / f * draw(st.floats(1.0, 2.0))
+    schedule = SegmentSchedule(band_hz=(0.9 * f, 1.1 * f), duration_s=duration,
+                               interval_s=duration * draw(st.floats(1.01, 20.0)), cycles=cycles)
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 20_000))
+    else:
+        # The window ends exactly at the end of burst k.
+        k = draw(st.integers(0, 40))
+        seq = schedule.cycle_sequence(f)
+        n = (int(round(k * schedule.interval_s * fs))
+             + int(round(seq[k % len(seq)] / f * fs)))
+    return schedule, f, n, fs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_span_cases())
+# A 3-cycle burst spans 4 samples and a 1-cycle one under 2: the error
+# comes at burst 1 once burst 0 fits, and not before.
+@example((SegmentSchedule(band_hz=(27e3, 33e3), duration_s=1e-4, interval_s=2e-4,
+                          cycles=(3, 1)), 30e3, 100, 44100))
+@example((SegmentSchedule(band_hz=(27e3, 33e3), duration_s=1e-4, interval_s=2e-4,
+                          cycles=(3, 1)), 30e3, 3, 44100))
+def test_burst_spans_equal_the_burst_loop(case):
+    schedule, f, n, fs = case
+    assert _spans_or_error(_burst_spans, schedule, f, n, fs) == _spans_or_error(
+        _burst_spans_by_loop, schedule, f, n, fs)
+
+
+def _forged_by_direct_drive(schedule, model, tube, source, *, target_f_hz=None,
+                            post_filter=None, extra_loss_db=0.0):
+    """The estimate from one drive of the burst train at the port amplitude,
+    built burst by burst."""
+    f = schedule.target_hz() if target_f_hz is None else target_f_hz
+    amplitude = propagate(source, tube or NO_TUBE, extra_loss_db) * spl_to_pressure_amp(
+        source.spl_db)
+    fs = model.sample_rate_hz
+    t_i = schedule.interval_s
+    k0 = int(math.ceil(ESTIMATE_WARMUP_S / t_i))
+    n_periods = max(1, int(math.floor(ESTIMATE_WINDOW_S / t_i)))
+    start = int(round(k0 * t_i * fs))
+    stop = int(round((k0 + n_periods) * t_i * fs))
+    inlet = np.zeros(stop + 2)
+    for a, b in _burst_spans_by_loop(schedule, f, inlet.size, fs):
+        inlet[a:b] = _burst_samples(schedule, f, b - a, fs, amplitude)[0]
+    p = step_response(model, tube, inlet, 1.0 / fs).p_out_pa
+    if post_filter is not None:
+        p = post_filter(p, fs)
+    return model.reading_gain * float(np.mean(np.abs(p[start:stop])))
+
+
+@settings(max_examples=30, deadline=None)
+@given(spl_db=st.floats(0.0, 140.0), distance_m=st.floats(1e-3, 10.0),
+       loss_db=st.floats(0.0, 120.0), tube_m=st.one_of(st.just(0.0), st.floats(0.5, 3.0)),
+       lpf=st.one_of(st.none(), st.tuples(st.floats(20.0, 2000.0), st.integers(1, 3))),
+       interval_s=st.floats(0.006, 0.06))
+def test_the_unit_response_times_the_port_amplitude_is_the_direct_drive(
+        spl_db, distance_m, loss_db, tube_m, lpf, interval_s):
+    source = _source(spl_db=spl_db, distance_m=distance_m, f_hz=_F_A1011)
+    tube = TubeAssembly(length_m=tube_m) if tube_m > 0.0 else None
+    schedule = SegmentSchedule(band_hz=_SCHED_A1011.band_hz, duration_s=0.002,
+                               interval_s=interval_s)
+    post = None
+    if lpf is not None:
+        def post(series, fs):
+            return lpf_cascade(series, lpf[0], 1.0 / fs, lpf[1])
+    kw = {"target_f_hz": _F_A1011, "post_filter": post, "extra_loss_db": loss_db}
+    assert forged_pressure_estimate(schedule, _A1011, tube, source, **kw) == pytest.approx(
+        _forged_by_direct_drive(schedule, _A1011, tube, source, **kw), rel=1e-12, abs=0.0)
