@@ -424,6 +424,9 @@ def _forged_by_direct_drive(schedule, model, tube, source, *, target_f_hz=None,
        loss_db=st.floats(0.0, 120.0), tube_m=st.one_of(st.just(0.0), st.floats(0.5, 3.0)),
        lpf=st.one_of(st.none(), st.tuples(st.floats(20.0, 2000.0), st.integers(1, 3))),
        interval_s=st.floats(0.006, 0.06))
+# The slowest filter the strategy draws, where the two paths' rounding differs most.
+@example(spl_db=0.0, distance_m=1.0, loss_db=110.0, tube_m=0.0, lpf=(20.0, 3),
+         interval_s=0.03125)
 def test_the_unit_response_times_the_port_amplitude_is_the_direct_drive(
         spl_db, distance_m, loss_db, tube_m, lpf, interval_s):
     source = _source(spl_db=spl_db, distance_m=distance_m, f_hz=_F_A1011)
@@ -431,9 +434,16 @@ def test_the_unit_response_times_the_port_amplitude_is_the_direct_drive(
     schedule = SegmentSchedule(band_hz=_SCHED_A1011.band_hz, duration_s=0.002,
                                interval_s=interval_s)
     post = None
+    rel = 1e-12
     if lpf is not None:
         def post(series, fs):
             return lpf_cascade(series, lpf[0], 1.0 / fs, lpf[1])
+        # The two paths agree only to rounding, and a one-pole section with
+        # coefficient a carries each step's rounding for about 1/a steps:
+        # a 20 Hz third-order cascade at 48 kHz differs by up to 3.6 x
+        # order**2 x eps/a (about 2.7e-12) over the strategy's draws.
+        a = 1.0 - math.exp(-2.0 * math.pi * lpf[0] / _A1011.sample_rate_hz)
+        rel += 16.0 * lpf[1] ** 2 * np.finfo(float).eps / a
     kw = {"target_f_hz": _F_A1011, "post_filter": post, "extra_loss_db": loss_db}
     assert forged_pressure_estimate(schedule, _A1011, tube, source, **kw) == pytest.approx(
-        _forged_by_direct_drive(schedule, _A1011, tube, source, **kw), rel=1e-12, abs=0.0)
+        _forged_by_direct_drive(schedule, _A1011, tube, source, **kw), rel=rel, abs=0.0)
