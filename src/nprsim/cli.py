@@ -326,13 +326,12 @@ def _forged_at(setup, axis: str, value: float, unit_mean) -> float:
     unit_response_mean does."""
     model, tube = setup.model, setup.tube
     source, schedule = setup.source, setup.schedule
-    target = setup.target_f_hz
     if axis == "tube_length":
         tube = replace(tube, length_m=value)
-        target = system_resonant_hz(model, tube)
+        source = replace(source, tone_hz=system_resonant_hz(model, tube))
     elif axis == "tube_diameter":
         tube = replace(tube, inner_diameter_m=value)
-        target = system_resonant_hz(model, tube)
+        source = replace(source, tone_hz=system_resonant_hz(model, tube))
     elif axis == "spl":
         source = replace(source, spl_db=value)
     elif axis == "distance":
@@ -346,7 +345,8 @@ def _forged_at(setup, axis: str, value: float, unit_mean) -> float:
             raise CliError("pickup axis takes values 0 or 1")
         tube = replace(tube, pickup_device=bool(value))
     amplitude = port_amplitude_pa(source, tube)
-    return forged_from_unit(model, amplitude, unit_mean(schedule, model, tube, target_f_hz=target))
+    return forged_from_unit(model, amplitude,
+                            unit_mean(schedule, model, tube, target_f_hz=source.tone_hz))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -19,13 +19,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .acoustics import AcousticSource
-from .plant import (
-    ATTACK_PORT_PLACEMENTS,
-    ATTACK_TARGETS,
-    AttackPlan,
-    NprScenario,
-    simulate_scenario,
-)
+from .plant import NprScenario, simulate_scenario
 from .sensor import NO_TUBE, DpsModel, TubeAssembly, _lfilter, _require_finite_fields, step_response
 from .waveform import (
     SegmentSchedule,
@@ -124,31 +118,21 @@ class Countermeasure:
 
 @dataclass(frozen=True)
 class AcousticAttackSetup:
-    """The deployed attack: source, burst plan, and the chain it reaches.
+    """The deployed attack: the sensor and tube it reaches, the source, and
+    the burst plan.
 
-    target_f_hz is the frequency the attacker tuned the bursts to when the
-    system was characterized.  Countermeasure evaluation keeps it fixed:
-    a defense that moves the resonance is judged against the attack as
-    deployed, not against an attacker who re-characterizes afterwards.
-    When it is None the bursts are tuned to the schedule's band centre.
+    The bursts are tuned to source.tone_hz, the frequency the attacker
+    found when the system was characterized.  Countermeasure evaluation
+    keeps it fixed: a defense that moves the resonance is judged against
+    the attack as deployed, not against an attacker who re-characterizes
+    afterwards.  The port and the chains the attack reaches are the
+    scenario's AttackPlan.
     """
 
     model: DpsModel
     tube: TubeAssembly | None
     source: AcousticSource
     schedule: SegmentSchedule
-    placement: str = "high_port"
-    affects: str = "both"
-    target_f_hz: float | None = None
-
-    def __post_init__(self) -> None:
-        _require_finite_fields(self)
-        if self.placement not in ATTACK_PORT_PLACEMENTS:
-            raise ValueError(f"placement must be one of {ATTACK_PORT_PLACEMENTS}")
-        if self.affects not in ATTACK_TARGETS:
-            raise ValueError(f"affects must be one of {ATTACK_TARGETS}")
-        if self.target_f_hz is not None and self.target_f_hz <= 0.0:
-            raise ValueError(f"target frequency must be > 0, got {self.target_f_hz}")
 
 
 @dataclass(frozen=True)
@@ -262,35 +246,30 @@ def evaluate_countermeasure(
     scenario: NprScenario,
     cm: Countermeasure,
     attack: AcousticAttackSetup | None = None,
-    horizon_s: float | None = None,
 ) -> CountermeasureReport:
     """Score one defense against one deployed attack.
 
     The forged reading is recomputed through the defended chain, the
-    closed loop is rerun with that residual injected at the attack's
-    port, and the report states whether the room still crosses into
-    positive pressure plus what the defense costs in settle time on a
-    1 Pa legitimate step.
+    closed loop is rerun with that residual injected at the port and
+    into the chains of the scenario's AttackPlan, and the report states
+    whether the room still crosses into positive pressure plus what the
+    defense costs in settle time on a 1 Pa legitimate step.
 
     When attack is None the scenario's wired-in forged magnitude is used
     directly; only raised_setpoint can be evaluated that way, since the
     other defenses act on the acoustic path itself.
     """
+    if attack is None and cm.kind != "raised_setpoint":
+        raise ValueError(f"{cm.kind} evaluation needs the acoustic attack setup")
+    if scenario.wiring.attack.placement == "none":
+        raise ValueError("scenario carries no attack to defend against")
     if attack is None:
-        if cm.kind != "raised_setpoint":
-            raise ValueError(f"{cm.kind} evaluation needs the acoustic attack setup")
         baseline = scenario.wiring.attack.forged_pa
-        placement = scenario.wiring.attack.placement
-        affects = scenario.wiring.attack.affects
-        if placement == "none":
-            raise ValueError("scenario carries no attack to defend against")
     else:
         amplitude = port_amplitude_pa(attack.source, attack.tube)
         unit_mean = unit_response_mean(attack.schedule, attack.model, attack.tube,
-                                       target_f_hz=attack.target_f_hz)
+                                       target_f_hz=attack.source.tone_hz)
         baseline = forged_from_unit(attack.model, amplitude, unit_mean)
-        placement = attack.placement
-        affects = attack.affects
 
     residual = baseline
     run_scenario = scenario
@@ -304,10 +283,7 @@ def evaluate_countermeasure(
         penalty_s = measurement_settle_time_s(attack.model, new_tube) - measurement_settle_time_s(
             attack.model, attack.tube
         )
-        residual = forged_pressure_estimate(
-            attack.schedule, attack.model, new_tube, attack.source,
-            target_f_hz=attack.target_f_hz,
-        )
+        residual = forged_pressure_estimate(attack.schedule, attack.model, new_tube, attack.source)
     elif cm.kind == "enclosure":
         lag = enclosure_lag_s(cm.extra_loss_db)
         penalty_s = measurement_settle_time_s(
@@ -326,8 +302,7 @@ def evaluate_countermeasure(
             return lpf_cascade(series, cm.cutoff_hz, 1.0 / fs, cm.order)
 
         residual = forged_pressure_estimate(
-            attack.schedule, attack.model, attack.tube, attack.source,
-            target_f_hz=attack.target_f_hz, post_filter=post,
+            attack.schedule, attack.model, attack.tube, attack.source, post_filter=post,
         )
     elif cm.kind == "raised_setpoint":
         rooms = tuple(
@@ -336,9 +311,9 @@ def evaluate_countermeasure(
         )
         run_scenario = replace(scenario, rooms=rooms)
 
-    plan = AttackPlan(placement=placement, forged_pa=residual, affects=affects)
+    plan = replace(scenario.wiring.attack, forged_pa=residual)
     run_scenario = replace(run_scenario, wiring=replace(run_scenario.wiring, attack=plan))
-    trace = simulate_scenario(run_scenario, horizon_s)
+    trace = simulate_scenario(run_scenario)
     success = bool(np.any(trace.steady_true_pd_pa() > 0.0))
     return CountermeasureReport(
         kind=cm.kind,

@@ -34,8 +34,7 @@ MAX_ROOM_PERIODS = 10_000_000
 STEADY_SLOPE_PA_PER_S = 1e-3
 STEADY_HOLD_S = 5.0
 
-ATTACK_PORT_PLACEMENTS = ("low_port", "high_port", "common_high_port")
-ATTACK_PLACEMENTS = ("none", *ATTACK_PORT_PLACEMENTS)
+ATTACK_PLACEMENTS = ("none", "low_port", "high_port", "common_high_port")
 ATTACK_TARGETS = ("hvac", "rpm", "both")
 
 
@@ -348,8 +347,9 @@ def _period_map(room: RoomConfig, period_s: float) -> np.ndarray:
     return np.linalg.matrix_power(step, SUBSTEPS_PER_PERIOD)[:3]
 
 
-def simulate_scenario(scenario: NprScenario, horizon_s: float | None = None) -> SimulationTrace:
-    """Run the closed loop and return its per-period trace.
+def simulate_scenario(scenario: NprScenario) -> SimulationTrace:
+    """Run the closed loop over the scenario's horizon and return its
+    per-period trace.
 
     Between controller wakeups each room is linear in five values: its
     differential to the hallway, its two fan speeds and its two fan
@@ -360,18 +360,26 @@ def simulate_scenario(scenario: NprScenario, horizon_s: float | None = None) -> 
     its reading at once (controller_step on arrays), then one product
     advances every room to the next wakeup.
 
+    The five values are stepped as deviations from the room's balance
+    point: the setpoint, with the balanced fan speeds as both speeds and
+    commands.  The period map is linear and holds that point, so a zero
+    deviation maps to exactly zero, and a quiet room holds its setpoint
+    to the bit; stepping absolute values would let rounding drift it.
+    The controller reads balance + deviation, and balance is subtracted
+    from the commands it returns.  Recorded rows are balance + deviation.
+
     The period map does not change with time, so once a period leaves
-    the whole state (differentials, speeds and commands of every room)
-    bit for bit as it found it, every later period would too.  The loop
-    then stops and copies that row to the end of the horizon; the trace
-    is the one stepping every period would give.  The bytes are
+    the whole deviation (differentials, speeds and commands of every
+    room) bit for bit as it found it, every later period would too.  The
+    loop then stops and copies that row to the end of the horizon; the
+    trace is the one stepping every period would give.  The bytes are
     compared, not the values, so 0.0 and -0.0 count as different.
 
     Convergence means the pressure slope stayed under
     STEADY_SLOPE_PA_PER_S for STEADY_HOLD_S; a run that never gets there
     is returned with converged False rather than raised.
     """
-    horizon = scenario.horizon_s if horizon_s is None else horizon_s
+    horizon = scenario.horizon_s
     period = scenario.control_period_s
     rooms = scenario.rooms
     n_rooms = len(rooms)
@@ -383,14 +391,14 @@ def simulate_scenario(scenario: NprScenario, horizon_s: float | None = None) -> 
     hall = scenario.hallway_pa
 
     # Per room: x = p - hallway, supply, exhaust, supply_cmd, exhaust_cmd.
-    state = np.empty((n_rooms, 5))
+    balance = np.empty((n_rooms, 5))
+    deviation = np.zeros((n_rooms, 5))
     for i, room in enumerate(rooms):
-        state[i, 1:3] = balanced_fans(room)
-        if room.initial_pressure_pa is None:
-            state[i, 0] = room.controller.setpoint_pa
-        else:
-            state[i, 0] = room.initial_pressure_pa - hall
-    state[:, 3:] = state[:, 1:3]
+        balance[i, 0] = room.controller.setpoint_pa
+        balance[i, 1:3] = balanced_fans(room)
+        if room.initial_pressure_pa is not None:
+            deviation[i, 0] = room.initial_pressure_pa - hall - balance[i, 0]
+    balance[:, 3:] = balance[:, 1:3]
     period_maps = np.stack([_period_map(room, period) for room in rooms])
     gains = SimpleNamespace(**{
         name: np.array([getattr(room.controller, name) for room in rooms])
@@ -409,15 +417,18 @@ def simulate_scenario(scenario: NprScenario, horizon_s: float | None = None) -> 
     else:
         rpm_low, rpm_high = hvac_low, hvac_high
     for k in range(n_rows):
+        state = balance + deviation
         rows[:, k] = state[:, :3].T
         meas_hvac[k] = state[:, 0] + hvac_low - hvac_high
         if k == n_periods:
             break
-        before = state.tobytes()
-        state[:, 3], state[:, 4] = controller_step(gains, meas_hvac[k], state[:, 3], state[:, 4])
-        state[:, :3] = np.einsum("rij,rj->ri", period_maps, state)
-        if state.tobytes() == before:
-            # A fixed point: every later period maps this state to itself.
+        before = deviation.tobytes()
+        supply_cmd, exhaust_cmd = controller_step(gains, meas_hvac[k], state[:, 3], state[:, 4])
+        deviation[:, 3] = supply_cmd - balance[:, 3]
+        deviation[:, 4] = exhaust_cmd - balance[:, 4]
+        deviation[:, :3] = np.einsum("rij,rj->ri", period_maps, deviation)
+        if deviation.tobytes() == before:
+            # A fixed point: every later period maps this deviation to itself.
             rows[:, k + 1:] = rows[:, k:k + 1]
             meas_hvac[k + 1:] = meas_hvac[k]
             break

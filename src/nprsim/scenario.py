@@ -25,6 +25,7 @@ import yaml
 from .acoustics import AcousticSource
 from .countermeasures import AcousticAttackSetup, Countermeasure
 from .plant import (
+    ATTACK_PLACEMENTS,
     AlarmConfig,
     AttackPlan,
     ControllerConfig,
@@ -245,7 +246,6 @@ class LoadedScenario:
             self.attack_setup.model,
             self.attack_setup.tube,
             self.attack_setup.source,
-            target_f_hz=self.attack_setup.target_f_hz,
         )
         plan = replace(self.scenario.wiring.attack, forged_pa=forged)
         return replace(self.scenario, wiring=replace(self.scenario.wiring, attack=plan))
@@ -331,17 +331,15 @@ def _build_attack(top: _Map, hvac: DpsBinding | None,
     if not attack.ok or not acoustic or hvac is None:
         return plan, None
 
-    # The source emits the band centre, or the tone target_f_hz pins once
-    # the setup has accepted it.
+    # The source emits the band centre, or the tone target_f_hz pins; a
+    # tone the source rejects is reported on the attack's line.
     source = source_map.construct(AcousticSource, **source_values, tone_hz=schedule.target_hz())
-    setup = attack.construct(
-        AcousticAttackSetup, model=hvac.model, tube=hvac.tube, source=source,
-        schedule=schedule, placement=plan.placement, affects=plan.affects,
-        target_f_hz=target_f,
-    )
-    if setup is not None and target_f is not None:
-        setup = replace(setup, source=replace(source, tone_hz=target_f))
-    return plan, setup
+    if attack.ok and plan.placement == "none":
+        attack.error(None, f"placement must be one of {ATTACK_PLACEMENTS[1:]}")
+    if target_f is not None:
+        source = attack.construct(replace, source, tone_hz=target_f)
+    return plan, attack.construct(AcousticAttackSetup, model=hvac.model, tube=hvac.tube,
+                                  source=source, schedule=schedule)
 
 
 def parse_scenario(text: str, source_path: Path | None = None) -> LoadedScenario:

@@ -106,13 +106,14 @@ def _require_finite_fields(obj) -> None:
 class TubeAssembly:
     """Sampling tube between the monitored space and the sensor port.
 
-    length_m of zero means the sensor port is bare (no tube).
+    length_m of zero means the sensor port is bare (no tube).  Sound
+    travels the tube at SOUND_SPEED_MPS, the speed EFFECTIVE_VOLUME_M3 is
+    calibrated at.
     """
 
     length_m: float
     inner_diameter_m: float = REFERENCE_TUBE_ID_M
     pickup_device: bool = False
-    sound_speed_mps: float = SOUND_SPEED_MPS
 
     def __post_init__(self) -> None:
         _require_finite_fields(self)
@@ -120,8 +121,13 @@ class TubeAssembly:
             raise ValueError(f"tube length must be >= 0, got {self.length_m}")
         if self.inner_diameter_m <= 0.0:
             raise ValueError(f"tube inner diameter must be > 0, got {self.inner_diameter_m}")
-        if self.sound_speed_mps <= 0.0:
-            raise ValueError(f"sound speed must be > 0, got {self.sound_speed_mps}")
+        try:
+            area = self.cross_section_m2
+        except OverflowError:
+            area = math.inf
+        if not 0.0 < area < math.inf:
+            raise ValueError(f"tube inner diameter of {self.inner_diameter_m:g} m gives a "
+                             "cross-section that is not a positive finite area")
 
     @property
     def cross_section_m2(self) -> float:
@@ -263,7 +269,7 @@ def helmholtz_resonant_hz(model: DpsModel, tube: TubeAssembly) -> float:
         * model.diaphragm_stiffness_n_m
         / (tube.length_m * model.internal_volume_m3 * model.moving_mass_kg)
     )
-    return tube.sound_speed_mps * math.sqrt(ratio) / (2.0 * math.pi)
+    return SOUND_SPEED_MPS * math.sqrt(ratio) / (2.0 * math.pi)
 
 
 def system_resonant_hz(model: DpsModel, tube: TubeAssembly | None) -> float:
@@ -442,17 +448,16 @@ def frequency_sweep(
     lo_hz: float,
     hi_hz: float,
     step_hz: float,
-    amplitude_pa: float = 1.0,
 ) -> SweepResult:
     """Score the sensor's steady response to single tones over a frequency grid.
 
     Each grid tone is scored by the amplitude its output settles to under
     the same RK4 recurrence that :func:`step_response` integrates, at a
     step dt = 1/(25 max(hi_hz, f_sys)).  With z = exp(j 2 pi f dt) that
-    amplitude is |e1' (zI - A)^-1 (c0 + cm z^(1/2) + c1 z)| times
-    amplitude_pa, which a time-domain tone run approaches once its
-    transient has decayed; no state is shared between tones, so the result
-    does not depend on sweep direction.
+    amplitude is |e1' (zI - A)^-1 (c0 + cm z^(1/2) + c1 z)| per pascal of
+    tone, which a time-domain tone run approaches once its transient has
+    decayed; no state is shared between tones, so the result does not
+    depend on sweep direction.
 
     A resonance is reported when a clear interior peak stands out from the
     rest of the curve.  Raises NoResonanceError when the response is flat
@@ -482,7 +487,7 @@ def frequency_sweep(
     b_p = c0[0] + cm[0] * half + c1[0] * z
     b_v = c0[1] + cm[1] * half + c1[1] * z
     gain = ((z - a22) * b_p + a12 * b_v) / (z * z - (a11 + a22) * z + (a11 * a22 - a12 * a21))
-    peak = amplitude_pa * np.abs(gain)
+    peak = np.abs(gain)
 
     i_max = int(np.argmax(peak))
     floor = float(np.percentile(peak, 25.0))
@@ -511,17 +516,13 @@ _ARCHETYPE_ENV = "NPRSIM_ARCHETYPES"
 _ARCHETYPE_CACHE: dict[str, dict[str, DpsModel]] = {}
 
 
-def load_archetypes(path: str | Path | None = None) -> dict[str, DpsModel]:
+def load_archetypes() -> dict[str, DpsModel]:
     """Load the bundled (or user-supplied) sensor archetype table.
 
-    Resolution order: explicit path argument, NPRSIM_ARCHETYPES environment
-    variable, then the packaged data file.  Returns {part_id: DpsModel}.
+    The table is the file the NPRSIM_ARCHETYPES environment variable
+    names, or else the packaged data file.  Returns {part_id: DpsModel}.
     """
-    if path is None:
-        path = os.environ.get(_ARCHETYPE_ENV)
-    if path is None:
-        path = Path(__file__).parent / "data" / "archetypes.yaml"
-    path = Path(path)
+    path = Path(os.environ.get(_ARCHETYPE_ENV, Path(__file__).parent / "data" / "archetypes.yaml"))
     key = str(path.resolve())
     if key in _ARCHETYPE_CACHE:
         return _ARCHETYPE_CACHE[key]

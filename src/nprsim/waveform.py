@@ -290,7 +290,7 @@ def synthesize_attack(
         out = suppress_band(carrier, schedule.band_hz).samples
     else:
         out = carrier.samples.copy()
-    _lay_bursts(out, schedule, f, fs, amplitude, blend=True)
+    _lay_bursts(out, schedule, f, fs, amplitude)
     worst = _peak(out)
     if worst > 1.0 + 1e-9:
         raise ClippingError(
@@ -306,20 +306,18 @@ def _lay_bursts(
     frequency_hz: float,
     sample_rate_hz: int,
     amplitude: float,
-    *,
-    blend: bool,
 ) -> np.ndarray:
     """Write the burst train into out in place and return its spans.
 
-    Each burst replaces out over its span; with blend, the carrier already
-    in out is crossfaded out over the burst's onset ramp instead.  A burst
-    depends only on its length, so one is built per distinct length.
+    Each burst replaces out over its span, the signal already in out
+    crossfaded out over the burst's onset ramp.  A burst depends only on
+    its length, so one is built per distinct length.
     """
     spans = _burst_spans(schedule, frequency_hz, out.size, sample_rate_hz)
     for windows, starts in _burst_windows(out, spans):
         burst, weight = _burst_samples(schedule, frequency_hz, windows.shape[1],
                                        sample_rate_hz, amplitude)
-        windows[starts] = burst + (1.0 - weight) * windows[starts] if blend else burst
+        windows[starts] = burst + (1.0 - weight) * windows[starts]
     return spans
 
 
@@ -423,12 +421,12 @@ def port_amplitude_pa(source, tube, extra_loss_db: float = 0.0) -> float:
     return propagate(source, tube or NO_TUBE, extra_loss_db) * spl_to_pressure_amp(source.spl_db)
 
 
-def _drive_bursts(schedule, model, tube, frequency_hz, amplitude, n_samples, post_filter):
+def _drive_bursts(schedule, model, tube, frequency_hz, amplitude, n_samples, post_filter=None):
     """Transducer response to n_samples of the burst train at amplitude Pa,
     through post_filter when one is given; returns (trace, spans)."""
     fs = model.sample_rate_hz
     inlet = np.zeros(n_samples)
-    spans = _lay_bursts(inlet, schedule, frequency_hz, fs, amplitude, blend=False)
+    spans = _lay_bursts(inlet, schedule, frequency_hz, fs, amplitude)
     if not spans.size:
         raise ScheduleError("trace window too short to hold a single burst")
     trace = step_response(model, tube, inlet, 1.0 / fs)
@@ -445,25 +443,22 @@ def attack_response_trace(
     *,
     target_f_hz: float | None = None,
     duration_s: float = 2.5,
-    post_filter: Callable[[np.ndarray, int], np.ndarray] | None = None,
-    extra_loss_db: float = 0.0,
 ):
     """Transducer response to the scheduled burst train arriving at the port.
 
     Synthesizes the burst train in pascals (amplitude = path attenuation
-    times the source amplitude), integrates the transducer, and optionally
-    runs the output through a post-sensor filter.  extra_loss_db models any
-    added barrier in the path, like a damped enclosure.  The suppressed
-    carrier is omitted: by design it carries no resonant-band energy, and
-    its off-band residue has no noticeable effect on the forged pressure.
+    times the source amplitude), tuned to target_f_hz or, by default, to
+    source.tone_hz, and integrates the transducer.  The suppressed carrier
+    is omitted: by design it carries no resonant-band energy, and its
+    off-band residue has no noticeable effect on the forged pressure.
 
     Returns (trace, spans, port_amplitude_pa), spans holding one
     (start, stop) sample row per burst.
     """
-    f = schedule.target_hz() if target_f_hz is None else float(target_f_hz)
-    amplitude = port_amplitude_pa(source, tube, extra_loss_db)
+    f = source.tone_hz if target_f_hz is None else float(target_f_hz)
+    amplitude = port_amplitude_pa(source, tube)
     n = int(round(duration_s * model.sample_rate_hz))
-    trace, spans = _drive_bursts(schedule, model, tube, f, amplitude, n, post_filter)
+    trace, spans = _drive_bursts(schedule, model, tube, f, amplitude, n)
     return trace, spans, amplitude
 
 
@@ -472,16 +467,17 @@ def unit_response_mean(
     model,
     tube,
     *,
-    target_f_hz: float | None = None,
+    target_f_hz: float,
     post_filter: Callable[[np.ndarray, int], np.ndarray] | None = None,
 ) -> float:
-    """Mean rectified transducer output, Pa, for bursts of 1 Pa at the port.
+    """Mean rectified transducer output, Pa, for bursts of 1 Pa at the
+    port, tuned to target_f_hz.
 
     The mean runs over the whole burst intervals that fit in
     ESTIMATE_WINDOW_S after ESTIMATE_WARMUP_S of warm-up.  The chain is
     linear, so bursts of amplitude A give A times this mean.
     """
-    f = schedule.target_hz() if target_f_hz is None else float(target_f_hz)
+    f = float(target_f_hz)
     t_i = schedule.interval_s
     k0 = int(math.ceil(ESTIMATE_WARMUP_S / t_i))
     n_periods = max(1, int(math.floor(ESTIMATE_WINDOW_S / t_i)))
@@ -516,30 +512,30 @@ def forged_pressure_estimate(
 ) -> float:
     """Steady displayed pressure offset produced by the burst train, Pa.
 
-    Time-averaged rectified transducer output over the whole burst
-    intervals that fit in ESTIMATE_WINDOW_S after ESTIMATE_WARMUP_S of
-    warm-up, scaled by the model's reading gain: the port amplitude times
-    :func:`unit_response_mean`.  Grows toward a plateau as bursts pack
-    closer (smaller interval) and falls off roughly as 1/interval as they
-    spread out, reaching zero in the limit of a lone burst.
+    The bursts are tuned to target_f_hz or, by default, to
+    source.tone_hz.  Time-averaged rectified transducer output over the
+    whole burst intervals that fit in ESTIMATE_WINDOW_S after
+    ESTIMATE_WARMUP_S of warm-up, scaled by the model's reading gain: the
+    port amplitude times :func:`unit_response_mean`.  Grows toward a
+    plateau as bursts pack closer (smaller interval) and falls off
+    roughly as 1/interval as they spread out, reaching zero in the limit
+    of a lone burst.
     """
     amplitude = port_amplitude_pa(source, tube, extra_loss_db)
+    f = source.tone_hz if target_f_hz is None else target_f_hz
     return forged_from_unit(model, amplitude, unit_response_mean(
-        schedule, model, tube, target_f_hz=target_f_hz, post_filter=post_filter))
+        schedule, model, tube, target_f_hz=f, post_filter=post_filter))
 
 
-def calibration_carrier(
-    duration_s: float = 5.0,
-    sample_rate_hz: int = 48000,
-    seed: int = 7,
-) -> AudioBuffer:
-    """Deterministic music-like carrier for spectral checks.
+def calibration_carrier(duration_s: float = 5.0) -> AudioBuffer:
+    """Deterministic music-like carrier for spectral checks, at 48 kHz.
 
-    A stationary chord of steady tones plus low-passed noise.  Stationarity
-    keeps windowed band-power estimates stable, which matters for the
-    null-case behavior of :func:`psd_ratio`.
+    A stationary chord of steady tones plus low-passed noise drawn from a
+    fixed seed.  Stationarity keeps windowed band-power estimates stable,
+    which matters for the null-case behavior of :func:`psd_ratio`.
     """
-    rng = np.random.default_rng(seed)
+    sample_rate_hz = 48000
+    rng = np.random.default_rng(7)
     n = int(round(duration_s * sample_rate_hz))
     t = np.arange(n) / sample_rate_hz
     tones = [

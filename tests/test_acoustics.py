@@ -107,6 +107,12 @@ def test_source_rejects_non_finite_fields(field, value):
         AcousticSource(**kw)
 
 
+@pytest.mark.parametrize("tone_hz", [-5.0, 0.0])
+def test_source_rejects_a_tone_it_cannot_emit(tone_hz):
+    with pytest.raises(ValueError, match=f"^tone frequency must be > 0, got {tone_hz}$"):
+        _tone(f_hz=tone_hz)
+
+
 def test_source_rejects_bad_geometry():
     with pytest.raises(ValueError):
         AcousticSource(spl_db=65.0, ref_distance_m=0.0,

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nprsim import (
@@ -355,9 +355,9 @@ def test_simulation_rejects_a_horizon_past_the_room_period_ceiling():
     scenario = _scenario(rooms=[_room(control_period_s=1e-10)])
     for horizon in (1.0e308, 1.0e6):
         with pytest.raises(ValueError, match="at most 10000000 control periods"):
-            simulate_scenario(scenario, horizon_s=horizon)
+            simulate_scenario(replace(scenario, horizon_s=horizon))
     with pytest.raises(ValueError, match="at least 10 control periods"):
-        simulate_scenario(_scenario(), horizon_s=5.0)
+        simulate_scenario(replace(_scenario(), horizon_s=5.0))
 
 
 @st.composite
@@ -388,6 +388,11 @@ def _balanced_rooms(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_balanced_rooms(), st.floats(-1e4, 1e4))
+@example(RoomConfig(controller=ControllerConfig(setpoint_pa=-20000.0, gain=1.0,
+                                                control_period_s=0.25, deadband_pa=1.0),
+                    volume_m3=447.1875, leak_coeff_m3ps_per_pa=0.0001,
+                    fans=FanSpec(max_flow_m3ps=2.0, time_constant_s=1.0)),
+         0.0)
 def test_zero_attack_run_holds_its_setpoint(room, hallway_pa):
     """With no attack, the balanced fans hold the setpoint for the whole run.
 
@@ -544,8 +549,13 @@ def test_per_period_map_matches_the_substep_loop(scenario):
     with 90% of it, so the event lists are compared only when no deviation
     lies within the traces' tolerance of either.
     """
-    fast = simulate_scenario(scenario)
-    slow = _simulate_by_substep(scenario)
+    _assert_close_trace(simulate_scenario(scenario), _simulate_by_substep(scenario), scenario)
+
+
+def _assert_close_trace(fast: SimulationTrace, slow: SimulationTrace,
+                        scenario: NprScenario) -> None:
+    """fast agrees with slow within 1e-9 Pa and 1e-12 of fan speed, and in
+    every alarm flag and the converged flag that rounding cannot flip."""
     assert np.array_equal(fast.times_s, slow.times_s)
     for name in ("true_pd_pa", "measured_hvac_pa", "measured_rpm_pa"):
         assert np.max(np.abs(getattr(fast, name) - getattr(slow, name))) <= 1e-9, name
@@ -614,10 +624,16 @@ def test_unsaturated_loop_parks_its_true_differential_at_the_offset_setpoint(sce
         assert abs(trace.true_pd_pa[-1, j] - target) <= cfg.deadband_pa + 1e-6
 
 
-def _simulate_every_period(scenario: NprScenario) -> SimulationTrace:
-    """simulate_scenario as it ran before it stopped at a fixed point: the
-    same controller_step and einsum on the same state, once for every
-    period of the horizon.  The exact reference for the early stop."""
+def _simulate_every_period(scenario: NprScenario, absolute: bool = False) -> SimulationTrace:
+    """simulate_scenario without its stop at a fixed point: the same
+    controller_step and einsum on the same deviations from the balance
+    point, once for every period of the horizon.  The exact reference for
+    the early stop.
+
+    With absolute, the origin of the deviations is zero instead, so the
+    loop steps absolute values as the plant did before it stepped
+    deviations; that agrees with the plant only to rounding.
+    """
     period = scenario.control_period_s
     rooms = scenario.rooms
     n_rooms = len(rooms)
@@ -625,14 +641,19 @@ def _simulate_every_period(scenario: NprScenario) -> SimulationTrace:
     attack = scenario.wiring.attack
     hall = scenario.hallway_pa
 
-    state = np.empty((n_rooms, 5))
+    start = np.empty((n_rooms, 5))
     for i, room in enumerate(rooms):
-        state[i, 1:3] = balanced_fans(room)
+        start[i, 1:3] = balanced_fans(room)
         if room.initial_pressure_pa is None:
-            state[i, 0] = room.controller.setpoint_pa
+            start[i, 0] = room.controller.setpoint_pa
         else:
-            state[i, 0] = room.initial_pressure_pa - hall
-    state[:, 3:] = state[:, 1:3]
+            start[i, 0] = room.initial_pressure_pa - hall
+    start[:, 3:] = start[:, 1:3]
+    balance = start.copy()
+    balance[:, 0] = [room.controller.setpoint_pa for room in rooms]
+    if absolute:
+        balance[:] = 0.0
+    deviation = start - balance
     period_maps = np.stack([_period_map(room, period) for room in rooms])
     gains = SimpleNamespace(**{
         name: np.array([getattr(room.controller, name) for room in rooms])
@@ -649,12 +670,14 @@ def _simulate_every_period(scenario: NprScenario) -> SimulationTrace:
     else:
         rpm_low, rpm_high = hvac_low, hvac_high
     for k in range(n_rows):
+        state = balance + deviation
         rows[:, k] = state[:, :3].T
         meas_hvac[k] = state[:, 0] + hvac_low - hvac_high
         if k == n_periods:
             break
-        state[:, 3], state[:, 4] = controller_step(gains, meas_hvac[k], state[:, 3], state[:, 4])
-        state[:, :3] = np.einsum("rij,rj->ri", period_maps, state)
+        supply_cmd, exhaust_cmd = controller_step(gains, meas_hvac[k], state[:, 3], state[:, 4])
+        deviation[:, 3:] = np.column_stack([supply_cmd, exhaust_cmd]) - balance[:, 3:]
+        deviation[:, :3] = np.einsum("rij,rj->ri", period_maps, deviation)
     true_pd, sup_trace, exh_trace = rows
     meas_rpm = true_pd + rpm_low - rpm_high
 
@@ -725,6 +748,16 @@ def _fixed_point_scenarios(draw):
 @given(_fixed_point_scenarios())
 def test_stopping_at_the_fixed_point_gives_the_every_period_trace(scenario):
     _assert_same_trace(simulate_scenario(scenario), _simulate_every_period(scenario))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fixed_point_scenarios())
+def test_deviations_from_the_balance_point_match_the_absolute_loop(scenario):
+    """Stepping deviations changes the trace only by rounding: it agrees
+    with the every-period loop on absolute values as closely as the
+    per-period map agrees with the substep loop."""
+    _assert_close_trace(simulate_scenario(scenario),
+                        _simulate_every_period(scenario, absolute=True), scenario)
 
 
 def test_baseline_scenario_steps_at_most_ten_of_its_periods(monkeypatch):

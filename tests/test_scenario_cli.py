@@ -244,6 +244,23 @@ def test_cli_characterize_rejects_an_oversized_grid(capsys):
     assert "tones" in captured.err
 
 
+_AREA = "gives a cross-section that is not a positive finite area"
+
+
+@pytest.mark.parametrize("diameter, message", [
+    ("1e200", f"tube inner diameter of 1e+200 m {_AREA}"),
+    ("1e-300", f"tube inner diameter of 1e-300 m {_AREA}"),
+], ids=["overflows", "underflows"])
+def test_cli_characterize_rejects_a_tube_whose_cross_section_is_0_or_overflows(
+        diameter, message, capsys):
+    rc = main(["characterize", "--archetype", "A1011-00", "--tube-length", "1",
+               "--tube-diameter", diameter])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"nprsim: error: {message}\n"
+
+
 def test_short_horizon_is_rejected_with_its_line(tmp_path, capsys):
     messages = _parse_errors("horizon_s: 5\n" + MINIMAL)
     assert messages == ["line 1: scenario.horizon_s: must cover at least 10 control periods of 1 s"]
@@ -444,7 +461,7 @@ _LPF = (SCENARIO_DIR / "acoustic_lpf.yaml").read_text(encoding="utf-8")
     (_LPF.replace("placement: high_port", "placement: sideways"), "attack:", "attack",
      "unknown placement 'sideways'"),
     (_LPF.replace("affects: both", "affects: both\n  target_f_hz: -5"), "attack:", "attack",
-     "target frequency must be > 0, got -5.0"),
+     "tone frequency must be > 0, got -5.0"),
     (_LPF.replace("spl_db: 65.0", "spl_db: 141"), "  source:", "attack.source",
      "SPL must be within [0, 140] dB, got 141.0"),
     (_LPF.replace("band_hz: [540, 670]", "band_hz: [670, 540]"), "  schedule:", "attack.schedule",
@@ -466,6 +483,22 @@ def test_a_value_its_dataclass_rejects_is_one_error_on_its_sections_line(
     assert rc == 2
     assert captured.err == f"nprsim: {expected}\n"
     assert not (tmp_path / "out").exists()
+
+
+_PLACEMENT = "placement must be one of ('low_port', 'high_port', 'common_high_port')"
+
+
+@pytest.mark.parametrize("text", [
+    _LPF.replace("  placement: high_port\n", ""),
+    _LPF.replace("placement: high_port", "placement: none"),
+], ids=["absent", "none"])
+def test_an_acoustic_attack_needs_a_port_to_aim_at(text, tmp_path, capsys):
+    expected = f"line 14: scenario.attack: {_PLACEMENT}"
+    assert _parse_errors(text) == [expected]
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["evaluate-cm", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"nprsim: {expected}\n"
 
 
 def test_one_controller_is_checked_once_for_every_room():
@@ -742,6 +775,9 @@ def test_an_enclosure_is_scored_with_the_baselines_drive(monkeypatch, tmp_path, 
                                "dynamics; need dt <= 2.623e-06 s"),
     ("tube_length", "1,-1", "tube_length=-1: tube length must be >= 0, got -1.0"),
     ("pickup", "0,0.5", "pickup axis takes values 0 or 1"),
+    # A cross-section past a float's range is refused as the tube is built.
+    ("tube_diameter", "1e200", f"tube_diameter=1e+200: tube inner diameter of 1e+200 m {_AREA}"),
+    ("tube_diameter", "1e-300", f"tube_diameter=1e-300: tube inner diameter of 1e-300 m {_AREA}"),
 ])
 def test_an_invalid_grid_point_is_one_error_line(axis, values, line, tmp_path, capsys):
     assert _sweep(axis, values, tmp_path / "sweep.csv") == 2

@@ -22,7 +22,7 @@ from nprsim import (
     step_response_fn,
     system_resonant_hz,
 )
-from nprsim.sensor import MIN_SAMPLES_PER_PERIOD
+from nprsim.sensor import MIN_SAMPLES_PER_PERIOD, SOUND_SPEED_MPS
 
 
 def test_natural_resonance_matches_stiffness_mass_arithmetic():
@@ -36,7 +36,7 @@ def test_helmholtz_golden_value_one_meter_tube():
     model = archetype("A1011-00")
     tube = TubeAssembly(length_m=1.0)
     area = math.pi * tube.inner_diameter_m**2 / 4.0
-    expected = (tube.sound_speed_mps / (2.0 * math.pi)) * math.sqrt(
+    expected = (SOUND_SPEED_MPS / (2.0 * math.pi)) * math.sqrt(
         area * model.diaphragm_stiffness_n_m
         / (tube.length_m * model.internal_volume_m3 * model.moving_mass_kg)
     )
@@ -202,7 +202,7 @@ def test_non_finite_fields_are_rejected_at_construction():
         with pytest.raises(ValueError, match="finite"):
             TubeAssembly(length_m=bad)
         with pytest.raises(ValueError, match="finite"):
-            TubeAssembly(length_m=1.0, sound_speed_mps=bad)
+            TubeAssembly(length_m=1.0, inner_diameter_m=bad)
         with pytest.raises(ValueError, match="finite"):
             model.with_damping(bad)
         with pytest.raises(ValueError, match="finite"):

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # Import the package and run a forged_pa-only scenario, then report which
@@ -42,25 +44,33 @@ def test_calibration_script_verifies_the_shipped_constants():
     assert "verification: PASS" in proc.stdout
 
 
-def _diff_outputs(base_tree, scratch):
-    return _run(["scripts/diff_outputs.py", "--base-tree", str(base_tree), "--workload", "attack",
-                 "--size", "tiny", "--scratch", str(scratch)])
-
-
-def test_diff_outputs_finds_no_difference_between_a_tree_and_itself(tmp_path):
-    proc = _diff_outputs(ROOT, tmp_path)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines()[-1] == "attack: 0 differences over 1 seed(s)"
-
-
-def test_diff_outputs_reports_a_job_whose_stdout_differs(tmp_path):
-    base = tmp_path / "base"
+@pytest.fixture(scope="module")
+def reworded_sweep_diff(tmp_path_factory):
+    """diff_outputs.py run once, on the tiny attack workload, against a
+    copy of this tree whose sweep prints "row(s)" for "rows": the one
+    output that differs."""
+    tmp = tmp_path_factory.mktemp("diff_outputs")
+    base = tmp / "base"
     shutil.copytree(ROOT / "src" / "nprsim", base / "src" / "nprsim",
                     ignore=shutil.ignore_patterns("__pycache__"))
     cli = base / "src" / "nprsim" / "cli.py"
     text = cli.read_text(encoding="utf-8")
     cli.write_text(text.replace('"wrote {len(rows)} rows to', '"wrote {len(rows)} row(s) to'),
                    encoding="utf-8")
-    proc = _diff_outputs(base, tmp_path / "scratch")
+    return _run(["scripts/diff_outputs.py", "--base-tree", str(base), "--workload", "attack",
+                 "--size", "tiny", "--scratch", str(tmp / "scratch")])
+
+
+def test_diff_outputs_finds_no_difference_between_a_tree_and_itself(reworded_sweep_diff):
+    """Every job but the sweep runs the same code on both sides, and none
+    of their files, stdout, stderr or exit codes is reported."""
+    lines = reworded_sweep_diff.stdout.splitlines()
+    reported = [line for line in lines if ": job " in line or ": file " in line]
+    assert reported == ["seed 0: job sweep-0-distance: stdout differs"], lines
+    assert lines[-1] == "attack: 1 differences over 1 seed(s)"
+
+
+def test_diff_outputs_reports_a_job_whose_stdout_differs(reworded_sweep_diff):
+    proc = reworded_sweep_diff
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "seed 0: job sweep-0-distance: stdout differs" in proc.stdout.splitlines()
