@@ -162,6 +162,17 @@ def test_countermeasure_rejects_a_non_finite_parameter(kind, name, value):
         Countermeasure(kind=kind, **{name: value})
 
 
+@pytest.mark.parametrize("target, message", [
+    (math.nan, "^AcousticSource.tone_hz must be finite, got nan$"),
+])
+def test_attack_setup_rejects_a_target_frequency_it_cannot_tune_to(target, message):
+    """The attack's target frequency is its source's tone, so retuning a
+    deployed setup to a non-finite frequency is refused."""
+    setup = _attack_setup()
+    with pytest.raises(ValueError, match=message):
+        replace(setup, source=replace(setup.source, tone_hz=target))
+
+
 def test_the_bursts_are_tuned_to_the_sources_tone():
     """The source's tone is the one statement of the attack frequency:
     detuning it moves both the estimate and the countermeasure baseline."""
