@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -37,20 +37,16 @@ import yaml
 # otherwise; both resolve and construct the same values.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-SOUND_SPEED_MPS = 343.0
 INCH_M = 0.0254
 
 # Reference sampling tube: 5/16 inch inner diameter, the common size for
 # room-pressure pickup lines.
 REFERENCE_TUBE_ID_M = (5.0 / 16.0) * INCH_M
-REFERENCE_TUBE_AREA_M2 = math.pi * REFERENCE_TUBE_ID_M**2 / 4.0
 
-# Effective acoustic compliance volume of the sensor cavity.  Calibrated so
-# that one meter of reference tube shifts the resonance to 0.88x the tubeless
+# One meter of reference tube shifts the resonance to 0.88x the tubeless
 # value, which reproduces the measured downward drift of the resonant band
-# when sampling tubes are attached.
+# when sampling tubes are attached.  See helmholtz_resonant_hz for the law.
 TUBE_FREQ_RATIO_AT_1M = 0.88
-EFFECTIVE_VOLUME_M3 = REFERENCE_TUBE_AREA_M2 * (SOUND_SPEED_MPS / TUBE_FREQ_RATIO_AT_1M) ** 2
 
 # Dimensionless factor converting resonant diaphragm oscillation into
 # displayed pressure units.  Bench readings of forged pressure are far larger
@@ -59,7 +55,6 @@ EFFECTIVE_VOLUME_M3 = REFERENCE_TUBE_AREA_M2 * (SOUND_SPEED_MPS / TUBE_FREQ_RATI
 DEFAULT_READING_GAIN = 72626.6
 
 DEFAULT_SAMPLE_RATE_HZ = 48000
-DEFAULT_MOVING_MASS_KG = 1.0e-4
 
 # The integrator needs this many samples per period of the fastest dynamic
 # to stay in its accurate regime.
@@ -106,9 +101,7 @@ def _require_finite_fields(obj) -> None:
 class TubeAssembly:
     """Sampling tube between the monitored space and the sensor port.
 
-    length_m of zero means the sensor port is bare (no tube).  Sound
-    travels the tube at SOUND_SPEED_MPS, the speed EFFECTIVE_VOLUME_M3 is
-    calibrated at.
+    length_m of zero means the sensor port is bare (no tube).
     """
 
     length_m: float
@@ -143,81 +136,38 @@ NO_TUBE = TubeAssembly(length_m=0.0)
 
 @dataclass(frozen=True)
 class DpsModel:
-    """Lumped second-order model of one differential pressure sensor.
+    """Second-order model of one differential pressure sensor.
 
-    diaphragm_stiffness_n_m and moving_mass_kg set the tubeless resonance;
-    they are calibrated at construction so the resonance lands inside
-    base_resonant_band_hz.  internal_volume_m3 is the effective compliance
-    volume used by the tube-coupled resonance formula.  reading_gain scales
-    resonant oscillation amplitude into displayed pressure units and has no
-    effect on the static (DC) response.
+    The tubeless resonance is the midpoint of resonant_band_hz, the band in
+    which a bench sweep excites the strongest response; a sampling tube
+    moves it by the law in :func:`helmholtz_resonant_hz`.  reading_gain
+    scales resonant oscillation amplitude into displayed pressure units and
+    has no effect on the static (DC) response.  transducer and
+    pressure_range_pa label the part; no computation reads them.
     """
 
     part_id: str
     transducer: Transducer
     pressure_range_pa: tuple[float, float]
-    base_resonant_band_hz: tuple[float, float]
-    damping_ratio: float
-    diaphragm_stiffness_n_m: float
-    moving_mass_kg: float
-    internal_volume_m3: float
+    resonant_band_hz: tuple[float, float]
+    damping_ratio: float = 1.0
     sample_rate_hz: int = DEFAULT_SAMPLE_RATE_HZ
-    reading_gain: float = 1.0
+    reading_gain: float = DEFAULT_READING_GAIN
 
     def __post_init__(self) -> None:
         _require_finite_fields(self)
         lo, hi = self.pressure_range_pa
         if not lo < hi:
             raise ValueError(f"{self.part_id}: pressure range must have lower < upper, got ({lo}, {hi})")
-        blo, bhi = self.base_resonant_band_hz
+        blo, bhi = self.resonant_band_hz
         if not 0.0 < blo < bhi:
             raise ValueError(f"{self.part_id}: resonant band must be positive with lower < upper")
-        for name in ("diaphragm_stiffness_n_m", "moving_mass_kg", "internal_volume_m3"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{self.part_id}: {name} must be > 0")
         if self.damping_ratio < 0.0:
             raise ValueError(f"{self.part_id}: damping ratio must be >= 0")
         if self.sample_rate_hz <= 0:
             raise ValueError(f"{self.part_id}: sample rate must be > 0")
         if self.reading_gain <= 0.0:
             raise ValueError(f"{self.part_id}: reading gain must be > 0")
-        mid = 0.5 * (blo + bhi)
-        fr = natural_resonant_hz(self)
-        if abs(fr - mid) > 0.01 * mid:
-            raise ValueError(
-                f"{self.part_id}: stiffness/mass give {fr:.1f} Hz, "
-                f"more than 1% away from band midpoint {mid:.1f} Hz"
-            )
-
-    @classmethod
-    def from_band(
-        cls,
-        part_id: str,
-        transducer: Transducer,
-        pressure_range_pa: tuple[float, float],
-        base_resonant_band_hz: tuple[float, float],
-        *,
-        damping_ratio: float = 1.0,
-        moving_mass_kg: float = DEFAULT_MOVING_MASS_KG,
-        internal_volume_m3: float = EFFECTIVE_VOLUME_M3,
-        sample_rate_hz: int = DEFAULT_SAMPLE_RATE_HZ,
-        reading_gain: float = DEFAULT_READING_GAIN,
-    ) -> "DpsModel":
-        """Build a model whose stiffness puts the resonance at the band midpoint."""
-        mid = 0.5 * (base_resonant_band_hz[0] + base_resonant_band_hz[1])
-        stiffness = moving_mass_kg * (2.0 * math.pi * mid) ** 2
-        return cls(
-            part_id=part_id,
-            transducer=transducer,
-            pressure_range_pa=pressure_range_pa,
-            base_resonant_band_hz=base_resonant_band_hz,
-            damping_ratio=damping_ratio,
-            diaphragm_stiffness_n_m=stiffness,
-            moving_mass_kg=moving_mass_kg,
-            internal_volume_m3=internal_volume_m3,
-            sample_rate_hz=sample_rate_hz,
-            reading_gain=reading_gain,
-        )
 
     def with_damping(self, damping_ratio: float) -> "DpsModel":
         return replace(self, damping_ratio=damping_ratio)
@@ -251,25 +201,22 @@ class SweepResult:
 
 
 def natural_resonant_hz(model: DpsModel) -> float:
-    """Resonant frequency of the bare sensor, sqrt(stiffness/mass)/2pi."""
-    return math.sqrt(model.diaphragm_stiffness_n_m / model.moving_mass_kg) / (2.0 * math.pi)
+    """Resonant frequency of the bare sensor: the midpoint of its band."""
+    lo, hi = model.resonant_band_hz
+    return 0.5 * (lo + hi)
 
 
 def helmholtz_resonant_hz(model: DpsModel, tube: TubeAssembly) -> float:
     """Resonant frequency of the sensor with a sampling tube attached.
 
-    Scales as 1/sqrt(tube length), so doubling the tube divides the
-    resonance by sqrt(2).  Raises ValueError for a bare port; use
-    :func:`natural_resonant_hz` there.
+    The Helmholtz law f_n * TUBE_FREQ_RATIO_AT_1M * (d / REFERENCE_TUBE_ID_M)
+    / sqrt(L) for a tube of inner diameter d and length L.  Raises
+    ValueError for a bare port; use :func:`natural_resonant_hz` there.
     """
     if tube.is_bare_port:
         raise ValueError("bare port has no tube-coupled resonance; use natural_resonant_hz")
-    ratio = (
-        tube.cross_section_m2
-        * model.diaphragm_stiffness_n_m
-        / (tube.length_m * model.internal_volume_m3 * model.moving_mass_kg)
-    )
-    return SOUND_SPEED_MPS * math.sqrt(ratio) / (2.0 * math.pi)
+    return (natural_resonant_hz(model) * TUBE_FREQ_RATIO_AT_1M
+            * (tube.inner_diameter_m / REFERENCE_TUBE_ID_M) / math.sqrt(tube.length_m))
 
 
 def system_resonant_hz(model: DpsModel, tube: TubeAssembly | None) -> float:
@@ -516,11 +463,46 @@ _ARCHETYPE_ENV = "NPRSIM_ARCHETYPES"
 _ARCHETYPE_CACHE: dict[str, dict[str, DpsModel]] = {}
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# The table values each DpsModel field type accepts; DpsModel checks the rest.
+_ARCHETYPE_TYPES = {
+    "str": lambda v: isinstance(v, str),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": _is_number,
+    "Transducer": lambda v: v in {t.value for t in Transducer},
+    "tuple[float, float]": lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
+}
+
+
+def _archetype_model(path: Path, index: int, record: dict) -> DpsModel:
+    """DpsModel(**record), once each key is a field and each value has its field's type."""
+    where = f"{path}: archetype {record.get('part_id', f'sensors[{index}]')}"
+    unknown = sorted(set(record) - {f.name for f in fields(DpsModel)})
+    if unknown:
+        raise ValueError(f"{where}: unknown key {unknown[0]!r}")
+    for f in fields(DpsModel):
+        if f.name in record and not _ARCHETYPE_TYPES[f.type](record[f.name]):
+            raise ValueError(f"{where}: key {f.name!r}: expected {f.type}, got {record[f.name]!r}")
+        if f.name not in record and f.default is MISSING:
+            raise ValueError(f"{where}: required key {f.name!r} missing")
+    try:
+        return DpsModel(**{**record, "transducer": Transducer(record["transducer"]),
+                           "pressure_range_pa": tuple(record["pressure_range_pa"]),
+                           "resonant_band_hz": tuple(record["resonant_band_hz"])})
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_archetypes() -> dict[str, DpsModel]:
     """Load the bundled (or user-supplied) sensor archetype table.
 
     The table is the file the NPRSIM_ARCHETYPES environment variable
-    names, or else the packaged data file.  Returns {part_id: DpsModel}.
+    names, or else the packaged data file.  Each record of its 'sensors'
+    list, over its 'defaults' mapping, holds DpsModel's fields.  Returns
+    {part_id: DpsModel}.
     """
     path = Path(os.environ.get(_ARCHETYPE_ENV, Path(__file__).parent / "data" / "archetypes.yaml"))
     key = str(path.resolve())
@@ -532,29 +514,11 @@ def load_archetypes() -> dict[str, DpsModel]:
         raise ValueError(f"{path}: archetype file must be a mapping with a 'sensors' list")
     defaults = raw.get("defaults", {}) or {}
     out: dict[str, DpsModel] = {}
-    for rec in raw["sensors"]:
-        merged = dict(defaults)
-        merged.update(rec)
-        part_id = merged.pop("part_id")
-        transducer = Transducer(merged.pop("transducer"))
-        rng = tuple(float(x) for x in merged.pop("pressure_range_pa"))
-        band = tuple(float(x) for x in merged.pop("resonant_band_hz"))
-        model = DpsModel.from_band(
-            part_id,
-            transducer,
-            rng,
-            band,
-            damping_ratio=float(merged.pop("damping_ratio", 1.0)),
-            moving_mass_kg=float(merged.pop("moving_mass_kg", DEFAULT_MOVING_MASS_KG)),
-            internal_volume_m3=float(merged.pop("internal_volume_m3", EFFECTIVE_VOLUME_M3)),
-            sample_rate_hz=int(merged.pop("sample_rate_hz", DEFAULT_SAMPLE_RATE_HZ)),
-            reading_gain=float(merged.pop("reading_gain", DEFAULT_READING_GAIN)),
-        )
-        if merged:
-            raise ValueError(f"{path}: unknown keys for {part_id}: {sorted(merged)}")
-        if part_id in out:
-            raise ValueError(f"{path}: duplicate part id {part_id}")
-        out[part_id] = model
+    for index, rec in enumerate(raw["sensors"]):
+        model = _archetype_model(path, index, {**defaults, **rec})
+        if model.part_id in out:
+            raise ValueError(f"{path}: duplicate part id {model.part_id}")
+        out[model.part_id] = model
     _ARCHETYPE_CACHE[key] = out
     return out
 

@@ -354,7 +354,7 @@ def test_criterion_10_numerical_properties(tmp_path):
     for k in range(12):
         f_mid = float(rng.uniform(150.0, 3000.0))
         xi = float(rng.uniform(0.03, 0.2))
-        rand = DpsModel.from_band(
+        rand = DpsModel(
             f"rand{k}", Transducer.CAPACITIVE, (-500.0, 500.0),
             (0.98 * f_mid, 1.02 * f_mid), damping_ratio=xi)
         f_n = natural_resonant_hz(rand)

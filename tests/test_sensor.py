@@ -22,12 +22,30 @@ from nprsim import (
     step_response_fn,
     system_resonant_hz,
 )
-from nprsim.sensor import MIN_SAMPLES_PER_PERIOD, SOUND_SPEED_MPS
+from nprsim.sensor import MIN_SAMPLES_PER_PERIOD
+
+
+# Independent Helmholtz arithmetic: the lumped law c sqrt(A k / (L V m)) / 2pi
+# for a tube of cross-section A and length L, where k/m = (2 pi f_n)^2 for
+# the bare resonance f_n, and the cavity volume V is back-solved so one
+# meter of 5/16 inch tube gives 0.88 f_n.
+_SOUND_SPEED_MPS = 343.0
+_REF_AREA_M2 = math.pi * (5.0 / 16.0 * 0.0254) ** 2 / 4.0
+_CAVITY_M3 = _REF_AREA_M2 * (_SOUND_SPEED_MPS / 0.88) ** 2
+
+
+def _helmholtz_hz(f_n, length_m, diameter_m):
+    area = math.pi * diameter_m**2 / 4.0
+    k_over_m = (2.0 * math.pi * f_n) ** 2
+    return _SOUND_SPEED_MPS * math.sqrt(area * k_over_m / (length_m * _CAVITY_M3)) / (2.0 * math.pi)
 
 
 def test_natural_resonance_matches_stiffness_mass_arithmetic():
+    # A stiffness k = m (2 pi f_mid)^2 puts sqrt(k/m)/2pi at the band midpoint.
     model = archetype("A1011-00")
-    expected = math.sqrt(model.diaphragm_stiffness_n_m / model.moving_mass_kg) / (2.0 * math.pi)
+    mass = 1.0e-4
+    stiffness = mass * (2.0 * math.pi * 0.5 * sum(model.resonant_band_hz)) ** 2
+    expected = math.sqrt(stiffness / mass) / (2.0 * math.pi)
     assert natural_resonant_hz(model) == pytest.approx(expected, rel=1e-12)
     assert natural_resonant_hz(model) == pytest.approx(685.0, abs=1e-9)
 
@@ -35,13 +53,19 @@ def test_natural_resonance_matches_stiffness_mass_arithmetic():
 def test_helmholtz_golden_value_one_meter_tube():
     model = archetype("A1011-00")
     tube = TubeAssembly(length_m=1.0)
-    area = math.pi * tube.inner_diameter_m**2 / 4.0
-    expected = (SOUND_SPEED_MPS / (2.0 * math.pi)) * math.sqrt(
-        area * model.diaphragm_stiffness_n_m
-        / (tube.length_m * model.internal_volume_m3 * model.moving_mass_kg)
-    )
+    expected = _helmholtz_hz(natural_resonant_hz(model), tube.length_m, tube.inner_diameter_m)
     assert helmholtz_resonant_hz(model, tube) == pytest.approx(expected, rel=1e-12)
     assert helmholtz_resonant_hz(model, tube) == pytest.approx(602.8, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1.0, 1e5), st.floats(0.01, 10.0), st.floats(1e-6, 10.0),
+       st.floats(1e-4, 0.1))
+def test_helmholtz_matches_independent_arithmetic(low_hz, width, length_m, diameter_m):
+    model = DpsModel("X", Transducer.CAPACITIVE, (-500.0, 500.0), (low_hz, low_hz * (1.0 + width)))
+    tube = TubeAssembly(length_m=length_m, inner_diameter_m=diameter_m)
+    expected = _helmholtz_hz(natural_resonant_hz(model), length_m, diameter_m)
+    assert helmholtz_resonant_hz(model, tube) == pytest.approx(expected, rel=1e-12)
 
 
 def test_helmholtz_halves_by_sqrt2_when_length_doubles():
@@ -116,7 +140,7 @@ def test_sweep_finds_randomized_resonances_within_two_percent():
     for k in range(12):
         f_mid = float(rng.uniform(150.0, 3000.0))
         xi = float(rng.uniform(0.03, 0.2))
-        model = DpsModel.from_band(
+        model = DpsModel(
             f"rand{k}", Transducer.CAPACITIVE, (-500.0, 500.0),
             (0.98 * f_mid, 1.02 * f_mid), damping_ratio=xi,
         )
@@ -190,7 +214,7 @@ def test_with_damping_replaces_only_damping():
     model = archetype("A1011-00")
     light = model.with_damping(0.05)
     assert light.damping_ratio == 0.05
-    assert light.diaphragm_stiffness_n_m == model.diaphragm_stiffness_n_m
+    assert light.resonant_band_hz == model.resonant_band_hz
     assert natural_resonant_hz(light) == natural_resonant_hz(model)
     with pytest.raises(ValueError):
         model.with_damping(-0.1)
@@ -206,7 +230,7 @@ def test_non_finite_fields_are_rejected_at_construction():
         with pytest.raises(ValueError, match="finite"):
             model.with_damping(bad)
         with pytest.raises(ValueError, match="finite"):
-            DpsModel.from_band("X", Transducer.CAPACITIVE, (-bad, 500.0), (400.0, 420.0))
+            DpsModel("X", Transducer.CAPACITIVE, (-bad, 500.0), (400.0, 420.0))
 
 
 # ------------------------------------------------------------ shared RK4 core
