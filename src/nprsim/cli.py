@@ -112,10 +112,13 @@ def _trace_lines(trace: SimulationTrace) -> list[str]:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     loaded = load_scenario(args.scenario)
+    try:
+        scenario = loaded.resolved()
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     if loaded.countermeasure is not None:
         print(f"nprsim: note: countermeasure '{loaded.countermeasure.kind}' is not applied "
               "by simulate; evaluate-cm scores it", file=sys.stderr)
-    scenario = loaded.resolved()
     trace = simulate_scenario(scenario)
 
     out_dir = Path(args.out)
@@ -202,6 +205,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
             carrier = AudioBuffer(sample_rate_hz=args.rate, samples=np.zeros(n))
         except ValueError as exc:
             raise CliError(f"--rate: {exc}") from exc
+    nyquist = carrier.sample_rate_hz / 2.0
+    if not schedule.band_hz[1] < nyquist:
+        raise CliError(f"--band must lie below {nyquist:g} Hz, the Nyquist frequency of "
+                       f"{carrier.sample_rate_hz} Hz audio, got {_num(schedule.band_hz[1])} Hz")
 
     try:
         attacked = synthesize_attack(carrier, schedule, target_f_hz=args.target_hz)
@@ -261,14 +268,13 @@ def _characterize_one(
 
 
 def cmd_characterize(args: argparse.Namespace) -> int:
-    if args.archetype == "all":
-        part_ids = sorted(load_archetypes())
-    else:
-        try:
-            archetype(args.archetype)
-        except (KeyError, ValueError) as exc:
-            raise CliError(str(exc)) from exc
-        part_ids = [args.archetype]
+    try:
+        if args.archetype == "all":
+            part_ids = sorted(load_archetypes())
+        else:
+            part_ids = [archetype(args.archetype).part_id]
+    except (KeyError, ValueError) as exc:
+        raise CliError(str(exc)) from exc
 
     header = ["archetype", "tube_length_m", "analytic_hz", "detected_hz",
               "band_low_hz", "band_high_hz", "delta_hz", "status"]

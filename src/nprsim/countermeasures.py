@@ -20,7 +20,15 @@ import numpy as np
 
 from .acoustics import AcousticSource
 from .plant import NprScenario, simulate_scenario
-from .sensor import NO_TUBE, DpsModel, TubeAssembly, _lfilter, _require_finite_fields, step_response
+from .sensor import (
+    MAX_DRIVE_SAMPLES,
+    NO_TUBE,
+    DpsModel,
+    TubeAssembly,
+    _lfilter,
+    _require_finite_fields,
+    step_response,
+)
 from .waveform import (
     SegmentSchedule,
     forged_from_unit,
@@ -35,12 +43,11 @@ NOISE_FLOOR_PA = 0.1
 SETTLE_BAND_FRACTION = 0.05
 # The settle window is this many times the chain's total time constant,
 # and at least SETTLE_WINDOW_MIN_S, which also covers the transducer's own
-# ring.  A window past MAX_SETTLE_SAMPLES is refused: at 48 kHz that is
+# ring.  A window past MAX_DRIVE_SAMPLES is refused: at 48 kHz that is
 # about 100 s, from an enclosure of some 80 dB or a filter cutoff near
 # 0.015 Hz per section.
 SETTLE_WINDOW_TIME_CONSTANTS = 10.0
 SETTLE_WINDOW_MIN_S = 0.5
-MAX_SETTLE_SAMPLES = 5_000_000
 ENCLOSURE_LAG_S_PER_UNIT = 1e-3
 # Each kind with the parameters it reads, its required one first.
 _KIND_PARAMS = {
@@ -213,7 +220,7 @@ def measurement_settle_time_s(
     The step runs for SETTLE_WINDOW_TIME_CONSTANTS times the sum of the
     enclosure lag and each filter section's 1/(2 pi cutoff), and at least
     SETTLE_WINDOW_MIN_S.  Raises ValueError when that window needs more
-    than MAX_SETTLE_SAMPLES samples, or when the step has not settled by
+    than MAX_DRIVE_SAMPLES samples, or when the step has not settled by
     its end.
     """
     fs = model.sample_rate_hz
@@ -221,10 +228,10 @@ def measurement_settle_time_s(
     if lpf_cutoff_hz is not None:
         time_constant_s += lpf_order / (2.0 * math.pi * lpf_cutoff_hz)
     window_s = max(SETTLE_WINDOW_MIN_S, SETTLE_WINDOW_TIME_CONSTANTS * time_constant_s)
-    if not window_s * fs <= MAX_SETTLE_SAMPLES:
+    if not window_s * fs <= MAX_DRIVE_SAMPLES:
         raise ValueError(
             f"settling needs a window of {window_s:.3g} s, over the "
-            f"{MAX_SETTLE_SAMPLES} samples a step response may hold at {fs} Hz"
+            f"{MAX_DRIVE_SAMPLES} samples a step response may hold at {fs} Hz"
         )
     n = int(round(window_s * fs))
     dt = 1.0 / fs

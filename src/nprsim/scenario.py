@@ -308,7 +308,7 @@ def _build_attack(top: _Map, hvac: DpsBinding | None,
     schedule = schedule_map and schedule_map.build(
         SegmentSchedule, required=("band_hz", "duration_s", "interval_s"),
         band_hz="band", duration_s="number", interval_s="number", cycles="cycles",
-        amplitude_scale="number", fade_in_s="number",
+        fade_in_s="number",
     )
     source_map = attack.submap("source")
     source_values = {}

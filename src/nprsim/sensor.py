@@ -64,6 +64,15 @@ MIN_SAMPLES_PER_PERIOD = 20
 # 130 MB of temporaries; a finer grid is a mistyped step, not a sweep.
 MAX_SWEEP_TONES = 1_000_000
 
+# Fewest grid tones frequency_sweep scores: a resonance must peak at an
+# interior tone, two or more from either end.
+MIN_SWEEP_TONES = 5
+
+# Most samples one drive of the transducer may hold: about 104 s at 48 kHz,
+# 40 MB per array of them.  A longer burst or settle window is refused
+# before it is built.
+MAX_DRIVE_SAMPLES = 5_000_000
+
 
 class UnstableStepError(ValueError):
     """Raised when the integration step is too coarse for the model dynamics."""
@@ -409,8 +418,8 @@ def frequency_sweep(
     A resonance is reported when a clear interior peak stands out from the
     rest of the curve.  Raises NoResonanceError when the response is flat
     or keeps rising into the sweep boundary, which is how a resonance
-    above the sweep ceiling presents, and ValueError for a grid of more
-    than MAX_SWEEP_TONES tones.
+    above the sweep ceiling presents, and ValueError for a grid of fewer
+    than MIN_SWEEP_TONES or more than MAX_SWEEP_TONES tones.
     """
     if not 0.0 < lo_hz < hi_hz:
         raise ValueError(f"need 0 < lo < hi, got ({lo_hz}, {hi_hz})")
@@ -425,6 +434,11 @@ def frequency_sweep(
     if model.damping_ratio <= 0.0:
         raise ValueError("an undamped model never settles; sweep needs damping_ratio > 0")
     freqs = np.arange(lo_hz, hi_hz + 0.5 * step_hz, step_hz)
+    if freqs.size < MIN_SWEEP_TONES:
+        raise ValueError(
+            f"a {step_hz:g} Hz step over {lo_hz:g}-{hi_hz:g} Hz gives {freqs.size} tones, "
+            f"fewer than the {MIN_SWEEP_TONES} a sweep needs to find an interior peak"
+        )
     dt = 1.0 / (25.0 * max(hi_hz, system_resonant_hz(model, tube)))
     a, c0, cm, c1 = _recurrence(*_oscillator(model, tube, dt), dt)
     (a11, a12), (a21, a22) = a
@@ -502,19 +516,30 @@ def load_archetypes() -> dict[str, DpsModel]:
     The table is the file the NPRSIM_ARCHETYPES environment variable
     names, or else the packaged data file.  Each record of its 'sensors'
     list, over its 'defaults' mapping, holds DpsModel's fields.  Returns
-    {part_id: DpsModel}.
+    {part_id: DpsModel}; any problem with the file raises one ValueError
+    that names it.
     """
     path = Path(os.environ.get(_ARCHETYPE_ENV, Path(__file__).parent / "data" / "archetypes.yaml"))
     key = str(path.resolve())
     if key in _ARCHETYPE_CACHE:
         return _ARCHETYPE_CACHE[key]
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.load(fh, Loader=YAML_LOADER)
-    if not isinstance(raw, dict) or "sensors" not in raw:
-        raise ValueError(f"{path}: archetype file must be a mapping with a 'sensors' list")
-    defaults = raw.get("defaults", {}) or {}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = yaml.load(fh, Loader=YAML_LOADER)
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read the archetype table: {exc}") from None
+    except yaml.YAMLError as exc:  # one line: the problem and where it is
+        mark = getattr(exc, "problem_mark", None)
+        line = mark.line + 1 if mark is not None else 1
+        raise ValueError(f"{path}: line {line}: {getattr(exc, 'problem', None) or exc}") from None
+    defaults = raw.get("defaults") or {} if isinstance(raw, dict) else None
+    if not (isinstance(defaults, dict) and isinstance(raw.get("sensors"), list)):
+        raise ValueError(f"{path}: archetype file must be a mapping with a 'sensors' list "
+                         "and an optional 'defaults' mapping")
     out: dict[str, DpsModel] = {}
     for index, rec in enumerate(raw["sensors"]):
+        if not isinstance(rec, dict):
+            raise ValueError(f"{path}: sensors[{index}] must be a mapping")
         model = _archetype_model(path, index, {**defaults, **rec})
         if model.part_id in out:
             raise ValueError(f"{path}: duplicate part id {model.part_id}")

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .acoustics import propagate, spl_to_pressure_amp
-from .sensor import NO_TUBE, _lfilter, _require_finite_fields, step_response
+from .sensor import MAX_DRIVE_SAMPLES, NO_TUBE, _lfilter, _require_finite_fields, step_response
 
 SUPPORTED_RATES = (44100, 48000)
 PSD_RATIO_CAP = 1.0e9
@@ -425,10 +425,14 @@ def _drive_bursts(schedule, model, tube, frequency_hz, amplitude, n_samples, pos
     """Transducer response to n_samples of the burst train at amplitude Pa,
     through post_filter when one is given; returns (trace, spans)."""
     fs = model.sample_rate_hz
+    if not n_samples <= MAX_DRIVE_SAMPLES:
+        raise ScheduleError(f"a trace window of {n_samples / fs:.3g} s needs {n_samples:.3g} "
+                            f"samples, over the {MAX_DRIVE_SAMPLES} one drive may hold at {fs} Hz")
     inlet = np.zeros(n_samples)
     spans = _lay_bursts(inlet, schedule, frequency_hz, fs, amplitude)
     if not spans.size:
-        raise ScheduleError("trace window too short to hold a single burst")
+        raise ScheduleError(f"trace window of {n_samples / fs:.3g} s too short to hold a "
+                            f"single burst of the {frequency_hz:.3g} Hz tone")
     trace = step_response(model, tube, inlet, 1.0 / fs)
     if post_filter is not None:
         trace.p_out_pa = post_filter(trace.p_out_pa, fs)

@@ -785,6 +785,65 @@ def test_an_invalid_grid_point_is_one_error_line(axis, values, line, tmp_path, c
     assert not (tmp_path / "sweep.csv").exists()
 
 
+# Each of these crashed with a traceback, or ran on a grid too coarse to
+# judge; each is one error line and writes nothing.  {scenario} and {wav}
+# are the case's inputs, {out} its output path; a table replaces the
+# archetype table.
+_TABLE_MISSING_A_KEY = ("sensors:\n  - part_id: X1\n    transducer: capacitive\n"
+                        "    resonant_band_hz: [400, 420]\n")
+
+
+@pytest.mark.parametrize("argv, scenario, table, message", [
+    (["simulate", "{scenario}", "--out", "{out}"],
+     _LPF.replace("  affects: both\n", "  affects: both\n  target_f_hz: 0.1\n"), None,
+     "trace window of 2.3 s too short to hold a single burst of the 0.1 Hz tone"),
+    (["simulate", "{scenario}", "--out", "{out}"],
+     _LPF.replace("length_m: 1.0", "length_m: 1.0e-9"), None, "too coarse for"),
+    (["synth", "--silence", "1", "--band", "20000", "23000", "--td-ms", "2", "--ti-ms", "15",
+      "--out", "{out}"], None, None, "the Nyquist frequency of 44100 Hz audio, got 23000 Hz"),
+    (["synth", "--carrier", "{wav}", "--band", "20000", "25000", "--td-ms", "2", "--ti-ms", "15",
+      "--out", "{out}"], None, None, "the Nyquist frequency of 48000 Hz audio, got 25000 Hz"),
+    (["characterize", "--archetype", "all", "--out", "{out}"], None, _TABLE_MISSING_A_KEY,
+     "archetype X1: required key 'pressure_range_pa' missing"),
+    (["simulate", "{scenario}", "--out", "{out}"], _LPF.replace("A1011-00", "X1"),
+     _TABLE_MISSING_A_KEY, "archetype X1: required key 'pressure_range_pa' missing"),
+    (["sweep", "{scenario}", "--axis", "ti", "--values", "1e9", "--out", "{out}"], _LPF, None,
+     "ti=1e+09: a trace window of 2e+06 s needs 9.6e+10 samples, over the 5000000"),
+    (["simulate", "{scenario}", "--out", "{out}"],
+     _LPF.replace("interval_s: 0.015", "interval_s: 1000"), None, "needs 9.6e+07 samples"),
+    (["characterize", "--archetype", "A1011-00", "--tube-length", "1",
+      "--tube-diameter", "1e-160", "--out", "{out}"], None, None,
+     "gives 1 tones, fewer than the 5 a sweep needs"),
+    (["sweep", "{scenario}", "--axis", "tube_diameter", "--values", "1e-160", "--out", "{out}"],
+     _LPF, None, "too short to hold a single burst of the 7.59e-156 Hz tone"),
+    (["simulate", "{scenario}", "--out", "{out}"],
+     _LPF.replace("interval_s: 0.015", "interval_s: 0.015\n    amplitude_scale: 0.1"), None,
+     "scenario.attack.schedule.amplitude_scale: unknown key"),
+], ids=["simulate-tone-0.1hz", "simulate-tube-1e-9m", "synth-silence-past-nyquist",
+        "synth-carrier-past-nyquist", "characterize-all-bad-table", "simulate-bad-table",
+        "sweep-ti-1e9ms", "simulate-interval-1000s", "characterize-diameter-1e-160",
+        "sweep-diameter-1e-160", "simulate-amplitude-scale"])
+def test_a_failing_run_is_one_error_line_and_writes_nothing(argv, scenario, table, message,
+                                                            monkeypatch, tmp_path, capsys):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    (inputs / "scenario.yaml").write_text(scenario or MINIMAL, encoding="utf-8")
+    if table is not None:
+        (inputs / "table.yaml").write_text(table, encoding="utf-8")
+        monkeypatch.setenv("NPRSIM_ARCHETYPES", str(inputs / "table.yaml"))
+    waveform.write_wav(inputs / "carrier.wav", waveform.AudioBuffer(
+        sample_rate_hz=48_000, samples=0.1 * np.sin(0.01 * np.arange(48_000))))
+    paths = {"scenario": inputs / "scenario.yaml", "wav": inputs / "carrier.wav",
+             "out": tmp_path / "out"}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("nprsim:")
+    assert message in lines[0]
+    assert [p.name for p in tmp_path.iterdir()] == ["in"]
+
+
 def test_cli_sweep_rejects_unknown_axis(tmp_path):
     with pytest.raises(SystemExit) as info:
         main([
@@ -878,7 +937,7 @@ _KEYS = st.sampled_from([
     "pickup_device", "common_high_port",
     "placement", "affects", "forged_pa", "target_f_hz", "source", "schedule",
     "spl_db", "ref_distance_m", "position_distance_m",
-    "band_hz", "duration_s", "interval_s", "cycles", "amplitude_scale", "fade_in_s",
+    "band_hz", "duration_s", "interval_s", "cycles", "fade_in_s",
     "kind", "tube_length_m", "extra_loss_db", "cutoff_hz", "order",
 ]) | st.text(max_size=6)
 

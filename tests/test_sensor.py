@@ -156,6 +156,13 @@ def test_sweep_rejects_undamped_model():
         frequency_sweep(model, None, 500.0, 900.0, 10.0)
 
 
+def test_sweep_rejects_a_grid_too_short_for_an_interior_peak():
+    model = archetype("A1011-00").with_damping(0.05)
+    with pytest.raises(ValueError, match="a 10 Hz step over 500-530 Hz gives 4 tones"):
+        frequency_sweep(model, None, 500.0, 530.0, 10.0)
+    assert frequency_sweep(model, None, 600.0, 800.0, 50.0).center_hz == 700.0
+
+
 def test_sweep_reports_no_resonance_above_ceiling():
     model = archetype("NSCSS015PDUNV").with_damping(0.05)
     with pytest.raises(NoResonanceError):
@@ -198,6 +205,35 @@ def test_archetype_override_via_env(tmp_path, monkeypatch):
     assert set(catalog) == {"X1"}
     assert catalog["X1"].damping_ratio == 0.5
     assert natural_resonant_hz(catalog["X1"]) == pytest.approx(410.0)
+
+
+_X1 = ("sensors:\n  - part_id: X1\n    transducer: capacitive\n"
+       "    pressure_range_pa: [-100, 100]\n    resonant_band_hz: [400, 420]\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("defaults:\n  moving_mass_kg: 1.0e-4\n" + _X1, "archetype X1: unknown key 'moving_mass_kg'"),
+    (_X1 + "    damping_ratio: high\n",
+     "archetype X1: key 'damping_ratio': expected float, got 'high'"),
+    (_X1.replace("capacitive", "optical"),
+     "archetype X1: key 'transducer': expected Transducer, got 'optical'"),
+    (_X1.replace("[400, 420]", "[400, 410, 420]"),
+     "archetype X1: key 'resonant_band_hz': expected tuple[float, float]"),
+    (_X1.replace("part_id: X1\n    ", ""), "archetype sensors[0]: required key 'part_id' missing"),
+    (_X1.replace("[400, 420]", "[420, 400]"), "X1: resonant band must be positive"),
+    ("sensors: [5]\n", "sensors[0] must be a mapping"),
+    ("defaults: [1]\n" + _X1, "must be a mapping with a 'sensors' list"),
+    ("sensors: [\n", "catalog.yaml: line "),  # in the YAML parser's words
+])
+def test_a_malformed_archetype_table_is_one_error_naming_the_file(text, message, tmp_path,
+                                                                   monkeypatch):
+    custom = tmp_path / "catalog.yaml"
+    custom.write_text(text, encoding="utf-8")
+    monkeypatch.setenv("NPRSIM_ARCHETYPES", str(custom))
+    with pytest.raises(ValueError) as info:
+        load_archetypes()
+    assert str(info.value).startswith(f"{custom}: ")
+    assert message in str(info.value) and "\n" not in str(info.value)
 
 
 def test_tube_assembly_validation():
