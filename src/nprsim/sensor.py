@@ -486,7 +486,7 @@ _ARCHETYPE_TYPES = {
     "str": lambda v: isinstance(v, str),
     "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "float": _is_number,
-    "Transducer": lambda v: v in {t.value for t in Transducer},
+    "Transducer": lambda v: isinstance(v, str) and v in {t.value for t in Transducer},
     "tuple[float, float]": lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
 }
 
@@ -494,7 +494,8 @@ _ARCHETYPE_TYPES = {
 def _archetype_model(path: Path, index: int, record: dict) -> DpsModel:
     """DpsModel(**record), once each key is a field and each value has its field's type."""
     where = f"{path}: archetype {record.get('part_id', f'sensors[{index}]')}"
-    unknown = sorted(set(record) - {f.name for f in fields(DpsModel)})
+    names = {f.name for f in fields(DpsModel)}
+    unknown = [key for key in record if key not in names]
     if unknown:
         raise ValueError(f"{where}: unknown key {unknown[0]!r}")
     for f in fields(DpsModel):

@@ -217,6 +217,8 @@ _X1 = ("sensors:\n  - part_id: X1\n    transducer: capacitive\n"
      "archetype X1: key 'damping_ratio': expected float, got 'high'"),
     (_X1.replace("capacitive", "optical"),
      "archetype X1: key 'transducer': expected Transducer, got 'optical'"),
+    (_X1.replace("capacitive", "[1]"), "archetype X1: key 'transducer': expected Transducer"),
+    (_X1 + "    1: 2\n    extra: 3\n", "archetype X1: unknown key 1"),
     (_X1.replace("[400, 420]", "[400, 410, 420]"),
      "archetype X1: key 'resonant_band_hz': expected tuple[float, float]"),
     (_X1.replace("part_id: X1\n    ", ""), "archetype sensors[0]: required key 'part_id' missing"),
