@@ -212,7 +212,7 @@ _X1 = ("sensors:\n  - part_id: X1\n    transducer: capacitive\n"
 
 
 @pytest.mark.parametrize("text, message", [
-    ("defaults:\n  moving_mass_kg: 1.0e-4\n" + _X1, "archetype X1: unknown key 'moving_mass_kg'"),
+    ("defaults:\n  cavity_volume_m3: 1.0e-4\n" + _X1, "archetype X1: unknown key 'cavity_volume_m3'"),
     (_X1 + "    damping_ratio: high\n",
      "archetype X1: key 'damping_ratio': expected float, got 'high'"),
     (_X1.replace("capacitive", "optical"),
