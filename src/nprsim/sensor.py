@@ -521,7 +521,8 @@ def load_archetypes() -> dict[str, DpsModel]:
     that names it.
     """
     path = Path(os.environ.get(_ARCHETYPE_ENV, Path(__file__).parent / "data" / "archetypes.yaml"))
-    key = str(path.resolve())
+    # abspath, not resolve(): a lookup must not walk the file system.
+    key = os.path.abspath(path)
     if key in _ARCHETYPE_CACHE:
         return _ARCHETYPE_CACHE[key]
     try:

@@ -809,6 +809,8 @@ _TABLE_MISSING_A_KEY = ("sensors:\n  - part_id: X1\n    transducer: capacitive\n
      _TABLE_MISSING_A_KEY, "archetype X1: required key 'pressure_range_pa' missing"),
     (["sweep", "{scenario}", "--axis", "ti", "--values", "1e9", "--out", "{out}"], _LPF, None,
      "ti=1e+09: a trace window of 2e+06 s needs 9.6e+10 samples, over the 5000000"),
+    (["sweep", "{scenario}", "--axis", "ti", "--values", "1e307", "--out", "{out}"], _LPF, None,
+     "ti=1e+307: a trace window of inf s needs inf samples, over the 5000000"),
     (["simulate", "{scenario}", "--out", "{out}"],
      _LPF.replace("interval_s: 0.015", "interval_s: 1000"), None, "needs 9.6e+07 samples"),
     (["characterize", "--archetype", "A1011-00", "--tube-length", "1",
@@ -821,7 +823,7 @@ _TABLE_MISSING_A_KEY = ("sensors:\n  - part_id: X1\n    transducer: capacitive\n
      "scenario.attack.schedule.amplitude_scale: unknown key"),
 ], ids=["simulate-tone-0.1hz", "simulate-tube-1e-9m", "synth-silence-past-nyquist",
         "synth-carrier-past-nyquist", "characterize-all-bad-table", "simulate-bad-table",
-        "sweep-ti-1e9ms", "simulate-interval-1000s", "characterize-diameter-1e-160",
+        "sweep-ti-1e9ms", "sweep-ti-1e307ms", "simulate-interval-1000s", "characterize-diameter-1e-160",
         "sweep-diameter-1e-160", "simulate-amplitude-scale"])
 def test_a_failing_run_is_one_error_line_and_writes_nothing(argv, scenario, table, message,
                                                             monkeypatch, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +206,28 @@ def test_archetype_override_via_env(tmp_path, monkeypatch):
     assert set(catalog) == {"X1"}
     assert catalog["X1"].damping_ratio == 0.5
     assert natural_resonant_hz(catalog["X1"]) == pytest.approx(410.0)
+
+
+def test_a_lookup_after_the_first_load_walks_no_path(monkeypatch):
+    monkeypatch.delenv("NPRSIM_ARCHETYPES", raising=False)
+    load_archetypes()
+
+    def walk(self, strict=False):
+        raise AssertionError(f"Path.resolve({self}) called on a cached lookup")
+
+    monkeypatch.setattr(Path, "resolve", walk)
+    assert archetype("A1011-00").part_id == "A1011-00"
+
+
+def test_a_relative_table_path_follows_the_working_directory(tmp_path, monkeypatch):
+    for name in ("XA", "XB"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "catalog.yaml").write_text(
+            _X1.replace("part_id: X1", f"part_id: {name}"), encoding="utf-8")
+    monkeypatch.setenv("NPRSIM_ARCHETYPES", "catalog.yaml")
+    for name in ("XA", "XB"):
+        monkeypatch.chdir(tmp_path / name)
+        assert set(load_archetypes()) == {name}
 
 
 _X1 = ("sensors:\n  - part_id: X1\n    transducer: capacitive\n"

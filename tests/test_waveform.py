@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from nprsim.waveform import (
     ESTIMATE_WINDOW_S,
     PSD_RATIO_CAP,
     SUPPORTED_RATES,
+    _band_basis,
     _burst_samples,
     _burst_spans,
     _true_run_lengths,
@@ -110,6 +112,38 @@ def test_suppress_band_removes_band_energy():
     before = float(np.sqrt(np.mean(audio.samples[mid] ** 2)))
     after = float(np.sqrt(np.mean(cleaned.samples[mid] ** 2)))
     assert after < 0.02 * before
+
+
+def _suppress_band_full_gain(audio, band_hz):
+    """suppress_band with a gain for every rfft bin: the reference."""
+    lo, hi = band_hz
+    n = audio.samples.size
+    spectrum = np.fft.rfft(audio.samples)
+    freqs = np.fft.rfftfreq(n, 1.0 / audio.sample_rate_hz)
+    taper = max(2.0, 0.1 * (hi - lo))
+    gain = np.ones_like(freqs)
+    gain[(freqs >= lo) & (freqs <= hi)] = 0.0
+    rise = (freqs >= lo - taper) & (freqs < lo)
+    gain[rise] = 0.5 * (1.0 + np.cos(np.pi * (freqs[rise] - (lo - taper)) / taper))
+    fall = (freqs > hi) & (freqs <= hi + taper)
+    gain[fall] = 0.5 * (1.0 - np.cos(np.pi * (freqs[fall] - hi) / taper))
+    out = np.fft.irfft(spectrum * gain, n)
+    np.clip(out, -1.0, 1.0, out=out)
+    return out
+
+
+@pytest.mark.parametrize("n", [1000, 1001, 48000, 47999])
+@pytest.mark.parametrize("band_hz", [
+    (660.0, 710.0),
+    (1.0, 10.0),            # the rising taper starts below 0 Hz
+    (23980.0, 23999.0),     # the falling taper ends past Nyquist
+    (100.0, 23000.0),       # both
+    (3000.0, 3000.5),
+])
+def test_suppress_band_equals_the_full_gain_notch(n, band_hz):
+    audio = AudioBuffer(sample_rate_hz=48000, samples=calibration_carrier(1.0).samples[:n])
+    assert np.array_equal(suppress_band(audio, band_hz).samples,
+                          _suppress_band_full_gain(audio, band_hz))
 
 
 def test_wav_roundtrip_is_16_bit_faithful(tmp_path):
@@ -225,13 +259,26 @@ def test_response_trace_needs_room_for_one_burst():
                               target_f_hz=f, duration_s=0.001)
 
 
+def _automatic_nperseg(mask):
+    runs = _true_run_lengths(mask)
+    return int(np.clip(int(np.median(runs)) if runs.size else 96, 32, 512))
+
+
+def _ratio_of_groups(inside, outside):
+    if not inside or not outside:
+        raise ValueError("mask leaves one of the frame groups empty")
+    num = float(np.mean(inside))
+    den = float(np.mean(outside))
+    if den <= num / PSD_RATIO_CAP:
+        return PSD_RATIO_CAP
+    return num / den
+
+
 def _psd_ratio_by_frame(audio, band_hz, mask, nperseg=None):
     """psd_ratio as one FFT per frame in a Python loop: the reference."""
     lo, hi = band_hz
     mask = np.asarray(mask, dtype=bool)
-    if nperseg is None:
-        runs = _true_run_lengths(mask)
-        nperseg = int(np.clip(int(np.median(runs)) if runs.size else 96, 32, 512))
+    nperseg = nperseg or _automatic_nperseg(mask)
     hop = max(1, nperseg // 4)
     window = np.hanning(nperseg)
     freqs = np.fft.rfftfreq(nperseg, 1.0 / audio.sample_rate_hz)
@@ -246,13 +293,37 @@ def _psd_ratio_by_frame(audio, band_hz, mask, nperseg=None):
         seg = audio.samples[start : start + nperseg] * window
         power = float(np.sum(np.abs(np.fft.rfft(seg)[band_bins]) ** 2))
         (inside if frac >= 0.8 else outside).append(power)
-    if not inside or not outside:
-        raise ValueError("mask leaves one of the frame groups empty")
-    num = float(np.mean(inside))
-    den = float(np.mean(outside))
-    if den <= num / PSD_RATIO_CAP:
-        return PSD_RATIO_CAP
-    return num / den
+    return _ratio_of_groups(inside, outside)
+
+
+def _psd_ratio_by_projection(audio, band_hz, mask, nperseg=None):
+    """psd_ratio as one frame at a time in a Python loop, each frame
+    projected hop by hop on the band's columns, as psd_ratio sums them."""
+    mask = np.asarray(mask, dtype=bool)
+    nperseg = nperseg or _automatic_nperseg(mask)
+    hop = max(1, nperseg // 4)
+    basis = _band_basis(nperseg, audio.sample_rate_hz, band_hz)
+    inside = []
+    outside = []
+    for start in range(0, audio.samples.size - nperseg + 1, hop):
+        frac = np.count_nonzero(mask[start : start + nperseg]) / nperseg
+        if 0.2 < frac < 0.8:
+            continue
+        frame = audio.samples[start : start + nperseg]
+        proj = frame[:hop] @ basis[:hop]
+        for i in range(hop, nperseg, hop):
+            proj += frame[i : i + hop] @ basis[i : i + hop]
+        (inside if frac >= 0.8 else outside).append(float(np.sum(proj * proj)))
+    return _ratio_of_groups(inside, outside)
+
+
+# psd_ratio projects blocks of frames with one matmul per hop, the loop one
+# frame at a time, and the FFT loop sums the same products in its own
+# order: BLAS sums a block and a single row in different orders, so the
+# three agree to rounding, not bit for bit.  Each frame's power is a sum of
+# at most 640 products; the largest difference seen over 400 draws of the
+# property below is 1.5e-15.
+_RATIO_RTOL = 1e-13
 
 
 def _attacked(carrier, band_hz, duration_s, cycles=None):
@@ -276,8 +347,58 @@ def test_psd_ratio_equals_the_frame_loop(band_hz, duration_s, cycles, nperseg, f
     attacked, mask = _attacked(calibration_carrier(), band_hz, duration_s, cycles)
     if nperseg is None:
         assert int(np.median(_true_run_lengths(mask))) == frame
-    expected = _psd_ratio_by_frame(attacked, band_hz, mask, nperseg)
-    assert psd_ratio(attacked, band_hz, mask, nperseg) == expected
+    expected = _psd_ratio_by_projection(attacked, band_hz, mask, nperseg)
+    assert psd_ratio(attacked, band_hz, mask, nperseg) == pytest.approx(
+        expected, rel=_RATIO_RTOL, abs=0.0)
+
+
+@st.composite
+def _psd_cases(draw):
+    lo = draw(st.floats(300.0, 3000.0))
+    hi = lo + draw(st.floats(1.0, 600.0))
+    cycles = draw(st.one_of(st.none(), st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    f = 0.5 * (lo + hi)
+    # At most 13.3 ms, inside the 15 ms interval.
+    duration_s = (max(cycles) / f if cycles else draw(st.floats(1.0, 4.0)) / lo) + 1e-6
+    # An explicit frame no longer than a burst, so both frame groups can fill.
+    longest = int(duration_s * 48000)
+    primes = [p for p in (2, 3, 5, 7, 13, 79, 83, 127, 509) if p <= longest]
+    nperseg = draw(st.one_of(st.none(), st.integers(2, longest), st.sampled_from(primes)))
+    return (lo, hi), duration_s, tuple(cycles) if cycles else None, nperseg
+
+
+def _ratio_or_error(psd, *args):
+    try:
+        return psd(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_psd_cases())
+def test_psd_ratio_is_the_power_of_one_fft_per_frame(case):
+    band_hz, duration_s, cycles, nperseg = case
+    attacked, mask = _attacked(calibration_carrier(0.25), band_hz, duration_s, cycles)
+    expected = _ratio_or_error(_psd_ratio_by_frame, attacked, band_hz, mask, nperseg)
+    got = _ratio_or_error(psd_ratio, attacked, band_hz, mask, nperseg)
+    if isinstance(expected, str) or isinstance(got, str):
+        assert got == expected
+    else:
+        assert got == pytest.approx(expected, rel=_RATIO_RTOL, abs=0.0)
+
+
+@pytest.mark.parametrize("band_hz, nperseg", [((590.0, 610.0), None), ((600.0, 2400.0), 80)])
+def test_psd_ratio_peaks_under_four_bytes_a_sample(band_hz, nperseg):
+    """The automatic 80-sample frames hold one band bin, the wide band four."""
+    attacked, mask = _attacked(calibration_carrier(10.0), (590.0, 610.0), 0.002)
+    assert attacked.samples.size == 480_000
+    tracemalloc.start()
+    try:
+        psd_ratio(attacked, band_hz, mask, nperseg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * attacked.samples.size
 
 
 def test_psd_ratio_over_silence_equals_the_frame_loop_at_the_cap():
