@@ -93,21 +93,18 @@ def _trace_lines(trace: SimulationTrace) -> list[str]:
     once per run of rows whose cells, flags included, match the row
     before bit for bit.
     """
-    columns = [trace.times_s]
-    for j in range(len(trace.room_names)):
-        columns += [
-            trace.true_pd_pa[:, j], trace.measured_hvac_pa[:, j], trace.measured_rpm_pa[:, j],
-            trace.supply_speed[:, j], trace.exhaust_speed[:, j], trace.alarm_active[:, j],
-        ]
-    table = np.column_stack(columns)
-    cells = table[:, 1:]
+    # (rows, rooms, 6) floats, so each row reads room by room.
+    cells = np.stack([
+        trace.true_pd_pa, trace.measured_hvac_pa, trace.measured_rpm_pa,
+        trace.supply_speed, trace.exhaust_speed, trace.alarm_active,
+    ], axis=2).reshape(len(trace.times_s), -1)
     bits = cells.view(np.int64)
-    fresh = np.ones(len(table), dtype=bool)
+    fresh = np.ones(len(cells), dtype=bool)
     fresh[1:] = np.any(bits[1:] != bits[:-1], axis=1)
     tail_format = ",".join(["%.6g,%.6g,%.6g,%.6g,%.6g,%d"] * len(trace.room_names))
     tails = [tail_format % tuple(row) for row in cells[fresh].tolist()]
     run = np.cumsum(fresh) - 1
-    return ["%.6g,%s" % (t, tails[r]) for t, r in zip(table[:, 0].tolist(), run.tolist())]
+    return ["%.6g,%s" % (t, tails[r]) for t, r in zip(trace.times_s.tolist(), run.tolist())]
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

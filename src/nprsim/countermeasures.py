@@ -31,10 +31,11 @@ from .sensor import (
 )
 from .waveform import (
     SegmentSchedule,
+    _rectified_mean,
+    _unit_response,
     forged_from_unit,
     forged_pressure_estimate,
     port_amplitude_pa,
-    unit_response_mean,
 )
 
 NOISE_FLOOR_PA = 0.1
@@ -274,8 +275,10 @@ def evaluate_countermeasure(
         baseline = scenario.wiring.attack.forged_pa
     else:
         amplitude = port_amplitude_pa(attack.source, attack.tube)
-        unit_mean = unit_response_mean(attack.schedule, attack.model, attack.tube,
-                                       target_f_hz=attack.source.tone_hz)
+        unit, window = _unit_response(attack.schedule, attack.model, attack.tube,
+                                      target_f_hz=attack.source.tone_hz)
+        # An lpf filters this drive below, so its mean must leave it whole.
+        unit_mean = _rectified_mean(unit.copy() if cm.kind == "lpf" else unit, window)
         baseline = forged_from_unit(attack.model, amplitude, unit_mean)
 
     residual = baseline
@@ -304,13 +307,9 @@ def evaluate_countermeasure(
         penalty_s = measurement_settle_time_s(
             attack.model, attack.tube, lpf_cutoff_hz=cm.cutoff_hz, lpf_order=cm.order
         ) - measurement_settle_time_s(attack.model, attack.tube)
-
-        def post(series: np.ndarray, fs: int) -> np.ndarray:
-            return lpf_cascade(series, cm.cutoff_hz, 1.0 / fs, cm.order)
-
-        residual = forged_pressure_estimate(
-            attack.schedule, attack.model, attack.tube, attack.source, post_filter=post,
-        )
+        # The filter acts after the transducer: filter the baseline's drive.
+        filtered = lpf_cascade(unit, cm.cutoff_hz, 1.0 / attack.model.sample_rate_hz, cm.order)
+        residual = forged_from_unit(attack.model, amplitude, _rectified_mean(filtered, window))
     elif cm.kind == "raised_setpoint":
         rooms = tuple(
             replace(room, controller=replace(room.controller, setpoint_pa=cm.setpoint_pa))

@@ -37,6 +37,9 @@ STEADY_HOLD_S = 5.0
 ATTACK_PLACEMENTS = ("none", "low_port", "high_port", "common_high_port")
 ATTACK_TARGETS = ("hvac", "rpm", "both")
 
+# How a positive correction moves the (supply, exhaust) commands.
+_TRIM_SIGNS = np.array([-1.0, 1.0])
+
 
 class WiringError(ValueError):
     """Scenario wiring that cannot be simulated as declared."""
@@ -170,7 +173,7 @@ class RoomConfig:
             raise ValueError("room volume must be > 0")
         if self.leak_coeff_m3ps_per_pa <= 0.0:
             raise ValueError("leak coefficient must be > 0")
-        # _period_map divides by the time constant and multiplies the
+        # _period_maps divides by the time constant and multiplies the
         # capacity-over-leak ratio by a share that can round to 0.
         if not 0.0 < self.pressure_time_constant_s < math.inf:
             raise ValueError("room pressure time constant volume/(bulk modulus x leak) "
@@ -256,23 +259,27 @@ class SimulationTrace:
 def controller_step(
     cfg: ControllerConfig,
     measured_pa: float | np.ndarray,
-    supply_cmd: float | np.ndarray,
-    exhaust_cmd: float | np.ndarray,
-) -> tuple[float | np.ndarray, float | np.ndarray]:
+    commands: tuple[float, float] | np.ndarray,
+) -> np.ndarray:
     """One controller wakeup: trim fan commands toward the deadband edge.
 
-    Reading above the setpoint band (not negative enough) slows supply
-    and speeds exhaust; below it the opposite.  Commands clamp to [0, 1].
-    The rule is elementwise: simulate_scenario passes one array per room
-    for the readings and commands, and for cfg's setpoint_pa, gain and
-    deadband_pa.
+    commands holds (supply, exhaust) along its last axis; the trimmed pair
+    comes back in that shape.  Reading above the setpoint band (not
+    negative enough) slows supply and speeds exhaust; below it the
+    opposite.  Commands clamp to [0, 1].  The rule is elementwise:
+    simulate_scenario passes one reading and one command pair per room,
+    and one array per room for cfg's setpoint_pa, gain and deadband_pa.
+
+    The correction is gain times the error less its clip to the deadband,
+    which is gain * (error - copysign(deadband, error)) outside the band
+    and 0.0 inside it.  Under a negative setpoint, as ControllerConfig
+    requires, the error is never -0.0, and the two forms are equal bit
+    for bit.
     """
     error = np.subtract(measured_pa, cfg.setpoint_pa)
-    outside = np.abs(error) > cfg.deadband_pa
-    correction = np.where(outside, cfg.gain * (error - np.copysign(cfg.deadband_pa, error)), 0.0)
-    supply = np.minimum(1.0, np.maximum(0.0, supply_cmd - correction))
-    exhaust = np.minimum(1.0, np.maximum(0.0, exhaust_cmd + correction))
-    return supply, exhaust
+    inside = np.minimum(np.maximum(error, -cfg.deadband_pa), cfg.deadband_pa)
+    correction = cfg.gain * (error - inside)
+    return np.minimum(1.0, np.maximum(0.0, commands + correction[..., None] * _TRIM_SIGNS))
 
 
 def balanced_fans(room: RoomConfig) -> tuple[float, float]:
@@ -322,29 +329,31 @@ def horizon_periods(horizon_s: float, period_s: float, n_rooms: int) -> int:
     return n_periods
 
 
-def _period_map(room: RoomConfig, period_s: float) -> np.ndarray:
-    """3x5 map from (x, supply, exhaust, supply_cmd, exhaust_cmd) at one
-    wakeup to (x, supply, exhaust) at the next, x being p - hallway.
+def _period_maps(rooms: tuple[RoomConfig, ...], period_s: float) -> np.ndarray:
+    """(rooms, 3, 5) maps, one per room, from (x, supply, exhaust,
+    supply_cmd, exhaust_cmd) at one wakeup to (x, supply, exhaust) at the
+    next, x being p - hallway.
 
     One substep freezes the fan flows while the room pressure relaxes
     exponentially toward the balance point they define, then moves each
     fan speed its exact first-order step toward its command.  The period
-    is SUBSTEPS_PER_PERIOD such substeps, so the map is a matrix power.
+    is SUBSTEPS_PER_PERIOD such substeps, so each map is a matrix power,
+    taken once over the stack of every room's substep matrix.
     """
     dt_sub = period_s / SUBSTEPS_PER_PERIOD
-    decay_room = math.exp(-dt_sub / room.pressure_time_constant_s)
-    decay_fan = math.exp(-dt_sub / room.fans.time_constant_s)
-    # Balance point per unit of supply-minus-exhaust speed, times the
-    # share of the gap the pressure closes in one substep.
-    drive = room.fans.max_flow_m3ps / room.leak_coeff_m3ps_per_pa * (1.0 - decay_room)
-    step = np.array([
-        [decay_room, drive, -drive, 0.0, 0.0],
-        [0.0, decay_fan, 0.0, 1.0 - decay_fan, 0.0],
-        [0.0, 0.0, decay_fan, 0.0, 1.0 - decay_fan],
-        [0.0, 0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 1.0],
-    ])
-    return np.linalg.matrix_power(step, SUBSTEPS_PER_PERIOD)[:3]
+    step = np.zeros((len(rooms), 5, 5))
+    for i, room in enumerate(rooms):
+        decay_room = math.exp(-dt_sub / room.pressure_time_constant_s)
+        decay_fan = math.exp(-dt_sub / room.fans.time_constant_s)
+        # Balance point per unit of supply-minus-exhaust speed, times the
+        # share of the gap the pressure closes in one substep.
+        drive = room.fans.max_flow_m3ps / room.leak_coeff_m3ps_per_pa * (1.0 - decay_room)
+        step[i, 0, :3] = decay_room, drive, -drive
+        step[i, 1, 1] = step[i, 2, 2] = decay_fan
+        step[i, 1, 3] = step[i, 2, 4] = 1.0 - decay_fan
+    step[:, 3, 3] = step[:, 4, 4] = 1.0
+    # Contiguous, as einsum's summation order may follow the layout.
+    return np.ascontiguousarray(np.linalg.matrix_power(step, SUBSTEPS_PER_PERIOD)[:, :3])
 
 
 def simulate_scenario(scenario: NprScenario) -> SimulationTrace:
@@ -354,11 +363,11 @@ def simulate_scenario(scenario: NprScenario) -> SimulationTrace:
     Between controller wakeups each room is linear in five values: its
     differential to the hallway, its two fan speeds and its two fan
     commands.  Each substep is an exact step of a frozen-flow room and a
-    first-order fan lag (see _period_map), so one control period is the
-    SUBSTEPS_PER_PERIOD-th power of the substep matrix, built once per
-    room.  Each period the controller trims every room's commands from
-    its reading at once (controller_step on arrays), then one product
-    advances every room to the next wakeup.
+    first-order fan lag (see _period_maps), so one control period is the
+    SUBSTEPS_PER_PERIOD-th power of the substep matrix, taken once over
+    the stack of every room's.  Each period one controller_step call trims
+    every room's command pair from its reading, then one product advances
+    every room to the next wakeup.
 
     The five values are stepped as deviations from the room's balance
     point: the setpoint, with the balanced fan speeds as both speeds and
@@ -399,7 +408,7 @@ def simulate_scenario(scenario: NprScenario) -> SimulationTrace:
         if room.initial_pressure_pa is not None:
             deviation[i, 0] = room.initial_pressure_pa - hall - balance[i, 0]
     balance[:, 3:] = balance[:, 1:3]
-    period_maps = np.stack([_period_map(room, period) for room in rooms])
+    period_maps = _period_maps(rooms, period)
     gains = SimpleNamespace(**{
         name: np.array([getattr(room.controller, name) for room in rooms])
         for name in ("setpoint_pa", "gain", "deadband_pa")
@@ -409,36 +418,39 @@ def simulate_scenario(scenario: NprScenario) -> SimulationTrace:
     times = np.arange(n_rows) * period
     # true differential, supply and exhaust speed, one row per wakeup
     rows = np.empty((3, n_rows, n_rooms))
-    meas_hvac = np.empty((n_rows, n_rooms))
 
     hvac_low, hvac_high = _port_offsets(attack, "hvac")
     if scenario.wiring.separate_rpm:
         rpm_low, rpm_high = _port_offsets(attack, "rpm")
     else:
         rpm_low, rpm_high = hvac_low, hvac_high
+    # One of the two offsets is always 0.0, so x + (low - high) is
+    # (x + low) - high to the bit.
+    hvac_shift = hvac_low - hvac_high
     for k in range(n_rows):
         state = balance + deviation
         rows[:, k] = state[:, :3].T
-        meas_hvac[k] = state[:, 0] + hvac_low - hvac_high
         if k == n_periods:
             break
         before = deviation.tobytes()
-        supply_cmd, exhaust_cmd = controller_step(gains, meas_hvac[k], state[:, 3], state[:, 4])
-        deviation[:, 3] = supply_cmd - balance[:, 3]
-        deviation[:, 4] = exhaust_cmd - balance[:, 4]
+        # The reading is recomputed from the recorded rows below, to the bit.
+        commands = controller_step(gains, state[:, 0] + hvac_shift, state[:, 3:])
+        np.subtract(commands, balance[:, 3:], out=deviation[:, 3:])
         deviation[:, :3] = np.einsum("rij,rj->ri", period_maps, deviation)
         if deviation.tobytes() == before:
             # A fixed point: every later period maps this deviation to itself.
             rows[:, k + 1:] = rows[:, k:k + 1]
-            meas_hvac[k + 1:] = meas_hvac[k]
             break
     true_pd, sup_trace, exh_trace = rows
+    meas_hvac = true_pd + hvac_shift
     meas_rpm = true_pd + rpm_low - rpm_high
 
-    alarm_active = np.column_stack([
-        rpm_alarm(times, meas_rpm[:, i], room.controller.setpoint_pa, scenario.alarm)
-        for i, room in enumerate(rooms)
-    ])
+    # A room whose reading never passes the threshold keeps its alarm down.
+    alarm_active = np.zeros((n_rows, n_rooms), dtype=bool)
+    tripped = np.abs(meas_rpm - gains.setpoint_pa) > scenario.alarm.threshold_pa
+    for i in np.flatnonzero(tripped.any(axis=0)).tolist():
+        alarm_active[:, i] = rpm_alarm(times, meas_rpm[:, i], rooms[i].controller.setpoint_pa,
+                                       scenario.alarm)
     # An event is a row where a room's flag differs from the row before;
     # every flag starts the run down.
     names = tuple(r.name for r in rooms)
@@ -482,25 +494,38 @@ def rpm_alarm(
     the threshold continuously for the dwell, and cleared on the first row
     where it falls back under 90% of the threshold, so a reading
     chattering right at the limit does not retrigger.
+
+    The series is read by episode, not by row: for each run of rows above
+    the threshold, the row its dwell is met, and the first later row under
+    90% of the threshold, where the next run may begin.
     """
     times = np.asarray(times_s, dtype=float)
     series = np.asarray(measured_pa, dtype=float)
     if times.shape != series.shape or times.ndim != 1:
         raise ValueError("times and measured series must be 1-D and equal length")
     deviation = np.abs(series - setpoint_pa)
-    flags = []
-    active = False
-    violation_start: float | None = None
-    for t, dev in zip(times.tolist(), deviation.tolist()):
-        if active:
-            if dev < 0.9 * cfg.threshold_pa:
-                active = False
-                violation_start = None
-        elif dev > cfg.threshold_pa:
-            if violation_start is None:
-                violation_start = t
-            active = t - violation_start >= cfg.dwell_s
-        else:
-            violation_start = None
-        flags.append(active)
-    return np.array(flags, dtype=bool)
+    # Rows under 90% of the threshold, where a raised alarm clears.
+    clear_rows = np.flatnonzero(deviation < 0.9 * cfg.threshold_pa)
+    # The first row of each run of rows above the threshold, and the row
+    # that ends it (or the row count): where the flag, padded with False
+    # on both sides, changes.
+    above = np.zeros(times.size + 2, dtype=bool)
+    np.greater(deviation, cfg.threshold_pa, out=above[1:-1])
+    edges = np.flatnonzero(above[1:] != above[:-1])
+    run_starts, run_ends = edges[::2], edges[1::2]
+    flags = np.zeros(times.size, dtype=bool)
+    # A run that starts while an alarm is up ends before the row it clears
+    # on, which is not above the threshold, so flagging it again from its
+    # own raise row to that clear row changes nothing.
+    for start, end in zip(run_starts.tolist(), run_ends.tolist()):
+        run_times = times[start:end]
+        late = np.flatnonzero(run_times - run_times[0] >= cfg.dwell_s)
+        if not late.size:
+            continue
+        raised = start + int(late[0])
+        after = int(np.searchsorted(clear_rows, raised, side="right"))
+        if after == clear_rows.size:
+            flags[raised:] = True
+            break
+        flags[raised:int(clear_rows[after])] = True
+    return flags

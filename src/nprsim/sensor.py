@@ -24,6 +24,7 @@ import time for it.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import os
 from dataclasses import MISSING, dataclass, fields, replace
@@ -88,6 +89,12 @@ class Transducer(enum.Enum):
     THERMAL_MASS_FLOW = "thermal_mass_flow"
 
 
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    """A dataclass's field names, in order; fields() is slow to ask per instance."""
+    return tuple(f.name for f in fields(cls))
+
+
 def _require_finite_fields(obj) -> None:
     """Reject NaN and infinity in every numeric field of a dataclass, and
     integers too large to convert to a float.
@@ -95,15 +102,15 @@ def _require_finite_fields(obj) -> None:
     Range checks alone let NaN through, because every comparison with it
     is False.
     """
-    for f in fields(obj):
-        value = getattr(obj, f.name)
+    for name in _field_names(type(obj)):
+        value = getattr(obj, name)
         for x in value if isinstance(value, tuple) else (value,):
             try:
                 finite = not isinstance(x, (int, float)) or math.isfinite(x)
             except OverflowError:  # an int too large for a float
                 finite = False
             if not finite:
-                raise ValueError(f"{type(obj).__name__}.{f.name} must be finite, got {value}")
+                raise ValueError(f"{type(obj).__name__}.{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -474,6 +481,9 @@ def frequency_sweep(
 
 
 _ARCHETYPE_ENV = "NPRSIM_ARCHETYPES"
+# The packaged table, as an absolute path string: a cached lookup builds no path.
+_DEFAULT_ARCHETYPES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                   "data", "archetypes.yaml")
 _ARCHETYPE_CACHE: dict[str, dict[str, DpsModel]] = {}
 
 
@@ -520,11 +530,12 @@ def load_archetypes() -> dict[str, DpsModel]:
     {part_id: DpsModel}; any problem with the file raises one ValueError
     that names it.
     """
-    path = Path(os.environ.get(_ARCHETYPE_ENV, Path(__file__).parent / "data" / "archetypes.yaml"))
+    chosen = os.environ.get(_ARCHETYPE_ENV)
     # abspath, not resolve(): a lookup must not walk the file system.
-    key = os.path.abspath(path)
+    key = _DEFAULT_ARCHETYPES if chosen is None else os.path.abspath(chosen)
     if key in _ARCHETYPE_CACHE:
         return _ARCHETYPE_CACHE[key]
+    path = Path(_DEFAULT_ARCHETYPES if chosen is None else chosen)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.load(fh, Loader=YAML_LOADER)

@@ -164,15 +164,26 @@ def read_wav(path: str | Path) -> AudioBuffer:
     return AudioBuffer(sample_rate_hz=int(rate), samples=samples)
 
 
+_WAV_BLOCK_SAMPLES = 1 << 16
+
+
 def write_wav(path: str | Path, audio: AudioBuffer) -> None:
     """Write mono 16-bit PCM little-endian WAV."""
     from scipy.io import wavfile
 
-    # Clip, scale and round in one float buffer before the 16-bit copy.
-    scaled = np.clip(audio.samples, -1.0, 1.0)
-    scaled *= 32767.0
-    np.round(scaled, out=scaled)
-    wavfile.write(path, audio.sample_rate_hz, scaled.astype("<i2"))
+    # Clip, scale and round a block at a time in one float buffer, so the
+    # 16-bit copy is the only full-length array this adds.
+    samples = audio.samples
+    pcm = np.empty(samples.size, dtype="<i2")
+    block = np.empty(min(samples.size, _WAV_BLOCK_SAMPLES))
+    for start in range(0, samples.size, _WAV_BLOCK_SAMPLES):
+        part = samples[start:start + _WAV_BLOCK_SAMPLES]
+        scaled = block[:part.size]
+        np.clip(part, -1.0, 1.0, out=scaled)
+        scaled *= 32767.0
+        np.round(scaled, out=scaled)
+        pcm[start:start + part.size] = scaled
+    wavfile.write(path, audio.sample_rate_hz, pcm)
 
 
 def suppress_band(audio: AudioBuffer, band_hz: tuple[float, float]) -> AudioBuffer:
@@ -478,9 +489,9 @@ def _require_drive_length(n_samples: float, sample_rate_hz: int) -> None:
             f"samples, over the {MAX_DRIVE_SAMPLES} one drive may hold at {sample_rate_hz} Hz")
 
 
-def _drive_bursts(schedule, model, tube, frequency_hz, amplitude, n_samples, post_filter=None):
-    """Transducer response to n_samples of the burst train at amplitude Pa,
-    through post_filter when one is given; returns (trace, spans)."""
+def _drive_bursts(schedule, model, tube, frequency_hz, amplitude, n_samples):
+    """Transducer response to n_samples of the burst train at amplitude Pa;
+    returns (trace, spans)."""
     fs = model.sample_rate_hz
     _require_drive_length(n_samples, fs)
     inlet = np.zeros(n_samples)
@@ -488,10 +499,7 @@ def _drive_bursts(schedule, model, tube, frequency_hz, amplitude, n_samples, pos
     if not spans.size:
         raise ScheduleError(f"trace window of {n_samples / fs:.3g} s too short to hold a "
                             f"single burst of the {frequency_hz:.3g} Hz tone")
-    trace = step_response(model, tube, inlet, 1.0 / fs)
-    if post_filter is not None:
-        trace.p_out_pa = post_filter(trace.p_out_pa, fs)
-    return trace, spans
+    return step_response(model, tube, inlet, 1.0 / fs), spans
 
 
 def attack_response_trace(
@@ -521,22 +529,17 @@ def attack_response_trace(
     return trace, spans, amplitude
 
 
-def unit_response_mean(
+def _unit_response(
     schedule: SegmentSchedule,
     model,
     tube,
     *,
     target_f_hz: float,
-    post_filter: Callable[[np.ndarray, int], np.ndarray] | None = None,
-) -> float:
-    """Mean rectified transducer output, Pa, for bursts of 1 Pa at the
-    port, tuned to target_f_hz.
-
-    The mean runs over the whole burst intervals that fit in
-    ESTIMATE_WINDOW_S after ESTIMATE_WARMUP_S of warm-up.  The chain is
-    linear, so bursts of amplitude A give A times this mean.
-    """
-    f = float(target_f_hz)
+) -> tuple[np.ndarray, slice]:
+    """Transducer output, Pa, for bursts of 1 Pa at the port, tuned to
+    target_f_hz, and the estimate window over it: the whole burst
+    intervals that fit in ESTIMATE_WINDOW_S after ESTIMATE_WARMUP_S of
+    warm-up."""
     t_i = schedule.interval_s
     k0 = int(math.ceil(ESTIMATE_WARMUP_S / t_i))
     n_periods = max(1, int(math.floor(ESTIMATE_WINDOW_S / t_i)))
@@ -547,8 +550,36 @@ def unit_response_mean(
     _require_drive_length(stop + 2, fs)
     start = int(round(k0 * t_i * fs))
     stop = int(round(stop))
-    trace, _spans = _drive_bursts(schedule, model, tube, f, 1.0, stop + 2, post_filter)
-    return float(np.mean(np.abs(trace.p_out_pa[start:stop])))
+    trace, _spans = _drive_bursts(schedule, model, tube, float(target_f_hz), 1.0, stop + 2)
+    return trace.p_out_pa, slice(start, stop)
+
+
+def _rectified_mean(response: np.ndarray, window: slice) -> float:
+    """Mean of |response| over window, the rectified mean of a unit
+    response.  Rectifies that part of response in place, so a caller that
+    reads the response again passes a copy."""
+    part = response[window]
+    return float(np.mean(np.abs(part, out=part)))
+
+
+def unit_response_mean(
+    schedule: SegmentSchedule,
+    model,
+    tube,
+    *,
+    target_f_hz: float,
+    post_filter: Callable[[np.ndarray, int], np.ndarray] | None = None,
+) -> float:
+    """Mean rectified transducer output, Pa, for bursts of 1 Pa at the
+    port, tuned to target_f_hz, through post_filter when one is given.
+
+    The mean runs over _unit_response's estimate window.  The chain is
+    linear, so bursts of amplitude A give A times this mean.
+    """
+    response, window = _unit_response(schedule, model, tube, target_f_hz=target_f_hz)
+    if post_filter is not None:
+        response = post_filter(response, model.sample_rate_hz)
+    return _rectified_mean(response, window)
 
 
 def forged_from_unit(model, port_amplitude: float, unit_mean: float) -> float:

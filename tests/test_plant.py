@@ -31,7 +31,7 @@ from nprsim.plant import (
     SUBSTEPS_PER_PERIOD,
     AlarmEvent,
     SimulationTrace,
-    _period_map,
+    _period_maps,
     _port_offsets,
     horizon_periods,
 )
@@ -58,20 +58,80 @@ def _scenario(rooms=None, attack=None, wiring_kw=None, **kw):
 def test_controller_step_direction_and_magnitude():
     cfg = ControllerConfig(setpoint_pa=-2.5, gain=0.0025, deadband_pa=0.0)
     # reading 2 Pa above setpoint: supply slows by gain * 2
-    supply, exhaust = controller_step(cfg, -0.5, 0.5, 0.5)
+    supply, exhaust = controller_step(cfg, -0.5, (0.5, 0.5))
     assert 0.5 - supply == pytest.approx(0.0025 * 2.0, abs=1e-15)
     assert exhaust - 0.5 == pytest.approx(0.0025 * 2.0, abs=1e-15)
     # reading below setpoint: the opposite
-    supply, exhaust = controller_step(cfg, -4.5, 0.5, 0.5)
+    supply, exhaust = controller_step(cfg, -4.5, (0.5, 0.5))
     assert supply - 0.5 == pytest.approx(0.0025 * 2.0, abs=1e-15)
 
 
 def test_controller_holds_inside_deadband_and_clamps():
     cfg = ControllerConfig(setpoint_pa=-2.5, deadband_pa=0.2)
-    assert controller_step(cfg, -2.45, 0.5, 0.5) == (0.5, 0.5)
-    supply, exhaust = controller_step(cfg, 500.0, 0.001, 0.999)
+    assert controller_step(cfg, -2.45, (0.5, 0.5)).tolist() == [0.5, 0.5]
+    supply, exhaust = controller_step(cfg, 500.0, (0.001, 0.999))
     assert supply == 0.0
     assert exhaust == 1.0
+
+
+def _controller_step_by_where(cfg, measured_pa, supply_cmd, exhaust_cmd):
+    """The control law as controller_step stated it before it trimmed the
+    two commands as one block: a where on the deadband, the edge by
+    copysign, and one clamp per command.  The reference for the fused law."""
+    error = np.subtract(measured_pa, cfg.setpoint_pa)
+    outside = np.abs(error) > cfg.deadband_pa
+    correction = np.where(outside, cfg.gain * (error - np.copysign(cfg.deadband_pa, error)), 0.0)
+    supply = np.minimum(1.0, np.maximum(0.0, supply_cmd - correction))
+    exhaust = np.minimum(1.0, np.maximum(0.0, exhaust_cmd + correction))
+    return supply, exhaust
+
+
+# Commands at and past both clamps, and both zeros.
+_EDGE_COMMANDS = st.sampled_from([0.0, -0.0, 1.0, 0.5, -0.25, 1.25, 5e-324, 1.0 - 2**-53])
+
+
+@st.composite
+def _controller_cases(draw):
+    """A reading, a command pair and the setpoint, gain and deadband, as
+    Python floats or as per-room arrays (the plant's call).
+
+    Half the cases are multiples of 1/8, so the error is exact and often
+    exactly the deadband, 0 or beyond it; the deadband is often 0."""
+    n_rooms = draw(st.integers(0, 4))
+    exact = draw(st.booleans())
+
+    def one(strategy):
+        return [draw(strategy) for _ in range(max(n_rooms, 1))]
+
+    if exact:
+        setpoint = one(st.integers(1, 400).map(lambda m: -m / 8))
+        deadband = one(st.integers(0, 16).map(lambda m: m / 8))
+        reading = [sp + draw(st.integers(-40, 40)) / 8 for sp in setpoint]
+    else:
+        setpoint = one(st.floats(-100.0, -5e-324))
+        deadband = one(st.just(0.0) | st.floats(0.0, 5.0))
+        reading = one(st.floats(-1e4, 1e4))
+    gain = one(st.sampled_from([0.0025, 1.0]) | st.floats(1e-9, 10.0))
+    commands = [[draw(_EDGE_COMMANDS | st.floats(-0.5, 1.5)) for _ in range(2)]
+                for _ in range(max(n_rooms, 1))]
+    if n_rooms == 0:
+        cfg = ControllerConfig(setpoint_pa=setpoint[0], gain=gain[0], deadband_pa=deadband[0])
+        return cfg, reading[0], tuple(commands[0])
+    cfg = SimpleNamespace(setpoint_pa=np.array(setpoint), gain=np.array(gain),
+                          deadband_pa=np.array(deadband))
+    return cfg, np.array(reading), np.array(commands)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_controller_cases())
+def test_the_fused_control_law_is_the_where_law_bit_for_bit(case):
+    cfg, reading, commands = case
+    fused = controller_step(cfg, reading, commands)
+    commands = np.asarray(commands)
+    supply, exhaust = _controller_step_by_where(cfg, reading, commands[..., 0], commands[..., 1])
+    where = np.stack([supply, exhaust], axis=-1)
+    assert fused.shape == where.shape == commands.shape
+    assert fused.tobytes() == where.tobytes()
 
 
 def test_balanced_fans_hold_the_setpoint():
@@ -215,6 +275,24 @@ def test_rpm_alarm_flags_change_where_the_event_walk_logs_an_event(case):
     events, oracle_flags = _alarm_by_row(times, series, setpoint, cfg)
     assert _transitions(times, flags) == events
     assert np.array_equal(flags, oracle_flags)
+
+
+@pytest.mark.parametrize("dwell_s, deviation, raised_rows", [
+    (3.0, [0, 0, 0, 0, 0, 0, 3, 3, 3, 3], [9]),
+    (0.0, [0, 0, 3, 3, 3, 0, 0, 3], [2, 3, 4, 7]),
+    (2.0, [0, 0, 0, 3, 3, 3, 0, 3, 3], [5]),
+    (3.0, [0, 3, 3, 3, 2, 3, 3, 3, 3, 3], [8, 9]),
+], ids=["raised-on-the-last-row", "dwell-0", "cleared-on-the-row-after-the-raise",
+        "run-cut-by-a-row-at-the-threshold"])
+def test_rpm_alarm_edge_cases_match_the_event_walk(dwell_s, deviation, raised_rows):
+    """Deviations in Pa from a -2.5 Pa setpoint under a 2 Pa threshold, one
+    row a second; a row exactly at the threshold is not above it."""
+    cfg = AlarmConfig(threshold_pa=2.0, dwell_s=dwell_s)
+    times = np.arange(len(deviation)) * 1.0
+    series = -2.5 + np.array(deviation, dtype=float)
+    flags = rpm_alarm(times, series, -2.5, cfg)
+    assert np.flatnonzero(flags).tolist() == raised_rows
+    assert np.array_equal(flags, _alarm_by_row(times, series, -2.5, cfg)[1])
 
 
 def _dual_scenario(affects):
@@ -624,11 +702,41 @@ def test_unsaturated_loop_parks_its_true_differential_at_the_offset_setpoint(sce
         assert abs(trace.true_pd_pa[-1, j] - target) <= cfg.deadband_pa + 1e-6
 
 
+def _period_map_by_room(room: RoomConfig, period_s: float) -> np.ndarray:
+    """One room's 3x5 period map as the plant built it before it took one
+    matrix power of every room's stack: the reference for _period_maps."""
+    dt_sub = period_s / SUBSTEPS_PER_PERIOD
+    decay_room = math.exp(-dt_sub / room.pressure_time_constant_s)
+    decay_fan = math.exp(-dt_sub / room.fans.time_constant_s)
+    drive = room.fans.max_flow_m3ps / room.leak_coeff_m3ps_per_pa * (1.0 - decay_room)
+    step = np.array([
+        [decay_room, drive, -drive, 0.0, 0.0],
+        [0.0, decay_fan, 0.0, 1.0 - decay_fan, 0.0],
+        [0.0, 0.0, decay_fan, 0.0, 1.0 - decay_fan],
+        [0.0, 0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 1.0],
+    ])
+    return np.linalg.matrix_power(step, SUBSTEPS_PER_PERIOD)[:3]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_loop_scenarios())
+def test_the_stacked_period_maps_are_the_per_room_maps_bit_for_bit(scenario):
+    maps = _period_maps(scenario.rooms, scenario.control_period_s)
+    by_room = np.stack([_period_map_by_room(room, scenario.control_period_s)
+                        for room in scenario.rooms])
+    assert maps.flags.c_contiguous
+    assert maps.tobytes() == by_room.tobytes()
+
+
 def _simulate_every_period(scenario: NprScenario, absolute: bool = False) -> SimulationTrace:
     """simulate_scenario without its stop at a fixed point: the same
-    controller_step and einsum on the same deviations from the balance
-    point, once for every period of the horizon.  The exact reference for
-    the early stop.
+    einsum on the same deviations from the balance point, once for every
+    period of the horizon, with the control law, the period maps and the
+    reading as the plant computed them before it fused them (a where on
+    the deadband and one clamp per command, one matrix power per room, the
+    offsets added one at a time).  The exact reference for the early stop
+    and for those forms.
 
     With absolute, the origin of the deviations is zero instead, so the
     loop steps absolute values as the plant did before it stepped
@@ -654,7 +762,7 @@ def _simulate_every_period(scenario: NprScenario, absolute: bool = False) -> Sim
     if absolute:
         balance[:] = 0.0
     deviation = start - balance
-    period_maps = np.stack([_period_map(room, period) for room in rooms])
+    period_maps = np.stack([_period_map_by_room(room, period) for room in rooms])
     gains = SimpleNamespace(**{
         name: np.array([getattr(room.controller, name) for room in rooms])
         for name in ("setpoint_pa", "gain", "deadband_pa")
@@ -675,7 +783,8 @@ def _simulate_every_period(scenario: NprScenario, absolute: bool = False) -> Sim
         meas_hvac[k] = state[:, 0] + hvac_low - hvac_high
         if k == n_periods:
             break
-        supply_cmd, exhaust_cmd = controller_step(gains, meas_hvac[k], state[:, 3], state[:, 4])
+        supply_cmd, exhaust_cmd = _controller_step_by_where(
+            gains, meas_hvac[k], state[:, 3], state[:, 4])
         deviation[:, 3:] = np.column_stack([supply_cmd, exhaust_cmd]) - balance[:, 3:]
         deviation[:, :3] = np.einsum("rij,rj->ri", period_maps, deviation)
     true_pd, sup_trace, exh_trace = rows

@@ -146,6 +146,30 @@ def test_suppress_band_equals_the_full_gain_notch(n, band_hz):
                           _suppress_band_full_gain(audio, band_hz))
 
 
+def test_write_wav_converts_in_blocks_to_the_one_buffer_samples(tmp_path):
+    """write_wav holds the 16-bit copy and one block of floats: at most 3
+    bytes a sample above its input, for the same samples the whole-buffer
+    conversion wrote."""
+    from scipy.io import wavfile
+
+    rng = np.random.default_rng(11)
+    samples = np.clip(rng.normal(scale=0.4, size=1_000_003), -1.0, 1.0)
+    samples[:4] = [1.0 + 1e-9, -1.0 - 1e-9, 0.5 / 32767.0, -0.5 / 32767.0]
+    audio = AudioBuffer(sample_rate_hz=48000, samples=samples)
+    path = tmp_path / "blocks.wav"
+    tracemalloc.start()
+    try:
+        write_wav(path, audio)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * samples.size
+    whole = np.clip(samples, -1.0, 1.0)
+    whole *= 32767.0
+    np.round(whole, out=whole)
+    assert wavfile.read(path)[1].tobytes() == whole.astype("<i2").tobytes()
+
+
 def test_wav_roundtrip_is_16_bit_faithful(tmp_path):
     fs = 44100
     rng = np.random.default_rng(5)
