@@ -39,8 +39,7 @@ from .waveform import (
     ClippingError,
     ScheduleError,
     SegmentSchedule,
-    forged_from_unit,
-    port_amplitude_pa,
+    forged_pressure_estimate,
     psd_ratio,
     read_wav,
     segment_mask,
@@ -325,7 +324,7 @@ def _parse_grid(args: argparse.Namespace) -> list[float]:
 
 def _forged_at(setup, axis: str, value: float, unit_mean) -> float:
     """Forged pressure of the scenario's attack with one parameter set to
-    value; unit_mean gives the burst train's 1 Pa response, as
+    value; unit_mean gives the burst train's rectified 1 Pa response, as
     unit_response_mean does."""
     model, tube = setup.model, setup.tube
     source, schedule = setup.source, setup.schedule
@@ -347,9 +346,9 @@ def _forged_at(setup, axis: str, value: float, unit_mean) -> float:
         if value not in (0.0, 1.0):
             raise CliError("pickup axis takes values 0 or 1")
         tube = replace(tube, pickup_device=bool(value))
-    amplitude = port_amplitude_pa(source, tube)
-    return forged_from_unit(model, amplitude,
-                            unit_mean(schedule, model, tube, target_f_hz=source.tone_hz))
+    return forged_pressure_estimate(
+        schedule, model, tube, source,
+        unit_mean_pa=unit_mean(schedule, model, tube, target_f_hz=source.tone_hz))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -29,14 +29,7 @@ from .sensor import (
     _require_finite_fields,
     step_response,
 )
-from .waveform import (
-    SegmentSchedule,
-    _rectified_mean,
-    _unit_response,
-    forged_from_unit,
-    forged_pressure_estimate,
-    port_amplitude_pa,
-)
+from .waveform import SegmentSchedule, forged_pressure_estimate, unit_response
 
 NOISE_FLOOR_PA = 0.1
 """Residual forged pressure below this is indistinguishable from noise."""
@@ -274,48 +267,45 @@ def evaluate_countermeasure(
     if attack is None:
         baseline = scenario.wiring.attack.forged_pa
     else:
-        amplitude = port_amplitude_pa(attack.source, attack.tube)
-        unit, window = _unit_response(attack.schedule, attack.model, attack.tube,
-                                      target_f_hz=attack.source.tone_hz)
-        # An lpf filters this drive below, so its mean must leave it whole.
-        unit_mean = _rectified_mean(unit.copy() if cm.kind == "lpf" else unit, window)
-        baseline = forged_from_unit(attack.model, amplitude, unit_mean)
+        # Every defense but long_tube leaves the burst train's 1 Pa
+        # response as it is, or filters it after the transducer.
+        unit, window = unit_response(attack.schedule, attack.model, attack.tube,
+                                     target_f_hz=attack.source.tone_hz)
+        unit_mean = float(np.mean(np.abs(unit[window])))
+        baseline = forged_pressure_estimate(attack.schedule, attack.model, attack.tube,
+                                            attack.source, unit_mean_pa=unit_mean)
 
     residual = baseline
     run_scenario = scenario
     penalty_s = 0.0
-
-    # Each defense's settle penalty comes before its residual: the settle
-    # window is where a defense too slow to score is refused, and the
-    # residual estimate drives the whole attack through the defended chain.
-    if cm.kind == "long_tube":
-        new_tube = replace(attack.tube or NO_TUBE, length_m=cm.tube_length_m)
-        penalty_s = measurement_settle_time_s(attack.model, new_tube) - measurement_settle_time_s(
-            attack.model, attack.tube
-        )
-        residual = forged_pressure_estimate(attack.schedule, attack.model, new_tube, attack.source)
-    elif cm.kind == "enclosure":
-        lag = enclosure_lag_s(cm.extra_loss_db)
-        penalty_s = measurement_settle_time_s(
-            attack.model, attack.tube, extra_lag_s=lag
-        ) - measurement_settle_time_s(attack.model, attack.tube)
-        # The enclosure only adds path loss: the burst train's 1 Pa
-        # response is the baseline's.
-        amplitude = port_amplitude_pa(attack.source, attack.tube, cm.extra_loss_db)
-        residual = forged_from_unit(attack.model, amplitude, unit_mean)
-    elif cm.kind == "lpf":
-        penalty_s = measurement_settle_time_s(
-            attack.model, attack.tube, lpf_cutoff_hz=cm.cutoff_hz, lpf_order=cm.order
-        ) - measurement_settle_time_s(attack.model, attack.tube)
-        # The filter acts after the transducer: filter the baseline's drive.
-        filtered = lpf_cascade(unit, cm.cutoff_hz, 1.0 / attack.model.sample_rate_hz, cm.order)
-        residual = forged_from_unit(attack.model, amplitude, _rectified_mean(filtered, window))
-    elif cm.kind == "raised_setpoint":
+    if cm.kind == "raised_setpoint":
         rooms = tuple(
             replace(room, controller=replace(room.controller, setpoint_pa=cm.setpoint_pa))
             for room in scenario.rooms
         )
         run_scenario = replace(scenario, rooms=rooms)
+    else:
+        tube, settle, loss_db = attack.tube, {}, 0.0
+        if cm.kind == "long_tube":
+            tube = replace(attack.tube or NO_TUBE, length_m=cm.tube_length_m)
+            unit_mean = None  # the new tube is driven afresh
+        elif cm.kind == "enclosure":
+            settle = {"extra_lag_s": enclosure_lag_s(cm.extra_loss_db)}
+            loss_db = cm.extra_loss_db
+        else:
+            settle = {"lpf_cutoff_hz": cm.cutoff_hz, "lpf_order": cm.order}
+        # The settle penalty comes before the residual: the settle window
+        # is where a defense too slow to score is refused, and a residual
+        # may drive the whole attack through the defended chain.
+        penalty_s = (measurement_settle_time_s(attack.model, tube, **settle)
+                     - measurement_settle_time_s(attack.model, attack.tube))
+        if cm.kind == "lpf":
+            # The filter acts after the transducer: filter the baseline's drive.
+            filtered = lpf_cascade(unit, cm.cutoff_hz, 1.0 / attack.model.sample_rate_hz,
+                                   cm.order)
+            unit_mean = float(np.mean(np.abs(filtered[window])))
+        residual = forged_pressure_estimate(attack.schedule, attack.model, tube, attack.source,
+                                            extra_loss_db=loss_db, unit_mean_pa=unit_mean)
 
     plan = replace(scenario.wiring.attack, forged_pa=residual)
     run_scenario = replace(run_scenario, wiring=replace(run_scenario.wiring, attack=plan))

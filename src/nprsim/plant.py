@@ -214,6 +214,20 @@ class NprScenario:
             raise WiringError("a common high port implies at least 2 rooms")
         if self.wiring.attack.affects == "rpm" and not self.wiring.separate_rpm:
             raise WiringError("attack targets the monitor sensor but none is wired")
+        # A run moves a room's differential from its start by at most four
+        # times the fans' capacity over the leak (two speeds and two
+        # commands, each within 1 of balance), and a reading adds the forged
+        # offset: with this sum finite, so is every value the run computes.
+        forged = self.wiring.attack.forged_pa
+        for r in self.rooms:
+            setpoint = r.controller.setpoint_pa
+            start = 0.0 if r.initial_pressure_pa is None else (
+                r.initial_pressure_pa - self.hallway_pa - setpoint)
+            reach = r.fans.max_flow_m3ps / r.leak_coeff_m3ps_per_pa
+            if not math.isfinite(abs(setpoint) + abs(start) + 4.0 * reach + forged):
+                raise ValueError(
+                    f"room {r.name}: a start {start:g} Pa from the setpoint, fans that reach "
+                    f"{reach:g} Pa and a forged offset of {forged:g} Pa overflow a float")
 
     @property
     def control_period_s(self) -> float:
@@ -321,7 +335,8 @@ def horizon_periods(horizon_s: float, period_s: float, n_rooms: int) -> int:
             f"must cover at most {MAX_ROOM_PERIODS} control periods across all rooms, "
             f"got {periods:.3g} periods of {period_s:g} s for {n_rooms} room(s)"
         )
-    n_periods = int(round(periods))
+    # A negative horizon covers no period; max() also keeps -inf from round().
+    n_periods = int(round(max(periods, 0.0)))
     if n_periods < MIN_HORIZON_PERIODS:
         raise ValueError(
             f"must cover at least {MIN_HORIZON_PERIODS} control periods of {period_s:g} s"

@@ -38,7 +38,7 @@ from .plant import (
     balanced_fans,
     horizon_periods,
 )
-from .sensor import YAML_LOADER, TubeAssembly, archetype
+from .sensor import YAML_LOADER, TubeAssembly, _is_int, _is_number, archetype
 from .waveform import SegmentSchedule, forged_pressure_estimate
 
 _LINES_KEY = "__lines__"
@@ -90,14 +90,6 @@ class _LineLoader(YAML_LOADER):
 
 
 _LineLoader.add_constructor("tag:yaml.org,2002:int", _LineLoader.construct_yaml_int)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _finite_float(value: int | float) -> float | None:

@@ -491,10 +491,14 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 # The table values each DpsModel field type accepts; DpsModel checks the rest.
 _ARCHETYPE_TYPES = {
     "str": lambda v: isinstance(v, str),
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "int": _is_int,
     "float": _is_number,
     "Transducer": lambda v: isinstance(v, str) and v in {t.value for t in Transducer},
     "tuple[float, float]": lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),

@@ -10,9 +10,12 @@ zero, which is what leaves a one-signed pressure residue between bursts.
 Also here: the time-averaged forged pressure estimator, which couples a
 synthesized burst train through the acoustic path into the transducer model,
 and the packaged calibration carrier used for repeatable spectral checks.
-The path and the transducer are both linear, so the estimate is the path's
-port amplitude times the response to bursts of 1 Pa: a caller that varies
-only the source or the path loss drives the transducer once.
+The path and the transducer are both linear, so the estimate is the reading
+gain times the path's port amplitude times the rectified mean response to
+bursts of 1 Pa.  forged_pressure_estimate is the one place that product is
+formed; a caller that already holds the mean for the same burst train,
+model, tube and tone passes it as unit_mean_pa, so one that varies only the
+source or the path loss drives the transducer once.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -476,8 +478,16 @@ def _true_run_lengths(mask: np.ndarray) -> np.ndarray:
 
 def port_amplitude_pa(source, tube, extra_loss_db: float = 0.0) -> float:
     """Burst amplitude at the transducer inlet, Pa: the source's pressure
-    amplitude times the path gain h of :func:`propagate`."""
-    return propagate(source, tube or NO_TUBE, extra_loss_db) * spl_to_pressure_amp(source.spl_db)
+    amplitude times the path gain h of :func:`propagate`.
+
+    A non-finite amplitude raises ValueError, as a drive of that inlet
+    would.
+    """
+    amplitude = propagate(source, tube or NO_TUBE, extra_loss_db) * spl_to_pressure_amp(
+        source.spl_db)
+    if not math.isfinite(amplitude):
+        raise ValueError("inlet contains non-finite samples")
+    return amplitude
 
 
 def _require_drive_length(n_samples: float, sample_rate_hz: int) -> None:
@@ -529,7 +539,7 @@ def attack_response_trace(
     return trace, spans, amplitude
 
 
-def _unit_response(
+def unit_response(
     schedule: SegmentSchedule,
     model,
     tube,
@@ -554,44 +564,20 @@ def _unit_response(
     return trace.p_out_pa, slice(start, stop)
 
 
-def _rectified_mean(response: np.ndarray, window: slice) -> float:
-    """Mean of |response| over window, the rectified mean of a unit
-    response.  Rectifies that part of response in place, so a caller that
-    reads the response again passes a copy."""
-    part = response[window]
-    return float(np.mean(np.abs(part, out=part)))
-
-
 def unit_response_mean(
     schedule: SegmentSchedule,
     model,
     tube,
     *,
     target_f_hz: float,
-    post_filter: Callable[[np.ndarray, int], np.ndarray] | None = None,
 ) -> float:
-    """Mean rectified transducer output, Pa, for bursts of 1 Pa at the
-    port, tuned to target_f_hz, through post_filter when one is given.
+    """Mean rectified transducer output, Pa, over :func:`unit_response`'s
+    estimate window, for bursts of 1 Pa at the port tuned to target_f_hz.
 
-    The mean runs over _unit_response's estimate window.  The chain is
-    linear, so bursts of amplitude A give A times this mean.
+    The chain is linear, so bursts of amplitude A give A times this mean.
     """
-    response, window = _unit_response(schedule, model, tube, target_f_hz=target_f_hz)
-    if post_filter is not None:
-        response = post_filter(response, model.sample_rate_hz)
-    return _rectified_mean(response, window)
-
-
-def forged_from_unit(model, port_amplitude: float, unit_mean: float) -> float:
-    """Forged pressure of bursts of port_amplitude Pa whose 1 Pa response
-    has the rectified mean unit_mean: reading_gain x amplitude x mean.
-
-    A non-finite amplitude raises ValueError, as a drive of that inlet
-    would.
-    """
-    if not math.isfinite(port_amplitude):
-        raise ValueError("inlet contains non-finite samples")
-    return model.reading_gain * port_amplitude * unit_mean
+    response, window = unit_response(schedule, model, tube, target_f_hz=target_f_hz)
+    return float(np.mean(np.abs(response[window])))
 
 
 def forged_pressure_estimate(
@@ -601,24 +587,26 @@ def forged_pressure_estimate(
     source,
     *,
     target_f_hz: float | None = None,
-    post_filter: Callable[[np.ndarray, int], np.ndarray] | None = None,
     extra_loss_db: float = 0.0,
+    unit_mean_pa: float | None = None,
 ) -> float:
     """Steady displayed pressure offset produced by the burst train, Pa.
 
-    The bursts are tuned to target_f_hz or, by default, to
-    source.tone_hz.  Time-averaged rectified transducer output over the
-    whole burst intervals that fit in ESTIMATE_WINDOW_S after
-    ESTIMATE_WARMUP_S of warm-up, scaled by the model's reading gain: the
-    port amplitude times :func:`unit_response_mean`.  Grows toward a
-    plateau as bursts pack closer (smaller interval) and falls off
-    roughly as 1/interval as they spread out, reaching zero in the limit
-    of a lone burst.
+    The model's reading gain times :func:`port_amplitude_pa` (with
+    extra_loss_db of added path loss) times :func:`unit_response_mean` of
+    bursts tuned to target_f_hz or, by default, to source.tone_hz.  Grows
+    toward a plateau as bursts pack closer (smaller interval) and falls
+    off roughly as 1/interval as they spread out, reaching zero in the
+    limit of a lone burst.
+
+    unit_mean_pa is that last term when the caller already holds it for
+    the same schedule, model, tube and tone; the transducer is then not
+    driven.
     """
-    amplitude = port_amplitude_pa(source, tube, extra_loss_db)
-    f = source.tone_hz if target_f_hz is None else target_f_hz
-    return forged_from_unit(model, amplitude, unit_response_mean(
-        schedule, model, tube, target_f_hz=f, post_filter=post_filter))
+    if unit_mean_pa is None:
+        f = source.tone_hz if target_f_hz is None else target_f_hz
+        unit_mean_pa = unit_response_mean(schedule, model, tube, target_f_hz=f)
+    return model.reading_gain * port_amplitude_pa(source, tube, extra_loss_db) * unit_mean_pa
 
 
 def calibration_carrier(duration_s: float = 5.0) -> AudioBuffer:

@@ -1,11 +1,16 @@
+import contextlib
 import copy
+import io
 import math
+import re
 import sys
+import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
@@ -19,7 +24,15 @@ from nprsim import (
     waveform,
 )
 from nprsim.cli import MAX_SILENCE_SAMPLES, _num, _trace_lines, main
-from nprsim.plant import AlarmEvent, SimulationTrace
+from nprsim.plant import (
+    HALLWAY_PA,
+    AlarmConfig,
+    AlarmEvent,
+    ControllerConfig,
+    FanSpec,
+    RoomConfig,
+    SimulationTrace,
+)
 from nprsim.scenario import _LineLoader
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -752,12 +765,21 @@ def test_a_sweeps_unit_responses_last_only_as_long_as_its_command(monkeypatch, t
     assert (tmp_path / "first.csv").read_bytes() == (tmp_path / "second.csv").read_bytes()
 
 
-def test_an_enclosure_is_scored_with_the_baselines_drive(monkeypatch, tmp_path, capsys):
+# Only long_tube changes the transducer's chain; every other kind is
+# scored with the baseline's drive, an lpf by filtering it.
+@pytest.mark.parametrize("kind, params, drives", [
+    ("lpf", ["--cutoff-hz", "120", "--order", "3"], 1),
+    ("enclosure", ["--extra-loss-db", "12"], 1),
+    ("long_tube", ["--tube-length", "2"], 2),
+    ("raised_setpoint", ["--setpoint-pa", "-12"], 1),
+], ids=["lpf", "enclosure", "long_tube", "raised_setpoint"])
+def test_a_countermeasure_drives_only_where_its_chain_changes(
+        kind, params, drives, monkeypatch, tmp_path, capsys):
     sizes = _count_forged_drives(monkeypatch)
-    rc = main(["evaluate-cm", str(SCENARIO_DIR / "acoustic_lpf.yaml"), "--kind", "enclosure",
-               "--extra-loss-db", "12", "--out", str(tmp_path)])
+    rc = main(["evaluate-cm", str(SCENARIO_DIR / "acoustic_lpf.yaml"), "--kind", kind, *params,
+               "--out", str(tmp_path)])
     assert rc == 0
-    assert len(sizes) == 1
+    assert len(sizes) == drives
 
 
 # Each line as the CLI printed it when every point drove the transducer
@@ -821,10 +843,15 @@ _TABLE_MISSING_A_KEY = ("sensors:\n  - part_id: X1\n    transducer: capacitive\n
     (["simulate", "{scenario}", "--out", "{out}"],
      _LPF.replace("interval_s: 0.015", "interval_s: 0.015\n    amplitude_scale: 0.1"), None,
      "scenario.attack.schedule.amplitude_scale: unknown key"),
+    (["simulate", "{scenario}", "--out", "{out}"],
+     "hallway_pa: 1.0e+308\n" + MINIMAL + "    initial_pressure_pa: -1.0e+308\n", None,
+     "room iso1: a start -inf Pa from the setpoint, fans that reach 100 Pa and a forged "
+     "offset of 0 Pa overflow a float"),
 ], ids=["simulate-tone-0.1hz", "simulate-tube-1e-9m", "synth-silence-past-nyquist",
         "synth-carrier-past-nyquist", "characterize-all-bad-table", "simulate-bad-table",
         "sweep-ti-1e9ms", "sweep-ti-1e307ms", "simulate-interval-1000s", "characterize-diameter-1e-160",
-        "sweep-diameter-1e-160", "simulate-amplitude-scale"])
+        "sweep-diameter-1e-160", "simulate-amplitude-scale",
+        "simulate-room-start-overflow"])
 def test_a_failing_run_is_one_error_line_and_writes_nothing(argv, scenario, table, message,
                                                             monkeypatch, tmp_path, capsys):
     inputs = tmp_path / "in"
@@ -968,6 +995,78 @@ def test_loader_returns_a_scenario_or_a_scenario_error(text):
     except ScenarioError:
         return
     assert isinstance(loaded, LoadedScenario)
+
+
+# The shipped scenarios simulate runs without the sensor model, cut to 20
+# control periods, with every default a leaf so a draw can replace it, and
+# each room starting 10 Pa above the hallway.
+_STATED = {
+    "hallway_pa": HALLWAY_PA, "fans": asdict(FanSpec()), "alarm": asdict(AlarmConfig()),
+    "controller": {k: v for k, v in asdict(ControllerConfig()).items() if k != "setpoint_pa"},
+}
+_STATED_ROOM = {"volume_m3": RoomConfig.volume_m3, "initial_pressure_pa": HALLWAY_PA + 10.0,
+                "leak_coeff_m3ps_per_pa": RoomConfig.leak_coeff_m3ps_per_pa}
+_FORGED_ONLY = {
+    name: {**_STATED, **doc, "horizon_s": 20,
+           "rooms": [{**_STATED_ROOM, **room} for room in doc["rooms"]]}
+    for name, doc in SHIPPED.items() if "source" not in doc.get("attack", {})
+}
+# The ends of a float's range, subnormals, each side of the zero bound
+# every dataclass checks, an integer past a float's range, and values a
+# room could hold.
+_EDGE_NUMBERS = st.sampled_from([
+    0, 0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, 1e-300, -1e-300,
+    1e300, -1e300, 1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 10**400,
+    1, -1, 2.5, -2.5, 1e-9, -1e-9,
+])
+
+
+@st.composite
+def _edge_scenario(draw):
+    doc = copy.deepcopy(_FORGED_ONLY[draw(st.sampled_from(sorted(_FORGED_ONLY)))])
+    leaves = [path for path in _paths(doc, "leaf") if type(_at(doc, path)) in (int, float)]
+    for path in draw(st.lists(st.sampled_from(leaves), min_size=1, max_size=3, unique=True)):
+        _at(doc, path[:-1])[path[-1]] = draw(_EDGE_NUMBERS)
+    return yaml.safe_dump(doc)
+
+
+def _numbers(text):
+    """Every token of text, split at commas, '=' and whitespace, that reads
+    as a float."""
+    numbers = []
+    for token in re.split(r"[,=\s]+", text):
+        try:
+            numbers.append(float(token))
+        except ValueError:
+            pass
+    return numbers
+
+
+@settings(max_examples=150, deadline=None)
+@given(_edge_scenario())
+# A room start whose distance from its setpoint overflows a float.
+@example(yaml.safe_dump({**_FORGED_ONLY["baseline.yaml"], "hallway_pa": 1e308, "rooms": [
+    {**_FORGED_ONLY["baseline.yaml"]["rooms"][0], "initial_pressure_pa": -1e308}]}))
+# A negative horizon over a subnormal period is -inf periods.
+@example(yaml.safe_dump({**_FORGED_ONLY["baseline.yaml"], "horizon_s": -1, "controller": {
+    **_STATED["controller"], "control_period_s": 5e-324}}))
+def test_a_scenario_the_loader_accepts_runs_to_finite_outputs_or_is_refused(text):
+    try:
+        parse_scenario(text)
+    except ScenarioError:
+        return
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+        (Path(tmp) / "scenario.yaml").write_text(text, encoding="utf-8")
+        out = Path(tmp) / "out"
+        rc = main(["simulate", str(Path(tmp) / "scenario.yaml"), "--out", str(out)])
+        if rc == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("nprsim:"), lines
+            assert not out.exists()
+            return
+        assert rc in (0, 3)
+        for name in ("trace.csv", "summary.txt"):
+            assert all(map(math.isfinite, _numbers((out / name).read_text(encoding="utf-8"))))
 
 
 class _PureLineLoader(yaml.SafeLoader):

@@ -1,7 +1,9 @@
-"""Checks that need a fresh interpreter: what importing the package loads,
-the calibration script's verification of the shipped constants, and the
-output comparison script."""
+"""Checks on the tree and its scripts: what importing the package loads,
+the calibration script's verification of the shipped constants, the
+output comparison script, and that no module imports a name it never
+reads."""
 
+import ast
 import os
 import shutil
 import subprocess
@@ -74,3 +76,26 @@ def test_diff_outputs_reports_a_job_whose_stdout_differs(reworded_sweep_diff):
     proc = reworded_sweep_diff
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "seed 0: job sweep-0-distance: stdout differs" in proc.stdout.splitlines()
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names path imports but never reads, nor lists in __all__."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_every_module_reads_every_name_it_imports():
+    unused = {path.name: names for path in sorted((ROOT / "src" / "nprsim").glob("*.py"))
+              if (names := _unused_imports(path))}
+    assert unused == {}

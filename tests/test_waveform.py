@@ -7,13 +7,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nprsim import (
+    AcousticAttackSetup,
     AcousticSource,
+    AttackPlan,
     AudioBuffer,
+    Countermeasure,
+    NprScenario,
+    PortWiring,
+    RoomConfig,
     ScheduleError,
     SegmentSchedule,
     archetype,
     attack_response_trace,
     calibration_carrier,
+    evaluate_countermeasure,
     forged_pressure_estimate,
     natural_resonant_hz,
     psd_ratio,
@@ -564,6 +571,11 @@ def _forged_by_direct_drive(schedule, model, tube, source, *, target_f_hz=None,
     return model.reading_gain * float(np.mean(np.abs(p[start:stop])))
 
 
+# One room attacked at its high port, run for 20 control periods.
+_ATTACKED_ROOM = NprScenario(rooms=(RoomConfig(name="iso1"),), horizon_s=20.0,
+                             wiring=PortWiring(attack=AttackPlan(placement="high_port")))
+
+
 @settings(max_examples=30, deadline=None)
 @given(spl_db=st.floats(0.0, 140.0), distance_m=st.floats(1e-3, 10.0),
        loss_db=st.floats(0.0, 120.0), tube_m=st.one_of(st.just(0.0), st.floats(0.5, 3.0)),
@@ -578,17 +590,28 @@ def test_the_unit_response_times_the_port_amplitude_is_the_direct_drive(
     tube = TubeAssembly(length_m=tube_m) if tube_m > 0.0 else None
     schedule = SegmentSchedule(band_hz=_SCHED_A1011.band_hz, duration_s=0.002,
                                interval_s=interval_s)
-    post = None
-    rel = 1e-12
-    if lpf is not None:
-        def post(series, fs):
-            return lpf_cascade(series, lpf[0], 1.0 / fs, lpf[1])
-        # The two paths agree only to rounding, and a one-pole section with
-        # coefficient a carries each step's rounding for about 1/a steps:
-        # a 20 Hz third-order cascade at 48 kHz differs by up to 3.6 x
-        # order**2 x eps/a (about 2.7e-12) over the strategy's draws.
-        a = 1.0 - math.exp(-2.0 * math.pi * lpf[0] / _A1011.sample_rate_hz)
-        rel += 16.0 * lpf[1] ** 2 * np.finfo(float).eps / a
-    kw = {"target_f_hz": _F_A1011, "post_filter": post, "extra_loss_db": loss_db}
-    assert forged_pressure_estimate(schedule, _A1011, tube, source, **kw) == pytest.approx(
-        _forged_by_direct_drive(schedule, _A1011, tube, source, **kw), rel=rel, abs=0.0)
+    if lpf is None:
+        kw = {"target_f_hz": _F_A1011, "extra_loss_db": loss_db}
+        assert forged_pressure_estimate(schedule, _A1011, tube, source, **kw) == pytest.approx(
+            _forged_by_direct_drive(schedule, _A1011, tube, source, **kw), rel=1e-12, abs=0.0)
+        return
+    # The filter acts after the transducer, on evaluate_countermeasure's
+    # baseline drive; that chain adds no path loss.
+    cutoff_hz, order = lpf
+    report = evaluate_countermeasure(
+        _ATTACKED_ROOM, Countermeasure.lpf(cutoff_hz, order),
+        AcousticAttackSetup(model=_A1011, tube=tube, source=source, schedule=schedule))
+    assert report.baseline_forged_pa == pytest.approx(_forged_by_direct_drive(
+        schedule, _A1011, tube, source, target_f_hz=_F_A1011), rel=1e-12, abs=0.0)
+
+    def post(series, fs):
+        return lpf_cascade(series, cutoff_hz, 1.0 / fs, order)
+    # The two paths agree only to rounding, and a one-pole section with
+    # coefficient a carries each step's rounding for about 1/a steps:
+    # a 20 Hz third-order cascade at 48 kHz differs by up to 3.6 x
+    # order**2 x eps/a (about 2.7e-12) over the strategy's draws.
+    a = 1.0 - math.exp(-2.0 * math.pi * cutoff_hz / _A1011.sample_rate_hz)
+    rel = 1e-12 + 16.0 * order ** 2 * np.finfo(float).eps / a
+    assert report.residual_forged_pa == pytest.approx(_forged_by_direct_drive(
+        schedule, _A1011, tube, source, target_f_hz=_F_A1011, post_filter=post),
+        rel=rel, abs=0.0)
