@@ -229,7 +229,8 @@ def measurement_settle_time_s(
         )
     n = int(round(window_s * fs))
     dt = 1.0 / fs
-    out = step_response(model, tube, np.ones(n), dt).p_out_pa
+    # A step is a one-sample period of 1 Pa.
+    out = step_response(model, tube, np.ones(1), dt, n_samples=n).p_out_pa
     if extra_lag_s > 0.0:
         a = 1.0 - math.exp(-dt / extra_lag_s)
         out, _state = _lfilter([a], [1.0, a - 1.0], out, zi=[0.0])

@@ -218,16 +218,23 @@ class NprScenario:
         # times the fans' capacity over the leak (two speeds and two
         # commands, each within 1 of balance), and a reading adds the forged
         # offset: with this sum finite, so is every value the run computes.
+        # The controller's error from the setpoint is within the sum too, so
+        # a gain that keeps twice its product finite never overflows a trim.
         forged = self.wiring.attack.forged_pa
         for r in self.rooms:
             setpoint = r.controller.setpoint_pa
             start = 0.0 if r.initial_pressure_pa is None else (
                 r.initial_pressure_pa - self.hallway_pa - setpoint)
             reach = r.fans.max_flow_m3ps / r.leak_coeff_m3ps_per_pa
-            if not math.isfinite(abs(setpoint) + abs(start) + 4.0 * reach + forged):
+            bound = abs(setpoint) + abs(start) + 4.0 * reach + forged
+            if not math.isfinite(bound):
                 raise ValueError(
                     f"room {r.name}: a start {start:g} Pa from the setpoint, fans that reach "
                     f"{reach:g} Pa and a forged offset of {forged:g} Pa overflow a float")
+            if not math.isfinite(2.0 * r.controller.gain * bound):
+                raise ValueError(
+                    f"room {r.name}: a controller gain of {r.controller.gain:g} on errors of "
+                    f"up to {bound:g} Pa overflows a float")
 
     @property
     def control_period_s(self) -> float:

@@ -316,7 +316,7 @@ def synthesize_attack(
         out = suppress_band(carrier, schedule.band_hz).samples
     else:
         out = carrier.samples.copy()
-    _lay_bursts(out, schedule, f, fs, amplitude)
+    _lay_bursts(out, _burst_spans(schedule, f, out.size, fs), schedule, f, fs, amplitude)
     worst = _peak(out)
     if worst > 1.0 + 1e-9:
         raise ClippingError(
@@ -328,23 +328,22 @@ def synthesize_attack(
 
 def _lay_bursts(
     out: np.ndarray,
+    spans: np.ndarray,
     schedule: SegmentSchedule,
     frequency_hz: float,
     sample_rate_hz: int,
     amplitude: float,
-) -> np.ndarray:
-    """Write the burst train into out in place and return its spans.
+) -> None:
+    """Write the bursts of spans into out in place.
 
     Each burst replaces out over its span, the signal already in out
     crossfaded out over the burst's onset ramp.  A burst depends only on
     its length, so one is built per distinct length.
     """
-    spans = _burst_spans(schedule, frequency_hz, out.size, sample_rate_hz)
     for windows, starts in _burst_windows(out, spans):
         burst, weight = _burst_samples(schedule, frequency_hz, windows.shape[1],
                                        sample_rate_hz, amplitude)
         windows[starts] = burst + (1.0 - weight) * windows[starts]
-    return spans
 
 
 def segment_mask(
@@ -499,17 +498,62 @@ def _require_drive_length(n_samples: float, sample_rate_hz: int) -> None:
             f"samples, over the {MAX_DRIVE_SAMPLES} one drive may hold at {sample_rate_hz} Hz")
 
 
-def _drive_bursts(schedule, model, tube, frequency_hz, amplitude, n_samples):
-    """Transducer response to n_samples of the burst train at amplitude Pa;
-    returns (trace, spans)."""
+def _train_period(spans: np.ndarray, n_samples: int) -> int | None:
+    """Samples in the shortest period that repeats the burst train of spans
+    over its first n_samples, or None when no period fits there twice.
+
+    A burst's samples depend only on its length, so the train repeats
+    every P = spans[q, 0] samples when burst k + q has burst k's length
+    and spacing for every k, no burst runs into the next, and the repeat's
+    first burst past the train starts at or after n_samples.
+    """
+    starts = spans[:, 0]
+    lengths = spans[:, 1] - starts
+    gaps = np.diff(starts)
+    if not gaps.size or np.any(lengths[:-1] > gaps):
+        return None
+    # q is a period of burst k's (length, spacing) marks, k < len(gaps),
+    # when the marks less their first q end with the marks less their last
+    # q.  border[i] is the longest such overlap of marks[:i + 1] (a prefix
+    # function); its chain from the last gives every period, shortest
+    # first.  The last burst's length and the repeat are checked apart.
+    marks = list(zip(lengths.tolist(), gaps.tolist()))
+    border = [0] * len(marks)
+    for i in range(1, len(marks)):
+        b = border[i - 1]
+        while b and marks[i] != marks[b]:
+            b = border[b - 1]
+        border[i] = b + (marks[i] == marks[b])
+    overlap = border[-1]
+    while True:
+        q = len(marks) - overlap
+        period = int(starts[q])
+        if 2 * period > n_samples:
+            return None  # nothing repeats within the drive
+        if lengths[-1] == lengths[-1 - q] and starts[-q] + period >= n_samples:
+            return period
+        if not overlap:
+            return None
+        overlap = border[overlap - 1]
+
+
+def _drive_bursts(schedule, model, tube, frequency_hz, amplitude, n_samples, drive_samples):
+    """Transducer response over the first drive_samples of the burst train
+    that fits in n_samples, at amplitude Pa; returns (trace, spans).
+
+    Where the train repeats over the drive, one period of it is laid and
+    step_response repeats it; otherwise the whole train is laid.
+    """
     fs = model.sample_rate_hz
     _require_drive_length(n_samples, fs)
-    inlet = np.zeros(n_samples)
-    spans = _lay_bursts(inlet, schedule, frequency_hz, fs, amplitude)
+    spans = _burst_spans(schedule, frequency_hz, n_samples, fs)
     if not spans.size:
         raise ScheduleError(f"trace window of {n_samples / fs:.3g} s too short to hold a "
                             f"single burst of the {frequency_hz:.3g} Hz tone")
-    return step_response(model, tube, inlet, 1.0 / fs), spans
+    period = _train_period(spans, drive_samples) or n_samples
+    inlet = np.zeros(period)
+    _lay_bursts(inlet, spans[spans[:, 1] <= period], schedule, frequency_hz, fs, amplitude)
+    return step_response(model, tube, inlet, 1.0 / fs, n_samples=drive_samples), spans
 
 
 def attack_response_trace(
@@ -535,7 +579,7 @@ def attack_response_trace(
     f = source.tone_hz if target_f_hz is None else float(target_f_hz)
     amplitude = port_amplitude_pa(source, tube)
     n = int(round(duration_s * model.sample_rate_hz))
-    trace, spans = _drive_bursts(schedule, model, tube, f, amplitude, n)
+    trace, spans = _drive_bursts(schedule, model, tube, f, amplitude, n, n)
     return trace, spans, amplitude
 
 
@@ -549,7 +593,16 @@ def unit_response(
     """Transducer output, Pa, for bursts of 1 Pa at the port, tuned to
     target_f_hz, and the estimate window over it: the whole burst
     intervals that fit in ESTIMATE_WINDOW_S after ESTIMATE_WARMUP_S of
-    warm-up."""
+    warm-up.  The output ends where the window does.
+
+    The bursts are those that fit in two samples past the window, and a
+    schedule is refused as such a drive would be.  Where the train
+    repeats every few bursts, only one period of it is laid, and
+    :func:`step_response` drives that until its state repeats and copies
+    the periods after it.  The recurrence is linear and time-invariant, so
+    a repeated state under a repeated inlet gives the same samples: the
+    output is the whole train's drive to the bit.
+    """
     t_i = schedule.interval_s
     k0 = int(math.ceil(ESTIMATE_WARMUP_S / t_i))
     n_periods = max(1, int(math.floor(ESTIMATE_WINDOW_S / t_i)))
@@ -560,7 +613,7 @@ def unit_response(
     _require_drive_length(stop + 2, fs)
     start = int(round(k0 * t_i * fs))
     stop = int(round(stop))
-    trace, _spans = _drive_bursts(schedule, model, tube, float(target_f_hz), 1.0, stop + 2)
+    trace, _spans = _drive_bursts(schedule, model, tube, float(target_f_hz), 1.0, stop + 2, stop)
     return trace.p_out_pa, slice(start, stop)
 
 

@@ -731,9 +731,9 @@ def _count_forged_drives(monkeypatch) -> list[int]:
     sizes = []
     drive = waveform.step_response
 
-    def counting(model, tube, inlet, dt):
+    def counting(model, tube, inlet, dt, **kwargs):
         sizes.append(len(inlet))
-        return drive(model, tube, inlet, dt)
+        return drive(model, tube, inlet, dt, **kwargs)
 
     monkeypatch.setattr(waveform, "step_response", counting)
     return sizes
@@ -815,6 +815,10 @@ _TABLE_MISSING_A_KEY = ("sensors:\n  - part_id: X1\n    transducer: capacitive\n
                         "    resonant_band_hz: [400, 420]\n")
 
 
+# A gain whose trim of the farthest reachable error passes a float's range.
+_GAIN_OVERFLOW = "controller:\n  gain: 1.0e+300\n" + MINIMAL + "    initial_pressure_pa: 1.0e+10\n"
+
+
 @pytest.mark.parametrize("argv, scenario, table, message", [
     (["simulate", "{scenario}", "--out", "{out}"],
      _LPF.replace("  affects: both\n", "  affects: both\n  target_f_hz: 0.1\n"), None,
@@ -847,11 +851,13 @@ _TABLE_MISSING_A_KEY = ("sensors:\n  - part_id: X1\n    transducer: capacitive\n
      "hallway_pa: 1.0e+308\n" + MINIMAL + "    initial_pressure_pa: -1.0e+308\n", None,
      "room iso1: a start -inf Pa from the setpoint, fans that reach 100 Pa and a forged "
      "offset of 0 Pa overflow a float"),
+    (["simulate", "{scenario}", "--out", "{out}"], _GAIN_OVERFLOW, None,
+     "room iso1: a controller gain of 1e+300 on errors of up to 1e+10 Pa overflows a float"),
 ], ids=["simulate-tone-0.1hz", "simulate-tube-1e-9m", "synth-silence-past-nyquist",
         "synth-carrier-past-nyquist", "characterize-all-bad-table", "simulate-bad-table",
         "sweep-ti-1e9ms", "sweep-ti-1e307ms", "simulate-interval-1000s", "characterize-diameter-1e-160",
         "sweep-diameter-1e-160", "simulate-amplitude-scale",
-        "simulate-room-start-overflow"])
+        "simulate-room-start-overflow", "simulate-controller-gain-overflow"])
 def test_a_failing_run_is_one_error_line_and_writes_nothing(argv, scenario, table, message,
                                                             monkeypatch, tmp_path, capsys):
     inputs = tmp_path / "in"
@@ -871,6 +877,19 @@ def test_a_failing_run_is_one_error_line_and_writes_nothing(argv, scenario, tabl
     assert len(lines) == 1 and lines[0].startswith("nprsim:")
     assert message in lines[0]
     assert [p.name for p in tmp_path.iterdir()] == ["in"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_gain_is_refused_before_its_trim_overflows_and_runs_quietly_below(tmp_path, capsys):
+    (tmp_path / "over.yaml").write_text(_GAIN_OVERFLOW, encoding="utf-8")
+    assert main(["simulate", str(tmp_path / "over.yaml"), "--out", str(tmp_path / "o1")]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not (tmp_path / "o1").exists()
+    # The same gain from the setpoint keeps every trim finite.
+    (tmp_path / "near.yaml").write_text("controller:\n  gain: 1.0e+300\n" + MINIMAL,
+                                        encoding="utf-8")
+    assert main(["simulate", str(tmp_path / "near.yaml"), "--out", str(tmp_path / "o2")]) in (0, 3)
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_sweep_rejects_unknown_axis(tmp_path):

@@ -23,7 +23,7 @@ from nprsim import (
     step_response_fn,
     system_resonant_hz,
 )
-from nprsim.sensor import MIN_SAMPLES_PER_PERIOD
+from nprsim.sensor import MAX_DRIVE_SAMPLES, MIN_SAMPLES_PER_PERIOD
 
 
 # Independent Helmholtz arithmetic: the lumped law c sqrt(A k / (L V m)) / 2pi
@@ -134,6 +134,16 @@ def test_step_response_rejects_non_finite_inlet():
     inlet[40] = np.nan
     with pytest.raises(ValueError, match="inlet contains non-finite samples"):
         step_response(model, None, inlet, 1.0 / model.sample_rate_hz)
+
+
+@pytest.mark.parametrize("inlet, n_samples", [
+    (np.ones(0), None), (np.ones((2, 2)), None), (np.ones(1), 0), (np.ones(1), -1),
+    (np.ones(1), True), (np.ones(1), 2.5), (np.ones(1), MAX_DRIVE_SAMPLES + 1),
+])
+def test_step_response_rejects_a_drive_it_cannot_hold(inlet, n_samples):
+    model = archetype("A1011-00")
+    with pytest.raises(ValueError):
+        step_response(model, None, inlet, 1.0 / model.sample_rate_hz, n_samples=n_samples)
 
 
 def test_sweep_finds_randomized_resonances_within_two_percent():
@@ -328,6 +338,16 @@ def test_step_response_is_linear_and_superposes(system, x, y, a, b):
     np.testing.assert_allclose(combined.p_out_pa, a * px.p_out_pa + b * py.p_out_pa,
                                rtol=0.0, atol=1e-9 * scale)
     assert combined.p_out_pa[0] == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(_systems, arrays(np.float64, st.integers(1, 64), elements=st.floats(-1e3, 1e3)),
+       st.integers(1, 20_000))
+def test_a_repeated_inlet_drives_as_its_repeats_laid_out_bit_for_bit(system, period, n):
+    model, tube, dt = _build(system)
+    repeated = step_response(model, tube, period, dt, n_samples=n).p_out_pa
+    laid_out = step_response(model, tube, np.resize(period, n), dt).p_out_pa
+    assert repeated.tobytes() == laid_out.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

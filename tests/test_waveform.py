@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,9 +32,11 @@ from nprsim import (
     synthesize_attack,
     write_wav,
 )
+from nprsim import sensor
 from nprsim.acoustics import propagate, spl_to_pressure_amp
-from nprsim.countermeasures import lpf_cascade
-from nprsim.sensor import NO_TUBE, TubeAssembly
+from nprsim.countermeasures import lpf_cascade, measurement_settle_time_s
+from nprsim.scenario import load_scenario
+from nprsim.sensor import NO_TUBE, TubeAssembly, load_archetypes, system_resonant_hz
 from nprsim.waveform import (
     ESTIMATE_WARMUP_S,
     ESTIMATE_WINDOW_S,
@@ -42,7 +45,10 @@ from nprsim.waveform import (
     _band_basis,
     _burst_samples,
     _burst_spans,
+    _train_period,
     _true_run_lengths,
+    unit_response,
+    unit_response_mean,
 )
 
 
@@ -549,13 +555,9 @@ def test_burst_spans_equal_the_burst_loop(case):
         _burst_spans_by_loop, schedule, f, n, fs)
 
 
-def _forged_by_direct_drive(schedule, model, tube, source, *, target_f_hz=None,
-                            post_filter=None, extra_loss_db=0.0):
-    """The estimate from one drive of the burst train at the port amplitude,
-    built burst by burst."""
-    f = schedule.target_hz() if target_f_hz is None else target_f_hz
-    amplitude = propagate(source, tube or NO_TUBE, extra_loss_db) * spl_to_pressure_amp(
-        source.spl_db)
+def _full_train_response(schedule, model, tube, f_hz, amplitude=1.0):
+    """The response to the whole burst train, two samples past the estimate
+    window, built burst by burst and driven once, and that window."""
     fs = model.sample_rate_hz
     t_i = schedule.interval_s
     k0 = int(math.ceil(ESTIMATE_WARMUP_S / t_i))
@@ -563,12 +565,22 @@ def _forged_by_direct_drive(schedule, model, tube, source, *, target_f_hz=None,
     start = int(round(k0 * t_i * fs))
     stop = int(round((k0 + n_periods) * t_i * fs))
     inlet = np.zeros(stop + 2)
-    for a, b in _burst_spans_by_loop(schedule, f, inlet.size, fs):
-        inlet[a:b] = _burst_samples(schedule, f, b - a, fs, amplitude)[0]
-    p = step_response(model, tube, inlet, 1.0 / fs).p_out_pa
+    for a, b in _burst_spans_by_loop(schedule, f_hz, inlet.size, fs):
+        inlet[a:b] = _burst_samples(schedule, f_hz, b - a, fs, amplitude)[0]
+    return step_response(model, tube, inlet, 1.0 / fs).p_out_pa, slice(start, stop)
+
+
+def _forged_by_direct_drive(schedule, model, tube, source, *, target_f_hz=None,
+                            post_filter=None, extra_loss_db=0.0):
+    """The estimate from one drive of the burst train at the port amplitude,
+    built burst by burst."""
+    f = schedule.target_hz() if target_f_hz is None else target_f_hz
+    amplitude = propagate(source, tube or NO_TUBE, extra_loss_db) * spl_to_pressure_amp(
+        source.spl_db)
+    p, window = _full_train_response(schedule, model, tube, f, amplitude)
     if post_filter is not None:
-        p = post_filter(p, fs)
-    return model.reading_gain * float(np.mean(np.abs(p[start:stop])))
+        p = post_filter(p, model.sample_rate_hz)
+    return model.reading_gain * float(np.mean(np.abs(p[window])))
 
 
 # One room attacked at its high port, run for 20 control periods.
@@ -615,3 +627,107 @@ def test_the_unit_response_times_the_port_amplitude_is_the_direct_drive(
     assert report.residual_forged_pa == pytest.approx(_forged_by_direct_drive(
         schedule, _A1011, tube, source, target_f_hz=_F_A1011, post_filter=post),
         rel=rel, abs=0.0)
+
+
+_AUDIBLE = sorted(p for p, m in load_archetypes().items() if m.resonant_band_hz[1] < 20_000.0)
+
+
+# Burst spacings in 48 kHz samples: a whole number repeats every burst, a
+# fifth of one every five bursts, and the other two repeat nowhere in the
+# window.  A damping of 0.01 on a long tube rings for longer than the
+# window, so its state never repeats.  The trace window may cut a burst
+# short, which the repeat must not lay.
+@settings(max_examples=40, deadline=None)
+@given(part=st.sampled_from(_AUDIBLE),
+       tube_m=st.one_of(st.just(0.0), st.floats(0.5, 8.0)),
+       damping=st.sampled_from([1.0, 0.05, 0.01]),
+       gap=st.sampled_from([720.0, 1440.0, 720.2, 1000.2, 720.0 + 1.0 / math.sqrt(2.0), 1000.37]),
+       cycles=st.sampled_from([1, (1, 2)]),
+       trace_samples=st.integers(1440, 28_800))
+# Two bursts of different lengths in two spacings: their spacings repeat,
+# their lengths do not.
+@example(part="A1011-00", tube_m=0.0, damping=1.0, gap=720.0, cycles=(1, 2), trace_samples=1440)
+# The window ends 30 samples into burst 10.
+@example(part="A1011-00", tube_m=0.0, damping=1.0, gap=720.0, cycles=1, trace_samples=7230)
+def test_a_one_period_drive_is_the_whole_trains_drive_bit_for_bit(part, tube_m, damping, gap,
+                                                                   cycles, trace_samples):
+    model = archetype(part).with_damping(damping)
+    tube = TubeAssembly(length_m=tube_m) if tube_m > 0.0 else None
+    f = system_resonant_hz(model, tube)
+    fs = model.sample_rate_hz
+    schedule = SegmentSchedule(band_hz=(0.9 * f, 1.1 * f), duration_s=2.5 / f,
+                               interval_s=gap / fs, cycles=cycles)
+    response, window = unit_response(schedule, model, tube, target_f_hz=f)
+    full, full_window = _full_train_response(schedule, model, tube, f)
+    assert window == full_window
+    assert response.size == window.stop == full.size - 2
+    assert response.tobytes() == full[:response.size].tobytes()
+    assert response[window].tobytes() == full[window].tobytes()
+
+    trace, spans, amplitude = attack_response_trace(schedule, model, tube, _source(f_hz=f),
+                                                    duration_s=trace_samples / fs)
+    inlet = np.zeros(trace_samples)
+    for a, b in _burst_spans_by_loop(schedule, f, inlet.size, fs):
+        inlet[a:b] = _burst_samples(schedule, f, b - a, fs, amplitude)[0]
+    assert trace.p_out_pa.tobytes() == step_response(model, tube, inlet, 1.0 / fs).p_out_pa.tobytes()
+
+
+@pytest.mark.parametrize("gap, cycles, period", [
+    (720.0, None, 720),
+    (720.0, (1, 2), 1440),
+    (720.2, None, 3601),
+    (720.2, (1, 2), 7202),
+    (720.0 + 1.0 / math.sqrt(2.0), None, None),
+    (1000.37, (1, 2), None),
+])
+def test_a_burst_train_repeats_where_its_spans_do(gap, cycles, period):
+    f = _F_A1011
+    schedule = SegmentSchedule(band_hz=(0.9 * f, 1.1 * f), duration_s=2.5 / f,
+                               interval_s=gap / 48_000, cycles=cycles)
+    assert _train_period(_burst_spans(schedule, f, 110_402, 48_000), 110_400) == period
+
+
+def _count_filtered(monkeypatch) -> list[int]:
+    """Sample counts of the transducer's lfilter calls."""
+    sizes = []
+    lfilter = sensor._lfilter
+
+    def counting(b, a, x, zi=None):
+        sizes.append(len(x))
+        return lfilter(b, a, x, zi=zi)
+
+    monkeypatch.setattr(sensor, "_lfilter", counting)
+    return sizes
+
+
+_LPF_ATTACK = load_scenario(
+    Path(__file__).resolve().parent.parent / "scenarios" / "acoustic_lpf.yaml").attack_setup
+
+
+def test_a_repeating_burst_train_filters_a_fraction_of_its_drive(monkeypatch):
+    attack = _LPF_ATTACK
+    f = attack.source.tone_hz
+    response, _window = unit_response(attack.schedule, attack.model, attack.tube, target_f_hz=f)
+    sizes = _count_filtered(monkeypatch)
+    unit_response_mean(attack.schedule, attack.model, attack.tube, target_f_hz=f)
+    assert 0 < sum(sizes) < response.size / 4
+    # The settle step, a one-sample period of 1 Pa, repeats after its
+    # first two blocks, 2,048 and 4,096 samples of the 24,000.
+    sizes.clear()
+    measurement_settle_time_s(attack.model, attack.tube)
+    assert 0 < sum(sizes) < int(round(0.5 * attack.model.sample_rate_hz)) / 3
+
+
+def test_a_burst_train_whose_state_never_repeats_makes_few_filter_calls(monkeypatch):
+    attack = _LPF_ATTACK
+    f = attack.source.tone_hz
+    model = attack.model.with_damping(0.0)
+    response, _window = unit_response(attack.schedule, model, attack.tube, target_f_hz=f)
+    fs = model.sample_rate_hz
+    period = _train_period(_burst_spans(attack.schedule, f, response.size + 2, fs),
+                           response.size)
+    assert period == round(attack.schedule.interval_s * fs)
+    sizes = _count_filtered(monkeypatch)
+    unit_response(attack.schedule, model, attack.tube, target_f_hz=f)
+    assert sum(sizes) == response.size
+    assert len(sizes) <= math.ceil(math.log2(response.size / period)) + 2
