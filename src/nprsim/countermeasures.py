@@ -8,7 +8,11 @@ far above the pressure band a room controller cares about.  A deeper
 setpoint leaves the forged offset short of positive pressure.  Each one
 is scored by recomputing the forged reading through the modified chain,
 rerunning the closed loop, and measuring what the defense costs on a
-legitimate pressure step.
+legitimate pressure step.  The filter and the enclosure's equalization lag
+are first-order sections that join the transducer's state-space chain, so
+the burst train and the settle step are driven through the whole chain at
+once; apply_lpf and lpf_cascade filter arbitrary series through lfilter
+for library callers.
 """
 
 from __future__ import annotations
@@ -27,9 +31,10 @@ from .sensor import (
     TubeAssembly,
     _lfilter,
     _require_finite_fields,
-    step_response,
+    step_last_outside,
+    transducer_chain,
 )
-from .waveform import SegmentSchedule, forged_pressure_estimate, unit_response
+from .waveform import SegmentSchedule, forged_pressure_estimate, unit_response_means
 
 NOISE_FLOOR_PA = 0.1
 """Residual forged pressure below this is indistinguishable from noise."""
@@ -42,6 +47,10 @@ SETTLE_BAND_FRACTION = 0.05
 # 0.015 Hz per section.
 SETTLE_WINDOW_TIME_CONSTANTS = 10.0
 SETTLE_WINDOW_MIN_S = 0.5
+# The settle and residual drives hold powers of the whole chain's matrix,
+# so their cost grows as the cube of its states: a low-pass of more
+# sections than this is refused.
+MAX_LPF_ORDER = 250
 ENCLOSURE_LAG_S_PER_UNIT = 1e-3
 # Each kind with the parameters it reads, its required one first.
 _KIND_PARAMS = {
@@ -156,17 +165,33 @@ def apply_lpf(signal: np.ndarray, cutoff_hz: float, dt: float) -> np.ndarray:
     settled passes through without a spurious startup transient; in
     particular a constant series is returned unchanged.
     """
+    a = _lpf_gain(cutoff_hz, dt)
+    x = np.asarray(signal, dtype=float)
+    if x.size == 0:
+        return x.copy()
+    y, _state = _lfilter([a], [1.0, a - 1.0], x, zi=[(1.0 - a) * x[0]])
+    return y
+
+
+def _lpf_gain(cutoff_hz: float, dt: float) -> float:
+    """Gain a of apply_lpf's section y[k] = a x[k] + (1 - a) y[k-1], once
+    the cutoff is checked to lie below the Nyquist rate of dt."""
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     nyquist = 0.5 / dt
     if not 0.0 < cutoff_hz < nyquist:
         raise CutoffError(f"cutoff {cutoff_hz} Hz must lie in (0, {nyquist:.0f}) Hz")
-    x = np.asarray(signal, dtype=float)
-    if x.size == 0:
-        return x.copy()
-    a = 1.0 - math.exp(-2.0 * math.pi * cutoff_hz * dt)
-    y, _state = _lfilter([a], [1.0, a - 1.0], x, zi=[(1.0 - a) * x[0]])
-    return y
+    return 1.0 - math.exp(-2.0 * math.pi * cutoff_hz * dt)
+
+
+def _lpf_gains(cutoff_hz: float, dt: float, order: int) -> list[float]:
+    """The section gains of an lpf_cascade of order sections."""
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    if order > MAX_LPF_ORDER:
+        raise ValueError(f"a low-pass of order {order} has more than the {MAX_LPF_ORDER} "
+                         "sections a drive holds")
+    return [_lpf_gain(cutoff_hz, dt)] * order
 
 
 def lpf_cascade(signal: np.ndarray, cutoff_hz: float, dt: float, order: int = 1) -> np.ndarray:
@@ -209,13 +234,15 @@ def measurement_settle_time_s(
     """Time for the measurement chain to settle within 5% of a 1 Pa step.
 
     Drives the transducer with a legitimate pressure step and follows it
-    through any post-sensor filter and enclosure equalization lag; the
-    result is the sensitivity cost metric countermeasure reports carry.
-    The step runs for SETTLE_WINDOW_TIME_CONSTANTS times the sum of the
-    enclosure lag and each filter section's 1/(2 pi cutoff), and at least
+    through any post-sensor filter and enclosure equalization lag, all one
+    LinearChain driven by :func:`step_last_outside`; the result is the
+    sensitivity cost metric countermeasure reports carry.  The step runs
+    for SETTLE_WINDOW_TIME_CONSTANTS times the sum of the enclosure lag
+    and each filter section's 1/(2 pi cutoff), and at least
     SETTLE_WINDOW_MIN_S.  Raises ValueError when that window needs more
-    than MAX_DRIVE_SAMPLES samples, or when the step has not settled by
-    its end.
+    than MAX_DRIVE_SAMPLES samples, when the filter has more than
+    MAX_LPF_ORDER sections, or when the step has not settled by the
+    window's end.
     """
     fs = model.sample_rate_hz
     time_constant_s = extra_lag_s
@@ -229,19 +256,17 @@ def measurement_settle_time_s(
         )
     n = int(round(window_s * fs))
     dt = 1.0 / fs
-    # A step is a one-sample period of 1 Pa.
-    out = step_response(model, tube, np.ones(1), dt, n_samples=n).p_out_pa
-    if extra_lag_s > 0.0:
-        a = 1.0 - math.exp(-dt / extra_lag_s)
-        out, _state = _lfilter([a], [1.0, a - 1.0], out, zi=[0.0])
+    chain = transducer_chain(model, tube, dt)
+    # The enclosure lag is a first-order section from rest.
+    gains = [1.0 - math.exp(-dt / extra_lag_s)] if extra_lag_s > 0.0 else []
     if lpf_cutoff_hz is not None:
-        out = lpf_cascade(out, lpf_cutoff_hz, dt, lpf_order)
-    outside = np.flatnonzero(np.abs(out - 1.0) >= SETTLE_BAND_FRACTION)
-    if outside.size == 0:
+        gains += _lpf_gains(lpf_cutoff_hz, dt, lpf_order)
+    last = step_last_outside(chain.then_sections(gains), n, SETTLE_BAND_FRACTION)
+    if last < 0:
         return 0.0
-    if outside[-1] == n - 1:
+    if last == n - 1:
         raise ValueError("step response did not settle within the window")
-    return float((outside[-1] + 1) * dt)
+    return float((last + 1) * dt)
 
 
 def evaluate_countermeasure(
@@ -265,18 +290,6 @@ def evaluate_countermeasure(
         raise ValueError(f"{cm.kind} evaluation needs the acoustic attack setup")
     if scenario.wiring.attack.placement == "none":
         raise ValueError("scenario carries no attack to defend against")
-    if attack is None:
-        baseline = scenario.wiring.attack.forged_pa
-    else:
-        # Every defense but long_tube leaves the burst train's 1 Pa
-        # response as it is, or filters it after the transducer.
-        unit, window = unit_response(attack.schedule, attack.model, attack.tube,
-                                     target_f_hz=attack.source.tone_hz)
-        unit_mean = float(np.mean(np.abs(unit[window])))
-        baseline = forged_pressure_estimate(attack.schedule, attack.model, attack.tube,
-                                            attack.source, unit_mean_pa=unit_mean)
-
-    residual = baseline
     run_scenario = scenario
     penalty_s = 0.0
     if cm.kind == "raised_setpoint":
@@ -286,27 +299,43 @@ def evaluate_countermeasure(
         )
         run_scenario = replace(scenario, rooms=rooms)
     else:
-        tube, settle, loss_db = attack.tube, {}, 0.0
+        tube, settle = attack.tube, {}
         if cm.kind == "long_tube":
             tube = replace(attack.tube or NO_TUBE, length_m=cm.tube_length_m)
-            unit_mean = None  # the new tube is driven afresh
         elif cm.kind == "enclosure":
             settle = {"extra_lag_s": enclosure_lag_s(cm.extra_loss_db)}
-            loss_db = cm.extra_loss_db
         else:
             settle = {"lpf_cutoff_hz": cm.cutoff_hz, "lpf_order": cm.order}
-        # The settle penalty comes before the residual: the settle window
-        # is where a defense too slow to score is refused, and a residual
-        # may drive the whole attack through the defended chain.
+        # The settle penalty comes first: the settle window and the filter
+        # order are where a defense too slow or too large to score is
+        # refused, before the attack is driven through it.
         penalty_s = (measurement_settle_time_s(attack.model, tube, **settle)
                      - measurement_settle_time_s(attack.model, attack.tube))
+
+    if attack is None:
+        baseline = residual = scenario.wiring.attack.forged_pa
+    else:
+        # Every defense but long_tube leaves the burst train's 1 Pa
+        # response as it is, or filters it after the transducer: one drive
+        # gives the baseline's mean and, for an lpf, the filtered one.
+        sections = ()
         if cm.kind == "lpf":
-            # The filter acts after the transducer: filter the baseline's drive.
-            filtered = lpf_cascade(unit, cm.cutoff_hz, 1.0 / attack.model.sample_rate_hz,
-                                   cm.order)
-            unit_mean = float(np.mean(np.abs(filtered[window])))
-        residual = forged_pressure_estimate(attack.schedule, attack.model, tube, attack.source,
-                                            extra_loss_db=loss_db, unit_mean_pa=unit_mean)
+            sections = _lpf_gains(cm.cutoff_hz, 1.0 / attack.model.sample_rate_hz, cm.order)
+        means = unit_response_means(attack.schedule, attack.model, attack.tube,
+                                    target_f_hz=attack.source.tone_hz, sections=sections)
+        baseline = forged_pressure_estimate(attack.schedule, attack.model, attack.tube,
+                                            attack.source, unit_mean_pa=means[0])
+        residual = baseline
+        if cm.kind == "long_tube":
+            # The new tube is driven afresh.
+            residual = forged_pressure_estimate(attack.schedule, attack.model, tube, attack.source)
+        elif cm.kind == "enclosure":
+            residual = forged_pressure_estimate(attack.schedule, attack.model, attack.tube,
+                                                attack.source, extra_loss_db=cm.extra_loss_db,
+                                                unit_mean_pa=means[0])
+        elif cm.kind == "lpf":
+            residual = forged_pressure_estimate(attack.schedule, attack.model, attack.tube,
+                                                attack.source, unit_mean_pa=means[-1])
 
     plan = replace(scenario.wiring.attack, forged_pa=residual)
     run_scenario = replace(run_scenario, wiring=replace(run_scenario.wiring, attack=plan))

@@ -9,18 +9,25 @@ transducer response.
 
 The oscillator is linear and the step is fixed, so one RK4 step is a linear
 recurrence in the state and the inlet, derived once per model and step.
-Every path runs on that recurrence: a sampled inlet and a callable inlet
-(sampled on the half-step grid) through lfilter, and the swept-sine
-characterization through the recurrence's exact steady-state gain at each
-tone, which is what a bench sweep with a speaker measures once each tone
-has rung up.  A periodic inlet, such as a burst train or a step, is given
-as one period and filtered only until the state repeats; the samples
-after that are copied.
+Every path runs on that recurrence:
 
-_lfilter is the package's single entry point to scipy.signal: it imports
-the module on first call, so a run that never filters (a forged_pa-only
-closed loop, a characterization sweep) does not pay about a second of
-import time for it.
+- the swept-sine characterization, through the recurrence's exact
+  steady-state gain at each tone, which is what a bench sweep with a
+  speaker measures once each tone has rung up;
+- the two structured inlets the command line drives, a burst train and a
+  unit step, through the recurrence in state-space form (LinearChain),
+  with any first-order sections after it as extra states, in numpy:
+  segment_abs_means sums a train's rectified output one burst interval
+  at a time, and step_last_outside finds where a step leaves a band, and
+  neither builds the drive's samples;
+- a sampled or callable inlet of any shape (step_response,
+  step_response_fn), through lfilter, for library callers and as the
+  tests' reference.  A periodic inlet is given as one period and
+  filtered only until the state repeats; the samples after that are
+  copied.
+
+_lfilter is the package's single entry point to scipy.signal, imported on
+first call; no subcommand reaches it.
 """
 
 from __future__ import annotations
@@ -327,6 +334,15 @@ def _recurrence(omega: float, xi: float, dt: float):
     return a, step(0.0, 0.0, 1.0, 0.0, 0.0), step(0.0, 0.0, 0.0, 1.0, 0.0), step(0.0, 0.0, 0.0, 0.0, 1.0)
 
 
+def _sampled_recurrence(omega: float, xi: float, dt: float):
+    """(A, c_now, c_next) of one RK4 step on a sampled inlet, whose midpoint
+    is the average of its two neighbors: z[k+1] = A z[k] + c_now x[k] +
+    c_next x[k+1]."""
+    a, c0, cm, c1 = _recurrence(omega, xi, dt)
+    return (a, (c0[0] + 0.5 * cm[0], c0[1] + 0.5 * cm[1]),
+            (c1[0] + 0.5 * cm[0], c1[1] + 0.5 * cm[1]))
+
+
 def _lfilter(b, a, x, zi=None):
     """scipy.signal.lfilter along the last axis, importing scipy.signal on first call."""
     from scipy.signal import lfilter
@@ -424,11 +440,7 @@ def step_response(
     if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and 1 <= n <= MAX_DRIVE_SAMPLES):
         raise ValueError(f"a drive must hold 1 to {MAX_DRIVE_SAMPLES} samples, got {n!r}")
     _require_finite_inlet(series)
-    a, c0, cm, c1 = _recurrence(omega, xi, dt)
-    # Fold the neighbor-average midpoint into the end-point coefficients.
-    c0_avg = (c0[0] + 0.5 * cm[0], c0[1] + 0.5 * cm[1])
-    c1_avg = (c1[0] + 0.5 * cm[0], c1[1] + 0.5 * cm[1])
-    return TransducerTrace(p_out_pa=_drive(a, c0_avg, c1_avg, series, n), dt_s=dt)
+    return TransducerTrace(p_out_pa=_drive(*_sampled_recurrence(omega, xi, dt), series, n), dt_s=dt)
 
 
 def step_response_fn(
@@ -457,6 +469,344 @@ def step_response_fn(
     # The midpoint after the last node drives no returned state.
     p_mid = _drive(a, cm, (0.0, 0.0), np.append(half_steps[1::2], 0.0), n)
     return TransducerTrace(p_out_pa=p_node + p_mid, dt_s=dt)
+
+
+# The drives below hold tables of at most this many numbers (2 MB), and
+# take longer spans in blocks of one table.  The settle step is driven in
+# blocks of _STEP_SAMPLES.
+_TABLE_ENTRIES = 1 << 18
+_STEP_SAMPLES = 2048
+
+
+@dataclass(frozen=True)
+class LinearChain:
+    """A linear time-invariant chain driven by one sampled inlet x.
+
+    X[k+1] = a X[k] + b x[k], and output row i is
+    y_i[k] = c[i] X[k] + d[i] x[k].  The chain starts at X[0] = first x[0],
+    which for the transducer pins its output at sample 0 to zero even when
+    the inlet starts nonzero, as :func:`step_response` does.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+    first: np.ndarray
+
+    def then_sections(self, gains) -> "LinearChain":
+        """This chain with first-order sections y[k] = g u[k] + (1 - g) y[k-1]
+        in series after its last output, one per gain g, each from rest; the
+        output of the last section is added as a new last output row.  No
+        gains leave the chain as it is."""
+        if not gains:
+            return self
+        old, size = self.b.size, self.b.size + len(gains)
+        a, b, first = np.zeros((size, size)), np.zeros(size), np.zeros(size)
+        a[:old, :old], b[:old], first[:old] = self.a, self.b, self.first
+        c_out, d_out = np.zeros(size), self.d[-1]
+        c_out[:old] = self.c[-1]
+        for k, g in enumerate(gains, start=old):
+            # State k holds the section's last output.
+            a[k] = g * c_out
+            a[k, k] = 1.0 - g
+            b[k] = g * d_out
+            c_out *= g
+            c_out[k] = 1.0 - g
+            d_out *= g
+        c = np.zeros((self.d.size + 1, size))
+        c[:-1, :old], c[-1] = self.c, c_out
+        return LinearChain(a=a, b=b, c=c, d=np.append(self.d, d_out), first=first)
+
+
+def transducer_chain(model: DpsModel, tube: TubeAssembly | None, dt: float) -> LinearChain:
+    """The RK4 recurrence of :func:`step_response` as a LinearChain whose
+    one output is the transducer pressure.
+
+    With w[k] = z[k] - c_next x[k], the recurrence
+    z[k+1] = A z[k] + c_now x[k] + c_next x[k+1] becomes
+    w[k+1] = A w[k] + (A c_next + c_now) x[k], and p[k] = w_p[k] + c_next_p x[k].
+    """
+    omega, xi = _oscillator(model, tube, dt)
+    a, c_now, c_next = _sampled_recurrence(omega, xi, dt)
+    a = np.array(a)
+    c_next = np.array(c_next)
+    return LinearChain(a=a, b=a @ c_next + np.array(c_now), c=np.array([[1.0, 0.0]]),
+                       d=c_next[:1], first=-c_next)
+
+
+def _borders(marks: list) -> list[int]:
+    """The prefix function of marks: border[i] is the length of the longest
+    proper prefix of marks[:i + 1] that is also a suffix of it.  marks
+    repeats every len(marks) - border[-1] items, and the chain of borders
+    from the last gives every other period, shortest first."""
+    border = [0] * len(marks)
+    for i in range(1, len(marks)):
+        b = border[i - 1]
+        while b and marks[i] != marks[b]:
+            b = border[b - 1]
+        border[i] = b + (marks[i] == marks[b])
+    return border
+
+
+def _period(marks: np.ndarray) -> int:
+    """The smallest q for which marks[i] == marks[i - q] for every i >= q:
+    tried directly up to 7, from the borders past that."""
+    for q in range(1, min(marks.size, 8)):
+        if marks[q] == marks[0] and np.array_equal(marks[q:], marks[:-q]):
+            return q
+    return marks.size - _borders(marks.tolist())[-1] if marks.size else 1
+
+
+def _free_response(rows: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Outputs c a^j X of one output row c, for its table rows c a^j and
+    states X of shape (state,) or (state, column): every sample the drives
+    below evaluate from a state passes through here."""
+    return rows @ states
+
+
+class _Tables:
+    """The powers a^j of one chain for j below a table length, its rows
+    c a^j and its impulse response, built by doubling; a drive takes a
+    span longer than the table in blocks of it."""
+
+    def __init__(self, chain: LinearChain, needed: int):
+        self.chain = chain
+        size, outputs = chain.b.size, chain.d.size
+        # Block j stacks a^j over c a^j, so one product doubles the table:
+        # blocks 1..m times a^m are blocks m+1..2m, the last one a^(2m).
+        # The table spans the smallest power of two of samples that covers
+        # needed, or as many as _TABLE_ENTRIES numbers allow.
+        width = size + outputs
+        most = max(2, _TABLE_ENTRIES // (width * size))
+        length = 1 << min(max(needed - 1, 1).bit_length(), most.bit_length() - 1)
+        table = np.empty(((length + 1) * width, size))
+        table[:size], table[size:width] = np.eye(size), chain.c
+        table[width:2 * width] = table[:width] @ chain.a
+        filled = 1
+        while filled < length:
+            jump = table[filled * width:filled * width + size]
+            np.matmul(table[width:(filled + 1) * width], jump,
+                      out=table[(filled + 1) * width:(2 * filled + 1) * width])
+            filled *= 2
+        blocks = table.reshape(length + 1, width, size)
+        self.length = length
+        self.powers = blocks[:, :size]
+        self.jump = self.powers[length]
+        # The rows c a^j of each output, and a^j b, as (j, state) views.
+        self.rows = [blocks[:length, size + i] for i in range(outputs)]
+        table_b = (table @ chain.b).reshape(length + 1, width)
+        self.powers_b = table_b[:length, :size]
+        # The impulse response d, c b, c a b, ... as (j, output).
+        self.pulse = np.vstack((chain.d, table_b[:length - 1, size:]))
+        self.ones = np.ones(length)
+
+    def power(self, k: int) -> np.ndarray:
+        if k < self.length:
+            return self.powers[k]
+        blocks, rest = divmod(k, self.length)
+        return np.linalg.matrix_power(self.jump, blocks) @ self.powers[rest]
+
+    def outputs(self, states: np.ndarray, count: int) -> np.ndarray:
+        """The free response c a^j states for j < count, at most one table
+        long, as (j, output, ...)."""
+        if len(self.rows) == 1:
+            return _free_response(self.rows[0][:count], states)[:, None]
+        return np.stack([_free_response(rows[:count], states) for rows in self.rows], axis=1)
+
+    def free(self, states: np.ndarray, lo: int, hi: int):
+        """(j, outputs) blocks of the free response c a^j states over
+        lo <= j < hi, for states of shape (state,) or (state, column)."""
+        if lo:
+            states = self.power(lo) @ states
+        for start in range(lo, hi, self.length):
+            count = min(self.length, hi - start)
+            yield start, self.outputs(states, count)
+            if start + count < hi:
+                states = self.jump @ states
+
+    def zero_state(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Outputs (sample, output) of the chain driven by x from X[0] = 0,
+        and its state after the last sample."""
+        out = np.empty((x.size, self.chain.d.size))
+        state = np.zeros(self.chain.b.size)
+        for start in range(0, x.size, self.length):
+            part = x[start:start + self.length]
+            count = part.size
+            for i in range(out.shape[1]):
+                out[start:start + count, i] = np.convolve(part, self.pulse[:count, i])[:count]
+            if start:
+                out[start:start + count] += self.outputs(state, count)
+            # a^count state plus the sum of a^(count-1-j) b x[j].
+            state = self.power(count) @ state + part[::-1] @ self.powers_b[:count]
+        return out, state
+
+    def unit_step(self) -> tuple[np.ndarray, np.ndarray]:
+        """Outputs (sample, output) of the response to a unit step from
+        X[0] = 0 over one table length, and the state after it: output j
+        sums the impulse response up to j, and the state a^i b over all i."""
+        return np.cumsum(self.pulse, axis=0), self.ones @ self.powers_b
+
+
+def segment_abs_means(
+    chain: LinearChain,
+    inlet: np.ndarray,
+    segments: np.ndarray,
+    n: int,
+    window: slice,
+) -> np.ndarray:
+    """Mean |y| of each output of chain over window, for an n-sample inlet
+    that is zero but for the heads of its segments.
+
+    segments holds one (start, offset, size) row per segment: segment i
+    runs from its start (the first at 0) to the next segment's, the last
+    one to n, and its inlet is inlet[offset:offset + size] followed by
+    zeros.  By superposition its output is the free response to the state
+    it starts in plus the zero-state response to its inlet, which is
+    computed once per kind, a distinct head and length; the state is
+    carried from segment to segment.
+
+    The chain is linear and time-invariant, so where the kinds repeat
+    every q segments and the segment at a multiple i of q starts in the
+    bytes the one at an earlier multiple j started in, every later
+    segment starts in the state the segment i - j before it did: the
+    drive stops carrying the state there.  Each kind's segments are
+    summed in one product per block, once per distinct start state, and
+    no output is held for more than one table of samples per state.  An
+    inlet with a non-finite sample is refused, as step_response refuses
+    it.
+    """
+    _require_finite_inlet(inlet)
+    segments = np.asarray(segments)
+    starts = segments[:, 0]
+    lengths = np.append(starts[1:], n) - starts
+    tables = _Tables(chain, int(np.max(lengths)))
+    # Segment i is of kind kind[i], a head (offset, size) and a length;
+    # segment first[k] is the first of kind k.
+    marks = np.column_stack((segments[:, 1:], lengths))
+    reach = [int(np.max(column)) + 1 for column in marks.T]
+    axis = 0
+    if reach[0] * reach[1] * reach[2] < 1 << 63:
+        # One number per kind, which np.unique sorts faster than rows.
+        marks, axis = (marks[:, 0] * reach[1] + marks[:, 1]) * reach[2] + marks[:, 2], None
+    _marks, first, kind = np.unique(marks, axis=axis, return_index=True, return_inverse=True)
+    kind = kind.ravel()
+    kind_head = list(zip(*(column.tolist() for column in segments[first, 1:].T)))
+    kind_length = lengths[first].tolist()
+    longest: dict[tuple[int, int], int] = {}
+    for h, length in zip(kind_head, kind_length):
+        longest[h] = max(longest.get(h, 0), length)
+    heads: dict[tuple[int, int], tuple] = {}
+    responses: dict[int, tuple] = {}
+
+    def response(k):
+        """Zero-state outputs (sample, output) over a segment of kind k, and
+        the map (jump, drive) from its start state to its end state."""
+        if k not in responses:
+            h, length = kind_head[k], kind_length[k]
+            offset, size = h
+            if h not in heads:
+                # Over the head's longest segment: a shorter one is a prefix.
+                outputs, after = tables.zero_state(inlet[offset:offset + size])
+                zero_state = np.empty((longest[h], chain.d.size))
+                zero_state[:size] = outputs
+                for start, y in tables.free(after, 0, longest[h] - size):
+                    zero_state[size + start:size + start + y.shape[0]] = y
+                heads[h] = (zero_state, after)
+            zero_state, after = heads[h]
+            responses[k] = (zero_state[:length], tables.power(length),
+                            tables.power(length - size) @ after)
+        return responses[k]
+
+    kinds = kind.tolist()
+    # The kinds of all segments but the last, which the drive's end may
+    # cut, repeat every q segments; so does the state from the first
+    # multiple of q at which it holds bytes it held at an earlier one.
+    # Rounding can leave the state cycling over several multiples of q
+    # rather than still, so every multiple of q is remembered.
+    q = _period(kind[:-1])
+    _start, offset, size = segments[0].tolist()
+    carried = [chain.first * (float(inlet[offset]) if starts[0] == 0 and size else 0.0)]
+    seen = {carried[0].tobytes(): 0}
+    repeat = period = None
+    for i in range(1, len(kinds)):
+        _zero_state, jump, drive = response(kinds[i - 1])
+        state = jump @ carried[-1] + drive
+        if i % q == 0:
+            j = seen.setdefault(state.tobytes(), i)
+            if j < i:
+                repeat, period = j, i - j
+                break
+        carried.append(state)
+
+    # Segment i starts in the state carried[at[i]] and adds its samples lo
+    # to hi to the window: all of them but where the window cuts it.
+    at = np.arange(len(kinds))
+    if repeat is not None:
+        at[len(carried):] = repeat + (at[len(carried):] - repeat) % period
+    lo = np.maximum(window.start - starts, 0)
+    hi = np.minimum(window.stop - starts, lengths)
+    whole = (lo == 0) & (hi == lengths)
+    groups: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
+    pairs, counts = np.unique(kind[whole] * len(carried) + at[whole], return_counts=True)
+    for pair, count in zip(pairs.tolist(), counts.tolist()):
+        k, i = divmod(pair, len(carried))
+        groups.setdefault((k, 0, kind_length[k]), []).append((i, count))
+    for i in np.flatnonzero((hi > lo) & ~whole).tolist():
+        groups.setdefault((kinds[i], int(lo[i]), int(hi[i])), []).append((int(at[i]), 1))
+    total = np.zeros(chain.d.size)
+    for (k, first_sample, last_sample), members in groups.items():
+        states = np.column_stack([carried[i] for i, _count in members])
+        sums = _segment_abs_sums(tables, states, response(k)[0], first_sample, last_sample)
+        total += sums @ np.array([count for _i, count in members], dtype=float)
+    return total / (window.stop - window.start)
+
+
+def _segment_abs_sums(tables: _Tables, states, zero_state, lo: int, hi: int) -> np.ndarray:
+    """Sums (output, column) of |y| over samples lo <= j < hi of segments
+    that start in the columns of states, with the zero-state outputs
+    zero_state."""
+    total = np.zeros(zero_state.shape[1] * states.shape[1])
+    for start, y in tables.free(states, lo, hi):
+        y += zero_state[start:start + y.shape[0], :, None]
+        total += tables.ones[:y.shape[0]] @ np.abs(y, out=y).reshape(y.shape[0], -1)
+    return total.reshape(zero_state.shape[1], states.shape[1])
+
+
+def step_last_outside(chain: LinearChain, n: int, band: float) -> int:
+    """Index of the last of the first n samples at which the last output of
+    chain's response to a unit step lies band or more from 1, or -1 when
+    none does.
+
+    The step is driven in blocks of one table length, each the free
+    response to its start state plus the zero-state step response.  Once a
+    block ends in the bytes it started in, every later block repeats it,
+    and the rest is read off that block.
+    """
+    tables = _Tables(chain, _STEP_SAMPLES)
+    block = tables.length
+    step, after = tables.unit_step()
+    rows, step = tables.rows[-1], step[:, -1]
+    state = chain.first.copy()
+    last = -1
+    for start in range(0, n, block):
+        count = min(block, n - start)
+        y = _free_response(rows[:count], state) + step[:count]
+        outside = np.flatnonzero(np.abs(y - 1.0) >= band)
+        if outside.size:
+            last = start + int(outside[-1])
+        following = tables.jump @ state + after
+        if following.tobytes() == state.tobytes():
+            final = (n - 1) // block * block
+            if not outside.size or final == start:
+                return last
+            # The final block is this one, cut to n - final samples.
+            in_final = outside[outside < n - final]
+            if in_final.size:
+                return final + int(in_final[-1])
+            return final - block + int(outside[-1])
+        state = following
+    return last
 
 
 def frequency_sweep(

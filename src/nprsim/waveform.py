@@ -15,19 +15,36 @@ gain times the path's port amplitude times the rectified mean response to
 bursts of 1 Pa.  forged_pressure_estimate is the one place that product is
 formed; a caller that already holds the mean for the same burst train,
 model, tube and tone passes it as unit_mean_pa, so one that varies only the
-source or the path loss drives the transducer once.
+source or the path loss drives the transducer once.  That mean comes from
+unit_response_means, which drives the train one burst interval at a time
+in state space; unit_response lays and filters the same train through
+lfilter, for library callers and as the tests' reference.
+
+WAV files are read and written with the standard library.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import struct
+import wave
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .acoustics import propagate, spl_to_pressure_amp
-from .sensor import MAX_DRIVE_SAMPLES, NO_TUBE, _lfilter, _require_finite_fields, step_response
+from .sensor import (
+    MAX_DRIVE_SAMPLES,
+    NO_TUBE,
+    _borders,
+    _lfilter,
+    _require_finite_fields,
+    segment_abs_means,
+    step_response,
+    transducer_chain,
+)
 
 SUPPORTED_RATES = (44100, 48000)
 PSD_RATIO_CAP = 1.0e9
@@ -151,18 +168,67 @@ def _peak(samples: np.ndarray) -> float:
     return max(float(np.max(samples)), -float(np.min(samples)))
 
 
-def read_wav(path: str | Path) -> AudioBuffer:
-    """Read a 16-bit PCM WAV file, downmixing stereo to mono by averaging."""
-    from scipy.io import wavfile
+# Format tags of the WAV 'fmt ' chunk: integer PCM, and the extensible
+# header whose sub-format GUID starts with the tag it stands for.
+_WAVE_FORMAT_PCM = 0x0001
+_WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 
-    rate, data = wavfile.read(path)
-    if rate not in SUPPORTED_RATES:
-        raise ValueError(f"{path}: sample rate {rate} not in {SUPPORTED_RATES}")
-    if data.dtype != np.int16:
-        raise ValueError(f"{path}: expected 16-bit PCM, got dtype {data.dtype}")
-    samples = data.astype(float) / 32768.0
-    if samples.ndim == 2:
-        samples = samples.mean(axis=1)
+
+def _wav_chunks(fh, path):
+    """(id, size) of each chunk of an open RIFF WAVE file, with fh at the
+    chunk's body; the caller reads the body or leaves it to be skipped."""
+    riff = fh.read(12)
+    if len(riff) < 12 or riff[:4] != b"RIFF" or riff[8:] != b"WAVE":
+        raise ValueError(f"{path}: not a little-endian RIFF WAVE file")
+    while len(header := fh.read(8)) == 8:
+        chunk, size = header[:4], struct.unpack("<I", header[4:])[0]
+        end = fh.tell() + size + (size & 1)  # bodies are padded to even sizes
+        yield chunk, size
+        fh.seek(end)
+
+
+def read_wav(path: str | Path) -> AudioBuffer:
+    """Read a 16-bit PCM WAV file, downmixing stereo to mono by averaging.
+
+    The file is read chunk by chunk with the standard library: a plain PCM
+    'fmt ' chunk and a WAVE_FORMAT_EXTENSIBLE one whose sub-format is PCM
+    are both taken.  Anything else, a data chunk shorter than its header
+    says, or a rate outside SUPPORTED_RATES raises ValueError.
+    """
+    fmt = None
+    with open(path, "rb") as fh:
+        for chunk, size in _wav_chunks(fh, path):
+            if chunk == b"fmt ":
+                body = fh.read(size)
+                if len(body) < 16:
+                    raise ValueError(f"{path}: 'fmt ' chunk of {len(body)} bytes is too short")
+                tag, channels, rate, _byte_rate, _align, bits = struct.unpack("<HHIIHH", body[:16])
+                if tag == _WAVE_FORMAT_EXTENSIBLE and len(body) >= 26:
+                    tag = struct.unpack("<H", body[24:26])[0]
+                fmt = (tag, channels, rate, bits)
+            elif chunk == b"data":
+                break
+        else:
+            raise ValueError(f"{path}: no data chunk")
+        if fmt is None:
+            raise ValueError(f"{path}: data chunk before any 'fmt ' chunk")
+        tag, channels, rate, bits = fmt
+        if tag != _WAVE_FORMAT_PCM or bits != 16:
+            raise ValueError(f"{path}: expected 16-bit PCM, got format {tag:#06x} of "
+                             f"{bits}-bit samples")
+        if channels < 1:
+            raise ValueError(f"{path}: 'fmt ' chunk declares no channels")
+        if rate not in SUPPORTED_RATES:
+            raise ValueError(f"{path}: sample rate {rate} not in {SUPPORTED_RATES}")
+        payload = fh.read(size)
+    if len(payload) < size:
+        raise ValueError(f"{path}: data chunk holds {len(payload)} of its {size} bytes")
+    frames = len(payload) // (2 * channels)
+    data = np.frombuffer(payload, dtype="<i2", count=frames * channels)
+    samples = data.astype(float)
+    samples /= 32768.0
+    if channels > 1:
+        samples = samples.reshape(frames, channels).mean(axis=1)
     return AudioBuffer(sample_rate_hz=int(rate), samples=samples)
 
 
@@ -171,10 +237,9 @@ _WAV_BLOCK_SAMPLES = 1 << 16
 
 def write_wav(path: str | Path, audio: AudioBuffer) -> None:
     """Write mono 16-bit PCM little-endian WAV."""
-    from scipy.io import wavfile
-
     # Clip, scale and round a block at a time in one float buffer, so the
-    # 16-bit copy is the only full-length array this adds.
+    # 16-bit copy is the only full-length array this adds; the wave module
+    # writes it through a view, not a bytes copy.
     samples = audio.samples
     pcm = np.empty(samples.size, dtype="<i2")
     block = np.empty(min(samples.size, _WAV_BLOCK_SAMPLES))
@@ -185,7 +250,11 @@ def write_wav(path: str | Path, audio: AudioBuffer) -> None:
         scaled *= 32767.0
         np.round(scaled, out=scaled)
         pcm[start:start + part.size] = scaled
-    wavfile.write(path, audio.sample_rate_hz, pcm)
+    with wave.open(os.fspath(path), "wb") as fh:
+        fh.setnchannels(1)
+        fh.setsampwidth(2)
+        fh.setframerate(audio.sample_rate_hz)
+        fh.writeframes(pcm)
 
 
 def suppress_band(audio: AudioBuffer, band_hz: tuple[float, float]) -> AudioBuffer:
@@ -514,16 +583,10 @@ def _train_period(spans: np.ndarray, n_samples: int) -> int | None:
         return None
     # q is a period of burst k's (length, spacing) marks, k < len(gaps),
     # when the marks less their first q end with the marks less their last
-    # q.  border[i] is the longest such overlap of marks[:i + 1] (a prefix
-    # function); its chain from the last gives every period, shortest
-    # first.  The last burst's length and the repeat are checked apart.
+    # q.  The chain of borders gives every period, shortest first.  The
+    # last burst's length and the repeat are checked apart.
     marks = list(zip(lengths.tolist(), gaps.tolist()))
-    border = [0] * len(marks)
-    for i in range(1, len(marks)):
-        b = border[i - 1]
-        while b and marks[i] != marks[b]:
-            b = border[b - 1]
-        border[i] = b + (marks[i] == marks[b])
+    border = _borders(marks)
     overlap = border[-1]
     while True:
         q = len(marks) - overlap
@@ -545,15 +608,24 @@ def _drive_bursts(schedule, model, tube, frequency_hz, amplitude, n_samples, dri
     step_response repeats it; otherwise the whole train is laid.
     """
     fs = model.sample_rate_hz
-    _require_drive_length(n_samples, fs)
-    spans = _burst_spans(schedule, frequency_hz, n_samples, fs)
-    if not spans.size:
-        raise ScheduleError(f"trace window of {n_samples / fs:.3g} s too short to hold a "
-                            f"single burst of the {frequency_hz:.3g} Hz tone")
+    spans = _train_spans(schedule, frequency_hz, n_samples, fs)
     period = _train_period(spans, drive_samples) or n_samples
     inlet = np.zeros(period)
     _lay_bursts(inlet, spans[spans[:, 1] <= period], schedule, frequency_hz, fs, amplitude)
     return step_response(model, tube, inlet, 1.0 / fs, n_samples=drive_samples), spans
+
+
+def _train_spans(schedule, frequency_hz, n_samples, sample_rate_hz) -> np.ndarray:
+    """:func:`_burst_spans` of a drive of n_samples, refused as too long, as
+    holding no burst, or for a tone whose phase passes a float's range."""
+    _require_drive_length(n_samples, sample_rate_hz)
+    if not math.isfinite(2.0 * math.pi * frequency_hz):
+        raise ScheduleError(f"a {frequency_hz:.3g} Hz tone has a phase past a float's range")
+    spans = _burst_spans(schedule, frequency_hz, n_samples, sample_rate_hz)
+    if not spans.size:
+        raise ScheduleError(f"trace window of {n_samples / sample_rate_hz:.3g} s too short to "
+                            f"hold a single burst of the {frequency_hz:.3g} Hz tone")
+    return spans
 
 
 def attack_response_trace(
@@ -603,18 +675,72 @@ def unit_response(
     a repeated state under a repeated inlet gives the same samples: the
     output is the whole train's drive to the bit.
     """
+    window = _estimate_window(schedule, model.sample_rate_hz)
+    trace, _spans = _drive_bursts(schedule, model, tube, float(target_f_hz), 1.0,
+                                  window.stop + 2, window.stop)
+    return trace.p_out_pa, window
+
+
+def _estimate_window(schedule: SegmentSchedule, sample_rate_hz: int) -> slice:
+    """The samples of the whole burst intervals that fit in
+    ESTIMATE_WINDOW_S after ESTIMATE_WARMUP_S; a drive to two samples past
+    them is refused as too long as :func:`_require_drive_length` refuses
+    it."""
     t_i = schedule.interval_s
     k0 = int(math.ceil(ESTIMATE_WARMUP_S / t_i))
     n_periods = max(1, int(math.floor(ESTIMATE_WINDOW_S / t_i)))
-    fs = model.sample_rate_hz
     # Checked in float first: a long interval makes the window inf, which
     # int() cannot take.
-    stop = (k0 + n_periods) * t_i * fs
-    _require_drive_length(stop + 2, fs)
-    start = int(round(k0 * t_i * fs))
-    stop = int(round(stop))
-    trace, _spans = _drive_bursts(schedule, model, tube, float(target_f_hz), 1.0, stop + 2, stop)
-    return trace.p_out_pa, slice(start, stop)
+    stop = (k0 + n_periods) * t_i * sample_rate_hz
+    _require_drive_length(stop + 2, sample_rate_hz)
+    return slice(int(round(k0 * t_i * sample_rate_hz)), int(round(stop)))
+
+
+def unit_response_means(
+    schedule: SegmentSchedule,
+    model,
+    tube,
+    *,
+    target_f_hz: float,
+    sections=(),
+) -> np.ndarray:
+    """Mean rectified output, Pa, over :func:`unit_response`'s estimate
+    window, for bursts of 1 Pa at the port tuned to target_f_hz: of the
+    transducer and then, when sections holds first-order section gains
+    (see :meth:`LinearChain.then_sections`), of the transducer followed by
+    those sections.
+
+    The train is refused as :func:`unit_response` refuses it, and the
+    means agree with its drive to rounding, but no sample array of the
+    drive is built: :func:`segment_abs_means` drives the chain one burst
+    interval at a time, and where the train repeats, only until the state
+    repeats with it.
+    """
+    fs = model.sample_rate_hz
+    window = _estimate_window(schedule, fs)
+    stop = window.stop
+    f = float(target_f_hz)
+    spans = _train_spans(schedule, f, stop + 2, fs)
+    chain = transducer_chain(model, tube, 1.0 / fs).then_sections(sections)
+    starts = spans[spans[:, 0] < stop, 0]
+    lengths = spans[:starts.size, 1] - starts
+    # A segment runs to the next burst; its head ends where the bursts so
+    # far do, or at the segment's end.
+    ends = np.minimum(np.maximum.accumulate(starts + lengths), np.append(starts[1:], stop))
+    if np.any(lengths[:-1] > np.diff(starts)):
+        # A burst runs into the next one: read the heads off the laid train.
+        inlet, offsets = np.zeros(stop + 2), starts
+        _lay_bursts(inlet, spans[:starts.size], schedule, f, fs, 1.0)
+    else:
+        # A burst's samples depend on its length alone: lay one burst of
+        # each length.
+        distinct, which = np.unique(lengths, return_inverse=True)
+        at = np.concatenate(([0], np.cumsum(distinct)))
+        inlet = np.concatenate([_burst_samples(schedule, f, length, fs, 1.0)[0]
+                                for length in distinct.tolist()])
+        offsets = at[which.ravel()]
+    segments = np.column_stack((starts, offsets, ends - starts))
+    return segment_abs_means(chain, inlet, segments, stop, window)
 
 
 def unit_response_mean(
@@ -629,8 +755,7 @@ def unit_response_mean(
 
     The chain is linear, so bursts of amplitude A give A times this mean.
     """
-    response, window = unit_response(schedule, model, tube, target_f_hz=target_f_hz)
-    return float(np.mean(np.abs(response[window])))
+    return float(unit_response_means(schedule, model, tube, target_f_hz=target_f_hz)[0])
 
 
 def forged_pressure_estimate(
@@ -654,12 +779,17 @@ def forged_pressure_estimate(
 
     unit_mean_pa is that last term when the caller already holds it for
     the same schedule, model, tube and tone; the transducer is then not
-    driven.
+    driven.  A product past a float's range raises ValueError.
     """
     if unit_mean_pa is None:
         f = source.tone_hz if target_f_hz is None else target_f_hz
         unit_mean_pa = unit_response_mean(schedule, model, tube, target_f_hz=f)
-    return model.reading_gain * port_amplitude_pa(source, tube, extra_loss_db) * unit_mean_pa
+    amplitude = port_amplitude_pa(source, tube, extra_loss_db)
+    forged = model.reading_gain * amplitude * unit_mean_pa
+    if not math.isfinite(forged):
+        raise ValueError(f"the forged pressure, {model.reading_gain:g} x {amplitude:.3g} Pa at "
+                         f"the port x {unit_mean_pa:.3g}, overflows a float")
+    return forged
 
 
 def calibration_carrier(duration_s: float = 5.0) -> AudioBuffer:

@@ -23,7 +23,7 @@ from nprsim import (
     parse_scenario,
     waveform,
 )
-from nprsim.cli import MAX_SILENCE_SAMPLES, _num, _trace_lines, main
+from nprsim.cli import MAX_SILENCE_SAMPLES, SWEEP_AXES, _num, _trace_lines, main
 from nprsim.plant import (
     HALLWAY_PA,
     AlarmConfig,
@@ -34,6 +34,7 @@ from nprsim.plant import (
     SimulationTrace,
 )
 from nprsim.scenario import _LineLoader
+from nprsim.sensor import REFERENCE_TUBE_ID_M
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -365,8 +366,11 @@ _HUGE = "1" + "0" * 400  # an integer literal past the largest float
      "at 48000 Hz"),
     (["--kind", "lpf", "--cutoff-hz", "100", "--order", _HUGE],
      f"Countermeasure.order must be finite, got {_HUGE}"),
+    # Fast enough to settle, but more sections than a drive holds.
+    (["--kind", "lpf", "--cutoff-hz", "20000", "--order", "251"],
+     "a low-pass of order 251 has more than the 250 sections a drive holds"),
 ], ids=["loss-nan", "cutoff-inf", "tube-nan", "setpoint-inf", "loss-overflow", "settle-ceiling",
-        "cutoff-tiny", "order-huge"])
+        "cutoff-tiny", "order-huge", "order-past-the-drive"])
 def test_cli_evaluate_cm_rejects_a_parameter_it_cannot_score(flags, message, tmp_path, capsys):
     rc = main(["evaluate-cm", str(SCENARIO_DIR / "acoustic_lpf.yaml"), *flags,
                "--out", str(tmp_path / "out")])
@@ -379,7 +383,8 @@ def test_cli_evaluate_cm_rejects_a_parameter_it_cannot_score(flags, message, tmp
 
 def test_cli_evaluate_cm_refuses_a_slow_filter_before_filtering(monkeypatch, tmp_path, capsys):
     """An order whose settle window is past the ceiling exits 2 without
-    running a single filter cascade over the attack."""
+    running a single filter cascade, or a drive of the burst train, over
+    the attack."""
     calls = [0]
     real = countermeasures.lpf_cascade
 
@@ -388,10 +393,12 @@ def test_cli_evaluate_cm_refuses_a_slow_filter_before_filtering(monkeypatch, tmp
         return real(*args)
 
     monkeypatch.setattr(countermeasures, "lpf_cascade", counted)
+    drives = _count_forged_drives(monkeypatch)
     rc = main(["evaluate-cm", str(SCENARIO_DIR / "acoustic_lpf.yaml"), "--kind", "lpf",
                "--cutoff-hz", "100", "--order", "20000", "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert calls[0] == 0
+    assert drives == []
     assert rc == 2
     assert captured.err == ("nprsim: error: settling needs a window of 318 s, over the 5000000 "
                             "samples a step response may hold at 48000 Hz\n")
@@ -727,15 +734,15 @@ def test_cli_simulate_notes_an_unapplied_countermeasure(tmp_path, capsys):
 
 
 def _count_forged_drives(monkeypatch) -> list[int]:
-    """Inlet sizes of the transducer drives the forged-pressure chain makes."""
+    """Burst counts of the burst-train drives the forged-pressure chain makes."""
     sizes = []
-    drive = waveform.step_response
+    drive = waveform.segment_abs_means
 
-    def counting(model, tube, inlet, dt, **kwargs):
-        sizes.append(len(inlet))
-        return drive(model, tube, inlet, dt, **kwargs)
+    def counting(chain, inlet, segments, *args):
+        sizes.append(len(segments))
+        return drive(chain, inlet, segments, *args)
 
-    monkeypatch.setattr(waveform, "step_response", counting)
+    monkeypatch.setattr(waveform, "segment_abs_means", counting)
     return sizes
 
 
@@ -1086,6 +1093,76 @@ def test_a_scenario_the_loader_accepts_runs_to_finite_outputs_or_is_refused(text
         assert rc in (0, 3)
         for name in ("trace.csv", "summary.txt"):
             assert all(map(math.isfinite, _numbers((out / name).read_text(encoding="utf-8"))))
+
+
+# The acoustic scenario, cut to 20 s, with its schedule's fade-in and its
+# tube's diameter stated as leaves, under each kind of defense.
+_ACOUSTIC = copy.deepcopy(SHIPPED["acoustic_lpf.yaml"])
+_ACOUSTIC["horizon_s"] = 20
+_ACOUSTIC["attack"]["schedule"]["fade_in_s"] = 0.0
+_ACOUSTIC["sensors"]["hvac"]["tube"]["inner_diameter_m"] = REFERENCE_TUBE_ID_M
+_DEFENSES = [{"kind": "lpf", "cutoff_hz": 120.0, "order": 3},
+             {"kind": "long_tube", "tube_length_m": 2.0},
+             {"kind": "enclosure", "extra_loss_db": 12.0},
+             {"kind": "raised_setpoint", "setpoint_pa": -12.0}]
+
+
+@st.composite
+def _edge_acoustic(draw):
+    """An acoustic scenario with up to two source, schedule, tube or
+    defense leaves set to edge values, and a sweep axis with edge values."""
+    doc = copy.deepcopy(_ACOUSTIC)
+    doc["countermeasure"] = dict(draw(st.sampled_from(_DEFENSES)))
+    leaves = [path for path in _paths(doc, "leaf")
+              if path[0] in ("attack", "sensors", "countermeasure")
+              and type(_at(doc, path)) in (int, float)]
+    for path in draw(st.lists(st.sampled_from(leaves), min_size=1, max_size=2, unique=True)):
+        _at(doc, path[:-1])[path[-1]] = draw(_EDGE_NUMBERS)
+    axis = draw(st.sampled_from(SWEEP_AXES))
+    values = draw(st.lists(_EDGE_NUMBERS, min_size=1, max_size=2))
+    return yaml.safe_dump(doc), axis, ",".join(map(str, values))
+
+
+def _finite_or_one_error_line(argv, out: Path) -> None:
+    """main(argv) exits 2 with one nprsim: line and writes nothing, or
+    exits 0 or 3 and writes only finite numbers."""
+    with contextlib.redirect_stderr(io.StringIO()) as err, contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    if rc == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("nprsim:"), (argv, lines)
+        assert not out.exists()
+        return
+    assert rc in (0, 3), (argv, err.getvalue())
+    for path in [out] if out.is_file() else sorted(out.iterdir()):
+        assert all(map(math.isfinite, _numbers(path.read_text(encoding="utf-8")))), argv
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(_edge_acoustic())
+# A subnormal position distance leaves no finite port amplitude.
+@example((yaml.safe_dump({**_ACOUSTIC, "attack": {**_ACOUSTIC["attack"], "source": {
+    **_ACOUSTIC["attack"]["source"], "position_distance_m": 5e-324}}}), "spl", "65"))
+# A port amplitude whose forged pressure overflows a float.
+@example((yaml.safe_dump(_ACOUSTIC), "distance", "1e-310"))
+# A band whose centre tone has a phase past a float's range.
+@example((yaml.safe_dump({**_ACOUSTIC, "attack": {**_ACOUSTIC["attack"], "schedule": {
+    **_ACOUSTIC["attack"]["schedule"], "band_hz": [540, 1e308]}}}), "spl", "65"))
+def test_an_acoustic_scenario_sweeps_and_is_defended_to_finite_outputs_or_is_refused(case):
+    text, axis, values = case
+    try:
+        parse_scenario(text)
+    except ScenarioError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "scenario.yaml"
+        scenario.write_text(text, encoding="utf-8")
+        out = Path(tmp) / "sweep.csv"
+        _finite_or_one_error_line(["sweep", str(scenario), "--axis", axis, f"--values={values}",
+                                   "--out", str(out)], out)
+        out = Path(tmp) / "cm"
+        _finite_or_one_error_line(["evaluate-cm", str(scenario), "--out", str(out)], out)
 
 
 class _PureLineLoader(yaml.SafeLoader):

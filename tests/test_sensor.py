@@ -23,7 +23,7 @@ from nprsim import (
     step_response_fn,
     system_resonant_hz,
 )
-from nprsim.sensor import MAX_DRIVE_SAMPLES, MIN_SAMPLES_PER_PERIOD
+from nprsim.sensor import MAX_DRIVE_SAMPLES, MIN_SAMPLES_PER_PERIOD, LinearChain, step_last_outside
 
 
 # Independent Helmholtz arithmetic: the lumped law c sqrt(A k / (L V m)) / 2pi
@@ -374,6 +374,38 @@ def test_sampled_and_callable_inlets_agree_on_an_affine_inlet(system, offset, sl
     scale = abs(offset) + abs(slope) * n * dt + 1.0
     np.testing.assert_allclose(called.p_out_pa, sampled.p_out_pa, rtol=0.0, atol=1e-10 * scale)
     np.testing.assert_allclose(called.time_s, sampled.time_s, rtol=0.0, atol=0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(size=st.integers(1, 3), n=st.integers(1, 6000), band=st.floats(0.01, 0.5),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_step_leaves_its_band_last_where_a_sample_loop_finds(size, n, band, seed):
+    """step_last_outside on contracting chains of one to three states, whose
+    step settles anywhere, inside the band around 1 or not: the blocked
+    drive and its repeat rule give the index a loop over the samples does."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, (size, size))
+    a *= rng.uniform(0.1, 0.95) / max(float(np.max(np.abs(np.linalg.eigvals(a)))), 1e-12)
+    chain = LinearChain(a=a, b=rng.normal(size=size), c=rng.normal(size=(1, size)),
+                        d=rng.normal(size=1), first=rng.normal(size=size))
+    state, last = chain.first.copy(), -1
+    for k in range(n):
+        if abs(chain.c[0] @ state + chain.d[0] - 1.0) >= band:
+            last = k
+        state = chain.a @ state + chain.b
+    assert step_last_outside(chain, n, band) == last
+
+
+@pytest.mark.parametrize("n", [2048, 4097, 4098, 6000])
+def test_a_step_whose_block_repeats_leaves_its_band_last_in_the_final_repeat(n):
+    """A swap of two states repeats every two samples, so the first block
+    ends where it started while its output alternates in and out of the
+    band: the last sample out lies in the final, possibly cut, repeat or
+    the one before it."""
+    chain = LinearChain(a=np.array([[0.0, 1.0], [1.0, 0.0]]), b=np.zeros(2),
+                        c=np.array([[1.0, 0.0]]), d=np.zeros(1), first=np.array([1.0, 2.0]))
+    # Samples k = 0, 2, 4, ... read 1.0, inside the band; the odd ones 2.0.
+    assert step_last_outside(chain, n, 0.05) == n - 1 - n % 2
 
 
 def test_sweep_gain_matches_a_long_tone_run():

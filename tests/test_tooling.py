@@ -10,18 +10,39 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from nprsim.waveform import AudioBuffer, write_wav
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Import the package and run a forged_pa-only scenario, then report which
-# scipy modules are loaded; then filter once, to show the report sees it.
+# Run every subcommand in one process, a closed loop first, and report
+# after each which scipy modules are loaded; then filter once, to show the
+# report sees an import.
 _COLD_START = """
-import sys
+import contextlib, io, sys
 import nprsim, nprsim.cli
-nprsim.load_archetypes()
-rc = nprsim.cli.main(["simulate", "scenarios/baseline.yaml", "--out", sys.argv[1]])
-print(rc, [m for m in ("scipy.signal", "scipy.io") if m in sys.modules])
+out, carrier = sys.argv[1], sys.argv[2]
+acoustic = "scenarios/acoustic_lpf.yaml"
+synth = ["--band", "540", "670", "--td-ms", "2", "--ti-ms", "15"]
+defenses = {"lpf": ["--cutoff-hz", "120", "--order", "3"], "long_tube": ["--tube-length", "2"],
+            "enclosure": ["--extra-loss-db", "12"], "raised_setpoint": ["--setpoint-pa", "-12"]}
+runs = [
+    ["simulate", "scenarios/baseline.yaml", "--out", out + "/closed-loop"],
+    ["simulate", acoustic, "--out", out + "/simulate"],
+    ["sweep", acoustic, "--axis", "ti", "--values", "15,20", "--out", out + "/sweep.csv"],
+    *(["evaluate-cm", acoustic, "--kind", kind, *params, "--out", out + "/" + kind]
+      for kind, params in defenses.items()),
+    ["synth", "--carrier", carrier, *synth, "--out", out + "/carrier.wav"],
+    ["synth", "--silence", "1", *synth, "--out", out + "/silence.wav"],
+    ["characterize", "--archetype", "all", "--out", out + "/characterize.csv"],
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = nprsim.cli.main(argv)
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    print(" ".join(argv[:2] if argv[0] == "synth" else argv[:1]), rc, loaded)
 nprsim.sensor._lfilter([1.0], [1.0], [0.0])
 print("scipy.signal" in sys.modules)
 """
@@ -35,9 +56,17 @@ def _run(args):
 
 
 def test_a_closed_loop_run_never_imports_scipy_signal_or_io(tmp_path):
-    proc = _run(["-c", _COLD_START, str(tmp_path)])
+    """No subcommand imports any scipy module: not a closed loop, not an
+    acoustic simulate, sweep or countermeasure, not synth over a WAV
+    carrier or silence, not a characterization."""
+    carrier = tmp_path / "in.wav"
+    write_wav(carrier, AudioBuffer(sample_rate_hz=48_000,
+                                   samples=0.5 * np.sin(0.05 * np.arange(48_000))))
+    proc = _run(["-c", _COLD_START, str(tmp_path), str(carrier)])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["0 []", "True"]
+    assert proc.stdout.splitlines() == [
+        "simulate 0 []", "simulate 0 []", "sweep 0 []", *["evaluate-cm 0 []"] * 4,
+        "synth --carrier 0 []", "synth --silence 0 []", "characterize 0 []", "True"]
 
 
 def test_calibration_script_verifies_the_shipped_constants():

@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -33,8 +34,9 @@ from nprsim import (
     write_wav,
 )
 from nprsim import sensor
+from nprsim.cli import main
 from nprsim.acoustics import propagate, spl_to_pressure_amp
-from nprsim.countermeasures import lpf_cascade, measurement_settle_time_s
+from nprsim.countermeasures import enclosure_lag_s, lpf_cascade, measurement_settle_time_s
 from nprsim.scenario import load_scenario
 from nprsim.sensor import NO_TUBE, TubeAssembly, load_archetypes, system_resonant_hz
 from nprsim.waveform import (
@@ -49,6 +51,7 @@ from nprsim.waveform import (
     _true_run_lengths,
     unit_response,
     unit_response_mean,
+    unit_response_means,
 )
 
 
@@ -194,6 +197,63 @@ def test_wav_roundtrip_is_16_bit_faithful(tmp_path):
     assert back.samples.size == samples.size
     # writer rounds at 32767, reader divides by 32768: two LSBs of slack
     assert float(np.max(np.abs(back.samples - samples))) <= 2.0 / 32768.0
+
+
+# The sub-format GUID of a WAVE_FORMAT_EXTENSIBLE PCM file.
+_PCM_GUID = bytes.fromhex("0100000000001000800000aa00389b71")
+
+
+def _wav_bytes(data: bytes, *, tag=1, channels=1, rate=48_000, bits=16, magic=b"RIFF",
+               extensible=False, declared=None) -> bytes:
+    """A WAV file of one 'fmt ' and one 'data' chunk, built by hand; declared
+    overrides the data chunk's stated size."""
+    align = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, channels, rate, rate * align,
+                      align, bits)
+    if extensible:
+        fmt += struct.pack("<HHI", 22, bits, (1 << channels) - 1) + _PCM_GUID
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(data) if declared is None else declared) + data)
+    return magic + struct.pack("<I", len(body)) + body
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+def test_an_extensible_pcm_wav_reads_as_scipy_reads_it(channels, tmp_path):
+    from scipy.io import wavfile
+
+    pcm = np.random.default_rng(channels).integers(-32768, 32768, size=(999, channels))
+    path = tmp_path / "extensible.wav"
+    path.write_bytes(_wav_bytes(pcm.astype("<i2").tobytes(), channels=channels, extensible=True))
+    rate, oracle = wavfile.read(path)
+    expected = oracle.astype(float) / 32768.0
+    if expected.ndim == 2:
+        expected = expected.mean(axis=1)
+    audio = read_wav(path)
+    assert audio.sample_rate_hz == rate == 48_000
+    assert audio.samples.tobytes() == expected.tobytes()
+
+
+_TONE = np.arange(480, dtype="<i2").tobytes()
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"not a wav file, only junk bytes", "not a little-endian RIFF WAVE file"),
+    (_wav_bytes(_TONE, declared=4 * len(_TONE)), "data chunk holds 960 of its 3840 bytes"),
+    (_wav_bytes(_TONE, bits=8), "expected 16-bit PCM, got format 0x0001 of 8-bit samples"),
+    (_wav_bytes(_TONE[:720], bits=24), "expected 16-bit PCM, got format 0x0001 of 24-bit samples"),
+    (_wav_bytes(_TONE, tag=3, bits=32), "expected 16-bit PCM, got format 0x0003 of 32-bit samples"),
+    (_wav_bytes(_TONE, magic=b"RIFX"), "not a little-endian RIFF WAVE file"),
+    (_wav_bytes(_TONE, rate=22_050), "sample rate 22050 not in (44100, 48000)"),
+], ids=["junk", "truncated-data", "8-bit", "24-bit", "float32", "rifx", "rate-22050"])
+def test_an_unreadable_carrier_is_one_error_line(content, message, tmp_path, capsys):
+    carrier = tmp_path / "carrier.wav"
+    carrier.write_bytes(content)
+    rc = main(["synth", "--carrier", str(carrier), "--band", "540", "670", "--td-ms", "2",
+               "--ti-ms", "15", "--out", str(tmp_path / "out.wav")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"nprsim: error: cannot read carrier {carrier}: {carrier}: {message}\n")
+    assert not (tmp_path / "out.wav").exists()
 
 
 def test_synthesize_rejects_out_of_band_target():
@@ -704,18 +764,150 @@ _LPF_ATTACK = load_scenario(
     Path(__file__).resolve().parent.parent / "scenarios" / "acoustic_lpf.yaml").attack_setup
 
 
+def _count_evaluated(monkeypatch) -> list[int]:
+    """Sample counts of the outputs the state-space drives evaluate from a
+    state, for chains of one output: each table row once per state."""
+    sizes = []
+    free = sensor._free_response
+
+    def counting(rows, states):
+        sizes.append(len(rows) * (states.shape[1] if states.ndim == 2 else 1))
+        return free(rows, states)
+
+    monkeypatch.setattr(sensor, "_free_response", counting)
+    return sizes
+
+
 def test_a_repeating_burst_train_filters_a_fraction_of_its_drive(monkeypatch):
     attack = _LPF_ATTACK
     f = attack.source.tone_hz
     response, _window = unit_response(attack.schedule, attack.model, attack.tube, target_f_hz=f)
-    sizes = _count_filtered(monkeypatch)
+    sizes = _count_evaluated(monkeypatch)
     unit_response_mean(attack.schedule, attack.model, attack.tube, target_f_hz=f)
     assert 0 < sum(sizes) < response.size / 4
-    # The settle step, a one-sample period of 1 Pa, repeats after its
-    # first two blocks, 2,048 and 4,096 samples of the 24,000.
+    # The settle step repeats after its first two blocks of 2,048 samples,
+    # of the 24,000.
     sizes.clear()
     measurement_settle_time_s(attack.model, attack.tube)
     assert 0 < sum(sizes) < int(round(0.5 * attack.model.sample_rate_hz)) / 3
+
+
+def test_a_state_that_rounding_keeps_cycling_still_stops_the_carry(monkeypatch):
+    """Two-sample bursts of a 23.95 kHz tone three samples apart: the
+    bursts repeat every burst, but the state settles into a 24-burst cycle
+    in its last bits rather than holding still, and the drive still stops
+    carrying it, evaluating a small fraction of the window."""
+    model = archetype("A1011-00")
+    schedule = SegmentSchedule(band_hz=(23900.0, 23990.0), duration_s=2.01 / 48000,
+                               interval_s=3.0 / 48000, cycles=1)
+    response, window = unit_response(schedule, model, None, target_f_hz=23950.0)
+    sizes = _count_evaluated(monkeypatch)
+    mean = unit_response_mean(schedule, model, None, target_f_hz=23950.0)
+    assert 0 < sum(sizes) < (window.stop - window.start) / 100
+    assert mean == pytest.approx(np.mean(np.abs(response[window])), rel=1e-12, abs=0.0)
+
+
+def _settle_by_lfilter(model, tube, *, lpf_cutoff_hz=None, lpf_order=1, extra_lag_s=0.0):
+    """measurement_settle_time_s as it was found by driving the step
+    through step_response and filtering it with lfilter."""
+    fs = model.sample_rate_hz
+    dt = 1.0 / fs
+    time_constant_s = extra_lag_s
+    if lpf_cutoff_hz is not None:
+        time_constant_s += lpf_order / (2.0 * math.pi * lpf_cutoff_hz)
+    n = int(round(max(0.5, 10.0 * time_constant_s) * fs))
+    out = step_response(model, tube, np.ones(1), dt, n_samples=n).p_out_pa
+    if extra_lag_s > 0.0:
+        a = 1.0 - math.exp(-dt / extra_lag_s)
+        out = sensor._lfilter([a], [1.0, a - 1.0], out, zi=[0.0])[0]
+    if lpf_cutoff_hz is not None:
+        out = lpf_cascade(out, lpf_cutoff_hz, dt, lpf_order)
+    outside = np.flatnonzero(np.abs(out - 1.0) >= 0.05)
+    if outside.size and outside[-1] == n - 1:
+        raise ValueError("step response did not settle within the window")
+    return float((outside[-1] + 1) * dt) if outside.size else 0.0
+
+
+# A1011-00 behind this tube resonates at 595.6 Hz, a cycle of 80.59
+# samples: one-cycle bursts 80.74 samples apart overrun every other gap,
+# and the estimate window starts and ends inside a burst.
+_OVERRUN_TUBE_M = (685.0 * 0.88 / 595.6) ** 2
+
+
+# Spacings in 48 kHz samples that repeat every 1, 5 and 25 bursts, and
+# nowhere; a sequence of cycles doubles the period.
+@settings(max_examples=25, deadline=None)
+@given(part=st.sampled_from(_AUDIBLE),
+       tube_m=st.one_of(st.just(0.0), st.floats(0.5, 8.0)),
+       damping=st.sampled_from([1.0, 0.05, 0.01]),
+       gap=st.sampled_from([720.0, 720.2, 720.04, 720.0 + 1.0 / math.sqrt(2.0)]),
+       cycles=st.sampled_from([1, (1, 2)]),
+       lpf=st.tuples(st.floats(60.0, 2000.0), st.integers(1, 3)),
+       loss_db=st.floats(0.0, 40.0))
+@example(part="A1011-00", tube_m=_OVERRUN_TUBE_M, damping=1.0, gap=80.74, cycles=1,
+         lpf=(120.0, 3), loss_db=12.0)
+def test_the_state_space_drive_agrees_with_the_lfilter_drive(part, tube_m, damping, gap, cycles,
+                                                             lpf, loss_db):
+    model = archetype(part).with_damping(damping)
+    tube = TubeAssembly(length_m=tube_m) if tube_m > 0.0 else None
+    f = system_resonant_hz(model, tube)
+    fs = model.sample_rate_hz
+    schedule = SegmentSchedule(band_hz=(0.9 * f, 1.1 * f),
+                               duration_s=min(2.5 / f, (gap - 0.1) / fs),
+                               interval_s=gap / fs, cycles=cycles)
+    cutoff_hz, order = lpf
+    a = 1.0 - math.exp(-2.0 * math.pi * cutoff_hz / fs)
+    means = unit_response_means(schedule, model, tube, target_f_hz=f, sections=[a] * order)
+    response, window = unit_response(schedule, model, tube, target_f_hz=f)
+    # lfilter evaluates the transducer as one second-order section, whose
+    # rounding drifts from the recurrence by up to 3.6e-12 for a damping
+    # of 0.01; see the extended-precision test below.  Each filter section
+    # adds its own drift, as in the direct-drive test above.
+    rel = 1e-12 if damping > 0.01 else 5e-12
+    assert means[0] == pytest.approx(np.mean(np.abs(response[window])), rel=rel, abs=0.0)
+    filtered = lpf_cascade(response, cutoff_hz, 1.0 / fs, order)
+    rel += 16.0 * order ** 2 * np.finfo(float).eps / a
+    assert means[1] == pytest.approx(np.mean(np.abs(filtered[window])), rel=rel, abs=0.0)
+    for settle in ({}, {"lpf_cutoff_hz": cutoff_hz, "lpf_order": order},
+                   {"extra_lag_s": enclosure_lag_s(loss_db)}):
+        try:
+            expected = _settle_by_lfilter(model, tube, **settle)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                measurement_settle_time_s(model, tube, **settle)
+        else:
+            assert measurement_settle_time_s(model, tube, **settle) == pytest.approx(
+                expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended long double")
+def test_the_state_space_drive_meets_an_extended_precision_run_of_the_recurrence():
+    """Where lfilter drifts most from the recurrence it evaluates (3.6e-12
+    on this train), the state-space drive stays within 1e-13 of that
+    recurrence run sample by sample in extended precision."""
+    model = archetype("P993-1B").with_damping(0.01)
+    tube = TubeAssembly(length_m=8.0)
+    f = system_resonant_hz(model, tube)
+    fs = model.sample_rate_hz
+    schedule = SegmentSchedule(band_hz=(0.9 * f, 1.1 * f), duration_s=2.5 / f,
+                               interval_s=1440.0 / fs)
+    _response, window = unit_response(schedule, model, tube, target_f_hz=f)
+    inlet = np.zeros(window.stop + 1, dtype=np.longdouble)
+    for start, stop in _burst_spans(schedule, f, window.stop + 1, fs):
+        inlet[start:stop] = _burst_samples(schedule, f, stop - start, fs, 1.0)[0]
+    a, c_now, c_next = sensor._sampled_recurrence(
+        *sensor._oscillator(model, tube, 1.0 / fs), 1.0 / fs)
+    (a11, a12), (a21, a22) = ((np.longdouble(v) for v in row) for row in a)
+    drive_p = c_now[0] * inlet[:-1] + c_next[0] * inlet[1:]
+    drive_v = c_now[1] * inlet[:-1] + c_next[1] * inlet[1:]
+    p = v = np.longdouble(0.0)
+    out = [p]
+    for up, uv in zip(drive_p[:window.stop - 1].tolist(), drive_v[:window.stop - 1].tolist()):
+        p, v = a11 * p + a12 * v + up, a21 * p + a22 * v + uv
+        out.append(p)
+    exact = np.mean(np.abs(np.array(out[window.start:], dtype=np.longdouble)))
+    got = unit_response_mean(schedule, model, tube, target_f_hz=f)
+    assert abs(np.longdouble(got) / exact - 1) < 1e-13
 
 
 def test_a_burst_train_whose_state_never_repeats_makes_few_filter_calls(monkeypatch):
