@@ -21,10 +21,8 @@ Every path runs on that recurrence:
   at a time, and step_last_outside finds where a step leaves a band, and
   neither builds the drive's samples;
 - a sampled or callable inlet of any shape (step_response,
-  step_response_fn), through lfilter, for library callers and as the
-  tests' reference.  A periodic inlet is given as one period and
-  filtered only until the state repeats; the samples after that are
-  copied.
+  step_response_fn), through lfilter in one call over the whole inlet,
+  for library callers and as the tests' reference.
 
 _lfilter is the package's single entry point to scipy.signal, imported on
 first call; no subcommand reaches it.
@@ -82,11 +80,6 @@ MIN_SWEEP_TONES = 5
 # 40 MB per array of them.  A longer burst or settle window is refused
 # before it is built.
 MAX_DRIVE_SAMPLES = 5_000_000
-
-# The first block a drive filters holds at least this many samples.  On a
-# 2-vCPU x86-64 VM an lfilter call costs about 23 us over its 6 ns a
-# sample, the time of some 4,000 samples.
-_FIRST_BLOCK_SAMPLES = 2048
 
 
 class UnstableStepError(ValueError):
@@ -350,14 +343,12 @@ def _lfilter(b, a, x, zi=None):
     return lfilter(b, a, x, zi=zi)
 
 
-def _drive(a, c_now, c_next, period: np.ndarray, n: int) -> np.ndarray:
-    """Pressure p of z[k+1] = A z[k] + c_now x[k] + c_next x[k+1] from z[0] = 0,
-    for the n samples x[k] = period[k % period.size].
+def _drive(a, c_now, c_next, x: np.ndarray) -> np.ndarray:
+    """Pressure p of z[k+1] = A z[k] + c_now x[k] + c_next x[k+1] from z[0] = 0.
 
     Eliminating the rate state turns p into a second-order difference
-    equation in x, which lfilter evaluates in compiled code.  It runs over
-    blocks of whole periods, carrying its state; see step_response for
-    when a block's output is copied instead.
+    equation in x, which lfilter evaluates in compiled code, in one call
+    over the whole inlet.
     """
     (a11, a12), (a21, a22) = a
     (n0p, n0v), (n1p, n1v) = c_now, c_next
@@ -365,34 +356,9 @@ def _drive(a, c_now, c_next, period: np.ndarray, n: int) -> np.ndarray:
     num = [n1p, n0p - a22 * n1p + a12 * n1v, a12 * n0v - a22 * n0p]
     # Initial filter state pinning z[0] = 0 and the correct first step even
     # when x starts nonzero.
-    x0 = period[0]
-    state = np.array([-num[0] * x0, (n0p - num[1]) * x0])
-    size = period.size
-    first = -(-_FIRST_BLOCK_SAMPLES // size) * size
-    if 3 * first > n:
-        # A repeat shows two blocks in at the earliest, too late to pay for
-        # the blocks: filter the drive in one call.
-        first = n
-    out, done = np.empty(n), 0
-    while done < n:
-        # Each block after the first is as long as all before it.
-        length = min(max(first, done), n - done)
-        x = period[:length] if length <= size else np.tile(period, -(-length // size))[:length]
-        p, end = _lfilter(num, den, x, zi=state)
-        if length == n:
-            return p
-        out[done:done + length] = p
-        done += length
-        if end.tobytes() == state.tobytes():
-            # The state and the inlet both repeat, so every later block
-            # repeats this one: copy the filled run of it forward, doubling.
-            start = done - length
-            while done < n:
-                span = min(done - start, n - done)
-                out[done:done + span] = out[start:start + span]
-                done += span
-        state = end
-    return out
+    x0 = x[0]
+    zi = np.array([-num[0] * x0, (n0p - num[1]) * x0])
+    return _lfilter(num, den, x, zi=zi)[0]
 
 
 def _require_finite_inlet(series: np.ndarray) -> None:
@@ -405,8 +371,6 @@ def step_response(
     tube: TubeAssembly | None,
     inlet,
     dt: float,
-    *,
-    n_samples: int | None = None,
 ) -> TransducerTrace:
     """Integrate the transducer output for a sampled inlet pressure history.
 
@@ -414,21 +378,8 @@ def step_response(
     two samples is taken as their average.  The integrator is a fixed step
     classical 4th-order scheme; dt must give at least
     MIN_SAMPLES_PER_PERIOD samples per period of the system resonance or
-    UnstableStepError is raised.  The transducer starts at rest.
-
-    With n_samples given, inlet is one period of a drive that long: sample
-    k of the drive is inlet[k % inlet.size].  By default the drive is the
-    inlet once.  Either way it is driven in blocks of whole periods, the
-    first of at least 2,048 samples and each next one as long as all
-    before it, so a drive whose state never repeats makes about
-    log2(n_samples / inlet.size) filter calls; a drive of under three
-    first blocks is one call.  When the filter state at a block's end holds the same bytes as
-    at its start, every later block starts from that state with the same
-    inlet, and the recurrence is linear and time-invariant, so its output
-    is this block's to the bit: the rest of the drive is copied from it.
-    Bytes, not values, are compared, so 0.0 and -0.0 count as different.
-    An empty inlet, or a drive of no samples or of more than
-    MAX_DRIVE_SAMPLES, is refused.
+    UnstableStepError is raised.  The transducer starts at rest.  An
+    empty inlet is refused.
     """
     omega, xi = _oscillator(model, tube, dt)
     if callable(inlet):
@@ -436,11 +387,8 @@ def step_response(
     series = np.asarray(inlet, dtype=float)
     if series.ndim != 1 or not series.size:
         raise ValueError(f"inlet must be one-dimensional and not empty, got shape {series.shape}")
-    n = series.size if n_samples is None else n_samples
-    if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and 1 <= n <= MAX_DRIVE_SAMPLES):
-        raise ValueError(f"a drive must hold 1 to {MAX_DRIVE_SAMPLES} samples, got {n!r}")
     _require_finite_inlet(series)
-    return TransducerTrace(p_out_pa=_drive(*_sampled_recurrence(omega, xi, dt), series, n), dt_s=dt)
+    return TransducerTrace(p_out_pa=_drive(*_sampled_recurrence(omega, xi, dt), series), dt_s=dt)
 
 
 def step_response_fn(
@@ -465,9 +413,9 @@ def step_response_fn(
     half_steps = np.array([inlet(t) for t in (0.5 * dt * np.arange(2 * n - 1)).tolist()], dtype=float)
     _require_finite_inlet(half_steps)
     a, c0, cm, c1 = _recurrence(omega, xi, dt)
-    p_node = _drive(a, c0, c1, half_steps[0::2], n)
+    p_node = _drive(a, c0, c1, half_steps[0::2])
     # The midpoint after the last node drives no returned state.
-    p_mid = _drive(a, cm, (0.0, 0.0), np.append(half_steps[1::2], 0.0), n)
+    p_mid = _drive(a, cm, (0.0, 0.0), np.append(half_steps[1::2], 0.0))
     return TransducerTrace(p_out_pa=p_node + p_mid, dt_s=dt)
 
 
@@ -538,8 +486,7 @@ def transducer_chain(model: DpsModel, tube: TubeAssembly | None, dt: float) -> L
 def _borders(marks: list) -> list[int]:
     """The prefix function of marks: border[i] is the length of the longest
     proper prefix of marks[:i + 1] that is also a suffix of it.  marks
-    repeats every len(marks) - border[-1] items, and the chain of borders
-    from the last gives every other period, shortest first."""
+    repeats every len(marks) - border[-1] items."""
     border = [0] * len(marks)
     for i in range(1, len(marks)):
         b = border[i - 1]

@@ -17,8 +17,8 @@ formed; a caller that already holds the mean for the same burst train,
 model, tube and tone passes it as unit_mean_pa, so one that varies only the
 source or the path loss drives the transducer once.  That mean comes from
 unit_response_means, which drives the train one burst interval at a time
-in state space; unit_response lays and filters the same train through
-lfilter, for library callers and as the tests' reference.
+in state space; unit_response lays the same train whole and filters it in
+one lfilter call, for library callers and as the tests' reference.
 
 WAV files are read and written with the standard library.
 """
@@ -38,7 +38,6 @@ from .acoustics import propagate, spl_to_pressure_amp
 from .sensor import (
     MAX_DRIVE_SAMPLES,
     NO_TUBE,
-    _borders,
     _lfilter,
     _require_finite_fields,
     segment_abs_means,
@@ -567,52 +566,15 @@ def _require_drive_length(n_samples: float, sample_rate_hz: int) -> None:
             f"samples, over the {MAX_DRIVE_SAMPLES} one drive may hold at {sample_rate_hz} Hz")
 
 
-def _train_period(spans: np.ndarray, n_samples: int) -> int | None:
-    """Samples in the shortest period that repeats the burst train of spans
-    over its first n_samples, or None when no period fits there twice.
-
-    A burst's samples depend only on its length, so the train repeats
-    every P = spans[q, 0] samples when burst k + q has burst k's length
-    and spacing for every k, no burst runs into the next, and the repeat's
-    first burst past the train starts at or after n_samples.
-    """
-    starts = spans[:, 0]
-    lengths = spans[:, 1] - starts
-    gaps = np.diff(starts)
-    if not gaps.size or np.any(lengths[:-1] > gaps):
-        return None
-    # q is a period of burst k's (length, spacing) marks, k < len(gaps),
-    # when the marks less their first q end with the marks less their last
-    # q.  The chain of borders gives every period, shortest first.  The
-    # last burst's length and the repeat are checked apart.
-    marks = list(zip(lengths.tolist(), gaps.tolist()))
-    border = _borders(marks)
-    overlap = border[-1]
-    while True:
-        q = len(marks) - overlap
-        period = int(starts[q])
-        if 2 * period > n_samples:
-            return None  # nothing repeats within the drive
-        if lengths[-1] == lengths[-1 - q] and starts[-q] + period >= n_samples:
-            return period
-        if not overlap:
-            return None
-        overlap = border[overlap - 1]
-
-
-def _drive_bursts(schedule, model, tube, frequency_hz, amplitude, n_samples, drive_samples):
-    """Transducer response over the first drive_samples of the burst train
-    that fits in n_samples, at amplitude Pa; returns (trace, spans).
-
-    Where the train repeats over the drive, one period of it is laid and
-    step_response repeats it; otherwise the whole train is laid.
-    """
+def _drive_bursts(schedule, model, tube, frequency_hz, amplitude, n_samples):
+    """Transducer response to the burst train that fits in n_samples, at
+    amplitude Pa, laid whole and driven in one step_response call; returns
+    (trace, spans)."""
     fs = model.sample_rate_hz
     spans = _train_spans(schedule, frequency_hz, n_samples, fs)
-    period = _train_period(spans, drive_samples) or n_samples
-    inlet = np.zeros(period)
-    _lay_bursts(inlet, spans[spans[:, 1] <= period], schedule, frequency_hz, fs, amplitude)
-    return step_response(model, tube, inlet, 1.0 / fs, n_samples=drive_samples), spans
+    inlet = np.zeros(n_samples)
+    _lay_bursts(inlet, spans, schedule, frequency_hz, fs, amplitude)
+    return step_response(model, tube, inlet, 1.0 / fs), spans
 
 
 def _train_spans(schedule, frequency_hz, n_samples, sample_rate_hz) -> np.ndarray:
@@ -651,7 +613,7 @@ def attack_response_trace(
     f = source.tone_hz if target_f_hz is None else float(target_f_hz)
     amplitude = port_amplitude_pa(source, tube)
     n = int(round(duration_s * model.sample_rate_hz))
-    trace, spans = _drive_bursts(schedule, model, tube, f, amplitude, n, n)
+    trace, spans = _drive_bursts(schedule, model, tube, f, amplitude, n)
     return trace, spans, amplitude
 
 
@@ -668,17 +630,13 @@ def unit_response(
     warm-up.  The output ends where the window does.
 
     The bursts are those that fit in two samples past the window, and a
-    schedule is refused as such a drive would be.  Where the train
-    repeats every few bursts, only one period of it is laid, and
-    :func:`step_response` drives that until its state repeats and copies
-    the periods after it.  The recurrence is linear and time-invariant, so
-    a repeated state under a repeated inlet gives the same samples: the
-    output is the whole train's drive to the bit.
+    schedule is refused as such a drive would be.  The whole train is laid
+    over those samples and :func:`step_response` filters it in one call.
     """
     window = _estimate_window(schedule, model.sample_rate_hz)
     trace, _spans = _drive_bursts(schedule, model, tube, float(target_f_hz), 1.0,
-                                  window.stop + 2, window.stop)
-    return trace.p_out_pa, window
+                                  window.stop + 2)
+    return trace.p_out_pa[:window.stop], window
 
 
 def _estimate_window(schedule: SegmentSchedule, sample_rate_hz: int) -> slice:
@@ -728,9 +686,14 @@ def unit_response_means(
     # far do, or at the segment's end.
     ends = np.minimum(np.maximum.accumulate(starts + lengths), np.append(starts[1:], stop))
     if np.any(lengths[:-1] > np.diff(starts)):
-        # A burst runs into the next one: read the heads off the laid train.
-        inlet, offsets = np.zeros(stop + 2), starts
+        # A burst runs into the next one: read the heads off the laid train,
+        # each from the first segment whose head holds the same samples, so
+        # that segments of one head are of one kind.
+        inlet = np.zeros(stop + 2)
         _lay_bursts(inlet, spans[:starts.size], schedule, f, fs, 1.0)
+        first: dict[bytes, int] = {}
+        offsets = np.array([first.setdefault(inlet[a:b].tobytes(), a)
+                            for a, b in zip(starts.tolist(), ends.tolist())])
     else:
         # A burst's samples depend on its length alone: lay one burst of
         # each length.

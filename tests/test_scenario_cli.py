@@ -383,16 +383,15 @@ def test_cli_evaluate_cm_rejects_a_parameter_it_cannot_score(flags, message, tmp
 
 def test_cli_evaluate_cm_refuses_a_slow_filter_before_filtering(monkeypatch, tmp_path, capsys):
     """An order whose settle window is past the ceiling exits 2 without
-    running a single filter cascade, or a drive of the burst train, over
-    the attack."""
+    driving a single settle step, or the burst train over the attack."""
     calls = [0]
-    real = countermeasures.lpf_cascade
+    real = countermeasures.step_last_outside
 
     def counted(*args):
         calls[0] += 1
         return real(*args)
 
-    monkeypatch.setattr(countermeasures, "lpf_cascade", counted)
+    monkeypatch.setattr(countermeasures, "step_last_outside", counted)
     drives = _count_forged_drives(monkeypatch)
     rc = main(["evaluate-cm", str(SCENARIO_DIR / "acoustic_lpf.yaml"), "--kind", "lpf",
                "--cutoff-hz", "100", "--order", "20000", "--out", str(tmp_path / "out")])

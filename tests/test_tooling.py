@@ -125,6 +125,8 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_every_module_reads_every_name_it_imports():
-    unused = {path.name: names for path in sorted((ROOT / "src" / "nprsim").glob("*.py"))
+    paths = [path for folder in ("src/nprsim", "tests", "scripts")
+             for path in sorted((ROOT / folder).glob("*.py"))]
+    unused = {str(path.relative_to(ROOT)): names for path in paths
               if (names := _unused_imports(path))}
     assert unused == {}

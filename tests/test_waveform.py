@@ -47,7 +47,6 @@ from nprsim.waveform import (
     _band_basis,
     _burst_samples,
     _burst_spans,
-    _train_period,
     _true_run_lengths,
     unit_response,
     unit_response_mean,
@@ -692,11 +691,10 @@ def test_the_unit_response_times_the_port_amplitude_is_the_direct_drive(
 _AUDIBLE = sorted(p for p, m in load_archetypes().items() if m.resonant_band_hz[1] < 20_000.0)
 
 
-# Burst spacings in 48 kHz samples: a whole number repeats every burst, a
-# fifth of one every five bursts, and the other two repeat nowhere in the
-# window.  A damping of 0.01 on a long tube rings for longer than the
-# window, so its state never repeats.  The trace window may cut a burst
-# short, which the repeat must not lay.
+# unit_response and attack_response_trace lay the bursts and the window a
+# burst-by-burst loop lays.  Burst spacings in 48 kHz samples, whole and
+# fractional; a damping of 0.01 on a long tube rings for longer than the
+# window.  The trace window may cut a burst short, which must not be laid.
 @settings(max_examples=40, deadline=None)
 @given(part=st.sampled_from(_AUDIBLE),
        tube_m=st.one_of(st.just(0.0), st.floats(0.5, 8.0)),
@@ -709,8 +707,8 @@ _AUDIBLE = sorted(p for p, m in load_archetypes().items() if m.resonant_band_hz[
 @example(part="A1011-00", tube_m=0.0, damping=1.0, gap=720.0, cycles=(1, 2), trace_samples=1440)
 # The window ends 30 samples into burst 10.
 @example(part="A1011-00", tube_m=0.0, damping=1.0, gap=720.0, cycles=1, trace_samples=7230)
-def test_a_one_period_drive_is_the_whole_trains_drive_bit_for_bit(part, tube_m, damping, gap,
-                                                                   cycles, trace_samples):
+def test_the_reference_drive_lays_the_burst_by_burst_train_bit_for_bit(
+        part, tube_m, damping, gap, cycles, trace_samples):
     model = archetype(part).with_damping(damping)
     tube = TubeAssembly(length_m=tube_m) if tube_m > 0.0 else None
     f = system_resonant_hz(model, tube)
@@ -730,21 +728,6 @@ def test_a_one_period_drive_is_the_whole_trains_drive_bit_for_bit(part, tube_m, 
     for a, b in _burst_spans_by_loop(schedule, f, inlet.size, fs):
         inlet[a:b] = _burst_samples(schedule, f, b - a, fs, amplitude)[0]
     assert trace.p_out_pa.tobytes() == step_response(model, tube, inlet, 1.0 / fs).p_out_pa.tobytes()
-
-
-@pytest.mark.parametrize("gap, cycles, period", [
-    (720.0, None, 720),
-    (720.0, (1, 2), 1440),
-    (720.2, None, 3601),
-    (720.2, (1, 2), 7202),
-    (720.0 + 1.0 / math.sqrt(2.0), None, None),
-    (1000.37, (1, 2), None),
-])
-def test_a_burst_train_repeats_where_its_spans_do(gap, cycles, period):
-    f = _F_A1011
-    schedule = SegmentSchedule(band_hz=(0.9 * f, 1.1 * f), duration_s=2.5 / f,
-                               interval_s=gap / 48_000, cycles=cycles)
-    assert _train_period(_burst_spans(schedule, f, 110_402, 48_000), 110_400) == period
 
 
 def _count_filtered(monkeypatch) -> list[int]:
@@ -816,7 +799,7 @@ def _settle_by_lfilter(model, tube, *, lpf_cutoff_hz=None, lpf_order=1, extra_la
     if lpf_cutoff_hz is not None:
         time_constant_s += lpf_order / (2.0 * math.pi * lpf_cutoff_hz)
     n = int(round(max(0.5, 10.0 * time_constant_s) * fs))
-    out = step_response(model, tube, np.ones(1), dt, n_samples=n).p_out_pa
+    out = step_response(model, tube, np.ones(n), dt).p_out_pa
     if extra_lag_s > 0.0:
         a = 1.0 - math.exp(-dt / extra_lag_s)
         out = sensor._lfilter([a], [1.0, a - 1.0], out, zi=[0.0])[0]
@@ -834,6 +817,36 @@ def _settle_by_lfilter(model, tube, *, lpf_cutoff_hz=None, lpf_order=1, extra_la
 _OVERRUN_TUBE_M = (685.0 * 0.88 / 595.6) ** 2
 
 
+def _resonant_train(part, tube_m, damping, gap, cycles):
+    """(model, tube, f, schedule): the part at its damping behind a tube of
+    tube_m (none at 0), its resonance f, and bursts tuned to f gap samples
+    apart, each of 2.5 cycles or 0.1 sample short of the gap."""
+    model = archetype(part).with_damping(damping)
+    tube = TubeAssembly(length_m=tube_m) if tube_m > 0.0 else None
+    f = system_resonant_hz(model, tube)
+    fs = model.sample_rate_hz
+    schedule = SegmentSchedule(band_hz=(0.9 * f, 1.1 * f),
+                               duration_s=min(2.5 / f, (gap - 0.1) / fs),
+                               interval_s=gap / fs, cycles=cycles)
+    return model, tube, f, schedule
+
+
+def test_an_overrunning_train_builds_one_zero_state_response_per_distinct_head(monkeypatch):
+    """The overrunning train below has some 1,370 segments but two head
+    contents: each is driven from rest once."""
+    model, tube, f, schedule = _resonant_train("A1011-00", _OVERRUN_TUBE_M, 1.0, 80.74, 1)
+    calls = []
+    zero_state = sensor._Tables.zero_state
+
+    def counting(self, x):
+        calls.append(x.size)
+        return zero_state(self, x)
+
+    monkeypatch.setattr(sensor._Tables, "zero_state", counting)
+    unit_response_means(schedule, model, tube, target_f_hz=f)
+    assert 0 < len(calls) <= 2
+
+
 # Spacings in 48 kHz samples that repeat every 1, 5 and 25 bursts, and
 # nowhere; a sequence of cycles doubles the period.
 @settings(max_examples=25, deadline=None)
@@ -848,13 +861,8 @@ _OVERRUN_TUBE_M = (685.0 * 0.88 / 595.6) ** 2
          lpf=(120.0, 3), loss_db=12.0)
 def test_the_state_space_drive_agrees_with_the_lfilter_drive(part, tube_m, damping, gap, cycles,
                                                              lpf, loss_db):
-    model = archetype(part).with_damping(damping)
-    tube = TubeAssembly(length_m=tube_m) if tube_m > 0.0 else None
-    f = system_resonant_hz(model, tube)
+    model, tube, f, schedule = _resonant_train(part, tube_m, damping, gap, cycles)
     fs = model.sample_rate_hz
-    schedule = SegmentSchedule(band_hz=(0.9 * f, 1.1 * f),
-                               duration_s=min(2.5 / f, (gap - 0.1) / fs),
-                               interval_s=gap / fs, cycles=cycles)
     cutoff_hz, order = lpf
     a = 1.0 - math.exp(-2.0 * math.pi * cutoff_hz / fs)
     means = unit_response_means(schedule, model, tube, target_f_hz=f, sections=[a] * order)
@@ -910,16 +918,14 @@ def test_the_state_space_drive_meets_an_extended_precision_run_of_the_recurrence
     assert abs(np.longdouble(got) / exact - 1) < 1e-13
 
 
-def test_a_burst_train_whose_state_never_repeats_makes_few_filter_calls(monkeypatch):
+def test_each_reference_drive_is_one_filter_call_over_its_whole_inlet(monkeypatch):
+    """Even a train that repeats every burst is filtered in one call."""
     attack = _LPF_ATTACK
     f = attack.source.tone_hz
-    model = attack.model.with_damping(0.0)
-    response, _window = unit_response(attack.schedule, model, attack.tube, target_f_hz=f)
-    fs = model.sample_rate_hz
-    period = _train_period(_burst_spans(attack.schedule, f, response.size + 2, fs),
-                           response.size)
-    assert period == round(attack.schedule.interval_s * fs)
     sizes = _count_filtered(monkeypatch)
-    unit_response(attack.schedule, model, attack.tube, target_f_hz=f)
-    assert sum(sizes) == response.size
-    assert len(sizes) <= math.ceil(math.log2(response.size / period)) + 2
+    _response, window = unit_response(attack.schedule, attack.model, attack.tube, target_f_hz=f)
+    assert sizes == [window.stop + 2]
+    sizes.clear()
+    trace, _spans, _amplitude = attack_response_trace(attack.schedule, attack.model,
+                                                      attack.tube, attack.source)
+    assert sizes == [trace.p_out_pa.size]
