@@ -17,9 +17,10 @@ Every path runs on that recurrence:
 - the two structured inlets the command line drives, a burst train and a
   unit step, through the recurrence in state-space form (LinearChain),
   with any first-order sections after it as extra states, in numpy:
-  segment_abs_means sums a train's rectified output one burst interval
-  at a time, and step_last_outside finds where a step leaves a band, and
-  neither builds the drive's samples;
+  segment_abs_means sums a train's rectified output by burst intervals,
+  carrying the state a period of intervals at a time, and
+  step_last_outside finds where a step leaves a band, and neither builds
+  the drive's samples;
 - a sampled or callable inlet of any shape (step_response,
   step_response_fn), through lfilter in one call over the whole inlet,
   for library callers and as the tests' reference.
@@ -30,8 +31,10 @@ first call; no subcommand reaches it.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
+import itertools
 import math
 import os
 from dataclasses import MISSING, dataclass, fields, replace
@@ -362,7 +365,7 @@ def _drive(a, c_now, c_next, x: np.ndarray) -> np.ndarray:
 
 
 def _require_finite_inlet(series: np.ndarray) -> None:
-    if not np.all(np.isfinite(series)):
+    if not np.isfinite(series).all():
         raise ValueError("inlet contains non-finite samples")
 
 
@@ -496,103 +499,127 @@ def _borders(marks: list) -> list[int]:
     return border
 
 
-def _period(marks: np.ndarray) -> int:
-    """The smallest q for which marks[i] == marks[i - q] for every i >= q:
-    tried directly up to 7, from the borders past that."""
-    for q in range(1, min(marks.size, 8)):
-        if marks[q] == marks[0] and np.array_equal(marks[q:], marks[:-q]):
+def _period(raw: bytes, width: int) -> int:
+    """The smallest q for which row i of raw, a run of rows of width bytes,
+    equals row i - q for every i >= q: tried directly up to 32 rows, from
+    the borders past that."""
+    count = len(raw) // width
+    for q in range(1, min(count, 33)):
+        if raw[q * width:] == raw[:-q * width]:
             return q
-    return marks.size - _borders(marks.tolist())[-1] if marks.size else 1
+    if not count:
+        return 1
+    return count - _borders([raw[i:i + width] for i in range(0, len(raw), width)])[-1]
 
 
 def _free_response(rows: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Outputs c a^j X of one output row c, for its table rows c a^j and
-    states X of shape (state,) or (state, column): every sample the drives
-    below evaluate from a state passes through here."""
+    """Outputs c a^j X for table rows c a^j and states X of shape (state,)
+    or (state, column): every sample the drives below evaluate from a
+    state passes through here."""
     return rows @ states
 
 
+def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """later @ earlier, for stacks of affine maps or of states: every step
+    the burst-train drive carries its state by passes through here."""
+    return later @ earlier
+
+
 class _Tables:
-    """The powers a^j of one chain for j below a table length, its rows
-    c a^j and its impulse response, built by doubling; a drive takes a
-    span longer than the table in blocks of it."""
+    """The powers a^j of one chain for j up to a table length, and its
+    rows c a^j below it, built by doubling; a drive takes a span longer
+    than the table in blocks of it."""
 
     def __init__(self, chain: LinearChain, needed: int):
         self.chain = chain
         size, outputs = chain.b.size, chain.d.size
-        # Block j stacks a^j over c a^j, so one product doubles the table:
-        # blocks 1..m times a^m are blocks m+1..2m, the last one a^(2m).
-        # The table spans the smallest power of two of samples that covers
-        # needed, or as many as _TABLE_ENTRIES numbers allow.
+        # Block j stacks a^j over c a^j, so one product extends the table:
+        # blocks 1..m times a^m are blocks m+1..2m.  The table spans needed
+        # samples, or as many as _TABLE_ENTRIES numbers allow with the
+        # rows' copy.
         width = size + outputs
-        most = max(2, _TABLE_ENTRIES // (width * size))
-        length = 1 << min(max(needed - 1, 1).bit_length(), most.bit_length() - 1)
+        most = (_TABLE_ENTRIES - width * size) // ((width + outputs) * size)
+        length = max(1, min(needed, most))
         table = np.empty(((length + 1) * width, size))
         table[:size], table[size:width] = np.eye(size), chain.c
         table[width:2 * width] = table[:width] @ chain.a
         filled = 1
         while filled < length:
+            more = min(filled, length - filled)
             jump = table[filled * width:filled * width + size]
-            np.matmul(table[width:(filled + 1) * width], jump,
-                      out=table[(filled + 1) * width:(2 * filled + 1) * width])
-            filled *= 2
-        blocks = table.reshape(length + 1, width, size)
+            # np.dot, whose call costs less than np.matmul's on these
+            # small operands.
+            np.dot(table[width:(more + 1) * width], jump,
+                   out=table[(filled + 1) * width:(filled + more + 1) * width])
+            filled += more
         self.length = length
-        self.powers = blocks[:, :size]
+        self.outputs = outputs
+        self.table = table
+        self.blocks = table.reshape(length + 1, width, size)
+        self.powers = self.blocks[:, :size]
         self.jump = self.powers[length]
-        # The rows c a^j of each output, and a^j b, as (j, state) views.
-        self.rows = [blocks[:length, size + i] for i in range(outputs)]
-        table_b = (table @ chain.b).reshape(length + 1, width)
-        self.powers_b = table_b[:length, :size]
-        # The impulse response d, c b, c a b, ... as (j, output).
-        self.pulse = np.vstack((chain.d, table_b[:length - 1, size:]))
-        self.ones = np.ones(length)
+
+    @functools.cached_property
+    def rows(self) -> np.ndarray:
+        """The rows c a^j, row j * outputs + i being c[i] a^j, so that a
+        span of samples is one slice; built on first use, as a copy when
+        there are several outputs."""
+        size = self.powers.shape[2]
+        return self.blocks[:self.length, size:].reshape(self.length * self.outputs, size)
 
     def power(self, k: int) -> np.ndarray:
-        if k < self.length:
+        if k <= self.length:
             return self.powers[k]
         blocks, rest = divmod(k, self.length)
         return np.linalg.matrix_power(self.jump, blocks) @ self.powers[rest]
 
-    def outputs(self, states: np.ndarray, count: int) -> np.ndarray:
-        """The free response c a^j states for j < count, at most one table
-        long, as (j, output, ...)."""
-        if len(self.rows) == 1:
-            return _free_response(self.rows[0][:count], states)[:, None]
-        return np.stack([_free_response(rows[:count], states) for rows in self.rows], axis=1)
+    def powers_at(self, ks: list[int]) -> np.ndarray:
+        """a^k for each k of ks, stacked."""
+        if max(ks) <= self.length:
+            return self.powers[ks]
+        return np.stack([self.power(k) for k in ks])
 
-    def free(self, states: np.ndarray, lo: int, hi: int):
-        """(j, outputs) blocks of the free response c a^j states over
-        lo <= j < hi, for states of shape (state,) or (state, column)."""
-        if lo:
-            states = self.power(lo) @ states
-        for start in range(lo, hi, self.length):
-            count = min(self.length, hi - start)
-            yield start, self.outputs(states, count)
-            if start + count < hi:
-                states = self.jump @ states
+    def free(self, states: np.ndarray, count: int) -> np.ndarray:
+        """The free response c a^j states for j < count, at most one table
+        long, as (j, output) or (j, output, column) for states of shape
+        (state,) or (state, column)."""
+        y = _free_response(self.rows[:count * self.outputs], states)
+        return y.reshape(count, self.outputs, *states.shape[1:])
+
+    def _impulse(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The impulse response d, c b, c a b, ... over count samples, at
+        most one table long, as (j, output), and a^j b for j < count as
+        (j, state)."""
+        size = self.chain.b.size
+        table_b = (self.table[:count * (size + self.outputs)] @ self.chain.b).reshape(count, -1)
+        return np.concatenate((self.chain.d[None], table_b[:count - 1, size:])), table_b[:, :size]
 
     def zero_state(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Outputs (sample, output) of the chain driven by x from X[0] = 0,
         and its state after the last sample."""
-        out = np.empty((x.size, self.chain.d.size))
+        out = np.empty((x.size, self.outputs))
         state = np.zeros(self.chain.b.size)
+        if x.size:
+            pulse, powers_b = self._impulse(min(x.size, self.length))
         for start in range(0, x.size, self.length):
             part = x[start:start + self.length]
             count = part.size
-            for i in range(out.shape[1]):
-                out[start:start + count, i] = np.convolve(part, self.pulse[:count, i])[:count]
-            if start:
-                out[start:start + count] += self.outputs(state, count)
+            for i in range(self.outputs):
+                out[start:start + count, i] = np.convolve(part, pulse[:count, i])[:count]
             # a^count state plus the sum of a^(count-1-j) b x[j].
-            state = self.power(count) @ state + part[::-1] @ self.powers_b[:count]
+            driven = part[::-1] @ powers_b[:count]
+            if start:
+                out[start:start + count] += self.free(state, count)
+                driven += self.power(count) @ state
+            state = driven
         return out, state
 
     def unit_step(self) -> tuple[np.ndarray, np.ndarray]:
         """Outputs (sample, output) of the response to a unit step from
         X[0] = 0 over one table length, and the state after it: output j
         sums the impulse response up to j, and the state a^i b over all i."""
-        return np.cumsum(self.pulse, axis=0), self.ones @ self.powers_b
+        pulse, powers_b = self._impulse(self.length)
+        return np.cumsum(pulse, axis=0), np.ones(self.length) @ powers_b
 
 
 def segment_abs_means(
@@ -610,114 +637,197 @@ def segment_abs_means(
     one to n, and its inlet is inlet[offset:offset + size] followed by
     zeros.  By superposition its output is the free response to the state
     it starts in plus the zero-state response to its inlet, which is
-    computed once per kind, a distinct head and length; the state is
-    carried from segment to segment.
+    computed once per distinct head; a segment's kind, its head and
+    length, gives the affine map from its start state to its end state.
 
     The chain is linear and time-invariant, so where the kinds repeat
-    every q segments and the segment at a multiple i of q starts in the
-    bytes the one at an earlier multiple j started in, every later
-    segment starts in the state the segment i - j before it did: the
-    drive stops carrying the state there.  Each kind's segments are
-    summed in one product per block, once per distinct start state, and
-    no output is held for more than one table of samples per state.  An
-    inlet with a non-finite sample is refused, as step_response refuses
-    it.
+    every q segments, one step carries the state from one multiple of q
+    to the next by the period's composed map (see _carry).  Where the
+    state at a multiple i of q holds the bytes it held at an earlier
+    multiple j, every later segment starts in the state the segment
+    i - j before it did, and the drive stops carrying the state there.
+    The window's segments are then summed in one product over every
+    distinct pair of kind and start state, and no output is held for
+    more than one table of samples per pair.  An inlet with a non-finite
+    sample is refused, as step_response refuses it.
     """
     _require_finite_inlet(inlet)
     segments = np.asarray(segments)
-    starts = segments[:, 0]
-    lengths = np.append(starts[1:], n) - starts
-    tables = _Tables(chain, int(np.max(lengths)))
-    # Segment i is of kind kind[i], a head (offset, size) and a length;
-    # segment first[k] is the first of kind k.
-    marks = np.column_stack((segments[:, 1:], lengths))
-    reach = [int(np.max(column)) + 1 for column in marks.T]
-    axis = 0
-    if reach[0] * reach[1] * reach[2] < 1 << 63:
-        # One number per kind, which np.unique sorts faster than rows.
-        marks, axis = (marks[:, 0] * reach[1] + marks[:, 1]) * reach[2] + marks[:, 2], None
-    _marks, first, kind = np.unique(marks, axis=axis, return_index=True, return_inverse=True)
-    kind = kind.ravel()
-    kind_head = list(zip(*(column.tolist() for column in segments[first, 1:].T)))
-    kind_length = lengths[first].tolist()
-    longest: dict[tuple[int, int], int] = {}
-    for h, length in zip(kind_head, kind_length):
-        longest[h] = max(longest.get(h, 0), length)
-    heads: dict[tuple[int, int], tuple] = {}
-    responses: dict[int, tuple] = {}
+    count = len(segments)
+    bounds = segments[:, 0].tolist() + [n]
+    # Row i of marks is segment i's kind: its length and its head (offset,
+    # size).  The kinds of all segments but the last, which the drive's
+    # end may cut, repeat every q segments, so only one period of them
+    # and the last are told apart: kinds[i] is the kind of segment i for
+    # i < q and kinds[q] the last one's, each kind numbered by the first
+    # segment of it.
+    marks = segments.copy()
+    np.subtract(segments[1:, 0], segments[:-1, 0], out=marks[:-1, 0])
+    marks[-1, 0] = n - bounds[-2]
+    raw = marks.tobytes()
+    width = len(raw) // count
+    q = _period(raw[:-width], width)
+    first_of: dict[bytes, int] = {}
+    kinds = [first_of.setdefault(raw[i * width:(i + 1) * width], i) for i in range(q)]
+    kinds.append(first_of.setdefault(raw[-width:], count - 1))
+    number = {row: k for k, row in enumerate(first_of.values())}
+    kinds = [number[row] for row in kinds]
+    kind_marks = marks[list(number)].tolist()
+    longest = max(length for length, _offset, _size in kind_marks)
+    tables = _Tables(chain, longest)
+    size = chain.b.size
 
-    def response(k):
-        """Zero-state outputs (sample, output) over a segment of kind k, and
-        the map (jump, drive) from its start state to its end state."""
-        if k not in responses:
-            h, length = kind_head[k], kind_length[k]
-            offset, size = h
-            if h not in heads:
-                # Over the head's longest segment: a shorter one is a prefix.
-                outputs, after = tables.zero_state(inlet[offset:offset + size])
-                zero_state = np.empty((longest[h], chain.d.size))
-                zero_state[:size] = outputs
-                for start, y in tables.free(after, 0, longest[h] - size):
-                    zero_state[size + start:size + start + y.shape[0]] = y
-                heads[h] = (zero_state, after)
-            zero_state, after = heads[h]
-            responses[k] = (zero_state[:length], tables.power(length),
-                            tables.power(length - size) @ after)
-        return responses[k]
+    # Head h's zero-state outputs over the longest segment (a shorter one
+    # is a prefix) are zero_states[:, :, h], and its state after the head
+    # afters[h].  A kind maps the state [X; 1] a segment starts in to the
+    # one it ends in by maps[kind].
+    head_of: dict[tuple[int, int], int] = {}
+    kind_head = [head_of.setdefault((offset, head_size), len(head_of))
+                 for _length, offset, head_size in kind_marks]
+    zero_states = np.empty((longest, chain.d.size, len(head_of)))
+    afters = np.empty((len(head_of), size))
+    for (offset, head_size), h in head_of.items():
+        zero_states[:head_size, :, h], afters[h] = tables.zero_state(inlet[offset:offset + head_size])
+        state = afters[h]
+        for start in range(head_size, longest, tables.length):
+            stop = min(start + tables.length, longest)
+            zero_states[start:stop, :, h] = tables.free(state, stop - start)
+            if stop < longest:
+                state = tables.jump @ state
+    maps = np.zeros((len(kind_marks), size + 1, size + 1))
+    maps[:, size, size] = 1.0
+    maps[:, :size, :size] = tables.powers_at([length for length, _offset, _size in kind_marks])
+    maps[:, :size, size:] = tables.powers_at([length - head_size for length, _offset, head_size
+                                              in kind_marks]) @ afters[kind_head, :, None]
+    first = np.ones(size + 1)
+    _start, offset, head_size = segments[0].tolist()
+    first[:size] = chain.first * (inlet[offset] if bounds[0] == 0 and head_size else 0.0)
+    carried, column_of, repeat, cycle = _carry(maps, kinds[:q], count, first)
+    columns = carried.shape[1]
 
-    kinds = kind.tolist()
-    # The kinds of all segments but the last, which the drive's end may
-    # cut, repeat every q segments; so does the state from the first
-    # multiple of q at which it holds bytes it held at an earlier one.
-    # Rounding can leave the state cycling over several multiples of q
-    # rather than still, so every multiple of q is remembered.
-    q = _period(kind[:-1])
-    _start, offset, size = segments[0].tolist()
-    carried = [chain.first * (float(inlet[offset]) if starts[0] == 0 and size else 0.0)]
-    seen = {carried[0].tobytes(): 0}
-    repeat = period = None
-    for i in range(1, len(kinds)):
-        _zero_state, jump, drive = response(kinds[i - 1])
-        state = jump @ carried[-1] + drive
-        if i % q == 0:
-            j = seen.setdefault(state.tobytes(), i)
-            if j < i:
-                repeat, period = j, i - j
+    def pair(i: int) -> tuple[int, int]:
+        """The kind of segment i and the column of carried it starts in."""
+        kind = kinds[q] if i == count - 1 else kinds[i % q]
+        return kind, column_of[i if i < columns else repeat + (i - repeat) % cycle]
+
+    # Segments first_whole to last - 1 lie wholly in the window; of the
+    # one before them and the one at last, the window may hold a part.
+    # Past the carried columns, the pairs of all segments but the last
+    # repeat every cycle segments, so each pair of one cycle is counted
+    # once with the times it recurs.
+    first_whole = bisect.bisect_left(bounds, window.start)
+    last = max(first_whole, bisect.bisect_right(bounds, window.stop) - 1)
+    body = min(last, count - 1)
+    recurring = max(first_whole, columns)
+    runs = [(i, 1) for i in range(first_whole, min(body, columns))]
+    runs += [(i, (body - i - 1) // cycle + 1) for i in range(recurring, min(body, recurring + (cycle or 0)))]
+    if first_whole <= count - 1 < last:
+        runs.append((count - 1, 1))
+    times: dict[tuple[int, int], int] = {}
+    for i, recurs in runs:
+        key = pair(i)
+        times[key] = times.get(key, 0) + recurs
+    # Each (span, kind, column, weight), ordered so that columns of one
+    # span sit together.
+    entries = [((0, kind_marks[kind][0]), kind, column, weight)
+               for (kind, column), weight in times.items()]
+    for i in (first_whole - 1, last):
+        if 0 <= i < count and bounds[i] < window.stop and bounds[i + 1] > window.start:
+            entries.append(((max(window.start - bounds[i], 0),
+                             min(window.stop, bounds[i + 1]) - bounds[i]), *pair(i), 1))
+    entries.sort()
+    spans, kind_p, column_p, weights = zip(*entries)
+    if len(head_of) > 1:
+        zero_states = zero_states[:, :, [kind_head[kind] for kind in kind_p]]
+    sums = _window_sums(tables, carried[:size, list(column_p)], zero_states, spans)
+    return sums @ np.array(weights, dtype=float) / (window.stop - window.start)
+
+
+def _carry(maps: np.ndarray, kinds: list[int], count: int, first: np.ndarray):
+    """(carried, column_of, repeat, cycle): of count segments of the kinds
+    kinds[i % q], q being len(kinds), the first starting in the state
+    [X; 1] first, segment i starts in carried[:, i] for i below
+    carried.shape[1], and past that where segment
+    repeat + (i - repeat) % cycle does; column column_of[i] of carried
+    is the first that holds the bytes column i does.
+
+    One step maps the state at a multiple of q to the next by the
+    period's composed map; the period's prefix maps, composed in
+    log2(q + 1) stacked products, give every segment's start state from
+    its period's in one more.  Where the period is one segment, or a
+    stack of q + 1 maps takes more products of numbers than a table
+    holds, the state is carried one segment at a time instead.  The
+    carry stops at the first multiple of q whose state holds the bytes
+    of an earlier one's: from there the states cycle.
+    """
+    q, size = len(kinds), first.size
+    composed = 1 < q and (q + 1) * size ** 3 <= _TABLE_ENTRIES
+    if composed:
+        # prefix[r] maps a period's start state to its segment r's.
+        prefix = np.empty((q + 1, size, size))
+        prefix[0] = np.eye(size)
+        prefix[1:] = maps[kinds]
+        step = 1
+        while step <= q:
+            prefix[step:] = _compose(prefix[step:], prefix[:-step])
+            step *= 2
+        stride, steps = q, (count - 1) // q + 1
+    else:
+        stride, steps = 1, count
+    state, seen, path = first, {first.tobytes(): 0}, [first]
+    repeat = cycle = None
+    for m in range(1, steps):
+        state = _compose(prefix[q] if composed else maps[kinds[(m - 1) % q]], state)
+        if m * stride % q == 0:
+            j = seen.setdefault(state.tobytes(), m)
+            if j < m:
+                repeat, cycle = j * stride, (m - j) * stride
                 break
-        carried.append(state)
-
-    # Segment i starts in the state carried[at[i]] and adds its samples lo
-    # to hi to the window: all of them but where the window cuts it.
-    at = np.arange(len(kinds))
-    if repeat is not None:
-        at[len(carried):] = repeat + (at[len(carried):] - repeat) % period
-    lo = np.maximum(window.start - starts, 0)
-    hi = np.minimum(window.stop - starts, lengths)
-    whole = (lo == 0) & (hi == lengths)
-    groups: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
-    pairs, counts = np.unique(kind[whole] * len(carried) + at[whole], return_counts=True)
-    for pair, count in zip(pairs.tolist(), counts.tolist()):
-        k, i = divmod(pair, len(carried))
-        groups.setdefault((k, 0, kind_length[k]), []).append((i, count))
-    for i in np.flatnonzero((hi > lo) & ~whole).tolist():
-        groups.setdefault((kinds[i], int(lo[i]), int(hi[i])), []).append((int(at[i]), 1))
-    total = np.zeros(chain.d.size)
-    for (k, first_sample, last_sample), members in groups.items():
-        states = np.column_stack([carried[i] for i, _count in members])
-        sums = _segment_abs_sums(tables, states, response(k)[0], first_sample, last_sample)
-        total += sums @ np.array([count for _i, count in members], dtype=float)
-    return total / (window.stop - window.start)
+        path.append(state)
+    carried = np.array(path).T
+    if not composed:
+        # A state one segment on is told apart from every earlier one
+        # only at multiples of q.
+        return carried, list(range(carried.shape[1])), repeat, cycle
+    # Column m * q + r is segment r of period m.
+    carried = _compose(prefix[:q], carried).transpose(1, 2, 0).reshape(size, -1)
+    raw = carried.T.tobytes()
+    width = len(raw) // carried.shape[1]
+    same: dict[bytes, int] = {}
+    column_of = [same.setdefault(raw[i:i + width], i // width) for i in range(0, len(raw), width)]
+    return carried, column_of, repeat, cycle
 
 
-def _segment_abs_sums(tables: _Tables, states, zero_state, lo: int, hi: int) -> np.ndarray:
-    """Sums (output, column) of |y| over samples lo <= j < hi of segments
-    that start in the columns of states, with the zero-state outputs
-    zero_state."""
-    total = np.zeros(zero_state.shape[1] * states.shape[1])
-    for start, y in tables.free(states, lo, hi):
-        y += zero_state[start:start + y.shape[0], :, None]
-        total += tables.ones[:y.shape[0]] @ np.abs(y, out=y).reshape(y.shape[0], -1)
-    return total.reshape(zero_state.shape[1], states.shape[1])
+def _window_sums(tables: _Tables, states, zero_states, spans) -> np.ndarray:
+    """Sums (output, column) of |y| over samples lo <= j < hi, (lo, hi)
+    being spans[p], of the segments that start in the columns p of
+    states, with the zero-state outputs zero_states[:, :, p] (or [:, :, 0]
+    for all): one product per table's span.  Columns of one span sit
+    together in spans."""
+    groups, column = [], 0
+    for (lo, hi), members in itertools.groupby(spans):
+        width = len(list(members))
+        groups.append((lo, hi, column, column + width))
+        column += width
+    bottom = min(lo for lo, _hi, _first, _end in groups)
+    top = max(hi for _lo, hi, _first, _end in groups)
+    if bottom:
+        states = tables.power(bottom) @ states
+    sums = 0.0
+    for start in range(bottom, top, tables.length):
+        count = min(tables.length, top - start)
+        y = tables.free(states, count)
+        y += zero_states[start:start + count]
+        # Samples outside a column's span count for nothing.
+        for lo, hi, first, end in groups:
+            if lo > start:
+                y[:lo - start, :, first:end] = 0.0
+            if hi < start + count:
+                y[max(hi - start, 0):, :, first:end] = 0.0
+        sums = sums + np.ones(count) @ np.abs(y, out=y).reshape(count, -1)
+        if start + count < top:
+            states = tables.jump @ states
+    return sums.reshape(tables.outputs, -1)
 
 
 def step_last_outside(chain: LinearChain, n: int, band: float) -> int:
@@ -733,7 +843,7 @@ def step_last_outside(chain: LinearChain, n: int, band: float) -> int:
     tables = _Tables(chain, _STEP_SAMPLES)
     block = tables.length
     step, after = tables.unit_step()
-    rows, step = tables.rows[-1], step[:, -1]
+    rows, step = tables.blocks[:block, -1], step[:, -1]
     state = chain.first.copy()
     last = -1
     for start in range(0, n, block):

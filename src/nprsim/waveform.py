@@ -16,8 +16,8 @@ bursts of 1 Pa.  forged_pressure_estimate is the one place that product is
 formed; a caller that already holds the mean for the same burst train,
 model, tube and tone passes it as unit_mean_pa, so one that varies only the
 source or the path loss drives the transducer once.  That mean comes from
-unit_response_means, which drives the train one burst interval at a time
-in state space; unit_response lays the same train whole and filters it in
+unit_response_means, which drives the train by burst intervals in state
+space; unit_response lays the same train whole and filters it in
 one lfilter call, for library callers and as the tests' reference.
 
 WAV files are read and written with the standard library.
@@ -69,7 +69,7 @@ class ScheduleError(ValueError):
 
 @dataclass(frozen=True)
 class AudioBuffer:
-    """Mono audio at a supported sample rate, samples within [-1, 1]."""
+    """Mono audio at a supported sample rate, finite samples within [-1, 1]."""
 
     sample_rate_hz: int
     samples: np.ndarray
@@ -82,7 +82,11 @@ class AudioBuffer:
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
-        if _peak(samples) > 1.0 + 1e-9:
+        # Written so that NaN, whose every comparison is False, is refused.
+        peak = _peak(samples)
+        if not peak <= 1.0 + 1e-9:
+            if not math.isfinite(peak):
+                raise ValueError("samples include a non-finite value")
             raise ValueError("samples exceed full scale [-1, 1]")
         object.__setattr__(self, "samples", samples)
 
@@ -236,24 +240,26 @@ _WAV_BLOCK_SAMPLES = 1 << 16
 
 def write_wav(path: str | Path, audio: AudioBuffer) -> None:
     """Write mono 16-bit PCM little-endian WAV."""
-    # Clip, scale and round a block at a time in one float buffer, so the
-    # 16-bit copy is the only full-length array this adds; the wave module
-    # writes it through a view, not a bytes copy.
+    # Clip, scale and round a block at a time in one float buffer, convert
+    # it into one reused 16-bit buffer and write that, so no full-length
+    # array is added; the wave module writes each block through a view.
     samples = audio.samples
-    pcm = np.empty(samples.size, dtype="<i2")
     block = np.empty(min(samples.size, _WAV_BLOCK_SAMPLES))
-    for start in range(0, samples.size, _WAV_BLOCK_SAMPLES):
-        part = samples[start:start + _WAV_BLOCK_SAMPLES]
-        scaled = block[:part.size]
-        np.clip(part, -1.0, 1.0, out=scaled)
-        scaled *= 32767.0
-        np.round(scaled, out=scaled)
-        pcm[start:start + part.size] = scaled
+    pcm = np.empty(block.size, dtype="<i2")
     with wave.open(os.fspath(path), "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
         fh.setframerate(audio.sample_rate_hz)
-        fh.writeframes(pcm)
+        # The header's sizes are written once, for the whole data chunk.
+        fh.setnframes(samples.size)
+        for start in range(0, samples.size, _WAV_BLOCK_SAMPLES):
+            part = samples[start:start + _WAV_BLOCK_SAMPLES]
+            scaled = block[:part.size]
+            np.clip(part, -1.0, 1.0, out=scaled)
+            scaled *= 32767.0
+            np.round(scaled, out=scaled)
+            pcm[:part.size] = scaled
+            fh.writeframesraw(pcm[:part.size])
 
 
 def suppress_band(audio: AudioBuffer, band_hz: tuple[float, float]) -> AudioBuffer:
@@ -307,22 +313,29 @@ def _burst_spans(
     burst of under 2 samples up to that point raises ScheduleError.
     """
     cycles = schedule.cycle_sequence(frequency_hz)
-    lengths = np.array([int(round(c / frequency_hz * sample_rate_hz)) for c in cycles])
+    # A burst longer than the drive never fits; its length is held below
+    # an int64's range as the drive's length plus 2.
+    lengths = [min(int(round(c / frequency_hz * sample_rate_hz)), n_samples + 2) for c in cycles]
     # Burst k starts at or after k * interval * rate - 1/2, so none from
     # k = n_samples / (interval * rate) + 1 on fits.  A short burst ends
     # the train or raises, so the candidates stop at the first one.
     count = int(n_samples / (schedule.interval_s * sample_rate_hz)) + 3
-    short = np.flatnonzero(lengths < 2)
-    if short.size:
-        count = min(count, int(short[0]) + 1)
+    short = [k for k, length in enumerate(lengths) if length < 2]
+    if short:
+        count = min(count, short[0] + 1)
     k = np.arange(count)
-    starts = np.rint(k * schedule.interval_s * sample_rate_hz).astype(np.int64)
-    length = lengths[k % lengths.size]
-    end = int(np.argmax((length < 2) | (starts + length > n_samples)))
-    if length[end] < 2:
+    spans = np.empty((count, 2), dtype=np.int64)
+    spans[:, 0] = np.rint(k * schedule.interval_s * sample_rate_hz)
+    np.add(spans[:, 0], np.take(lengths, k, mode="wrap") if len(lengths) > 1 else lengths[0],
+           out=spans[:, 1])
+    over = spans[:, 1] > n_samples
+    if short:
+        over[-1] = True
+    end = int(over.argmax())
+    if lengths[end % len(lengths)] < 2:
         c = cycles[end % len(cycles)]
         raise ScheduleError(f"burst of {c} cycles at {frequency_hz:.0f} Hz spans under 2 samples")
-    return np.column_stack((starts[:end], starts[:end] + length[:end]))
+    return spans[:end]
 
 
 def _burst_windows(out: np.ndarray, spans: np.ndarray):
@@ -670,9 +683,9 @@ def unit_response_means(
 
     The train is refused as :func:`unit_response` refuses it, and the
     means agree with its drive to rounding, but no sample array of the
-    drive is built: :func:`segment_abs_means` drives the chain one burst
-    interval at a time, and where the train repeats, only until the state
-    repeats with it.
+    drive is built: :func:`segment_abs_means` drives the chain by burst
+    intervals, a period of them at a time where the train repeats, and
+    only until the state repeats with it.
     """
     fs = model.sample_rate_hz
     window = _estimate_window(schedule, fs)
@@ -680,29 +693,37 @@ def unit_response_means(
     f = float(target_f_hz)
     spans = _train_spans(schedule, f, stop + 2, fs)
     chain = transducer_chain(model, tube, 1.0 / fs).then_sections(sections)
-    starts = spans[spans[:, 0] < stop, 0]
-    lengths = spans[:starts.size, 1] - starts
-    # A segment runs to the next burst; its head ends where the bursts so
-    # far do, or at the segment's end.
-    ends = np.minimum(np.maximum.accumulate(starts + lengths), np.append(starts[1:], stop))
-    if np.any(lengths[:-1] > np.diff(starts)):
-        # A burst runs into the next one: read the heads off the laid train,
-        # each from the first segment whose head holds the same samples, so
-        # that segments of one head are of one kind.
+    spans = spans[:spans[:, 0].searchsorted(stop)]
+    # Segment i runs from burst i's start, and its head is
+    # inlet[offset:offset + size].
+    segments = np.empty((len(spans), 3), dtype=np.int64)
+    segments[:, 0] = starts = spans[:, 0]
+    if (spans[1:, 0] < spans[:-1, 1]).any():
+        # A burst runs into the next one, so a segment's head ends where
+        # the bursts so far do, or at the segment's end.  The heads are
+        # read off the laid train, each from the first segment whose head
+        # holds the same samples, so that segments of one head are of one
+        # kind.
+        ends = np.minimum(np.maximum.accumulate(spans[:, 1]), np.append(starts[1:], stop))
         inlet = np.zeros(stop + 2)
-        _lay_bursts(inlet, spans[:starts.size], schedule, f, fs, 1.0)
+        _lay_bursts(inlet, spans, schedule, f, fs, 1.0)
         first: dict[bytes, int] = {}
-        offsets = np.array([first.setdefault(inlet[a:b].tobytes(), a)
-                            for a, b in zip(starts.tolist(), ends.tolist())])
+        segments[:, 1] = [first.setdefault(inlet[a:b].tobytes(), a)
+                          for a, b in zip(starts.tolist(), ends.tolist())]
     else:
-        # A burst's samples depend on its length alone: lay one burst of
+        # A segment's head is its burst, which the drive's end may cut, and
+        # a burst's samples depend on its length alone: lay one burst of
         # each length.
-        distinct, which = np.unique(lengths, return_inverse=True)
-        at = np.concatenate(([0], np.cumsum(distinct)))
-        inlet = np.concatenate([_burst_samples(schedule, f, length, fs, 1.0)[0]
-                                for length in distinct.tolist()])
-        offsets = at[which.ravel()]
-    segments = np.column_stack((starts, offsets, ends - starts))
+        ends = np.minimum(spans[:, 1], stop)
+        lengths = spans[:, 1] - starts
+        at: dict[int, int] = {}
+        for length in dict.fromkeys(lengths.tolist()):
+            at[length] = sum(at)  # after the bursts laid before it
+        inlet = np.concatenate([_burst_samples(schedule, f, length, fs, 1.0)[0] for length in at])
+        segments[:, 1] = 0
+        for length, offset in list(at.items())[1:]:
+            segments[lengths == length, 1] = offset
+    np.subtract(ends, starts, out=segments[:, 2])
     return segment_abs_means(chain, inlet, segments, stop, window)
 
 

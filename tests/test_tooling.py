@@ -1,7 +1,7 @@
 """Checks on the tree and its scripts: what importing the package loads,
 the calibration script's verification of the shipped constants, the
-output comparison script, and that no module imports a name it never
-reads."""
+output comparison and drive timing scripts, and that no module imports
+a name it never reads."""
 
 import ast
 import os
@@ -105,6 +105,21 @@ def test_diff_outputs_reports_a_job_whose_stdout_differs(reworded_sweep_diff):
     proc = reworded_sweep_diff
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "seed 0: job sweep-0-distance: stdout differs" in proc.stdout.splitlines()
+
+
+def test_time_drives_times_every_drive_on_a_tree_and_its_base():
+    """scripts/time_drives.py run once, with the tree as its own base: a
+    line per case, each with both sides' times and their ratio."""
+    proc = _run(["scripts/time_drives.py", "--base-tree", str(ROOT), "--rounds", "1",
+                 "--passes", "1", "--calls", "1"])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["case", "base", "this", "tree", "ratio"]
+    cases = [line.rsplit(None, 3)[0] for line in lines[1:-1]]
+    assert cases == [f"unit_response_means {train}{lpf}" for lpf in ("", " lpf")
+                     for train in ("q=1", "q=5", "q=25")] + [
+        "measurement_settle_time_s", "measurement_settle_time_s lpf"]
+    assert all(float(line.split()[-1]) > 0.0 for line in lines[1:-1])
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 import tracemalloc
@@ -44,6 +45,7 @@ from nprsim.waveform import (
     ESTIMATE_WINDOW_S,
     PSD_RATIO_CAP,
     SUPPORTED_RATES,
+    _WAV_BLOCK_SAMPLES,
     _band_basis,
     _burst_samples,
     _burst_spans,
@@ -162,9 +164,10 @@ def test_suppress_band_equals_the_full_gain_notch(n, band_hz):
 
 
 def test_write_wav_converts_in_blocks_to_the_one_buffer_samples(tmp_path):
-    """write_wav holds the 16-bit copy and one block of floats: at most 3
-    bytes a sample above its input, for the same samples the whole-buffer
-    conversion wrote."""
+    """write_wav holds one block of floats and one 16-bit block, whatever
+    the buffer's length: at most 11 bytes a block sample (a 16-bit copy
+    of this buffer alone would take 2 MB), for the same samples the
+    whole-buffer conversion wrote."""
     from scipy.io import wavfile
 
     rng = np.random.default_rng(11)
@@ -178,11 +181,45 @@ def test_write_wav_converts_in_blocks_to_the_one_buffer_samples(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * samples.size
+    assert peak <= 11 * _WAV_BLOCK_SAMPLES
     whole = np.clip(samples, -1.0, 1.0)
     whole *= 32767.0
     np.round(whole, out=whole)
     assert wavfile.read(path)[1].tobytes() == whole.astype("<i2").tobytes()
+
+
+def _write_wav_whole(path, audio):
+    """write_wav as it was written with one 16-bit copy of the whole
+    buffer and one writeframes call."""
+    import wave
+
+    whole = np.clip(audio.samples, -1.0, 1.0)
+    whole *= 32767.0
+    np.round(whole, out=whole)
+    with wave.open(str(path), "wb") as fh:
+        fh.setnchannels(1)
+        fh.setsampwidth(2)
+        fh.setframerate(audio.sample_rate_hz)
+        fh.writeframes(whole.astype("<i2"))
+
+
+@pytest.mark.parametrize("n", [0, 1 << 16, 3 * (1 << 16) + 17])
+def test_write_wav_by_blocks_writes_the_whole_buffers_bytes(n, tmp_path):
+    """An empty buffer, exactly one 65,536-sample block, and three blocks
+    and 17 samples, written block by block, give the bytes the one-copy
+    writer gave."""
+    samples = np.clip(np.random.default_rng(n).normal(scale=0.5, size=n), -1.0, 1.0)
+    audio = AudioBuffer(sample_rate_hz=44100, samples=samples)
+    write_wav(tmp_path / "blocks.wav", audio)
+    _write_wav_whole(tmp_path / "whole.wav", audio)
+    assert (tmp_path / "blocks.wav").read_bytes() == (tmp_path / "whole.wav").read_bytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_an_audio_buffer_refuses_a_non_finite_sample(bad):
+    """A NaN compares False with any bound, so a peak test alone let it in."""
+    with pytest.raises(ValueError, match="non-finite"):
+        AudioBuffer(sample_rate_hz=48000, samples=np.array([0.1, bad, 0.2]))
 
 
 def test_wav_roundtrip_is_16_bit_faithful(tmp_path):
@@ -773,6 +810,53 @@ def test_a_repeating_burst_train_filters_a_fraction_of_its_drive(monkeypatch):
     sizes.clear()
     measurement_settle_time_s(attack.model, attack.tube)
     assert 0 < sum(sizes) < int(round(0.5 * attack.model.sample_rate_hz)) / 3
+
+
+# Burst intervals of the lpf scenario's attack (A1011-00 on a 1 m tube)
+# whose segment kinds repeat every 1, 5 and 25 bursts.
+_REPEATING_INTERVALS_S = {1: 0.015, 5: 0.0148, 25: 0.02347}
+
+
+@pytest.mark.parametrize("q", sorted(_REPEATING_INTERVALS_S))
+@pytest.mark.parametrize("order", [0, 3])
+def test_a_burst_train_drive_keeps_to_its_work_budget(q, order, monkeypatch):
+    """The drive's work is counted, not timed, so its fixed cost per call
+    cannot creep back: it builds one table, as long as the longest
+    segment; it carries the state with log2(q + 1) products composing a
+    period's maps, one per period carried (a few: the state repeats
+    within eight) and one spreading the periods' states to their
+    segments, where a drive per segment made one per segment (some 50
+    on the 25-burst train); and it evaluates one product for each
+    head's zero-state tail and one for the window of every kind."""
+    attack = _LPF_ATTACK
+    schedule = dataclasses.replace(attack.schedule, interval_s=_REPEATING_INTERVALS_S[q])
+    tables, composed, evaluated = [], [], []
+    build, compose, free = sensor._Tables.__init__, sensor._compose, sensor._free_response
+
+    def building(self, chain, needed):
+        build(self, chain, needed)
+        tables.append((needed, self.length))
+
+    def composing(later, earlier):
+        composed.append(later.shape)
+        return compose(later, earlier)
+
+    def evaluating(rows, states):
+        evaluated.append(rows.shape)
+        return free(rows, states)
+
+    monkeypatch.setattr(sensor._Tables, "__init__", building)
+    monkeypatch.setattr(sensor, "_compose", composing)
+    monkeypatch.setattr(sensor, "_free_response", evaluating)
+    gains = [1.0 - math.exp(-2.0 * math.pi * 120.0 / 48000.0)] * order
+    unit_response_means(schedule, attack.model, attack.tube, target_f_hz=attack.source.tone_hz,
+                        sections=gains)
+    # One table, of the longest segment's samples: its gap to the next burst.
+    gap = int(round(schedule.interval_s * 48000.0)) + 1
+    assert len(tables) == 1 and tables[0][0] == tables[0][1] <= gap
+    scan = math.ceil(math.log2(q + 1)) + 1 if q > 1 else 0
+    assert 0 < len(composed) <= scan + 8
+    assert len(evaluated) == 2
 
 
 def test_a_state_that_rounding_keeps_cycling_still_stops_the_carry(monkeypatch):
