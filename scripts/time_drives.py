@@ -14,8 +14,8 @@ attack of scenarios/acoustic_lpf.yaml (the A1011-00 on a 1 m tube):
 
 Each side runs in its own interpreter, with only that side's src on the
 import path, and the sides alternate, the first of each round taking
-turns.  A run warms every case up, then goes round the cases --passes
-times, timing --calls calls of each in CPU time.  The table prints each
+turns.  A run warms every case up, then goes round the cases PASSES
+times, timing CALLS calls of each in CPU time.  The table prints each
 case's median over all passes of all rounds, in microseconds per call,
 and with a base, the ratio of this tree's median to the base's.  Exit
 status: 0, or 2 on a usage or set-up error.
@@ -39,6 +39,8 @@ TRAINS = (("q=1", 0.015), ("q=5", 0.0148), ("q=25", 0.02347))
 LPF_CUTOFF_HZ = 120.0
 LPF_ORDER = 3
 WARM_CALLS = 10
+PASSES = 10
+CALLS = 20
 
 
 def _cases():
@@ -65,7 +67,7 @@ def _cases():
     return cases
 
 
-def _run_child(src: str, calls: int, passes: int) -> int:
+def _run_child(src: str) -> int:
     """Child mode: print {case: [CPU seconds per call of each pass]} as
     JSON, the passes going round all the cases in turn."""
     import time
@@ -80,23 +82,22 @@ def _run_child(src: str, calls: int, passes: int) -> int:
         for _ in range(WARM_CALLS):
             call()
     times: dict[str, list[float]] = {name: [] for name, _call in cases}
-    for _ in range(passes):
+    for _ in range(PASSES):
         for name, call in cases:
             start = time.process_time()
-            for _ in range(calls):
+            for _ in range(CALLS):
                 call()
-            times[name].append((time.process_time() - start) / calls)
+            times[name].append((time.process_time() - start) / CALLS)
     print(json.dumps(times))
     return 0
 
 
-def _side(tree: Path, calls: int, passes: int) -> dict[str, list[float]]:
+def _side(tree: Path) -> dict[str, list[float]]:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(tree / "src")
     env.pop("NPRSIM_ARCHETYPES", None)
     proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--run-child", str(tree / "src"),
-         str(calls), str(passes)],
+        [sys.executable, str(Path(__file__).resolve()), "--run-child", str(tree / "src")],
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
     if proc.returncode != 0:
@@ -107,17 +108,13 @@ def _side(tree: Path, calls: int, passes: int) -> dict[str, list[float]]:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--run-child"]:
-        return _run_child(argv[1], int(argv[2]), int(argv[3]))
+        return _run_child(argv[1])
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base-tree", help="checkout (holding src/nprsim) to compare against")
     parser.add_argument("--rounds", type=int, default=5, help="runs of each side (default 5)")
-    parser.add_argument("--passes", type=int, default=10,
-                        help="passes over the cases per run (default 10)")
-    parser.add_argument("--calls", type=int, default=20,
-                        help="timed calls of each case per pass (default 20)")
     args = parser.parse_args(argv)
-    if min(args.rounds, args.passes, args.calls) < 1:
-        parser.error("--rounds, --passes and --calls must be at least 1")
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
     sides = {"this tree": ROOT}
     if args.base_tree is not None:
         base = Path(args.base_tree).resolve()
@@ -129,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
         for round_ in range(args.rounds):
             order = list(sides) if round_ % 2 == 0 else list(sides)[::-1]
             for name in order:
-                runs[name].append(_side(sides[name], args.calls, args.passes))
+                runs[name].append(_side(sides[name]))
     except RuntimeError as exc:
         print(f"time_drives: {exc}", file=sys.stderr)
         return 2
@@ -143,8 +140,8 @@ def main(argv: list[str] | None = None) -> int:
         if len(sides) > 1:
             line += f"{medians['this tree'][case] / medians['base'][case]:12.2f}"
         print(line)
-    print(f"median CPU time per call over {args.rounds} run(s) x {args.passes} pass(es) "
-          f"of {args.calls} calls per case and side")
+    print(f"median CPU time per call over {args.rounds} run(s) x {PASSES} passes "
+          f"of {CALLS} calls per case and side")
     return 0
 
 

@@ -18,7 +18,7 @@ Every path runs on that recurrence:
   unit step, through the recurrence in state-space form (LinearChain),
   with any first-order sections after it as extra states, in numpy:
   segment_abs_means sums a train's rectified output by burst intervals,
-  carrying the state a period of intervals at a time, and
+  carrying the state a long period of intervals at a time, and
   step_last_outside finds where a step leaves a band, and neither builds
   the drive's samples;
 - a sampled or callable inlet of any shape (step_response,
@@ -365,7 +365,7 @@ def _drive(a, c_now, c_next, x: np.ndarray) -> np.ndarray:
 
 
 def _require_finite_inlet(series: np.ndarray) -> None:
-    if not np.isfinite(series).all():
+    if not np.all(np.isfinite(series)):
         raise ValueError("inlet contains non-finite samples")
 
 
@@ -427,6 +427,16 @@ def step_response_fn(
 # blocks of _STEP_SAMPLES.
 _TABLE_ENTRIES = 1 << 18
 _STEP_SAMPLES = 2048
+
+# The burst-train carry composes a period's maps only where timing
+# unit_response_means both ways showed it pays: from periods of
+# _COMPOSE_MIN_PERIOD segments (below that it saved nothing or took up
+# to 8% longer than carrying segment by segment), and while one
+# doubling of the stack of q + 1 maps of size s, (q + 1) s^3
+# multiply-adds, stays within _COMPOSE_MAX_WORK (past that, at 30
+# low-pass sections, it took 1.1-3.8 times as long).
+_COMPOSE_MIN_PERIOD = 16
+_COMPOSE_MAX_WORK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -641,11 +651,12 @@ def segment_abs_means(
     length, gives the affine map from its start state to its end state.
 
     The chain is linear and time-invariant, so where the kinds repeat
-    every q segments, one step carries the state from one multiple of q
-    to the next by the period's composed map (see _carry).  Where the
-    state at a multiple i of q holds the bytes it held at an earlier
-    multiple j, every later segment starts in the state the segment
-    i - j before it did, and the drive stops carrying the state there.
+    every q segments, and q is long enough for it to pay, one step
+    carries the state from one multiple of q to the next by the period's
+    composed map (see _carry).  Where the state at a multiple i of q
+    holds the bytes it held at an earlier multiple j, every later
+    segment starts in the state the segment i - j before it did, and the
+    drive stops carrying the state there.
     The window's segments are then summed in one product over every
     distinct pair of kind and start state, and no output is held for
     more than one table of samples per pair.  An inlet with a non-finite
@@ -754,14 +765,14 @@ def _carry(maps: np.ndarray, kinds: list[int], count: int, first: np.ndarray):
     One step maps the state at a multiple of q to the next by the
     period's composed map; the period's prefix maps, composed in
     log2(q + 1) stacked products, give every segment's start state from
-    its period's in one more.  Where the period is one segment, or a
-    stack of q + 1 maps takes more products of numbers than a table
-    holds, the state is carried one segment at a time instead.  The
-    carry stops at the first multiple of q whose state holds the bytes
-    of an earlier one's: from there the states cycle.
+    its period's in one more.  Where the period is shorter than
+    _COMPOSE_MIN_PERIOD segments, or composing it is more work than
+    _COMPOSE_MAX_WORK, the state is carried one segment at a time
+    instead.  The carry stops at the first multiple of q whose state
+    holds the bytes of an earlier one's: from there the states cycle.
     """
     q, size = len(kinds), first.size
-    composed = 1 < q and (q + 1) * size ** 3 <= _TABLE_ENTRIES
+    composed = _COMPOSE_MIN_PERIOD <= q and (q + 1) * size ** 3 <= _COMPOSE_MAX_WORK
     if composed:
         # prefix[r] maps a period's start state to its segment r's.
         prefix = np.empty((q + 1, size, size))

@@ -313,29 +313,22 @@ def _burst_spans(
     burst of under 2 samples up to that point raises ScheduleError.
     """
     cycles = schedule.cycle_sequence(frequency_hz)
-    # A burst longer than the drive never fits; its length is held below
-    # an int64's range as the drive's length plus 2.
-    lengths = [min(int(round(c / frequency_hz * sample_rate_hz)), n_samples + 2) for c in cycles]
+    lengths = np.array([int(round(c / frequency_hz * sample_rate_hz)) for c in cycles])
     # Burst k starts at or after k * interval * rate - 1/2, so none from
     # k = n_samples / (interval * rate) + 1 on fits.  A short burst ends
     # the train or raises, so the candidates stop at the first one.
     count = int(n_samples / (schedule.interval_s * sample_rate_hz)) + 3
-    short = [k for k, length in enumerate(lengths) if length < 2]
-    if short:
-        count = min(count, short[0] + 1)
+    short = np.flatnonzero(lengths < 2)
+    if short.size:
+        count = min(count, int(short[0]) + 1)
     k = np.arange(count)
-    spans = np.empty((count, 2), dtype=np.int64)
-    spans[:, 0] = np.rint(k * schedule.interval_s * sample_rate_hz)
-    np.add(spans[:, 0], np.take(lengths, k, mode="wrap") if len(lengths) > 1 else lengths[0],
-           out=spans[:, 1])
-    over = spans[:, 1] > n_samples
-    if short:
-        over[-1] = True
-    end = int(over.argmax())
-    if lengths[end % len(lengths)] < 2:
+    starts = np.rint(k * schedule.interval_s * sample_rate_hz).astype(np.int64)
+    length = lengths[k % lengths.size]
+    end = int(np.argmax((length < 2) | (starts + length > n_samples)))
+    if length[end] < 2:
         c = cycles[end % len(cycles)]
         raise ScheduleError(f"burst of {c} cycles at {frequency_hz:.0f} Hz spans under 2 samples")
-    return spans[:end]
+    return np.column_stack((starts[:end], starts[:end] + length[:end]))
 
 
 def _burst_windows(out: np.ndarray, spans: np.ndarray):
@@ -716,13 +709,11 @@ def unit_response_means(
         # each length.
         ends = np.minimum(spans[:, 1], stop)
         lengths = spans[:, 1] - starts
-        at: dict[int, int] = {}
-        for length in dict.fromkeys(lengths.tolist()):
-            at[length] = sum(at)  # after the bursts laid before it
-        inlet = np.concatenate([_burst_samples(schedule, f, length, fs, 1.0)[0] for length in at])
-        segments[:, 1] = 0
-        for length, offset in list(at.items())[1:]:
-            segments[lengths == length, 1] = offset
+        distinct = sorted(set(lengths.tolist()))
+        inlet = np.concatenate([_burst_samples(schedule, f, length, fs, 1.0)[0]
+                                for length in distinct])
+        at = np.cumsum([0] + distinct[:-1])
+        segments[:, 1] = at[np.searchsorted(distinct, lengths)]
     np.subtract(ends, starts, out=segments[:, 2])
     return segment_abs_means(chain, inlet, segments, stop, window)
 

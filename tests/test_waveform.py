@@ -822,12 +822,13 @@ _REPEATING_INTERVALS_S = {1: 0.015, 5: 0.0148, 25: 0.02347}
 def test_a_burst_train_drive_keeps_to_its_work_budget(q, order, monkeypatch):
     """The drive's work is counted, not timed, so its fixed cost per call
     cannot creep back: it builds one table, as long as the longest
-    segment; it carries the state with log2(q + 1) products composing a
-    period's maps, one per period carried (a few: the state repeats
-    within eight) and one spreading the periods' states to their
-    segments, where a drive per segment made one per segment (some 50
-    on the 25-burst train); and it evaluates one product for each
-    head's zero-state tail and one for the window of every kind."""
+    segment; on the 25-burst train it carries the state with log2(q + 1)
+    products composing a period's maps, one per period carried (a few:
+    the state repeats within eight) and one spreading the periods' states
+    to their segments, where a drive per segment made one per segment
+    (some 50); a shorter period is carried segment by segment, within
+    eight periods; and it evaluates one product for each head's
+    zero-state tail and one for the window of every kind."""
     attack = _LPF_ATTACK
     schedule = dataclasses.replace(attack.schedule, interval_s=_REPEATING_INTERVALS_S[q])
     tables, composed, evaluated = [], [], []
@@ -854,9 +855,48 @@ def test_a_burst_train_drive_keeps_to_its_work_budget(q, order, monkeypatch):
     # One table, of the longest segment's samples: its gap to the next burst.
     gap = int(round(schedule.interval_s * 48000.0)) + 1
     assert len(tables) == 1 and tables[0][0] == tables[0][1] <= gap
-    scan = math.ceil(math.log2(q + 1)) + 1 if q > 1 else 0
-    assert 0 < len(composed) <= scan + 8
+    if q >= sensor._COMPOSE_MIN_PERIOD:
+        assert 0 < len(composed) <= math.ceil(math.log2(q + 1)) + 1 + 8
+    else:
+        assert 0 < len(composed) <= 8 * q
     assert len(evaluated) == 2
+
+
+@pytest.mark.parametrize("q", [5, 25])
+@pytest.mark.parametrize("composing", [True, False])
+def test_both_carries_agree_with_the_lfilter_drive_through_twenty_sections(q, composing,
+                                                                          monkeypatch):
+    """The drive composes a period's maps or carries the state segment by
+    segment according to the period and the chain's size; each is forced
+    here on the 5- and 25-burst trains through 20 low-pass sections at
+    120 Hz, slow enough that every segment's start state weighs in its
+    outputs, and meets lpf_cascade over unit_response within the
+    agreement test's bounds."""
+    attack = _LPF_ATTACK
+    schedule = dataclasses.replace(attack.schedule, interval_s=_REPEATING_INTERVALS_S[q])
+    f = attack.source.tone_hz
+    order, cutoff_hz = 20, 120.0
+    a = 1.0 - math.exp(-2.0 * math.pi * cutoff_hz / 48000.0)
+    monkeypatch.setattr(sensor, "_COMPOSE_MIN_PERIOD", 2 if composing else q + 1)
+    monkeypatch.setattr(sensor, "_COMPOSE_MAX_WORK", 1 << 30)
+    shapes = []
+    compose = sensor._compose
+
+    def composing_maps(later, earlier):
+        shapes.append(later.shape)
+        return compose(later, earlier)
+
+    monkeypatch.setattr(sensor, "_compose", composing_maps)
+    means = unit_response_means(schedule, attack.model, attack.tube, target_f_hz=f,
+                                sections=[a] * order)
+    # Only the composing carry stacks maps.
+    assert any(len(shape) == 3 for shape in shapes) == composing
+    response, window = unit_response(schedule, attack.model, attack.tube, target_f_hz=f)
+    rel = 1e-12
+    assert means[0] == pytest.approx(np.mean(np.abs(response[window])), rel=rel, abs=0.0)
+    filtered = lpf_cascade(response, cutoff_hz, 1.0 / 48000.0, order)
+    rel += 16.0 * order ** 2 * np.finfo(float).eps / a
+    assert means[1] == pytest.approx(np.mean(np.abs(filtered[window])), rel=rel, abs=0.0)
 
 
 def test_a_state_that_rounding_keeps_cycling_still_stops_the_carry(monkeypatch):
