@@ -1,24 +1,27 @@
 """Time the transducer drives per call on this tree and, optionally, a base.
 
-Each case is one warm call of a drive the acoustic commands make, on the
-attack of scenarios/acoustic_lpf.yaml (the A1011-00 on a 1 m tube):
+Each case is one warm call of a transducer drive on the attack of
+scenarios/acoustic_lpf.yaml (the A1011-00 on a 1 m tube), all but the
+last one the acoustic commands make:
 
 - unit_response_means on burst trains 15, 14.8 and 23.47 ms apart, whose
   segment kinds repeat every 1, 5 and 25 bursts;
 - the same trains followed by the scenario's low-pass defense (three
   first-order sections at 120 Hz), as evaluate-cm --kind lpf drives them;
-- measurement_settle_time_s of the bare chain and of that low-pass.
+- measurement_settle_time_s of the bare chain and of that low-pass;
+- step_response over the scenario's burst train as unit_response lays
+  it, 110,162 samples: the library's drive of a whole sampled inlet.
 
     python3 scripts/time_drives.py
     python3 scripts/time_drives.py --base-tree ../parent-checkout --rounds 9
 
 Each side runs in its own interpreter, with only that side's src on the
-import path, and the sides alternate, the first of each round taking
-turns.  A run warms every case up, then goes round the cases PASSES
-times, timing CALLS calls of each in CPU time.  The table prints each
-case's median over all passes of all rounds, in microseconds per call,
-and with a base, the ratio of this tree's median to the base's.  Exit
-status: 0, or 2 on a usage or set-up error.
+import path and BLAS held to one thread, and the sides alternate, the
+first of each round taking turns.  A run warms every case up, then goes
+round the cases PASSES times, timing CALLS calls of each in CPU time.
+The table prints each case's median over all passes of all rounds, in
+microseconds per call, and with a base, the ratio of this tree's median
+to the base's.  Exit status: 0, or 2 on a usage or set-up error.
 """
 
 from __future__ import annotations
@@ -47,9 +50,13 @@ def _cases():
     """(name, call) of every timed case, for the nprsim on the import path."""
     import dataclasses
 
+    import numpy as np
+
     from nprsim.countermeasures import _lpf_gains, measurement_settle_time_s
     from nprsim.scenario import load_scenario
-    from nprsim.waveform import unit_response_means
+    from nprsim.sensor import step_response
+    from nprsim.waveform import (_estimate_window, _lay_bursts, _train_spans,
+                                 unit_response_means)
 
     attack = load_scenario(ROOT / "scenarios" / "acoustic_lpf.yaml").attack_setup
     model, tube, tone = attack.model, attack.tube, attack.source.tone_hz
@@ -64,6 +71,11 @@ def _cases():
     cases.append(("measurement_settle_time_s", lambda: measurement_settle_time_s(model, tube)))
     cases.append(("measurement_settle_time_s lpf", lambda: measurement_settle_time_s(
         model, tube, lpf_cutoff_hz=LPF_CUTOFF_HZ, lpf_order=LPF_ORDER)))
+    fs = model.sample_rate_hz
+    train = np.zeros(_estimate_window(attack.schedule, fs).stop + 2)
+    _lay_bursts(train, _train_spans(attack.schedule, tone, train.size, fs), attack.schedule,
+                tone, fs, 1.0)
+    cases.append(("step_response", lambda: step_response(model, tube, train, 1.0 / fs)))
     return cases
 
 
@@ -95,6 +107,9 @@ def _run_child(src: str) -> int:
 def _side(tree: Path) -> dict[str, list[float]]:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(tree / "src")
+    # One BLAS thread: a helper thread that a large product wakes keeps
+    # spinning after it, and its CPU time would land on the cases after.
+    env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = env["MKL_NUM_THREADS"] = "1"
     env.pop("NPRSIM_ARCHETYPES", None)
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--run-child", str(tree / "src")],

@@ -11,8 +11,8 @@ rerunning the closed loop, and measuring what the defense costs on a
 legitimate pressure step.  The filter and the enclosure's equalization lag
 are first-order sections that join the transducer's state-space chain, so
 the burst train and the settle step are driven through the whole chain at
-once; apply_lpf and lpf_cascade filter arbitrary series through lfilter
-for library callers.
+once; apply_lpf and lpf_cascade filter arbitrary series for library
+callers, each section a one-state chain on the same drive.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from .sensor import (
     NO_TUBE,
     DpsModel,
     TubeAssembly,
-    _lfilter,
     _require_finite_fields,
+    drive_chain,
+    one_pole_chain,
     step_last_outside,
     transducer_chain,
 )
@@ -169,8 +170,9 @@ def apply_lpf(signal: np.ndarray, cutoff_hz: float, dt: float) -> np.ndarray:
     x = np.asarray(signal, dtype=float)
     if x.size == 0:
         return x.copy()
-    y, _state = _lfilter([a], [1.0, a - 1.0], x, zi=[(1.0 - a) * x[0]])
-    return y
+    # With unit DC gain, the section settled at x[0] passes x[0] and filters
+    # the rest from rest.
+    return x[0] + drive_chain(one_pole_chain(a), x - x[0])[:, 0]
 
 
 def _lpf_gain(cutoff_hz: float, dt: float) -> float:

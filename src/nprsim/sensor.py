@@ -14,19 +14,14 @@ Every path runs on that recurrence:
 - the swept-sine characterization, through the recurrence's exact
   steady-state gain at each tone, which is what a bench sweep with a
   speaker measures once each tone has rung up;
-- the two structured inlets the command line drives, a burst train and a
-  unit step, through the recurrence in state-space form (LinearChain),
-  with any first-order sections after it as extra states, in numpy:
-  segment_abs_means sums a train's rectified output by burst intervals,
-  carrying the state a long period of intervals at a time, and
-  step_last_outside finds where a step leaves a band, and neither builds
-  the drive's samples;
-- a sampled or callable inlet of any shape (step_response,
-  step_response_fn), through lfilter in one call over the whole inlet,
-  for library callers and as the tests' reference.
-
-_lfilter is the package's single entry point to scipy.signal, imported on
-first call; no subcommand reaches it.
+- every drive in the time domain, through the recurrence in state-space
+  form (LinearChain), with any first-order sections after it as extra
+  states: segment_abs_means sums a burst train's rectified output by
+  burst intervals, carrying the state one interval at a time, and
+  step_last_outside finds where a step leaves a band, neither building
+  the drive's samples; a sampled or callable inlet of any shape
+  (step_response, step_response_fn) is driven whole, in blocks, by
+  drive_chain.
 """
 
 from __future__ import annotations
@@ -339,31 +334,6 @@ def _sampled_recurrence(omega: float, xi: float, dt: float):
             (c1[0] + 0.5 * cm[0], c1[1] + 0.5 * cm[1]))
 
 
-def _lfilter(b, a, x, zi=None):
-    """scipy.signal.lfilter along the last axis, importing scipy.signal on first call."""
-    from scipy.signal import lfilter
-
-    return lfilter(b, a, x, zi=zi)
-
-
-def _drive(a, c_now, c_next, x: np.ndarray) -> np.ndarray:
-    """Pressure p of z[k+1] = A z[k] + c_now x[k] + c_next x[k+1] from z[0] = 0.
-
-    Eliminating the rate state turns p into a second-order difference
-    equation in x, which lfilter evaluates in compiled code, in one call
-    over the whole inlet.
-    """
-    (a11, a12), (a21, a22) = a
-    (n0p, n0v), (n1p, n1v) = c_now, c_next
-    den = [1.0, -(a11 + a22), a11 * a22 - a12 * a21]
-    num = [n1p, n0p - a22 * n1p + a12 * n1v, a12 * n0v - a22 * n0p]
-    # Initial filter state pinning z[0] = 0 and the correct first step even
-    # when x starts nonzero.
-    x0 = x[0]
-    zi = np.array([-num[0] * x0, (n0p - num[1]) * x0])
-    return _lfilter(num, den, x, zi=zi)[0]
-
-
 def _require_finite_inlet(series: np.ndarray) -> None:
     if not np.all(np.isfinite(series)):
         raise ValueError("inlet contains non-finite samples")
@@ -384,14 +354,14 @@ def step_response(
     UnstableStepError is raised.  The transducer starts at rest.  An
     empty inlet is refused.
     """
-    omega, xi = _oscillator(model, tube, dt)
+    chain = transducer_chain(model, tube, dt)
     if callable(inlet):
         raise TypeError("inlet must be a sample array; use step_response_fn for callables")
     series = np.asarray(inlet, dtype=float)
     if series.ndim != 1 or not series.size:
         raise ValueError(f"inlet must be one-dimensional and not empty, got shape {series.shape}")
     _require_finite_inlet(series)
-    return TransducerTrace(p_out_pa=_drive(*_sampled_recurrence(omega, xi, dt), series), dt_s=dt)
+    return TransducerTrace(p_out_pa=drive_chain(chain, series)[:, 0], dt_s=dt)
 
 
 def step_response_fn(
@@ -411,32 +381,23 @@ def step_response_fn(
     if not duration_s >= 0.0:
         raise ValueError(f"duration must be >= 0, got {duration_s}")
     n = int(round(duration_s / dt)) + 1
-    # The inlet takes one time in seconds, so it is called once per half step;
-    # the recurrence itself runs in lfilter.
+    # The inlet takes one time in seconds, so it is called once per half step.
     half_steps = np.array([inlet(t) for t in (0.5 * dt * np.arange(2 * n - 1)).tolist()], dtype=float)
     _require_finite_inlet(half_steps)
     a, c0, cm, c1 = _recurrence(omega, xi, dt)
-    p_node = _drive(a, c0, c1, half_steps[0::2])
-    # The midpoint after the last node drives no returned state.
-    p_mid = _drive(a, cm, (0.0, 0.0), np.append(half_steps[1::2], 0.0))
-    return TransducerTrace(p_out_pa=p_node + p_mid, dt_s=dt)
+    # The nodes and the midpoints drive the recurrence as two chains, whose
+    # pressures add; the midpoint after the last node drives no returned state.
+    p_node = drive_chain(_chain(a, c0, c1), half_steps[0::2])
+    p_mid = drive_chain(_chain(a, cm, (0.0, 0.0)), np.append(half_steps[1::2], 0.0))
+    return TransducerTrace(p_out_pa=(p_node + p_mid)[:, 0], dt_s=dt)
 
 
 # The drives below hold tables of at most this many numbers (2 MB), and
 # take longer spans in blocks of one table.  The settle step is driven in
-# blocks of _STEP_SAMPLES.
+# blocks of _STEP_SAMPLES, and a whole inlet in blocks of _DRIVE_SAMPLES.
 _TABLE_ENTRIES = 1 << 18
 _STEP_SAMPLES = 2048
-
-# The burst-train carry composes a period's maps only where timing
-# unit_response_means both ways showed it pays: from periods of
-# _COMPOSE_MIN_PERIOD segments (below that it saved nothing or took up
-# to 8% longer than carrying segment by segment), and while one
-# doubling of the stack of q + 1 maps of size s, (q + 1) s^3
-# multiply-adds, stays within _COMPOSE_MAX_WORK (past that, at 30
-# low-pass sections, it took 1.1-3.8 times as long).
-_COMPOSE_MIN_PERIOD = 16
-_COMPOSE_MAX_WORK = 1 << 18
+_DRIVE_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -480,20 +441,36 @@ class LinearChain:
         return LinearChain(a=a, b=b, c=c, d=np.append(self.d, d_out), first=first)
 
 
-def transducer_chain(model: DpsModel, tube: TubeAssembly | None, dt: float) -> LinearChain:
-    """The RK4 recurrence of :func:`step_response` as a LinearChain whose
-    one output is the transducer pressure.
+def _chain(a, c_now, c_next) -> LinearChain:
+    """The recurrence z[k+1] = A z[k] + c_now x[k] + c_next x[k+1] from
+    z[0] = 0 as a LinearChain whose one output is the pressure p.
 
-    With w[k] = z[k] - c_next x[k], the recurrence
-    z[k+1] = A z[k] + c_now x[k] + c_next x[k+1] becomes
+    With w[k] = z[k] - c_next x[k], it becomes
     w[k+1] = A w[k] + (A c_next + c_now) x[k], and p[k] = w_p[k] + c_next_p x[k].
     """
-    omega, xi = _oscillator(model, tube, dt)
-    a, c_now, c_next = _sampled_recurrence(omega, xi, dt)
     a = np.array(a)
     c_next = np.array(c_next)
     return LinearChain(a=a, b=a @ c_next + np.array(c_now), c=np.array([[1.0, 0.0]]),
                        d=c_next[:1], first=-c_next)
+
+
+def transducer_chain(model: DpsModel, tube: TubeAssembly | None, dt: float) -> LinearChain:
+    """The RK4 recurrence of :func:`step_response` as a LinearChain whose
+    one output is the transducer pressure."""
+    return _chain(*_sampled_recurrence(*_oscillator(model, tube, dt), dt))
+
+
+def one_pole_chain(gain: float) -> LinearChain:
+    """The section y[k] = gain x[k] + (1 - gain) y[k-1] from rest as a
+    one-state LinearChain, whose state holds y[k-1]."""
+    return LinearChain(a=np.array([[1.0 - gain]]), b=np.array([gain]),
+                       c=np.array([[1.0 - gain]]), d=np.array([gain]), first=np.zeros(1))
+
+
+def drive_chain(chain: LinearChain, x: np.ndarray) -> np.ndarray:
+    """Outputs (sample, output) of chain driven by the whole of x, which is
+    not empty, from X[0] = chain.first x[0], in blocks of _DRIVE_SAMPLES."""
+    return _Tables(chain, _DRIVE_SAMPLES).zero_state(x, chain.first * x[0])[0]
 
 
 def _borders(marks: list) -> list[int]:
@@ -527,12 +504,6 @@ def _free_response(rows: np.ndarray, states: np.ndarray) -> np.ndarray:
     or (state, column): every sample the drives below evaluate from a
     state passes through here."""
     return rows @ states
-
-
-def _compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
-    """later @ earlier, for stacks of affine maps or of states: every step
-    the burst-train drive carries its state by passes through here."""
-    return later @ earlier
 
 
 class _Tables:
@@ -596,40 +567,77 @@ class _Tables:
         y = _free_response(self.rows[:count * self.outputs], states)
         return y.reshape(count, self.outputs, *states.shape[1:])
 
-    def _impulse(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """The impulse response d, c b, c a b, ... over count samples, at
-        most one table long, as (j, output), and a^j b for j < count as
-        (j, state)."""
-        size = self.chain.b.size
-        table_b = (self.table[:count * (size + self.outputs)] @ self.chain.b).reshape(count, -1)
-        return np.concatenate((self.chain.d[None], table_b[:count - 1, size:])), table_b[:, :size]
+    def _impulse(self, count: int) -> np.ndarray:
+        """Row j, for j < count and at most one table length, holds a^j b
+        over c a^j b: the state and the outputs a unit impulse at sample 0
+        gives at sample j + 1."""
+        return (self.table[:count * (self.chain.b.size + self.outputs)]
+                @ self.chain.b).reshape(count, -1)
 
-    def zero_state(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Outputs (sample, output) of the chain driven by x from X[0] = 0,
-        and its state after the last sample."""
-        out = np.empty((x.size, self.outputs))
-        state = np.zeros(self.chain.b.size)
-        if x.size:
-            pulse, powers_b = self._impulse(min(x.size, self.length))
-        for start in range(0, x.size, self.length):
-            part = x[start:start + self.length]
-            count = part.size
-            for i in range(self.outputs):
-                out[start:start + count, i] = np.convolve(part, pulse[:count, i])[:count]
-            # a^count state plus the sum of a^(count-1-j) b x[j].
-            driven = part[::-1] @ powers_b[:count]
-            if start:
-                out[start:start + count] += self.free(state, count)
-                driven += self.power(count) @ state
-            state = driven
-        return out, state
+    def zero_state(self, x: np.ndarray, start: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """Outputs (sample, output) of the chain driven by x from X[0] =
+        start, or from rest, and its state after the last sample.
+
+        x is taken whole when it fits in the table, and in blocks of one
+        table length, the last one short, when it does not.  A block's
+        outputs are its zero-state outputs, one product of the blocked
+        inlet with the Toeplitz matrix of the impulse response, plus the
+        free response to the state it starts in.  Those states come from
+        a doubling scan over a^block, and their free responses from one
+        more product.
+        """
+        size, outputs, n = self.chain.b.size, self.outputs, x.size
+        if not n:
+            return np.empty((0, outputs)), np.zeros(size) if start is None else start
+        block = min(n, self.length)
+        blocks, full = -(-n // block), n // block
+        last = n - (blocks - 1) * block
+        impulse = self._impulse(block)
+        powers_b = impulse[:, :size]
+        # reverse[o] is output o's impulse response d, c b, c a b, ...
+        # reversed, then zeros.  Row i * outputs + o of toeplitz, which
+        # weighs the block's samples j into output o at sample i by the
+        # response's term i - j, is reverse[o, block - 1 - i:][:block]: a
+        # view with a negative stride along i, copied.
+        reverse = np.zeros((outputs, 2 * block - 1))
+        reverse[:, block - 1] = self.chain.d
+        reverse[:, :block - 1] = impulse[:block - 1, size:][::-1].T
+        item = reverse.itemsize
+        toeplitz = np.ascontiguousarray(np.ndarray(
+            (block, outputs, block), buffer=reverse, offset=(block - 1) * item,
+            strides=(-item, (2 * block - 1) * item, item))).reshape(-1, block)
+        whole = x[:full * block].reshape(full, block)
+        y = np.empty((blocks, block * outputs))
+        np.matmul(whole, toeplitz.T, out=y[:full])
+        if full < blocks:
+            y[full] = toeplitz[:, :last] @ x[full * block:]
+        # The state after the last sample from the last block's start state
+        # (added below): the sum of a^(last-1-j) b x[j].
+        end = x[(blocks - 1) * block:] @ powers_b[last - 1::-1]
+        if blocks > 1 or start is not None:
+            # Column m of states is the state block m starts in: the state
+            # block m - 1 drives from rest, plus a^block times the one it
+            # started in.
+            states = np.empty((size, blocks))
+            states[:, 0] = 0.0 if start is None else start
+            states[:, 1:] = powers_b[::-1].T @ whole[:blocks - 1].T
+            jump, shift = self.powers[block], 1
+            while shift < blocks:
+                states[:, shift:] += jump @ states[:, :-shift]
+                jump, shift = jump @ jump, 2 * shift
+            y += _free_response(self.rows[:block * outputs], states).T
+            end += self.powers[last] @ states[:, -1]
+        return y.reshape(-1, outputs)[:n], end
 
     def unit_step(self) -> tuple[np.ndarray, np.ndarray]:
         """Outputs (sample, output) of the response to a unit step from
         X[0] = 0 over one table length, and the state after it: output j
         sums the impulse response up to j, and the state a^i b over all i."""
-        pulse, powers_b = self._impulse(self.length)
-        return np.cumsum(pulse, axis=0), np.ones(self.length) @ powers_b
+        size, impulse = self.chain.b.size, self._impulse(self.length)
+        steps = np.empty((self.length, self.outputs))
+        steps[0], steps[1:] = self.chain.d, impulse[:-1, size:]
+        return np.cumsum(steps, axis=0), np.ones(self.length) @ impulse[:, :size]
 
 
 def segment_abs_means(
@@ -650,13 +658,11 @@ def segment_abs_means(
     computed once per distinct head; a segment's kind, its head and
     length, gives the affine map from its start state to its end state.
 
-    The chain is linear and time-invariant, so where the kinds repeat
-    every q segments, and q is long enough for it to pay, one step
-    carries the state from one multiple of q to the next by the period's
-    composed map (see _carry).  Where the state at a multiple i of q
-    holds the bytes it held at an earlier multiple j, every later
-    segment starts in the state the segment i - j before it did, and the
-    drive stops carrying the state there.
+    The chain is linear and time-invariant, and the kinds repeat every q
+    segments, so where the state at a multiple i of q holds the bytes it
+    held at an earlier multiple j, every later segment starts in the
+    state the segment i - j before it did, and the drive stops carrying
+    the state there (see _carry).
     The window's segments are then summed in one product over every
     distinct pair of kind and start state, and no output is held for
     more than one table of samples per pair.  An inlet with a non-finite
@@ -713,13 +719,13 @@ def segment_abs_means(
     first = np.ones(size + 1)
     _start, offset, head_size = segments[0].tolist()
     first[:size] = chain.first * (inlet[offset] if bounds[0] == 0 and head_size else 0.0)
-    carried, column_of, repeat, cycle = _carry(maps, kinds[:q], count, first)
+    carried, repeat, cycle = _carry(maps, kinds[:q], count, first)
     columns = carried.shape[1]
 
     def pair(i: int) -> tuple[int, int]:
         """The kind of segment i and the column of carried it starts in."""
         kind = kinds[q] if i == count - 1 else kinds[i % q]
-        return kind, column_of[i if i < columns else repeat + (i - repeat) % cycle]
+        return kind, i if i < columns else repeat + (i - repeat) % cycle
 
     # Segments first_whole to last - 1 lie wholly in the window; of the
     # one before them and the one at last, the window may hold a part.
@@ -755,58 +761,30 @@ def segment_abs_means(
 
 
 def _carry(maps: np.ndarray, kinds: list[int], count: int, first: np.ndarray):
-    """(carried, column_of, repeat, cycle): of count segments of the kinds
+    """(carried, repeat, cycle): of count segments of the kinds
     kinds[i % q], q being len(kinds), the first starting in the state
     [X; 1] first, segment i starts in carried[:, i] for i below
     carried.shape[1], and past that where segment
-    repeat + (i - repeat) % cycle does; column column_of[i] of carried
-    is the first that holds the bytes column i does.
+    repeat + (i - repeat) % cycle does.
 
-    One step maps the state at a multiple of q to the next by the
-    period's composed map; the period's prefix maps, composed in
-    log2(q + 1) stacked products, give every segment's start state from
-    its period's in one more.  Where the period is shorter than
-    _COMPOSE_MIN_PERIOD segments, or composing it is more work than
-    _COMPOSE_MAX_WORK, the state is carried one segment at a time
-    instead.  The carry stops at the first multiple of q whose state
-    holds the bytes of an earlier one's: from there the states cycle.
+    The state is carried one segment at a time by its kind's map, and the
+    carry stops at the first multiple of q whose state holds the bytes of
+    an earlier one's: from there the states cycle.
     """
-    q, size = len(kinds), first.size
-    composed = _COMPOSE_MIN_PERIOD <= q and (q + 1) * size ** 3 <= _COMPOSE_MAX_WORK
-    if composed:
-        # prefix[r] maps a period's start state to its segment r's.
-        prefix = np.empty((q + 1, size, size))
-        prefix[0] = np.eye(size)
-        prefix[1:] = maps[kinds]
-        step = 1
-        while step <= q:
-            prefix[step:] = _compose(prefix[step:], prefix[:-step])
-            step *= 2
-        stride, steps = q, (count - 1) // q + 1
-    else:
-        stride, steps = 1, count
+    q = len(kinds)
     state, seen, path = first, {first.tobytes(): 0}, [first]
     repeat = cycle = None
-    for m in range(1, steps):
-        state = _compose(prefix[q] if composed else maps[kinds[(m - 1) % q]], state)
-        if m * stride % q == 0:
+    for m in range(1, count):
+        state = maps[kinds[(m - 1) % q]] @ state
+        # A state one segment on is told apart from every earlier one only
+        # at multiples of q.
+        if m % q == 0:
             j = seen.setdefault(state.tobytes(), m)
             if j < m:
-                repeat, cycle = j * stride, (m - j) * stride
+                repeat, cycle = j, m - j
                 break
         path.append(state)
-    carried = np.array(path).T
-    if not composed:
-        # A state one segment on is told apart from every earlier one
-        # only at multiples of q.
-        return carried, list(range(carried.shape[1])), repeat, cycle
-    # Column m * q + r is segment r of period m.
-    carried = _compose(prefix[:q], carried).transpose(1, 2, 0).reshape(size, -1)
-    raw = carried.T.tobytes()
-    width = len(raw) // carried.shape[1]
-    same: dict[bytes, int] = {}
-    column_of = [same.setdefault(raw[i:i + width], i // width) for i in range(0, len(raw), width)]
-    return carried, column_of, repeat, cycle
+    return np.array(path).T, repeat, cycle
 
 
 def _window_sums(tables: _Tables, states, zero_states, spans) -> np.ndarray:

@@ -17,8 +17,8 @@ formed; a caller that already holds the mean for the same burst train,
 model, tube and tone passes it as unit_mean_pa, so one that varies only the
 source or the path loss drives the transducer once.  That mean comes from
 unit_response_means, which drives the train by burst intervals in state
-space; unit_response lays the same train whole and filters it in
-one lfilter call, for library callers and as the tests' reference.
+space; unit_response lays the same train whole and drives it through
+step_response, for library callers.
 
 WAV files are read and written with the standard library.
 """
@@ -38,8 +38,9 @@ from .acoustics import propagate, spl_to_pressure_amp
 from .sensor import (
     MAX_DRIVE_SAMPLES,
     NO_TUBE,
-    _lfilter,
     _require_finite_fields,
+    drive_chain,
+    one_pole_chain,
     segment_abs_means,
     step_response,
     transducer_chain,
@@ -676,9 +677,8 @@ def unit_response_means(
 
     The train is refused as :func:`unit_response` refuses it, and the
     means agree with its drive to rounding, but no sample array of the
-    drive is built: :func:`segment_abs_means` drives the chain by burst
-    intervals, a period of them at a time where the train repeats, and
-    only until the state repeats with it.
+    drive is built: :func:`segment_abs_means` drives the chain one burst
+    interval at a time, and only until the state repeats with the train.
     """
     fs = model.sample_rate_hz
     window = _estimate_window(schedule, fs)
@@ -787,7 +787,7 @@ def calibration_carrier(duration_s: float = 5.0) -> AudioBuffer:
         x += a * np.sin(2.0 * math.pi * f * t + 0.7 * k)
     # One-pole smoothing tilts the noise toward low frequencies.
     alpha = 0.05
-    smooth = _lfilter([alpha], [1.0, alpha - 1.0], rng.standard_normal(n))
+    smooth = drive_chain(one_pole_chain(alpha), rng.standard_normal(n))[:, 0]
     x += 0.8 * smooth
     x *= 0.95 / float(np.max(np.abs(x)))
     return AudioBuffer(sample_rate_hz=sample_rate_hz, samples=x)

@@ -23,7 +23,11 @@ from nprsim import (
     step_response_fn,
     system_resonant_hz,
 )
-from nprsim.sensor import MIN_SAMPLES_PER_PERIOD, LinearChain, step_last_outside
+from nprsim import sensor
+from nprsim.countermeasures import apply_lpf, lpf_cascade
+from nprsim.sensor import _DRIVE_SAMPLES, MIN_SAMPLES_PER_PERIOD, LinearChain, step_last_outside
+
+import lfilter_reference
 
 
 # Independent Helmholtz arithmetic: the lumped law c sqrt(A k / (L V m)) / 2pi
@@ -363,6 +367,52 @@ def test_sampled_and_callable_inlets_agree_on_an_affine_inlet(system, offset, sl
     np.testing.assert_allclose(called.time_s, sampled.time_s, rtol=0.0, atol=0.0)
 
 
+def _whole_inlet_drives(subject, system, damping, n, seed):
+    """(drive, lfilter reference) of subject over an n-sample inlet drawn
+    from seed, whose first sample is not zero."""
+    part, _xi, length, dt_frac = system
+    model, tube, dt = _build((part, damping, length, dt_frac))
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n)
+    x[0] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+    if subject == "step_response":
+        return step_response(model, tube, x, dt).p_out_pa, lfilter_reference.step_response(
+            model, tube, x, dt)
+    if subject == "step_response_fn":
+        # A smooth inlet: an offset and three tones below the resonance.
+        f_sys = system_resonant_hz(model, tube)
+        tones = [(rng.normal(), rng.uniform(0.05, 1.0) * f_sys, rng.uniform(0.0, 2.0 * math.pi))
+                 for _ in range(3)]
+
+        def inlet(t):
+            return x[0] + sum(a * math.sin(2.0 * math.pi * f * t + phase) for a, f, phase in tones)
+        return (step_response_fn(model, tube, inlet, (n - 1) * dt, dt).p_out_pa,
+                lfilter_reference.step_response_fn(model, tube, inlet, (n - 1) * dt, dt))
+    # A cutoff from 100 Hz to 20 kHz at 48 kHz, one to three sections.
+    cutoff_hz, order = float(rng.uniform(100.0, 20_000.0)), int(rng.integers(1, 4))
+    if subject == "apply_lpf":
+        return apply_lpf(x, cutoff_hz, 1.0 / 48_000), lfilter_reference.lpf_cascade(
+            x, cutoff_hz, 1.0 / 48_000)
+    return (lpf_cascade(x, cutoff_hz, 1.0 / 48_000, order),
+            lfilter_reference.lpf_cascade(x, cutoff_hz, 1.0 / 48_000, order))
+
+
+@pytest.mark.parametrize("subject", ["step_response", "step_response_fn", "apply_lpf",
+                                     "lpf_cascade"])
+@settings(max_examples=30, deadline=None)
+@given(system=_systems, damping=st.sampled_from([1.0, 0.05, 0.01]),
+       n=st.sampled_from([1, _DRIVE_SAMPLES - 1, _DRIVE_SAMPLES, _DRIVE_SAMPLES + 1, 3_000]),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_whole_inlet_drives_meet_the_lfilter_reference(subject, system, damping, n, seed):
+    """Inlets of one sample, of one block and a sample either side, and of
+    many blocks: each drive meets lfilter within 1e-12 of the reference's
+    largest magnitude, or 5e-12 at a damping of 0.01, where lfilter's own
+    rounding drifts furthest from the recurrence."""
+    got, expected = _whole_inlet_drives(subject, system, damping, n, seed)
+    rel = 1e-12 if damping > 0.01 else 5e-12
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=rel * np.max(np.abs(expected)))
+
+
 @settings(max_examples=30, deadline=None)
 @given(size=st.integers(1, 3), n=st.integers(1, 6000), band=st.floats(0.01, 0.5),
        seed=st.integers(0, 2**32 - 1))
@@ -381,6 +431,31 @@ def test_a_step_leaves_its_band_last_where_a_sample_loop_finds(size, n, band, se
             last = k
         state = chain.a @ state + chain.b
     assert step_last_outside(chain, n, band) == last
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.integers(1, 3), outputs=st.integers(1, 2), block=st.integers(1, 70),
+       n=st.integers(1, 300), started=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_a_blocked_drive_is_the_sample_loop(size, outputs, block, n, started, seed):
+    """_Tables.zero_state on contracting chains of one to three states and
+    one or two outputs, in blocks of any length, from rest or from a given
+    state: the outputs and the state after the last sample are those a
+    loop over the samples gives."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, (size, size))
+    a *= rng.uniform(0.1, 0.95) / max(float(np.max(np.abs(np.linalg.eigvals(a)))), 1e-12)
+    chain = LinearChain(a=a, b=rng.normal(size=size), c=rng.normal(size=(outputs, size)),
+                        d=rng.normal(size=outputs), first=np.zeros(size))
+    x = rng.normal(size=n)
+    start = rng.normal(size=size) if started else None
+    state, expected = np.zeros(size) if start is None else start.copy(), []
+    for sample in x:
+        expected.append(chain.c @ state + chain.d * sample)
+        state = chain.a @ state + chain.b * sample
+    got, end = sensor._Tables(chain, block).zero_state(x, start)
+    scale = 1e-12 * max(1.0, float(np.max(np.abs(expected))))
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=scale)
+    np.testing.assert_allclose(end, state, rtol=0.0, atol=scale)
 
 
 @pytest.mark.parametrize("n", [2048, 4097, 4098, 6000])

@@ -1,7 +1,7 @@
-"""Checks on the tree and its scripts: what importing the package loads,
-the calibration script's verification of the shipped constants, the
-output comparison and drive timing scripts, and that no module imports
-a name it never reads."""
+"""Checks on the tree and its scripts: what importing the package loads
+and that none of its modules imports scipy, the calibration script's
+verification of the shipped constants, the output comparison and drive
+timing scripts, and that no module imports a name it never reads."""
 
 import ast
 import os
@@ -18,8 +18,8 @@ from nprsim.waveform import AudioBuffer, write_wav
 ROOT = Path(__file__).resolve().parent.parent
 
 # Run every subcommand in one process, a closed loop first, and report
-# after each which scipy modules are loaded; then filter once, to show the
-# report sees an import.
+# after each which scipy modules are loaded; then import scipy.signal, to
+# show the report sees an import.
 _COLD_START = """
 import contextlib, io, sys
 import nprsim, nprsim.cli
@@ -43,7 +43,7 @@ for argv in runs:
         rc = nprsim.cli.main(argv)
     loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
     print(" ".join(argv[:2] if argv[0] == "synth" else argv[:1]), rc, loaded)
-nprsim.sensor._lfilter([1.0], [1.0], [0.0])
+import scipy.signal
 print("scipy.signal" in sys.modules)
 """
 
@@ -67,6 +67,23 @@ def test_a_closed_loop_run_never_imports_scipy_signal_or_io(tmp_path):
     assert proc.stdout.splitlines() == [
         "simulate 0 []", "simulate 0 []", "sweep 0 []", *["evaluate-cm 0 []"] * 4,
         "synth --carrier 0 []", "synth --silence 0 []", "characterize 0 []", "True"]
+
+
+def test_no_module_of_the_package_imports_scipy():
+    """scipy is a test dependency only: no module under src/nprsim imports
+    it, at its top or inside a function."""
+    importers = []
+    for path in sorted((ROOT / "src" / "nprsim").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "scipy" for module in modules):
+                importers.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert importers == []
 
 
 def test_calibration_script_verifies_the_shipped_constants():
@@ -117,7 +134,7 @@ def test_time_drives_times_every_drive_on_a_tree_and_its_base():
     cases = [line.rsplit(None, 3)[0] for line in lines[1:-1]]
     assert cases == [f"unit_response_means {train}{lpf}" for lpf in ("", " lpf")
                      for train in ("q=1", "q=5", "q=25")] + [
-        "measurement_settle_time_s", "measurement_settle_time_s lpf"]
+        "measurement_settle_time_s", "measurement_settle_time_s lpf", "step_response"]
     assert all(float(line.split()[-1]) > 0.0 for line in lines[1:-1])
 
 

@@ -37,7 +37,7 @@ from nprsim import (
 from nprsim import sensor
 from nprsim.cli import main
 from nprsim.acoustics import propagate, spl_to_pressure_amp
-from nprsim.countermeasures import enclosure_lag_s, lpf_cascade, measurement_settle_time_s
+from nprsim.countermeasures import enclosure_lag_s, measurement_settle_time_s
 from nprsim.scenario import load_scenario
 from nprsim.sensor import NO_TUBE, TubeAssembly, load_archetypes, system_resonant_hz
 from nprsim.waveform import (
@@ -54,6 +54,8 @@ from nprsim.waveform import (
     unit_response_mean,
     unit_response_means,
 )
+
+import lfilter_reference
 
 
 def _source(spl_db=65.0, distance_m=0.002, f_hz=685.0):
@@ -651,9 +653,9 @@ def test_burst_spans_equal_the_burst_loop(case):
         _burst_spans_by_loop, schedule, f, n, fs)
 
 
-def _full_train_response(schedule, model, tube, f_hz, amplitude=1.0):
-    """The response to the whole burst train, two samples past the estimate
-    window, built burst by burst and driven once, and that window."""
+def _full_train(schedule, model, f_hz, amplitude=1.0):
+    """The whole burst train, two samples past the estimate window, built
+    burst by burst, and that window."""
     fs = model.sample_rate_hz
     t_i = schedule.interval_s
     k0 = int(math.ceil(ESTIMATE_WARMUP_S / t_i))
@@ -663,7 +665,13 @@ def _full_train_response(schedule, model, tube, f_hz, amplitude=1.0):
     inlet = np.zeros(stop + 2)
     for a, b in _burst_spans_by_loop(schedule, f_hz, inlet.size, fs):
         inlet[a:b] = _burst_samples(schedule, f_hz, b - a, fs, amplitude)[0]
-    return step_response(model, tube, inlet, 1.0 / fs).p_out_pa, slice(start, stop)
+    return inlet, slice(start, stop)
+
+
+def _train_by_lfilter(schedule, model, tube, f_hz, amplitude=1.0):
+    """The lfilter reference's response to _full_train, and its window."""
+    inlet, window = _full_train(schedule, model, f_hz, amplitude)
+    return lfilter_reference.step_response(model, tube, inlet, 1.0 / model.sample_rate_hz), window
 
 
 def _forged_by_direct_drive(schedule, model, tube, source, *, target_f_hz=None,
@@ -673,7 +681,7 @@ def _forged_by_direct_drive(schedule, model, tube, source, *, target_f_hz=None,
     f = schedule.target_hz() if target_f_hz is None else target_f_hz
     amplitude = propagate(source, tube or NO_TUBE, extra_loss_db) * spl_to_pressure_amp(
         source.spl_db)
-    p, window = _full_train_response(schedule, model, tube, f, amplitude)
+    p, window = _train_by_lfilter(schedule, model, tube, f, amplitude)
     if post_filter is not None:
         p = post_filter(p, model.sample_rate_hz)
     return model.reading_gain * float(np.mean(np.abs(p[window])))
@@ -713,7 +721,7 @@ def test_the_unit_response_times_the_port_amplitude_is_the_direct_drive(
         schedule, _A1011, tube, source, target_f_hz=_F_A1011), rel=1e-12, abs=0.0)
 
     def post(series, fs):
-        return lpf_cascade(series, cutoff_hz, 1.0 / fs, order)
+        return lfilter_reference.lpf_cascade(series, cutoff_hz, 1.0 / fs, order)
     # The two paths agree only to rounding, and a one-pole section with
     # coefficient a carries each step's rounding for about 1/a steps:
     # a 20 Hz third-order cascade at 48 kHz differs by up to 3.6 x
@@ -753,7 +761,8 @@ def test_the_reference_drive_lays_the_burst_by_burst_train_bit_for_bit(
     schedule = SegmentSchedule(band_hz=(0.9 * f, 1.1 * f), duration_s=2.5 / f,
                                interval_s=gap / fs, cycles=cycles)
     response, window = unit_response(schedule, model, tube, target_f_hz=f)
-    full, full_window = _full_train_response(schedule, model, tube, f)
+    inlet, full_window = _full_train(schedule, model, f)
+    full = step_response(model, tube, inlet, 1.0 / fs).p_out_pa
     assert window == full_window
     assert response.size == window.stop == full.size - 2
     assert response.tobytes() == full[:response.size].tobytes()
@@ -767,16 +776,16 @@ def test_the_reference_drive_lays_the_burst_by_burst_train_bit_for_bit(
     assert trace.p_out_pa.tobytes() == step_response(model, tube, inlet, 1.0 / fs).p_out_pa.tobytes()
 
 
-def _count_filtered(monkeypatch) -> list[int]:
-    """Sample counts of the transducer's lfilter calls."""
+def _count_driven(monkeypatch) -> list[int]:
+    """Sample counts of the drives of whole inlets."""
     sizes = []
-    lfilter = sensor._lfilter
+    zero_state = sensor._Tables.zero_state
 
-    def counting(b, a, x, zi=None):
-        sizes.append(len(x))
-        return lfilter(b, a, x, zi=zi)
+    def counting(self, x, start=None):
+        sizes.append(x.size)
+        return zero_state(self, x, start)
 
-    monkeypatch.setattr(sensor, "_lfilter", counting)
+    monkeypatch.setattr(sensor._Tables, "zero_state", counting)
     return sizes
 
 
@@ -822,32 +831,32 @@ _REPEATING_INTERVALS_S = {1: 0.015, 5: 0.0148, 25: 0.02347}
 def test_a_burst_train_drive_keeps_to_its_work_budget(q, order, monkeypatch):
     """The drive's work is counted, not timed, so its fixed cost per call
     cannot creep back: it builds one table, as long as the longest
-    segment; on the 25-burst train it carries the state with log2(q + 1)
-    products composing a period's maps, one per period carried (a few:
-    the state repeats within eight) and one spreading the periods' states
-    to their segments, where a drive per segment made one per segment
-    (some 50); a shorter period is carried segment by segment, within
-    eight periods; and it evaluates one product for each head's
-    zero-state tail and one for the window of every kind."""
+    segment; it carries the state segment by segment, one product per
+    segment, and stops within eight periods, where the state repeats; and
+    it evaluates one product for each head's zero-state tail and one for
+    the window of every kind."""
     attack = _LPF_ATTACK
     schedule = dataclasses.replace(attack.schedule, interval_s=_REPEATING_INTERVALS_S[q])
-    tables, composed, evaluated = [], [], []
-    build, compose, free = sensor._Tables.__init__, sensor._compose, sensor._free_response
+    tables, carried, evaluated = [], [], []
+    build, carry, free = sensor._Tables.__init__, sensor._carry, sensor._free_response
 
     def building(self, chain, needed):
         build(self, chain, needed)
         tables.append((needed, self.length))
 
-    def composing(later, earlier):
-        composed.append(later.shape)
-        return compose(later, earlier)
+    def carrying(maps, kinds, count, first):
+        states, repeat, cycle = carry(maps, kinds, count, first)
+        # One product per state after the first, and one more for the
+        # repeating state that stopped the carry.
+        carried.append(states.shape[1] - 1 + (repeat is not None))
+        return states, repeat, cycle
 
     def evaluating(rows, states):
         evaluated.append(rows.shape)
         return free(rows, states)
 
     monkeypatch.setattr(sensor._Tables, "__init__", building)
-    monkeypatch.setattr(sensor, "_compose", composing)
+    monkeypatch.setattr(sensor, "_carry", carrying)
     monkeypatch.setattr(sensor, "_free_response", evaluating)
     gains = [1.0 - math.exp(-2.0 * math.pi * 120.0 / 48000.0)] * order
     unit_response_means(schedule, attack.model, attack.tube, target_f_hz=attack.source.tone_hz,
@@ -855,46 +864,26 @@ def test_a_burst_train_drive_keeps_to_its_work_budget(q, order, monkeypatch):
     # One table, of the longest segment's samples: its gap to the next burst.
     gap = int(round(schedule.interval_s * 48000.0)) + 1
     assert len(tables) == 1 and tables[0][0] == tables[0][1] <= gap
-    if q >= sensor._COMPOSE_MIN_PERIOD:
-        assert 0 < len(composed) <= math.ceil(math.log2(q + 1)) + 1 + 8
-    else:
-        assert 0 < len(composed) <= 8 * q
+    assert len(carried) == 1 and 0 < carried[0] <= 8 * q
     assert len(evaluated) == 2
 
 
 @pytest.mark.parametrize("q", [5, 25])
-@pytest.mark.parametrize("composing", [True, False])
-def test_both_carries_agree_with_the_lfilter_drive_through_twenty_sections(q, composing,
-                                                                          monkeypatch):
-    """The drive composes a period's maps or carries the state segment by
-    segment according to the period and the chain's size; each is forced
-    here on the 5- and 25-burst trains through 20 low-pass sections at
-    120 Hz, slow enough that every segment's start state weighs in its
-    outputs, and meets lpf_cascade over unit_response within the
-    agreement test's bounds."""
+def test_the_carry_agrees_with_the_lfilter_drive_through_twenty_sections(q):
+    """The 5- and 25-burst trains through 20 low-pass sections at 120 Hz,
+    slow enough that every segment's start state weighs in its outputs,
+    meet the lfilter reference within the agreement test's bounds."""
     attack = _LPF_ATTACK
     schedule = dataclasses.replace(attack.schedule, interval_s=_REPEATING_INTERVALS_S[q])
     f = attack.source.tone_hz
     order, cutoff_hz = 20, 120.0
     a = 1.0 - math.exp(-2.0 * math.pi * cutoff_hz / 48000.0)
-    monkeypatch.setattr(sensor, "_COMPOSE_MIN_PERIOD", 2 if composing else q + 1)
-    monkeypatch.setattr(sensor, "_COMPOSE_MAX_WORK", 1 << 30)
-    shapes = []
-    compose = sensor._compose
-
-    def composing_maps(later, earlier):
-        shapes.append(later.shape)
-        return compose(later, earlier)
-
-    monkeypatch.setattr(sensor, "_compose", composing_maps)
     means = unit_response_means(schedule, attack.model, attack.tube, target_f_hz=f,
                                 sections=[a] * order)
-    # Only the composing carry stacks maps.
-    assert any(len(shape) == 3 for shape in shapes) == composing
-    response, window = unit_response(schedule, attack.model, attack.tube, target_f_hz=f)
+    response, window = _train_by_lfilter(schedule, attack.model, attack.tube, f)
     rel = 1e-12
     assert means[0] == pytest.approx(np.mean(np.abs(response[window])), rel=rel, abs=0.0)
-    filtered = lpf_cascade(response, cutoff_hz, 1.0 / 48000.0, order)
+    filtered = lfilter_reference.lpf_cascade(response, cutoff_hz, 1.0 / 48000.0, order)
     rel += 16.0 * order ** 2 * np.finfo(float).eps / a
     assert means[1] == pytest.approx(np.mean(np.abs(filtered[window])), rel=rel, abs=0.0)
 
@@ -907,7 +896,7 @@ def test_a_state_that_rounding_keeps_cycling_still_stops_the_carry(monkeypatch):
     model = archetype("A1011-00")
     schedule = SegmentSchedule(band_hz=(23900.0, 23990.0), duration_s=2.01 / 48000,
                                interval_s=3.0 / 48000, cycles=1)
-    response, window = unit_response(schedule, model, None, target_f_hz=23950.0)
+    response, window = _train_by_lfilter(schedule, model, None, 23950.0)
     sizes = _count_evaluated(monkeypatch)
     mean = unit_response_mean(schedule, model, None, target_f_hz=23950.0)
     assert 0 < sum(sizes) < (window.stop - window.start) / 100
@@ -916,19 +905,18 @@ def test_a_state_that_rounding_keeps_cycling_still_stops_the_carry(monkeypatch):
 
 def _settle_by_lfilter(model, tube, *, lpf_cutoff_hz=None, lpf_order=1, extra_lag_s=0.0):
     """measurement_settle_time_s as it was found by driving the step
-    through step_response and filtering it with lfilter."""
+    through step_response and filtering it, both by the lfilter reference."""
     fs = model.sample_rate_hz
     dt = 1.0 / fs
     time_constant_s = extra_lag_s
     if lpf_cutoff_hz is not None:
         time_constant_s += lpf_order / (2.0 * math.pi * lpf_cutoff_hz)
     n = int(round(max(0.5, 10.0 * time_constant_s) * fs))
-    out = step_response(model, tube, np.ones(n), dt).p_out_pa
+    out = lfilter_reference.step_response(model, tube, np.ones(n), dt)
     if extra_lag_s > 0.0:
-        a = 1.0 - math.exp(-dt / extra_lag_s)
-        out = sensor._lfilter([a], [1.0, a - 1.0], out, zi=[0.0])[0]
+        out = lfilter_reference.one_pole(out, 1.0 - math.exp(-dt / extra_lag_s), 0.0)
     if lpf_cutoff_hz is not None:
-        out = lpf_cascade(out, lpf_cutoff_hz, dt, lpf_order)
+        out = lfilter_reference.lpf_cascade(out, lpf_cutoff_hz, dt, lpf_order)
     outside = np.flatnonzero(np.abs(out - 1.0) >= 0.05)
     if outside.size and outside[-1] == n - 1:
         raise ValueError("step response did not settle within the window")
@@ -990,14 +978,14 @@ def test_the_state_space_drive_agrees_with_the_lfilter_drive(part, tube_m, dampi
     cutoff_hz, order = lpf
     a = 1.0 - math.exp(-2.0 * math.pi * cutoff_hz / fs)
     means = unit_response_means(schedule, model, tube, target_f_hz=f, sections=[a] * order)
-    response, window = unit_response(schedule, model, tube, target_f_hz=f)
+    response, window = _train_by_lfilter(schedule, model, tube, f)
     # lfilter evaluates the transducer as one second-order section, whose
     # rounding drifts from the recurrence by up to 3.6e-12 for a damping
     # of 0.01; see the extended-precision test below.  Each filter section
     # adds its own drift, as in the direct-drive test above.
     rel = 1e-12 if damping > 0.01 else 5e-12
     assert means[0] == pytest.approx(np.mean(np.abs(response[window])), rel=rel, abs=0.0)
-    filtered = lpf_cascade(response, cutoff_hz, 1.0 / fs, order)
+    filtered = lfilter_reference.lpf_cascade(response, cutoff_hz, 1.0 / fs, order)
     rel += 16.0 * order ** 2 * np.finfo(float).eps / a
     assert means[1] == pytest.approx(np.mean(np.abs(filtered[window])), rel=rel, abs=0.0)
     for settle in ({}, {"lpf_cutoff_hz": cutoff_hz, "lpf_order": order},
@@ -1015,8 +1003,9 @@ def test_the_state_space_drive_agrees_with_the_lfilter_drive(part, tube_m, dampi
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended long double")
 def test_the_state_space_drive_meets_an_extended_precision_run_of_the_recurrence():
     """Where lfilter drifts most from the recurrence it evaluates (3.6e-12
-    on this train), the state-space drive stays within 1e-13 of that
-    recurrence run sample by sample in extended precision."""
+    on this train), the state-space drives, by burst intervals and over
+    the whole laid train, stay within 1e-13 of that recurrence run sample
+    by sample in extended precision."""
     model = archetype("P993-1B").with_damping(0.01)
     tube = TubeAssembly(length_m=8.0)
     f = system_resonant_hz(model, tube)
@@ -1040,13 +1029,15 @@ def test_the_state_space_drive_meets_an_extended_precision_run_of_the_recurrence
     exact = np.mean(np.abs(np.array(out[window.start:], dtype=np.longdouble)))
     got = unit_response_mean(schedule, model, tube, target_f_hz=f)
     assert abs(np.longdouble(got) / exact - 1) < 1e-13
+    whole = step_response(model, tube, inlet.astype(float), 1.0 / fs).p_out_pa
+    assert abs(np.mean(np.abs(whole[window]), dtype=np.longdouble) / exact - 1) < 1e-13
 
 
 def test_each_reference_drive_is_one_filter_call_over_its_whole_inlet(monkeypatch):
-    """Even a train that repeats every burst is filtered in one call."""
+    """Even a train that repeats every burst is driven in one call."""
     attack = _LPF_ATTACK
     f = attack.source.tone_hz
-    sizes = _count_filtered(monkeypatch)
+    sizes = _count_driven(monkeypatch)
     _response, window = unit_response(attack.schedule, attack.model, attack.tube, target_f_hz=f)
     assert sizes == [window.stop + 2]
     sizes.clear()
