@@ -25,12 +25,13 @@ import hashlib
 import importlib.util
 import io
 import json
-import os
 import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from tree_child import imported_from, run_in_tree
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -58,8 +59,7 @@ def _run_jobs(jobs_path: str, results_path: str, src: str) -> int:
     """Child mode: run the jobs in-process with the nprsim found under src."""
     import nprsim.cli as cli
 
-    if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
-        print(f"imported nprsim from {cli.__file__}, not from {src}", file=sys.stderr)
+    if not imported_from(cli, src):
         return 2
     results = []
     for job in json.loads(Path(jobs_path).read_text(encoding="utf-8")):
@@ -95,14 +95,8 @@ def _run_side(tree: Path, workloads, name: str, seed: int, tiny: bool, scratch: 
     results_path = scratch / "results.json"
     jobs_path.write_text(json.dumps([{"id": j.id, "argv": j.argv} for j in workload.jobs]),
                          encoding="utf-8")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(tree / "src")
-    env.pop("NPRSIM_ARCHETYPES", None)
-    proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--run-jobs", str(jobs_path),
-         str(results_path), str(tree / "src")],
-        cwd=scratch, env=env, capture_output=True, text=True,
-    )
+    proc = run_in_tree(tree, [str(Path(__file__).resolve()), "--run-jobs", str(jobs_path),
+                              str(results_path), str(tree / "src")], scratch)
     if proc.returncode != 0:
         raise RuntimeError(f"jobs against {tree} failed to run:\n{proc.stderr}")
     results = json.loads(results_path.read_text(encoding="utf-8"))

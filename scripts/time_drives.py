@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
-import subprocess
 import sys
 from pathlib import Path
+
+from tree_child import imported_from, run_in_tree
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -55,8 +55,7 @@ def _cases():
     from nprsim.countermeasures import _lpf_gains, measurement_settle_time_s
     from nprsim.scenario import load_scenario
     from nprsim.sensor import step_response
-    from nprsim.waveform import (_estimate_window, _lay_bursts, _train_spans,
-                                 unit_response_means)
+    from nprsim.waveform import _lay_bursts, _train_spans, unit_response, unit_response_means
 
     attack = load_scenario(ROOT / "scenarios" / "acoustic_lpf.yaml").attack_setup
     model, tube, tone = attack.model, attack.tube, attack.source.tone_hz
@@ -72,7 +71,8 @@ def _cases():
     cases.append(("measurement_settle_time_s lpf", lambda: measurement_settle_time_s(
         model, tube, lpf_cutoff_hz=LPF_CUTOFF_HZ, lpf_order=LPF_ORDER)))
     fs = model.sample_rate_hz
-    train = np.zeros(_estimate_window(attack.schedule, fs).stop + 2)
+    _response, window = unit_response(attack.schedule, model, tube, target_f_hz=tone)
+    train = np.zeros(window.stop + 2)
     _lay_bursts(train, _train_spans(attack.schedule, tone, train.size, fs), attack.schedule,
                 tone, fs, 1.0)
     cases.append(("step_response", lambda: step_response(model, tube, train, 1.0 / fs)))
@@ -86,8 +86,7 @@ def _run_child(src: str) -> int:
 
     import nprsim
 
-    if not Path(nprsim.__file__).resolve().is_relative_to(Path(src).resolve()):
-        print(f"imported nprsim from {nprsim.__file__}, not from {src}", file=sys.stderr)
+    if not imported_from(nprsim, src):
         return 2
     cases = _cases()
     for _name, call in cases:
@@ -105,16 +104,10 @@ def _run_child(src: str) -> int:
 
 
 def _side(tree: Path) -> dict[str, list[float]]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(tree / "src")
     # One BLAS thread: a helper thread that a large product wakes keeps
     # spinning after it, and its CPU time would land on the cases after.
-    env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = env["MKL_NUM_THREADS"] = "1"
-    env.pop("NPRSIM_ARCHETYPES", None)
-    proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--run-child", str(tree / "src")],
-        cwd=ROOT, env=env, capture_output=True, text=True,
-    )
+    proc = run_in_tree(tree, [str(Path(__file__).resolve()), "--run-child", str(tree / "src")],
+                       ROOT, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     if proc.returncode != 0:
         raise RuntimeError(f"timing {tree} failed:\n{proc.stderr}")
     return json.loads(proc.stdout)

@@ -244,7 +244,7 @@ def _characterize_one(
 ) -> list[str]:
     model = archetype(part_id).with_damping(damping)
     analytic = system_resonant_hz(model, tube)
-    if lo is None or hi is None:
+    if lo is None:
         if tube is None:
             lo_hz, hi_hz = 50.0, 40_000.0
         else:
@@ -272,6 +272,11 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     except (KeyError, ValueError) as exc:
         raise CliError(str(exc)) from exc
 
+    if (args.lo is None) != (args.hi is None):
+        raise CliError("--lo and --hi go together; omit both for the default band")
+    if args.tube_diameter is not None and args.tube_length is None:
+        raise CliError("--tube-diameter needs --tube-length")
+
     header = ["archetype", "tube_length_m", "analytic_hz", "detected_hz",
               "band_low_hz", "band_high_hz", "delta_hz", "status"]
     try:
@@ -279,11 +284,9 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         if args.tube_length is not None:
             if args.tube_length <= 0.0:
                 raise CliError("--tube-length must be positive; omit it for a bare port")
-            tube = TubeAssembly(
-                length_m=args.tube_length,
-                inner_diameter_m=args.tube_diameter,
-                pickup_device=args.pickup,
-            )
+            tube = TubeAssembly(length_m=args.tube_length)
+            if args.tube_diameter is not None:
+                tube = replace(tube, inner_diameter_m=args.tube_diameter)
         rows = [
             _characterize_one(part_id, tube, args.damping, args.lo, args.hi, args.step)
             for part_id in part_ids
@@ -381,9 +384,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def _countermeasure_from_args(args: argparse.Namespace) -> Countermeasure | None:
     """The --kind countermeasure with the parameters given; an omitted one
-    takes the dataclass default."""
-    if args.kind is None:
-        return None
+    takes the dataclass default.  Without --kind, a parameter is refused."""
     params = {
         "tube_length_m": args.cm_tube_length,
         "extra_loss_db": args.extra_loss_db,
@@ -391,8 +392,13 @@ def _countermeasure_from_args(args: argparse.Namespace) -> Countermeasure | None
         "order": args.order,
         "setpoint_pa": args.setpoint_pa,
     }
+    given = {k: v for k, v in params.items() if v is not None}
+    if args.kind is None:
+        if given:
+            raise CliError(f"{', '.join(given)} given without --kind")
+        return None
     try:
-        return Countermeasure(kind=args.kind, **{k: v for k, v in params.items() if v is not None})
+        return Countermeasure(kind=args.kind, **given)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -491,13 +497,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="damping ratio for the sweep (default 0.05)")
     p_char.add_argument("--tube-length", type=float, default=None,
                         help="sampling tube length in m (omit for bare port)")
-    p_char.add_argument("--tube-diameter", type=float,
-                        default=TubeAssembly(length_m=0.0).inner_diameter_m,
-                        help="tube inner diameter in m")
-    p_char.add_argument("--pickup", action="store_true",
-                        help="include a pickup device on the tube")
-    p_char.add_argument("--lo", type=float, default=None, help="sweep start, Hz")
-    p_char.add_argument("--hi", type=float, default=None, help="sweep stop, Hz")
+    p_char.add_argument("--tube-diameter", type=float, default=None,
+                        help="tube inner diameter in m (with --tube-length; default 5/16 in)")
+    p_char.add_argument("--lo", type=float, default=None, help="sweep start, Hz (with --hi)")
+    p_char.add_argument("--hi", type=float, default=None, help="sweep stop, Hz (with --lo)")
     p_char.add_argument("--step", type=float, default=10.0, help="grid step, Hz")
     p_char.add_argument("--out", default=None, help="also write rows to this CSV")
     p_char.set_defaults(func=cmd_characterize)

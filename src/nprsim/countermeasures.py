@@ -327,17 +327,13 @@ def evaluate_countermeasure(
                                     target_f_hz=attack.source.tone_hz, sections=sections)
         baseline = forged_pressure_estimate(attack.schedule, attack.model, attack.tube,
                                             attack.source, unit_mean_pa=means[0])
-        residual = baseline
-        if cm.kind == "long_tube":
-            # The new tube is driven afresh.
-            residual = forged_pressure_estimate(attack.schedule, attack.model, tube, attack.source)
-        elif cm.kind == "enclosure":
-            residual = forged_pressure_estimate(attack.schedule, attack.model, attack.tube,
-                                                attack.source, extra_loss_db=cm.extra_loss_db,
-                                                unit_mean_pa=means[0])
-        elif cm.kind == "lpf":
-            residual = forged_pressure_estimate(attack.schedule, attack.model, attack.tube,
-                                                attack.source, unit_mean_pa=means[-1])
+        # A long_tube's new tube is driven afresh.  Every other kind takes
+        # the last mean: an lpf's filtered one, or without sections the
+        # baseline's.  Only an enclosure sets extra_loss_db.
+        long_tube = cm.kind == "long_tube"
+        residual = forged_pressure_estimate(
+            attack.schedule, attack.model, tube if long_tube else attack.tube, attack.source,
+            extra_loss_db=cm.extra_loss_db or 0.0, unit_mean_pa=None if long_tube else means[-1])
 
     plan = replace(scenario.wiring.attack, forged_pa=residual)
     run_scenario = replace(run_scenario, wiring=replace(run_scenario.wiring, attack=plan))

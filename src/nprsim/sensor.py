@@ -26,7 +26,6 @@ Every path runs on that recurrence:
 
 from __future__ import annotations
 
-import bisect
 import enum
 import functools
 import itertools
@@ -548,17 +547,14 @@ class _Tables:
         size = self.powers.shape[2]
         return self.blocks[:self.length, size:].reshape(self.length * self.outputs, size)
 
-    def power(self, k: int) -> np.ndarray:
-        if k <= self.length:
-            return self.powers[k]
-        blocks, rest = divmod(k, self.length)
-        return np.linalg.matrix_power(self.jump, blocks) @ self.powers[rest]
-
     def powers_at(self, ks: list[int]) -> np.ndarray:
-        """a^k for each k of ks, stacked."""
+        """a^k for each k of ks, stacked: from the table, or for a k past
+        it as a power of the table's last entry times a table entry."""
         if max(ks) <= self.length:
             return self.powers[ks]
-        return np.stack([self.power(k) for k in ks])
+        return np.stack([self.powers[k] if k <= self.length else
+                         np.linalg.matrix_power(self.jump, k // self.length)
+                         @ self.powers[k % self.length] for k in ks])
 
     def free(self, states: np.ndarray, count: int) -> np.ndarray:
         """The free response c a^j states for j < count, at most one table
@@ -645,10 +641,10 @@ def segment_abs_means(
     inlet: np.ndarray,
     segments: np.ndarray,
     n: int,
-    window: slice,
+    first: int,
 ) -> np.ndarray:
-    """Mean |y| of each output of chain over window, for an n-sample inlet
-    that is zero but for the heads of its segments.
+    """Mean |y| of each output of chain over segments first to the last,
+    for an n-sample inlet that is zero but for the heads of its segments.
 
     segments holds one (start, offset, size) row per segment: segment i
     runs from its start (the first at 0) to the next segment's, the last
@@ -663,7 +659,7 @@ def segment_abs_means(
     held at an earlier multiple j, every later segment starts in the
     state the segment i - j before it did, and the drive stops carrying
     the state there (see _carry).
-    The window's segments are then summed in one product over every
+    The segments from first on are then summed in one product over every
     distinct pair of kind and start state, and no output is held for
     more than one table of samples per pair.  An inlet with a non-finite
     sample is refused, as step_response refuses it.
@@ -671,7 +667,6 @@ def segment_abs_means(
     _require_finite_inlet(inlet)
     segments = np.asarray(segments)
     count = len(segments)
-    bounds = segments[:, 0].tolist() + [n]
     # Row i of marks is segment i's kind: its length and its head (offset,
     # size).  The kinds of all segments but the last, which the drive's
     # end may cut, repeat every q segments, so only one period of them
@@ -680,7 +675,7 @@ def segment_abs_means(
     # segment of it.
     marks = segments.copy()
     np.subtract(segments[1:, 0], segments[:-1, 0], out=marks[:-1, 0])
-    marks[-1, 0] = n - bounds[-2]
+    marks[-1, 0] = n - segments[-1, 0]
     raw = marks.tobytes()
     width = len(raw) // count
     q = _period(raw[:-width], width)
@@ -716,10 +711,10 @@ def segment_abs_means(
     maps[:, :size, :size] = tables.powers_at([length for length, _offset, _size in kind_marks])
     maps[:, :size, size:] = tables.powers_at([length - head_size for length, _offset, head_size
                                               in kind_marks]) @ afters[kind_head, :, None]
-    first = np.ones(size + 1)
+    initial = np.ones(size + 1)
     _start, offset, head_size = segments[0].tolist()
-    first[:size] = chain.first * (inlet[offset] if bounds[0] == 0 and head_size else 0.0)
-    carried, repeat, cycle = _carry(maps, kinds[:q], count, first)
+    initial[:size] = chain.first * (inlet[offset] if head_size else 0.0)
+    carried, repeat, cycle = _carry(maps, kinds[:q], count, initial)
     columns = carried.shape[1]
 
     def pair(i: int) -> tuple[int, int]:
@@ -727,37 +722,27 @@ def segment_abs_means(
         kind = kinds[q] if i == count - 1 else kinds[i % q]
         return kind, i if i < columns else repeat + (i - repeat) % cycle
 
-    # Segments first_whole to last - 1 lie wholly in the window; of the
-    # one before them and the one at last, the window may hold a part.
     # Past the carried columns, the pairs of all segments but the last
     # repeat every cycle segments, so each pair of one cycle is counted
     # once with the times it recurs.
-    first_whole = bisect.bisect_left(bounds, window.start)
-    last = max(first_whole, bisect.bisect_right(bounds, window.stop) - 1)
-    body = min(last, count - 1)
-    recurring = max(first_whole, columns)
-    runs = [(i, 1) for i in range(first_whole, min(body, columns))]
-    runs += [(i, (body - i - 1) // cycle + 1) for i in range(recurring, min(body, recurring + (cycle or 0)))]
-    if first_whole <= count - 1 < last:
-        runs.append((count - 1, 1))
+    last = count - 1
+    recurring = max(first, columns)
+    runs = [(i, 1) for i in range(first, min(last, columns))]
+    runs += [(i, (last - i - 1) // cycle + 1) for i in range(recurring, min(last, recurring + (cycle or 0)))]
+    runs.append((last, 1))
     times: dict[tuple[int, int], int] = {}
     for i, recurs in runs:
         key = pair(i)
         times[key] = times.get(key, 0) + recurs
-    # Each (span, kind, column, weight), ordered so that columns of one
-    # span sit together.
-    entries = [((0, kind_marks[kind][0]), kind, column, weight)
-               for (kind, column), weight in times.items()]
-    for i in (first_whole - 1, last):
-        if 0 <= i < count and bounds[i] < window.stop and bounds[i + 1] > window.start:
-            entries.append(((max(window.start - bounds[i], 0),
-                             min(window.stop, bounds[i + 1]) - bounds[i]), *pair(i), 1))
-    entries.sort()
-    spans, kind_p, column_p, weights = zip(*entries)
+    # Each (length, kind, column, weight), ordered so that columns of one
+    # length sit together.
+    entries = sorted((kind_marks[kind][0], kind, column, weight)
+                     for (kind, column), weight in times.items())
+    lengths, kind_p, column_p, weights = zip(*entries)
     if len(head_of) > 1:
         zero_states = zero_states[:, :, [kind_head[kind] for kind in kind_p]]
-    sums = _window_sums(tables, carried[:size, list(column_p)], zero_states, spans)
-    return sums @ np.array(weights, dtype=float) / (window.stop - window.start)
+    sums = _segment_sums(tables, carried[:size, list(column_p)], zero_states, lengths)
+    return sums @ np.array(weights, dtype=float) / (n - segments[first, 0])
 
 
 def _carry(maps: np.ndarray, kinds: list[int], count: int, first: np.ndarray):
@@ -787,32 +772,27 @@ def _carry(maps: np.ndarray, kinds: list[int], count: int, first: np.ndarray):
     return np.array(path).T, repeat, cycle
 
 
-def _window_sums(tables: _Tables, states, zero_states, spans) -> np.ndarray:
-    """Sums (output, column) of |y| over samples lo <= j < hi, (lo, hi)
-    being spans[p], of the segments that start in the columns p of
-    states, with the zero-state outputs zero_states[:, :, p] (or [:, :, 0]
-    for all): one product per table's span.  Columns of one span sit
-    together in spans."""
+def _segment_sums(tables: _Tables, states, zero_states, lengths) -> np.ndarray:
+    """Sums (output, column) of |y| over the first lengths[p] samples of
+    the segments that start in the columns p of states, with the
+    zero-state outputs zero_states[:, :, p] (or [:, :, 0] for all): one
+    product per table's span.  Columns of one length sit together in
+    lengths."""
     groups, column = [], 0
-    for (lo, hi), members in itertools.groupby(spans):
+    for length, members in itertools.groupby(lengths):
         width = len(list(members))
-        groups.append((lo, hi, column, column + width))
+        groups.append((length, column, column + width))
         column += width
-    bottom = min(lo for lo, _hi, _first, _end in groups)
-    top = max(hi for _lo, hi, _first, _end in groups)
-    if bottom:
-        states = tables.power(bottom) @ states
+    top = max(lengths)
     sums = 0.0
-    for start in range(bottom, top, tables.length):
+    for start in range(0, top, tables.length):
         count = min(tables.length, top - start)
         y = tables.free(states, count)
         y += zero_states[start:start + count]
-        # Samples outside a column's span count for nothing.
-        for lo, hi, first, end in groups:
-            if lo > start:
-                y[:lo - start, :, first:end] = 0.0
-            if hi < start + count:
-                y[max(hi - start, 0):, :, first:end] = 0.0
+        # Samples past a column's segment count for nothing.
+        for length, first, end in groups:
+            if length < start + count:
+                y[max(length - start, 0):, :, first:end] = 0.0
         sums = sums + np.ones(count) @ np.abs(y, out=y).reshape(count, -1)
         if start + count < top:
             states = tables.jump @ states

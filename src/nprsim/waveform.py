@@ -640,17 +640,21 @@ def unit_response(
     schedule is refused as such a drive would be.  The whole train is laid
     over those samples and :func:`step_response` filters it in one call.
     """
-    window = _estimate_window(schedule, model.sample_rate_hz)
+    _k0, window = _estimate_window(schedule, model.sample_rate_hz)
     trace, _spans = _drive_bursts(schedule, model, tube, float(target_f_hz), 1.0,
                                   window.stop + 2)
     return trace.p_out_pa[:window.stop], window
 
 
-def _estimate_window(schedule: SegmentSchedule, sample_rate_hz: int) -> slice:
-    """The samples of the whole burst intervals that fit in
-    ESTIMATE_WINDOW_S after ESTIMATE_WARMUP_S; a drive to two samples past
-    them is refused as too long as :func:`_require_drive_length` refuses
-    it."""
+def _estimate_window(schedule: SegmentSchedule, sample_rate_hz: int) -> tuple[int, slice]:
+    """(k0, window): the samples of the whole burst intervals that fit in
+    ESTIMATE_WINDOW_S after ESTIMATE_WARMUP_S, from burst k0's start; a
+    drive to two samples past them is refused as too long as
+    :func:`_require_drive_length` refuses it.
+
+    The window starts where :func:`_burst_spans` starts burst k0 and stops
+    where it starts the burst after the window's last, and every burst
+    that starts before the stop ends within the two samples past it."""
     t_i = schedule.interval_s
     k0 = int(math.ceil(ESTIMATE_WARMUP_S / t_i))
     n_periods = max(1, int(math.floor(ESTIMATE_WINDOW_S / t_i)))
@@ -658,7 +662,7 @@ def _estimate_window(schedule: SegmentSchedule, sample_rate_hz: int) -> slice:
     # int() cannot take.
     stop = (k0 + n_periods) * t_i * sample_rate_hz
     _require_drive_length(stop + 2, sample_rate_hz)
-    return slice(int(round(k0 * t_i * sample_rate_hz)), int(round(stop)))
+    return k0, slice(int(round(k0 * t_i * sample_rate_hz)), int(round(stop)))
 
 
 def unit_response_means(
@@ -681,7 +685,7 @@ def unit_response_means(
     interval at a time, and only until the state repeats with the train.
     """
     fs = model.sample_rate_hz
-    window = _estimate_window(schedule, fs)
+    k0, window = _estimate_window(schedule, fs)
     stop = window.stop
     f = float(target_f_hz)
     spans = _train_spans(schedule, f, stop + 2, fs)
@@ -715,7 +719,7 @@ def unit_response_means(
         at = np.cumsum([0] + distinct[:-1])
         segments[:, 1] = at[np.searchsorted(distinct, lengths)]
     np.subtract(ends, starts, out=segments[:, 2])
-    return segment_abs_means(chain, inlet, segments, stop, window)
+    return segment_abs_means(chain, inlet, segments, stop, k0)
 
 
 def unit_response_mean(

@@ -275,6 +275,30 @@ def test_cli_characterize_rejects_a_tube_whose_cross_section_is_0_or_overflows(
     assert captured.err == f"nprsim: error: {message}\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--lo", "500"], "--lo and --hi go together; omit both for the default band"),
+    (["--hi", "900"], "--lo and --hi go together; omit both for the default band"),
+    (["--tube-diameter", "0.01"], "--tube-diameter needs --tube-length"),
+], ids=["lo-alone", "hi-alone", "diameter-without-tube"])
+def test_cli_characterize_refuses_a_flag_it_would_drop(flags, message, tmp_path, capsys):
+    """Each of these printed the row of a run without it."""
+    rc = main(["characterize", "--archetype", "A1011-00", *flags, "--out",
+               str(tmp_path / "char.csv")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"nprsim: error: {message}\n"
+    assert not (tmp_path / "char.csv").exists()
+
+
+def test_cli_characterize_takes_no_pickup_flag(capsys):
+    """A pickup is a path loss, which a resonance sweep never sees."""
+    with pytest.raises(SystemExit) as exc:
+        main(["characterize", "--archetype", "A1011-00", "--tube-length", "1", "--pickup"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --pickup" in capsys.readouterr().err
+
+
 def test_short_horizon_is_rejected_with_its_line(tmp_path, capsys):
     messages = _parse_errors("horizon_s: 5\n" + MINIMAL)
     assert messages == ["line 1: scenario.horizon_s: must cover at least 10 control periods of 1 s"]
@@ -378,6 +402,24 @@ def test_cli_evaluate_cm_rejects_a_parameter_it_cannot_score(flags, message, tmp
     assert rc == 2
     assert captured.out == ""
     assert captured.err == f"nprsim: error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, given", [
+    (["--tube-length", "5"], "tube_length_m"),
+    (["--extra-loss-db", "12"], "extra_loss_db"),
+    (["--cutoff-hz", "5", "--order", "3"], "cutoff_hz, order"),
+    (["--setpoint-pa", "-12"], "setpoint_pa"),
+], ids=["tube-length", "extra-loss-db", "cutoff-hz-order", "setpoint-pa"])
+def test_cli_evaluate_cm_refuses_a_parameter_without_kind(flags, given, tmp_path, capsys):
+    """Without --kind the scenario's block is scored, and a parameter
+    given for another defense would change nothing."""
+    rc = main(["evaluate-cm", str(SCENARIO_DIR / "acoustic_lpf.yaml"), *flags,
+               "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"nprsim: error: {given} given without --kind\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -49,6 +49,7 @@ from nprsim.waveform import (
     _band_basis,
     _burst_samples,
     _burst_spans,
+    _estimate_window,
     _true_run_lengths,
     unit_response,
     unit_response_mean,
@@ -651,6 +652,40 @@ def test_burst_spans_equal_the_burst_loop(case):
     schedule, f, n, fs = case
     assert _spans_or_error(_burst_spans, schedule, f, n, fs) == _spans_or_error(
         _burst_spans_by_loop, schedule, f, n, fs)
+
+
+@st.composite
+def _estimate_trains(draw):
+    """(schedule, f, fs): bursts of a tone at either rate, of one count of
+    cycles or a sequence, with intervals from 1.0001x the burst up."""
+    fs = draw(st.sampled_from(SUPPORTED_RATES))
+    # Up to fs / 2 a cycle spans at least 2 samples.
+    f = draw(st.floats(50.0, 0.5 * fs))
+    cycles = draw(st.one_of(st.none(), st.integers(1, 4),
+                            st.lists(st.integers(1, 4), min_size=2, max_size=4).map(tuple)))
+    longest = max(cycles) if isinstance(cycles, tuple) else (cycles or 1)
+    duration = longest / f * draw(st.floats(1.0, 2.0))
+    schedule = SegmentSchedule(band_hz=(0.9 * f, 1.1 * f), duration_s=duration,
+                               interval_s=duration * draw(st.floats(1.0001, 20.0)), cycles=cycles)
+    return schedule, f, fs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_estimate_trains())
+# One-cycle bursts of 595.6 Hz, 81 samples, 80.74 samples apart: every
+# other burst runs into the next, as behind _OVERRUN_TUBE_M.
+@example((SegmentSchedule(band_hz=(536.0, 655.2), duration_s=80.64 / 48000,
+                          interval_s=80.74 / 48000, cycles=1), 595.6, 48000))
+def test_the_estimate_window_is_whole_burst_intervals_from_burst_k0(case):
+    """The window starts where burst k0 does, and every burst that starts
+    before its stop ends within the two samples past it that the drive
+    lays: the window is the drive's segments k0 to the last, which
+    unit_response_means sums."""
+    schedule, f, fs = case
+    k0, window = _estimate_window(schedule, fs)
+    spans = _burst_spans(schedule, f, 2 * window.stop + 4, fs)
+    assert spans[k0, 0] == window.start
+    assert spans[spans[:, 0] < window.stop, 1].max() <= window.stop + 2
 
 
 def _full_train(schedule, model, f_hz, amplitude=1.0):
