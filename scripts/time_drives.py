@@ -20,8 +20,11 @@ import path and BLAS held to one thread, and the sides alternate, the
 first of each round taking turns.  A run warms every case up, then goes
 round the cases PASSES times, timing CALLS calls of each in CPU time.
 The table prints each case's median over all passes of all rounds, in
-microseconds per call, and with a base, the ratio of this tree's median
-to the base's.  Exit status: 0, or 2 on a usage or set-up error.
+microseconds per call.  With a base it adds the ratio of this tree's
+median to the base's, and the first and third quartiles of the same
+ratio taken round by round (q1, q3): a host that ran slow for some
+rounds, not for the code, shows as a wide spread.  Exit status: 0, or 2
+on a usage or set-up error.
 """
 
 from __future__ import annotations
@@ -113,6 +116,14 @@ def _side(tree: Path) -> dict[str, list[float]]:
     return json.loads(proc.stdout)
 
 
+def _quartiles(values: list[float]) -> tuple[float, float]:
+    """First and third quartile of values; one value is both."""
+    if len(values) == 1:
+        return values[0], values[0]
+    q1, _median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--run-child"]:
@@ -142,14 +153,18 @@ def main(argv: list[str] | None = None) -> int:
                       for case in side_runs[0]}
                for name, side_runs in runs.items()}
     header = f"{'case':34s}" + "".join(f"{name:>12s}" for name in sides)
-    print(header + ("       ratio" if len(sides) > 1 else ""))
+    print(header + ("       ratio      q1      q3" if len(sides) > 1 else ""))
     for case in medians["this tree"]:
         line = f"{case:34s}" + "".join(f"{medians[name][case] * 1e6:10.1f}us" for name in sides)
         if len(sides) > 1:
-            line += f"{medians['this tree'][case] / medians['base'][case]:12.2f}"
+            by_round = [statistics.median(this[case]) / statistics.median(base[case])
+                        for this, base in zip(runs["this tree"], runs["base"])]
+            q1, q3 = _quartiles(by_round)
+            line += f"{medians['this tree'][case] / medians['base'][case]:12.2f}{q1:8.2f}{q3:8.2f}"
         print(line)
     print(f"median CPU time per call over {args.rounds} run(s) x {PASSES} passes "
-          f"of {CALLS} calls per case and side")
+          f"of {CALLS} calls per case and side"
+          + ("; q1, q3: quartiles of the ratio per run" if len(sides) > 1 else ""))
     return 0
 
 

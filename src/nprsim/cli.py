@@ -155,7 +155,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         lines.append(f"  t={_num(event.time_s)} room={event.room} {event.kind}")
     lost = bool(np.any(steady > 0.0))
     lines.append(f"containment_lost: {'yes' if lost else 'no'}")
-    (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(out_dir / "summary.txt", lines)
 
     return 0 if trace.converged else 3
 
@@ -229,7 +229,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         f"interval_ms: {_num(schedule.interval_s * 1e3)}",
         f"psd_ratio: {_num(ratio)}",
     ]
-    report_path.write_text("\n".join(report) + "\n", encoding="utf-8")
+    _write_lines(report_path, report)
     print("\n".join(report))
     return 0
 
@@ -434,7 +434,7 @@ def cmd_evaluate_cm(args: argparse.Namespace) -> int:
         f"sensitivity_penalty_s: {_num(report.sensitivity_penalty_s)}",
         f"residual_below_noise_floor: {'yes' if report.below_noise_floor else 'no'}",
     ]
-    (out_dir / "report.txt").write_text("\n".join(text) + "\n", encoding="utf-8")
+    _write_lines(out_dir / "report.txt", text)
     print("\n".join(text))
     return 0
 

@@ -13,8 +13,8 @@ true pressures, and everything downstream reacts as if it were real.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,11 +34,18 @@ MAX_ROOM_PERIODS = 10_000_000
 STEADY_SLOPE_PA_PER_S = 1e-3
 STEADY_HOLD_S = 5.0
 
+# A scenario of at most this many rooms is stepped one room at a time in
+# Python floats, a larger one every room at once in numpy arrays.  The
+# float loop's cost grows with the rooms, the array loop's, mostly numpy's
+# per-call overhead, barely does.  On a 2-vCPU x86-64 VM a simulate_scenario
+# call through the float loop took 0.21 of its time through the array loop
+# at 1 room, 0.47 at 3, 0.84 at 6, 0.91 at 7, 1.01 at 8 and 1.39 at 12
+# (median of 60 alternating pairs, on the first rooms of the closed-loop
+# benchmark's 100-room scenario).
+FLOAT_LOOP_MAX_ROOMS = 7
+
 ATTACK_PLACEMENTS = ("none", "low_port", "high_port", "common_high_port")
 ATTACK_TARGETS = ("hvac", "rpm", "both")
-
-# How a positive correction moves the (supply, exhaust) commands.
-_TRIM_SIGNS = np.array([-1.0, 1.0])
 
 
 class WiringError(ValueError):
@@ -277,6 +284,44 @@ class SimulationTrace:
         return sum(1 for e in self.alarm_events if e.kind == "raised")
 
 
+def _array_max(a, b):
+    """np.maximum choosing as max does on a tie of signed zeros: a."""
+    return np.maximum(b, a)
+
+
+def _array_min(a, b):
+    """np.minimum choosing as min does on a tie of signed zeros: a."""
+    return np.minimum(b, a)
+
+
+def _trim(setpoint, gain, deadband, reading, supply_cmd, exhaust_cmd, up=max, down=min):
+    """The control law: the (supply, exhaust) commands trimmed from a reading.
+
+    On one room's Python floats with max and min, or elementwise on arrays
+    with _array_max and _array_min.  Both pairs return the first operand on
+    a tie, which matters only between 0.0 and -0.0.  The
+    correction is gain times the error less its clip to the deadband, so
+    it is 0.0 inside the band and gain * (error - copysign(deadband,
+    error)) outside it: under a negative setpoint, as ControllerConfig
+    requires, the error is never -0.0, and the two forms are equal bit for
+    bit.
+    """
+    error = reading - setpoint
+    correction = gain * (error - down(deadband, up(-deadband, error)))
+    return (down(up(supply_cmd - correction, 0.0), 1.0),
+            down(up(exhaust_cmd + correction, 0.0), 1.0))
+
+
+def _period_sum(p0, p1, p2, p3, p4):
+    """A period map row's products with the deviation (x, supply, exhaust,
+    supply_cmd, exhaust_cmd), one per term, summed in the order numpy's
+    einsum sums a 5-term product, so that a trace is bit for bit the one an
+    einsum over the period maps gives.  On one room's Python floats or on
+    arrays.
+    """
+    return ((p0 + p2) + p4) + (p1 + p3)
+
+
 def controller_step(
     cfg: ControllerConfig,
     measured_pa: float | np.ndarray,
@@ -287,20 +332,15 @@ def controller_step(
     commands holds (supply, exhaust) along its last axis; the trimmed pair
     comes back in that shape.  Reading above the setpoint band (not
     negative enough) slows supply and speeds exhaust; below it the
-    opposite.  Commands clamp to [0, 1].  The rule is elementwise:
-    simulate_scenario passes one reading and one command pair per room,
-    and one array per room for cfg's setpoint_pa, gain and deadband_pa.
-
-    The correction is gain times the error less its clip to the deadband,
-    which is gain * (error - copysign(deadband, error)) outside the band
-    and 0.0 inside it.  Under a negative setpoint, as ControllerConfig
-    requires, the error is never -0.0, and the two forms are equal bit
-    for bit.
+    opposite.  Commands clamp to [0, 1].  The rule is elementwise, so cfg's
+    setpoint_pa, gain and deadband_pa may be arrays too.  simulate_scenario
+    runs the same law on its rooms' floats or arrays (see _trim).
     """
-    error = np.subtract(measured_pa, cfg.setpoint_pa)
-    inside = np.minimum(np.maximum(error, -cfg.deadband_pa), cfg.deadband_pa)
-    correction = cfg.gain * (error - inside)
-    return np.minimum(1.0, np.maximum(0.0, commands + correction[..., None] * _TRIM_SIGNS))
+    commands = np.asarray(commands, dtype=float)
+    supply, exhaust = _trim(cfg.setpoint_pa, cfg.gain, cfg.deadband_pa,
+                            np.asarray(measured_pa, dtype=float),
+                            commands[..., 0], commands[..., 1], _array_max, _array_min)
+    return np.stack([supply, exhaust], axis=-1)
 
 
 def balanced_fans(room: RoomConfig) -> tuple[float, float]:
@@ -374,8 +414,81 @@ def _period_maps(rooms: tuple[RoomConfig, ...], period_s: float) -> np.ndarray:
         step[i, 1, 1] = step[i, 2, 2] = decay_fan
         step[i, 1, 3] = step[i, 2, 4] = 1.0 - decay_fan
     step[:, 3, 3] = step[:, 4, 4] = 1.0
-    # Contiguous, as einsum's summation order may follow the layout.
-    return np.ascontiguousarray(np.linalg.matrix_power(step, SUBSTEPS_PER_PERIOD)[:, :3])
+    return np.linalg.matrix_power(step, SUBSTEPS_PER_PERIOD)[:, :3]
+
+
+def _room_rows(maps: np.ndarray, balance: np.ndarray, x: float, cfg: ControllerConfig,
+               shift: float, n_periods: int) -> list[tuple[float, float, float]]:
+    """One room's (x, supply, exhaust) rows at each wakeup, stepped in
+    Python floats up to its fixed point, for simulate_scenario.
+
+    maps is the room's 3x5 period map, balance its (x, supply, exhaust)
+    balance point and x its starting deviation from it.  The rows stop
+    either at the row of the last wakeup or at the first period that
+    leaves the deviation as it found it, bit for bit; that row then holds
+    to the end of the horizon.
+    """
+    bx, bs, be = balance.tolist()
+    (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), (c0, c1, c2, c3, c4) = maps.tolist()
+    setpoint, gain, deadband = cfg.setpoint_pa, cfg.gain, cfg.deadband_pa
+    pack = struct.Struct("5d").pack
+    s = e = supply_cmd = exhaust_cmd = 0.0
+    before = pack(x, s, e, supply_cmd, exhaust_cmd)
+    rows = []
+    for _ in range(n_periods):
+        row = (bx + x, bs + s, be + e)
+        rows.append(row)
+        supply, exhaust = _trim(setpoint, gain, deadband, row[0] + shift,
+                                bs + supply_cmd, be + exhaust_cmd)
+        supply_cmd, exhaust_cmd = supply - bs, exhaust - be
+        x, s, e = (_period_sum(a0 * x, a1 * s, a2 * e, a3 * supply_cmd, a4 * exhaust_cmd),
+                   _period_sum(b0 * x, b1 * s, b2 * e, b3 * supply_cmd, b4 * exhaust_cmd),
+                   _period_sum(c0 * x, c1 * s, c2 * e, c3 * supply_cmd, c4 * exhaust_cmd))
+        after = pack(x, s, e, supply_cmd, exhaust_cmd)
+        if after == before:
+            return rows
+        before = after
+    rows.append((bx + x, bs + s, be + e))
+    return rows
+
+
+def _stack_rows(rows: np.ndarray, maps: np.ndarray, balance: np.ndarray, x: np.ndarray,
+                rooms: tuple[RoomConfig, ...], shift: float) -> None:
+    """Fill rows, (x, supply, exhaust) by wakeup and room, stepping every
+    room at once in numpy arrays, for simulate_scenario.
+
+    maps is the (rooms, 3, 5) stack of period maps, balance the (3, rooms)
+    balance point and x the rooms' starting deviations from it.  Stops at
+    the first period that leaves every room's deviation as it found it, bit
+    for bit, and copies that row to the end.
+    """
+    n_periods = rows.shape[1] - 1
+    setpoint, gain, deadband = (np.array([getattr(room.controller, name) for room in rooms])
+                                for name in ("setpoint_pa", "gain", "deadband_pa"))
+    bs, be = balance[1:]
+    deviation = np.zeros((5, x.size))
+    deviation[0] = x
+    # Views that follow deviation and products as they are written in place.
+    supply_cmd, exhaust_cmd = deviation[3:]
+    # Term j of every room's three rows, shaped to multiply deviation[j].
+    terms = maps.transpose(2, 1, 0)
+    products = np.empty(terms.shape)
+    product_terms = list(products)
+    for k in range(n_periods + 1):
+        row = rows[:, k]
+        np.add(balance, deviation[:3], out=row)
+        if k == n_periods:
+            return
+        before = deviation.tobytes()
+        supply, exhaust = _trim(setpoint, gain, deadband, row[0] + shift,
+                                bs + supply_cmd, be + exhaust_cmd, _array_max, _array_min)
+        np.subtract(supply, bs, out=supply_cmd)
+        np.subtract(exhaust, be, out=exhaust_cmd)
+        np.multiply(terms, deviation[:, None], out=products)
+        deviation[:3] = _period_sum(*product_terms)
+        if deviation.tobytes() == before:
+            rows[:, k + 1:] = rows[:, k:k + 1]
+            return
 
 
 def simulate_scenario(scenario: NprScenario) -> SimulationTrace:
@@ -386,10 +499,9 @@ def simulate_scenario(scenario: NprScenario) -> SimulationTrace:
     differential to the hallway, its two fan speeds and its two fan
     commands.  Each substep is an exact step of a frozen-flow room and a
     first-order fan lag (see _period_maps), so one control period is the
-    SUBSTEPS_PER_PERIOD-th power of the substep matrix, taken once over
-    the stack of every room's.  Each period one controller_step call trims
-    every room's command pair from its reading, then one product advances
-    every room to the next wakeup.
+    SUBSTEPS_PER_PERIOD-th power of the substep matrix.  Each period the
+    control law (_trim) trims a room's command pair from its reading, then
+    the period map's product (_period_sum) takes the room to the next wakeup.
 
     The five values are stepped as deviations from the room's balance
     point: the setpoint, with the balanced fan speeds as both speeds and
@@ -399,12 +511,17 @@ def simulate_scenario(scenario: NprScenario) -> SimulationTrace:
     The controller reads balance + deviation, and balance is subtracted
     from the commands it returns.  Recorded rows are balance + deviation.
 
-    The period map does not change with time, so once a period leaves
-    the whole deviation (differentials, speeds and commands of every
-    room) bit for bit as it found it, every later period would too.  The
-    loop then stops and copies that row to the end of the horizon; the
-    trace is the one stepping every period would give.  The bytes are
-    compared, not the values, so 0.0 and -0.0 count as different.
+    The period map does not change with time, so once a period leaves a
+    room's deviation (differential, speeds and commands) bit for bit as it
+    found it, every later period would too: the room's row is copied to
+    the end of the horizon, and the trace is the one stepping every period
+    would give.  The bytes are compared, not the values, so 0.0 and -0.0
+    count as different.  Rooms never interact, so a scenario of at most
+    FLOAT_LOOP_MAX_ROOMS rooms steps each room alone in Python floats, to
+    its own fixed point; a larger one steps every room at once in numpy
+    arrays, until all stand still.  Both loops run _trim and _period_sum, so
+    they agree bit for bit: numpy's elementwise operators round as Python
+    floats do.
 
     Convergence means the pressure slope stayed under
     STEADY_SLOPE_PA_PER_S for STEADY_HOLD_S; a run that never gets there
@@ -421,20 +538,16 @@ def simulate_scenario(scenario: NprScenario) -> SimulationTrace:
     attack = scenario.wiring.attack
     hall = scenario.hallway_pa
 
-    # Per room: x = p - hallway, supply, exhaust, supply_cmd, exhaust_cmd.
-    balance = np.empty((n_rooms, 5))
-    deviation = np.zeros((n_rooms, 5))
+    # Per room: the balance point of x = p - hallway, supply and exhaust,
+    # and the start's deviation from it.
+    balance = np.empty((3, n_rooms))
+    start = np.zeros(n_rooms)
     for i, room in enumerate(rooms):
-        balance[i, 0] = room.controller.setpoint_pa
-        balance[i, 1:3] = balanced_fans(room)
+        balance[0, i] = room.controller.setpoint_pa
+        balance[1:, i] = balanced_fans(room)
         if room.initial_pressure_pa is not None:
-            deviation[i, 0] = room.initial_pressure_pa - hall - balance[i, 0]
-    balance[:, 3:] = balance[:, 1:3]
+            start[i] = room.initial_pressure_pa - hall - balance[0, i]
     period_maps = _period_maps(rooms, period)
-    gains = SimpleNamespace(**{
-        name: np.array([getattr(room.controller, name) for room in rooms])
-        for name in ("setpoint_pa", "gain", "deadband_pa")
-    })
 
     n_rows = n_periods + 1
     times = np.arange(n_rows) * period
@@ -449,27 +562,23 @@ def simulate_scenario(scenario: NprScenario) -> SimulationTrace:
     # One of the two offsets is always 0.0, so x + (low - high) is
     # (x + low) - high to the bit.
     hvac_shift = hvac_low - hvac_high
-    for k in range(n_rows):
-        state = balance + deviation
-        rows[:, k] = state[:, :3].T
-        if k == n_periods:
-            break
-        before = deviation.tobytes()
-        # The reading is recomputed from the recorded rows below, to the bit.
-        commands = controller_step(gains, state[:, 0] + hvac_shift, state[:, 3:])
-        np.subtract(commands, balance[:, 3:], out=deviation[:, 3:])
-        deviation[:, :3] = np.einsum("rij,rj->ri", period_maps, deviation)
-        if deviation.tobytes() == before:
-            # A fixed point: every later period maps this deviation to itself.
-            rows[:, k + 1:] = rows[:, k:k + 1]
-            break
+    if n_rooms <= FLOAT_LOOP_MAX_ROOMS:
+        for i, room in enumerate(rooms):
+            room_rows = _room_rows(period_maps[i], balance[:, i], float(start[i]),
+                                   room.controller, hvac_shift, n_periods)
+            stepped = len(room_rows)
+            rows[:, :stepped, i] = np.array(room_rows).T
+            rows[:, stepped:, i] = rows[:, stepped - 1:stepped, i]
+    else:
+        _stack_rows(rows, period_maps, balance, start, rooms, hvac_shift)
     true_pd, sup_trace, exh_trace = rows
+    # The reading each loop's controller saw, to the bit.
     meas_hvac = true_pd + hvac_shift
     meas_rpm = true_pd + rpm_low - rpm_high
 
     # A room whose reading never passes the threshold keeps its alarm down.
     alarm_active = np.zeros((n_rows, n_rooms), dtype=bool)
-    tripped = np.abs(meas_rpm - gains.setpoint_pa) > scenario.alarm.threshold_pa
+    tripped = np.abs(meas_rpm - balance[0]) > scenario.alarm.threshold_pa
     for i in np.flatnonzero(tripped.any(axis=0)).tolist():
         alarm_active[:, i] = rpm_alarm(times, meas_rpm[:, i], rooms[i].controller.setpoint_pa,
                                        scenario.alarm)

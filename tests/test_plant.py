@@ -26,6 +26,7 @@ from nprsim import (
 )
 from nprsim.plant import (
     ADIABATIC_BULK_MODULUS_PA,
+    HALLWAY_PA,
     STEADY_HOLD_S,
     STEADY_SLOPE_PA_PER_S,
     SUBSTEPS_PER_PERIOD,
@@ -33,6 +34,7 @@ from nprsim.plant import (
     SimulationTrace,
     _period_maps,
     _port_offsets,
+    _trim,
     horizon_periods,
 )
 from nprsim.scenario import load_scenario
@@ -566,14 +568,15 @@ def _simulate_by_substep(scenario: NprScenario) -> SimulationTrace:
 
 
 @st.composite
-def _loop_scenarios(draw):
-    """A valid scenario of 1-5 rooms with a stable loop and any attack wiring.
+def _loop_scenarios(draw, max_rooms=5):
+    """A valid scenario of 1 to max_rooms rooms with a stable loop and any
+    attack wiring.
 
     Each room's gain is drawn as a loop gain, gain times twice its fans'
     capacity over its leak coefficient: the pressure step one unit of
     error buys per period.  Past about 1 the loop hunts.
     """
-    n_rooms = draw(st.integers(1, 5))
+    n_rooms = draw(st.integers(1, max_rooms))
     period = draw(st.sampled_from([0.5, 1.0, 2.0]))
     rooms = []
     for i in range(n_rooms):
@@ -725,18 +728,18 @@ def test_the_stacked_period_maps_are_the_per_room_maps_bit_for_bit(scenario):
     maps = _period_maps(scenario.rooms, scenario.control_period_s)
     by_room = np.stack([_period_map_by_room(room, scenario.control_period_s)
                         for room in scenario.rooms])
-    assert maps.flags.c_contiguous
     assert maps.tobytes() == by_room.tobytes()
 
 
 def _simulate_every_period(scenario: NprScenario, absolute: bool = False) -> SimulationTrace:
-    """simulate_scenario without its stop at a fixed point: the same
-    einsum on the same deviations from the balance point, once for every
-    period of the horizon, with the control law, the period maps and the
-    reading as the plant computed them before it fused them (a where on
-    the deadband and one clamp per command, one matrix power per room, the
-    offsets added one at a time).  The exact reference for the early stop
-    and for those forms.
+    """simulate_scenario without its stop at a fixed point: the period
+    product as one einsum on the same deviations from the balance point,
+    once for every period of the horizon, with the control law, the period
+    maps and the reading as the plant computed them before it fused them
+    (a where on the deadband and one clamp per command, one matrix power
+    per room, the offsets added one at a time).  The exact reference for
+    the early stop, for the plant's explicit order of the period sum and
+    for those forms.
 
     With absolute, the origin of the deviations is zero instead, so the
     loop steps absolute values as the plant did before it stepped
@@ -816,34 +819,56 @@ _TRACE_ARRAYS = ("times_s", "true_pd_pa", "measured_hvac_pa", "measured_rpm_pa",
 
 def _assert_same_trace(fast: SimulationTrace, slow: SimulationTrace) -> None:
     for name in _TRACE_ARRAYS:
-        assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
+        fast_array, slow_array = getattr(fast, name), getattr(slow, name)
+        assert fast_array.shape == slow_array.shape, name
+        assert fast_array.dtype == slow_array.dtype, name
+        assert fast_array.tobytes() == slow_array.tobytes(), name
     assert fast.alarm_events == slow.alarm_events
     assert fast.converged == slow.converged
     assert fast.room_names == slow.room_names
 
 
-def _counting_controller(monkeypatch) -> list[int]:
-    """Patch the plant's controller_step to count its calls."""
+_LOOPS = ("float", "array")
+
+
+def _simulate_by_loop(scenario: NprScenario, loop: str) -> SimulationTrace:
+    """simulate_scenario forced through its float loop or its array loop
+    by FLOAT_LOOP_MAX_ROOMS."""
+    n_rooms = len(scenario.rooms)
+    most_rooms = n_rooms if loop == "float" else n_rooms - 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("nprsim.plant.FLOAT_LOOP_MAX_ROOMS", most_rooms)
+        return simulate_scenario(scenario)
+
+
+def _counted_run(scenario: NprScenario, loop: str) -> tuple[SimulationTrace, int]:
+    """A one-room scenario's trace through one loop, and the periods that
+    loop stepped: calls of the control law, which each loop makes once a
+    period for every room it steps at a time (one here)."""
+    assert len(scenario.rooms) == 1
     calls = [0]
 
     def counted(*args):
         calls[0] += 1
-        return controller_step(*args)
+        return _trim(*args)
 
-    monkeypatch.setattr("nprsim.plant.controller_step", counted)
-    return calls
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("nprsim.plant._trim", counted)
+        trace = _simulate_by_loop(scenario, loop)
+    return trace, calls[0]
 
 
 @st.composite
 def _fixed_point_scenarios(draw):
-    """_loop_scenarios with the gain of every room scaled by 1 or by 1e-9,
-    and an alarm dwell of up to 100 s.
+    """_loop_scenarios of 1-8 rooms, so that both of simulate_scenario's
+    loops run, with the gain of every room scaled by 1 or by 1e-9, and an
+    alarm dwell of up to 100 s.
 
     At full gain most loops reach a fixed point inside the horizon; at
     1e-9 none does.  A dwell past the fixed point raises the alarm on a
     row the loop no longer steps.
     """
-    scenario = draw(_loop_scenarios())
+    scenario = draw(_loop_scenarios(max_rooms=8))
     scale = draw(st.sampled_from([1.0, 1e-9]))
     rooms = tuple(
         replace(room, controller=replace(room.controller, gain=room.controller.gain * scale))
@@ -869,41 +894,74 @@ def test_deviations_from_the_balance_point_match_the_absolute_loop(scenario):
                         _simulate_every_period(scenario, absolute=True), scenario)
 
 
-def test_baseline_scenario_steps_at_most_ten_of_its_periods(monkeypatch):
-    calls = _counting_controller(monkeypatch)
+def _limit_room(name: str) -> RoomConfig:
+    """A room whose setpoint is the deepest its fans hold: balanced_fans
+    gives supply 0.0 and exhaust 1.0 exactly."""
+    room = RoomConfig(name=name, controller=ControllerConfig(setpoint_pa=-128.0),
+                      leak_coeff_m3ps_per_pa=1.0 / 256.0, fans=FanSpec(max_flow_m3ps=0.5),
+                      initial_pressure_pa=HALLWAY_PA - 120.0)
+    assert balanced_fans(room) == (0.0, 1.0)
+    return room
+
+
+_COMMON_PORT = {"common_high_port": True}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fixed_point_scenarios())
+# A deadband of 0.
+@example(_scenario(rooms=[_room(f"r{i}", deadband_pa=0.0) for i in range(3)],
+                   attack=AttackPlan(placement="common_high_port", forged_pa=6.0),
+                   wiring_kw=_COMMON_PORT))
+# Balanced speeds at the fans' limits, under offsets that push either way.
+@example(_scenario(rooms=[_limit_room("r0"), _room("r1")],
+                   attack=AttackPlan(placement="common_high_port", forged_pa=6.0),
+                   wiring_kw=_COMMON_PORT))
+@example(_scenario(rooms=[_limit_room("r0")],
+                   attack=AttackPlan(placement="low_port", forged_pa=6.0)))
+# A zero offset.
+@example(_scenario(rooms=[_room(f"r{i}", setpoint=-2.5 - i) for i in range(8)],
+                   attack=AttackPlan(placement="high_port", forged_pa=0.0)))
+# A gain so low that no room reaches a fixed point.
+@example(_scenario(rooms=[_room(f"r{i}", gain=0.0025e-9, deadband_pa=0.0) for i in range(2)],
+                   attack=AttackPlan(placement="high_port", forged_pa=8.0)))
+def test_the_float_loop_and_the_array_loop_give_one_trace_bit_for_bit(scenario):
+    _assert_same_trace(_simulate_by_loop(scenario, "float"),
+                       _simulate_by_loop(scenario, "array"))
+
+
+def test_baseline_scenario_steps_at_most_ten_of_its_periods():
     path = Path(__file__).resolve().parent.parent / "scenarios" / "baseline.yaml"
     scenario = load_scenario(path).scenario
-    trace = simulate_scenario(scenario)
-    assert trace.times_s.size == 121
-    assert calls[0] <= 10
-    monkeypatch.undo()
-    _assert_same_trace(trace, _simulate_every_period(scenario))
+    for loop in _LOOPS:
+        trace, periods = _counted_run(scenario, loop)
+        assert trace.times_s.size == 121
+        assert 1 <= periods <= 10, loop
+        _assert_same_trace(trace, _simulate_every_period(scenario))
 
 
-def test_a_loop_with_no_fixed_point_steps_every_period(monkeypatch):
-    calls = _counting_controller(monkeypatch)
+def test_a_loop_with_no_fixed_point_steps_every_period():
     room = _room(gain=1e-9, deadband_pa=0.0)
     attack = AttackPlan(placement="high_port", forged_pa=8.0, affects="both")
     scenario = _scenario(rooms=[room], attack=attack)
-    trace = simulate_scenario(scenario)
-    assert calls[0] == 120
-    monkeypatch.undo()
-    _assert_same_trace(trace, _simulate_every_period(scenario))
+    for loop in _LOOPS:
+        trace, periods = _counted_run(scenario, loop)
+        assert periods == 120, loop
+        _assert_same_trace(trace, _simulate_every_period(scenario))
 
 
-def test_an_alarm_raised_after_the_fixed_point_is_kept(monkeypatch):
+def test_an_alarm_raised_after_the_fixed_point_is_kept():
     """A forged monitor reading leaves the control loop at rest, so its
     state repeats within a few periods; the alarm still trips once the
     deviation has lasted its 30 s dwell."""
-    calls = _counting_controller(monkeypatch)
     binding = DpsBinding(model=archetype("A1011-00"))
     attack = AttackPlan(placement="high_port", forged_pa=8.0, affects="rpm")
     scenario = replace(
         _scenario(attack=attack, wiring_kw={"hvac": binding, "rpm": binding}),
         alarm=AlarmConfig(threshold_pa=2.0, dwell_s=30.0),
     )
-    trace = simulate_scenario(scenario)
-    assert calls[0] <= 10
-    assert [(e.time_s, e.kind) for e in trace.alarm_events] == [(30.0, "raised")]
-    monkeypatch.undo()
-    _assert_same_trace(trace, _simulate_every_period(scenario))
+    for loop in _LOOPS:
+        trace, periods = _counted_run(scenario, loop)
+        assert 1 <= periods <= 10, loop
+        assert [(e.time_s, e.kind) for e in trace.alarm_events] == [(30.0, "raised")]
+        _assert_same_trace(trace, _simulate_every_period(scenario))

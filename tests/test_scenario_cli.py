@@ -218,6 +218,27 @@ def test_cli_synth_writes_wav_and_report(tmp_path, capsys):
     assert "psd_ratio:" in captured
 
 
+def test_every_text_file_the_cli_writes_has_lf_line_ends(monkeypatch, tmp_path):
+    """Each text output is written with newline="\\n", so a run on any
+    platform writes the same bytes."""
+    written = {}
+    write_text = Path.write_text
+
+    def recorded(path, data, *args, **kwargs):
+        written[path.name] = kwargs.get("newline")
+        return write_text(path, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", recorded)
+    assert main(["simulate", str(SCENARIO_DIR / "baseline.yaml"), "--out",
+                 str(tmp_path / "run")]) == 0
+    assert main(["synth", "--silence", "0.5", "--out", str(tmp_path / "attack.wav"),
+                 "--band", "540", "670", "--td-ms", "2", "--ti-ms", "15"]) == 0
+    assert main(["evaluate-cm", str(SCENARIO_DIR / "acoustic_lpf.yaml"), "--out",
+                 str(tmp_path / "cm")]) == 0
+    assert written == dict.fromkeys(
+        ["trace.csv", "summary.txt", "attack.wav.psd.txt", "report.csv", "report.txt"], "\n")
+
+
 def test_cli_synth_rejects_target_outside_band(tmp_path, capsys):
     rc = main([
         "synth", "--silence", "1.0", "--out", str(tmp_path / "x.wav"),

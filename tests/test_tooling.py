@@ -125,17 +125,22 @@ def test_diff_outputs_reports_a_job_whose_stdout_differs(reworded_sweep_diff):
 
 
 def test_time_drives_times_every_drive_on_a_tree_and_its_base():
-    """scripts/time_drives.py run once, with the tree as its own base: a
-    line per case, each with both sides' times and their ratio."""
-    proc = _run(["scripts/time_drives.py", "--base-tree", str(ROOT), "--rounds", "1"])
+    """scripts/time_drives.py run for two rounds, with the tree as its own
+    base: a line per case, each with both sides' times, their ratio and
+    the quartiles of the ratio per round."""
+    proc = _run(["scripts/time_drives.py", "--base-tree", str(ROOT), "--rounds", "2"])
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0].split() == ["case", "base", "this", "tree", "ratio"]
-    cases = [line.rsplit(None, 3)[0] for line in lines[1:-1]]
+    assert lines[0].split() == ["case", "base", "this", "tree", "ratio", "q1", "q3"]
+    cases = [line.rsplit(None, 5)[0] for line in lines[1:-1]]
     assert cases == [f"unit_response_means {train}{lpf}" for lpf in ("", " lpf")
                      for train in ("q=1", "q=5", "q=25")] + [
         "measurement_settle_time_s", "measurement_settle_time_s lpf", "step_response"]
-    assert all(float(line.split()[-1]) > 0.0 for line in lines[1:-1])
+    for line in lines[1:-1]:
+        ratio, q1, q3 = (float(cell) for cell in line.split()[-3:])
+        assert ratio > 0.0
+        assert 0.0 < q1 <= q3
+    assert "q1, q3: quartiles of the ratio per run" in lines[-1]
 
 
 def _unused_imports(path: Path) -> list[str]:
