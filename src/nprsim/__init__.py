@@ -8,6 +8,38 @@ reading, and candidate countermeasures.
 
 __version__ = "0.1.0"
 
+
+def _import_numpy_on_one_blas_thread() -> None:
+    """Import numpy with OpenBLAS held to the calling thread.
+
+    OpenBLAS starts a helper thread per extra core when numpy loads, and
+    that thread spins through the rest of the import, and after any
+    product large enough to wake it.  The commands gain nothing from it;
+    a library drive over millions of samples runs faster in wall time
+    with it, for more CPU time (README, Cold start).  OpenBLAS reads
+    its thread count once, as it loads, so OPENBLAS_NUM_THREADS=1 is set
+    only for the import and then deleted: child processes inherit nothing.
+    A thread count the user set (OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+    OMP_NUM_THREADS) stands, and a numpy imported before this package
+    keeps the threads it started with.
+    """
+    import importlib
+    import os
+    import sys
+
+    if "numpy" in sys.modules or any(
+            name in os.environ
+            for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        importlib.import_module("numpy")
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_import_numpy_on_one_blas_thread()
+
 from .sensor import (
     DpsModel,
     NO_TUBE,
@@ -60,7 +92,6 @@ from .plant import (
     SimulationTrace,
     WiringError,
     balanced_fans,
-    controller_step,
     rpm_alarm,
     simulate_scenario,
 )
@@ -113,7 +144,6 @@ __all__ = [
     "attack_response_trace",
     "balanced_fans",
     "calibration_carrier",
-    "controller_step",
     "enclosure_lag_s",
     "evaluate_countermeasure",
     "forged_pressure_estimate",

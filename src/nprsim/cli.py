@@ -60,6 +60,9 @@ MAX_SWEEP_POINTS = 100_000
 # peaks at about 30 bytes per sample, some 0.9 GB at this length.
 MAX_SILENCE_SAMPLES = 28_800_000
 
+# Sample rate of synth --silence without --rate, Hz.
+SILENCE_RATE_HZ = 44_100
+
 # Every form float() reads as a negative number.  argparse's own rule
 # (plain decimals only) takes -1e1 or -inf for an option name.
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
@@ -182,6 +185,8 @@ def _synth_schedule(args: argparse.Namespace) -> SegmentSchedule:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    if args.carrier is not None and args.rate is not None:
+        raise CliError("--rate sets the rate of --silence; a --carrier keeps its own")
     schedule = _synth_schedule(args)
     if args.carrier is not None:
         try:
@@ -191,14 +196,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
     else:
         if not math.isfinite(args.silence):
             raise CliError(f"--silence must be finite, got {args.silence}")
-        n = int(round(args.silence * args.rate))
+        rate = SILENCE_RATE_HZ if args.rate is None else args.rate
+        n = int(round(args.silence * rate))
         if n <= 0:
             raise CliError("--silence must cover at least one sample")
         if n > MAX_SILENCE_SAMPLES:
-            raise CliError(f"--silence of {args.silence:g} s at {args.rate} Hz is {n:.3g} "
+            raise CliError(f"--silence of {args.silence:g} s at {rate} Hz is {n:.3g} "
                            f"samples, more than the {MAX_SILENCE_SAMPLES} it may build")
         try:
-            carrier = AudioBuffer(sample_rate_hz=args.rate, samples=np.zeros(n))
+            carrier = AudioBuffer(sample_rate_hz=rate, samples=np.zeros(n))
         except ValueError as exc:
             raise CliError(f"--rate: {exc}") from exc
     nyquist = carrier.sample_rate_hz / 2.0
@@ -303,6 +309,8 @@ def cmd_characterize(args: argparse.Namespace) -> int:
 
 def _parse_grid(args: argparse.Namespace) -> list[float]:
     if args.values is not None:
+        if not (args.start is None and args.stop is None and args.step_by is None):
+            raise CliError("give either --values or all of --start/--stop/--step, not both")
         try:
             grid = [float(part) for part in args.values.split(",") if part.strip()]
         except ValueError as exc:
@@ -471,8 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--carrier", help="input WAV to modify")
     src.add_argument("--silence", type=float, metavar="SECONDS",
                      help="synthesize over silence of this length instead")
-    p_synth.add_argument("--rate", type=int, default=44_100,
-                         help="sample rate for --silence (default 44100)")
+    p_synth.add_argument("--rate", type=int, default=None,
+                         help=f"sample rate for --silence (default {SILENCE_RATE_HZ})")
     p_synth.add_argument("--out", required=True, help="output WAV path")
     p_synth.add_argument("--band", type=float, nargs=2, metavar=("LO", "HI"),
                          required=True, help="target band in Hz")

@@ -322,27 +322,6 @@ def _period_sum(p0, p1, p2, p3, p4):
     return ((p0 + p2) + p4) + (p1 + p3)
 
 
-def controller_step(
-    cfg: ControllerConfig,
-    measured_pa: float | np.ndarray,
-    commands: tuple[float, float] | np.ndarray,
-) -> np.ndarray:
-    """One controller wakeup: trim fan commands toward the deadband edge.
-
-    commands holds (supply, exhaust) along its last axis; the trimmed pair
-    comes back in that shape.  Reading above the setpoint band (not
-    negative enough) slows supply and speeds exhaust; below it the
-    opposite.  Commands clamp to [0, 1].  The rule is elementwise, so cfg's
-    setpoint_pa, gain and deadband_pa may be arrays too.  simulate_scenario
-    runs the same law on its rooms' floats or arrays (see _trim).
-    """
-    commands = np.asarray(commands, dtype=float)
-    supply, exhaust = _trim(cfg.setpoint_pa, cfg.gain, cfg.deadband_pa,
-                            np.asarray(measured_pa, dtype=float),
-                            commands[..., 0], commands[..., 1], _array_max, _array_min)
-    return np.stack([supply, exhaust], axis=-1)
-
-
 def balanced_fans(room: RoomConfig) -> tuple[float, float]:
     """Supply and exhaust speeds whose steady flows hold the room exactly at
     its setpoint.

@@ -20,7 +20,6 @@ from nprsim import (
     WiringError,
     archetype,
     balanced_fans,
-    controller_step,
     rpm_alarm,
     simulate_scenario,
 )
@@ -32,6 +31,8 @@ from nprsim.plant import (
     SUBSTEPS_PER_PERIOD,
     AlarmEvent,
     SimulationTrace,
+    _array_max,
+    _array_min,
     _period_maps,
     _port_offsets,
     _trim,
@@ -57,28 +58,34 @@ def _scenario(rooms=None, attack=None, wiring_kw=None, **kw):
     )
 
 
+def _trim_by(cfg, measured_pa, supply_cmd, exhaust_cmd):
+    """The plant's control law on cfg's setpoint, gain and deadband: on
+    Python floats with max and min, as the float loop runs it."""
+    return _trim(cfg.setpoint_pa, cfg.gain, cfg.deadband_pa, measured_pa, supply_cmd, exhaust_cmd)
+
+
 def test_controller_step_direction_and_magnitude():
     cfg = ControllerConfig(setpoint_pa=-2.5, gain=0.0025, deadband_pa=0.0)
     # reading 2 Pa above setpoint: supply slows by gain * 2
-    supply, exhaust = controller_step(cfg, -0.5, (0.5, 0.5))
+    supply, exhaust = _trim_by(cfg, -0.5, 0.5, 0.5)
     assert 0.5 - supply == pytest.approx(0.0025 * 2.0, abs=1e-15)
     assert exhaust - 0.5 == pytest.approx(0.0025 * 2.0, abs=1e-15)
     # reading below setpoint: the opposite
-    supply, exhaust = controller_step(cfg, -4.5, (0.5, 0.5))
+    supply, exhaust = _trim_by(cfg, -4.5, 0.5, 0.5)
     assert supply - 0.5 == pytest.approx(0.0025 * 2.0, abs=1e-15)
 
 
 def test_controller_holds_inside_deadband_and_clamps():
     cfg = ControllerConfig(setpoint_pa=-2.5, deadband_pa=0.2)
-    assert controller_step(cfg, -2.45, (0.5, 0.5)).tolist() == [0.5, 0.5]
-    supply, exhaust = controller_step(cfg, 500.0, (0.001, 0.999))
+    assert _trim_by(cfg, -2.45, 0.5, 0.5) == (0.5, 0.5)
+    supply, exhaust = _trim_by(cfg, 500.0, 0.001, 0.999)
     assert supply == 0.0
     assert exhaust == 1.0
 
 
 def _controller_step_by_where(cfg, measured_pa, supply_cmd, exhaust_cmd):
-    """The control law as controller_step stated it before it trimmed the
-    two commands as one block: a where on the deadband, the edge by
+    """The control law as the plant stated it before it trimmed the two
+    commands as one block: a where on the deadband, the edge by
     copysign, and one clamp per command.  The reference for the fused law."""
     error = np.subtract(measured_pa, cfg.setpoint_pa)
     outside = np.abs(error) > cfg.deadband_pa
@@ -128,7 +135,12 @@ def _controller_cases(draw):
 @given(_controller_cases())
 def test_the_fused_control_law_is_the_where_law_bit_for_bit(case):
     cfg, reading, commands = case
-    fused = controller_step(cfg, reading, commands)
+    if isinstance(commands, tuple):
+        fused = np.array(_trim_by(cfg, reading, *commands))
+    else:
+        fused = np.stack(_trim(cfg.setpoint_pa, cfg.gain, cfg.deadband_pa, reading,
+                               commands[..., 0], commands[..., 1], _array_max, _array_min),
+                         axis=-1)
     commands = np.asarray(commands)
     supply, exhaust = _controller_step_by_where(cfg, reading, commands[..., 0], commands[..., 1])
     where = np.stack([supply, exhaust], axis=-1)
@@ -948,6 +960,29 @@ def test_a_loop_with_no_fixed_point_steps_every_period():
         trace, periods = _counted_run(scenario, loop)
         assert periods == 120, loop
         _assert_same_trace(trace, _simulate_every_period(scenario))
+
+
+def test_a_command_that_moves_while_the_room_stands_still_keeps_the_loop_stepping():
+    """The fixed point compares the fan commands too.  A forged low reading
+    raises the supply command of a room balanced at supply speed 0.0 by 8
+    subnormals a period (a gain of 5e-324), and the slow fan's share of so
+    small a command rounds to 0.0 in the period product: the differential
+    and both speeds repeat bit for bit while the command climbs, until the
+    speed leaves 0.0 some periods later."""
+    room = RoomConfig(
+        name="r0", controller=ControllerConfig(setpoint_pa=-1 / 64, gain=5e-324, deadband_pa=0.0),
+        leak_coeff_m3ps_per_pa=32.0, fans=FanSpec(max_flow_m3ps=0.5, time_constant_s=100.0))
+    assert balanced_fans(room) == (0.0, 1.0)
+    scenario = _scenario(rooms=[room], attack=AttackPlan(placement="high_port", forged_pa=8.0))
+    reference = _simulate_every_period(scenario)
+    supply = reference.supply_speed[:, 0]
+    still = int(np.flatnonzero(supply)[0])
+    assert still >= 3
+    for name in ("true_pd_pa", "supply_speed", "exhaust_speed"):
+        rows = getattr(reference, name)[:still]
+        assert rows.tobytes() == np.repeat(rows[:1], still, axis=0).tobytes(), name
+    for loop in _LOOPS:
+        _assert_same_trace(_simulate_by_loop(scenario, loop), reference)
 
 
 def test_an_alarm_raised_after_the_fixed_point_is_kept():

@@ -750,6 +750,40 @@ def test_cli_synth_rejects_an_unsupported_rate_in_one_line(tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("rate", ["8000", "48000"])
+def test_cli_synth_refuses_a_rate_with_a_carrier(rate, tmp_path, capsys):
+    """A carrier is written at its own rate, so --rate would change
+    nothing, even when it names that rate."""
+    carrier = tmp_path / "carrier.wav"
+    waveform.write_wav(carrier, waveform.AudioBuffer(
+        sample_rate_hz=48_000, samples=0.1 * np.sin(0.01 * np.arange(4_800))))
+    rc = main(["synth", "--carrier", str(carrier), "--rate", rate, "--band", "540", "670",
+               "--td-ms", "2", "--ti-ms", "15", "--out", str(tmp_path / "a.wav")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "nprsim: error: --rate sets the rate of --silence; a --carrier keeps its own\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["carrier.wav"]
+
+
+@pytest.mark.parametrize("grid", [
+    ["--start", "1"], ["--stop", "2"], ["--step", "1"],
+    ["--start", "1", "--stop", "2", "--step", "1"],
+], ids=["start", "stop", "step", "whole-grid"])
+def test_cli_sweep_refuses_values_with_a_grid_flag(grid, tmp_path, capsys):
+    """--values sets every point, so a grid flag given with it would
+    change nothing."""
+    rc = main(["sweep", str(SCENARIO_DIR / "acoustic_lpf.yaml"), "--axis", "ti",
+               "--values", "50,60", *grid, "--out", str(tmp_path / "s.csv")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "nprsim: error: give either --values or all of --start/--stop/--step, not both\n")
+    assert not (tmp_path / "s.csv").exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["evaluate-cm", str(SCENARIO_DIR / "replay_low_port.yaml"), "--kind", "raised_setpoint",
       "--setpoint-pa", "-inf"], "Countermeasure.setpoint_pa must be finite, got -inf"),

@@ -1,7 +1,8 @@
-"""Checks on the tree and its scripts: what importing the package loads
-and that none of its modules imports scipy, the calibration script's
-verification of the shipped constants, the output comparison and drive
-timing scripts, and that no module imports a name it never reads."""
+"""Checks on the tree and its scripts: what importing the package loads,
+on how many threads, and that none of its modules imports scipy, the
+calibration script's verification of the shipped constants, the output
+comparison and drive timing scripts, and that no module imports a name
+it never reads."""
 
 import ast
 import os
@@ -18,10 +19,11 @@ from nprsim.waveform import AudioBuffer, write_wav
 ROOT = Path(__file__).resolve().parent.parent
 
 # Run every subcommand in one process, a closed loop first, and report
-# after each which scipy modules are loaded; then import scipy.signal, to
-# show the report sees an import.
+# after each which scipy modules are loaded, then the process's thread
+# count ("-" without /proc/self/task); then import scipy.signal, to show
+# the report sees an import.
 _COLD_START = """
-import contextlib, io, sys
+import contextlib, io, os, sys
 import nprsim, nprsim.cli
 out, carrier = sys.argv[1], sys.argv[2]
 acoustic = "scenarios/acoustic_lpf.yaml"
@@ -43,13 +45,26 @@ for argv in runs:
         rc = nprsim.cli.main(argv)
     loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
     print(" ".join(argv[:2] if argv[0] == "synth" else argv[:1]), rc, loaded)
+tasks = "/proc/self/task"
+print("threads", len(os.listdir(tasks)) if os.path.isdir(tasks) else "-")
 import scipy.signal
 print("scipy.signal" in sys.modules)
 """
 
 
-def _run(args):
-    env = dict(os.environ)
+# The variables OpenBLAS reads for its thread count, in its order.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+_HAS_TASKS = os.path.isdir("/proc/self/task")
+
+
+def _run(args, **variables):
+    """A fresh interpreter on args, with this tree's src first on its
+    path, no BLAS thread variable but those in variables, run from the
+    repository root."""
+    env = {name: value for name, value in os.environ.items()
+           if name not in _BLAS_THREAD_VARIABLES}
+    env.update(variables)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True,
                           text=True, timeout=120)
@@ -58,7 +73,8 @@ def _run(args):
 def test_a_closed_loop_run_never_imports_scipy_signal_or_io(tmp_path):
     """No subcommand imports any scipy module: not a closed loop, not an
     acoustic simulate, sweep or countermeasure, not synth over a WAV
-    carrier or silence, not a characterization."""
+    carrier or silence, not a characterization.  The process runs them
+    all on one thread: OpenBLAS starts no helper."""
     carrier = tmp_path / "in.wav"
     write_wav(carrier, AudioBuffer(sample_rate_hz=48_000,
                                    samples=0.5 * np.sin(0.05 * np.arange(48_000))))
@@ -66,7 +82,49 @@ def test_a_closed_loop_run_never_imports_scipy_signal_or_io(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "simulate 0 []", "simulate 0 []", "sweep 0 []", *["evaluate-cm 0 []"] * 4,
-        "synth --carrier 0 []", "synth --silence 0 []", "characterize 0 []", "True"]
+        "synth --carrier 0 []", "synth --silence 0 []", "characterize 0 []",
+        "threads 1" if _HAS_TASKS else "threads -", "True"]
+
+
+# Import two modules in the order given, run a product large enough for
+# OpenBLAS to use every thread it has, and print the thread count, then
+# OPENBLAS_NUM_THREADS as this process and a child of it see it.
+_BLAS_THREADS = """
+import os, subprocess, sys
+import {0}, {1}
+a = numpy.ones((1500, 1500))
+a @ a
+child = [sys.executable, "-c", "import os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"]
+print(len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"),
+      subprocess.run(child, capture_output=True, text=True, check=True).stdout.strip())
+"""
+
+
+@pytest.mark.skipif(not _HAS_TASKS, reason="counts threads in /proc/self/task")
+@pytest.mark.parametrize("first, variables, threads, left", [
+    ("nprsim", {}, 1, "None"),
+    ("nprsim", {"OPENBLAS_NUM_THREADS": "2"}, 2, "2"),
+    ("nprsim", {"OMP_NUM_THREADS": "2"}, 2, "None"),
+    ("numpy", {}, None, "None"),
+], ids=["nprsim-first", "user-openblas-2", "user-omp-2", "numpy-first"])
+def test_importing_nprsim_first_loads_openblas_on_one_thread(first, variables, threads, left):
+    """Imported before numpy, the package holds OpenBLAS to the calling
+    thread and leaves no OPENBLAS_NUM_THREADS in its environment or its
+    children's.  A thread count the user set stands, and a numpy imported
+    first keeps OpenBLAS's own count (threads None), one per core; more
+    than one thread is checked only on at least 2 cores."""
+    second = "numpy" if first == "nprsim" else "nprsim"
+    proc = _run(["-c", _BLAS_THREADS.format(first, second)], **variables)
+    assert proc.returncode == 0, proc.stderr
+    count, own, child = proc.stdout.split()
+    assert own == child == left
+    several = len(os.sched_getaffinity(0)) >= 2
+    if threads == 1:
+        assert int(count) == 1
+    elif threads is None and several:
+        assert int(count) >= 2
+    elif several:
+        assert int(count) == threads
 
 
 def test_no_module_of_the_package_imports_scipy():
