@@ -14,7 +14,7 @@ import functools
 import math
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,7 @@ from .countermeasures import (
 from .plant import SimulationTrace, simulate_scenario
 from .scenario import ScenarioError, load_scenario
 from .sensor import (
+    NO_TUBE,
     NoResonanceError,
     TubeAssembly,
     archetype,
@@ -47,8 +48,6 @@ from .waveform import (
     unit_response_mean,
     write_wav,
 )
-
-SWEEP_AXES = ("tube_length", "tube_diameter", "spl", "distance", "ti", "td", "pickup")
 
 # Largest grid sweep builds from --start/--stop/--step.  A point that moves
 # the burst train or the tube (ti, td, tube_length, tube_diameter, pickup)
@@ -219,7 +218,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     target = args.target_hz if args.target_hz is not None else schedule.target_hz()
     mask = segment_mask(schedule, target, attacked.samples.size, attacked.sample_rate_hz)
-    ratio = psd_ratio(attacked, schedule.band_hz, mask)
+    try:
+        ratio = psd_ratio(attacked, schedule.band_hz, mask)
+    except ValueError as exc:
+        raise CliError(f"psd_ratio: {exc}: the audio needs whole "
+                       "frames both inside and outside the bursts") from exc
 
     out_path = Path(args.out)
     if out_path.parent and not out_path.parent.exists():
@@ -333,33 +336,40 @@ def _parse_grid(args: argparse.Namespace) -> list[float]:
     return [args.start + k * args.step_by for k in range(int(round(steps)) + 1)]
 
 
+def _pickup(value: float) -> bool:
+    if value not in (0.0, 1.0):
+        raise CliError("pickup axis takes values 0 or 1")
+    return bool(value)
+
+
+# Each sweep axis: the part of the attack it moves, the field it sets there,
+# that field's value at a grid value, and whether the source is retuned to
+# the moved tube's resonance.
+SWEEP_AXES = {
+    "tube_length": ("tube", "length_m", float, True),
+    "tube_diameter": ("tube", "inner_diameter_m", float, True),
+    "spl": ("source", "spl_db", float, False),
+    "distance": ("source", "position_distance_m", float, False),
+    "ti": ("schedule", "interval_s", lambda ms: ms / 1e3, False),
+    "td": ("schedule", "duration_s", lambda ms: ms / 1e3, False),
+    "pickup": ("tube", "pickup_device", _pickup, False),
+}
+
+
 def _forged_at(setup, axis: str, value: float, unit_mean) -> float:
     """Forged pressure of the scenario's attack with one parameter set to
     value; unit_mean gives the burst train's rectified 1 Pa response, as
-    unit_response_mean does."""
-    model, tube = setup.model, setup.tube
-    source, schedule = setup.source, setup.schedule
-    if axis == "tube_length":
-        tube = replace(tube, length_m=value)
-        source = replace(source, tone_hz=system_resonant_hz(model, tube))
-    elif axis == "tube_diameter":
-        tube = replace(tube, inner_diameter_m=value)
-        source = replace(source, tone_hz=system_resonant_hz(model, tube))
-    elif axis == "spl":
-        source = replace(source, spl_db=value)
-    elif axis == "distance":
-        source = replace(source, position_distance_m=value)
-    elif axis == "ti":
-        schedule = replace(schedule, interval_s=value / 1e3)
-    elif axis == "td":
-        schedule = replace(schedule, duration_s=value / 1e3)
-    elif axis == "pickup":
-        if value not in (0.0, 1.0):
-            raise CliError("pickup axis takes values 0 or 1")
-        tube = replace(tube, pickup_device=bool(value))
+    unit_response_mean does.  A bare port is NO_TUBE however it was
+    declared."""
+    part, name, convert, retune = SWEEP_AXES[axis]
+    parts = {"tube": setup.tube or NO_TUBE, "source": setup.source, "schedule": setup.schedule}
+    parts[part] = replace(parts[part], **{name: convert(value)})
+    tube, source, schedule = parts["tube"], parts["source"], parts["schedule"]
+    if retune:
+        source = replace(source, tone_hz=system_resonant_hz(setup.model, tube))
     return forged_pressure_estimate(
-        schedule, model, tube, source,
-        unit_mean_pa=unit_mean(schedule, model, tube, target_f_hz=source.tone_hz))
+        schedule, setup.model, tube, source,
+        unit_mean_pa=unit_mean(schedule, setup.model, tube, target_f_hz=source.tone_hz))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -369,8 +379,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise CliError("scenario declares no acoustic attack; nothing to sweep")
     grid = _parse_grid(args)
 
-    if args.axis in ("tube_length", "tube_diameter", "pickup") and setup.tube is None:
-        raise CliError(f"axis {args.axis} needs a sampling tube in the scenario")
+    if args.axis == "tube_diameter" and (setup.tube or NO_TUBE).is_bare_port:
+        raise CliError("axis tube_diameter needs a tube longer than 0 m; a bare port has none")
 
     # The points of this sweep share each burst train's 1 Pa response: an
     # spl or distance sweep drives the transducer once.
@@ -391,16 +401,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _countermeasure_from_args(args: argparse.Namespace) -> Countermeasure | None:
-    """The --kind countermeasure with the parameters given; an omitted one
-    takes the dataclass default.  Without --kind, a parameter is refused."""
-    params = {
-        "tube_length_m": args.cm_tube_length,
-        "extra_loss_db": args.extra_loss_db,
-        "cutoff_hz": args.cutoff_hz,
-        "order": args.order,
-        "setpoint_pa": args.setpoint_pa,
-    }
-    given = {k: v for k, v in params.items() if v is not None}
+    """The --kind countermeasure with the parameters given, each flag's dest
+    being its Countermeasure field; an omitted one takes the dataclass
+    default.  Without --kind, a parameter is refused."""
+    given = {f.name: getattr(args, f.name) for f in fields(Countermeasure)[1:]
+             if getattr(args, f.name) is not None}
     if args.kind is None:
         if given:
             raise CliError(f"{', '.join(given)} given without --kind")
@@ -529,11 +534,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cm.add_argument("--kind", default=None,
                       choices=COUNTERMEASURE_KINDS,
                       help="override the scenario's countermeasure block")
-    p_cm.add_argument("--tube-length", dest="cm_tube_length", type=float, default=None)
-    p_cm.add_argument("--extra-loss-db", type=float, default=None)
-    p_cm.add_argument("--cutoff-hz", type=float, default=None)
-    p_cm.add_argument("--order", type=int, default=None)
-    p_cm.add_argument("--setpoint-pa", type=float, default=None)
+    for f in fields(Countermeasure)[1:]:  # each parameter after kind
+        flag = "--tube-length" if f.name == "tube_length_m" else "--" + f.name.replace("_", "-")
+        p_cm.add_argument(flag, dest=f.name, type=int if f.type == "int" else float)
     p_cm.add_argument("--out", required=True, help="output directory")
     p_cm.set_defaults(func=cmd_evaluate_cm)
 

@@ -5,7 +5,9 @@ attack, and optionally a countermeasure.  Loading is strict, and each
 problem is reported with the line it came from, so a config typo never
 turns into a silently different simulation.
 
-The loader checks what a YAML document can get wrong: required keys,
+A section's keys are its dataclass's fields, less or plus the few the
+loader withholds or adds where it reads the section.  It checks what a
+YAML document can get wrong: required keys (fields without a default),
 unknown keys, and each value's type and finiteness, each on its key's
 line.  Each section is then built as its dataclass from the keys present,
 so an omitted key takes the dataclass's default and every value rule is
@@ -15,7 +17,6 @@ section's first line.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -38,7 +39,7 @@ from .plant import (
     balanced_fans,
     horizon_periods,
 )
-from .sensor import YAML_LOADER, TubeAssembly, _is_int, _is_number, archetype
+from .sensor import YAML_LOADER, _YAML_TYPES, TubeAssembly, _field_schema, archetype
 from .waveform import SegmentSchedule, forged_pressure_estimate
 
 _LINES_KEY = "__lines__"
@@ -92,40 +93,12 @@ class _LineLoader(YAML_LOADER):
 _LineLoader.add_constructor("tag:yaml.org,2002:int", _LineLoader.construct_yaml_int)
 
 
-def _finite_float(value: int | float) -> float | None:
-    """value as a float, or None when it is not finite or, as an integer
-    literal, too large for a float."""
-    try:
-        value = float(value)
-    except OverflowError:
-        return None
-    return value if math.isfinite(value) else None
-
-
-def _finite_band(band: list) -> tuple[float, float] | None:
-    low, high = map(_finite_float, band)
-    return None if low is None or high is None else (low, high)
-
-
-# Each value type a key can take: its check and the error when that fails.
+# _YAML_TYPES plus the two shapes of a document that no field annotation names.
 _TYPES = {
-    "number": (_is_number, "expected number"),
-    "int": (_is_int, "expected int"),
-    "bool": (lambda v: isinstance(v, bool), "expected bool"),
-    "str": (lambda v: isinstance(v, str), "expected str"),
-    "map": (lambda v: isinstance(v, dict), "expected map"),
+    **_YAML_TYPES,
+    "map": (lambda v: isinstance(v, dict), "expected map", None),
     "rooms": (lambda v: isinstance(v, list) and bool(v) and all(isinstance(e, dict) for e in v),
-              "expected a list of at least one room mapping"),
-    "band": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
-             "expected [low_hz, high_hz]"),
-    "cycles": (lambda v: _is_int(v) or (isinstance(v, list) and bool(v) and all(map(_is_int, v))),
-               "expected an integer or a list of integers"),
-}
-# What a type's value becomes; None means it is not finite.
-_CONVERT = {
-    "number": _finite_float,
-    "band": _finite_band,
-    "cycles": lambda v: tuple(v) if isinstance(v, list) else v,
+              "expected a list of at least one room mapping", None),
 }
 
 
@@ -161,28 +134,29 @@ class _Map:
             section = section.parent
 
     def take(self, key: str, expect: str, required: bool = False):
-        """The value under key, checked against _TYPES[expect]; None when
-        it is absent or rejected."""
+        """The value under key, checked against _TYPES[expect], which must
+        hold expect; None when the key is absent or rejected."""
+        check, expected, convert = _TYPES[expect]
         self._seen.add(key)
         if key not in self.raw:
             if required:
                 self.error(key, "required key missing")
             return None
-        check, expected = _TYPES[expect]
         if not check(self.raw[key]):
             self.error(key, expected)
             return None
-        value = _CONVERT.get(expect, lambda v: v)(self.raw[key])
+        value = self.raw[key] if convert is None else convert(self.raw[key])
         if value is None:
             self.error(key, "must be finite")
         return value
 
-    def read(self, required: tuple[str, ...] = (), **expects: str) -> dict:
-        """take for each key of expects that is present or required."""
-        return {
-            key: self.take(key, expect, key in required)
-            for key, expect in expects.items() if key in self.raw or key in required
-        }
+    def read(self, cls, skip: tuple[str, ...] = (), **defaults) -> dict:
+        """defaults, under the value of each key present that names a field
+        of cls outside skip.  A field is required when neither cls nor
+        defaults gives it a default."""
+        taken = {key: self.take(key, annotation, required and key not in defaults)
+                 for key, (annotation, required) in _field_schema(cls).items() if key not in skip}
+        return {**defaults, **{key: value for key, value in taken.items() if key in self.raw}}
 
     def submap(self, key: str) -> _Map | None:
         value = self.take(key, "map")
@@ -204,20 +178,19 @@ class _Map:
             self.error(None, str(exc))
             return None
 
-    def build(self, cls, given: dict | None = None, required: tuple[str, ...] = (),
-              **expects: str):
-        """cls from the keys of expects present here, over given."""
-        values = self.read(required, **expects)
+    def build(self, cls, skip: tuple[str, ...] = (), **defaults):
+        """cls from read's values, once every key is known."""
+        values = self.read(cls, skip, **defaults)
         self.close()
-        return self.construct(cls, **{**(given or {}), **values})
+        return self.construct(cls, **values)
 
-    def section(self, key: str, cls, **expects: str):
+    def section(self, key: str, cls, skip: tuple[str, ...] = ()):
         """build of the mapping under key, or cls() when key is absent."""
         if key not in self.raw:
             self._seen.add(key)
             return cls()
         sub = self.submap(key)
-        return sub and sub.build(cls, **expects)
+        return sub and sub.build(cls, skip)
 
 
 @dataclass(frozen=True)
@@ -245,15 +218,15 @@ class LoadedScenario:
 
 def _build_room(room: _Map, index: int, controller: ControllerConfig | None,
                 fans: FanSpec | None) -> RoomConfig | None:
-    values = room.read(name="str", setpoint_pa="number", volume_m3="number",
-                       leak_coeff_m3ps_per_pa="number", initial_pressure_pa="number")
+    # A room names itself, and sets the shared controller's setpoint.
+    values = room.read(RoomConfig, ("controller", "fans"), name=f"room{index}")
+    setpoint = room.take("setpoint_pa", "float")
     room.close()
     if controller is None or fans is None:
         return None
-    setpoint = values.pop("setpoint_pa", controller.setpoint_pa)
     config = room.construct(lambda: RoomConfig(
-        **{"name": f"room{index}", **values}, fans=fans,
-        controller=replace(controller, setpoint_pa=setpoint),
+        **values, fans=fans, controller=replace(
+            controller, setpoint_pa=controller.setpoint_pa if setpoint is None else setpoint),
     ))
     if config is None:
         return None
@@ -269,12 +242,9 @@ def _build_binding(section: _Map | None) -> DpsBinding | None:
     if section is None:
         return None
     part = section.take("archetype", "str", required=True)
-    damping = section.take("damping_ratio", "number")
+    damping = section.take("damping_ratio", "float")
     tube_map = section.submap("tube")
-    tube = tube_map and tube_map.build(
-        TubeAssembly, {"length_m": 1.0},
-        length_m="number", inner_diameter_m="number", pickup_device="bool",
-    )
+    tube = tube_map and tube_map.build(TubeAssembly, length_m=1.0)
     section.close()
     if not section.ok:
         return None
@@ -293,20 +263,17 @@ def _build_attack(top: _Map, hvac: DpsBinding | None,
     attack = top.submap("attack")
     if attack is None:
         return AttackPlan(), None
-    values = attack.read(placement="str", affects="str", forged_pa="number", target_f_hz="number")
-    target_f = values.pop("target_f_hz", None)
+    # target_f_hz pins the source's tone, which the source itself withholds;
+    # amplitude_scale scales synth's audio, not the forged pressure.
+    values = attack.read(AttackPlan)
+    target_f = attack.take("target_f_hz", "float")
     plan = attack.construct(AttackPlan, **values)
     schedule_map = attack.submap("schedule")
-    schedule = schedule_map and schedule_map.build(
-        SegmentSchedule, required=("band_hz", "duration_s", "interval_s"),
-        band_hz="band", duration_s="number", interval_s="number", cycles="cycles",
-        fade_in_s="number",
-    )
+    schedule = schedule_map and schedule_map.build(SegmentSchedule, ("amplitude_scale",))
     source_map = attack.submap("source")
     source_values = {}
     if source_map is not None:
-        keys = ("spl_db", "ref_distance_m", "position_distance_m")
-        source_values = source_map.read(keys, **dict.fromkeys(keys, "number"))
+        source_values = source_map.read(AcousticSource, ("tone_hz",))
         source_map.close()
     attack.close()
 
@@ -348,11 +315,10 @@ def parse_scenario(text: str, source_path: Path | None = None) -> LoadedScenario
 
     errors: list[str] = []
     top = _Map(errors, raw, "scenario")
-    head = top.read(horizon_s="number", hallway_pa="number")
-    controller = top.section("controller", ControllerConfig, gain="number",
-                             control_period_s="number", deadband_pa="number")
-    fans = top.section("fans", FanSpec, max_flow_m3ps="number", time_constant_s="number")
-    alarm = top.section("alarm", AlarmConfig, threshold_pa="number", dwell_s="number")
+    head = top.read(NprScenario, ("rooms", "wiring", "alarm"))
+    controller = top.section("controller", ControllerConfig, ("setpoint_pa",))
+    fans = top.section("fans", FanSpec)
+    alarm = top.section("alarm", AlarmConfig)
     rooms_raw = top.take("rooms", "rooms", required=True) or []
     rooms = [
         _build_room(_Map(errors, entry, f"scenario.rooms[{index}]", top), index, controller, fans)
@@ -373,13 +339,10 @@ def parse_scenario(text: str, source_path: Path | None = None) -> LoadedScenario
         hvac = _build_binding(sensors.submap("hvac"))
         rpm = _build_binding(sensors.submap("rpm"))
         sensors.close()
-    wiring = top.section("wiring", PortWiring, common_high_port="bool")
+    wiring = top.section("wiring", PortWiring, ("hvac", "rpm", "attack"))
     plan, attack_setup = _build_attack(top, hvac, sensors is not None and "hvac" in sensors.raw)
     countermeasure_map = top.submap("countermeasure")
-    countermeasure = countermeasure_map and countermeasure_map.build(
-        Countermeasure, required=("kind",), kind="str", tube_length_m="number",
-        extra_loss_db="number", cutoff_hz="number", order="int", setpoint_pa="number",
-    )
+    countermeasure = countermeasure_map and countermeasure_map.build(Countermeasure)
     top.close()
 
     scenario = top.construct(lambda: NprScenario(

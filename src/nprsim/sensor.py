@@ -31,6 +31,7 @@ import functools
 import itertools
 import math
 import os
+import types
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
@@ -94,9 +95,12 @@ class Transducer(enum.Enum):
 
 
 @functools.cache
-def _field_names(cls: type) -> tuple[str, ...]:
-    """A dataclass's field names, in order; fields() is slow to ask per instance."""
-    return tuple(f.name for f in fields(cls))
+def _field_schema(cls: type) -> types.MappingProxyType[str, tuple[str, bool]]:
+    """{name: (annotation, required)} of a dataclass's fields in order, required
+    meaning it has no default; fields() is slow to ask per instance."""
+    return types.MappingProxyType({
+        f.name: (f.type, f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)})
 
 
 def _require_finite_fields(obj) -> None:
@@ -106,7 +110,7 @@ def _require_finite_fields(obj) -> None:
     Range checks alone let NaN through, because every comparison with it
     is False.
     """
-    for name in _field_names(type(obj)):
+    for name in _field_schema(type(obj)):
         value = getattr(obj, name)
         for x in value if isinstance(value, tuple) else (value,):
             try:
@@ -925,28 +929,53 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# The table values each DpsModel field type accepts; DpsModel checks the rest.
-_ARCHETYPE_TYPES = {
-    "str": lambda v: isinstance(v, str),
-    "int": _is_int,
-    "float": _is_number,
-    "Transducer": lambda v: isinstance(v, str) and v in {t.value for t in Transducer},
-    "tuple[float, float]": lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
+def _finite_float(value: int | float) -> float | None:
+    """value as a float, or None when it is not finite or, as an integer
+    literal, too large for a float."""
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _finite_band(band: list) -> tuple[float, float] | None:
+    low, high = map(_finite_float, band)
+    return None if low is None or high is None else (low, high)
+
+
+# Each field annotation a YAML value may fill: the value's check, a scenario
+# error's words when it fails, and what a scenario value becomes (None: as it
+# is; a conversion to None: not finite).  Archetypes use the checks alone.
+_YAML_TYPES = {
+    "float": (_is_number, "expected number", _finite_float),
+    "float | None": (_is_number, "expected number", _finite_float),
+    "int": (_is_int, "expected int", None),
+    "bool": (lambda v: isinstance(v, bool), "expected bool", None),
+    "str": (lambda v: isinstance(v, str), "expected str", None),
+    "Transducer": (lambda v: isinstance(v, str) and v in {t.value for t in Transducer},
+                   f"expected one of {[t.value for t in Transducer]}", Transducer),
+    "tuple[float, float]": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
+                            "expected [low_hz, high_hz]", _finite_band),
+    "int | tuple[int, ...] | None": (
+        lambda v: _is_int(v) or (isinstance(v, list) and bool(v) and all(map(_is_int, v))),
+        "expected an integer or a list of integers",
+        lambda v: tuple(v) if isinstance(v, list) else v),
 }
 
 
 def _archetype_model(path: Path, index: int, record: dict) -> DpsModel:
     """DpsModel(**record), once each key is a field and each value has its field's type."""
     where = f"{path}: archetype {record.get('part_id', f'sensors[{index}]')}"
-    names = {f.name for f in fields(DpsModel)}
-    unknown = [key for key in record if key not in names]
+    schema = _field_schema(DpsModel)
+    unknown = [key for key in record if key not in schema]
     if unknown:
         raise ValueError(f"{where}: unknown key {unknown[0]!r}")
-    for f in fields(DpsModel):
-        if f.name in record and not _ARCHETYPE_TYPES[f.type](record[f.name]):
-            raise ValueError(f"{where}: key {f.name!r}: expected {f.type}, got {record[f.name]!r}")
-        if f.name not in record and f.default is MISSING:
-            raise ValueError(f"{where}: required key {f.name!r} missing")
+    for name, (annotation, required) in schema.items():
+        if name in record and not _YAML_TYPES[annotation][0](record[name]):
+            raise ValueError(f"{where}: key {name!r}: expected {annotation}, got {record[name]!r}")
+        if name not in record and required:
+            raise ValueError(f"{where}: required key {name!r} missing")
     try:
         return DpsModel(**{**record, "transducer": Transducer(record["transducer"]),
                            "pressure_range_pa": tuple(record["pressure_range_pa"]),

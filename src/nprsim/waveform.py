@@ -323,7 +323,9 @@ def _burst_spans(
     if short.size:
         count = min(count, int(short[0]) + 1)
     k = np.arange(count)
-    starts = np.rint(k * schedule.interval_s * sample_rate_hz).astype(np.int64)
+    # A start past the buffer stays past it at n_samples + 1, which an int64 holds.
+    starts = np.minimum(np.rint(k * schedule.interval_s * sample_rate_hz),
+                        n_samples + 1).astype(np.int64)
     length = lengths[k % lengths.size]
     end = int(np.argmax((length < 2) | (starts + length > n_samples)))
     if length[end] < 2:

@@ -5,7 +5,7 @@ import math
 import re
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -18,9 +18,12 @@ import numpy as np
 from nprsim import (
     LoadedScenario,
     ScenarioError,
+    acoustics,
     countermeasures,
     load_scenario,
     parse_scenario,
+    plant,
+    sensor,
     waveform,
 )
 from nprsim.cli import MAX_SILENCE_SAMPLES, SWEEP_AXES, _num, _trace_lines, main
@@ -33,7 +36,7 @@ from nprsim.plant import (
     RoomConfig,
     SimulationTrace,
 )
-from nprsim.scenario import _LineLoader
+from nprsim.scenario import _LineLoader, _Map
 from nprsim.sensor import REFERENCE_TUBE_ID_M
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -431,7 +434,9 @@ def test_cli_evaluate_cm_rejects_a_parameter_it_cannot_score(flags, message, tmp
     (["--extra-loss-db", "12"], "extra_loss_db"),
     (["--cutoff-hz", "5", "--order", "3"], "cutoff_hz, order"),
     (["--setpoint-pa", "-12"], "setpoint_pa"),
-], ids=["tube-length", "extra-loss-db", "cutoff-hz-order", "setpoint-pa"])
+    (["--setpoint-pa", "-12", "--order", "3", "--cutoff-hz", "5", "--extra-loss-db", "12",
+      "--tube-length", "5"], "tube_length_m, extra_loss_db, cutoff_hz, order, setpoint_pa"),
+], ids=["tube-length", "extra-loss-db", "cutoff-hz-order", "setpoint-pa", "all"])
 def test_cli_evaluate_cm_refuses_a_parameter_without_kind(flags, given, tmp_path, capsys):
     """Without --kind the scenario's block is scored, and a parameter
     given for another defense would change nothing."""
@@ -694,6 +699,32 @@ def test_cli_sweep_needs_an_acoustic_attack(tmp_path, capsys):
     assert "no acoustic attack" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("axis, values", [
+    ("tube_length", "0,0.5,1"), ("pickup", "0,1"), ("spl", "60,65"), ("distance", "0.002,0.01"),
+    ("ti", "15,20"), ("td", "2,3"), ("tube_diameter", "0.005,0.01"),
+])
+def test_cli_sweep_treats_both_spellings_of_a_bare_port_alike(axis, values, tmp_path, capsys):
+    """No tube block and a zero-length tube are one bare port: each axis
+    gives the same rows and exit code on both, and tube_diameter is refused
+    on both, since the diameter of no tube changes nothing."""
+    doc = copy.deepcopy(SHIPPED["acoustic_lpf.yaml"])
+    results = []
+    for tube in ({}, {"tube": {"length_m": 0}}):
+        doc["sensors"]["hvac"] = {"archetype": "A1011-00", **tube}
+        scenario = tmp_path / "bare.yaml"
+        scenario.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        out = tmp_path / f"sweep{len(results)}.csv"
+        rc = main(["sweep", str(scenario), "--axis", axis, "--values", values, "--out", str(out)])
+        captured = capsys.readouterr()
+        results.append((rc, captured.err, out.read_text(encoding="utf-8") if out.exists() else None))
+    assert results[0] == results[1]
+    if axis == "tube_diameter":
+        assert results[0] == (2, "nprsim: error: axis tube_diameter needs a tube longer than "
+                                 "0 m; a bare port has none\n", None)
+    else:
+        assert results[0][:2] == (0, "")
+
+
 _FINITE = "--start, --stop and --step must be finite"
 
 
@@ -765,6 +796,26 @@ def test_cli_synth_refuses_a_rate_with_a_carrier(rate, tmp_path, capsys):
     assert captured.err == (
         "nprsim: error: --rate sets the rate of --silence; a --carrier keeps its own\n")
     assert sorted(path.name for path in tmp_path.iterdir()) == ["carrier.wav"]
+
+
+@pytest.mark.parametrize("source", [["--carrier", "{empty}"], ["--silence", "0.001"],
+                                    ["--silence", "0.0025"]],
+                         ids=["empty-carrier", "silence-1ms", "silence-2.5ms"])
+def test_cli_synth_refuses_audio_too_short_to_score_in_one_line(source, tmp_path, capsys):
+    """A PSD ratio needs frames inside and outside the bursts; audio too
+    short for both is refused before anything is written."""
+    empty = tmp_path / "empty.wav"
+    waveform.write_wav(empty, waveform.AudioBuffer(sample_rate_hz=48_000, samples=np.zeros(0)))
+    source = [arg.format(empty=empty) for arg in source]
+    rc = main(["synth", *source, "--band", "540", "670", "--td-ms", "2", "--ti-ms", "15",
+               "--out", str(tmp_path / "a.wav")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "nprsim: error: psd_ratio: mask leaves one of the frame groups empty: the audio "
+        "needs whole frames both inside and outside the bursts\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["empty.wav"]
 
 
 @pytest.mark.parametrize("grid", [
@@ -1214,7 +1265,7 @@ def _edge_acoustic(draw):
               and type(_at(doc, path)) in (int, float)]
     for path in draw(st.lists(st.sampled_from(leaves), min_size=1, max_size=2, unique=True)):
         _at(doc, path[:-1])[path[-1]] = draw(_EDGE_NUMBERS)
-    axis = draw(st.sampled_from(SWEEP_AXES))
+    axis = draw(st.sampled_from(tuple(SWEEP_AXES)))
     values = draw(st.lists(_EDGE_NUMBERS, min_size=1, max_size=2))
     return yaml.safe_dump(doc), axis, ",".join(map(str, values))
 
@@ -1341,3 +1392,75 @@ def test_a_yaml_error_is_reported_on_the_line_the_pure_parser_names(tail, line, 
         assert messages == [f"line {line}: {problem}"]
     assert messages[0].startswith(f"line {line}: ")
     assert _loaded_or_error_line(text, _PureLineLoader) == f"line {line}"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_sections() -> dict[str, dict[str, bool]]:
+    """README's "The sections and their keys" list: each section's path
+    ("" for the top level) to {key: required}.  A bullet names its
+    sections before the colon and lists their keys, * marking a required
+    one, in the sentence after it."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("The sections and their keys (required ones marked *):\n\n", 1)[1]
+    sections = {}
+    for bullet in block.split("\n\n", 1)[0].split("\n- "):
+        label, rest = " ".join(bullet.removeprefix("- ").split()).split(": ", 1)
+        keys = {key: star == "*" for key, star in re.findall(r"`(\w+)`(\*?)", rest.split(". ")[0])}
+        for path in re.findall(r"`([\w.]+)`", label) or [""]:
+            sections[path] = keys
+    return sections
+
+
+def _flagged(path: str, section: dict, problem: str) -> set[str]:
+    """The keys of section that a document holding it at path reports
+    with problem."""
+    doc = {}
+    node = doc
+    *parents, last = ["", *path.split(".")] if path else [""]
+    for part in parents[1:]:
+        node = node.setdefault(part, {})
+    if path:
+        node[last] = [section] if last == "rooms" else section
+    else:
+        doc = section
+    prefix = ".".join(["scenario", *filter(None, path.split("."))]).replace("rooms", "rooms[0]")
+    try:
+        parse_scenario(yaml.safe_dump(doc))
+    except ScenarioError as exc:
+        errors = [error.split(": ", 2) for error in exc.messages]
+        return {where.rpartition(".")[2] for _, where, said in errors
+                if where.rpartition(".")[0] == prefix and said == problem}
+    return set()
+
+
+def test_readme_lists_every_key_and_required_key_the_loader_reads():
+    """Each section's keys and required marks in README equal what the
+    loader accepts, probed with every field name of the package's
+    dataclasses: a key added to either side alone fails here."""
+    readme = _readme_sections()
+    candidates = {f.name for module in (acoustics, countermeasures, plant, sensor, waveform)
+                  for cls in vars(module).values() if isinstance(cls, type) and is_dataclass(cls)
+                  for f in fields(cls)}
+    candidates |= {key for keys in readme.values() for key in keys} | {"seed", "bogus"}
+    assert len(readme) == 15
+    for path, keys in readme.items():
+        accepted = candidates - _flagged(path, dict.fromkeys(candidates, 1), "unknown key")
+        required = _flagged(path, {}, "required key missing")
+        assert (path, set(keys)) == (path, accepted)
+        assert (path, {key for key, star in keys.items() if star}) == (path, required)
+
+
+def test_a_field_without_a_yaml_type_raises_on_first_use():
+    """A field of a type the loader cannot check is never dropped as a key,
+    even when the document does not give it."""
+
+    @dataclass(frozen=True)
+    class Odd:  # annotated as the package's modules are, in strings
+        scale: "float" = 1.0
+        phase: "complex" = 0j
+
+    with pytest.raises(KeyError, match="complex"):
+        _Map([], {}, "odd").build(Odd)
+    assert _Map([], {}, "odd").build(Odd, ("phase",)) == Odd()

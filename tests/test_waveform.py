@@ -654,6 +654,18 @@ def test_burst_spans_equal_the_burst_loop(case):
         _burst_spans_by_loop, schedule, f, n, fs)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("interval_s", [1e15, 1e18, 1e300])
+def test_a_burst_train_of_one_burst_keeps_it_at_any_interval(interval_s):
+    """Burst 1 starts far past an int64 sample index; burst 0 still fits,
+    as it does when burst 1 starts just past the buffer."""
+    schedule = SegmentSchedule(band_hz=(540.0, 670.0), duration_s=0.002, interval_s=interval_s)
+    spans = _burst_spans(schedule, 605.0, 44100, 44100).tolist()
+    assert len(spans) == 1 and spans == _burst_spans(
+        dataclasses.replace(schedule, interval_s=1.0), 605.0, 44100, 44100).tolist()
+    assert spans[0][0] == 0
+
+
 @st.composite
 def _estimate_trains(draw):
     """(schedule, f, fs): bursts of a tone at either rate, of one count of
