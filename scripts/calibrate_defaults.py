@@ -34,7 +34,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import nprsim.acoustics as acoustics
 from nprsim.acoustics import AcousticSource
-from nprsim.sensor import TubeAssembly, archetype, system_resonant_hz
+from nprsim.scenario import archetype
+from nprsim.sensor import TubeAssembly, system_resonant_hz
 from nprsim.waveform import SegmentSchedule, forged_pressure_estimate
 
 REF_DISTANCE_M = 0.002

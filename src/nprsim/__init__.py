@@ -49,10 +49,8 @@ from .sensor import (
     TransducerTrace,
     TubeAssembly,
     UnstableStepError,
-    archetype,
     frequency_sweep,
     helmholtz_resonant_hz,
-    load_archetypes,
     natural_resonant_hz,
     peak_decay,
     step_response,
@@ -106,7 +104,8 @@ from .countermeasures import (
     lpf_cascade,
     measurement_settle_time_s,
 )
-from .scenario import LoadedScenario, ScenarioError, load_scenario, parse_scenario
+from .scenario import (LoadedScenario, ScenarioError, archetype, load_archetypes, load_scenario,
+                       parse_scenario)
 
 __all__ = [
     "AcousticAttackSetup",

@@ -25,14 +25,12 @@ from .countermeasures import (
     evaluate_countermeasure,
 )
 from .plant import SimulationTrace, simulate_scenario
-from .scenario import ScenarioError, load_scenario
+from .scenario import ScenarioError, archetype, load_archetypes, load_scenario
 from .sensor import (
     NO_TUBE,
     NoResonanceError,
     TubeAssembly,
-    archetype,
     frequency_sweep,
-    load_archetypes,
     system_resonant_hz,
 )
 from .waveform import (

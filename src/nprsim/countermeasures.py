@@ -182,7 +182,7 @@ def _lpf_gain(cutoff_hz: float, dt: float) -> float:
         raise ValueError(f"dt must be > 0, got {dt}")
     nyquist = 0.5 / dt
     if not 0.0 < cutoff_hz < nyquist:
-        raise CutoffError(f"cutoff {cutoff_hz} Hz must lie in (0, {nyquist:.0f}) Hz")
+        raise CutoffError(f"cutoff {cutoff_hz} Hz must lie in (0, {nyquist:g}) Hz")
     return 1.0 - math.exp(-2.0 * math.pi * cutoff_hz * dt)
 
 

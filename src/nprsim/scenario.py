@@ -1,4 +1,4 @@
-"""Declarative scenario files.
+"""Declarative scenario files and the sensor archetype table.
 
 A scenario is one YAML document describing rooms, sensing chains, the
 attack, and optionally a countermeasure.  Loading is strict, and each
@@ -13,10 +13,15 @@ line.  Each section is then built as its dataclass from the keys present,
 so an omitted key takes the dataclass's default and every value rule is
 the dataclass's own.  The first rule a section breaks is reported on the
 section's first line.
+
+The archetype table is read by the same rules: each record of its
+sensors list is a DpsModel section.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -39,22 +44,31 @@ from .plant import (
     balanced_fans,
     horizon_periods,
 )
-from .sensor import YAML_LOADER, _YAML_TYPES, TubeAssembly, _field_schema, archetype
+from .sensor import DpsModel, Transducer, TubeAssembly, _field_schema
 from .waveform import SegmentSchedule, forged_pressure_estimate
 
 _LINES_KEY = "__lines__"
 _LINE_KEY = "__line__"
 
+_ARCHETYPE_ENV = "NPRSIM_ARCHETYPES"
+# The packaged table, as an absolute path string: a cached lookup builds no path.
+_DEFAULT_ARCHETYPES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                   "data", "archetypes.yaml")
+_ARCHETYPE_CACHE: dict[str, dict[str, DpsModel]] = {}
+
 
 class ScenarioError(ValueError):
-    """All problems found in a scenario file, each tagged with its line."""
+    """All problems found in a scenario file or an archetype table, each
+    tagged with its line."""
 
     def __init__(self, messages: list[str]):
         self.messages = list(messages)
         super().__init__("\n".join(self.messages))
 
 
-class _LineLoader(YAML_LOADER):
+# libyaml's parser where PyYAML was built with it, the pure-Python one
+# otherwise; both resolve and construct the same values.
+class _LineLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """Safe loader that records the source line of every mapping key."""
 
     def construct_mapping(self, node, deep=False):
@@ -93,12 +107,69 @@ class _LineLoader(YAML_LOADER):
 _LineLoader.add_constructor("tag:yaml.org,2002:int", _LineLoader.construct_yaml_int)
 
 
-# _YAML_TYPES plus the two shapes of a document that no field annotation names.
+def _read_mapping(text: str) -> dict:
+    """The mapping the YAML document text holds; a YAML error, or a
+    document that is not a mapping, raises ScenarioError on its line."""
+    try:
+        raw = yaml.load(text, Loader=_LineLoader)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        line = (mark.line + 1) if mark is not None else 1
+        problem = getattr(exc, "problem", None) or str(exc)
+        raise ScenarioError([f"line {line}: {problem}"]) from exc
+    if not isinstance(raw, dict):
+        raise ScenarioError(["line 1: top level must be a mapping"])
+    return raw
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite_float(value: int | float) -> float | None:
+    """value as a float, or None when it is not finite or, as an integer
+    literal, too large for a float."""
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _finite_band(band: list) -> tuple[float, float] | None:
+    low, high = map(_finite_float, band)
+    return None if low is None or high is None else (low, high)
+
+
+def _maps(value) -> bool:
+    return isinstance(value, list) and bool(value) and all(isinstance(e, dict) for e in value)
+
+
+# Each kind of value a document may hold, keyed by the field annotation it
+# fills or, for a shape no annotation names, by the shape's name: the
+# value's check, the error's words when it fails, and what the value
+# becomes (None: as it is; a conversion to None: not finite).
 _TYPES = {
-    **_YAML_TYPES,
+    "float": (_is_number, "expected number", _finite_float),
+    "float | None": (_is_number, "expected number", _finite_float),
+    "int": (_is_int, "expected int", None),
+    "bool": (lambda v: isinstance(v, bool), "expected bool", None),
+    "str": (lambda v: isinstance(v, str), "expected str", None),
+    "Transducer": (lambda v: isinstance(v, str) and v in {t.value for t in Transducer},
+                   f"expected one of {[t.value for t in Transducer]}", Transducer),
+    "tuple[float, float]": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
+                            "expected [low_hz, high_hz]", _finite_band),
+    "int | tuple[int, ...] | None": (
+        lambda v: _is_int(v) or (isinstance(v, list) and bool(v) and all(map(_is_int, v))),
+        "expected an integer or a list of integers",
+        lambda v: tuple(v) if isinstance(v, list) else v),
     "map": (lambda v: isinstance(v, dict), "expected map", None),
-    "rooms": (lambda v: isinstance(v, list) and bool(v) and all(isinstance(e, dict) for e in v),
-              "expected a list of at least one room mapping", None),
+    "rooms": (_maps, "expected a list of at least one room mapping", None),
+    "sensors": (_maps, "expected a list of at least one sensor mapping", None),
 }
 
 
@@ -303,16 +374,7 @@ def _build_attack(top: _Map, hvac: DpsBinding | None,
 
 def parse_scenario(text: str, source_path: Path | None = None) -> LoadedScenario:
     """Validate a YAML scenario document and build the runtime objects."""
-    try:
-        raw = yaml.load(text, Loader=_LineLoader)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        line = (mark.line + 1) if mark is not None else 1
-        problem = getattr(exc, "problem", None) or str(exc)
-        raise ScenarioError([f"line {line}: {problem}"]) from exc
-    if not isinstance(raw, dict):
-        raise ScenarioError(["line 1: top level must be a mapping"])
-
+    raw = _read_mapping(text)
     errors: list[str] = []
     top = _Map(errors, raw, "scenario")
     head = top.read(NprScenario, ("rooms", "wiring", "alarm"))
@@ -364,6 +426,67 @@ def load_scenario(path: str | Path) -> LoadedScenario:
     file_path = Path(path)
     try:
         text = file_path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError([f"line 1: cannot read {file_path}: {exc}"]) from exc
     return parse_scenario(text, source_path=file_path)
+
+
+def _parse_archetypes(text: str) -> dict[str, DpsModel]:
+    """{part_id: DpsModel} of an archetype table: each record of its
+    sensors list is a DpsModel section, over the keys its optional defaults
+    mapping gives.  Raises ScenarioError with every problem found."""
+    errors: list[str] = []
+    top = _Map(errors, _read_mapping(text), "archetypes")
+    section = top.submap("defaults") or _Map(errors, {}, "archetypes.defaults")
+    schema = _field_schema(DpsModel)
+    defaults = {key: section.take(key, schema[key][0]) for key in section.raw if key in schema}
+    section.close()
+    records = top.take("sensors", "sensors", required=True)
+    top.close()
+    if errors:
+        raise ScenarioError(errors)
+    table: dict[str, DpsModel] = {}
+    for index, record in enumerate(records):
+        section = _Map(errors, record, f"archetypes.sensors[{index}]")
+        model = section.build(DpsModel, **defaults)
+        if model is not None and model.part_id in table:
+            section.error("part_id", f"duplicate part id {model.part_id}")
+        elif model is not None:
+            table[model.part_id] = model
+    if errors:
+        raise ScenarioError(errors)
+    return table
+
+
+def load_archetypes() -> dict[str, DpsModel]:
+    """Load the bundled (or user-supplied) sensor archetype table.
+
+    The table is the file the NPRSIM_ARCHETYPES environment variable
+    names, or else the packaged data file.  Each record of its 'sensors'
+    list, over its 'defaults' mapping, holds DpsModel's fields.  Returns
+    {part_id: DpsModel}; any problem with the file raises one ValueError
+    that names it, then the first problem's line and key.
+    """
+    chosen = os.environ.get(_ARCHETYPE_ENV)
+    # abspath, not resolve(): a lookup must not walk the file system.
+    key = _DEFAULT_ARCHETYPES if chosen is None else os.path.abspath(chosen)
+    if key in _ARCHETYPE_CACHE:
+        return _ARCHETYPE_CACHE[key]
+    path = Path(_DEFAULT_ARCHETYPES if chosen is None else chosen)
+    try:
+        table = _parse_archetypes(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: cannot read the archetype table: {exc}") from None
+    except ScenarioError as exc:
+        raise ValueError(f"{path}: {exc.messages[0]}") from None
+    _ARCHETYPE_CACHE[key] = table
+    return table
+
+
+def archetype(part_id: str) -> DpsModel:
+    """Look up one bundled archetype by part id."""
+    table = load_archetypes()
+    try:
+        return table[part_id]
+    except KeyError:
+        raise KeyError(f"unknown archetype {part_id!r}; have {sorted(table)}") from None

@@ -30,18 +30,11 @@ import enum
 import functools
 import itertools
 import math
-import os
 import types
 from dataclasses import MISSING, dataclass, fields, replace
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import yaml
-
-# libyaml's parser where PyYAML was built with it, the pure-Python one
-# otherwise; both resolve and construct the same values.
-YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 INCH_M = 0.0254
 
@@ -306,7 +299,7 @@ def _oscillator(model: DpsModel, tube: TubeAssembly | None, dt: float) -> tuple[
     dt_max = 1.0 / (MIN_SAMPLES_PER_PERIOD * f_sys)
     if dt > dt_max:
         raise UnstableStepError(
-            f"dt={dt:.3e} s too coarse for {f_sys:.1f} Hz dynamics; need dt <= {dt_max:.3e} s"
+            f"dt={dt:.3e} s too coarse for {f_sys:g} Hz dynamics; need dt <= {dt_max:.3e} s"
         )
     return 2.0 * math.pi * f_sys, model.damping_ratio
 
@@ -902,7 +895,7 @@ def frequency_sweep(
     interior = 2 <= i_max <= freqs.size - 3
     if not (prominent and interior):
         raise NoResonanceError(
-            f"{model.part_id}: no resonance between {lo_hz:.0f} and {hi_hz:.0f} Hz "
+            f"{model.part_id}: no resonance between {lo_hz:g} and {hi_hz:g} Hz "
             f"(peak index {i_max} of {freqs.size}, prominence {peak[i_max] / max(floor, 1e-30):.2f}x)"
         )
     center = float(freqs[i_max])
@@ -912,122 +905,3 @@ def frequency_sweep(
         frequencies_hz=freqs,
         peak_responses_pa=peak,
     )
-
-
-_ARCHETYPE_ENV = "NPRSIM_ARCHETYPES"
-# The packaged table, as an absolute path string: a cached lookup builds no path.
-_DEFAULT_ARCHETYPES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                   "data", "archetypes.yaml")
-_ARCHETYPE_CACHE: dict[str, dict[str, DpsModel]] = {}
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _finite_float(value: int | float) -> float | None:
-    """value as a float, or None when it is not finite or, as an integer
-    literal, too large for a float."""
-    try:
-        value = float(value)
-    except OverflowError:
-        return None
-    return value if math.isfinite(value) else None
-
-
-def _finite_band(band: list) -> tuple[float, float] | None:
-    low, high = map(_finite_float, band)
-    return None if low is None or high is None else (low, high)
-
-
-# Each field annotation a YAML value may fill: the value's check, a scenario
-# error's words when it fails, and what a scenario value becomes (None: as it
-# is; a conversion to None: not finite).  Archetypes use the checks alone.
-_YAML_TYPES = {
-    "float": (_is_number, "expected number", _finite_float),
-    "float | None": (_is_number, "expected number", _finite_float),
-    "int": (_is_int, "expected int", None),
-    "bool": (lambda v: isinstance(v, bool), "expected bool", None),
-    "str": (lambda v: isinstance(v, str), "expected str", None),
-    "Transducer": (lambda v: isinstance(v, str) and v in {t.value for t in Transducer},
-                   f"expected one of {[t.value for t in Transducer]}", Transducer),
-    "tuple[float, float]": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
-                            "expected [low_hz, high_hz]", _finite_band),
-    "int | tuple[int, ...] | None": (
-        lambda v: _is_int(v) or (isinstance(v, list) and bool(v) and all(map(_is_int, v))),
-        "expected an integer or a list of integers",
-        lambda v: tuple(v) if isinstance(v, list) else v),
-}
-
-
-def _archetype_model(path: Path, index: int, record: dict) -> DpsModel:
-    """DpsModel(**record), once each key is a field and each value has its field's type."""
-    where = f"{path}: archetype {record.get('part_id', f'sensors[{index}]')}"
-    schema = _field_schema(DpsModel)
-    unknown = [key for key in record if key not in schema]
-    if unknown:
-        raise ValueError(f"{where}: unknown key {unknown[0]!r}")
-    for name, (annotation, required) in schema.items():
-        if name in record and not _YAML_TYPES[annotation][0](record[name]):
-            raise ValueError(f"{where}: key {name!r}: expected {annotation}, got {record[name]!r}")
-        if name not in record and required:
-            raise ValueError(f"{where}: required key {name!r} missing")
-    try:
-        return DpsModel(**{**record, "transducer": Transducer(record["transducer"]),
-                           "pressure_range_pa": tuple(record["pressure_range_pa"]),
-                           "resonant_band_hz": tuple(record["resonant_band_hz"])})
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def load_archetypes() -> dict[str, DpsModel]:
-    """Load the bundled (or user-supplied) sensor archetype table.
-
-    The table is the file the NPRSIM_ARCHETYPES environment variable
-    names, or else the packaged data file.  Each record of its 'sensors'
-    list, over its 'defaults' mapping, holds DpsModel's fields.  Returns
-    {part_id: DpsModel}; any problem with the file raises one ValueError
-    that names it.
-    """
-    chosen = os.environ.get(_ARCHETYPE_ENV)
-    # abspath, not resolve(): a lookup must not walk the file system.
-    key = _DEFAULT_ARCHETYPES if chosen is None else os.path.abspath(chosen)
-    if key in _ARCHETYPE_CACHE:
-        return _ARCHETYPE_CACHE[key]
-    path = Path(_DEFAULT_ARCHETYPES if chosen is None else chosen)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.load(fh, Loader=YAML_LOADER)
-    except OSError as exc:
-        raise ValueError(f"{path}: cannot read the archetype table: {exc}") from None
-    except yaml.YAMLError as exc:  # one line: the problem and where it is
-        mark = getattr(exc, "problem_mark", None)
-        line = mark.line + 1 if mark is not None else 1
-        raise ValueError(f"{path}: line {line}: {getattr(exc, 'problem', None) or exc}") from None
-    defaults = raw.get("defaults") or {} if isinstance(raw, dict) else None
-    if not (isinstance(defaults, dict) and isinstance(raw.get("sensors"), list)):
-        raise ValueError(f"{path}: archetype file must be a mapping with a 'sensors' list "
-                         "and an optional 'defaults' mapping")
-    out: dict[str, DpsModel] = {}
-    for index, rec in enumerate(raw["sensors"]):
-        if not isinstance(rec, dict):
-            raise ValueError(f"{path}: sensors[{index}] must be a mapping")
-        model = _archetype_model(path, index, {**defaults, **rec})
-        if model.part_id in out:
-            raise ValueError(f"{path}: duplicate part id {model.part_id}")
-        out[model.part_id] = model
-    _ARCHETYPE_CACHE[key] = out
-    return out
-
-
-def archetype(part_id: str) -> DpsModel:
-    """Look up one bundled archetype by part id."""
-    table = load_archetypes()
-    try:
-        return table[part_id]
-    except KeyError:
-        raise KeyError(f"unknown archetype {part_id!r}; have {sorted(table)}") from None

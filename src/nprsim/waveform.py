@@ -76,10 +76,9 @@ class AudioBuffer:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.sample_rate_hz not in SUPPORTED_RATES:
-            raise ValueError(
-                f"sample rate must be one of {SUPPORTED_RATES}, got {self.sample_rate_hz}"
-            )
+        rate = self.sample_rate_hz  # an integer first: `in` asks an array for its truth value
+        if not isinstance(rate, (int, np.integer)) or rate not in SUPPORTED_RATES:
+            raise ValueError(f"sample rate must be one of {SUPPORTED_RATES}, got {rate}")
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
@@ -130,8 +129,8 @@ class SegmentSchedule:
             raise ValueError(f"band must satisfy 0 < lower < upper, got ({lo}, {hi})")
         if self.duration_s < 1.0 / hi:
             raise ValueError(
-                f"burst duration {self.duration_s * 1e3:.3f} ms is shorter than one "
-                f"period of {hi:.0f} Hz; bursts must hold at least one full cycle"
+                f"burst duration {self.duration_s * 1e3:g} ms is shorter than one "
+                f"period of {hi:g} Hz; bursts must hold at least one full cycle"
             )
         if self.interval_s <= self.duration_s:
             raise ValueError(
@@ -159,8 +158,8 @@ class SegmentSchedule:
         for c in seq:
             if c / frequency_hz > self.duration_s + 1e-12:
                 raise ScheduleError(
-                    f"{c} cycles of {frequency_hz:.1f} Hz need {c / frequency_hz * 1e3:.2f} ms, "
-                    f"longer than the {self.duration_s * 1e3:.2f} ms burst duration"
+                    f"{c} cycles of {frequency_hz:g} Hz need {c / frequency_hz * 1e3:g} ms, "
+                    f"longer than the {self.duration_s * 1e3:g} ms burst duration"
                 )
         return seq
 
@@ -330,7 +329,7 @@ def _burst_spans(
     end = int(np.argmax((length < 2) | (starts + length > n_samples)))
     if length[end] < 2:
         c = cycles[end % len(cycles)]
-        raise ScheduleError(f"burst of {c} cycles at {frequency_hz:.0f} Hz spans under 2 samples")
+        raise ScheduleError(f"burst of {c} cycles at {frequency_hz:g} Hz spans under 2 samples")
     return np.column_stack((starts[:end], starts[:end] + length[:end]))
 
 
@@ -384,7 +383,7 @@ def synthesize_attack(
     """
     f = schedule.target_hz() if target_f_hz is None else float(target_f_hz)
     if not schedule.band_hz[0] <= f <= schedule.band_hz[1]:
-        raise ScheduleError(f"target {f:.1f} Hz lies outside band {schedule.band_hz}")
+        raise ScheduleError(f"target {f:g} Hz lies outside band {schedule.band_hz}")
     fs = carrier.sample_rate_hz
     peak = _peak(carrier.samples)
     amplitude = schedule.amplitude_scale * (peak if peak > 0.0 else 1.0)

@@ -19,7 +19,9 @@ from nprsim import (
     LoadedScenario,
     ScenarioError,
     acoustics,
+    archetype,
     countermeasures,
+    load_archetypes,
     load_scenario,
     parse_scenario,
     plant,
@@ -984,9 +986,20 @@ _GAIN_OVERFLOW = "controller:\n  gain: 1.0e+300\n" + MINIMAL + "    initial_pres
     (["synth", "--carrier", "{wav}", "--band", "20000", "25000", "--td-ms", "2", "--ti-ms", "15",
       "--out", "{out}"], None, None, "the Nyquist frequency of 48000 Hz audio, got 25000 Hz"),
     (["characterize", "--archetype", "all", "--out", "{out}"], None, _TABLE_MISSING_A_KEY,
-     "archetype X1: required key 'pressure_range_pa' missing"),
+     "table.yaml: line 2: archetypes.sensors[0].pressure_range_pa: required key missing"),
     (["simulate", "{scenario}", "--out", "{out}"], _LPF.replace("A1011-00", "X1"),
-     _TABLE_MISSING_A_KEY, "archetype X1: required key 'pressure_range_pa' missing"),
+     _TABLE_MISSING_A_KEY,
+     "table.yaml: line 2: archetypes.sensors[0].pressure_range_pa: required key missing"),
+    (["characterize", "--archetype", "all", "--out", "{out}"], None,
+     _TABLE_MISSING_A_KEY + "    pressure_range_pa: [-100, 100]\n    part_id: X2\n",
+     "table.yaml: line 6: duplicate key 'part_id'"),
+    (["synth", "--silence", "1", "--band", "540", "670", "--td-ms", "2", "--ti-ms", "15",
+      "--target-hz", "1e308", "--out", "{out}"], None, None,
+     "target 1e+308 Hz lies outside band (540.0, 670.0)"),
+    (["evaluate-cm", "{scenario}", "--kind", "long_tube", "--tube-length", "1e-300",
+      "--out", "{out}"], _LPF, None, "too coarse for 6.028e+152 Hz dynamics"),
+    (["sweep", "{scenario}", "--axis", "tube_length", "--values", "1e-300", "--out", "{out}"],
+     _LPF, None, "tube_length=1e-300: dt=2.083e-05 s too coarse for 6.028e+152 Hz dynamics"),
     (["sweep", "{scenario}", "--axis", "ti", "--values", "1e9", "--out", "{out}"], _LPF, None,
      "ti=1e+09: a trace window of 2e+06 s needs 9.6e+10 samples, over the 5000000"),
     (["sweep", "{scenario}", "--axis", "ti", "--values", "1e307", "--out", "{out}"], _LPF, None,
@@ -1009,6 +1022,8 @@ _GAIN_OVERFLOW = "controller:\n  gain: 1.0e+300\n" + MINIMAL + "    initial_pres
      "room iso1: a controller gain of 1e+300 on errors of up to 1e+10 Pa overflows a float"),
 ], ids=["simulate-tone-0.1hz", "simulate-tube-1e-9m", "synth-silence-past-nyquist",
         "synth-carrier-past-nyquist", "characterize-all-bad-table", "simulate-bad-table",
+        "characterize-all-duplicate-key-table", "synth-target-1e308hz", "evaluate-cm-tube-1e-300m",
+        "sweep-tube-length-1e-300m",
         "sweep-ti-1e9ms", "sweep-ti-1e307ms", "simulate-interval-1000s", "characterize-diameter-1e-160",
         "sweep-diameter-1e-160", "simulate-amplitude-scale",
         "simulate-room-start-overflow", "simulate-controller-gain-overflow"])
@@ -1031,6 +1046,19 @@ def test_a_failing_run_is_one_error_line_and_writes_nothing(argv, scenario, tabl
     assert len(lines) == 1 and lines[0].startswith("nprsim:")
     assert message in lines[0]
     assert [p.name for p in tmp_path.iterdir()] == ["in"]
+
+
+@pytest.mark.parametrize("argv", [["simulate", "{bad}", "--out", "{out}"],
+                                  ["characterize", "--archetype", "all", "--out", "{out}"]],
+                         ids=["scenario", "archetype-table"])
+def test_a_file_that_is_not_utf8_is_one_error_line_naming_it(argv, monkeypatch, tmp_path, capsys):
+    bad = tmp_path / "latin1.yaml"
+    bad.write_bytes(b"rooms:\n  - name: caf\xe9\n")
+    monkeypatch.setenv("NPRSIM_ARCHETYPES", str(bad))
+    assert main([arg.format(bad=bad, out=tmp_path / "out") for arg in argv]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and str(bad) in lines[0] and "can't decode byte 0xe9" in lines[0]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -1450,6 +1478,39 @@ def test_readme_lists_every_key_and_required_key_the_loader_reads():
         required = _flagged(path, {}, "required key missing")
         assert (path, set(keys)) == (path, accepted)
         assert (path, {key for key, star in keys.items() if star}) == (path, required)
+
+
+def _archetype_error(path: Path, record: dict, monkeypatch) -> str:
+    """What load_archetypes raises for a table at path of one record, or
+    "" when it loads."""
+    path.write_text(yaml.safe_dump({"sensors": [record]}), encoding="utf-8")
+    monkeypatch.setenv("NPRSIM_ARCHETYPES", str(path))
+    try:
+        assert list(load_archetypes()) == [record["part_id"]]
+    except ValueError as exc:
+        return str(exc)
+    return ""
+
+
+def test_readme_lists_every_archetype_key_and_required_key_the_loader_reads(tmp_path,
+                                                                             monkeypatch):
+    """README's archetype keys and required marks equal what load_archetypes
+    accepts and requires, probed with every DpsModel field and a bogus key."""
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    listed = text.split("with these keys (required ones marked *): ", 1)[1].split(". ", 1)[0]
+    keys = {key: star == "*" for key, star in re.findall(r"`(\w+)`(\*?)", listed)}
+    record = {name: value.value if isinstance(value, sensor.Transducer)
+              else list(value) if isinstance(value, tuple) else value
+              for name, value in asdict(archetype("A1011-00")).items()}
+    candidates = {f.name for f in fields(sensor.DpsModel)} | set(keys) | {"bogus"}
+    accepted = {key for key in candidates if f".{key}: unknown key" not in _archetype_error(
+        tmp_path / f"with-{key}.yaml", {**record, key: record.get(key, 1)}, monkeypatch)}
+    required = {key for key in candidates if f".{key}: required key missing" in _archetype_error(
+        tmp_path / f"without-{key}.yaml",
+        {name: value for name, value in record.items() if name != key}, monkeypatch)}
+    assert len(keys) == 7
+    assert set(keys) == accepted
+    assert {key for key, star in keys.items() if star} == required
 
 
 def test_a_field_without_a_yaml_type_raises_on_first_use():

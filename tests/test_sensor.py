@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -245,21 +246,34 @@ _X1 = ("sensors:\n  - part_id: X1\n    transducer: capacitive\n"
        "    pressure_range_pa: [-100, 100]\n    resonant_band_hz: [400, 420]\n")
 
 
+# Each table's first problem, on its line; a key from defaults is reported
+# where defaults gives it.
 @pytest.mark.parametrize("text, message", [
-    ("defaults:\n  cavity_volume_m3: 1.0e-4\n" + _X1, "archetype X1: unknown key 'cavity_volume_m3'"),
-    (_X1 + "    damping_ratio: high\n",
-     "archetype X1: key 'damping_ratio': expected float, got 'high'"),
+    ("defaults:\n  cavity_volume_m3: 1.0e-4\n" + _X1,
+     "line 2: archetypes.defaults.cavity_volume_m3: unknown key"),
+    (_X1 + "    damping_ratio: high\n", "line 6: archetypes.sensors[0].damping_ratio: expected number"),
     (_X1.replace("capacitive", "optical"),
-     "archetype X1: key 'transducer': expected Transducer, got 'optical'"),
-    (_X1.replace("capacitive", "[1]"), "archetype X1: key 'transducer': expected Transducer"),
-    (_X1 + "    1: 2\n    extra: 3\n", "archetype X1: unknown key 1"),
+     "line 3: archetypes.sensors[0].transducer: expected one of ['capacitive', "),
+    (_X1.replace("capacitive", "[1]"), "line 3: archetypes.sensors[0].transducer: expected one of "),
+    (_X1 + "    1: 2\n    extra: 3\n", "line 6: mapping keys must be strings, got 1"),
     (_X1.replace("[400, 420]", "[400, 410, 420]"),
-     "archetype X1: key 'resonant_band_hz': expected tuple[float, float]"),
-    (_X1.replace("part_id: X1\n    ", ""), "archetype sensors[0]: required key 'part_id' missing"),
-    (_X1.replace("[400, 420]", "[420, 400]"), "X1: resonant band must be positive"),
-    ("sensors: [5]\n", "sensors[0] must be a mapping"),
-    ("defaults: [1]\n" + _X1, "must be a mapping with a 'sensors' list"),
+     "line 5: archetypes.sensors[0].resonant_band_hz: expected [low_hz, high_hz]"),
+    (_X1.replace("part_id: X1\n    ", ""), "line 2: archetypes.sensors[0].part_id: required key missing"),
+    (_X1.replace("[400, 420]", "[420, 400]"),
+     "line 2: archetypes.sensors[0]: X1: resonant band must be positive"),
+    ("sensors: [5]\n", "sensors: expected a list of at least one sensor mapping"),
+    ("defaults: [1]\n" + _X1, "line 1: archetypes.defaults: expected map"),
     ("sensors: [\n", "catalog.yaml: line "),  # in the YAML parser's words
+    # Each of these loaded, or failed without a file or a line.
+    (_X1 + "    resonant_band_hz: [1780, 1800]\n", "line 6: duplicate key 'resonant_band_hz'"),
+    (_X1 + "    sample_rate_hz: " + "9" * 5000 + "\n", "line 6: integer literal of more than 4300 digits"),
+    (_X1.replace("[400, 420]", "[400, .inf]"),
+     "line 5: archetypes.sensors[0].resonant_band_hz: must be finite"),
+    ("defaults:\n  damping_ratio: high\n" + _X1 + "    damping_ratio: 0.5\n",
+     "line 2: archetypes.defaults.damping_ratio: expected number"),
+    (_X1 + _X1.removeprefix("sensors:\n"), "line 6: archetypes.sensors[1].part_id: duplicate part id X1"),
+    (_X1 + "bogus: 1\n", "line 6: archetypes.bogus: unknown key"),
+    ("sensors: []\n", "line 1: archetypes.sensors: expected a list of at least one sensor mapping"),
 ])
 def test_a_malformed_archetype_table_is_one_error_naming_the_file(text, message, tmp_path,
                                                                    monkeypatch):
@@ -268,7 +282,7 @@ def test_a_malformed_archetype_table_is_one_error_naming_the_file(text, message,
     monkeypatch.setenv("NPRSIM_ARCHETYPES", str(custom))
     with pytest.raises(ValueError) as info:
         load_archetypes()
-    assert str(info.value).startswith(f"{custom}: ")
+    assert re.match(rf"{re.escape(str(custom))}: line \d+: ", str(info.value))
     assert message in str(info.value) and "\n" not in str(info.value)
 
 

@@ -1,5 +1,5 @@
 """Checks on the tree and its scripts: what importing the package loads,
-on how many threads, and that none of its modules imports scipy, the
+on how many threads, and which of its modules import scipy and yaml, the
 calibration script's verification of the shipped constants, the output
 comparison and drive timing scripts, and that no module imports a name
 it never reads."""
@@ -127,9 +127,15 @@ def test_importing_nprsim_first_loads_openblas_on_one_thread(first, variables, t
         assert int(count) == threads
 
 
-def test_no_module_of_the_package_imports_scipy():
-    """scipy is a test dependency only: no module under src/nprsim imports
-    it, at its top or inside a function."""
+# Each package some modules must not import, and the modules of src/nprsim
+# that may: scipy is a test dependency only, and the YAML rules live in
+# the scenario loader alone.
+_IMPORTERS_ALLOWED = {"scipy": set(), "yaml": {"scenario.py"}}
+
+
+def test_a_package_is_imported_only_by_the_modules_allowed_it():
+    """No module outside a package's allowed ones imports it, at its top
+    or inside a function."""
     importers = []
     for path in sorted((ROOT / "src" / "nprsim").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -139,8 +145,9 @@ def test_no_module_of_the_package_imports_scipy():
                 modules = [node.module or ""]
             else:
                 continue
-            if any(module.split(".")[0] == "scipy" for module in modules):
-                importers.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+            for package in {module.split(".")[0] for module in modules} & _IMPORTERS_ALLOWED.keys():
+                if path.name not in _IMPORTERS_ALLOWED[package]:
+                    importers.append(f"{package}: {path.relative_to(ROOT)}:{node.lineno}")
     assert importers == []
 
 

@@ -38,8 +38,8 @@ from nprsim import sensor
 from nprsim.cli import main
 from nprsim.acoustics import propagate, spl_to_pressure_amp
 from nprsim.countermeasures import enclosure_lag_s, measurement_settle_time_s
-from nprsim.scenario import load_scenario
-from nprsim.sensor import NO_TUBE, TubeAssembly, load_archetypes, system_resonant_hz
+from nprsim.scenario import load_archetypes, load_scenario
+from nprsim.sensor import NO_TUBE, TubeAssembly, system_resonant_hz
 from nprsim.waveform import (
     ESTIMATE_WARMUP_S,
     ESTIMATE_WINDOW_S,
@@ -223,6 +223,15 @@ def test_an_audio_buffer_refuses_a_non_finite_sample(bad):
     """A NaN compares False with any bound, so a peak test alone let it in."""
     with pytest.raises(ValueError, match="non-finite"):
         AudioBuffer(sample_rate_hz=48000, samples=np.array([0.1, bad, 0.2]))
+
+
+@pytest.mark.parametrize("rate", [np.zeros(4), np.array([48000]), True, 48000.0, "48000"])
+def test_an_audio_buffer_refuses_a_rate_that_is_not_a_supported_integer(rate):
+    """Swapped arguments put the samples in the rate, where `in` asked an
+    array for its truth value."""
+    with pytest.raises(ValueError, match=r"^sample rate must be one of \(44100, 48000\)"):
+        AudioBuffer(rate, np.zeros(4))
+    assert AudioBuffer(np.int64(48000), np.zeros(4)).sample_rate_hz == 48000
 
 
 def test_wav_roundtrip_is_16_bit_faithful(tmp_path):
@@ -603,7 +612,7 @@ def _burst_spans_by_loop(schedule, frequency_hz, n_samples, sample_rate_hz):
         length = int(round(c / frequency_hz * sample_rate_hz))
         if length < 2:
             raise ScheduleError(
-                f"burst of {c} cycles at {frequency_hz:.0f} Hz spans under 2 samples")
+                f"burst of {c} cycles at {frequency_hz:g} Hz spans under 2 samples")
         if start + length > n_samples:
             break
         spans.append((start, start + length))
