@@ -60,8 +60,13 @@ def _cases():
     from nprsim.sensor import step_response
     from nprsim.waveform import _lay_bursts, _train_spans, unit_response, unit_response_means
 
-    attack = load_scenario(ROOT / "scenarios" / "acoustic_lpf.yaml").attack_setup
-    model, tube, tone = attack.model, attack.tube, attack.source.tone_hz
+    loaded = load_scenario(ROOT / "scenarios" / "acoustic_lpf.yaml")
+    # An older tree keeps the source and schedule beside the scenario, as
+    # attack_setup, with the hvac sensor's model and tube.
+    setup = getattr(loaded, "attack_setup", None)
+    attack = setup or loaded.scenario.wiring.attack
+    hvac = setup or loaded.scenario.wiring.hvac
+    model, tube, tone = hvac.model, hvac.tube, attack.source.tone_hz
     gains = _lpf_gains(LPF_CUTOFF_HZ, 1.0 / model.sample_rate_hz, LPF_ORDER)
     cases = []
     for sections, suffix in (((), ""), (gains, " lpf")):

@@ -89,12 +89,12 @@ from .plant import (
     RoomConfig,
     SimulationTrace,
     WiringError,
+    as_replay,
     balanced_fans,
     rpm_alarm,
     simulate_scenario,
 )
 from .countermeasures import (
-    AcousticAttackSetup,
     Countermeasure,
     CountermeasureReport,
     CutoffError,
@@ -108,7 +108,6 @@ from .scenario import (LoadedScenario, ScenarioError, archetype, load_archetypes
                        parse_scenario)
 
 __all__ = [
-    "AcousticAttackSetup",
     "AcousticSource",
     "AlarmConfig",
     "AlarmEvent",
@@ -140,6 +139,7 @@ __all__ = [
     "WiringError",
     "apply_lpf",
     "archetype",
+    "as_replay",
     "attack_response_trace",
     "balanced_fans",
     "calibration_carrier",

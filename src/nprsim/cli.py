@@ -24,7 +24,7 @@ from .countermeasures import (
     Countermeasure,
     evaluate_countermeasure,
 )
-from .plant import SimulationTrace, simulate_scenario
+from .plant import SimulationTrace, as_replay, simulate_scenario
 from .scenario import ScenarioError, archetype, load_archetypes, load_scenario
 from .sensor import (
     NO_TUBE,
@@ -109,7 +109,7 @@ def _trace_lines(trace: SimulationTrace) -> list[str]:
 def cmd_simulate(args: argparse.Namespace) -> int:
     loaded = load_scenario(args.scenario)
     try:
-        scenario = loaded.resolved()
+        scenario = as_replay(loaded.scenario)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     if loaded.countermeasure is not None:
@@ -277,7 +277,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         else:
             part_ids = [archetype(args.archetype).part_id]
     except (KeyError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
+        raise CliError(exc.args[0]) from exc
 
     if (args.lo is None) != (args.hi is None):
         raise CliError("--lo and --hi go together; omit both for the default band")
@@ -354,30 +354,30 @@ SWEEP_AXES = {
 }
 
 
-def _forged_at(setup, axis: str, value: float, unit_mean) -> float:
-    """Forged pressure of the scenario's attack with one parameter set to
-    value; unit_mean gives the burst train's rectified 1 Pa response, as
-    unit_response_mean does.  A bare port is NO_TUBE however it was
-    declared."""
+def _forged_at(scenario, axis: str, value: float, unit_mean) -> float:
+    """Forged pressure of the scenario's acoustic attack, through its hvac
+    sensor, with one parameter set to value; unit_mean gives the burst
+    train's rectified 1 Pa response, as unit_response_mean does.  A bare
+    port is NO_TUBE however it was declared."""
     part, name, convert, retune = SWEEP_AXES[axis]
-    parts = {"tube": setup.tube or NO_TUBE, "source": setup.source, "schedule": setup.schedule}
+    hvac, attack = scenario.wiring.hvac, scenario.wiring.attack
+    parts = {"tube": hvac.tube or NO_TUBE, "source": attack.source, "schedule": attack.schedule}
     parts[part] = replace(parts[part], **{name: convert(value)})
     tube, source, schedule = parts["tube"], parts["source"], parts["schedule"]
     if retune:
-        source = replace(source, tone_hz=system_resonant_hz(setup.model, tube))
+        source = replace(source, tone_hz=system_resonant_hz(hvac.model, tube))
     return forged_pressure_estimate(
-        schedule, setup.model, tube, source,
-        unit_mean_pa=unit_mean(schedule, setup.model, tube, target_f_hz=source.tone_hz))
+        schedule, hvac.model, tube, source,
+        unit_mean_pa=unit_mean(schedule, hvac.model, tube, target_f_hz=source.tone_hz))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    loaded = load_scenario(args.scenario)
-    setup = loaded.attack_setup
-    if setup is None:
+    scenario = load_scenario(args.scenario).scenario
+    if scenario.wiring.attack.source is None:
         raise CliError("scenario declares no acoustic attack; nothing to sweep")
     grid = _parse_grid(args)
 
-    if args.axis == "tube_diameter" and (setup.tube or NO_TUBE).is_bare_port:
+    if args.axis == "tube_diameter" and (scenario.wiring.hvac.tube or NO_TUBE).is_bare_port:
         raise CliError("axis tube_diameter needs a tube longer than 0 m; a bare port has none")
 
     # The points of this sweep share each burst train's 1 Pa response: an
@@ -388,7 +388,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # The parameter's own check (a negative length, an SPL out of
         # range) raises as the dataclass is rebuilt, so it sits in the try.
         try:
-            forged = _forged_at(setup, args.axis, value, unit_mean)
+            forged = _forged_at(scenario, args.axis, value, unit_mean)
         except (ValueError, ScheduleError, ClippingError) as exc:
             raise CliError(f"{args.axis}={value:g}: {exc}") from exc
         rows.append([_num(value), _num(forged)])
@@ -423,7 +423,7 @@ def cmd_evaluate_cm(args: argparse.Namespace) -> int:
         raise CliError("no countermeasure: give --kind or a countermeasure block")
 
     try:
-        report = evaluate_countermeasure(loaded.scenario, cm, attack=loaded.attack_setup)
+        report = evaluate_countermeasure(loaded.scenario, cm)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 

@@ -8,7 +8,9 @@ far above the pressure band a room controller cares about.  A deeper
 setpoint leaves the forged offset short of positive pressure.  Each one
 is scored by recomputing the forged reading through the modified chain,
 rerunning the closed loop, and measuring what the defense costs on a
-legitimate pressure step.  The filter and the enclosure's equalization lag
+legitimate pressure step.  An acoustic AttackPlan is driven through the
+scenario's hvac sensor; a replay plan is scored only against a deeper
+setpoint.  The filter and the enclosure's equalization lag
 are first-order sections that join the transducer's state-space chain, so
 the burst train and the settle step are driven through the whole chain at
 once; apply_lpf and lpf_cascade filter arbitrary series for library
@@ -22,7 +24,6 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .acoustics import AcousticSource
 from .plant import NprScenario, simulate_scenario
 from .sensor import (
     MAX_DRIVE_SAMPLES,
@@ -35,7 +36,7 @@ from .sensor import (
     step_last_outside,
     transducer_chain,
 )
-from .waveform import SegmentSchedule, forged_pressure_estimate, unit_response_means
+from .waveform import forged_pressure_estimate, unit_response_means
 
 NOISE_FLOOR_PA = 0.1
 """Residual forged pressure below this is indistinguishable from noise."""
@@ -125,25 +126,6 @@ class Countermeasure:
     @classmethod
     def raised_setpoint(cls, setpoint_pa: float) -> Countermeasure:
         return cls(kind="raised_setpoint", setpoint_pa=float(setpoint_pa))
-
-
-@dataclass(frozen=True)
-class AcousticAttackSetup:
-    """The deployed attack: the sensor and tube it reaches, the source, and
-    the burst plan.
-
-    The bursts are tuned to source.tone_hz, the frequency the attacker
-    found when the system was characterized.  Countermeasure evaluation
-    keeps it fixed: a defense that moves the resonance is judged against
-    the attack as deployed, not against an attacker who re-characterizes
-    afterwards.  The port and the chains the attack reaches are the
-    scenario's AttackPlan.
-    """
-
-    model: DpsModel
-    tube: TubeAssembly | None
-    source: AcousticSource
-    schedule: SegmentSchedule
 
 
 @dataclass(frozen=True)
@@ -271,12 +253,8 @@ def measurement_settle_time_s(
     return float((last + 1) * dt)
 
 
-def evaluate_countermeasure(
-    scenario: NprScenario,
-    cm: Countermeasure,
-    attack: AcousticAttackSetup | None = None,
-) -> CountermeasureReport:
-    """Score one defense against one deployed attack.
+def evaluate_countermeasure(scenario: NprScenario, cm: Countermeasure) -> CountermeasureReport:
+    """Score one defense against the scenario's attack.
 
     The forged reading is recomputed through the defended chain, the
     closed loop is rerun with that residual injected at the port and
@@ -284,14 +262,17 @@ def evaluate_countermeasure(
     whether the room still crosses into positive pressure plus what the
     defense costs in settle time on a 1 Pa legitimate step.
 
-    When attack is None the scenario's wired-in forged magnitude is used
-    directly; only raised_setpoint can be evaluated that way, since the
-    other defenses act on the acoustic path itself.
+    An acoustic plan is driven through the scenario's hvac sensor and
+    tube.  A replay plan's forged_pa is used directly; only
+    raised_setpoint can be evaluated that way, since the other defenses
+    act on the acoustic path itself.
     """
-    if attack is None and cm.kind != "raised_setpoint":
-        raise ValueError(f"{cm.kind} evaluation needs the acoustic attack setup")
-    if scenario.wiring.attack.placement == "none":
+    attack = scenario.wiring.attack
+    if attack.source is None and cm.kind != "raised_setpoint":
+        raise ValueError(f"{cm.kind} evaluation needs an acoustic attack")
+    if attack.placement == "none":
         raise ValueError("scenario carries no attack to defend against")
+    hvac = scenario.wiring.hvac
     run_scenario = scenario
     penalty_s = 0.0
     if cm.kind == "raised_setpoint":
@@ -301,9 +282,9 @@ def evaluate_countermeasure(
         )
         run_scenario = replace(scenario, rooms=rooms)
     else:
-        tube, settle = attack.tube, {}
+        tube, settle = hvac.tube, {}
         if cm.kind == "long_tube":
-            tube = replace(attack.tube or NO_TUBE, length_m=cm.tube_length_m)
+            tube = replace(hvac.tube or NO_TUBE, length_m=cm.tube_length_m)
         elif cm.kind == "enclosure":
             settle = {"extra_lag_s": enclosure_lag_s(cm.extra_loss_db)}
         else:
@@ -311,31 +292,31 @@ def evaluate_countermeasure(
         # The settle penalty comes first: the settle window and the filter
         # order are where a defense too slow or too large to score is
         # refused, before the attack is driven through it.
-        penalty_s = (measurement_settle_time_s(attack.model, tube, **settle)
-                     - measurement_settle_time_s(attack.model, attack.tube))
+        penalty_s = (measurement_settle_time_s(hvac.model, tube, **settle)
+                     - measurement_settle_time_s(hvac.model, hvac.tube))
 
-    if attack is None:
-        baseline = residual = scenario.wiring.attack.forged_pa
+    if attack.source is None:
+        baseline = residual = attack.forged_pa
     else:
         # Every defense but long_tube leaves the burst train's 1 Pa
         # response as it is, or filters it after the transducer: one drive
         # gives the baseline's mean and, for an lpf, the filtered one.
         sections = ()
         if cm.kind == "lpf":
-            sections = _lpf_gains(cm.cutoff_hz, 1.0 / attack.model.sample_rate_hz, cm.order)
-        means = unit_response_means(attack.schedule, attack.model, attack.tube,
+            sections = _lpf_gains(cm.cutoff_hz, 1.0 / hvac.model.sample_rate_hz, cm.order)
+        means = unit_response_means(attack.schedule, hvac.model, hvac.tube,
                                     target_f_hz=attack.source.tone_hz, sections=sections)
-        baseline = forged_pressure_estimate(attack.schedule, attack.model, attack.tube,
+        baseline = forged_pressure_estimate(attack.schedule, hvac.model, hvac.tube,
                                             attack.source, unit_mean_pa=means[0])
         # A long_tube's new tube is driven afresh.  Every other kind takes
         # the last mean: an lpf's filtered one, or without sections the
         # baseline's.  Only an enclosure sets extra_loss_db.
         long_tube = cm.kind == "long_tube"
         residual = forged_pressure_estimate(
-            attack.schedule, attack.model, tube if long_tube else attack.tube, attack.source,
+            attack.schedule, hvac.model, tube if long_tube else hvac.tube, attack.source,
             extra_loss_db=cm.extra_loss_db or 0.0, unit_mean_pa=None if long_tube else means[-1])
 
-    plan = replace(scenario.wiring.attack, forged_pa=residual)
+    plan = replace(attack, forged_pa=residual, source=None, schedule=None)
     run_scenario = replace(run_scenario, wiring=replace(run_scenario.wiring, attack=plan))
     trace = simulate_scenario(run_scenario)
     success = bool(np.any(trace.steady_true_pd_pa() > 0.0))

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .acoustics import AcousticSource
 from .sensor import DpsModel, TubeAssembly, _require_finite_fields
+from .waveform import SegmentSchedule, forged_pressure_estimate
 
 HALLWAY_PA = 12.5
 """Hallway absolute gauge pressure, the datum all rooms are read against."""
@@ -132,11 +134,19 @@ class AttackPlan:
     exposed when the monitor has its own sensor: a source near the
     supervisory sensor's port does not reach an HVAC sensor plumbed
     elsewhere.
+
+    An acoustic plan gives source and schedule instead of forged_pa, and
+    as_replay collapses it through the scenario's hvac sensor.  Its bursts
+    are tuned to source.tone_hz, which countermeasure evaluation keeps
+    fixed: a defense that moves the resonance is judged against the
+    attack as deployed, not against an attacker who re-characterizes.
     """
 
     placement: str = "none"
     forged_pa: float = 0.0
     affects: str = "both"
+    source: AcousticSource | None = None
+    schedule: SegmentSchedule | None = None
 
     def __post_init__(self) -> None:
         _require_finite_fields(self)
@@ -146,6 +156,13 @@ class AttackPlan:
             raise ValueError(f"unknown attack target {self.affects!r}")
         if self.forged_pa < 0.0:
             raise ValueError("forged pressure is a magnitude, must be >= 0")
+        if (self.source is None) != (self.schedule is None):
+            raise ValueError("an acoustic attack needs both a source and a schedule")
+        if self.source is not None:
+            if self.placement == "none":
+                raise ValueError(f"placement must be one of {ATTACK_PLACEMENTS[1:]}")
+            if self.forged_pa != 0.0:
+                raise ValueError("give either forged_pa or an acoustic source, not both")
 
 
 @dataclass(frozen=True)
@@ -221,6 +238,8 @@ class NprScenario:
             raise WiringError("a common high port implies at least 2 rooms")
         if self.wiring.attack.affects == "rpm" and not self.wiring.separate_rpm:
             raise WiringError("attack targets the monitor sensor but none is wired")
+        if self.wiring.attack.source is not None and self.wiring.hvac is None:
+            raise WiringError("an acoustic attack needs an hvac sensor to aim at")
         # A run moves a room's differential from its start by at most four
         # times the fans' capacity over the leak (two speeds and two
         # commands, each within 1 of balance), and a reading adds the forged
@@ -470,6 +489,19 @@ def _stack_rows(rows: np.ndarray, maps: np.ndarray, balance: np.ndarray, x: np.n
             return
 
 
+def as_replay(scenario: NprScenario) -> NprScenario:
+    """The scenario with its acoustic attack collapsed to a replay: forged_pa
+    set to the offset the bursts forge through the hvac sensor and tube,
+    source and schedule cleared.  Any other scenario is returned as is."""
+    plan = scenario.wiring.attack
+    if plan.source is None:
+        return scenario
+    hvac = scenario.wiring.hvac
+    forged = forged_pressure_estimate(plan.schedule, hvac.model, hvac.tube, plan.source)
+    plan = replace(plan, forged_pa=forged, source=None, schedule=None)
+    return replace(scenario, wiring=replace(scenario.wiring, attack=plan))
+
+
 def simulate_scenario(scenario: NprScenario) -> SimulationTrace:
     """Run the closed loop over the scenario's horizon and return its
     per-period trace.
@@ -505,7 +537,10 @@ def simulate_scenario(scenario: NprScenario) -> SimulationTrace:
     Convergence means the pressure slope stayed under
     STEADY_SLOPE_PA_PER_S for STEADY_HOLD_S; a run that never gets there
     is returned with converged False rather than raised.
+
+    An acoustic attack runs as its replay (see as_replay).
     """
+    scenario = as_replay(scenario)
     horizon = scenario.horizon_s
     period = scenario.control_period_s
     rooms = scenario.rooms

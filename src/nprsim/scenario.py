@@ -29,9 +29,8 @@ from pathlib import Path
 import yaml
 
 from .acoustics import AcousticSource
-from .countermeasures import AcousticAttackSetup, Countermeasure
+from .countermeasures import Countermeasure
 from .plant import (
-    ATTACK_PLACEMENTS,
     AlarmConfig,
     AttackPlan,
     ControllerConfig,
@@ -45,7 +44,7 @@ from .plant import (
     horizon_periods,
 )
 from .sensor import DpsModel, Transducer, TubeAssembly, _field_schema
-from .waveform import SegmentSchedule, forged_pressure_estimate
+from .waveform import SegmentSchedule
 
 _LINES_KEY = "__lines__"
 _LINE_KEY = "__line__"
@@ -266,25 +265,11 @@ class _Map:
 
 @dataclass(frozen=True)
 class LoadedScenario:
-    """A validated scenario plus the parts the CLI layers on top."""
+    """A validated scenario plus the countermeasure the CLI layers on top."""
 
     scenario: NprScenario
-    attack_setup: AcousticAttackSetup | None
     countermeasure: Countermeasure | None
     source_path: Path | None = None
-
-    def resolved(self) -> NprScenario:
-        """Scenario with the acoustic attack collapsed to its forged offset."""
-        if self.attack_setup is None:
-            return self.scenario
-        forged = forged_pressure_estimate(
-            self.attack_setup.schedule,
-            self.attack_setup.model,
-            self.attack_setup.tube,
-            self.attack_setup.source,
-        )
-        plan = replace(self.scenario.wiring.attack, forged_pa=forged)
-        return replace(self.scenario, wiring=replace(self.scenario.wiring, attack=plan))
 
 
 def _build_room(room: _Map, index: int, controller: ControllerConfig | None,
@@ -322,21 +307,20 @@ def _build_binding(section: _Map | None) -> DpsBinding | None:
     try:
         model = archetype(part)
     except (KeyError, ValueError) as exc:
-        section.error("archetype", str(exc))
+        section.error("archetype", exc.args[0])
         return None
     if damping is not None:
         model = section.construct(model.with_damping, damping)
     return model and DpsBinding(model=model, tube=tube)
 
 
-def _build_attack(top: _Map, hvac: DpsBinding | None,
-                  hvac_declared: bool) -> tuple[AttackPlan | None, AcousticAttackSetup | None]:
+def _build_attack(top: _Map, hvac_declared: bool) -> AttackPlan | None:
     attack = top.submap("attack")
     if attack is None:
-        return AttackPlan(), None
+        return AttackPlan()
     # target_f_hz pins the source's tone, which the source itself withholds;
     # amplitude_scale scales synth's audio, not the forged pressure.
-    values = attack.read(AttackPlan)
+    values = attack.read(AttackPlan, ("source", "schedule"))
     target_f = attack.take("target_f_hz", "float")
     plan = attack.construct(AttackPlan, **values)
     schedule_map = attack.submap("schedule")
@@ -358,18 +342,15 @@ def _build_attack(top: _Map, hvac: DpsBinding | None,
         attack.error(None, "an attack placement needs forged_pa or a source")
     if acoustic and not hvac_declared:
         attack.error(None, "an acoustic attack needs sensors.hvac to aim at")
-    if not attack.ok or not acoustic or hvac is None:
-        return plan, None
+    if not attack.ok or not acoustic:
+        return plan
 
     # The source emits the band centre, or the tone target_f_hz pins; a
     # tone the source rejects is reported on the attack's line.
     source = source_map.construct(AcousticSource, **source_values, tone_hz=schedule.target_hz())
-    if attack.ok and plan.placement == "none":
-        attack.error(None, f"placement must be one of {ATTACK_PLACEMENTS[1:]}")
     if target_f is not None:
         source = attack.construct(replace, source, tone_hz=target_f)
-    return plan, attack.construct(AcousticAttackSetup, model=hvac.model, tube=hvac.tube,
-                                  source=source, schedule=schedule)
+    return attack.construct(replace, plan, source=source, schedule=schedule)
 
 
 def parse_scenario(text: str, source_path: Path | None = None) -> LoadedScenario:
@@ -402,7 +383,7 @@ def parse_scenario(text: str, source_path: Path | None = None) -> LoadedScenario
         rpm = _build_binding(sensors.submap("rpm"))
         sensors.close()
     wiring = top.section("wiring", PortWiring, ("hvac", "rpm", "attack"))
-    plan, attack_setup = _build_attack(top, hvac, sensors is not None and "hvac" in sensors.raw)
+    plan = _build_attack(top, sensors is not None and "hvac" in sensors.raw)
     countermeasure_map = top.submap("countermeasure")
     countermeasure = countermeasure_map and countermeasure_map.build(Countermeasure)
     top.close()
@@ -415,7 +396,6 @@ def parse_scenario(text: str, source_path: Path | None = None) -> LoadedScenario
         raise ScenarioError(errors)
     return LoadedScenario(
         scenario=scenario,
-        attack_setup=attack_setup,
         countermeasure=countermeasure,
         source_path=source_path,
     )

@@ -100,12 +100,12 @@ class SegmentSchedule:
     """Timing plan for the inserted resonant bursts.
 
     band_hz brackets the target resonance.  duration_s is the nominal burst
-    length and must hold at least one period of the band's upper edge;
-    bursts shorter than one period are rejected here rather than clamped.
+    length and must hold at least one period of the band's upper edge.
     interval_s is the burst repetition period.  cycles pins each burst to a
     whole number of tone cycles; a sequence cycles through the values on
-    consecutive bursts.  When cycles is None, as many whole cycles as fit
-    in duration_s are used.
+    consecutive bursts.  When cycles is None, as many whole cycles of the
+    tone played as fit in duration_s are used, and at least one: a lower
+    tone whose period exceeds duration_s lengthens the burst to one cycle.
 
     Bursts hold whole cycles so each one integrates to nearly zero, like
     any loudspeaker output.  fade_in_s defaults to zero because an onset

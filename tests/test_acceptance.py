@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from nprsim import (
-    AcousticAttackSetup,
     AcousticSource,
     AlarmConfig,
     AttackPlan,
@@ -294,19 +293,17 @@ def test_criterion_09_countermeasure_suite():
     f = system_resonant_hz(model, tube)
     sched = SegmentSchedule(band_hz=_band(f), duration_s=BURST_S,
                             interval_s=INTERVAL_S)
-    scenario = _room_scenario(
-        -2.5, AttackPlan(placement="high_port", forged_pa=8.0, affects="both"))
 
-    def setup(spl_db):
-        return AcousticAttackSetup(model=model, tube=tube,
-                                   source=_burst_source(spl_db, REF_DISTANCE_M, f),
-                                   schedule=sched)
+    def scenario(spl_db):
+        attack = AttackPlan(placement="high_port", affects="both",
+                            source=_burst_source(spl_db, REF_DISTANCE_M, f),
+                            schedule=sched)
+        return _room_scenario(-2.5, attack,
+                              {"hvac": DpsBinding(model=model, tube=tube)})
 
-    loud = evaluate_countermeasure(scenario, Countermeasure.long_tube(7.5),
-                                   setup(90.0))
-    filtered = evaluate_countermeasure(scenario,
-                                       Countermeasure.lpf(120.0, order=3),
-                                       setup(65.0))
+    loud = evaluate_countermeasure(scenario(90.0), Countermeasure.long_tube(7.5))
+    filtered = evaluate_countermeasure(scenario(65.0),
+                                       Countermeasure.lpf(120.0, order=3))
     reduction = 1.0 - filtered.residual_forged_pa / filtered.baseline_forged_pa
     dc = float(lpf_cascade(np.ones(50_000), 120.0, 1.0 / 44_100.0, 3)[-1])
 

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nprsim import (
-    AcousticAttackSetup,
     AcousticSource,
     AlarmConfig,
     AttackPlan,
     ControllerConfig,
     Countermeasure,
     CutoffError,
+    DpsBinding,
     NprScenario,
     PortWiring,
     RoomConfig,
@@ -32,25 +32,27 @@ FS = 50000.0
 DT = 1.0 / FS
 
 
-def _attack_setup():
-    """The 65 dB burst-train attack through a 1 m sense tube."""
-    model = archetype("A1011-00")
+def _attack_plan():
+    """The 65 dB burst-train attack at the high port."""
     schedule = SegmentSchedule(band_hz=(540.0, 670.0), duration_s=0.002, interval_s=0.015)
     source = AcousticSource(
         spl_db=65.0, ref_distance_m=0.002, position_distance_m=0.002,
         tone_hz=schedule.target_hz(),
     )
-    return AcousticAttackSetup(
-        model=model, tube=TubeAssembly(length_m=1.0), source=source, schedule=schedule,
-    )
+    return AttackPlan(placement="high_port", affects="both", source=source, schedule=schedule)
 
 
-def _scenario(setpoint=-2.5, attack=AttackPlan(placement="high_port", affects="both")):
-    """One room under attack at its high port; an acoustic setup scores
-    its forged reading."""
+def _hvac():
+    """The sensor the attack reaches, through a 1 m sense tube."""
+    return DpsBinding(model=archetype("A1011-00"), tube=TubeAssembly(length_m=1.0))
+
+
+def _scenario(setpoint=-2.5, attack=None):
+    """One room under attack at its high port; by default the acoustic
+    attack, whose forged reading is scored."""
     return NprScenario(
         rooms=(RoomConfig(name="iso1", controller=ControllerConfig(setpoint_pa=setpoint)),),
-        wiring=PortWiring(attack=attack),
+        wiring=PortWiring(hvac=_hvac(), attack=attack or _attack_plan()),
         alarm=AlarmConfig(threshold_pa=2.0, dwell_s=5.0),
     )
 
@@ -168,31 +170,32 @@ def test_countermeasure_rejects_a_non_finite_parameter(kind, name, value):
 def test_attack_setup_rejects_a_target_frequency_it_cannot_tune_to(target, message):
     """The attack's target frequency is its source's tone, so retuning a
     deployed setup to a non-finite frequency is refused."""
-    setup = _attack_setup()
+    plan = _attack_plan()
     with pytest.raises(ValueError, match=message):
-        replace(setup, source=replace(setup.source, tone_hz=target))
+        replace(plan, source=replace(plan.source, tone_hz=target))
 
 
 def test_the_bursts_are_tuned_to_the_sources_tone():
     """The source's tone is the one statement of the attack frequency:
     detuning it moves both the estimate and the countermeasure baseline."""
-    tuned = _attack_setup()
+    hvac = _hvac()
+    tuned = _attack_plan()
     detuned = replace(tuned, source=replace(tuned.source, tone_hz=0.9 * tuned.source.tone_hz))
-    forged = [forged_pressure_estimate(s.schedule, s.model, s.tube, s.source)
-              for s in (tuned, detuned)]
+    forged = [forged_pressure_estimate(p.schedule, hvac.model, hvac.tube, p.source)
+              for p in (tuned, detuned)]
     assert forged[1] != forged[0]
-    assert forged[0] == forged_pressure_estimate(tuned.schedule, tuned.model, tuned.tube,
+    assert forged[0] == forged_pressure_estimate(tuned.schedule, hvac.model, hvac.tube,
                                                  tuned.source, target_f_hz=tuned.source.tone_hz)
     cm = Countermeasure.raised_setpoint(-20.0)
-    assert [evaluate_countermeasure(_scenario(), cm, s).baseline_forged_pa
-            for s in (tuned, detuned)] == forged
+    assert [evaluate_countermeasure(_scenario(attack=p), cm).baseline_forged_pa
+            for p in (tuned, detuned)] == forged
 
 
 def test_an_enclosure_whose_lag_overflows_is_rejected():
     with pytest.raises(ValueError, match="enclosure loss of 1e\\+308 dB gives a lag that is not finite"):
         enclosure_lag_s(1e308)
     with pytest.raises(ValueError, match="not finite"):
-        evaluate_countermeasure(_scenario(), Countermeasure.enclosure(1e308), _attack_setup())
+        evaluate_countermeasure(_scenario(), Countermeasure.enclosure(1e308))
 
 
 def test_acoustic_defenses_need_the_attack_setup():
@@ -202,7 +205,7 @@ def test_acoustic_defenses_need_the_attack_setup():
 
 
 def test_enclosure_attenuates_forged_reading_linearly():
-    report = evaluate_countermeasure(_scenario(), Countermeasure.enclosure(20.0), _attack_setup())
+    report = evaluate_countermeasure(_scenario(), Countermeasure.enclosure(20.0))
     assert report.residual_forged_pa == pytest.approx(report.baseline_forged_pa / 10.0, rel=1e-9)
     assert report.sensitivity_penalty_s > 8e-3
 
@@ -211,7 +214,7 @@ def test_enclosure_attenuates_forged_reading_linearly():
 def test_an_enclosure_too_slow_for_a_half_second_window_is_scored(loss_db):
     """The settle window grows with the enclosure lag, so a defense whose
     step takes longer than the 0.5 s floor to settle still gets a score."""
-    report = evaluate_countermeasure(_scenario(), Countermeasure.enclosure(loss_db), _attack_setup())
+    report = evaluate_countermeasure(_scenario(), Countermeasure.enclosure(loss_db))
     assert report.residual_forged_pa == pytest.approx(
         report.baseline_forged_pa * 10.0 ** (-loss_db / 20.0), rel=1e-9)
     assert not report.attack_success
@@ -221,20 +224,20 @@ def test_an_enclosure_too_slow_for_a_half_second_window_is_scored(loss_db):
 
 
 def test_a_low_cutoff_filter_is_scored():
-    report = evaluate_countermeasure(_scenario(), Countermeasure.lpf(2.0, order=3), _attack_setup())
+    report = evaluate_countermeasure(_scenario(), Countermeasure.lpf(2.0, order=3))
     assert not report.attack_success
     assert report.sensitivity_penalty_s > 0.5
 
 
 def test_long_tube_buries_the_attack_in_the_noise():
-    report = evaluate_countermeasure(_scenario(), Countermeasure.long_tube(7.5), _attack_setup())
+    report = evaluate_countermeasure(_scenario(), Countermeasure.long_tube(7.5))
     assert report.below_noise_floor
     assert not report.attack_success
     assert report.sensitivity_penalty_s > 0.0
 
 
 def test_filter_strips_most_of_the_burst_energy():
-    report = evaluate_countermeasure(_scenario(), Countermeasure.lpf(120.0, order=3), _attack_setup())
+    report = evaluate_countermeasure(_scenario(), Countermeasure.lpf(120.0, order=3))
     reduction = 1.0 - report.residual_forged_pa / report.baseline_forged_pa
     assert reduction >= 0.9
     assert not report.attack_success

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nprsim import (
+    AcousticSource,
     AlarmConfig,
     AttackPlan,
     ControllerConfig,
@@ -17,6 +18,7 @@ from nprsim import (
     NprScenario,
     PortWiring,
     RoomConfig,
+    SegmentSchedule,
     WiringError,
     archetype,
     balanced_fans,
@@ -352,6 +354,37 @@ def test_common_port_attack_requires_common_wiring():
     attack = AttackPlan(placement="common_high_port", forged_pa=8.0, affects="both")
     with pytest.raises(WiringError):
         _scenario(rooms=[_room("a"), _room("b", -8.0)], attack=attack)
+
+
+def _burst_attack():
+    """The acoustic_lpf scenario's source and schedule."""
+    schedule = SegmentSchedule(band_hz=(540.0, 670.0), duration_s=0.002, interval_s=0.015)
+    source = AcousticSource(spl_db=65.0, ref_distance_m=0.002, position_distance_m=0.002,
+                            tone_hz=schedule.target_hz())
+    return {"source": source, "schedule": schedule}
+
+
+@pytest.mark.parametrize("placement, forged_pa, given, message", [
+    ("high_port", 0.0, ("source",), "needs both a source and a schedule"),
+    ("high_port", 0.0, ("schedule",), "needs both a source and a schedule"),
+    ("none", 0.0, ("source", "schedule"),
+     r"^placement must be one of \('low_port', 'high_port', 'common_high_port'\)$"),
+    ("high_port", 8.0, ("source", "schedule"),
+     "^give either forged_pa or an acoustic source, not both$"),
+], ids=["source-alone", "schedule-alone", "no-port", "forged-and-source"])
+def test_an_acoustic_plan_the_plant_cannot_run_is_refused(placement, forged_pa, given, message):
+    parts = _burst_attack()
+    with pytest.raises(ValueError, match=message):
+        AttackPlan(placement=placement, forged_pa=forged_pa, **{key: parts[key] for key in given})
+
+
+def test_an_acoustic_plan_needs_an_hvac_sensor_to_aim_at():
+    attack = AttackPlan(placement="high_port", **_burst_attack())
+    assert attack.forged_pa == 0.0
+    with pytest.raises(WiringError, match="^an acoustic attack needs an hvac sensor to aim at$"):
+        _scenario(attack=attack)
+    binding = DpsBinding(model=archetype("A1011-00"), tube=TubeAssembly(length_m=1.0))
+    assert _scenario(attack=attack, wiring_kw={"hvac": binding}).wiring.attack == attack
 
 
 def test_period_averages_cancel_raw_resonance_but_not_bursts():

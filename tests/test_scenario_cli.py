@@ -20,6 +20,7 @@ from nprsim import (
     ScenarioError,
     acoustics,
     archetype,
+    as_replay,
     countermeasures,
     load_archetypes,
     load_scenario,
@@ -72,16 +73,17 @@ def test_shipped_replay_scenario_carries_its_offset():
     assert plan.placement == "low_port"
     assert plan.forged_pa == 8.0
     # no acoustic chain here, so resolution is a no-op
-    assert loaded.resolved().wiring.attack.forged_pa == 8.0
+    assert as_replay(loaded.scenario) is loaded.scenario
 
 
 def test_acoustic_scenario_resolves_forged_magnitude():
     loaded = load_scenario(SCENARIO_DIR / "acoustic_lpf.yaml")
-    assert loaded.attack_setup is not None
+    assert loaded.scenario.wiring.attack.source is not None
     assert loaded.countermeasure is not None
-    resolved = loaded.resolved()
+    resolved = as_replay(loaded.scenario)
     assert resolved.wiring.attack.placement == "high_port"
     assert 20.0 < resolved.wiring.attack.forged_pa < 40.0
+    assert resolved.wiring.attack.source is resolved.wiring.attack.schedule is None
 
 
 def test_unknown_key_is_rejected_with_its_line():
@@ -269,10 +271,24 @@ def test_cli_characterize_finds_tube_resonance(tmp_path, capsys):
     assert "found" in capsys.readouterr().out
 
 
+_UNKNOWN_PART = f"unknown archetype 'NOPE-1'; have {sorted(load_archetypes())}"
+
+
 def test_cli_characterize_rejects_unknown_archetype(tmp_path, capsys):
     rc = main(["characterize", "--archetype", "NOPE-1"])
     assert rc == 2
-    assert "nprsim: error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"nprsim: error: {_UNKNOWN_PART}\n"
+
+
+def test_a_scenario_naming_an_unknown_archetype_says_so_on_its_line(tmp_path, capsys):
+    text = _LPF.replace("archetype: A1011-00", "archetype: NOPE-1")
+    line = text.splitlines().index("    archetype: NOPE-1") + 1
+    expected = f"line {line}: scenario.sensors.hvac.archetype: {_UNKNOWN_PART}"
+    assert _parse_errors(text) == [expected]
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["simulate", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"nprsim: {expected}\n"
 
 
 def test_cli_characterize_rejects_an_oversized_grid(capsys):
@@ -588,6 +604,45 @@ def test_an_acoustic_attack_needs_a_port_to_aim_at(text, tmp_path, capsys):
     bad.write_text(text, encoding="utf-8")
     assert main(["evaluate-cm", str(bad), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"nprsim: {expected}\n"
+
+
+_LPF_HVAC = "sensors:\n  hvac:\n    archetype: A1011-00\n    tube:\n      length_m: 1.0\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (_LPF.replace("  affects: both\n", "  affects: both\n  forged_pa: 0\n"),
+     "give either forged_pa or an acoustic source, not both"),
+    (_LPF.replace("  schedule:\n    band_hz: [540, 670]\n    duration_s: 0.002\n"
+                  "    interval_s: 0.015\n", ""),
+     "source and schedule must be declared together"),
+    (MINIMAL + "attack:\n  placement: high_port\n", "an attack placement needs forged_pa or a source"),
+    (_LPF.replace(_LPF_HVAC, ""), "an acoustic attack needs sensors.hvac to aim at"),
+], ids=["forged-and-source", "source-alone", "neither", "no-hvac"])
+def test_an_attack_missing_or_doubling_a_key_is_one_error_on_the_attacks_line(text, message):
+    """Which keys an attack holds is the loader's check, so the error
+    stands on the attack's own line, not the document's first."""
+    line = text.splitlines().index("attack:") + 2
+    assert _parse_errors(text) == [f"line {line}: scenario.attack: {message}"]
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in SCENARIO_DIR.glob("*.yaml")))
+def test_the_library_simulates_a_scenario_as_the_cli_does(name, tmp_path):
+    """simulate_scenario on a loaded scenario runs its attack, acoustic or
+    replayed, as nprsim simulate does: the same trace rows and the same
+    forged offset."""
+    scenario = load_scenario(SCENARIO_DIR / name).scenario
+    trace = plant.simulate_scenario(scenario)
+    assert main(["simulate", str(SCENARIO_DIR / name), "--out", str(tmp_path)]) in (0, 3)
+    assert _trace_lines(trace) == (tmp_path / "trace.csv").read_text().splitlines()[1:]
+    summary = (tmp_path / "summary.txt").read_text()
+    assert f"converged: {'yes' if trace.converged else 'no'}\n" in summary
+    plan = as_replay(scenario).wiring.attack
+    assert (plan.placement == "none") == ("attack: none\n" in summary)
+    if plan.placement != "none":
+        assert f" forged_pa={_num(plan.forged_pa)}\n" in summary
+    if name == "acoustic_lpf.yaml":
+        assert _num(trace.steady_true_pd_pa()[0]) == "25.4223"
+        assert "containment_lost: yes\n" in summary
 
 
 def test_one_controller_is_checked_once_for_every_room():

@@ -151,6 +151,43 @@ def test_a_package_is_imported_only_by_the_modules_allowed_it():
     assert importers == []
 
 
+# The package's modules, lowest layer first.
+_LAYERS = ("sensor", "acoustics", "waveform", "plant", "countermeasures", "scenario", "cli")
+
+
+def _package_imports(tree: ast.Module) -> list[tuple[str, int]]:
+    """(module of nprsim, line) of each import of one, at a module's top
+    or inside a function; the package itself is "__init__"."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+        else:
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            names = [module.removeprefix("nprsim").removeprefix(".") or "__init__"
+                     for module in modules if module.split(".")[0] == "nprsim"]
+        found += [(name, node.lineno) for name in names]
+    return found
+
+
+def test_each_module_imports_only_the_layers_below_it():
+    """Each module of src/nprsim but __init__ imports only modules before
+    it in _LAYERS, so the import graph stays acyclic."""
+    folder = ROOT / "src" / "nprsim"
+    assert sorted(path.stem for path in folder.glob("*.py")) == sorted(("__init__", *_LAYERS))
+    upward = [f"{name}.py:{line} imports {imported}"
+              for rank, name in enumerate(_LAYERS)
+              for imported, line in _package_imports(
+                  ast.parse((folder / f"{name}.py").read_text(encoding="utf-8")))
+              if imported not in _LAYERS[:rank]]
+    assert upward == []
+
+
 def test_calibration_script_verifies_the_shipped_constants():
     proc = _run(["scripts/calibrate_defaults.py", "--verify"])
     assert proc.returncode == 0, proc.stdout + proc.stderr

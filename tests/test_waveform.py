@@ -10,11 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nprsim import (
-    AcousticAttackSetup,
     AcousticSource,
     AttackPlan,
     AudioBuffer,
     Countermeasure,
+    DpsBinding,
     NprScenario,
     PortWiring,
     RoomConfig,
@@ -67,6 +67,21 @@ def _source(spl_db=65.0, distance_m=0.002, f_hz=685.0):
 def test_schedule_rejects_subperiod_bursts():
     with pytest.raises(ValueError):
         SegmentSchedule(band_hz=(680.0, 690.0), duration_s=0.0005, interval_s=0.015)
+
+
+def test_a_burst_shorter_than_the_played_tones_period_holds_one_whole_cycle():
+    """duration_s is checked against the band's upper edge, not the tone
+    played: the shipped 2 ms bursts (one 670 Hz period is 1.49 ms),
+    retuned to the 476.6 Hz resonance of a 1.6 m tube as sweep --axis
+    tube_length does, play one whole 2.098 ms cycle."""
+    schedule = SegmentSchedule(band_hz=(540.0, 670.0), duration_s=0.002, interval_s=0.015)
+    tone = system_resonant_hz(_A1011, TubeAssembly(length_m=1.6))
+    assert round(tone, 1) == 476.6 and round(1e3 / tone, 3) == 2.098
+    assert schedule.cycle_sequence(tone) == (1,)
+    spans = _burst_spans(schedule, tone, 48000, 48000)
+    assert set((spans[:, 1] - spans[:, 0]).tolist()) == {round(48000 / tone)} == {101}
+    with pytest.raises(ScheduleError, match="1 cycles of 476.555 Hz need 2.09839 ms"):
+        dataclasses.replace(schedule, cycles=1).cycle_sequence(tone)
 
 
 def test_schedule_rejects_interval_not_exceeding_burst():
@@ -743,9 +758,12 @@ def _forged_by_direct_drive(schedule, model, tube, source, *, target_f_hz=None,
     return model.reading_gain * float(np.mean(np.abs(p[window])))
 
 
-# One room attacked at its high port, run for 20 control periods.
-_ATTACKED_ROOM = NprScenario(rooms=(RoomConfig(name="iso1"),), horizon_s=20.0,
-                             wiring=PortWiring(attack=AttackPlan(placement="high_port")))
+def _attacked_room(tube, source, schedule):
+    """One room attacked at its high port through A1011-00 on tube, run
+    for 20 control periods."""
+    attack = AttackPlan(placement="high_port", source=source, schedule=schedule)
+    return NprScenario(rooms=(RoomConfig(name="iso1"),), horizon_s=20.0,
+                       wiring=PortWiring(hvac=DpsBinding(model=_A1011, tube=tube), attack=attack))
 
 
 @settings(max_examples=30, deadline=None)
@@ -770,9 +788,8 @@ def test_the_unit_response_times_the_port_amplitude_is_the_direct_drive(
     # The filter acts after the transducer, on evaluate_countermeasure's
     # baseline drive; that chain adds no path loss.
     cutoff_hz, order = lpf
-    report = evaluate_countermeasure(
-        _ATTACKED_ROOM, Countermeasure.lpf(cutoff_hz, order),
-        AcousticAttackSetup(model=_A1011, tube=tube, source=source, schedule=schedule))
+    report = evaluate_countermeasure(_attacked_room(tube, source, schedule),
+                                     Countermeasure.lpf(cutoff_hz, order))
     assert report.baseline_forged_pa == pytest.approx(_forged_by_direct_drive(
         schedule, _A1011, tube, source, target_f_hz=_F_A1011), rel=1e-12, abs=0.0)
 
@@ -845,8 +862,8 @@ def _count_driven(monkeypatch) -> list[int]:
     return sizes
 
 
-_LPF_ATTACK = load_scenario(
-    Path(__file__).resolve().parent.parent / "scenarios" / "acoustic_lpf.yaml").attack_setup
+_LPF_WIRING = load_scenario(
+    Path(__file__).resolve().parent.parent / "scenarios" / "acoustic_lpf.yaml").scenario.wiring
 
 
 def _count_evaluated(monkeypatch) -> list[int]:
@@ -864,17 +881,17 @@ def _count_evaluated(monkeypatch) -> list[int]:
 
 
 def test_a_repeating_burst_train_filters_a_fraction_of_its_drive(monkeypatch):
-    attack = _LPF_ATTACK
+    attack, hvac = _LPF_WIRING.attack, _LPF_WIRING.hvac
     f = attack.source.tone_hz
-    response, _window = unit_response(attack.schedule, attack.model, attack.tube, target_f_hz=f)
+    response, _window = unit_response(attack.schedule, hvac.model, hvac.tube, target_f_hz=f)
     sizes = _count_evaluated(monkeypatch)
-    unit_response_mean(attack.schedule, attack.model, attack.tube, target_f_hz=f)
+    unit_response_mean(attack.schedule, hvac.model, hvac.tube, target_f_hz=f)
     assert 0 < sum(sizes) < response.size / 4
     # The settle step repeats after its first two blocks of 2,048 samples,
     # of the 24,000.
     sizes.clear()
-    measurement_settle_time_s(attack.model, attack.tube)
-    assert 0 < sum(sizes) < int(round(0.5 * attack.model.sample_rate_hz)) / 3
+    measurement_settle_time_s(hvac.model, hvac.tube)
+    assert 0 < sum(sizes) < int(round(0.5 * hvac.model.sample_rate_hz)) / 3
 
 
 # Burst intervals of the lpf scenario's attack (A1011-00 on a 1 m tube)
@@ -891,7 +908,7 @@ def test_a_burst_train_drive_keeps_to_its_work_budget(q, order, monkeypatch):
     segment, and stops within eight periods, where the state repeats; and
     it evaluates one product for each head's zero-state tail and one for
     the window of every kind."""
-    attack = _LPF_ATTACK
+    attack, hvac = _LPF_WIRING.attack, _LPF_WIRING.hvac
     schedule = dataclasses.replace(attack.schedule, interval_s=_REPEATING_INTERVALS_S[q])
     tables, carried, evaluated = [], [], []
     build, carry, free = sensor._Tables.__init__, sensor._carry, sensor._free_response
@@ -915,7 +932,7 @@ def test_a_burst_train_drive_keeps_to_its_work_budget(q, order, monkeypatch):
     monkeypatch.setattr(sensor, "_carry", carrying)
     monkeypatch.setattr(sensor, "_free_response", evaluating)
     gains = [1.0 - math.exp(-2.0 * math.pi * 120.0 / 48000.0)] * order
-    unit_response_means(schedule, attack.model, attack.tube, target_f_hz=attack.source.tone_hz,
+    unit_response_means(schedule, hvac.model, hvac.tube, target_f_hz=attack.source.tone_hz,
                         sections=gains)
     # One table, of the longest segment's samples: its gap to the next burst.
     gap = int(round(schedule.interval_s * 48000.0)) + 1
@@ -929,14 +946,14 @@ def test_the_carry_agrees_with_the_lfilter_drive_through_twenty_sections(q):
     """The 5- and 25-burst trains through 20 low-pass sections at 120 Hz,
     slow enough that every segment's start state weighs in its outputs,
     meet the lfilter reference within the agreement test's bounds."""
-    attack = _LPF_ATTACK
+    attack, hvac = _LPF_WIRING.attack, _LPF_WIRING.hvac
     schedule = dataclasses.replace(attack.schedule, interval_s=_REPEATING_INTERVALS_S[q])
     f = attack.source.tone_hz
     order, cutoff_hz = 20, 120.0
     a = 1.0 - math.exp(-2.0 * math.pi * cutoff_hz / 48000.0)
-    means = unit_response_means(schedule, attack.model, attack.tube, target_f_hz=f,
+    means = unit_response_means(schedule, hvac.model, hvac.tube, target_f_hz=f,
                                 sections=[a] * order)
-    response, window = _train_by_lfilter(schedule, attack.model, attack.tube, f)
+    response, window = _train_by_lfilter(schedule, hvac.model, hvac.tube, f)
     rel = 1e-12
     assert means[0] == pytest.approx(np.mean(np.abs(response[window])), rel=rel, abs=0.0)
     filtered = lfilter_reference.lpf_cascade(response, cutoff_hz, 1.0 / 48000.0, order)
@@ -1091,12 +1108,12 @@ def test_the_state_space_drive_meets_an_extended_precision_run_of_the_recurrence
 
 def test_each_reference_drive_is_one_filter_call_over_its_whole_inlet(monkeypatch):
     """Even a train that repeats every burst is driven in one call."""
-    attack = _LPF_ATTACK
+    attack, hvac = _LPF_WIRING.attack, _LPF_WIRING.hvac
     f = attack.source.tone_hz
     sizes = _count_driven(monkeypatch)
-    _response, window = unit_response(attack.schedule, attack.model, attack.tube, target_f_hz=f)
+    _response, window = unit_response(attack.schedule, hvac.model, hvac.tube, target_f_hz=f)
     assert sizes == [window.stop + 2]
     sizes.clear()
-    trace, _spans, _amplitude = attack_response_trace(attack.schedule, attack.model,
-                                                      attack.tube, attack.source)
+    trace, _spans, _amplitude = attack_response_trace(attack.schedule, hvac.model,
+                                                      hvac.tube, attack.source)
     assert sizes == [trace.p_out_pa.size]
