@@ -55,14 +55,21 @@ def test_evaluate_cm_enclosure_matches_golden(tmp_path, monkeypatch, capsys):
 
 SYNTH_ARGS = {
     "carrier": ["--carrier", "carrier.wav", "--band", "680", "690"],
+    "carrier_239993": ["--carrier", "carrier.wav", "--band", "680", "690"],
+    "carrier_240007": ["--carrier", "carrier.wav", "--band", "680", "690"],
     "silence": ["--silence", "2.0", "--rate", "48000", "--band", "540", "670"],
 }
+
+# Samples of each case's calibration carrier at 48 kHz: 239,993 is
+# 13 x 18,461, so suppress_band splits it into 13 phases, and 240,007 is
+# prime, so it is transformed whole.
+SYNTH_CARRIER_SAMPLES = {"carrier_239993": 239_993, "carrier_240007": 240_007}
 
 
 @pytest.mark.parametrize("name", sorted(SYNTH_ARGS))
 def test_synth_matches_golden(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    write_wav("carrier.wav", calibration_carrier())
+    write_wav("carrier.wav", calibration_carrier(SYNTH_CARRIER_SAMPLES.get(name, 240_000) / 48000))
     argv = ["synth", *SYNTH_ARGS[name], "--td-ms", "2", "--ti-ms", "15", "--out", "attacked.wav"]
     assert main(argv) == 0
     _assert_same_bytes(tmp_path, GOLDEN / "synth" / name,
