@@ -106,6 +106,16 @@ def _trace_lines(trace: SimulationTrace) -> list[str]:
     return ["%.6g,%s" % (t, tails[r]) for t, r in zip(trace.times_s.tolist(), run.tolist())]
 
 
+def _note_lengthened_bursts(trains) -> None:
+    """Say once per distinct (td, tone) of the (schedule, tone_hz) trains
+    that a td under one cycle of the tone plays one whole cycle."""
+    lengthened = [(s.duration_s, f) for s, f in trains
+                  if s.cycles is None and s.cycle_sequence(f)[0] > s.duration_s * f + 1e-9]
+    for td, tone_hz in dict.fromkeys(lengthened):
+        print(f"nprsim: note: a {_num(td * 1e3)} ms burst is under one cycle of {_num(tone_hz)} Hz"
+              f"; each burst plays one cycle, {_num(1e3 / tone_hz)} ms", file=sys.stderr)
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     loaded = load_scenario(args.scenario)
     try:
@@ -156,7 +166,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     lost = bool(np.any(steady > 0.0))
     lines.append(f"containment_lost: {'yes' if lost else 'no'}")
     _write_lines(out_dir / "summary.txt", lines)
-
+    if (attack := loaded.scenario.wiring.attack).source is not None:
+        _note_lengthened_bursts([(attack.schedule, attack.source.tone_hz)])
     return 0 if trace.converged else 3
 
 
@@ -237,6 +248,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         f"psd_ratio: {_num(ratio)}",
     ]
     _write_lines(report_path, report)
+    _note_lengthened_bursts([(schedule, target)])
     print("\n".join(report))
     return 0
 
@@ -354,11 +366,12 @@ SWEEP_AXES = {
 }
 
 
-def _forged_at(scenario, axis: str, value: float, unit_mean) -> float:
+def _forged_at(scenario, axis: str, value: float, unit_mean, trains: list) -> float:
     """Forged pressure of the scenario's acoustic attack, through its hvac
     sensor, with one parameter set to value; unit_mean gives the burst
     train's rectified 1 Pa response, as unit_response_mean does.  A bare
-    port is NO_TUBE however it was declared."""
+    port is NO_TUBE however it was declared.  The point's burst train,
+    (schedule, tone_hz), is appended to trains."""
     part, name, convert, retune = SWEEP_AXES[axis]
     hvac, attack = scenario.wiring.hvac, scenario.wiring.attack
     parts = {"tube": hvac.tube or NO_TUBE, "source": attack.source, "schedule": attack.schedule}
@@ -366,6 +379,7 @@ def _forged_at(scenario, axis: str, value: float, unit_mean) -> float:
     tube, source, schedule = parts["tube"], parts["source"], parts["schedule"]
     if retune:
         source = replace(source, tone_hz=system_resonant_hz(hvac.model, tube))
+    trains.append((schedule, source.tone_hz))
     return forged_pressure_estimate(
         schedule, hvac.model, tube, source,
         unit_mean_pa=unit_mean(schedule, hvac.model, tube, target_f_hz=source.tone_hz))
@@ -383,17 +397,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # The points of this sweep share each burst train's 1 Pa response: an
     # spl or distance sweep drives the transducer once.
     unit_mean = functools.cache(unit_response_mean)
+    trains: list = []
     rows: list[list[str]] = []
     for value in grid:
         # The parameter's own check (a negative length, an SPL out of
         # range) raises as the dataclass is rebuilt, so it sits in the try.
         try:
-            forged = _forged_at(scenario, args.axis, value, unit_mean)
+            forged = _forged_at(scenario, args.axis, value, unit_mean, trains)
         except (ValueError, ScheduleError, ClippingError) as exc:
             raise CliError(f"{args.axis}={value:g}: {exc}") from exc
         rows.append([_num(value), _num(forged)])
 
     _write_csv(Path(args.out), [args.axis, "forged_pressure_pa"], rows)
+    _note_lengthened_bursts(trains)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -446,6 +462,8 @@ def cmd_evaluate_cm(args: argparse.Namespace) -> int:
         f"residual_below_noise_floor: {'yes' if report.below_noise_floor else 'no'}",
     ]
     _write_lines(out_dir / "report.txt", text)
+    if (attack := loaded.scenario.wiring.attack).source is not None:
+        _note_lengthened_bursts([(attack.schedule, attack.source.tone_hz)])
     print("\n".join(text))
     return 0
 

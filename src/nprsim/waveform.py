@@ -269,33 +269,46 @@ def suppress_band(audio: AudioBuffer, band_hz: tuple[float, float]) -> AudioBuff
     transitions just outside the band edges avoid ringing.  Energy outside
     the band (beyond the narrow transitions) is untouched.
 
-    The notch is one rfft and irfft of the whole buffer, so it is circular
-    and its cost follows the FFT of the sample count: on a 2-vCPU x86-64
-    VM, 479,999 samples (13 x 36,923) took 325 ms against 22 ms for
-    480,000.  Padding to a faster length would change the output, so the
-    buffer is transformed at the length it has.
+    The notch is circular, as one rfft and irfft of the whole buffer make
+    it, but only the weighted band is transformed back and subtracted, and
+    the n samples are transformed as d interleaved phases of m = n / d: d
+    is the largest divisor of n up to 16 that keeps the band below m / 2,
+    so a prime n is transformed whole.  On a 2-vCPU x86-64 VM, 479,999
+    samples (13 x 36,923) took 72-90 ms against 13 ms for 480,000.
     """
     lo, hi = band_hz
     nyquist = audio.sample_rate_hz / 2.0
     if not 0.0 < lo < hi < nyquist:
         raise ValueError(f"band ({lo}, {hi}) must lie inside (0, {nyquist}) Hz")
-    n = audio.samples.size
-    spectrum = np.fft.rfft(audio.samples)
+    x = audio.samples
+    n = x.size
+    if not n:
+        raise ValueError("cannot notch a band out of an empty buffer")
     taper = max(2.0, 0.1 * (hi - lo))
     # Every gain outside [lo - taper, hi + taper] is 1, so only the bins of
     # that span, plus one spare on each side, are weighted.  Bin j sits at
     # j * df, as np.fft.rfftfreq puts it.
     df = 1.0 / (n * (1.0 / audio.sample_rate_hz))
     first = max(0, int((lo - taper) / df) - 1)
-    freqs = np.arange(first, min(spectrum.size, int((hi + taper) / df) + 2)) * df
+    stop = min(n // 2 + 1, int((hi + taper) / df) + 2)
+    freqs = np.arange(first, stop) * df
     gain = np.ones_like(freqs)
     gain[(freqs >= lo) & (freqs <= hi)] = 0.0
     rise = (freqs >= lo - taper) & (freqs < lo)
     gain[rise] = 0.5 * (1.0 + np.cos(np.pi * (freqs[rise] - (lo - taper)) / taper))
     fall = (freqs > hi) & (freqs <= hi + taper)
     gain[fall] = 0.5 * (1.0 - np.cos(np.pi * (freqs[fall] - hi) / taper))
-    spectrum[first : first + gain.size] *= gain
-    out = np.fft.irfft(spectrum, n)
+    # Row s of x.reshape(m, d).T is the phase x[s::d], and bin k of x is the
+    # sum over s of exp(-2 pi i s k / n) X_s[k].  More than 16 phases saved
+    # no time at 480,000 samples; d = 1 holds every bin.
+    d = max(d for d in range(1, 17) if n % d == 0 and (d == 1 or 2 * (stop - 1) < n // d))
+    m = n // d
+    twiddle = np.exp(-2j * np.pi / n * np.outer(np.arange(d), np.arange(first, stop)))
+    band = np.einsum("sk,sk->k", np.fft.rfft(x.reshape(m, d).T)[:, first:stop], twiddle)
+    removed = np.zeros((d, m // 2 + 1), dtype=complex)
+    removed[:, first:stop] = (1.0 - gain) / d * band * twiddle.conj()
+    removed = np.fft.irfft(removed, m)
+    out = np.subtract(x.reshape(m, d), removed.T, order="C").reshape(n)
     # Gibbs overshoot can poke a hair past full scale; clamp it.
     np.clip(out, -1.0, 1.0, out=out)
     return AudioBuffer(sample_rate_hz=audio.sample_rate_hz, samples=out)

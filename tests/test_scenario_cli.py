@@ -1580,3 +1580,43 @@ def test_a_field_without_a_yaml_type_raises_on_first_use():
     with pytest.raises(KeyError, match="complex"):
         _Map([], {}, "odd").build(Odd)
     assert _Map([], {}, "odd").build(Odd, ("phase",)) == Odd()
+
+
+_LENGTHENED_NOTE = ("nprsim: note: a {td} ms burst is under one cycle of {tone} Hz; "
+                    "each burst plays one cycle, {played} ms\n")
+
+
+def test_a_sweep_notes_each_lengthened_burst_once(tmp_path, capsys, monkeypatch):
+    """The golden tube_length sweep retunes its 2 ms bursts to 476.555 Hz
+    at 1.6 m, so each plays one 2.098 ms cycle: one note on stderr, however
+    often the point recurs, and the same stdout as before."""
+    monkeypatch.chdir(SCENARIO_DIR.parent)
+    note = _LENGTHENED_NOTE.format(td="2", tone="476.555", played="2.09839")
+    for values in ("0.8,1.2,1.6", "1.6,1.2,1.6,1.6"):
+        out = tmp_path / "tube_length.csv"
+        assert main(["sweep", "scenarios/acoustic_lpf.yaml", "--axis", "tube_length",
+                     "--values", values, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == note
+        assert captured.out == f"wrote {values.count(',') + 1} rows to {out}\n"
+
+
+def test_synth_notes_a_burst_under_one_cycle_of_its_tone(tmp_path, capsys):
+    """A 1.6 ms burst passes the band's check (one 670 Hz period is 1.49 ms)
+    but holds less than one cycle of the 605 Hz tone played."""
+    out = tmp_path / "attacked.wav"
+    assert main(["synth", "--silence", "2.0", "--rate", "48000", "--band", "540", "670",
+                 "--td-ms", "1.6", "--ti-ms", "15", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == _LENGTHENED_NOTE.format(td="1.6", tone="605", played="1.65289")
+    report = (tmp_path / "attacked.wav.psd.txt").read_text(encoding="utf-8")
+    assert captured.out == report and "burst_ms: 1.6\n" in report
+
+
+@pytest.mark.parametrize("command", ["simulate", "evaluate-cm"])
+def test_a_scenario_run_notes_a_lengthened_burst(command, tmp_path, capsys):
+    path = tmp_path / "short_bursts.yaml"
+    path.write_text(_LPF.replace("duration_s: 0.002", "duration_s: 0.0016"), encoding="utf-8")
+    assert main([command, str(path), "--out", str(tmp_path / "out")]) == 0
+    note = _LENGTHENED_NOTE.format(td="1.6", tone="605", played="1.65289")
+    assert capsys.readouterr().err.count(note) == 1

@@ -175,10 +175,76 @@ def _suppress_band_full_gain(audio, band_hz):
     (100.0, 23000.0),       # both
     (3000.0, 3000.5),
 ])
-def test_suppress_band_equals_the_full_gain_notch(n, band_hz):
+def test_suppress_band_equals_the_full_gain_notch(n, band_hz, tmp_path):
     audio = AudioBuffer(sample_rate_hz=48000, samples=calibration_carrier(1.0).samples[:n])
-    assert np.array_equal(suppress_band(audio, band_hz).samples,
-                          _suppress_band_full_gain(audio, band_hz))
+    _assert_full_gain_notch(audio, band_hz, tmp_path)
+
+
+def _assert_full_gain_notch(audio, band_hz, tmp_path):
+    """suppress_band sums the band's DFT in another order than the
+    reference, so its samples may differ by a few ulp: by at most 8 eps,
+    and never by a 16-bit PCM step."""
+    got = suppress_band(audio, band_hz)
+    expected = AudioBuffer(sample_rate_hz=audio.sample_rate_hz,
+                           samples=_suppress_band_full_gain(audio, band_hz))
+    assert np.max(np.abs(got.samples - expected.samples)) <= 8 * np.finfo(float).eps
+    write_wav(tmp_path / "got.wav", got)
+    write_wav(tmp_path / "expected.wav", expected)
+    assert (tmp_path / "got.wav").read_bytes() == (tmp_path / "expected.wav").read_bytes()
+
+
+_PRIMES = [p for p in range(1009, 6000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+@st.composite
+def _notch_cases(draw):
+    """A length whose phase count suppress_band picks as 1 (a prime), 7 or
+    13 (that times a prime) or 16 (a power of two), and a band whose taper
+    reaches 0 Hz or Nyquist, or whose top may lie above a phase's Nyquist
+    bin, which forces fewer phases."""
+    n = draw(st.one_of(
+        st.sampled_from(_PRIMES),
+        st.builds(lambda k, p: k * p, st.sampled_from((7, 13)), st.sampled_from(_PRIMES)),
+        st.integers(10, 16).map(lambda e: 2 ** e),
+    ))
+    lo, hi = draw(st.one_of(
+        st.tuples(st.floats(0.1, 10.0), st.floats(0.5, 40.0)).map(lambda b: (b[0], sum(b))),
+        st.tuples(st.floats(23950.0, 23990.0), st.floats(0.5, 9.0)).map(
+            lambda b: (b[0], sum(b))),
+        st.tuples(st.floats(100.0, 6000.0), st.floats(0.5, 500.0)).map(
+            lambda b: (b[0], sum(b))),
+    ))
+    return n, (lo, hi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_notch_cases())
+def test_suppress_band_matches_the_full_gain_notch_at_any_split(tmp_path_factory, case):
+    n, band_hz = case
+    audio = AudioBuffer(sample_rate_hz=48000, samples=np.resize(_NOTCH_CARRIER, n))
+    _assert_full_gain_notch(audio, band_hz, tmp_path_factory.mktemp("notch"))
+
+
+_NOTCH_CARRIER = calibration_carrier(1.0).samples
+
+
+def test_suppress_band_refuses_an_empty_buffer():
+    with pytest.raises(ValueError, match="empty buffer"):
+        suppress_band(AudioBuffer(sample_rate_hz=48000, samples=np.zeros(0)), (600.0, 700.0))
+
+
+def test_suppress_band_peaks_under_two_point_two_floats_a_sample():
+    """The split transform holds at most two full-length arrays at once:
+    the phases' spectrum and their removed band, then that band and the
+    output."""
+    carrier = calibration_carrier(10.0)
+    tracemalloc.start()
+    try:
+        suppress_band(carrier, (540.0, 670.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * 8 * carrier.samples.size
 
 
 def test_write_wav_converts_in_blocks_to_the_one_buffer_samples(tmp_path):
