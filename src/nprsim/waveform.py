@@ -274,7 +274,7 @@ def suppress_band(audio: AudioBuffer, band_hz: tuple[float, float]) -> AudioBuff
     the n samples are transformed as d interleaved phases of m = n / d: d
     is the largest divisor of n up to 16 that keeps the band below m / 2,
     so a prime n is transformed whole.  On a 2-vCPU x86-64 VM, 479,999
-    samples (13 x 36,923) took 72-90 ms against 13 ms for 480,000.
+    samples (13 x 36,923) took 60-81 ms against about 14 ms for 480,000.
     """
     lo, hi = band_hz
     nyquist = audio.sample_rate_hz / 2.0

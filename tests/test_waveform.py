@@ -194,27 +194,27 @@ def _assert_full_gain_notch(audio, band_hz, tmp_path):
 
 
 _PRIMES = [p for p in range(1009, 6000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+_NOTCH_CARRIER = calibration_carrier(1.0).samples
 
 
 @st.composite
 def _notch_cases(draw):
     """A length whose phase count suppress_band picks as 1 (a prime), 7 or
     13 (that times a prime) or 16 (a power of two), and a band whose taper
-    reaches 0 Hz or Nyquist, or whose top may lie above a phase's Nyquist
-    bin, which forces fewer phases."""
+    (at least 2 Hz) passes 0 Hz or the 24 kHz Nyquist frequency, or whose
+    top may lie above a phase's Nyquist bin, which forces fewer phases."""
     n = draw(st.one_of(
         st.sampled_from(_PRIMES),
         st.builds(lambda k, p: k * p, st.sampled_from((7, 13)), st.sampled_from(_PRIMES)),
         st.integers(10, 16).map(lambda e: 2 ** e),
     ))
-    lo, hi = draw(st.one_of(
-        st.tuples(st.floats(0.1, 10.0), st.floats(0.5, 40.0)).map(lambda b: (b[0], sum(b))),
-        st.tuples(st.floats(23950.0, 23990.0), st.floats(0.5, 9.0)).map(
-            lambda b: (b[0], sum(b))),
-        st.tuples(st.floats(100.0, 6000.0), st.floats(0.5, 500.0)).map(
-            lambda b: (b[0], sum(b))),
+    width = draw(st.floats(0.5, 20.0))
+    band_hz = draw(st.one_of(
+        st.floats(0.1, 1.9).map(lambda lo: (lo, lo + width)),
+        st.floats(23998.1, 23999.9).map(lambda hi: (hi - width, hi)),
+        st.floats(100.0, 6000.0).map(lambda lo: (lo, lo + 25.0 * width)),
     ))
-    return n, (lo, hi)
+    return n, band_hz
 
 
 @settings(max_examples=40, deadline=None)
@@ -225,7 +225,12 @@ def test_suppress_band_matches_the_full_gain_notch_at_any_split(tmp_path_factory
     _assert_full_gain_notch(audio, band_hz, tmp_path_factory.mktemp("notch"))
 
 
-_NOTCH_CARRIER = calibration_carrier(1.0).samples
+def test_suppress_band_clamps_the_notch_of_a_full_scale_carrier():
+    """Removing a band from a carrier at full scale pushes samples past it,
+    which the notch clamps, as AudioBuffer would refuse them."""
+    samples = np.sign(np.random.default_rng(1).standard_normal(48000))
+    out = suppress_band(AudioBuffer(sample_rate_hz=48000, samples=samples), (680.0, 690.0))
+    assert np.abs(out.samples).max() == 1.0
 
 
 def test_suppress_band_refuses_an_empty_buffer():
