@@ -8,6 +8,9 @@ last one the acoustic commands make:
   segment kinds repeat every 1, 5 and 25 bursts;
 - the same trains followed by the scenario's low-pass defense (three
   first-order sections at 120 Hz), as evaluate-cm --kind lpf drives them;
+- unit_response_means on one-cycle bursts 80.74 samples apart, the
+  A1011-00 tuned to 595.6 Hz by a 1.02 m tube: every other burst runs
+  into the next, and plays until it starts;
 - measurement_settle_time_s of the bare chain and of that low-pass;
 - step_response over the scenario's burst train as unit_response lays
   it, 110,162 samples: the library's drive of a whole sampled inlet.
@@ -42,6 +45,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # (name, burst interval in seconds): trains whose segment kinds repeat
 # every 1, 5 and 25 bursts.
 TRAINS = (("q=1", 0.015), ("q=5", 0.0148), ("q=25", 0.02347))
+# The overrunning train: a cycle of the tuned resonance is 80.59 samples.
+OVERRUN_TUBE_M = (685.0 * 0.88 / 595.6) ** 2
+OVERRUN_GAP_SAMPLES = 80.74
 LPF_CUTOFF_HZ = 120.0
 LPF_ORDER = 3
 WARM_CALLS = 10
@@ -57,16 +63,18 @@ def _cases():
 
     from nprsim.countermeasures import _lpf_gains, measurement_settle_time_s
     from nprsim.scenario import load_scenario
-    from nprsim.sensor import step_response
-    from nprsim.waveform import _lay_bursts, _train_spans, unit_response, unit_response_means
+    from nprsim.sensor import TubeAssembly, step_response, system_resonant_hz
+    from nprsim.waveform import (
+        SegmentSchedule,
+        _lay_bursts,
+        _train_spans,
+        unit_response,
+        unit_response_means,
+    )
 
-    loaded = load_scenario(ROOT / "scenarios" / "acoustic_lpf.yaml")
-    # An older tree keeps the source and schedule beside the scenario, as
-    # attack_setup, with the hvac sensor's model and tube.
-    setup = getattr(loaded, "attack_setup", None)
-    attack = setup or loaded.scenario.wiring.attack
-    hvac = setup or loaded.scenario.wiring.hvac
-    model, tube, tone = hvac.model, hvac.tube, attack.source.tone_hz
+    wiring = load_scenario(ROOT / "scenarios" / "acoustic_lpf.yaml").scenario.wiring
+    attack = wiring.attack
+    model, tube, tone = wiring.hvac.model, wiring.hvac.tube, attack.source.tone_hz
     gains = _lpf_gains(LPF_CUTOFF_HZ, 1.0 / model.sample_rate_hz, LPF_ORDER)
     cases = []
     for sections, suffix in (((), ""), (gains, " lpf")):
@@ -75,10 +83,17 @@ def _cases():
             cases.append((f"unit_response_means {name}{suffix}",
                           lambda s=schedule, g=sections: unit_response_means(
                               s, model, tube, target_f_hz=tone, sections=g)))
+    fs = model.sample_rate_hz
+    overrun_tube = TubeAssembly(length_m=OVERRUN_TUBE_M)
+    overrun_f = system_resonant_hz(model, overrun_tube)
+    overrun = SegmentSchedule(band_hz=(0.9 * overrun_f, 1.1 * overrun_f),
+                              duration_s=(OVERRUN_GAP_SAMPLES - 0.1) / fs,
+                              interval_s=OVERRUN_GAP_SAMPLES / fs, cycles=1)
+    cases.append(("unit_response_means overrun", lambda: unit_response_means(
+        overrun, model, overrun_tube, target_f_hz=overrun_f)))
     cases.append(("measurement_settle_time_s", lambda: measurement_settle_time_s(model, tube)))
     cases.append(("measurement_settle_time_s lpf", lambda: measurement_settle_time_s(
         model, tube, lpf_cutoff_hz=LPF_CUTOFF_HZ, lpf_order=LPF_ORDER)))
-    fs = model.sample_rate_hz
     _response, window = unit_response(attack.schedule, model, tube, target_f_hz=tone)
     train = np.zeros(window.stop + 2)
     _lay_bursts(train, _train_spans(attack.schedule, tone, train.size, fs), attack.schedule,

@@ -153,8 +153,10 @@ def apply_lpf(signal: np.ndarray, cutoff_hz: float, dt: float) -> np.ndarray:
     if x.size == 0:
         return x.copy()
     # With unit DC gain, the section settled at x[0] passes x[0] and filters
-    # the rest from rest.
-    return x[0] + drive_chain(one_pole_chain(a), x - x[0])[:, 0]
+    # the rest from rest, which drive_chain refuses if it is not finite.
+    with np.errstate(invalid="ignore", over="ignore"):
+        rest = x - x[0]
+    return x[0] + drive_chain(one_pole_chain(a), rest)[:, 0]
 
 
 def _lpf_gain(cutoff_hz: float, dt: float) -> float:

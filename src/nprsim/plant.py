@@ -605,10 +605,11 @@ def simulate_scenario(scenario: NprScenario) -> SimulationTrace:
         key=lambda e: (e.time_s, e.room),
     )
 
-    hold_rows = max(1, int(math.ceil(STEADY_HOLD_S / period)))
+    # n_rows > ceil(hold) in float: a subnormal period makes the hold inf.
+    hold = max(1.0, STEADY_HOLD_S / period)
     converged = False
-    if n_rows > hold_rows:
-        slopes = np.abs(np.diff(true_pd[-(hold_rows + 1):], axis=0)) / period
+    if n_rows - 1 >= hold:
+        slopes = np.abs(np.diff(true_pd[-(math.ceil(hold) + 1):], axis=0)) / period
         converged = bool(np.all(slopes < STEADY_SLOPE_PA_PER_S))
 
     return SimulationTrace(

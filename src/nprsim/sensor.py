@@ -356,7 +356,6 @@ def step_response(
     series = np.asarray(inlet, dtype=float)
     if series.ndim != 1 or not series.size:
         raise ValueError(f"inlet must be one-dimensional and not empty, got shape {series.shape}")
-    _require_finite_inlet(series)
     return TransducerTrace(p_out_pa=drive_chain(chain, series)[:, 0], dt_s=dt)
 
 
@@ -379,7 +378,6 @@ def step_response_fn(
     n = int(round(duration_s / dt)) + 1
     # The inlet takes one time in seconds, so it is called once per half step.
     half_steps = np.array([inlet(t) for t in (0.5 * dt * np.arange(2 * n - 1)).tolist()], dtype=float)
-    _require_finite_inlet(half_steps)
     a, c0, cm, c1 = _recurrence(omega, xi, dt)
     # The nodes and the midpoints drive the recurrence as two chains, whose
     # pressures add; the midpoint after the last node drives no returned state.
@@ -465,7 +463,9 @@ def one_pole_chain(gain: float) -> LinearChain:
 
 def drive_chain(chain: LinearChain, x: np.ndarray) -> np.ndarray:
     """Outputs (sample, output) of chain driven by the whole of x, which is
-    not empty, from X[0] = chain.first x[0], in blocks of _DRIVE_SAMPLES."""
+    not empty and is refused if not finite, from X[0] = chain.first x[0],
+    in blocks of _DRIVE_SAMPLES."""
+    _require_finite_inlet(x)
     return _Tables(chain, _DRIVE_SAMPLES).zero_state(x, chain.first * x[0])[0]
 
 

@@ -101,7 +101,8 @@ class SegmentSchedule:
 
     band_hz brackets the target resonance.  duration_s is the nominal burst
     length and must hold at least one period of the band's upper edge.
-    interval_s is the burst repetition period.  cycles pins each burst to a
+    interval_s is the burst repetition period, and burst k plays its first
+    min(length, next start - start) samples.  cycles pins each burst to a
     whole number of tone cycles; a sequence cycles through the values on
     consecutive bursts.  When cycles is None, as many whole cycles of the
     tone played as fit in duration_s are used, and at least one: a lower
@@ -320,10 +321,10 @@ def _burst_spans(
     """Half-open sample index spans of the bursts that fit in n_samples, one
     (start, stop) row per burst.
 
-    Burst k starts at sample round(k * interval * rate) and holds
-    round(c / f * rate) samples, c being its entry of the cycle sequence.
-    The train ends at the first burst that would run past n_samples; a
-    burst of under 2 samples up to that point raises ScheduleError.
+    Burst k starts at sample round(k * interval * rate), holds
+    round(c / f * rate) samples (c its cycle count) and plays the first
+    min(length, next start - start).  The train ends at the first burst
+    past n_samples; a burst of under 2 samples before it raises ScheduleError.
     """
     cycles = schedule.cycle_sequence(frequency_hz)
     lengths = np.array([int(round(c / frequency_hz * sample_rate_hz)) for c in cycles])
@@ -346,14 +347,24 @@ def _burst_spans(
     return np.column_stack((starts[:end], starts[:end] + length[:end]))
 
 
-def _burst_windows(out: np.ndarray, spans: np.ndarray):
-    """(windows, starts) per distinct burst length: windows is a writable
-    view of out's every length-long run, and windows[starts] are the spans
-    of that length."""
+def _burst_cuts(spans: np.ndarray, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lengths, sizes): burst k of spans holds lengths[k] samples and plays
+    the first sizes[k], up to the next burst's start or, for the last, stop."""
     lengths = spans[:, 1] - spans[:, 0]
-    for length in np.unique(lengths).tolist():
-        windows = np.lib.stride_tricks.sliding_window_view(out, length, writeable=True)
-        yield windows, spans[lengths == length, 0]
+    return lengths, np.minimum(lengths, np.diff(spans[:, 0], append=stop))
+
+
+def _burst_windows(out: np.ndarray, spans: np.ndarray):
+    """(windows, starts, length) per distinct burst length and played size:
+    windows is a writable view of out's every size-long run, and
+    windows[starts] are where the bursts of that length play that many."""
+    lengths, sizes = _burst_cuts(spans, out.size)
+    # Both are at most out.size, so one number keys the pair.
+    keys = lengths * (out.size + 1) + sizes
+    for key in np.unique(keys).tolist():
+        length, size = divmod(key, out.size + 1)
+        windows = np.lib.stride_tricks.sliding_window_view(out, size, writeable=True)
+        yield windows, spans[keys == key, 0], length
 
 
 def _burst_samples(
@@ -389,7 +400,8 @@ def synthesize_attack(
     """Embed a resonant burst train in a carrier.
 
     The carrier's target band is suppressed first; each burst then replaces
-    the carrier over its span (crossfaded over the onset ramp).  Burst
+    the carrier over the samples it plays, its first min(length, next
+    start - start), the carrier crossfaded out over the onset ramp.  Burst
     amplitude is amplitude_scale times the carrier peak, or amplitude_scale
     itself for a silent carrier.  Output length and rate equal the input's.
     Raises ClippingError if the result would leave full scale.
@@ -425,14 +437,14 @@ def _lay_bursts(
 ) -> None:
     """Write the bursts of spans into out in place.
 
-    Each burst replaces out over its span, the signal already in out
-    crossfaded out over the burst's onset ramp.  A burst depends only on
-    its length, so one is built per distinct length.
+    Each burst replaces out over the samples it plays (see _burst_cuts),
+    the signal already in out crossfaded out over its onset ramp.  One
+    burst is built per distinct length and played size.
     """
-    for windows, starts in _burst_windows(out, spans):
-        burst, weight = _burst_samples(schedule, frequency_hz, windows.shape[1],
-                                       sample_rate_hz, amplitude)
-        windows[starts] = burst + (1.0 - weight) * windows[starts]
+    for windows, starts, length in _burst_windows(out, spans):
+        size = windows.shape[1]
+        burst, weight = _burst_samples(schedule, frequency_hz, length, sample_rate_hz, amplitude)
+        windows[starts] = burst[:size] + (1.0 - weight[:size]) * windows[starts]
 
 
 def segment_mask(
@@ -447,7 +459,7 @@ def segment_mask(
     code can classify samples without re-deriving the schedule arithmetic.
     """
     mask = np.zeros(n_samples, dtype=bool)
-    for windows, starts in _burst_windows(
+    for windows, starts, _length in _burst_windows(
             mask, _burst_spans(schedule, frequency_hz, n_samples, sample_rate_hz)):
         windows[starts] = True
     return mask
@@ -697,6 +709,8 @@ def unit_response_means(
     means agree with its drive to rounding, but no sample array of the
     drive is built: :func:`segment_abs_means` drives the chain one burst
     interval at a time, and only until the state repeats with the train.
+    Burst k plays its first min(length, next start - start) samples, as
+    the laid train does, so only one burst of each length is built.
     """
     fs = model.sample_rate_hz
     k0, window = _estimate_window(schedule, fs)
@@ -705,34 +719,13 @@ def unit_response_means(
     spans = _train_spans(schedule, f, stop + 2, fs)
     chain = transducer_chain(model, tube, 1.0 / fs).then_sections(sections)
     spans = spans[:spans[:, 0].searchsorted(stop)]
-    # Segment i runs from burst i's start, and its head is
-    # inlet[offset:offset + size].
-    segments = np.empty((len(spans), 3), dtype=np.int64)
-    segments[:, 0] = starts = spans[:, 0]
-    if (spans[1:, 0] < spans[:-1, 1]).any():
-        # A burst runs into the next one, so a segment's head ends where
-        # the bursts so far do, or at the segment's end.  The heads are
-        # read off the laid train, each from the first segment whose head
-        # holds the same samples, so that segments of one head are of one
-        # kind.
-        ends = np.minimum(np.maximum.accumulate(spans[:, 1]), np.append(starts[1:], stop))
-        inlet = np.zeros(stop + 2)
-        _lay_bursts(inlet, spans, schedule, f, fs, 1.0)
-        first: dict[bytes, int] = {}
-        segments[:, 1] = [first.setdefault(inlet[a:b].tobytes(), a)
-                          for a, b in zip(starts.tolist(), ends.tolist())]
-    else:
-        # A segment's head is its burst, which the drive's end may cut, and
-        # a burst's samples depend on its length alone: lay one burst of
-        # each length.
-        ends = np.minimum(spans[:, 1], stop)
-        lengths = spans[:, 1] - starts
-        distinct = sorted(set(lengths.tolist()))
-        inlet = np.concatenate([_burst_samples(schedule, f, length, fs, 1.0)[0]
-                                for length in distinct])
-        at = np.cumsum([0] + distinct[:-1])
-        segments[:, 1] = at[np.searchsorted(distinct, lengths)]
-    np.subtract(ends, starts, out=segments[:, 2])
+    # Segment i's head is the start of the one burst laid of its length.
+    lengths, sizes = _burst_cuts(spans, stop)
+    distinct = sorted(set(lengths.tolist()))
+    inlet = np.concatenate([_burst_samples(schedule, f, length, fs, 1.0)[0]
+                            for length in distinct])
+    at = np.cumsum([0] + distinct[:-1])
+    segments = np.column_stack((spans[:, 0], at[np.searchsorted(distinct, lengths)], sizes))
     return segment_abs_means(chain, inlet, segments, stop, k0)
 
 
@@ -793,6 +786,9 @@ def calibration_carrier(duration_s: float = 5.0) -> AudioBuffer:
     which matters for the null-case behavior of :func:`psd_ratio`.
     """
     sample_rate_hz = 48000
+    if not 1.0 <= duration_s * sample_rate_hz < math.inf:
+        raise ValueError(f"a calibration carrier's duration must be finite and hold a "
+                         f"sample at {sample_rate_hz} Hz, got {duration_s!r} s")
     rng = np.random.default_rng(7)
     n = int(round(duration_s * sample_rate_hz))
     t = np.arange(n) / sample_rate_hz

@@ -88,6 +88,18 @@ def test_lpf_cutoff_bounds():
         apply_lpf(x, 120.0, 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("drive", [lambda: apply_lpf([1.0, math.nan, 2.0], 120.0, DT),
+                                   lambda: lpf_cascade([math.inf, 1.0], 120.0, DT, 2),
+                                   lambda: lpf_cascade([1.0, -math.inf], 120.0, DT, 3)],
+                         ids=["apply_lpf-nan", "lpf_cascade-inf-first", "lpf_cascade-inf-last"])
+def test_a_low_pass_refuses_a_non_finite_sample_as_the_transducer_does(drive):
+    """A NaN or an infinity anywhere in the series is refused as
+    step_response refuses it, and warns of nothing on the way."""
+    with pytest.raises(ValueError, match="inlet contains non-finite samples"):
+        drive()
+
+
 def test_cascade_keeps_unit_dc_gain():
     step = np.ones(int(FS * 0.5))
     for order in (1, 2, 3, 4):

@@ -1306,6 +1306,9 @@ def _numbers(text):
 # A negative horizon over a subnormal period is -inf periods.
 @example(yaml.safe_dump({**_FORGED_ONLY["baseline.yaml"], "horizon_s": -1, "controller": {
     **_STATED["controller"], "control_period_s": 5e-324}}))
+# A hold of STEADY_HOLD_S over a subnormal period is inf periods.
+@example(yaml.safe_dump({**_FORGED_ONLY["baseline.yaml"], "horizon_s": 2.2250738585072014e-308,
+                         "controller": {**_STATED["controller"], "control_period_s": 1e-310}}))
 def test_a_scenario_the_loader_accepts_runs_to_finite_outputs_or_is_refused(text):
     try:
         parse_scenario(text)

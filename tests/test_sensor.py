@@ -141,6 +141,18 @@ def test_step_response_rejects_non_finite_inlet():
         step_response(model, None, inlet, 1.0 / model.sample_rate_hz)
 
 
+@pytest.mark.parametrize("at_dt", [2.0, 2.5], ids=["node", "midpoint"])
+def test_step_response_fn_rejects_a_non_finite_inlet_at_a_node_or_a_midpoint(at_dt):
+    model = archetype("A1011-00")
+    dt = 1.0 / model.sample_rate_hz
+
+    def inlet(t):
+        return math.nan if abs(t - at_dt * dt) < 0.1 * dt else 1.0
+
+    with pytest.raises(ValueError, match="inlet contains non-finite samples"):
+        step_response_fn(model, None, inlet, 10 * dt, dt)
+
+
 @pytest.mark.parametrize("inlet", [np.ones(0), np.ones((2, 2))])
 def test_step_response_rejects_a_drive_it_cannot_hold(inlet):
     model = archetype("A1011-00")

@@ -237,7 +237,8 @@ def test_time_drives_times_every_drive_on_a_tree_and_its_base():
     cases = [line.rsplit(None, 5)[0] for line in lines[1:-1]]
     assert cases == [f"unit_response_means {train}{lpf}" for lpf in ("", " lpf")
                      for train in ("q=1", "q=5", "q=25")] + [
-        "measurement_settle_time_s", "measurement_settle_time_s lpf", "step_response"]
+        "unit_response_means overrun", "measurement_settle_time_s",
+        "measurement_settle_time_s lpf", "step_response"]
     for line in lines[1:-1]:
         ratio, q1, q3 = (float(cell) for cell in line.split()[-3:])
         assert ratio > 0.0

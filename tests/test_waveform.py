@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import struct
 import tracemalloc
 from pathlib import Path
@@ -309,6 +310,16 @@ def test_an_audio_buffer_refuses_a_non_finite_sample(bad):
     """A NaN compares False with any bound, so a peak test alone let it in."""
     with pytest.raises(ValueError, match="non-finite"):
         AudioBuffer(sample_rate_hz=48000, samples=np.array([0.1, bad, 0.2]))
+
+
+@pytest.mark.parametrize("duration_s", [0.0, -1.0, math.nan, math.inf, 0.4 / 48000])
+def test_a_calibration_carrier_refuses_a_duration_without_a_sample(duration_s):
+    """A duration of no sample, or not finite, is one ValueError naming
+    it, not an error numpy raises on the way."""
+    message = f"duration must be finite and hold a sample at 48000 Hz, got {duration_s!r} s"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        calibration_carrier(duration_s)
+    assert calibration_carrier(1.0 / 48000).samples.size == 1
 
 
 @pytest.mark.parametrize("rate", [np.zeros(4), np.array([48000]), True, 48000.0, "48000"])
@@ -685,6 +696,41 @@ def test_burst_trains_equal_a_per_burst_construction():
         inlet[start:stop] = _burst_samples(sched, f, stop - start, model.sample_rate_hz, amp)[0]
     assert np.array_equal(trace.p_out_pa,
                           step_response(model, None, inlet, 1.0 / model.sample_rate_hz).p_out_pa)
+
+
+# Bursts of 2 and 1 cycles of 993.79 Hz, 97 and 48 samples, 96.7 samples
+# apart: a 2-cycle burst overruns the 1-cycle one after it by a sample
+# wherever their starts lie 96 samples apart.
+_MIXED_OVERRUN = SegmentSchedule(band_hz=(894.4, 1093.2), duration_s=96.6 / 48000,
+                                 interval_s=96.7 / 48000, cycles=(2, 1))
+
+
+@pytest.mark.parametrize("schedule", [
+    dataclasses.replace(_MIXED_OVERRUN, fade_in_s=0.0003),
+    dataclasses.replace(_MIXED_OVERRUN, cycles=2, fade_in_s=0.0002),
+], ids=["mixed-lengths", "one-length"])
+def test_each_burst_plays_until_the_next_one_starts(schedule):
+    """synthesize_attack and segment_mask equal a construction burst by
+    burst in which burst k plays its first min(length, next start - start)
+    samples, its onset ramp crossfaded with the notched carrier."""
+    f = 993.79
+    carrier = calibration_carrier(0.5)
+    fs = carrier.sample_rate_hz
+    expected = suppress_band(carrier, schedule.band_hz).samples.copy()
+    mask = np.zeros(expected.size, dtype=bool)
+    amplitude = 0.9 * float(np.max(np.abs(carrier.samples)))
+    spans = _burst_spans_by_loop(schedule, f, expected.size, fs)
+    nexts = [start for start, _stop in spans[1:]] + [expected.size]
+    for (start, stop), next_start in zip(spans, nexts):
+        burst, weight = _burst_samples(schedule, f, stop - start, fs, amplitude)
+        size = min(stop, next_start) - start
+        expected[start:start + size] = (burst[:size]
+                                        + (1.0 - weight[:size]) * expected[start:start + size])
+        mask[start:start + size] = True
+    assert any(stop > next_start for (_start, stop), next_start in zip(spans, nexts))
+    assert np.array_equal(synthesize_attack(carrier, schedule, f).samples,
+                          np.clip(expected, -1.0, 1.0))
+    assert np.array_equal(segment_mask(schedule, f, expected.size, fs), mask)
 
 
 def _burst_spans_by_loop(schedule, frequency_hz, n_samples, sample_rate_hz):
@@ -1085,6 +1131,23 @@ def _resonant_train(part, tube_m, damping, gap, cycles):
                                duration_s=min(2.5 / f, (gap - 0.1) / fs),
                                interval_s=gap / fs, cycles=cycles)
     return model, tube, f, schedule
+
+
+def test_a_mixed_length_overrunning_train_drives_as_laid_burst_by_burst():
+    """A 2-cycle burst cut by the 1-cycle burst after it plays until that
+    one starts: the burst-interval drive and the laid train's drive agree
+    with the step_response drive of the train laid burst by burst."""
+    model = archetype("A1011-00").with_damping(0.05)
+    fs = model.sample_rate_hz
+    inlet, window = _full_train(_MIXED_OVERRUN, model, 993.79)
+    spans = _burst_spans(_MIXED_OVERRUN, 993.79, inlet.size, fs)
+    assert (spans[1:, 0] < spans[:-1, 1]).any()
+    assert len(set((spans[:, 1] - spans[:, 0]).tolist())) == 2
+    full = step_response(model, None, inlet, 1.0 / fs).p_out_pa
+    mean = unit_response_mean(_MIXED_OVERRUN, model, None, target_f_hz=993.79)
+    assert mean == pytest.approx(np.mean(np.abs(full[window])), rel=1e-12, abs=0.0)
+    response, _window = unit_response(_MIXED_OVERRUN, model, None, target_f_hz=993.79)
+    assert response.tobytes() == full[:response.size].tobytes()
 
 
 def test_an_overrunning_train_builds_one_zero_state_response_per_distinct_head(monkeypatch):
