@@ -122,9 +122,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         scenario = as_replay(loaded.scenario)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    if loaded.countermeasure is not None:
-        print(f"nprsim: note: countermeasure '{loaded.countermeasure.kind}' is not applied "
-              "by simulate; evaluate-cm scores it", file=sys.stderr)
     trace = simulate_scenario(scenario)
 
     out_dir = Path(args.out)
@@ -166,6 +163,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     lost = bool(np.any(steady > 0.0))
     lines.append(f"containment_lost: {'yes' if lost else 'no'}")
     _write_lines(out_dir / "summary.txt", lines)
+    if loaded.countermeasure is not None:
+        print(f"nprsim: note: countermeasure '{loaded.countermeasure.kind}' is not applied "
+              "by simulate; evaluate-cm scores it", file=sys.stderr)
     if (attack := loaded.scenario.wiring.attack).source is not None:
         _note_lengthened_bursts([(attack.schedule, attack.source.tone_hz)])
     return 0 if trace.converged else 3

@@ -68,7 +68,8 @@ class ScenarioError(ValueError):
 # libyaml's parser where PyYAML was built with it, the pure-Python one
 # otherwise; both resolve and construct the same values.
 class _LineLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """Safe loader that records the source line of every mapping key."""
+    """Safe loader that records the source line of every mapping key, under
+    two keys of its own that a document may not use."""
 
     def construct_mapping(self, node, deep=False):
         mapping = {}
@@ -80,9 +81,9 @@ class _LineLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
                     problem=f"mapping keys must be strings, got {key!r}",
                     problem_mark=key_node.start_mark,
                 )
-            if key in mapping:
+            if key in mapping or key in (_LINES_KEY, _LINE_KEY):
                 raise yaml.MarkedYAMLError(
-                    problem=f"duplicate key {key!r}",
+                    problem=f"{'duplicate' if key in mapping else 'reserved'} key {key!r}",
                     problem_mark=key_node.start_mark,
                 )
             mapping[key] = self.construct_object(value_node, deep=True)

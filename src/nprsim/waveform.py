@@ -641,13 +641,16 @@ def attack_response_trace(
     off-band residue has no noticeable effect on the forged pressure.
 
     Returns (trace, spans, port_amplitude_pa), spans holding one
-    (start, stop) sample row per burst.
+    (start, stop) sample row per burst: the samples it plays, up to the
+    next burst's start where it would overrun that (see _burst_cuts).
     """
     f = source.tone_hz if target_f_hz is None else float(target_f_hz)
     amplitude = port_amplitude_pa(source, tube)
     n = int(round(duration_s * model.sample_rate_hz))
     trace, spans = _drive_bursts(schedule, model, tube, f, amplitude, n)
-    return trace, spans, amplitude
+    played = spans.copy()
+    played[:, 1] = spans[:, 0] + _burst_cuts(spans, n)[1]
+    return trace, played, amplitude
 
 
 def unit_response(

@@ -212,6 +212,19 @@ def test_cli_simulate_flags_nonconvergence(tmp_path):
     assert "converged: no" in (tmp_path / "out" / "summary.txt").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("period, horizon", [("1.0e-5", "0.001"),
+                                             ("1.0e-310", "2.2250738585072014e-308")],
+                         ids=["1ms-horizon", "subnormal-period"])
+def test_a_room_at_rest_from_its_first_row_has_converged_on_any_horizon(period, horizon, tmp_path):
+    """baseline.yaml holds its setpoint from the first row, so a horizon of
+    100 periods of 10 us, or of 222 subnormal periods, has converged."""
+    text = (SCENARIO_DIR / "baseline.yaml").read_text(encoding="utf-8").replace(
+        "horizon_s: 120", f"horizon_s: {horizon}\ncontroller:\n  control_period_s: {period}")
+    (tmp_path / "short.yaml").write_text(text, encoding="utf-8")
+    assert main(["simulate", str(tmp_path / "short.yaml"), "--out", str(tmp_path / "out")]) == 0
+    assert "converged: yes" in (tmp_path / "out" / "summary.txt").read_text(encoding="utf-8")
+
+
 def test_cli_synth_writes_wav_and_report(tmp_path, capsys):
     out = tmp_path / "attack.wav"
     rc = main([
@@ -1075,13 +1088,16 @@ _GAIN_OVERFLOW = "controller:\n  gain: 1.0e+300\n" + MINIMAL + "    initial_pres
      "offset of 0 Pa overflow a float"),
     (["simulate", "{scenario}", "--out", "{out}"], _GAIN_OVERFLOW, None,
      "room iso1: a controller gain of 1e+300 on errors of up to 1e+10 Pa overflows a float"),
+    # The countermeasure note comes only after a run that wrote its outputs.
+    (["simulate", "{scenario}", "--out", "{scenario}"], _LPF, None, "[Errno 17] File exists"),
 ], ids=["simulate-tone-0.1hz", "simulate-tube-1e-9m", "synth-silence-past-nyquist",
         "synth-carrier-past-nyquist", "characterize-all-bad-table", "simulate-bad-table",
         "characterize-all-duplicate-key-table", "synth-target-1e308hz", "evaluate-cm-tube-1e-300m",
         "sweep-tube-length-1e-300m",
         "sweep-ti-1e9ms", "sweep-ti-1e307ms", "simulate-interval-1000s", "characterize-diameter-1e-160",
         "sweep-diameter-1e-160", "simulate-amplitude-scale",
-        "simulate-room-start-overflow", "simulate-controller-gain-overflow"])
+        "simulate-room-start-overflow", "simulate-controller-gain-overflow",
+        "simulate-countermeasure-out-is-a-file"])
 def test_a_failing_run_is_one_error_line_and_writes_nothing(argv, scenario, table, message,
                                                             monkeypatch, tmp_path, capsys):
     inputs = tmp_path / "in"
@@ -1306,7 +1322,7 @@ def _numbers(text):
 # A negative horizon over a subnormal period is -inf periods.
 @example(yaml.safe_dump({**_FORGED_ONLY["baseline.yaml"], "horizon_s": -1, "controller": {
     **_STATED["controller"], "control_period_s": 5e-324}}))
-# A hold of STEADY_HOLD_S over a subnormal period is inf periods.
+# A subnormal period, over which a hold of seconds was once inf periods.
 @example(yaml.safe_dump({**_FORGED_ONLY["baseline.yaml"], "horizon_s": 2.2250738585072014e-308,
                          "controller": {**_STATED["controller"], "control_period_s": 1e-310}}))
 def test_a_scenario_the_loader_accepts_runs_to_finite_outputs_or_is_refused(text):
@@ -1478,6 +1494,21 @@ def test_a_yaml_error_is_reported_on_the_line_the_pure_parser_names(tail, line, 
         assert messages == [f"line {line}: {problem}"]
     assert messages[0].startswith(f"line {line}: ")
     assert _loaded_or_error_line(text, _PureLineLoader) == f"line {line}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("__line__: 99\n" + MINIMAL, "line 1: reserved key '__line__'"),
+    (MINIMAL + "    __lines__: {a: 1}\n", "line 4: reserved key '__lines__'"),
+], ids=["top-level-line", "room-lines"])
+def test_a_key_the_loader_keeps_its_lines_under_is_refused(text, message, tmp_path, capsys):
+    """The loader records each mapping's lines under __line__ and
+    __lines__, which would overwrite a document's own key of either name."""
+    assert _parse_errors(text) == [message]
+    (tmp_path / "scenario.yaml").write_text(text, encoding="utf-8")
+    assert main(["simulate", str(tmp_path / "scenario.yaml"), "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].endswith(message)
+    assert not (tmp_path / "out").exists()
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

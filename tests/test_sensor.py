@@ -285,6 +285,9 @@ _X1 = ("sensors:\n  - part_id: X1\n    transducer: capacitive\n"
      "line 2: archetypes.defaults.damping_ratio: expected number"),
     (_X1 + _X1.removeprefix("sensors:\n"), "line 6: archetypes.sensors[1].part_id: duplicate part id X1"),
     (_X1 + "bogus: 1\n", "line 6: archetypes.bogus: unknown key"),
+    # Keys the loader keeps each mapping's lines under.
+    ("__line__: 1\n" + _X1, "line 1: reserved key '__line__'"),
+    (_X1 + "    __lines__: {part_id: 9}\n", "line 6: reserved key '__lines__'"),
     ("sensors: []\n", "line 1: archetypes.sensors: expected a list of at least one sensor mapping"),
 ])
 def test_a_malformed_archetype_table_is_one_error_naming_the_file(text, message, tmp_path,

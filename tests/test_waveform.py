@@ -1150,6 +1150,22 @@ def test_a_mixed_length_overrunning_train_drives_as_laid_burst_by_burst():
     assert response.tobytes() == full[:response.size].tobytes()
 
 
+def test_the_response_trace_spans_are_what_each_burst_plays():
+    """attack_response_trace's spans end where the next burst starts when
+    the laid burst would run past it, and are the laid spans otherwise."""
+    model = archetype("A1011-00")
+    fs = model.sample_rate_hz
+    for schedule in (_MIXED_OVERRUN, dataclasses.replace(_MIXED_OVERRUN, interval_s=200 / fs)):
+        _trace, spans, _amplitude = attack_response_trace(schedule, model, None,
+                                                          _source(f_hz=993.79), duration_s=0.1)
+        laid = _burst_spans(schedule, 993.79, int(round(0.1 * fs)), fs)
+        assert spans.tolist() == [[start, min(stop, after)] for (start, stop), after
+                                  in zip(laid.tolist(), [*laid[1:, 0].tolist(), 0.1 * fs])]
+        assert np.all(spans[:-1, 1] <= spans[1:, 0])
+        overruns = int(np.sum(laid[:-1, 1] > laid[1:, 0]))
+        assert overruns == (5 if schedule is _MIXED_OVERRUN else 0)
+
+
 def test_an_overrunning_train_builds_one_zero_state_response_per_distinct_head(monkeypatch):
     """The overrunning train below has some 1,370 segments but two head
     contents: each is driven from rest once."""
