@@ -9,6 +9,10 @@ stdout, stderr and exit code, are compared byte for byte.
 
     python3 scripts/diff_outputs.py --base HEAD~1 --workload attack --seeds 0-7
     python3 scripts/diff_outputs.py --base-tree ../other-checkout --workload closed-loop
+    python3 scripts/diff_outputs.py --base HEAD~1 --workload all --seeds 0-3
+
+--workload all runs characterize, attack and closed-loop in turn, with a
+summary line for each.
 
 --base checks the revision out into a temporary `git worktree`, removed
 afterwards; --base-tree uses a directory holding src/nprsim as it is.
@@ -144,7 +148,8 @@ def main(argv: list[str] | None = None) -> int:
     which = parser.add_mutually_exclusive_group(required=True)
     which.add_argument("--base", help="git revision to compare against")
     which.add_argument("--base-tree", help="checkout (holding src/nprsim) to compare against")
-    parser.add_argument("--workload", choices=workloads.WORKLOADS, default="attack")
+    parser.add_argument("--workload", choices=(*workloads.WORKLOADS, "all"), default="attack",
+                        help="one workload, or all of them in turn (default attack)")
     parser.add_argument("--seeds", default="0", help="e.g. 0-7 or 0,3,5 (default 0)")
     parser.add_argument("--size", choices=("full", "tiny"), default="full")
     parser.add_argument("--scratch", default=None,
@@ -166,6 +171,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _compare(args, workloads, seeds: list[int]) -> int:
+    names = workloads.WORKLOADS if args.workload == "all" else (args.workload,)
     with contextlib.ExitStack() as stack:
         if args.scratch is None:
             scratch = Path(stack.enter_context(tempfile.TemporaryDirectory()))
@@ -173,19 +179,27 @@ def _compare(args, workloads, seeds: list[int]) -> int:
             scratch = Path(args.scratch).resolve()
             scratch.mkdir(parents=True, exist_ok=True)
         base = stack.enter_context(_base_tree(args, scratch))
-        total = 0
-        for seed in seeds:
-            tiny = args.size == "tiny"
-            base_run = _run_side(base, workloads, args.workload, seed, tiny, scratch)
-            head_run = _run_side(ROOT, workloads, args.workload, seed, tiny, scratch)
-            found = _differences(base_run, head_run)
-            for line in found:
-                print(f"seed {seed}: {line}")
-            print(f"seed {seed}: {len(head_run[0])} jobs, {len(head_run[1])} files, "
-                  f"{len(found)} differences")
-            total += len(found)
-        print(f"{args.workload}: {total} differences over {len(seeds)} seed(s)")
+        tiny = args.size == "tiny"
+        total = sum(_compare_workload(base, workloads, name, seeds, tiny, scratch)
+                    for name in names)
     return 1 if total else 0
+
+
+def _compare_workload(base: Path, workloads, name: str, seeds: list[int], tiny: bool,
+                      scratch: Path) -> int:
+    """Print what differs on each seed of one workload; returns the count."""
+    total = 0
+    for seed in seeds:
+        base_run = _run_side(base, workloads, name, seed, tiny, scratch)
+        head_run = _run_side(ROOT, workloads, name, seed, tiny, scratch)
+        found = _differences(base_run, head_run)
+        for line in found:
+            print(f"seed {seed}: {line}")
+        print(f"seed {seed}: {len(head_run[0])} jobs, {len(head_run[1])} files, "
+              f"{len(found)} differences")
+        total += len(found)
+    print(f"{name}: {total} differences over {len(seeds)} seed(s)")
+    return total
 
 
 if __name__ == "__main__":

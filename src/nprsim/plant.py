@@ -498,7 +498,15 @@ def _stack_rows(rows: np.ndarray, maps: np.ndarray, balance: np.ndarray, x: np.n
 def as_replay(scenario: NprScenario) -> NprScenario:
     """The scenario with its acoustic attack collapsed to a replay: forged_pa
     set to the offset the bursts forge through the hvac sensor and tube,
-    source and schedule cleared.  Any other scenario is returned as is."""
+    source and schedule cleared.  Any other scenario is returned as is.
+
+    The replay takes the controller's reading over one control period T
+    to be the mean rectified output over whole burst intervals, the same
+    in every period.  That holds while T spans many intervals: at the
+    paper's ti of 15-60 ms and T = 1 s the per-period mean spreads 1.5-6%
+    of forged_pa.  A period holds floor(T/ti) or ceil(T/ti) bursts, so
+    past that the per-period mean moves by one burst's share, forged_pa *
+    ti / T, which the constant offset does not show."""
     plan = scenario.wiring.attack
     if plan.source is None:
         return scenario

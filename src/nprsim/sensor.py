@@ -832,6 +832,27 @@ def step_last_outside(chain: LinearChain, n: int, band: float) -> int:
     return last
 
 
+def _lower_quartile(values: np.ndarray) -> float:
+    """float(np.percentile(values, 25.0)), bit for bit, by one partition.
+
+    The 25th percentile lies at index k = (n - 1)/4 of the sorted values,
+    between the order statistics a at floor(k) and b one above it; numpy
+    interpolates them as a + (b - a) t, or b - (b - a)(1 - t) when the
+    fraction t = k - floor(k) is at least 1/2, and so does this.  The
+    partition also places the largest value last, where a NaN sorts, so a
+    NaN anywhere gives NaN, as numpy's does.
+    """
+    n = values.size
+    k = 0.25 * (n - 1)
+    lo = int(k)
+    hi = min(lo + 1, n - 1)
+    part = np.partition(values, (lo, hi, n - 1))
+    if math.isnan(part[-1]):
+        return math.nan
+    a, b, t = float(part[lo]), float(part[hi]), k - lo
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def frequency_sweep(
     model: DpsModel,
     tube: TubeAssembly | None,
@@ -885,7 +906,7 @@ def frequency_sweep(
     peak = np.abs(gain)
 
     i_max = int(np.argmax(peak))
-    floor = float(np.percentile(peak, 25.0))
+    floor = _lower_quartile(peak)
     # The interior check is the real discriminator: a second-order response
     # with no peak in range (or a peak beyond the sweep edge) always
     # maximizes at a boundary.  The prominence floor only rejects near-flat

@@ -6,7 +6,9 @@ to one digit of one number, fails here; a deliberate change regenerates
 them with the commands these tests run (from the repository root, with
 relative scenario paths, so the summary's scenario line is path-stable;
 synth from the output directory with a relative --out, so the report's
-output line is too).
+output line is too).  The characterize CSVs cover a bare port over the
+default 50 Hz-40 kHz band, where the two ultrasonic parts are not found,
+the same parts behind a 1 m tube, and one damped part on a fine grid.
 """
 
 from pathlib import Path
@@ -92,3 +94,18 @@ def test_sweep_matches_golden(axis, tmp_path, monkeypatch):
             "--out", str(out)]
     assert main(argv) == 0
     _assert_same_bytes(tmp_path, GOLDEN / "sweep", (f"{axis}.csv",))
+
+
+CHARACTERIZE_ARGS = {
+    "all": ["--archetype", "all"],
+    "all_tube_1m": ["--archetype", "all", "--tube-length", "1.0"],
+    "A1011-00_damped": ["--archetype", "A1011-00", "--damping", "0.2",
+                        "--lo", "400", "--hi", "900", "--step", "5"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHARACTERIZE_ARGS))
+def test_characterize_matches_golden(name, tmp_path, capsys):
+    out = tmp_path / f"{name}.csv"
+    assert main(["characterize", *CHARACTERIZE_ARGS[name], "--out", str(out)]) == 0
+    _assert_same_bytes(tmp_path, GOLDEN / "characterize", (f"{name}.csv",))

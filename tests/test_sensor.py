@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -200,6 +200,67 @@ def test_sweep_reports_no_resonance_on_flat_response():
     assert model.damping_ratio == 1.0
     with pytest.raises(NoResonanceError):
         frequency_sweep(model, None, 400.0, 900.0, 10.0)
+
+
+# The prominence is the peak over the sweep's 25th-percentile response,
+# so each message shows the floor to two decimals.
+_NO_RESONANCE_MESSAGES = [
+    # A maximally flat response far below resonance: the argmax wanders into
+    # the interior, and only the prominence floor rejects it.
+    (("A1011-00", 1.0 / math.sqrt(2.0), 0.001, 0.002, 1e-5),
+     "A1011-00: no resonance between 0.001 and 0.002 Hz "
+     "(peak index 63 of 101, prominence 1.00x)"),
+    # A resonance above the band: a prominent peak, but at the last tone.
+    (("NSCSS015PDUNV", 0.05, 50.0, 40_000.0, 10.0),
+     "NSCSS015PDUNV: no resonance between 50 and 40000 Hz "
+     "(peak index 3995 of 3996, prominence 3.68x)"),
+]
+
+
+@pytest.mark.parametrize("case, message", _NO_RESONANCE_MESSAGES, ids=["plateau", "boundary"])
+def test_a_sweep_without_resonance_names_its_peak_and_prominence(case, message):
+    part_id, damping, lo, hi, step = case
+    with pytest.raises(NoResonanceError) as raised:
+        frequency_sweep(archetype(part_id).with_damping(damping), None, lo, hi, step)
+    assert str(raised.value) == message
+
+
+# Sweep responses are magnitudes, so no -0.0: where a -0.0 and a 0.0 land
+# among equal values is up to the partition, and numpy's partitions on
+# other indices.
+_MAGNITUDES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.0e-308, 1.0, 1.0 + 2.0**-52, 1e300, math.inf]),
+    st.floats(min_value=0.0, allow_nan=False),
+)
+_SWEEP_RESPONSES = st.one_of(
+    # Runs of one fill value with a few others among them: heavy ties and
+    # constant arrays.
+    arrays(np.float64, st.integers(sensor.MIN_SWEEP_TONES, 3000),
+           elements=_MAGNITUDES, fill=_MAGNITUDES),
+    # Every value drawn, so the two bracketing values differ and numpy's
+    # two interpolation forms can round apart.
+    arrays(np.float64, st.integers(sensor.MIN_SWEEP_TONES, 200),
+           elements=_MAGNITUDES | st.floats(0.0, 10.0), fill=st.nothing()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_SWEEP_RESPONSES, nan_at=st.none() | st.floats(0.0, 1.0))
+# Quartiles at t = 1/4 (6 tones) and t = 3/4 (8 tones) between values whose
+# two interpolation forms round apart: numpy's 1.3625 against
+# 1.3624999999999998, and numpy's 5.477499999999999 against 5.4775.
+@example(values=np.array([0.0, 0.54, 3.83, 9.0, 9.0, 9.0]), nan_at=None)
+@example(values=np.array([0.0, 2.35, 6.52, 9.0, 9.0, 9.0, 9.0, 9.0]), nan_at=None)
+def test_the_sweep_floor_is_numpys_25th_percentile_bit_for_bit(values, nan_at):
+    if nan_at is not None:
+        values[int(nan_at * (values.size - 1))] = math.nan
+    with np.errstate(invalid="ignore"):  # numpy's lerp of inf and inf
+        expected = float(np.percentile(values, 25.0))
+    got = sensor._lower_quartile(values)
+    if math.isnan(expected):
+        assert math.isnan(got)
+    else:
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (got, expected)
 
 
 def test_archetype_catalog_contents():

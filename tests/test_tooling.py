@@ -226,6 +226,17 @@ def test_diff_outputs_reports_a_job_whose_stdout_differs(reworded_sweep_diff):
     assert "seed 0: job sweep-0-distance: stdout differs" in proc.stdout.splitlines()
 
 
+def test_diff_outputs_runs_every_workload_in_turn(tmp_path):
+    """--workload all against the tree itself: a summary line for each
+    workload, each with no difference."""
+    proc = _run(["scripts/diff_outputs.py", "--base-tree", str(ROOT), "--workload", "all",
+                 "--size", "tiny", "--scratch", str(tmp_path)])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    summaries = [line for line in proc.stdout.splitlines() if not line.startswith("seed ")]
+    assert summaries == [f"{name}: 0 differences over 1 seed(s)"
+                         for name in ("characterize", "attack", "closed-loop")]
+
+
 def test_time_drives_times_every_drive_on_a_tree_and_its_base():
     """scripts/time_drives.py run for two rounds, with the tree as its own
     base: a line per case, each with both sides' times, their ratio and
