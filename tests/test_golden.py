@@ -9,6 +9,10 @@ synth from the output directory with a relative --out, so the report's
 output line is too).  The characterize CSVs cover a bare port over the
 default 50 Hz-40 kHz band, where the two ultrasonic parts are not found,
 the same parts behind a 1 m tube, and one damped part on a fine grid.
+No shipped scenario has more rooms than the float loop takes, so
+golden/many_rooms holds a test-only scenario of twenty rooms beside its
+outputs: its comments say which rooms alarm and which only pass the
+threshold.
 """
 
 from pathlib import Path
@@ -37,6 +41,12 @@ def test_simulate_matches_golden(name, tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert main(["simulate", f"scenarios/{name}.yaml", "--out", str(tmp_path)]) == 0
     _assert_same_bytes(tmp_path, GOLDEN / "simulate" / name, ("trace.csv", "summary.txt"))
+
+
+def test_simulate_of_many_rooms_with_a_monitor_matches_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert main(["simulate", "tests/golden/many_rooms/many_rooms.yaml", "--out", str(tmp_path)]) == 0
+    _assert_same_bytes(tmp_path, GOLDEN / "many_rooms", ("trace.csv", "summary.txt"))
 
 
 def test_evaluate_cm_matches_golden(tmp_path, monkeypatch, capsys):
