@@ -12,8 +12,9 @@ last one the acoustic commands make:
   A1011-00 tuned to 595.6 Hz by a 1.02 m tube: every other burst runs
   into the next, and plays until it starts;
 - measurement_settle_time_s of the bare chain and of that low-pass;
-- step_response over the scenario's burst train as unit_response lays
-  it, 110,162 samples: the library's drive of a whole sampled inlet.
+- step_response over the scenario's burst train laid whole over the
+  estimate window and two samples past it, 110,162 samples: the
+  library's drive of a whole sampled inlet.
 
     python3 scripts/time_drives.py
     python3 scripts/time_drives.py --base-tree ../parent-checkout --rounds 9
@@ -66,9 +67,9 @@ def _cases():
     from nprsim.sensor import TubeAssembly, step_response, system_resonant_hz
     from nprsim.waveform import (
         SegmentSchedule,
+        _estimate_window,
         _lay_bursts,
         _train_spans,
-        unit_response,
         unit_response_means,
     )
 
@@ -94,7 +95,7 @@ def _cases():
     cases.append(("measurement_settle_time_s", lambda: measurement_settle_time_s(model, tube)))
     cases.append(("measurement_settle_time_s lpf", lambda: measurement_settle_time_s(
         model, tube, lpf_cutoff_hz=LPF_CUTOFF_HZ, lpf_order=LPF_ORDER)))
-    _response, window = unit_response(attack.schedule, model, tube, target_f_hz=tone)
+    _k0, window = _estimate_window(attack.schedule, fs)
     train = np.zeros(window.stop + 2)
     _lay_bursts(train, _train_spans(attack.schedule, tone, train.size, fs), attack.schedule,
                 tone, fs, 1.0)

@@ -82,15 +82,15 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     _write_lines(path, [",".join(header), *(",".join(row) for row in rows)])
 
 
-def _trace_lines(trace: SimulationTrace) -> list[str]:
-    """trace.csv data rows: time, then per room the three differentials,
-    the two fan speeds and the alarm flag.
+def _trace_lines(trace: SimulationTrace) -> list[bytes]:
+    """trace.csv data rows, each ending in a newline: time, then per room
+    the three differentials, the two fan speeds and the alarm flag.
 
-    Everything after the time cell is one %-format over the row's Python
-    floats, which prints every cell as _num would and each 0/1 flag as an
-    integer.  A settled loop repeats its rows, so that text is formatted
-    once per run of rows whose cells, flags included, match the row
-    before bit for bit.
+    Everything after the time cell is one bytes %-format over the row's
+    Python floats, which prints every cell as _num would (both run
+    PyOS_double_to_string) and each 0/1 flag as an integer.  A settled
+    loop repeats its rows, so that text is formatted once per run of rows
+    whose cells, flags included, match the row before bit for bit.
     """
     # (rows, rooms, 6) floats, so each row reads room by room.
     cells = np.stack([
@@ -100,10 +100,10 @@ def _trace_lines(trace: SimulationTrace) -> list[str]:
     bits = cells.view(np.int64)
     fresh = np.ones(len(cells), dtype=bool)
     fresh[1:] = np.any(bits[1:] != bits[:-1], axis=1)
-    tail_format = ",".join(["%.6g,%.6g,%.6g,%.6g,%.6g,%d"] * len(trace.room_names))
+    tail_format = b",".join([b"%.6g,%.6g,%.6g,%.6g,%.6g,%d"] * len(trace.room_names))
     tails = [tail_format % tuple(row) for row in cells[fresh].tolist()]
     run = np.cumsum(fresh) - 1
-    return ["%.6g,%s" % (t, tails[r]) for t, r in zip(trace.times_s.tolist(), run.tolist())]
+    return [b"%.6g,%s\n" % (t, tails[r]) for t, r in zip(trace.times_s.tolist(), run.tolist())]
 
 
 def _note_lengthened_bursts(trains) -> None:
@@ -133,7 +133,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"true_pd_{name}", f"hvac_pd_{name}", f"rpm_pd_{name}",
             f"supply_{name}", f"exhaust_{name}", f"alarm_{name}",
         ]
-    _write_lines(out_dir / "trace.csv", [",".join(header), *_trace_lines(trace)])
+    with (out_dir / "trace.csv").open("wb") as stream:
+        stream.writelines([(",".join(header) + "\n").encode("utf-8"), *_trace_lines(trace)])
 
     plan = scenario.wiring.attack
     steady = trace.steady_true_pd_pa()

@@ -38,15 +38,18 @@ MAX_ROOM_PERIODS = 10_000_000
 SETTLE_TOLERANCE_PA = 0.05
 SETTLE_HORIZONS = 20
 
-# A scenario of at most this many rooms is stepped one room at a time in
-# Python floats, a larger one every room at once in numpy arrays.  The
+# Rooms still moving, at most this many, step one room at a time in Python
+# floats, more every room at once in numpy arrays: a whole run of at most
+# this many rooms, and the rooms left moving once the others rest.  The
 # float loop's cost grows with the rooms, the array loop's, mostly numpy's
 # per-call overhead, barely does.  On a 2-vCPU x86-64 VM a simulate_scenario
-# call through the float loop took 0.21 of its time through the array loop
-# at 1 room, 0.47 at 3, 0.84 at 6, 0.91 at 7, 1.01 at 8 and 1.39 at 12
-# (median of 60 alternating pairs, on the first rooms of the closed-loop
-# benchmark's 100-room scenario).
-FLOAT_LOOP_MAX_ROOMS = 7
+# call through the float loop took, of its time through the array loop,
+# 0.36 at 4 rooms, 0.63 at 8, 0.90 at 12, 1.00 at 14, 1.14 at 16 and 1.20
+# at 18 on the first rooms of the closed-loop benchmark's 100-room
+# scenario, which rest within 85 periods (median of 60 alternating pairs),
+# and 0.72 at 14, 0.80 at 16, 0.99 at 20 and 1.09 at 22 on rooms that never
+# rest and step 20 horizons (median of 10).
+FLOAT_LOOP_MAX_ROOMS = 16
 
 ATTACK_PLACEMENTS = ("none", "low_port", "high_port", "common_high_port")
 ATTACK_TARGETS = ("hvac", "rpm", "both")
@@ -305,6 +308,17 @@ class SimulationTrace:
         return sum(1 for e in self.alarm_events if e.kind == "raised")
 
 
+def _float_max(a, b):
+    """max(a, b) of two floats, without the builtin's argument parsing,
+    which costs about three times this call."""
+    return b if b > a else a
+
+
+def _float_min(a, b):
+    """min(a, b) of two floats, as _float_max is max."""
+    return b if b < a else a
+
+
 def _array_max(a, b):
     """np.maximum choosing as max does on a tie of signed zeros: a."""
     return np.maximum(b, a)
@@ -315,12 +329,14 @@ def _array_min(a, b):
     return np.minimum(b, a)
 
 
-def _trim(setpoint, gain, deadband, reading, supply_cmd, exhaust_cmd, up=max, down=min):
+def _trim(setpoint, gain, deadband, reading, supply_cmd, exhaust_cmd,
+          up=_float_max, down=_float_min):
     """The control law: the (supply, exhaust) commands trimmed from a reading.
 
-    On one room's Python floats with max and min, or elementwise on arrays
-    with _array_max and _array_min.  Both pairs return the first operand on
-    a tie, which matters only between 0.0 and -0.0.  The
+    On one room's Python floats with _float_max and _float_min, or
+    elementwise on arrays with _array_max and _array_min.  Both pairs
+    return the first operand on a tie, as max and min do, which matters
+    only between 0.0 and -0.0.  The
     correction is gain times the error less its clip to the deadband, so
     it is 0.0 inside the band and gain * (error - copysign(deadband,
     error)) outside it: under a negative setpoint, as ControllerConfig
@@ -417,29 +433,33 @@ def _period_maps(rooms: tuple[RoomConfig, ...], period_s: float) -> np.ndarray:
     return np.linalg.matrix_power(step, SUBSTEPS_PER_PERIOD)[:, :3]
 
 
-def _room_rows(maps: np.ndarray, balance: np.ndarray, x: float, cfg: ControllerConfig,
-               shift: float, n_periods: int, steps: int) -> tuple[list[tuple], bool]:
-    """One room's (x, supply, exhaust) rows at each wakeup, stepped in
+def _room_rows(maps: np.ndarray, balance: np.ndarray, state: list[float], cfg: ControllerConfig,
+               shift: float, n_periods: int, steps: int, first: int,
+               last: float) -> tuple[list[tuple], bool]:
+    """One room's (x, supply, exhaust) rows from wakeup first on, stepped in
     Python floats up to its fixed point, and whether it came to rest.
 
     maps is the room's 3x5 period map, balance its (x, supply, exhaust)
-    balance point and x its starting deviation from it.  The rows stop
-    either at the row of the last wakeup or at the first period that
-    leaves the deviation as it found it, bit for bit; that row then holds
-    to the end of the horizon.
+    balance point and state its deviation from it at wakeup first: x,
+    supply, exhaust, supply_cmd and exhaust_cmd.  The rows stop either at
+    the row of the last wakeup or at the first period that leaves the
+    deviation as it found it, bit for bit; that row then holds to the end
+    of the horizon.  Past the last row the room steps on without rows
+    while its differential stays within SETTLE_TOLERANCE_PA of that row's,
+    last, which is read only when first is past the last row.
     """
     bx, bs, be = balance.tolist()
     (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), (c0, c1, c2, c3, c4) = maps.tolist()
     setpoint, gain, deadband = cfg.setpoint_pa, cfg.gain, cfg.deadband_pa
     pack = struct.Struct("5d").pack
-    s = e = supply_cmd = exhaust_cmd = 0.0
-    before = pack(x, s, e, supply_cmd, exhaust_cmd)
+    x, s, e, supply_cmd, exhaust_cmd = before = tuple(state)
     rows = []
-    for k in range(steps):
+    for k in range(first, steps):
         row = (bx + x, bs + s, be + e)
         if k <= n_periods:
             rows.append(row)
-        elif abs(row[0] - rows[-1][0]) > SETTLE_TOLERANCE_PA:
+            last = row[0]
+        elif abs(row[0] - last) > SETTLE_TOLERANCE_PA:
             return rows, False
         supply, exhaust = _trim(setpoint, gain, deadband, row[0] + shift,
                                 bs + supply_cmd, be + exhaust_cmd)
@@ -447,52 +467,109 @@ def _room_rows(maps: np.ndarray, balance: np.ndarray, x: float, cfg: ControllerC
         x, s, e = (_period_sum(a0 * x, a1 * s, a2 * e, a3 * supply_cmd, a4 * exhaust_cmd),
                    _period_sum(b0 * x, b1 * s, b2 * e, b3 * supply_cmd, b4 * exhaust_cmd),
                    _period_sum(c0 * x, c1 * s, c2 * e, c3 * supply_cmd, c4 * exhaust_cmd))
-        after = pack(x, s, e, supply_cmd, exhaust_cmd)
-        if after == before:
+        after = (x, s, e, supply_cmd, exhaust_cmd)
+        # Values that compare equal are compared as bytes, where 0.0 and
+        # -0.0 differ.
+        if after == before and pack(*after) == pack(*before):
             return rows, True
         before = after
     return rows, False
 
 
-def _stack_rows(rows: np.ndarray, maps: np.ndarray, balance: np.ndarray, x: np.ndarray,
-                rooms: tuple[RoomConfig, ...], shift: float, steps: int) -> bool:
-    """Fill rows, (x, supply, exhaust) by wakeup and room, stepping every
-    room at once in numpy arrays; return whether every room came to rest.
+def _step_stack(rows: np.ndarray, stack: tuple[np.ndarray, ...], shift: float, first: int,
+                steps: int) -> tuple[int, np.ndarray] | None:
+    """Step a stack of rooms at once in numpy arrays from wakeup first,
+    writing their rows up to the horizon's last.
 
-    maps is the (rooms, 3, 5) stack of period maps, balance the (3, rooms)
-    balance point and x the rooms' starting deviations from it.  Stops at
-    the first period that leaves every room's deviation as it found it, bit
-    for bit, and copies that row to the end.
+    stack holds per room, on its last axis: the deviation from the
+    balance point, term j of the room's three period map rows (shaped to
+    multiply deviation[j]), the balance point, the controller's setpoint,
+    gain and deadband, the differential on the last row, and the room's
+    index.  Returns None once a room past the last row leaves the band or
+    the steps run out.  Otherwise it returns on the first period after
+    which some room is at rest and the stack should shrink: past the last
+    row, or once at most FLOAT_LOOP_MAX_ROOMS rooms still move.  It then
+    gives the next wakeup and which rooms that period moved, and has
+    copied every room's row to the end.
     """
+    deviation, terms, balance, setpoint, gain, deadband, last, _ = stack
     n_periods = rows.shape[1] - 1
-    setpoint, gain, deadband = (np.array([getattr(room.controller, name) for room in rooms])
-                                for name in ("setpoint_pa", "gain", "deadband_pa"))
     bs, be = balance[1:]
-    deviation = np.zeros((5, x.size))
-    deviation[0] = x
     # Views that follow deviation and products as they are written in place.
     supply_cmd, exhaust_cmd = deviation[3:]
-    # Term j of every room's three rows, shaped to multiply deviation[j].
-    terms = maps.transpose(2, 1, 0)
     products = np.empty(terms.shape)
     product_terms = list(products)
+    before = np.empty_like(deviation)
+    # Bits, not values, so that 0.0 and -0.0 differ.
+    bits, before_bits = deviation.view(np.int64), before.view(np.int64)
+    changed = np.empty(deviation.shape, dtype=bool)
+    moved = np.empty(deviation.shape[1], dtype=bool)
     ahead = np.empty_like(balance)
-    for k in range(steps):
+    for k in range(first, steps):
         row = rows[:, k] if k <= n_periods else ahead
         np.add(balance, deviation[:3], out=row)
-        if k > n_periods and np.any(np.abs(row[0] - rows[0, -1]) > SETTLE_TOLERANCE_PA):
-            return False
-        before = deviation.tobytes()
+        if k > n_periods and np.any(np.abs(row[0] - last) > SETTLE_TOLERANCE_PA):
+            return None
+        np.copyto(before, deviation)
         supply, exhaust = _trim(setpoint, gain, deadband, row[0] + shift,
                                 bs + supply_cmd, be + exhaust_cmd, _array_max, _array_min)
         np.subtract(supply, bs, out=supply_cmd)
         np.subtract(exhaust, be, out=exhaust_cmd)
         np.multiply(terms, deviation[:, None], out=products)
         deviation[:3] = _period_sum(*product_terms)
-        if deviation.tobytes() == before:
-            rows[:, k + 1:] = row[:, None]
-            return True
-    return False
+        np.not_equal(bits, before_bits, out=changed)
+        np.logical_or.reduce(changed, axis=0, out=moved)
+        n_moved = np.count_nonzero(moved)
+        if n_moved < moved.size and (k >= n_periods or n_moved <= FLOAT_LOOP_MAX_ROOMS):
+            if k < n_periods:
+                rows[:, k + 1:] = row[:, None]
+            return k + 1, moved
+    return None
+
+
+def _stack_rows(rows: np.ndarray, maps: np.ndarray, balance: np.ndarray, x: np.ndarray,
+                rooms: tuple[RoomConfig, ...], shift: float, steps: int) -> bool:
+    """Fill rows, (x, supply, exhaust) by wakeup and room, and return
+    whether every room came to rest.
+
+    maps is the (rooms, 3, 5) stack of period maps, balance the (3, rooms)
+    balance point and x the rooms' starting deviations from it.  While
+    more than FLOAT_LOOP_MAX_ROOMS rooms are still moving, they step at
+    once in numpy arrays (_step_stack); once at most that many are, each
+    steps on alone in Python floats (_room_rows).  A room rests on the
+    first period that leaves its deviation as it found it, bit for bit,
+    and its row is copied to the end.  The arrays cost about as much for
+    one room as for a hundred, so a resting room stays in them up to the
+    horizon's last row; past it no row is written, and each period steps
+    only the rooms still moving.
+    """
+    n_periods = rows.shape[1] - 1
+    deviation = np.zeros((5, x.size))
+    deviation[0] = x
+    moving = np.arange(x.size)
+    first = 0
+    if moving.size > FLOAT_LOOP_MAX_ROOMS:
+        stack = (deviation, maps.transpose(2, 1, 0), balance,
+                 *(np.array([getattr(room.controller, name) for room in rooms])
+                   for name in ("setpoint_pa", "gain", "deadband_pa")),
+                 rows[0, -1], moving)
+        while stack[-1].size > FLOAT_LOOP_MAX_ROOMS:
+            stop = _step_stack(rows, stack, shift, first, steps)
+            if stop is None:
+                return False
+            first, moved = stop
+            stack = tuple(a[..., moved] for a in stack)
+        deviation, moving = stack[0], stack[-1]
+    converged = True
+    for state, i in zip(deviation.T.tolist(), moving.tolist()):
+        room_rows, rested = _room_rows(maps[i], balance[:, i], state, rooms[i].controller, shift,
+                                       n_periods, steps, first, float(rows[0, -1, i]))
+        converged = converged and rested
+        if room_rows:
+            end = first + len(room_rows)
+            rows[:, first:end, i] = np.array(room_rows).T
+            rows[:, end:, i] = rows[:, end - 1:end, i]
+    return converged
 
 
 def as_replay(scenario: NprScenario) -> NprScenario:
@@ -541,12 +618,12 @@ def simulate_scenario(scenario: NprScenario) -> SimulationTrace:
     found it, every later period would too: the room's row is copied to
     the end of the horizon, and the trace is the one stepping every period
     would give.  The bytes are compared, not the values, so 0.0 and -0.0
-    count as different.  Rooms never interact, so a scenario of at most
-    FLOAT_LOOP_MAX_ROOMS rooms steps each room alone in Python floats, to
-    its own fixed point; a larger one steps every room at once in numpy
-    arrays, until all stand still.  Both loops run _trim and _period_sum, so
-    they agree bit for bit: numpy's elementwise operators round as Python
-    floats do.
+    count as different.  Rooms never interact, so while more than
+    FLOAT_LOOP_MAX_ROOMS rooms are still moving they step at once in numpy
+    arrays, and at most that many step each alone in Python floats, to its
+    own fixed point (see _stack_rows).  Both loops run _trim and
+    _period_sum, so they agree bit for bit: numpy's elementwise operators
+    round as Python floats do.
 
     Convergence is that rest: a room not at rest by the last row steps on
     without rows until it rests, its true differential moves more than
@@ -594,26 +671,14 @@ def simulate_scenario(scenario: NprScenario) -> SimulationTrace:
     hvac_shift = hvac_low - hvac_high
     # At least one period past the last row, the one that tests it for rest.
     steps = max(min(SETTLE_HORIZONS * n_periods, MAX_ROOM_PERIODS // n_rooms), n_periods + 1)
-    if n_rooms <= FLOAT_LOOP_MAX_ROOMS:
-        converged = True
-        for i, room in enumerate(rooms):
-            room_rows, rested = _room_rows(period_maps[i], balance[:, i], float(start[i]),
-                                           room.controller, hvac_shift, n_periods, steps)
-            converged = converged and rested
-            stepped = len(room_rows)
-            rows[:, :stepped, i] = np.array(room_rows).T
-            rows[:, stepped:, i] = rows[:, stepped - 1:stepped, i]
-    else:
-        converged = _stack_rows(rows, period_maps, balance, start, rooms, hvac_shift, steps)
+    converged = _stack_rows(rows, period_maps, balance, start, rooms, hvac_shift, steps)
     true_pd, sup_trace, exh_trace = rows
     # The reading each loop's controller saw, to the bit.
     meas_hvac = true_pd + hvac_shift
     meas_rpm = true_pd + rpm_low - rpm_high
 
-    # A room whose reading never passes the threshold keeps its alarm down.
     alarm_active = np.zeros((n_rows, n_rooms), dtype=bool)
-    tripped = np.abs(meas_rpm - balance[0]) > scenario.alarm.threshold_pa
-    for i in np.flatnonzero(tripped.any(axis=0)).tolist():
+    for i in _dwelling_rooms(times, meas_rpm, balance[0], scenario.alarm).tolist():
         alarm_active[:, i] = rpm_alarm(times, meas_rpm[:, i], rooms[i].controller.setpoint_pa,
                                        scenario.alarm)
     # An event is a row where a room's flag differs from the row before;
@@ -638,6 +703,25 @@ def simulate_scenario(scenario: NprScenario) -> SimulationTrace:
         room_names=names,
         hallway_pa=hall,
     )
+
+
+def _dwelling_rooms(times: np.ndarray, measured: np.ndarray, setpoint: np.ndarray,
+                    cfg: AlarmConfig) -> np.ndarray:
+    """The rooms, columns of measured, for which rpm_alarm raises the
+    alarm on some row; every other room's flags stay down.
+
+    rpm_alarm raises it in a run of rows above the threshold, on the first
+    row whose time from the run's first meets the dwell.  times increase,
+    and a rounded difference from one start never falls as the other time
+    grows, so a run has such a row exactly when its last row does.
+    """
+    above = np.zeros((times.size + 2, measured.shape[1]), dtype=bool)
+    np.greater(np.abs(measured - setpoint), cfg.threshold_pa, out=above[1:-1])
+    # Room by room, where the padded flags change: the starts and ends of
+    # each room's runs alternate.
+    room, edge = np.nonzero((above[1:] != above[:-1]).T)
+    starts, ends = edge[::2], edge[1::2]
+    return np.unique(room[::2][times[ends - 1] - times[starts] >= cfg.dwell_s])
 
 
 def rpm_alarm(

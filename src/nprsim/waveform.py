@@ -17,8 +17,7 @@ formed; a caller that already holds the mean for the same burst train,
 model, tube and tone passes it as unit_mean_pa, so one that varies only the
 source or the path loss drives the transducer once.  That mean comes from
 unit_response_means, which drives the train by burst intervals in state
-space; unit_response lays the same train whole and drives it through
-step_response, for library callers.
+space.
 
 WAV files are read and written with the standard library.
 """
@@ -653,28 +652,6 @@ def attack_response_trace(
     return trace, played, amplitude
 
 
-def unit_response(
-    schedule: SegmentSchedule,
-    model,
-    tube,
-    *,
-    target_f_hz: float,
-) -> tuple[np.ndarray, slice]:
-    """Transducer output, Pa, for bursts of 1 Pa at the port, tuned to
-    target_f_hz, and the estimate window over it: the whole burst
-    intervals that fit in ESTIMATE_WINDOW_S after ESTIMATE_WARMUP_S of
-    warm-up.  The output ends where the window does.
-
-    The bursts are those that fit in two samples past the window, and a
-    schedule is refused as such a drive would be.  The whole train is laid
-    over those samples and :func:`step_response` filters it in one call.
-    """
-    _k0, window = _estimate_window(schedule, model.sample_rate_hz)
-    trace, _spans = _drive_bursts(schedule, model, tube, float(target_f_hz), 1.0,
-                                  window.stop + 2)
-    return trace.p_out_pa[:window.stop], window
-
-
 def _estimate_window(schedule: SegmentSchedule, sample_rate_hz: int) -> tuple[int, slice]:
     """(k0, window): the samples of the whole burst intervals that fit in
     ESTIMATE_WINDOW_S after ESTIMATE_WARMUP_S, from burst k0's start; a
@@ -702,18 +679,20 @@ def unit_response_means(
     target_f_hz: float,
     sections=(),
 ) -> np.ndarray:
-    """Mean rectified output, Pa, over :func:`unit_response`'s estimate
-    window, for bursts of 1 Pa at the port tuned to target_f_hz: of the
-    transducer and then, when sections holds first-order section gains
-    (see :meth:`LinearChain.then_sections`), of the transducer followed by
-    those sections.
+    """Mean rectified output, Pa, over the estimate window (see
+    :func:`_estimate_window`), for bursts of 1 Pa at the port tuned to
+    target_f_hz: of the transducer and then, when sections holds
+    first-order section gains (see :meth:`LinearChain.then_sections`), of
+    the transducer followed by those sections.
 
-    The train is refused as :func:`unit_response` refuses it, and the
-    means agree with its drive to rounding, but no sample array of the
-    drive is built: :func:`segment_abs_means` drives the chain one burst
-    interval at a time, and only until the state repeats with the train.
-    Burst k plays its first min(length, next start - start) samples, as
-    the laid train does, so only one burst of each length is built.
+    The bursts are those that fit in two samples past the window, and a
+    schedule is refused as such a drive would be.  The means agree to
+    rounding with a drive of the whole train laid over those samples, but
+    no sample array of the drive is built: :func:`segment_abs_means`
+    drives the chain one burst interval at a time, and only until the
+    state repeats with the train.  Burst k plays its first min(length,
+    next start - start) samples, as a laid train does, so only one burst
+    of each length is built.
     """
     fs = model.sample_rate_hz
     k0, window = _estimate_window(schedule, fs)
@@ -739,8 +718,9 @@ def unit_response_mean(
     *,
     target_f_hz: float,
 ) -> float:
-    """Mean rectified transducer output, Pa, over :func:`unit_response`'s
-    estimate window, for bursts of 1 Pa at the port tuned to target_f_hz.
+    """Mean rectified transducer output, Pa, over the estimate window (see
+    :func:`_estimate_window`), for bursts of 1 Pa at the port tuned to
+    target_f_hz.
 
     The chain is linear, so bursts of amplitude A give A times this mean.
     """

@@ -20,6 +20,8 @@ from pathlib import Path
 import pytest
 
 from nprsim.cli import main
+from nprsim.plant import FLOAT_LOOP_MAX_ROOMS
+from nprsim.scenario import load_scenario
 from nprsim.waveform import calibration_carrier, write_wav
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,7 +47,9 @@ def test_simulate_matches_golden(name, tmp_path, monkeypatch):
 
 def test_simulate_of_many_rooms_with_a_monitor_matches_golden(tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
-    assert main(["simulate", "tests/golden/many_rooms/many_rooms.yaml", "--out", str(tmp_path)]) == 0
+    path = "tests/golden/many_rooms/many_rooms.yaml"
+    assert len(load_scenario(path).scenario.rooms) > FLOAT_LOOP_MAX_ROOMS
+    assert main(["simulate", path, "--out", str(tmp_path)]) == 0
     _assert_same_bytes(tmp_path, GOLDEN / "many_rooms", ("trace.csv", "summary.txt"))
 
 

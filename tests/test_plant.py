@@ -36,6 +36,7 @@ from nprsim.plant import (
     SimulationTrace,
     _array_max,
     _array_min,
+    _dwelling_rooms,
     _period_maps,
     _port_offsets,
     _trim,
@@ -63,7 +64,8 @@ def _scenario(rooms=None, attack=None, wiring_kw=None, **kw):
 
 def _trim_by(cfg, measured_pa, supply_cmd, exhaust_cmd):
     """The plant's control law on cfg's setpoint, gain and deadband: on
-    Python floats with max and min, as the float loop runs it."""
+    Python floats with _float_max and _float_min, as the float loop runs
+    it."""
     return _trim(cfg.setpoint_pa, cfg.gain, cfg.deadband_pa, measured_pa, supply_cmd, exhaust_cmd)
 
 
@@ -310,6 +312,45 @@ def test_rpm_alarm_edge_cases_match_the_event_walk(dwell_s, deviation, raised_ro
     flags = rpm_alarm(times, series, -2.5, cfg)
     assert np.flatnonzero(flags).tolist() == raised_rows
     assert np.array_equal(flags, _alarm_by_row(times, series, -2.5, cfg)[1])
+
+
+@st.composite
+def _alarm_rooms(draw):
+    """Per-room measured series on shared times, the rooms' setpoints and
+    an alarm rule.
+
+    Deviations are a few multiples of the threshold, so rows land on it,
+    near 90% of it and past it, and runs often touch the first and last
+    rows.  The dwell is 0, drawn, or the span of one run laid into one
+    room, so that the span meets the dwell to the bit.
+    """
+    n_rows, n_rooms = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    times = np.arange(n_rows) * draw(st.sampled_from([0.1, 0.25, 1 / 3, 1.0, 2.0]))
+    threshold = draw(st.floats(0.1, 10.0))
+    setpoint = np.array([draw(st.floats(-50.0, -0.1)) for _ in range(n_rooms)])
+    level = st.sampled_from([0.0, 0.5, 0.9, 1.0, 1.5, -1.0, -1.5, -3.0])
+    scales = np.array([[draw(level) for _ in range(n_rooms)] for _ in range(n_rows)])
+    dwell = draw(st.sampled_from(["zero", "drawn", "span"]))
+    if dwell == "span":
+        first = draw(st.integers(0, n_rows - 1))
+        last = draw(st.integers(first, n_rows - 1))
+        room = draw(st.integers(0, n_rooms - 1))
+        scales[max(first - 1, 0):last + 2, room] = 0.5
+        scales[first:last + 1, room] = 1.5
+        dwell_s = times[last] - times[first]
+    else:
+        dwell_s = 0.0 if dwell == "zero" else draw(st.floats(0.0, float(times[-1]) + 1.0))
+    measured = setpoint + scales * threshold
+    return times, measured, setpoint, AlarmConfig(threshold_pa=threshold, dwell_s=dwell_s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_alarm_rooms())
+def test_the_alarm_prefilter_keeps_exactly_the_rooms_rpm_alarm_raises(case):
+    times, measured, setpoint, cfg = case
+    raised = [i for i in range(measured.shape[1])
+              if rpm_alarm(times, measured[:, i], float(setpoint[i]), cfg).any()]
+    assert _dwelling_rooms(times, measured, setpoint, cfg).tolist() == raised
 
 
 def _dual_scenario(affects):
@@ -948,10 +989,11 @@ _LOOPS = ("float", "array")
 
 
 def _simulate_by_loop(scenario: NprScenario, loop: str) -> SimulationTrace:
-    """simulate_scenario forced through its float loop or its array loop
-    by FLOAT_LOOP_MAX_ROOMS."""
+    """simulate_scenario forced by FLOAT_LOOP_MAX_ROOMS through its float
+    loop, through its array loop until a room rests and the float loop
+    after ("array"), or through its array loop alone ("arrays only")."""
     n_rooms = len(scenario.rooms)
-    most_rooms = n_rooms if loop == "float" else n_rooms - 1
+    most_rooms = {"float": n_rooms, "array": n_rooms - 1, "arrays only": 0}[loop]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("nprsim.plant.FLOAT_LOOP_MAX_ROOMS", most_rooms)
         return simulate_scenario(scenario)
@@ -975,20 +1017,24 @@ def _counted_run(scenario: NprScenario, loop: str) -> tuple[SimulationTrace, int
 
 
 @st.composite
-def _fixed_point_scenarios(draw):
-    """_loop_scenarios of 1-8 rooms, so that both of simulate_scenario's
-    loops run, with the gain of every room scaled by 1 or by 1e-9, and an
-    alarm dwell of up to 100 s.
+def _fixed_point_scenarios(draw, mixed=False):
+    """_loop_scenarios of 1-8 rooms, which _simulate_by_loop runs through
+    each loop, with the gain of every room scaled by 1 or by 1e-9, or with
+    mixed each room's by its own draw, and an alarm dwell of up to 100 s.
 
     At full gain most loops reach a fixed point inside the horizon; at
     1e-9 none does.  A dwell past the fixed point raises the alarm on a
     row the loop no longer steps.
     """
     scenario = draw(_loop_scenarios(max_rooms=8))
-    scale = draw(st.sampled_from([1.0, 1e-9]))
+    scale = st.sampled_from([1.0, 1e-9])
+    if mixed:
+        scales = [draw(scale) for _ in scenario.rooms]
+    else:
+        scales = [draw(scale)] * len(scenario.rooms)
     rooms = tuple(
-        replace(room, controller=replace(room.controller, gain=room.controller.gain * scale))
-        for room in scenario.rooms
+        replace(room, controller=replace(room.controller, gain=room.controller.gain * k))
+        for room, k in zip(scenario.rooms, scales)
     )
     alarm = replace(scenario.alarm, dwell_s=draw(st.floats(0.0, 100.0)))
     return replace(scenario, rooms=rooms, alarm=alarm)
@@ -1024,7 +1070,7 @@ _COMMON_PORT = {"common_high_port": True}
 
 
 @settings(max_examples=150, deadline=None)
-@given(_fixed_point_scenarios())
+@given(_fixed_point_scenarios(mixed=True))
 # A deadband of 0.
 @example(_scenario(rooms=[_room(f"r{i}", deadband_pa=0.0) for i in range(3)],
                    attack=AttackPlan(placement="common_high_port", forged_pa=6.0),
@@ -1041,9 +1087,28 @@ _COMMON_PORT = {"common_high_port": True}
 # A gain so low that no room reaches a fixed point.
 @example(_scenario(rooms=[_room(f"r{i}", gain=0.0025e-9, deadband_pa=0.0) for i in range(2)],
                    attack=AttackPlan(placement="high_port", forged_pa=8.0)))
+# Under 8 Pa on the high port, r0 and r3 rest by period 84 of 120, r1 and
+# r4 at 239 and 573, and r2 steps to the cap at 2,400 within the band.
+@example(_scenario(rooms=[_room("r0"), _room("r1", gain=5e-4), _room("r2", gain=1e-8),
+                          _room("r3", setpoint=-4.0), _room("r4", gain=2.5e-4)],
+                   attack=AttackPlan(placement="high_port", forged_pa=8.0)))
+# No room rests by the horizon: r0 rests at 239 and the float loop takes
+# r1 and r2 on from there, against the band around their last rows, to
+# rest at 573 and 466.
+@example(_scenario(rooms=[_room("r0", gain=5e-4), _room("r1", gain=2.5e-4),
+                          _room("r2", gain=3e-4)],
+                   attack=AttackPlan(placement="high_port", forged_pa=8.0)))
+# r2 leaves the band at period 153, while r1 and r4 still move.
+@example(_scenario(rooms=[_room("r0"), _room("r1", gain=5e-4), _room("r2", gain=1e-6),
+                          _room("r3", gain=1e-8), _room("r4", gain=2.5e-4)],
+                   attack=AttackPlan(placement="high_port", forged_pa=8.0)))
 def test_the_float_loop_and_the_array_loop_give_one_trace_bit_for_bit(scenario):
-    _assert_same_trace(_simulate_by_loop(scenario, "float"),
-                       _simulate_by_loop(scenario, "array"))
+    """Resting and moving rooms mixed: the float loop, the array loop that
+    hands its last moving rooms to it, and the array loop alone, which
+    past the horizon drops each room as it rests, give one trace."""
+    reference = _simulate_by_loop(scenario, "float")
+    for loop in ("array", "arrays only"):
+        _assert_same_trace(_simulate_by_loop(scenario, loop), reference)
 
 
 def test_baseline_scenario_steps_at_most_ten_of_its_periods():

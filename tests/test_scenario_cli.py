@@ -239,8 +239,8 @@ def test_cli_synth_writes_wav_and_report(tmp_path, capsys):
 
 
 def test_every_text_file_the_cli_writes_has_lf_line_ends(monkeypatch, tmp_path):
-    """Each text output is written with newline="\\n", so a run on any
-    platform writes the same bytes."""
+    """Each text output is written with newline="\\n", or trace.csv as
+    bytes, so a run on any platform writes the same bytes."""
     written = {}
     write_text = Path.write_text
 
@@ -251,12 +251,15 @@ def test_every_text_file_the_cli_writes_has_lf_line_ends(monkeypatch, tmp_path):
     monkeypatch.setattr(Path, "write_text", recorded)
     assert main(["simulate", str(SCENARIO_DIR / "baseline.yaml"), "--out",
                  str(tmp_path / "run")]) == 0
+    trace = (tmp_path / "run" / "trace.csv").read_bytes()
+    assert b"\r" not in trace and trace.endswith(b"\n")
+    assert trace.count(b"\n") == 122
     assert main(["synth", "--silence", "0.5", "--out", str(tmp_path / "attack.wav"),
                  "--band", "540", "670", "--td-ms", "2", "--ti-ms", "15"]) == 0
     assert main(["evaluate-cm", str(SCENARIO_DIR / "acoustic_lpf.yaml"), "--out",
                  str(tmp_path / "cm")]) == 0
     assert written == dict.fromkeys(
-        ["trace.csv", "summary.txt", "attack.wav.psd.txt", "report.csv", "report.txt"], "\n")
+        ["summary.txt", "attack.wav.psd.txt", "report.csv", "report.txt"], "\n")
 
 
 def test_cli_synth_rejects_target_outside_band(tmp_path, capsys):
@@ -646,7 +649,7 @@ def test_the_library_simulates_a_scenario_as_the_cli_does(name, tmp_path):
     scenario = load_scenario(SCENARIO_DIR / name).scenario
     trace = plant.simulate_scenario(scenario)
     assert main(["simulate", str(SCENARIO_DIR / name), "--out", str(tmp_path)]) in (0, 3)
-    assert _trace_lines(trace) == (tmp_path / "trace.csv").read_text().splitlines()[1:]
+    assert _trace_lines(trace) == (tmp_path / "trace.csv").read_bytes().splitlines(True)[1:]
     summary = (tmp_path / "summary.txt").read_text()
     assert f"converged: {'yes' if trace.converged else 'no'}\n" in summary
     plan = as_replay(scenario).wiring.attack
@@ -723,7 +726,7 @@ def test_trace_rows_print_every_cell_as_num_does():
                 str(int(trace.alarm_active[k, j])),
             ]
         expected.append(",".join(row))
-    assert _trace_lines(trace) == expected
+    assert _trace_lines(trace) == [f"{line}\n".encode() for line in expected]
     assert expected[0] == ("0,-0,4.94066e-324,1e-05,123456,0,0,"
                            "4.94066e-324,1e-05,123456,1e+21,-4.94066e-324,0")
     assert [line.split(",")[6] for line in expected] == ["0", "1", "0", "1"]
@@ -754,9 +757,9 @@ def test_trace_rows_that_repeat_print_as_the_per_row_format_does():
                     trace.exhaust_speed[:, j], trace.alarm_active[:, j]]
     expected = [row_format % tuple(row) for row in np.column_stack(columns).tolist()]
     lines = _trace_lines(trace)
-    assert lines == expected
-    assert [line.split(",")[7] for line in lines[4:6]] == ["0", "-0"]
-    assert [line.split(",")[6] for line in lines[6:]] == ["0", "1", "1"]
+    assert lines == [f"{line}\n".encode() for line in expected]
+    assert [line.split(b",")[7] for line in lines[4:6]] == [b"0", b"-0"]
+    assert [line.split(b",")[6] for line in lines[6:]] == [b"0", b"1", b"1"]
 
 
 def test_cli_sweep_needs_an_acoustic_attack(tmp_path, capsys):

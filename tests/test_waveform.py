@@ -52,12 +52,12 @@ from nprsim.waveform import (
     _burst_spans,
     _estimate_window,
     _true_run_lengths,
-    unit_response,
     unit_response_mean,
     unit_response_means,
 )
 
 import lfilter_reference
+from laid_train_reference import unit_response
 
 
 def _source(spl_db=65.0, distance_m=0.002, f_hz=685.0):
