@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import re
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -59,11 +58,6 @@ MAX_SILENCE_SAMPLES = 28_800_000
 
 # Sample rate of synth --silence without --rate, Hz.
 SILENCE_RATE_HZ = 44_100
-
-# Every form float() reads as a negative number.  argparse's own rule
-# (plain decimals only) takes -1e1 or -inf for an option name.
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
-                              re.IGNORECASE)
 
 
 class CliError(Exception):
@@ -469,6 +463,23 @@ def cmd_evaluate_cm(args: argparse.Namespace) -> int:
     return 0
 
 
+class _NegativeNumber:
+    """argparse's negative-number matcher, answered by float() itself: a
+    string that starts with "-" and that float() reads is a value.
+    argparse's own pattern (plain decimals only) takes -1e1, -inf or -1_0
+    for an option name."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        if not text.startswith("-"):
+            return False
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return True
+
+
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that reads any negative float as a value, not an option.
 
@@ -478,7 +489,7 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_NUMBER
+        self._negative_number_matcher = _NegativeNumber
 
 
 @functools.cache
@@ -562,7 +573,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # A full parse hands everything after the command name to that
+    # command's parser, so a call that names a command is parsed by that
+    # parser alone.  Argv that names none, or that leaves arguments over,
+    # takes the full parse, whose usage and error are the top-level ones.
+    commands = next(action.choices for action in parser._actions if action.dest == "command")
+    args = extras = None
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+    if args is None or extras:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except ScenarioError as exc:

@@ -29,6 +29,7 @@ from nprsim import (
     sensor,
     waveform,
 )
+from nprsim import cli as cli_module
 from nprsim.cli import MAX_SILENCE_SAMPLES, SWEEP_AXES, _num, _trace_lines, main
 from nprsim.plant import (
     HALLWAY_PA,
@@ -940,6 +941,127 @@ def test_cli_reads_a_negative_exponent_form_as_the_plain_number(tmp_path, capsys
         reports.append((out / "report.csv").read_bytes())
     assert reports[0] == reports[1]
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("grouped, plain", [
+    ("1_0", "10"), ("1e1_0", "1e10"), ("1_000.5", "1000.5"),
+], ids=["digits", "exponent", "fraction"])
+@pytest.mark.parametrize("sign", ["", "-"], ids=["positive", "negative"])
+def test_cli_reads_underscore_digit_grouping_as_float_does(grouped, plain, sign, tmp_path, capsys):
+    """float() reads 1_0 as 10, and so does every option, with either sign:
+    the grouped value ends as its plain spelling does."""
+    outcomes = []
+    for value in (sign + grouped, sign + plain):
+        out = tmp_path / value
+        rc = main(["evaluate-cm", str(SCENARIO_DIR / "replay_low_port.yaml"),
+                   "--kind", "raised_setpoint", "--setpoint-pa", value, "--out", str(out)])
+        report = (out / "report.csv").read_bytes() if out.exists() else None
+        outcomes.append((rc, *capsys.readouterr(), report))
+    assert outcomes[0] == outcomes[1]
+    assert "expected one argument" not in outcomes[0][2]
+
+
+_DISPATCH_SCENARIO = str(SCENARIO_DIR / "acoustic_lpf.yaml")
+
+# Argv that names a subcommand, each either valid or refused by that
+# subcommand's own parser: main parses them without the top-level parser.
+_ONE_PARSE_ARGV = {
+    "simulate": ["simulate", _DISPATCH_SCENARIO, "--out", "sim"],
+    "synth": ["synth", "--silence", "2", "--band", "540", "670", "--td-ms", "2",
+              "--ti-ms", "15", "--cycles", "1,2", "--out", "a.wav"],
+    "characterize": ["characterize", "--archetype", "all", "--tube-length", "1", "--step", "5"],
+    "sweep": ["sweep", _DISPATCH_SCENARIO, "--axis", "ti", "--values", "15,20",
+              "--out", "s.csv"],
+    "evaluate-cm": ["evaluate-cm", _DISPATCH_SCENARIO, "--kind", "lpf", "--cutoff-hz", "120",
+                    "--order", "3", "--out", "cm"],
+    "abbreviated-flag": ["characterize", "--arch", "A1011-00", "--tube-len=1"],
+    "negative-setpoint": ["evaluate-cm", _DISPATCH_SCENARIO, "--kind", "raised_setpoint",
+                          "--setpoint-pa", "-1e1", "--out", "cm"],
+    "negative-lo": ["characterize", "--archetype", "all", "--lo", "-inf", "--hi", "10"],
+    "separator-inside": ["simulate", "--out", "sim", "--", "-odd.yaml"],
+    "subcommand-help": ["synth", "-h"],
+    "bad-float": ["characterize", "--archetype", "all", "--step", "ten"],
+    "missing-required": ["simulate", _DISPATCH_SCENARIO],
+    "missing-value": ["characterize", "--archetype"],
+    "bad-choice": ["sweep", _DISPATCH_SCENARIO, "--axis", "volume", "--out", "s.csv"],
+    "carrier-and-silence": ["synth", "--carrier", "in.wav", "--silence", "1", "--band", "540",
+                            "670", "--td-ms", "2", "--ti-ms", "15", "--out", "a.wav"],
+}
+
+# Argv that names no subcommand, or leaves arguments its parser does not
+# take: main runs the top-level parser on the whole of it.
+_FULL_PARSE_ARGV = {
+    "empty": [],
+    "help": ["-h"],
+    "unknown-command": ["frobnicate", "--out", "x"],
+    "separator-first": ["--", "characterize", "--archetype", "all"],
+    "option-first": ["--archetype", "all", "characterize"],
+    "unrecognized": ["characterize", "--archetype", "A1011-00", "--tube-length", "1",
+                     "--pickup"],
+    "unrecognized-after-separator": ["sweep", _DISPATCH_SCENARIO, "--axis", "ti", "--values",
+                                     "15", "--out", "s.csv", "--", "extra"],
+}
+
+
+@pytest.fixture
+def recorded_commands(monkeypatch):
+    """Every subcommand replaced by one that records the namespace it is
+    given and returns 0, in a parser built afresh for the test."""
+    calls = []
+
+    def record(args):
+        calls.append(args)
+        return 0
+
+    for name in ("simulate", "synth", "characterize", "sweep", "evaluate_cm"):
+        monkeypatch.setattr(cli_module, f"cmd_{name}", record)
+    cli_module.build_parser.cache_clear()
+    yield calls
+    cli_module.build_parser.cache_clear()
+
+
+def _outcome(call, calls, capsys):
+    """call()'s exit code, stdout and stderr, and the items of each
+    namespace it ran a command with, less func, in order."""
+    calls.clear()
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err, [[(k, v) for k, v in vars(args).items() if k != "func"]
+                            for args in calls]
+
+
+@pytest.mark.parametrize("argv, one_parse", [
+    *((argv, True) for argv in _ONE_PARSE_ARGV.values()),
+    *((argv, False) for argv in _FULL_PARSE_ARGV.values()),
+], ids=[*_ONE_PARSE_ARGV, *_FULL_PARSE_ARGV])
+def test_main_parses_argv_as_the_top_level_parser_does(argv, one_parse, recorded_commands,
+                                                       monkeypatch, capsys):
+    """main ends as build_parser().parse_args and the command would: the
+    same exit code, stdout and stderr, and the same namespace.  An argv
+    that names a subcommand and leaves nothing over never reaches the
+    top-level parser."""
+    parser = cli_module.build_parser()
+
+    def full_parse():
+        args = parser.parse_args(argv)
+        return args.func(args)
+
+    expected = _outcome(full_parse, recorded_commands, capsys)
+    top_level_parses = []
+    parse_known_args = parser.parse_known_args
+
+    def counted(*args, **kwargs):
+        top_level_parses.append(args)
+        return parse_known_args(*args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_known_args", counted)
+    assert _outcome(lambda: main(list(argv)), recorded_commands, capsys) == expected
+    assert (not top_level_parses) == one_parse
+    # A command ran exactly when the parse succeeded and printed nothing.
+    assert bool(expected[3]) == (expected[0] == 0 and expected[1] == "")
 
 
 def test_cli_simulate_notes_an_unapplied_countermeasure(tmp_path, capsys):

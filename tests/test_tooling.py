@@ -86,6 +86,13 @@ def test_a_closed_loop_run_never_imports_scipy_signal_or_io(tmp_path):
         "threads 1" if _HAS_TASKS else "threads -", "True"]
 
 
+def test_importing_the_cli_builds_no_parser():
+    """The argument tree is built on the first main call, not at import."""
+    proc = _run(["-c", "import nprsim, nprsim.cli; print(nprsim.cli.build_parser.cache_info())"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "CacheInfo(hits=0, misses=0, maxsize=None, currsize=0)\n"
+
+
 # Import two modules in the order given, run a product large enough for
 # OpenBLAS to use every thread it has, and print the thread count, then
 # OPENBLAS_NUM_THREADS as this process and a child of it see it.
