@@ -14,6 +14,13 @@ stdout, stderr and exit code, are compared byte for byte.
 --workload all runs characterize, attack and closed-loop in turn, with a
 summary line for each.
 
+--edits N checks the scenario loader instead: for each seed, N random
+one-character edits (a character replaced, inserted or deleted) of each
+shipped scenario are parsed on both trees, and what each loads to (its
+repr) or the error lines it raises are compared.
+
+    python3 scripts/diff_outputs.py --base HEAD~1 --edits 20000
+
 --base checks the revision out into a temporary `git worktree`, removed
 afterwards; --base-tree uses a directory holding src/nprsim as it is.
 Each side runs in its own interpreter, with only that side's src on the
@@ -29,6 +36,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -79,6 +87,65 @@ def _run_jobs(jobs_path: str, results_path: str, src: str) -> int:
                         "stderr": err.getvalue()})
     Path(results_path).write_text(json.dumps(results), encoding="utf-8")
     return 0
+
+
+# What an edit may put in: YAML's indicators, characters of keys and
+# numbers, and the whitespace that changes a document's structure.
+_EDIT_CHARS = "-_:.,#&*!|>'\"%@`?[]{}<=+~0123456789eEaxnN \t\n"
+
+
+def _edited_texts(count: int, seeds: list[int]):
+    """(scenario name, seed, edit, text) of count seeded one-character edits
+    of each shipped scenario, for each seed."""
+    for path in sorted((ROOT / "scenarios").glob("*.yaml")):
+        original = path.read_text(encoding="utf-8")
+        for seed in seeds:
+            rng = random.Random(f"{path.name}:{seed}")
+            for _ in range(count):
+                at = rng.randrange(len(original))
+                op = rng.choice(("replace", "insert", "delete"))
+                new = "" if op == "delete" else rng.choice(_EDIT_CHARS)
+                text = original[:at] + new + original[at + (op != "insert"):]
+                yield path.name, seed, f"{op} {new!r} at {at}", text
+
+
+def _parse_edits(count: str, seeds: str, results_path: str, src: str) -> int:
+    """Child mode: each edit's outcome under the nprsim found under src, a
+    loaded repr's digest or the error lines."""
+    import nprsim.scenario as scenario
+
+    if not imported_from(scenario, src):
+        return 2
+    outcomes = []
+    for *_, text in _edited_texts(int(count), _parse_seeds(seeds)):
+        try:
+            loaded = repr(scenario.parse_scenario(text))
+            outcomes.append("loads, repr sha256 " + hashlib.sha256(loaded.encode()).hexdigest())
+        except scenario.ScenarioError as exc:
+            outcomes.append("\n".join(exc.messages))
+        except Exception as exc:  # a crash is an outcome to compare
+            outcomes.append(f"raises {type(exc).__name__}: {exc}")
+    Path(results_path).write_text(json.dumps(outcomes), encoding="utf-8")
+    return 0
+
+
+def _compare_edits(base: Path, count: int, seeds: str, scratch: Path) -> int:
+    """Print each edit whose outcome differs between the trees; returns the count."""
+    sides = []
+    for tree in (base, ROOT):
+        results_path = scratch / "edits.json"
+        proc = run_in_tree(tree, [str(Path(__file__).resolve()), "--parse-edits", str(count),
+                                  seeds, str(results_path), str(tree / "src")], scratch)
+        if proc.returncode != 0:
+            raise RuntimeError(f"edits against {tree} failed to run:\n{proc.stderr}")
+        sides.append(json.loads(results_path.read_text(encoding="utf-8")))
+    found = 0
+    for (name, seed, edit, _), was, now in zip(_edited_texts(count, _parse_seeds(seeds)), *sides):
+        if was != now:
+            found += 1
+            print(f"{name} seed {seed}, {edit}:\n  base: {was!r}\n  this: {now!r}")
+    print(f"edits: {found} differences over {len(sides[1])} edits")
+    return found
 
 
 def _files(work: Path) -> dict[str, str]:
@@ -143,6 +210,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--run-jobs"]:
         return _run_jobs(*argv[1:4])
+    if argv[:1] == ["--parse-edits"]:
+        return _parse_edits(*argv[1:5])
     workloads = _load_workloads()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     which = parser.add_mutually_exclusive_group(required=True)
@@ -152,6 +221,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="one workload, or all of them in turn (default attack)")
     parser.add_argument("--seeds", default="0", help="e.g. 0-7 or 0,3,5 (default 0)")
     parser.add_argument("--size", choices=("full", "tiny"), default="full")
+    parser.add_argument("--edits", type=int, metavar="N",
+                        help="compare the loader on N edits of each shipped scenario a seed, "
+                             "instead of a workload's outputs")
     parser.add_argument("--scratch", default=None,
                         help="directory for the work path and the base checkout "
                              "(default: a new temporary directory, removed afterwards)")
@@ -179,6 +251,8 @@ def _compare(args, workloads, seeds: list[int]) -> int:
             scratch = Path(args.scratch).resolve()
             scratch.mkdir(parents=True, exist_ok=True)
         base = stack.enter_context(_base_tree(args, scratch))
+        if args.edits is not None:
+            return 1 if _compare_edits(base, args.edits, args.seeds, scratch) else 0
         tiny = args.size == "tiny"
         total = sum(_compare_workload(base, workloads, name, seeds, tiny, scratch)
                     for name in names)

@@ -5,6 +5,10 @@ attack, and optionally a countermeasure.  Loading is strict, and each
 problem is reported with the line it came from, so a config typo never
 turns into a silently different simulation.
 
+One pass over the document's node tree builds its mappings, each with its
+keys' lines, its lists and its plain scalars; PyYAML's own constructors
+build any other node, such as a timestamp or an alias that holds itself.
+
 A section's keys are its dataclass's fields, less or plus the few the
 loader withholds or adds where it reads the section.  It checks what a
 YAML document can get wrong: required keys (fields without a default),
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -65,17 +70,45 @@ class ScenarioError(ValueError):
         super().__init__("\n".join(self.messages))
 
 
+_STR, _INT, _FLOAT, _BOOL, _NULL, _SEQ, _MAP = (
+    f"tag:yaml.org,2002:{kind}" for kind in ("str", "int", "float", "bool", "null", "seq", "map"))
+# Plain decimal spellings, which int() and float() read as PyYAML's YAML 1.1 constructors do.
+_DECIMAL_INT = re.compile(r"[-+]?(?:0|[1-9][0-9]{0,17})")
+_DECIMAL_FLOAT = re.compile(r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
+
+
 # libyaml's parser where PyYAML was built with it, the pure-Python one
 # otherwise; both resolve and construct the same values.
 class _LineLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """Safe loader that records the source line of every mapping key, under
     two keys of its own that a document may not use."""
 
+    def _construct(self, node):
+        """construct_object(node, deep=True), the plain kinds built here."""
+        tag, value = node.tag, node.value
+        if type(node) is yaml.ScalarNode:
+            if tag == _STR:
+                return value
+            if tag == _FLOAT and _DECIMAL_FLOAT.fullmatch(value):
+                return float(value)
+            if tag == _INT and _DECIMAL_INT.fullmatch(value):
+                return int(value)
+            if tag == _NULL or tag == _BOOL and value.lower() in self.bool_values:
+                return None if tag == _NULL else self.bool_values[value.lower()]
+        elif tag == (_MAP if type(node) is yaml.MappingNode else _SEQ) \
+                and node not in self.constructed_objects and node not in self.recursive_objects:
+            self.recursive_objects[node] = None
+            data = self.constructed_objects[node] = (
+                self.construct_mapping(node) if tag == _MAP else [*map(self._construct, value)])
+            del self.recursive_objects[node]
+            return data
+        return self.construct_object(node, deep=True)
+
     def construct_mapping(self, node, deep=False):
         mapping = {}
         lines = {}
         for key_node, value_node in node.value:
-            key = self.construct_object(key_node, deep=True)
+            key = self._construct(key_node)
             if not isinstance(key, str):
                 raise yaml.MarkedYAMLError(
                     problem=f"mapping keys must be strings, got {key!r}",
@@ -86,7 +119,7 @@ class _LineLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
                     problem=f"{'duplicate' if key in mapping else 'reserved'} key {key!r}",
                     problem_mark=key_node.start_mark,
                 )
-            mapping[key] = self.construct_object(value_node, deep=True)
+            mapping[key] = self._construct(value_node)
             lines[key] = key_node.start_mark.line + 1
         mapping[_LINES_KEY] = lines
         mapping[_LINE_KEY] = node.start_mark.line + 1
@@ -140,6 +173,16 @@ def _finite_float(value: int | float) -> float | None:
     return value if math.isfinite(value) else None
 
 
+def _text_number_hint(value) -> str:
+    """For text spelled as a finite number, such as 5e-3 (a YAML 1.1 float needs a dot and a
+    signed exponent), words that say YAML read it as text, with a spelling it reads as a number."""
+    if not (isinstance(value, str) and _DECIMAL_FLOAT.fullmatch(value)) or math.isinf(float(value)):
+        return ""
+    number = repr(float(value))
+    spelling = number if "." in number else number.replace("e", ".0e")
+    return f"; YAML 1.1 reads {value!r} as text, write {spelling}"
+
+
 def _finite_band(band: list) -> tuple[float, float] | None:
     low, high = map(_finite_float, band)
     return None if low is None or high is None else (low, high)
@@ -189,8 +232,6 @@ class _Map:
         self.raw = raw
         self.path = path
         self.parent = parent
-        self.lines: dict = raw.get(_LINES_KEY, {})
-        self.start_line: int = raw.get(_LINE_KEY, 1)
         self.ok = True
         self._seen: set[str] = set()
 
@@ -198,7 +239,8 @@ class _Map:
         """Record message on key's line, or on the section's first line
         when key is None or absent."""
         where = self.path if key is None else f"{self.path}.{key}"
-        self.errors.append(f"line {self.lines.get(key, self.start_line)}: {where}: {message}")
+        line = self.raw.get(_LINES_KEY, {}).get(key, self.raw.get(_LINE_KEY, 1))
+        self.errors.append(f"line {line}: {where}: {message}")
         section = self
         while section is not None:
             section.ok = False
@@ -214,7 +256,8 @@ class _Map:
                 self.error(key, "required key missing")
             return None
         if not check(self.raw[key]):
-            self.error(key, expected)
+            hint = _text_number_hint(self.raw[key]) if convert is _finite_float else ""
+            self.error(key, expected + hint)
             return None
         value = self.raw[key] if convert is None else convert(self.raw[key])
         if value is None:
@@ -275,16 +318,16 @@ class LoadedScenario:
 
 def _build_room(room: _Map, index: int, controller: ControllerConfig | None,
                 fans: FanSpec | None) -> RoomConfig | None:
-    # A room names itself, and sets the shared controller's setpoint.
+    # A room names itself; one that sets a setpoint gets a controller of its own.
     values = room.read(RoomConfig, ("controller", "fans"), name=f"room{index}")
     setpoint = room.take("setpoint_pa", "float")
     room.close()
     if controller is None or fans is None:
         return None
-    config = room.construct(lambda: RoomConfig(
-        **values, fans=fans, controller=replace(
-            controller, setpoint_pa=controller.setpoint_pa if setpoint is None else setpoint),
-    ))
+    if setpoint is not None:
+        controller = room.construct(ControllerConfig,
+                                    **vars(controller) | {"setpoint_pa": setpoint})
+    config = controller and room.construct(RoomConfig, **values, fans=fans, controller=controller)
     if config is None:
         return None
     try:

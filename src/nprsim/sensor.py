@@ -105,6 +105,10 @@ def _require_finite_fields(obj) -> None:
     """
     for name in _field_schema(type(obj)):
         value = getattr(obj, name)
+        # The common cases first: a finite float, or no number at all.
+        if type(value) is float and math.isfinite(value) \
+                or not isinstance(value, (int, float, tuple)):
+            continue
         for x in value if isinstance(value, tuple) else (value,):
             try:
                 finite = not isinstance(x, (int, float)) or math.isfinite(x)

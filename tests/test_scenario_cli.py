@@ -667,10 +667,118 @@ def test_one_controller_is_checked_once_for_every_room():
     assert _parse_errors(text) == ["line 2: scenario.controller: deadband must be >= 0"]
 
 
+# The values a room may give under each key, in the order the loader takes
+# them: a few it holds, as often as the ends of a float's range, each side
+# of the zero bound the dataclasses check and the non-finite values the
+# loader refuses itself.
+_ROOM_EDGES = [math.nan, math.inf, -math.inf, 1e308, -1e308, 10**400, 5e-324, 0.0]
+_ROOM_VALUES = {
+    "volume_m3": [50.0, 2.5], "leak_coeff_m3ps_per_pa": [0.004, 0.01],
+    "initial_pressure_pa": [-2.5, 2.5], "setpoint_pa": [-2.5, -8.0],
+}
+
+
+@st.composite
+def _rooms_under_one_controller(draw):
+    """(text, controller, rooms): a scenario whose drawn shared controller
+    serves one to three rooms, and each room's (line, given keys, their
+    lines).  Setpoints are drawn from few values, so rooms often repeat one."""
+    controller = ControllerConfig(gain=draw(st.sampled_from([0.0025, 0.5])),
+                                  deadband_pa=draw(st.sampled_from([0.0, 0.2])))
+    rows = ["controller:", f"  gain: {controller.gain}", f"  deadband_pa: {controller.deadband_pa}",
+            "rooms:"]
+    rooms = []
+    for index in range(draw(st.integers(1, 3))):
+        rows.append(f"  - name: r{index}")
+        line, given, lines = len(rows), {}, {}
+        for key, values in _ROOM_VALUES.items():
+            if draw(st.booleans()):
+                given[key] = draw(st.sampled_from(values) | st.sampled_from(_ROOM_EDGES))
+                rows.append(f"    {key}: {yaml.safe_dump(given[key]).splitlines()[0]}")
+                lines[key] = len(rows)
+        rooms.append((line, given, lines))
+    return "\n".join(rows) + "\n", controller, rooms
+
+
+def _rooms_or_errors(controller, rooms):
+    """The rooms RoomConfig and ControllerConfig build from each room's
+    values, or the errors the loader reports: a value that is not finite on
+    its key's line, a dataclass's refusal on the room's line."""
+    built, errors = [], []
+    for index, (line, given, lines) in enumerate(rooms):
+        where = f"scenario.rooms[{index}]"
+        refused = [f"line {lines[key]}: {where}.{key}: must be finite" for key in _ROOM_VALUES
+                   if key in given and not abs(given[key]) <= sys.float_info.max]
+        errors += refused
+        if refused:
+            continue
+        values = {key: float(value) for key, value in given.items()}
+        setpoint = values.pop("setpoint_pa", controller.setpoint_pa)
+        try:
+            own = ControllerConfig(setpoint_pa=setpoint, gain=controller.gain,
+                                   deadband_pa=controller.deadband_pa)
+            room = RoomConfig(name=f"r{index}", controller=own, fans=FanSpec(), **values)
+            plant.balanced_fans(room)
+        except plant.WiringError as exc:
+            errors.append(f"line {lines.get('setpoint_pa', line)}: {where}.setpoint_pa: {exc}")
+        except ValueError as exc:
+            errors.append(f"line {line}: {where}: {exc}")
+        else:
+            built.append(room)
+    if not errors:
+        try:
+            plant.NprScenario(rooms=tuple(built))
+        except ValueError as exc:
+            errors.append(f"line 1: scenario: {exc}")
+    return tuple(built), errors
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rooms_under_one_controller())
+@example(("controller:\n  gain: 0.5\nrooms:\n  - name: r0\n    setpoint_pa: -8.0\n"
+          "  - name: r1\n    setpoint_pa: -8.0\n    volume_m3: 1.0e+308\n"
+          "  - name: r2\n    setpoint_pa: -8.0\n",
+          ControllerConfig(gain=0.5), [(4, {"setpoint_pa": -8.0}, {"setpoint_pa": 5}),
+                                       (6, {"setpoint_pa": -8.0, "volume_m3": 1e308},
+                                        {"setpoint_pa": 7, "volume_m3": 8}),
+                                       (9, {"setpoint_pa": -8.0}, {"setpoint_pa": 10})]))
+def test_each_room_is_the_room_its_values_build_under_the_shared_controller(case):
+    text, controller, rooms = case
+    expected, errors = _rooms_or_errors(controller, rooms)
+    try:
+        loaded = parse_scenario(text)
+    except ScenarioError as exc:
+        assert exc.messages == errors
+    else:
+        assert errors == [] and loaded.scenario.rooms == expected
+
+
 def test_a_section_with_a_rejected_key_is_not_built_again():
     # The type error is the only one: the section's value rules do not run.
     text = "fans:\n  max_flow_m3ps: fast\n  time_constant_s: -1\n" + MINIMAL
     assert _parse_errors(text) == ["line 2: scenario.fans.max_flow_m3ps: expected number"]
+
+
+@pytest.mark.parametrize("key, written, where, spelling", [
+    ("duration_s", "2e-3", "attack.schedule.duration_s", "0.002"),
+    ("horizon_s", "1.2e2", "horizon_s", "120.0"),
+    ("spl_db", "6.5e1", "attack.source.spl_db", "65.0"),
+    ("cutoff_hz", "1e+30", "countermeasure.cutoff_hz", "1.0e+30"),
+], ids=["no-dot", "unsigned-exponent", "source", "signed-exponent-no-dot"])
+def test_a_number_yaml_reads_as_text_is_named_with_a_spelling_it_reads(key, written, where,
+                                                                       spelling, tmp_path, capsys):
+    """YAML 1.1 reads a float only with a dot and a signed exponent, so 2e-3
+    is text: the error says so and gives a spelling that loads the number."""
+    text = re.sub(rf"(?m)^(\s*{key}): .*$", rf"\1: {written}", _LPF, count=1)
+    line = next(k for k, row in enumerate(text.splitlines(), 1) if row.endswith(written))
+    expected = (f"line {line}: scenario.{where}: expected number; "
+                f"YAML 1.1 reads {written!r} as text, write {spelling}")
+    assert _parse_errors(text) == [expected]
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["simulate", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"nprsim: {expected}\n"
+    assert yaml.safe_load(f"{key}: {spelling}")[key] == float(written)
 
 
 _LONG = "1" + "0" * 5000  # an integer literal past the digits int() converts
@@ -1596,6 +1704,45 @@ def test_scenarios_load_through_libyaml_where_pyyaml_has_it():
 @given(_mutated_scenario())
 def test_both_parsers_load_a_scenario_to_the_same_mapping_and_lines(text):
     assert _loaded_or_error_line(text, _LineLoader) == _loaded_or_error_line(text, _PureLineLoader)
+
+
+class _PureOnePassLoader(_PureLineLoader):
+    """_LineLoader's one-pass construction on PyYAML's pure-Python parser."""
+
+    _construct = _LineLoader._construct
+    construct_mapping = _LineLoader.construct_mapping
+
+
+_LONG_INT = "9" * (sys.get_int_max_str_digits() + 1)
+
+
+# Node kinds yaml.safe_dump never writes, so the strategy above never draws
+# them: each is built by construct_object below a plain mapping or list.
+@pytest.mark.parametrize("text", [
+    "a: &x {b: 1, c: [2, 3]}\nd: *x\ne: [*x, *x]\n",
+    "a: &x 0x10\nb: *x\n",
+    "a: &x {b: *x}\n",
+    "a: &x [1, *x]\n",
+    "&x {b: *x}\n",
+    "a: &x {b: 1}\nc:\n  <<: *x\n  d: 2\n",
+    "a: !!str 1\nb: !!float 1\nc: !!int \"12\"\n",
+    "a: [!!str [1]]\n",
+    "a: 2001-12-14\nb: !!binary aGVsbG8=\nc: !!set {x, y}\n",
+    "a: yes\nb: ~\nc:\nd: 0x10\ne: 017\nf: 1:30\ng: .inf\nh: [-.inf, .nan, off, 1_000, +12]\n",
+    f"a: [1, {_LONG_INT}]\n",
+], ids=["shared-alias", "shared-scalar", "recursive-map", "recursive-list", "recursive-top",
+        "merge-key", "explicit-tags", "str-tagged-list", "timestamp-binary-set", "yaml-1.1-forms",
+        "long-integer"])
+def test_both_parsers_load_each_node_kind_to_the_same_mapping_and_lines(text):
+    expected = _loaded_or_error_line(text, _PureLineLoader)
+    assert _loaded_or_error_line(text, _LineLoader) == expected
+    assert _loaded_or_error_line(text, _PureOnePassLoader) == expected
+
+
+def test_an_alias_loads_to_the_object_its_anchor_does():
+    for loader in (_LineLoader, _PureOnePassLoader, _PureLineLoader):
+        loaded = yaml.load("a: &x {b: [1]}\nc: *x\nd: &y [2]\ne: *y\n", Loader=loader)
+        assert loaded["c"] is loaded["a"] and loaded["e"] is loaded["d"]
 
 
 @pytest.mark.parametrize("tail, line, problem", [

@@ -325,6 +325,8 @@ _X1 = ("sensors:\n  - part_id: X1\n    transducer: capacitive\n"
     ("defaults:\n  cavity_volume_m3: 1.0e-4\n" + _X1,
      "line 2: archetypes.defaults.cavity_volume_m3: unknown key"),
     (_X1 + "    damping_ratio: high\n", "line 6: archetypes.sensors[0].damping_ratio: expected number"),
+    (_X1 + "    damping_ratio: 7e-1\n", "line 6: archetypes.sensors[0].damping_ratio: expected number; "
+     "YAML 1.1 reads '7e-1' as text, write 0.7"),
     (_X1.replace("capacitive", "optical"),
      "line 3: archetypes.sensors[0].transducer: expected one of ['capacitive', "),
     (_X1.replace("capacitive", "[1]"), "line 3: archetypes.sensors[0].transducer: expected one of "),
