@@ -76,7 +76,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     _write_lines(path, [",".join(header), *(",".join(row) for row in rows)])
 
 
-def _trace_lines(trace: SimulationTrace) -> list[bytes]:
+def _trace_lines(trace: SimulationTrace) -> bytes:
     """trace.csv data rows, each ending in a newline: time, then per room
     the three differentials, the two fan speeds and the alarm flag.
 
@@ -84,7 +84,8 @@ def _trace_lines(trace: SimulationTrace) -> list[bytes]:
     Python floats, which prints every cell as _num would (both run
     PyOS_double_to_string) and each 0/1 flag as an integer.  A settled
     loop repeats its rows, so that text is formatted once per run of rows
-    whose cells, flags included, match the row before bit for bit.
+    whose cells, flags included, match the row before bit for bit.  One
+    more %-format joins the time cells and those tails.
     """
     # (rows, rooms, 6) floats, so each row reads room by room.
     cells = np.stack([
@@ -96,8 +97,11 @@ def _trace_lines(trace: SimulationTrace) -> list[bytes]:
     fresh[1:] = np.any(bits[1:] != bits[:-1], axis=1)
     tail_format = b",".join([b"%.6g,%.6g,%.6g,%.6g,%.6g,%d"] * len(trace.room_names))
     tails = [tail_format % tuple(row) for row in cells[fresh].tolist()]
-    run = np.cumsum(fresh) - 1
-    return [b"%.6g,%s\n" % (t, tails[r]) for t, r in zip(trace.times_s.tolist(), run.tolist())]
+    # Time cells and tails alternating, the arguments of one format.
+    row_cells = [None] * (2 * len(cells))
+    row_cells[::2] = trace.times_s.tolist()
+    row_cells[1::2] = map(tails.__getitem__, (np.cumsum(fresh) - 1).tolist())
+    return (b"%.6g,%s\n" * len(cells)) % tuple(row_cells)
 
 
 def _note_lengthened_bursts(trains) -> None:
@@ -128,7 +132,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"supply_{name}", f"exhaust_{name}", f"alarm_{name}",
         ]
     with (out_dir / "trace.csv").open("wb") as stream:
-        stream.writelines([(",".join(header) + "\n").encode("utf-8"), *_trace_lines(trace)])
+        stream.write((",".join(header) + "\n").encode("utf-8"))
+        stream.write(_trace_lines(trace))
 
     plan = scenario.wiring.attack
     steady = trace.steady_true_pd_pa()

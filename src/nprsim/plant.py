@@ -44,11 +44,12 @@ SETTLE_HORIZONS = 20
 # float loop's cost grows with the rooms, the array loop's, mostly numpy's
 # per-call overhead, barely does.  On a 2-vCPU x86-64 VM a simulate_scenario
 # call through the float loop took, of its time through the array loop,
-# 0.36 at 4 rooms, 0.63 at 8, 0.90 at 12, 1.00 at 14, 1.14 at 16 and 1.20
-# at 18 on the first rooms of the closed-loop benchmark's 100-room
-# scenario, which rest within 85 periods (median of 60 alternating pairs),
-# and 0.72 at 14, 0.80 at 16, 0.99 at 20 and 1.09 at 22 on rooms that never
-# rest and step 20 horizons (median of 10).
+# 0.31 at 4 rooms, 0.54 at 8, 0.75 at 12, 0.85 at 14, 0.97 at 16, 1.06 at
+# 18 and 1.15 at 20 on the first rooms of the closed-loop benchmark's
+# 100-room scenario, which rest within 85 periods (median of 60 alternating
+# pairs), and 0.58 at 16, 0.75 at 20, 0.90 at 24 and 0.97 at 26 on rooms
+# that never rest and step 20 horizons (median of 10).  16 is the most at
+# which the float loop is the cheaper on both.
 FLOAT_LOOP_MAX_ROOMS = 16
 
 ATTACK_PLACEMENTS = ("none", "low_port", "high_port", "common_high_port")
@@ -308,53 +309,45 @@ class SimulationTrace:
         return sum(1 for e in self.alarm_events if e.kind == "raised")
 
 
-def _float_max(a, b):
-    """max(a, b) of two floats, without the builtin's argument parsing,
-    which costs about three times this call."""
-    return b if b > a else a
+def _trim(setpoint, gain, deadband, reading, supply_cmd, exhaust_cmd):
+    """The control law on one room's Python floats: the (supply, exhaust)
+    commands trimmed from a reading.
 
-
-def _float_min(a, b):
-    """min(a, b) of two floats, as _float_max is max."""
-    return b if b < a else a
-
-
-def _array_max(a, b):
-    """np.maximum choosing as max does on a tie of signed zeros: a."""
-    return np.maximum(b, a)
-
-
-def _array_min(a, b):
-    """np.minimum choosing as min does on a tie of signed zeros: a."""
-    return np.minimum(b, a)
-
-
-def _trim(setpoint, gain, deadband, reading, supply_cmd, exhaust_cmd,
-          up=_float_max, down=_float_min):
-    """The control law: the (supply, exhaust) commands trimmed from a reading.
-
-    On one room's Python floats with _float_max and _float_min, or
-    elementwise on arrays with _array_max and _array_min.  Both pairs
-    return the first operand on a tie, as max and min do, which matters
-    only between 0.0 and -0.0.  The
-    correction is gain times the error less its clip to the deadband, so
-    it is 0.0 inside the band and gain * (error - copysign(deadband,
+    The correction is gain times the error less its clip to the deadband,
+    so it is 0.0 inside the band and gain * (error - copysign(deadband,
     error)) outside it: under a negative setpoint, as ControllerConfig
     requires, the error is never -0.0, and the two forms are equal bit for
-    bit.
+    bit.  Each max and min is a comparison that returns its first operand
+    on a tie, as max and min do, which matters only between 0.0 and -0.0;
+    the builtins' argument parsing costs about three times as much.
+    _trim_arrays states the same law on arrays.
     """
     error = reading - setpoint
-    correction = gain * (error - down(deadband, up(-deadband, error)))
-    return (down(up(supply_cmd - correction, 0.0), 1.0),
-            down(up(exhaust_cmd + correction, 0.0), 1.0))
+    clip = error if error > -deadband else -deadband
+    correction = gain * (error - (clip if clip < deadband else deadband))
+    supply = supply_cmd - correction
+    supply = 0.0 if 0.0 > supply else supply
+    exhaust = exhaust_cmd + correction
+    exhaust = 0.0 if 0.0 > exhaust else exhaust
+    return (1.0 if 1.0 < supply else supply), (1.0 if 1.0 < exhaust else exhaust)
+
+
+def _trim_arrays(setpoint, gain, deadband, reading, supply_cmd, exhaust_cmd):
+    """_trim elementwise on arrays of rooms.  np.maximum and np.minimum
+    return their second operand on a tie, so each takes the operand _trim
+    keeps on a tie second."""
+    error = reading - setpoint
+    correction = gain * (error - np.minimum(np.maximum(error, -deadband), deadband))
+    return (np.minimum(1.0, np.maximum(0.0, supply_cmd - correction)),
+            np.minimum(1.0, np.maximum(0.0, exhaust_cmd + correction)))
 
 
 def _period_sum(p0, p1, p2, p3, p4):
     """A period map row's products with the deviation (x, supply, exhaust,
     supply_cmd, exhaust_cmd), one per term, summed in the order numpy's
     einsum sums a 5-term product, so that a trace is bit for bit the one an
-    einsum over the period maps gives.  On one room's Python floats or on
-    arrays.
+    einsum over the period maps gives.  On arrays; _room_rows writes the
+    same sum inline on floats.
     """
     return ((p0 + p2) + p4) + (p1 + p3)
 
@@ -464,9 +457,10 @@ def _room_rows(maps: np.ndarray, balance: np.ndarray, state: list[float], cfg: C
         supply, exhaust = _trim(setpoint, gain, deadband, row[0] + shift,
                                 bs + supply_cmd, be + exhaust_cmd)
         supply_cmd, exhaust_cmd = supply - bs, exhaust - be
-        x, s, e = (_period_sum(a0 * x, a1 * s, a2 * e, a3 * supply_cmd, a4 * exhaust_cmd),
-                   _period_sum(b0 * x, b1 * s, b2 * e, b3 * supply_cmd, b4 * exhaust_cmd),
-                   _period_sum(c0 * x, c1 * s, c2 * e, c3 * supply_cmd, c4 * exhaust_cmd))
+        # _period_sum's order: + groups left to right.
+        x, s, e = (a0 * x + a2 * e + a4 * exhaust_cmd + (a1 * s + a3 * supply_cmd),
+                   b0 * x + b2 * e + b4 * exhaust_cmd + (b1 * s + b3 * supply_cmd),
+                   c0 * x + c2 * e + c4 * exhaust_cmd + (c1 * s + c3 * supply_cmd))
         after = (x, s, e, supply_cmd, exhaust_cmd)
         # Values that compare equal are compared as bytes, where 0.0 and
         # -0.0 differ.
@@ -511,8 +505,8 @@ def _step_stack(rows: np.ndarray, stack: tuple[np.ndarray, ...], shift: float, f
         if k > n_periods and np.any(np.abs(row[0] - last) > SETTLE_TOLERANCE_PA):
             return None
         np.copyto(before, deviation)
-        supply, exhaust = _trim(setpoint, gain, deadband, row[0] + shift,
-                                bs + supply_cmd, be + exhaust_cmd, _array_max, _array_min)
+        supply, exhaust = _trim_arrays(setpoint, gain, deadband, row[0] + shift,
+                                       bs + supply_cmd, be + exhaust_cmd)
         np.subtract(supply, bs, out=supply_cmd)
         np.subtract(exhaust, be, out=exhaust_cmd)
         np.multiply(terms, deviation[:, None], out=products)
@@ -621,9 +615,10 @@ def simulate_scenario(scenario: NprScenario) -> SimulationTrace:
     count as different.  Rooms never interact, so while more than
     FLOAT_LOOP_MAX_ROOMS rooms are still moving they step at once in numpy
     arrays, and at most that many step each alone in Python floats, to its
-    own fixed point (see _stack_rows).  Both loops run _trim and
-    _period_sum, so they agree bit for bit: numpy's elementwise operators
-    round as Python floats do.
+    own fixed point (see _stack_rows).  The law is stated once for each
+    loop, _trim on floats and _trim_arrays on arrays, with the same ties,
+    and both sum in _period_sum's order, so they agree bit for bit: numpy's
+    elementwise operators round as Python floats do.
 
     Convergence is that rest: a room not at rest by the last row steps on
     without rows until it rests, its true differential moves more than

@@ -59,6 +59,8 @@ _ARCHETYPE_ENV = "NPRSIM_ARCHETYPES"
 _DEFAULT_ARCHETYPES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                    "data", "archetypes.yaml")
 _ARCHETYPE_CACHE: dict[str, dict[str, DpsModel]] = {}
+# What an absent section builds to: one shared instance per class, as NO_TUBE is.
+_ABSENT = {cls: cls() for cls in (ControllerConfig, FanSpec, AlarmConfig, AttackPlan)}
 
 
 class ScenarioError(ValueError):
@@ -299,10 +301,10 @@ class _Map:
         return self.construct(cls, **values)
 
     def section(self, key: str, cls, skip: tuple[str, ...] = ()):
-        """build of the mapping under key, or cls() when key is absent."""
+        """build of the mapping under key, or _ABSENT[cls] when key is absent."""
         if key not in self.raw:
             self._seen.add(key)
-            return cls()
+            return _ABSENT[cls]
         sub = self.submap(key)
         return sub and sub.build(cls, skip)
 
@@ -361,7 +363,7 @@ def _build_binding(section: _Map | None) -> DpsBinding | None:
 def _build_attack(top: _Map, hvac_declared: bool) -> AttackPlan | None:
     attack = top.submap("attack")
     if attack is None:
-        return AttackPlan()
+        return _ABSENT[AttackPlan]
     # target_f_hz pins the source's tone, which the source itself withholds;
     # amplitude_scale scales synth's audio, not the forged pressure.
     values = attack.read(AttackPlan, ("source", "schedule"))
@@ -426,7 +428,11 @@ def parse_scenario(text: str, source_path: Path | None = None) -> LoadedScenario
         hvac = _build_binding(sensors.submap("hvac"))
         rpm = _build_binding(sensors.submap("rpm"))
         sensors.close()
-    wiring = top.section("wiring", PortWiring, ("hvac", "rpm", "attack"))
+    wiring = top.submap("wiring")
+    wired = {}
+    if wiring is not None:
+        wired = wiring.read(PortWiring, ("hvac", "rpm", "attack"))
+        wiring.close()
     plan = _build_attack(top, sensors is not None and "hvac" in sensors.raw)
     countermeasure_map = top.submap("countermeasure")
     countermeasure = countermeasure_map and countermeasure_map.build(Countermeasure)
@@ -434,7 +440,7 @@ def parse_scenario(text: str, source_path: Path | None = None) -> LoadedScenario
 
     scenario = top.construct(lambda: NprScenario(
         rooms=tuple(rooms), alarm=alarm,
-        wiring=replace(wiring, hvac=hvac, rpm=rpm, attack=plan), **head,
+        wiring=PortWiring(hvac=hvac, rpm=rpm, attack=plan, **wired), **head,
     ))
     if errors:
         raise ScenarioError(errors)

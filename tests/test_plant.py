@@ -34,12 +34,11 @@ from nprsim.plant import (
     SUBSTEPS_PER_PERIOD,
     AlarmEvent,
     SimulationTrace,
-    _array_max,
-    _array_min,
     _dwelling_rooms,
     _period_maps,
     _port_offsets,
     _trim,
+    _trim_arrays,
     horizon_periods,
 )
 from nprsim.scenario import load_scenario
@@ -64,8 +63,7 @@ def _scenario(rooms=None, attack=None, wiring_kw=None, **kw):
 
 def _trim_by(cfg, measured_pa, supply_cmd, exhaust_cmd):
     """The plant's control law on cfg's setpoint, gain and deadband: on
-    Python floats with _float_max and _float_min, as the float loop runs
-    it."""
+    Python floats, _trim, as the float loop runs it."""
     return _trim(cfg.setpoint_pa, cfg.gain, cfg.deadband_pa, measured_pa, supply_cmd, exhaust_cmd)
 
 
@@ -143,14 +141,47 @@ def test_the_fused_control_law_is_the_where_law_bit_for_bit(case):
     if isinstance(commands, tuple):
         fused = np.array(_trim_by(cfg, reading, *commands))
     else:
-        fused = np.stack(_trim(cfg.setpoint_pa, cfg.gain, cfg.deadband_pa, reading,
-                               commands[..., 0], commands[..., 1], _array_max, _array_min),
+        fused = np.stack(_trim_arrays(cfg.setpoint_pa, cfg.gain, cfg.deadband_pa, reading,
+                                      commands[..., 0], commands[..., 1]),
                          axis=-1)
     commands = np.asarray(commands)
     supply, exhaust = _controller_step_by_where(cfg, reading, commands[..., 0], commands[..., 1])
     where = np.stack([supply, exhaust], axis=-1)
     assert fused.shape == where.shape == commands.shape
     assert fused.tobytes() == where.tobytes()
+
+
+# (setpoint, gain, deadband, reading, supply_cmd, exhaust_cmd) and the
+# (supply, exhaust) pair the law trims them to, bit for bit.
+_TRIM_EDGES = [
+    # Trimmed exactly onto the clamps, from inside them.
+    ((-2.5, 0.25, 0.0, -0.5, 0.5, 0.5), (0.0, 1.0)),
+    ((-2.5, 0.125, 0.0, -4.5, 0.75, 0.25), (1.0, 0.0)),
+    # Trimmed past both clamps.
+    ((-2.5, 0.0025, 0.2, 500.0, 0.001, 0.999), (0.0, 1.0)),
+    # A -0.0 command inside the band ties the clamp at 0 and stays -0.0.
+    ((-2.5, 0.0025, 0.2, -2.45, -0.0, 0.5), (-0.0, 0.5)),
+    # An error of exactly +deadband and of -deadband: no correction.
+    ((-2.5, 1.0, 0.25, -2.25, 0.5, -0.0), (0.5, 0.0)),
+    ((-2.5, 1.0, 0.25, -2.75, -0.0, 1.0), (-0.0, 1.0)),
+    # An error of 0 on a deadband of 0.
+    ((-2.5, 1.0, 0.0, -2.5, -0.0, 1.0), (-0.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("case, trimmed", _TRIM_EDGES)
+def test_the_control_law_keeps_its_ties_and_clamps_to_the_bit(case, trimmed):
+    """Both statements of the law, and the where law, on commands trimmed
+    onto or past a clamp, a -0.0 command, and errors on the deadband's
+    edges."""
+    setpoint, gain, deadband, reading, supply_cmd, exhaust_cmd = case
+    expected = np.array(trimmed).tobytes()
+    assert np.array(_trim(*case)).tobytes() == expected
+    rooms = [np.full(3, value) for value in case]
+    assert np.stack(_trim_arrays(*rooms), axis=-1).tobytes() == np.tile(trimmed, (3, 1)).tobytes()
+    cfg = SimpleNamespace(setpoint_pa=setpoint, gain=gain, deadband_pa=deadband)
+    where = _controller_step_by_where(cfg, reading, supply_cmd, exhaust_cmd)
+    assert np.array(where).tobytes() == expected
 
 
 def test_balanced_fans_hold_the_setpoint():
@@ -1001,17 +1032,21 @@ def _simulate_by_loop(scenario: NprScenario, loop: str) -> SimulationTrace:
 
 def _counted_run(scenario: NprScenario, loop: str) -> tuple[SimulationTrace, int]:
     """A one-room scenario's trace through one loop, and the periods that
-    loop stepped: calls of the control law, which each loop makes once a
-    period for every room it steps at a time (one here)."""
+    loop stepped: calls of the control law, _trim in the float loop and
+    _trim_arrays in the array loop, which each loop makes once a period
+    for every room it steps at a time (one here)."""
     assert len(scenario.rooms) == 1
     calls = [0]
 
-    def counted(*args):
-        calls[0] += 1
-        return _trim(*args)
+    def counting(law):
+        def counted(*args):
+            calls[0] += 1
+            return law(*args)
+        return counted
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("nprsim.plant._trim", counted)
+        patch.setattr("nprsim.plant._trim", counting(_trim))
+        patch.setattr("nprsim.plant._trim_arrays", counting(_trim_arrays))
         trace = _simulate_by_loop(scenario, loop)
     return trace, calls[0]
 
@@ -1081,6 +1116,11 @@ _COMMON_PORT = {"common_high_port": True}
                    wiring_kw=_COMMON_PORT))
 @example(_scenario(rooms=[_limit_room("r0")],
                    attack=AttackPlan(placement="low_port", forged_pa=6.0)))
+# A large offset and a high gain: every period trims each room's commands
+# past a clamp, to 0.0 and 1.0 in turn.
+@example(_scenario(rooms=[_room("r0", gain=1.0), _room("r1", gain=0.5, deadband_pa=0.0)],
+                   attack=AttackPlan(placement="common_high_port", forged_pa=60.0),
+                   wiring_kw=_COMMON_PORT))
 # A zero offset.
 @example(_scenario(rooms=[_room(f"r{i}", setpoint=-2.5 - i) for i in range(8)],
                    attack=AttackPlan(placement="high_port", forged_pa=0.0)))

@@ -650,7 +650,8 @@ def test_the_library_simulates_a_scenario_as_the_cli_does(name, tmp_path):
     scenario = load_scenario(SCENARIO_DIR / name).scenario
     trace = plant.simulate_scenario(scenario)
     assert main(["simulate", str(SCENARIO_DIR / name), "--out", str(tmp_path)]) in (0, 3)
-    assert _trace_lines(trace) == (tmp_path / "trace.csv").read_bytes().splitlines(True)[1:]
+    assert (_trace_lines(trace).splitlines(True)
+            == (tmp_path / "trace.csv").read_bytes().splitlines(True)[1:])
     summary = (tmp_path / "summary.txt").read_text()
     assert f"converged: {'yes' if trace.converged else 'no'}\n" in summary
     plan = as_replay(scenario).wiring.attack
@@ -835,7 +836,7 @@ def test_trace_rows_print_every_cell_as_num_does():
                 str(int(trace.alarm_active[k, j])),
             ]
         expected.append(",".join(row))
-    assert _trace_lines(trace) == [f"{line}\n".encode() for line in expected]
+    assert _trace_lines(trace).splitlines(True) == [f"{line}\n".encode() for line in expected]
     assert expected[0] == ("0,-0,4.94066e-324,1e-05,123456,0,0,"
                            "4.94066e-324,1e-05,123456,1e+21,-4.94066e-324,0")
     assert [line.split(",")[6] for line in expected] == ["0", "1", "0", "1"]
@@ -865,7 +866,7 @@ def test_trace_rows_that_repeat_print_as_the_per_row_format_does():
                     trace.measured_rpm_pa[:, j], trace.supply_speed[:, j],
                     trace.exhaust_speed[:, j], trace.alarm_active[:, j]]
     expected = [row_format % tuple(row) for row in np.column_stack(columns).tolist()]
-    lines = _trace_lines(trace)
+    lines = _trace_lines(trace).splitlines(True)
     assert lines == [f"{line}\n".encode() for line in expected]
     assert [line.split(b",")[7] for line in lines[4:6]] == [b"0", b"-0"]
     assert [line.split(b",")[6] for line in lines[6:]] == [b"0", b"1", b"1"]
